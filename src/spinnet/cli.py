@@ -21,7 +21,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__, clusterdyn, fitkit, presets, protocol, transport
-from .network import Placement, ppm_to_density
+from .network import GenerationError, Placement, ppm_to_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,6 +31,8 @@ _NUMERIC_ERRORS = (
     fitkit.FitError,
     transport.StiffnessError,
     transport.WindowError,
+    transport.ConservationError,
+    GenerationError,
     np.linalg.LinAlgError,
 )
 

@@ -23,13 +23,15 @@ from .fitkit import FitError, reduce_mean_sem
 from .network import (
     NV_AXES,
     EnsembleSpec,
+    GenerationError,
     Placement,
     Species,
     SpinSite,
     generate_network,
     ppm_to_density,
 )
-from .spinops import ClusterHamiltonian, Frame, build_cluster_hamiltonian, operator_set
+from .spinops import ClusterHamiltonian, Frame, build_cluster_hamiltonian
+from .transport import ConservationError
 
 __all__ = [
     "MAX_CLUSTER_DIM",
@@ -56,6 +58,9 @@ __all__ = [
     "estimate_concentration",
 ]
 
+# At the cap one dense complex Hamiltonian is 4096^2 * 16 B = 256 MiB, and
+# eigh adds its eigenvectors and workspace of the same order.  The builders
+# form no per-site operator set (7 n 4^n * 16 B, 21 GiB at 12 spins).
 MAX_CLUSTER_DIM = 4096
 
 _AXES_2X2 = {
@@ -136,13 +141,14 @@ def rotation_unitary(n_sites: int, angle_rad: float, axis: str, site_indices) ->
 
 def _as_matrix(hamiltonian) -> np.ndarray:
     m = hamiltonian.matrix if isinstance(hamiltonian, ClusterHamiltonian) else np.asarray(hamiltonian, dtype=complex)
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > 1e-12 * scale:
-        raise ValueError("free evolution requires a Hermitian Hamiltonian")
+    # the cap goes first: the Hermiticity check allocates several copies of m
     if m.shape[0] > MAX_CLUSTER_DIM:
         raise ValueError(
             f"cluster dimension {m.shape[0]} exceeds the {MAX_CLUSTER_DIM} cap"
         )
+    scale = max(np.abs(m).max(), 1.0)
+    if np.abs(m - m.conj().T).max() > 1e-12 * scale:
+        raise ValueError("free evolution requires a Hermitian Hamiltonian")
     return m
 
 
@@ -170,7 +176,7 @@ def evolve(state, hamiltonian, events: Sequence, sites: Sequence[SpinSite]) -> n
         else:
             raise TypeError(f"unknown sequence element {ev!r}")
         if abs(np.linalg.norm(psi) - norm0) > 1e-10:
-            raise RuntimeError("state norm drifted beyond 1e-10")
+            raise ConservationError("state norm drifted beyond 1e-10")
         out.append(psi.copy())
     return np.array(out)
 
@@ -217,7 +223,7 @@ def sample_nv_p1_cluster(
             for k, s in enumerate(net.sites)
         ]
         return [sensor] + bath
-    raise RuntimeError("could not place the sensor away from the bath in 100 attempts")
+    raise GenerationError("could not place the sensor away from the bath in 100 attempts")
 
 
 def sample_nv_nv_cluster(
@@ -267,7 +273,7 @@ def sample_nv_nv_cluster(
             for k in range(len(axis_pool))
         ]
         return [sensor] + others
-    raise RuntimeError("could not place the sensor away from the bath in 100 attempts")
+    raise GenerationError("could not place the sensor away from the bath in 100 attempts")
 
 
 def default_tau_grid(density_ppm: float, n_points: int = 48) -> np.ndarray:
@@ -331,14 +337,13 @@ def run_deer(
                     flip.add(i)
         u_half = rotation_unitary(n, math.pi / 2, "y", [0])
         u_pi = rotation_unitary(n, math.pi, "x", sorted(flip))
-        u_plus = rotation_unitary(n, math.pi / 2, "y", [0])
         u_minus = rotation_unitary(n, math.pi / 2, "-y", [0])
 
         phases = np.exp(-1j * TWO_PI * np.outer(evals, tau))
         c1 = evecs.conj().T @ (u_half @ psi0)
         mid = u_pi @ (evecs @ (phases * c1[:, None]))
         states = evecs @ (phases * (evecs.conj().T @ mid))
-        p_plus = _sensor_up_probability(u_plus @ states, n)
+        p_plus = _sensor_up_probability(u_half @ states, n)
         p_minus = _sensor_up_probability(u_minus @ states, n)
         signals.append(p_minus - p_plus)
 

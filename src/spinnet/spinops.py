@@ -2,8 +2,9 @@
 
 Every site is an effective spin-1/2 (the NV is restricted to its {|0>,|-1>}
 pair, which is why NV couplings pick up sqrt(2) factors).  Hamiltonians are
-dense complex matrices in MHz on the 2^N tensor-product space; the 2*pi
-enters only at propagation time.
+dense complex matrices in MHz on the 2^N tensor-product space, written entry
+by entry from bit patterns of the basis index (site 0 is the top bit); the
+2*pi enters only at propagation time.
 
 Two frames are built here.  In the lab-secular frame, pairs with matching
 transition frequencies keep their flip-flop terms and all other pairs reduce
@@ -48,7 +49,6 @@ __all__ = [
 _SX = np.array([[0, 1], [1, 0]], dtype=complex) / 2
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex) / 2
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex) / 2
-_ID = np.eye(2, dtype=complex)
 
 
 class Frame(str, Enum):
@@ -180,6 +180,44 @@ def _coupling_map(sites, quant_axis, couplings):
     }
 
 
+# (dressed frame, degenerate pair) -> (c/J, diagonal weight on s_i s_j, flip
+# weights where the bits differ and agree, -(J/2) Sx Sx weight added last),
+# from c(S~+S~- + S~-S~+) = 2c(SySy + SzSz).  Powers of two added in the order
+# of the builders' operator forms keep entries bit-equal to operator products.
+_PAIR_TERMS = {
+    (False, True): (1.0, 1.0, -0.25, 0.0, 0.0),
+    (False, False): (1.0, 1.0, 0.0, 0.0, 0.0),
+    (True, True): (0.125, 2.0, 0.5, -0.5, -0.5),
+    (True, False): (0.25, 2.0, 0.5, -0.5, 0.0),
+}
+
+
+def _hamiltonian(n, frame, cmap, use, degenerate) -> ClusterHamiltonian:
+    """Pair terms ``use``, in order, with ``degenerate(i, j)`` choosing the
+    intra- or inter-group form: Ising parts go on the diagonal, flip-flop
+    parts on the entries (idx ^ mask_ij, idx) that flip both bits."""
+    if n < 1:
+        raise ValueError("need at least one site")
+    dim = 2**n
+    idx = np.arange(dim)
+    bits = (idx >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    s = 0.5 - bits
+    h = np.zeros((dim, dim), dtype=complex)
+    flat = h.reshape(-1)
+    diag = flat[:: dim + 1]
+    for i, j in use:
+        jij = cmap[i, j]
+        scale, ising, differ, agree, sxsx = _PAIR_TERMS[frame == Frame.DRESSED, degenerate(i, j)]
+        c = jij * scale
+        diag += c * (ising * (s[i] * s[j]))
+        if differ or agree:
+            flip = (idx ^ (1 << (n - 1 - i) | 1 << (n - 1 - j))) * dim + idx
+            flat[flip] += c * np.where(bits[i] != bits[j], differ, agree)
+            if sxsx:
+                flat[flip] += (jij * sxsx) * 0.25
+    return ClusterHamiltonian(h, frame, n, {p: cmap[p] for p in use})
+
+
 def build_secular_intra(
     sites: Sequence[SpinSite],
     quant_axis=None,
@@ -189,17 +227,10 @@ def build_secular_intra(
 
     H = sum_ij [ -(J_ij/4)(S+S- + S-S+) + J_ij Sz Sz ].
     """
-    for a in sites[1:]:
-        if is_heterogeneous(sites[0], a):
-            raise ValueError("secular intra-group form requires identical species and axis")
-    n = len(sites)
+    if any(is_heterogeneous(sites[0], a) for a in sites[1:]):
+        raise ValueError("secular intra-group form requires identical species and axis")
     cmap = _coupling_map(sites, quant_axis, couplings)
-    ops = operator_set(n)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for (i, j), jij in cmap.items():
-        h += -(jij / 4.0) * (ops.sp[i] @ ops.sm[j] + ops.sm[i] @ ops.sp[j])
-        h += jij * (ops.sz[i] @ ops.sz[j])
-    return ClusterHamiltonian(h, Frame.LAB_SECULAR, n, dict(cmap))
+    return _hamiltonian(len(sites), Frame.LAB_SECULAR, cmap, list(cmap), lambda i, j: True)
 
 
 def build_ising_inter(
@@ -212,7 +243,6 @@ def build_ising_inter(
 
     With no explicit ``pairs`` every pair is used and must be heterogeneous.
     """
-    n = len(sites)
     cmap = _coupling_map(sites, quant_axis, couplings)
     use = [tuple(sorted(p)) for p in pairs] if pairs is not None else list(cmap)
     for i, j in use:
@@ -220,11 +250,7 @@ def build_ising_inter(
             raise ValueError(
                 f"sites {i} and {j} form a degenerate pair; the Ising-only form does not apply"
             )
-    ops = operator_set(n)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for i, j in use:
-        h += cmap[i, j] * (ops.sz[i] @ ops.sz[j])
-    return ClusterHamiltonian(h, Frame.LAB_SECULAR, n, {p: cmap[p] for p in use})
+    return _hamiltonian(len(sites), Frame.LAB_SECULAR, cmap, use, lambda i, j: False)
 
 
 def build_dressed_intra(
@@ -236,17 +262,10 @@ def build_dressed_intra(
 
     H = sum_ij [ (J_ij/8)(S~+S~- + S~-S~+) - (J_ij/2) Sx Sx ].
     """
-    for a in sites[1:]:
-        if is_heterogeneous(sites[0], a):
-            raise ValueError("dressed intra-group form requires identical species and axis")
-    n = len(sites)
+    if any(is_heterogeneous(sites[0], a) for a in sites[1:]):
+        raise ValueError("dressed intra-group form requires identical species and axis")
     cmap = _coupling_map(sites, quant_axis, couplings)
-    ops = operator_set(n)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for (i, j), jij in cmap.items():
-        h += (jij / 8.0) * (ops.tp[i] @ ops.tm[j] + ops.tm[i] @ ops.tp[j])
-        h += -(jij / 2.0) * (ops.sx[i] @ ops.sx[j])
-    return ClusterHamiltonian(h, Frame.DRESSED, n, dict(cmap))
+    return _hamiltonian(len(sites), Frame.DRESSED, cmap, list(cmap), lambda i, j: True)
 
 
 def build_dressed_inter(
@@ -259,14 +278,9 @@ def build_dressed_inter(
 
     H = sum_ij (J_ij/4)(S~+S~- + S~-S~+).
     """
-    n = len(sites)
     cmap = _coupling_map(sites, quant_axis, couplings)
     use = [tuple(sorted(p)) for p in pairs] if pairs is not None else list(cmap)
-    ops = operator_set(n)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for i, j in use:
-        h += (cmap[i, j] / 4.0) * (ops.tp[i] @ ops.tm[j] + ops.tm[i] @ ops.tp[j])
-    return ClusterHamiltonian(h, Frame.DRESSED, n, {p: cmap[p] for p in use})
+    return _hamiltonian(len(sites), Frame.DRESSED, cmap, use, lambda i, j: False)
 
 
 def build_cluster_hamiltonian(
@@ -280,24 +294,9 @@ def build_cluster_hamiltonian(
     Degenerate pairs take the intra-group form, all others the inter-group
     form, in the requested frame.
     """
-    n = len(sites)
     cmap = _coupling_map(sites, quant_axis, couplings)
-    ops = operator_set(n)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for (i, j), jij in cmap.items():
-        if is_heterogeneous(sites[i], sites[j]):
-            if frame == Frame.DRESSED:
-                h += (jij / 4.0) * (ops.tp[i] @ ops.tm[j] + ops.tm[i] @ ops.tp[j])
-            else:
-                h += jij * (ops.sz[i] @ ops.sz[j])
-        else:
-            if frame == Frame.DRESSED:
-                h += (jij / 8.0) * (ops.tp[i] @ ops.tm[j] + ops.tm[i] @ ops.tp[j])
-                h += -(jij / 2.0) * (ops.sx[i] @ ops.sx[j])
-            else:
-                h += -(jij / 4.0) * (ops.sp[i] @ ops.sm[j] + ops.sm[i] @ ops.sp[j])
-                h += jij * (ops.sz[i] @ ops.sz[j])
-    return ClusterHamiltonian(h, frame, n, dict(cmap))
+    degenerate = lambda i, j: not is_heterogeneous(sites[i], sites[j])
+    return _hamiltonian(len(sites), frame, cmap, list(cmap), degenerate)
 
 
 def effective_rabi(omega_mhz: float, detuning_mhz: float) -> float:

@@ -30,6 +30,7 @@ from .constants import J0_MHZ_NM3
 from .network import (
     NV_AXES,
     EnsembleSpec,
+    GenerationError,
     Species,
     SpinNetwork,
     SpinSite,
@@ -48,6 +49,7 @@ __all__ = [
     "ExtrapolationResult",
     "StiffnessError",
     "WindowError",
+    "ConservationError",
     "build_rates",
     "integrate_master_equation",
     "msd",
@@ -68,6 +70,10 @@ class StiffnessError(RuntimeError):
 
 class WindowError(RuntimeError):
     pass
+
+
+class ConservationError(RuntimeError):
+    """A propagated state broke a conservation law or the maximum principle."""
 
 
 @dataclass
@@ -234,11 +240,11 @@ def integrate_master_equation(
         drift = np.abs(traj.sum(axis=1) - tot0)
         ref = max(abs(tot0), np.abs(p0).max(), 1e-12)
         if drift.max() > 1e-6 * ref:
-            raise RuntimeError("total polarization drifted beyond 1e-6 without relaxation")
+            raise ConservationError("total polarization drifted beyond 1e-6 without relaxation")
         lo, hi = p0.min(), p0.max()
         tol = 1e-9 * max(abs(lo), abs(hi), 1.0)
         if traj.min() < lo - tol or traj.max() > hi + tol:
-            raise RuntimeError("maximum principle violated without relaxation")
+            raise ConservationError("maximum principle violated without relaxation")
     return Trajectory(times, traj)
 
 
@@ -405,7 +411,7 @@ def transport_network(
         if w_mhz > 0:
             net = assign_detunings(net, w_mhz)
         return net
-    raise RuntimeError("could not place the source away from the bath in 100 attempts")
+    raise GenerationError("could not place the source away from the bath in 100 attempts")
 
 
 def _default_time_grid(t_end_us: float, n_points: int = 48) -> np.ndarray:

@@ -128,6 +128,20 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_infeasible_cluster_generation_exits_3(tmp_path, capsys):
+    # 3 bath sites at 20000 ppm cannot keep the 1 nm exclusion radius
+    config = {
+        "experiment": "deer",
+        "realizations": 2,
+        "network": {"densities_ppm": {"P1": 20000.0}},
+        "params": {"n_bath": 3},
+    }
+    path = write_config(tmp_path, config)
+    assert cli.main(["run", path, "--out", str(tmp_path / "d"), "--quiet"]) == 3
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("numeric failure: could not satisfy exclusion radius")
+
+
 def test_missing_required_param_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, {"experiment": "concentration"})
     assert cli.main(["run", path, "--out", str(tmp_path / "c"), "--quiet"]) == 2

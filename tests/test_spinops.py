@@ -282,3 +282,98 @@ def test_cluster_hamiltonian_validation_and_json():
     back = np.array(data["real"]) + 1j * np.array(data["imag"])
     assert np.allclose(back, ham.matrix)
     assert data["frame"] == "lab_secular"
+
+
+def dense_reference(sites, frame, cmap, use, degenerate):
+    """Operator-product form of the pair terms ``use``, in order: the
+    reference the bit-pattern builders must reproduce bit for bit."""
+    ops = spinops.SpinOperatorSet(len(sites))
+    h = np.zeros((ops.dim, ops.dim), dtype=complex)
+    for i, j in use:
+        jij = cmap[i, j]
+        deg = degenerate(i, j)
+        if frame == Frame.DRESSED:
+            c = jij / 8.0 if deg else jij / 4.0
+            h += c * (ops.tp[i] @ ops.tm[j] + ops.tm[i] @ ops.tp[j])
+            if deg:
+                h += -(jij / 2.0) * (ops.sx[i] @ ops.sx[j])
+        else:
+            if deg:
+                h += -(jij / 4.0) * (ops.sp[i] @ ops.sm[j] + ops.sm[i] @ ops.sp[j])
+            h += jij * (ops.sz[i] @ ops.sz[j])
+    return h
+
+
+def assert_bit_equal(ham, expected):
+    assert ham.matrix.dtype == np.complex128
+    assert np.array_equal(ham.matrix.view(np.float64), expected.view(np.float64))
+
+
+def random_cluster(rng, n, mixed=True):
+    return [
+        site(
+            rng.uniform(0, 12, 3),
+            Species.NV if mixed and rng.random() < 0.3 else Species.P1,
+            axis_idx=int(rng.integers(0, 4)) if mixed else 0,
+            subgroup=int(rng.integers(0, 2)) if mixed else 0,
+        )
+        for _ in range(n)
+    ]
+
+
+def random_couplings(rng, n):
+    """Explicit couplings over a shuffled subset of pairs, keys in either order."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = rng.permutation(len(pairs))[: max(1, len(pairs) - 2)]
+    return {
+        (pairs[k] if rng.random() < 0.5 else pairs[k][::-1]): float(rng.normal(0.0, 0.3))
+        for k in keep
+    }
+
+
+def test_builders_bit_equal_dense_operator_products():
+    rng = np.random.default_rng(42)
+    for trial in range(30):
+        n = 2 + trial % 6
+        explicit = trial % 2 == 1
+        mixed = random_cluster(rng, n)
+        uniform = random_cluster(rng, n, mixed=False)
+        couplings = random_couplings(rng, n) if explicit else None
+        axis = None if explicit else Z
+        for sites in (mixed, uniform):
+            cmap = spinops._coupling_map(sites, axis, couplings)
+            degenerate = lambda i, j: not spinops.is_heterogeneous(sites[i], sites[j])
+            for frame in Frame:
+                assert_bit_equal(
+                    build_cluster_hamiltonian(sites, axis, frame, couplings),
+                    dense_reference(sites, frame, cmap, list(cmap), degenerate),
+                )
+            pairs = list(cmap)[::2] if explicit else None
+            use = [tuple(sorted(p)) for p in pairs] if explicit else list(cmap)
+            assert_bit_equal(
+                build_dressed_inter(sites, axis, couplings, pairs),
+                dense_reference(sites, Frame.DRESSED, cmap, use, lambda i, j: False),
+            )
+        cmap = spinops._coupling_map(uniform, axis, couplings)
+        for builder, frame in ((build_secular_intra, Frame.LAB_SECULAR), (build_dressed_intra, Frame.DRESSED)):
+            assert_bit_equal(
+                builder(uniform, axis, couplings),
+                dense_reference(uniform, frame, cmap, list(cmap), lambda i, j: True),
+            )
+        # Ising-only form over the heterogeneous pairs of the mixed cluster
+        cmap = spinops._coupling_map(mixed, axis, couplings)
+        use = [p for p in cmap if spinops.is_heterogeneous(mixed[p[0]], mixed[p[1]])]
+        pairs = [p[::-1] for p in use]
+        assert_bit_equal(
+            build_ising_inter(mixed, axis, couplings, pairs),
+            dense_reference(mixed, Frame.LAB_SECULAR, cmap, use, lambda i, j: False),
+        )
+
+
+def test_ten_spin_build_forms_no_operator_set():
+    sites = random_cluster(np.random.default_rng(7), 10)
+    before = operator_set.cache_info()
+    for frame in Frame:
+        ham = build_cluster_hamiltonian(sites, Z, frame)
+        assert ham.dim == 1024
+    assert operator_set.cache_info() == before
