@@ -233,6 +233,7 @@ def _run_crossover(config: dict) -> tuple:
         n_realizations=config.get("realizations", 100),
         n_p1=p.get("n_p1", 120),
         seed=config.get("seed", 0),
+        w_mhz=config.get("network", {}).get("disorder_mhz", 1.36),
     )
     lines = ["omega_MHz,P_sat,P_sat_sigma"]
     for o, v, s in zip(omegas, p_sat, p_sig):

@@ -27,6 +27,7 @@ from .network import (
     Placement,
     Species,
     SpinSite,
+    centred_source,
     generate_network,
     ppm_to_density,
 )
@@ -213,16 +214,10 @@ def sample_nv_p1_cluster(
     )
     center = np.full(3, box / 2)
     for attempt in range(100):
-        net = generate_network(spec, realization=realization + 1000 * attempt)
-        pos = net.positions
-        if len(pos) and np.min(np.linalg.norm(pos - center, axis=1)) < exclusion_nm:
+        base = generate_network(spec, realization=realization + 1000 * attempt)
+        if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < exclusion_nm:
             continue
-        sensor = SpinSite(0, center.copy(), Species.NV, NV_AXES[0].copy(), subgroup=0)
-        bath = [
-            SpinSite(k + 1, s.position_nm, Species.P1, NV_AXES[0].copy(), subgroup=0)
-            for k, s in enumerate(net.sites)
-        ]
-        return [sensor] + bath
+        return list(centred_source(base, realization).sites)
     raise GenerationError("could not place the sensor away from the bath in 100 attempts")
 
 
@@ -347,11 +342,7 @@ def run_deer(
         p_minus = _sensor_up_probability(u_minus @ states, n)
         signals.append(p_minus - p_plus)
 
-    sig = np.array(signals)
-    mean = np.empty(tau.size)
-    sem = np.empty(tau.size)
-    for k in range(tau.size):
-        mean[k], sem[k] = reduce_mean_sem(sig[:, k])
+    mean, sem = reduce_mean_sem(np.array(signals))
     return TraceResult(tau, mean, sem, n_realizations)
 
 

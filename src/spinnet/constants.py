@@ -14,15 +14,9 @@ J0_MHZ_NM3 = 52.0
 # Electron gyromagnetic ratio, MHz per gauss.
 GAMMA_E_MHZ_PER_G = 2.8024
 
-# NV ground-state zero-field splitting, MHz.  Not used in any computation
-# (the NV is treated as an effective two-level system); kept for reference.
-D_ZFS_MHZ = 2870.0
-
 # SI constants (CODATA 2018), used only for spin-temperature conversions.
-HBAR_J_S = 1.054571817e-34
 H_PLANCK_J_S = 6.62607015e-34
 K_B_J_PER_K = 1.380649e-23
-MU0_SI = 1.25663706212e-6
 
 # The single owner of the 2*pi convention: propagators are exp(-i*TWO_PI*H*t)
 # for H in MHz and t in us.
@@ -32,6 +26,3 @@ TWO_PI = 2.0 * math.pi
 # 8 atoms per cubic cell of side A_DIAMOND_NM: 1e-6 * 8 / a^3 = 1.76e-4.
 A_DIAMOND_NM = 0.3567
 PPM_TO_PER_NM3 = 1.76e-4
-
-# Carbon site density of the diamond lattice, nm^-3.
-DIAMOND_SITE_DENSITY_PER_NM3 = 8.0 / A_DIAMOND_NM**3

@@ -336,9 +336,9 @@ def linear_fit(x, y, sigma=None, through_origin: bool = False) -> FitResult:
     if x.size != y.size:
         raise FitError("x and y lengths differ")
     n_params = 1 if through_origin else 2
-    if x.size < n_params + (0 if through_origin else 0):
+    if x.size == 0:
         raise FitError("not enough points")
-    if not through_origin and x.size < 2:
+    if x.size < n_params:
         raise FitError("a line with free intercept needs at least 2 points")
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float).ravel()
@@ -483,13 +483,25 @@ def spectrum_peak(freqs, magnitude, rel_floor: float = 1e-9):
     return float(fpos[k])
 
 
-def reduce_mean_sem(values) -> tuple[float, float]:
-    """Order-insensitive mean and standard error over realization values.
+def reduce_mean_sem(values) -> tuple:
+    """Order-insensitive mean and standard error over realizations.
 
-    Uses exact compensated summation, so any permutation of ``values``
-    produces bit-identical results.
+    A (realizations x points) array is reduced along axis 0 and gives
+    one mean and one standard error per column, as two arrays; any other
+    input is one set of realization values and gives two floats.  Each
+    set is summed exactly (``math.fsum``), so any permutation of the
+    realizations produces bit-identical results.
     """
-    vals = [float(v) for v in np.asarray(values, dtype=float).ravel()]
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 2:
+        if arr.shape[0] == 0:
+            raise FitError("no values to reduce")
+        columns = [_mean_sem(col.tolist()) for col in arr.T]
+        return np.array([m for m, _ in columns]), np.array([s for _, s in columns])
+    return _mean_sem(arr.ravel().tolist())
+
+
+def _mean_sem(vals: list) -> tuple[float, float]:
     n = len(vals)
     if n == 0:
         raise FitError("no values to reduce")

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,6 +26,9 @@ __all__ = [
     "SpinSite",
     "EnsembleSpec",
     "SpinNetwork",
+    "SPECIES",
+    "species_code",
+    "centred_source",
     "GenerationError",
     "NV_AXES",
     "P1_SUBGROUP_WEIGHTS",
@@ -92,6 +96,8 @@ def mean_spacing(concentration_ppm: float) -> float:
 
 @dataclass
 class SpinSite:
+    """One spin as a cluster element (see :mod:`spinnet.spinops`)."""
+
     id: int
     position_nm: np.ndarray
     species: Species
@@ -146,25 +152,76 @@ class EnsembleSpec:
         return int(round(ppm_to_density(ppm) * self.box_nm**3))
 
 
+# Species codes of the ``SpinNetwork.species`` column: the code is the index.
+SPECIES = (Species.NV, Species.P1)
+_SPECIES_CODE = {sp: code for code, sp in enumerate(SPECIES)}
+
+
+def species_code(species) -> int:
+    return _SPECIES_CODE[Species(species)]
+
+
 @dataclass
 class SpinNetwork:
+    """A network as array columns, one row per site.
+
+    ``positions`` (n, 3) in nm, ``species`` as codes into :data:`SPECIES`,
+    ``axis_index`` into :data:`NV_AXES`, ``subgroup`` and ``detunings`` in
+    MHz.  The constructor copies every column, so networks never share
+    arrays.
+    """
+
     spec: EnsembleSpec
-    sites: list
+    positions: np.ndarray
+    species: np.ndarray
+    axis_index: np.ndarray
+    subgroup: np.ndarray
+    detunings: np.ndarray
     realization: int = 0
 
-    @property
-    def positions(self) -> np.ndarray:
-        if not self.sites:
-            return np.zeros((0, 3))
-        return np.array([s.position_nm for s in self.sites])
+    def __post_init__(self):
+        self.positions = np.array(self.positions, dtype=float).reshape(-1, 3)
+        n = len(self.positions)
+        self.species = np.array(self.species, dtype=np.int8)
+        self.axis_index = np.array(self.axis_index, dtype=np.intp)
+        self.subgroup = np.array(self.subgroup, dtype=np.intp)
+        self.detunings = np.array(self.detunings, dtype=float)
+        for name in ("species", "axis_index", "subgroup", "detunings"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"column {name} must have one entry per site ({n})")
+
+    @classmethod
+    def from_sites(cls, spec: EnsembleSpec, sites, realization: int = 0) -> "SpinNetwork":
+        """Columns from per-site records; every axis must be one of NV_AXES."""
+        axes = np.array([s.axis for s in sites], dtype=float).reshape(-1, 3)
+        axis_index = np.argmax(axes @ NV_AXES.T, axis=1)
+        if not np.allclose(NV_AXES[axis_index], axes):
+            raise ValueError("site axes must be <111> crystal axes")
+        return cls(
+            spec=spec,
+            positions=[s.position_nm for s in sites],
+            species=[species_code(s.species) for s in sites],
+            axis_index=axis_index,
+            subgroup=[s.subgroup for s in sites],
+            detunings=[s.detuning_mhz for s in sites],
+            realization=realization,
+        )
 
     @property
-    def detunings(self) -> np.ndarray:
-        return np.array([s.detuning_mhz for s in self.sites])
+    def n_sites(self) -> int:
+        return len(self.positions)
+
+    @property
+    def sites(self) -> list:
+        """Every site as a cluster element, built from the columns on each access."""
+        columns = zip(self.positions, self.species, self.axis_index, self.subgroup, self.detunings)
+        return [
+            SpinSite(i, pos.copy(), SPECIES[code], NV_AXES[axis].copy(), int(group), float(delta))
+            for i, (pos, code, axis, group, delta) in enumerate(columns)
+        ]
 
     def indices_of(self, species) -> np.ndarray:
-        sp = Species(species)
-        return np.array([i for i, s in enumerate(self.sites) if s.species == sp], dtype=int)
+        return np.flatnonzero(self.species == species_code(species))
 
     def count(self, species) -> int:
         return int(self.indices_of(species).size)
@@ -238,11 +295,23 @@ class SpinNetwork:
             )
             for rec in data["sites"]
         ]
-        return cls(spec=spec, sites=sites, realization=data.get("realization", 0))
+        return cls.from_sites(spec, sites, realization=data.get("realization", 0))
 
 
-def _draw_continuum(rng, L):
-    return rng.uniform(0.0, L, size=3)
+def centred_source(base: SpinNetwork, realization: int) -> SpinNetwork:
+    """One NV at the centre of ``base``'s box (site 0) plus ``base``'s sites as P1.
+
+    Every site carries axis 0 and subgroup 0 (the addressed group) and a
+    zero detuning; the result keeps ``base.spec``.
+    """
+    n = base.n_sites + 1
+    positions = np.empty((n, 3))
+    positions[0] = base.spec.box_nm / 2
+    positions[1:] = base.positions
+    species = np.full(n, species_code(Species.P1))
+    species[0] = species_code(Species.NV)
+    zeros = np.zeros(n, dtype=np.intp)
+    return SpinNetwork(base.spec, positions, species, zeros, zeros, np.zeros(n), realization)
 
 
 class _LatticeSampler:
@@ -270,34 +339,93 @@ class _LatticeSampler:
         return pos
 
 
+class _ExclusionGrid:
+    """Placed sites binned in cubes a little wider than the exclusion radius.
+
+    Every placed site closer than the radius to a candidate lies in one
+    of the 27 cubes around the candidate's own (the width margin covers
+    the rounding of x / width), so a check costs O(1) instead of a scan
+    of every placed site.  Squared distances are summed in the order
+    ``np.sum((placed - pos) ** 2, axis=1)`` uses, ((dx^2 + dy^2) + dz^2).
+    """
+
+    def __init__(self, radius_nm: float, box_nm: float):
+        self.r2 = radius_nm**2
+        self.width = max(radius_nm * (1.0 + 1e-6), box_nm * 1e-8)
+        # cube (i, j, k) has key ((i+1)*m + j+1)*m + k+1; m keeps the keys of
+        # every cube in the box and of its neighbours distinct
+        self.m = m = math.ceil(box_nm / self.width) + 3
+        self.around = [(i * m + j) * m + k for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)]
+        self.cells = {}
+
+    def _key(self, x, y, z) -> int:
+        w, m = self.width, self.m
+        return ((math.floor(x / w) + 1) * m + math.floor(y / w) + 1) * m + math.floor(z / w) + 1
+
+    def admits(self, pos: list) -> bool:
+        x, y, z = pos
+        key = self._key(x, y, z)
+        for d in self.around:
+            for px, py, pz in self.cells.get(key + d, ()):
+                dx, dy, dz = px - x, py - y, pz - z
+                if dx * dx + dy * dy + dz * dz < self.r2:
+                    return False
+        return True
+
+    def add(self, pos: list) -> None:
+        self.cells.setdefault(self._key(*pos), []).append(pos)
+
+
+def _cdf(weights: np.ndarray) -> list:
+    # the cumulative table Generator.choice(k, p=weights) searches
+    cdf = np.cumsum(weights)
+    return (cdf / cdf[-1]).tolist()
+
+
+_P1_SUBGROUP_CDF = _cdf(P1_SUBGROUP_WEIGHTS)
+
+
+def _axis_cdf(spec: EnsembleSpec, species: Species) -> Optional[list]:
+    """Cumulative axis weights of a species, or None for the uniform default."""
+    if not spec.axis_weights:
+        return None
+    w = spec.axis_weights.get(species, spec.axis_weights.get(species.value))
+    if w is None:
+        return None
+    w = np.asarray(w, dtype=float)
+    if w.min() < 0 or w.sum() == 0:
+        raise ValueError("axis weights must be nonnegative and not all zero")
+    return _cdf(w / w.sum())
+
+
 def generate_network(spec: EnsembleSpec, realization: int = 0) -> SpinNetwork:
     """Build one network realization.
 
-    Site counts are round(density * volume) per species.  Positions violating
-    the exclusion radius against any already-placed site are redrawn; the
-    total redraw budget is 100x the site count, and exhausting it raises
+    Site counts are round(density * volume) per species, NV first.  Each
+    site takes, in stream order, its position draws (redrawn while they
+    violate the exclusion radius against an already-placed site), one
+    axis draw and, for P1, one subgroup draw.  The axis and subgroup
+    draws are those ``rng.choice(k, p=weights)`` makes (one ``random()``
+    searched in the cumulative weights; ``integers(0, 4)`` for uniform
+    axes) without its per-call validation.  The total redraw budget is
+    100x the site count, and exhausting it raises
     :class:`GenerationError` naming the budget.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, realization]))
     L = spec.box_nm
-    counts = [(sp, spec.site_count(sp)) for sp in (Species.NV, Species.P1)]
-    total = sum(c for _, c in counts)
+    counts = [spec.site_count(sp) for sp in SPECIES]
+    total = sum(counts)
     budget = 100 * max(total, 1)
-    placed = np.zeros((total, 3))
-    n_placed = 0
+    grid = _ExclusionGrid(spec.exclusion_nm, L) if spec.exclusion_nm > 0 else None
     lattice = _LatticeSampler(L) if spec.placement == Placement.DIAMOND_LATTICE else None
+    positions = np.zeros((total, 3))
+    axis_index = np.zeros(total, dtype=np.intp)
+    subgroup = np.zeros(total, dtype=np.intp)
 
-    sites = []
+    k = 0
     attempts = 0
-    for species, count in counts:
-        weights = None
-        if spec.axis_weights:
-            w = spec.axis_weights.get(species, spec.axis_weights.get(species.value))
-            if w is not None:
-                w = np.asarray(w, dtype=float)
-                if w.min() < 0 or w.sum() == 0:
-                    raise ValueError("axis weights must be nonnegative and not all zero")
-                weights = w / w.sum()
+    for species, count in zip(SPECIES, counts):
+        cdf = _axis_cdf(spec, species)
         for _ in range(count):
             while True:
                 attempts += 1
@@ -307,32 +435,22 @@ def generate_network(spec: EnsembleSpec, realization: int = 0) -> SpinNetwork:
                         f"within the retry budget of {budget} draws "
                         f"(100x the {total} requested sites)"
                     )
-                pos = lattice.draw(rng) if lattice else _draw_continuum(rng, L)
+                pos = lattice.draw(rng) if lattice else rng.uniform(0.0, L, size=3)
                 if pos is None:
                     continue
-                if n_placed and spec.exclusion_nm > 0:
-                    d2 = np.sum((placed[:n_placed] - pos) ** 2, axis=1)
-                    if d2.min() < spec.exclusion_nm**2:
-                        continue
-                break
-            placed[n_placed] = pos
-            n_placed += 1
-            axis_idx = int(rng.choice(4, p=weights))
-            if species == Species.P1:
-                subgroup = int(rng.choice(5, p=P1_SUBGROUP_WEIGHTS))
-            else:
-                subgroup = axis_idx
-            sites.append(
-                SpinSite(
-                    id=len(sites),
-                    position_nm=pos.copy(),
-                    species=species,
-                    axis=NV_AXES[axis_idx].copy(),
-                    subgroup=subgroup,
-                )
-            )
+                pos = pos.tolist()
+                if grid is None or grid.admits(pos):
+                    break
+            if grid is not None:
+                grid.add(pos)
+            positions[k] = pos
+            axis = rng.integers(0, 4) if cdf is None else bisect_right(cdf, rng.random())
+            axis_index[k] = axis
+            subgroup[k] = bisect_right(_P1_SUBGROUP_CDF, rng.random()) if species == Species.P1 else axis
+            k += 1
 
-    net = SpinNetwork(spec=spec, sites=sites, realization=realization)
+    species_col = np.repeat(np.arange(len(SPECIES)), counts)
+    net = SpinNetwork(spec, positions, species_col, axis_index, subgroup, np.zeros(total), realization)
     if spec.disorder_mhz > 0:
         net = assign_detunings(net, spec.disorder_mhz, rng=rng)
     return net
@@ -351,9 +469,9 @@ def assign_detunings(net: SpinNetwork, sigma_mhz: float, seed=None, rng=None) ->
     if rng is None:
         entropy = [net.spec.seed, net.realization, 1] if seed is None else [seed]
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    deltas = rng.normal(0.0, sigma_mhz, size=len(net.sites)) if sigma_mhz > 0 else np.zeros(len(net.sites))
-    sites = [replace(s, detuning_mhz=float(d)) for s, d in zip(net.sites, deltas)]
-    return SpinNetwork(spec=net.spec, sites=sites, realization=net.realization)
+    n = net.n_sites
+    deltas = rng.normal(0.0, sigma_mhz, size=n) if sigma_mhz > 0 else np.zeros(n)
+    return replace(net, detunings=deltas)
 
 
 @dataclass

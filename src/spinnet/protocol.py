@@ -20,7 +20,6 @@ import numpy as np
 from . import fitkit
 from .constants import GAMMA_E_MHZ_PER_G, H_PLANCK_J_S, K_B_J_PER_K
 from .network import (
-    NV_AXES,
     EnsembleSpec,
     Placement,
     Species,
@@ -159,23 +158,18 @@ def protocol_network(
         axis_weights={Species.NV: (1.0, 0.0, 0.0, 0.0)},
     )
     net = generate_network(spec, realization=realization)
-    if net.indices_of(Species.NV).size == 0 or net.indices_of(Species.P1).size == 0:
+    p1 = net.indices_of(Species.P1)
+    if p1.size == 0 or net.count(Species.NV) == 0:
         raise ValueError("network must contain both sensor and bath spins")
-    for s in net.sites:
-        s.subgroup = 0
-        if s.species == Species.P1:
-            s.axis = NV_AXES[0].copy()
+    net.subgroup[:] = 0
+    net.axis_index[p1] = 0
     return net
 
 
 def _hh_propagator(rm: RateMatrix, net: SpinNetwork, config: CycleConfig):
     """Eigen-decomposed generator for the exchange phase, reused per cycle."""
-    n = len(net.sites)
-    t1 = np.full(n, config.t1rho_dark_us)
-    if config.t1rho_nv_us is not None:
-        t1[net.indices_of(Species.NV)] = config.t1rho_nv_us
-    else:
-        t1[net.indices_of(Species.NV)] = np.inf
+    t1 = np.full(net.n_sites, config.t1rho_dark_us)
+    t1[net.indices_of(Species.NV)] = np.inf if config.t1rho_nv_us is None else config.t1rho_nv_us
     relax = np.where(np.isfinite(t1), 1.0 / t1, 0.0)
     m = np.diag(rm.rates.sum(axis=1) + relax) - rm.rates
     evals, evecs = np.linalg.eigh(m)
@@ -207,7 +201,7 @@ def _single_run(net: SpinNetwork, config: CycleConfig) -> tuple:
     probe = _probe_indices(net, config.probe_k)
     laser_decay = math.exp(-config.t_laser_us / config.t1rho_laser_us)
 
-    p = np.zeros(len(net.sites))
+    p = np.zeros(net.n_sites)
     p[nv] = config.p_nv0
     traj_nv = np.empty(config.n_cycles)
     traj_p1 = np.empty(config.n_cycles)
@@ -242,13 +236,8 @@ def run_iterative_protocol(
         nv_runs[r], p1_runs[r] = _single_run(factory(r), config)
     cycles = np.arange(1, config.n_cycles + 1, dtype=float)
     if n_realizations > 1:
-        p_nv = np.empty(config.n_cycles)
-        p_p1 = np.empty(config.n_cycles)
-        nv_sem = np.empty(config.n_cycles)
-        p1_sem = np.empty(config.n_cycles)
-        for k in range(config.n_cycles):
-            p_nv[k], nv_sem[k] = fitkit.reduce_mean_sem(nv_runs[:, k])
-            p_p1[k], p1_sem[k] = fitkit.reduce_mean_sem(p1_runs[:, k])
+        p_nv, nv_sem = fitkit.reduce_mean_sem(nv_runs)
+        p_p1, p1_sem = fitkit.reduce_mean_sem(p1_runs)
     else:
         p_nv, p_p1 = nv_runs[0], p1_runs[0]
         nv_sem = p1_sem = None
@@ -263,15 +252,19 @@ def saturation_sweep(
     n_realizations: int = 100,
     n_p1: int = 120,
     seed: int = 0,
+    w_mhz: float = 1.36,
     **config_kwargs,
 ) -> tuple:
-    """P_sat per drive amplitude plus the crossover fit against disorder."""
+    """P_sat per drive amplitude plus the crossover fit against disorder.
+
+    ``w_mhz`` is the quenched detuning spread of every network.
+    """
     omegas = np.asarray(omegas_mhz, dtype=float)
     p_sat = np.empty(omegas.size)
     p_sat_sigma = np.empty(omegas.size)
+    factory = lambda r: protocol_network(n_p1=n_p1, w_mhz=w_mhz, seed=seed, realization=r)
     for k, omega in enumerate(omegas):
         config = CycleConfig(omega_mhz=float(omega), **config_kwargs)
-        factory = lambda r: protocol_network(n_p1=n_p1, w_mhz=1.36, seed=seed, realization=r)
         res = run_iterative_protocol(factory, config, n_realizations=n_realizations)
         p_sat[k] = res.saturation.a_sat
         p_sat_sigma[k] = res.saturation.a_sat_sigma
@@ -408,7 +401,7 @@ def readout_equilibration(
         nv = one.indices_of(Species.NV)
         p1 = one.indices_of(Species.P1)
         rm = build_rates(one, omega_mhz, gamma_mhz)
-        n = len(one.sites)
+        n = one.n_sites
         t1 = np.full(n, t1rho_dark_us)
         t1[nv] = t1rho_nv_us if t1rho_nv_us is not None else np.inf
         relax = np.where(np.isfinite(t1), 1.0 / t1, 0.0)

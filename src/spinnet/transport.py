@@ -28,18 +28,19 @@ from scipy.integrate import solve_ivp
 from . import fitkit
 from .constants import J0_MHZ_NM3
 from .network import (
-    NV_AXES,
+    SPECIES,
     EnsembleSpec,
     GenerationError,
     Species,
     SpinNetwork,
-    SpinSite,
     assign_detunings,
+    centred_source,
     generate_network,
     mean_spacing,
     ppm_to_density,
+    species_code,
 )
-from .spinops import effective_rabi, tilt_projection
+from .spinops import effective_rabi
 
 __all__ = [
     "RateMatrix",
@@ -107,8 +108,9 @@ class RateMatrix:
         return i, j, float(self.rates[i, j])
 
 
-def _axis_index(axis: np.ndarray) -> int:
-    return int(np.argmax(NV_AXES @ axis))
+# Pair prefactor of build_rates: 1/4 (row 0) or 1/8 for degenerate pairs
+# (row 1), times sqrt(2) per NV of the pair (column = NV count).
+_PAIR_FACTOR = np.array([1.0 / 4.0, 1.0 / 8.0])[:, None] * np.sqrt(2.0) ** np.arange(3)
 
 
 def build_rates(net: SpinNetwork, omega_mhz: float, gamma_mhz: float = 0.15) -> RateMatrix:
@@ -117,15 +119,15 @@ def build_rates(net: SpinNetwork, omega_mhz: float, gamma_mhz: float = 0.15) -> 
     J~_ij = (J_ij/8 for degenerate pairs, J_ij/4 otherwise) sin(theta_i)
     sin(theta_j) with NV scaling inside J_ij, and
     R_ij = 2 |J~|^2 Gamma / (Gamma^2 + (Omega_eff,i - Omega_eff,j)^2).
-    Pairs whose best-case rate falls below 1e-6 MHz are dropped; the
-    corresponding cutoff radius is recorded.
+    A pair is degenerate when both sites share species, subgroup and
+    axis.  Pairs whose best-case rate falls below 1e-6 MHz are dropped;
+    the corresponding cutoff radius is recorded.
     """
     if omega_mhz <= 0:
         raise ValueError("drive amplitude must be positive")
     if gamma_mhz <= 0:
         raise ValueError("Hartmann-Hahn linewidth must be positive")
-    sites = net.sites
-    n = len(sites)
+    n = net.n_sites
     pos = net.positions
     axis = net.spec.field_axis_unit
     delta = net.detunings
@@ -136,21 +138,28 @@ def build_rates(net: SpinNetwork, omega_mhz: float, gamma_mhz: float = 0.15) -> 
 
     rates = np.zeros((n, n))
     if n >= 2:
-        rvec = pos[None, :, :] - pos[:, None, :]
-        r = np.linalg.norm(rvec, axis=-1)
+        # rvec[i, j] = pos[j] - pos[i]: row i of pos repeated n times, then
+        # every row subtracted in place from the flattened positions
+        rvec = np.repeat(pos, n, axis=0).reshape(n, 3 * n)
+        rvec = np.subtract(pos.reshape(1, 3 * n), rvec, out=rvec).reshape(n, n, 3)
+        # this sum of squares is np.linalg.norm(rvec, axis=-1) bit for bit, and
+        # rvec @ axis below stays one BLAS call: per-coordinate products round
+        # differently, and every rate must equal the per-site reference
+        rx, ry, rz = rvec[..., 0], rvec[..., 1], rvec[..., 2]
+        r = np.sqrt(rx * rx + ry * ry + rz * rz)
         np.fill_diagonal(r, np.inf)
         if net.spec.exclusion_nm > 0 and r.min() < net.spec.exclusion_nm - 1e-9:
             raise ValueError("network violates its exclusion radius")
-        cos = np.divide(rvec @ axis, r, out=np.zeros((n, n)), where=np.isfinite(r))
+        cos = rvec @ axis
+        cos /= r  # the infinite diagonal gives cos = 0 there
         j_bare = J0_MHZ_NM3 * (1.0 - 3.0 * cos**2) / r**3
-        is_nv = np.array([s.species == Species.NV for s in sites])
-        scale = np.sqrt(2.0) ** (is_nv[:, None].astype(int) + is_nv[None, :].astype(int))
-        keys = [(s.species, s.subgroup, _axis_index(s.axis)) for s in sites]
-        same = np.array([[ki == kj for kj in keys] for ki in keys])
-        prefactor = np.where(same, 1.0 / 8.0, 1.0 / 4.0)
-        sin_t = np.array([tilt_projection(omega_mhz, d) for d in delta])
-        j_eff = prefactor * scale * j_bare * sin_t[:, None] * sin_t[None, :]
-        om_eff = np.array([effective_rabi(omega_mhz, d) for d in delta])
+        key = (net.subgroup * 4 + net.axis_index) * len(SPECIES) + net.species
+        n_nv = (net.species == species_code(Species.NV)).astype(np.intp)
+        same = (key[:, None] == key[None, :]).astype(np.intp)
+        factor = _PAIR_FACTOR.ravel().take(same * 3 + n_nv[:, None] + n_nv[None, :])
+        om_eff = np.array([effective_rabi(omega_mhz, d) for d in delta.tolist()])
+        sin_t = omega_mhz / om_eff  # tilt_projection per site
+        j_eff = factor * j_bare * sin_t[:, None] * sin_t[None, :]
         d_eff = om_eff[:, None] - om_eff[None, :]
         rates = 2.0 * j_eff**2 * gamma_mhz / (gamma_mhz**2 + d_eff**2)
         rates[r > cutoff] = 0.0
@@ -399,15 +408,9 @@ def transport_network(
     center = np.full(3, box / 2)
     for attempt in range(100):
         base = generate_network(spec, realization=realization + 1000 * attempt)
-        pos = base.positions
-        if len(pos) and np.min(np.linalg.norm(pos - center, axis=1)) < exclusion_nm:
+        if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < exclusion_nm:
             continue
-        sites = [SpinSite(0, center.copy(), Species.NV, NV_AXES[0].copy(), subgroup=0)]
-        sites += [
-            SpinSite(k + 1, s.position_nm, Species.P1, NV_AXES[0].copy(), subgroup=0)
-            for k, s in enumerate(base.sites)
-        ]
-        net = SpinNetwork(spec=spec, sites=sites, realization=realization)
+        net = centred_source(base, realization)
         if w_mhz > 0:
             net = assign_detunings(net, w_mhz)
         return net
@@ -441,7 +444,7 @@ def average_msd(
     def one(realization, grid):
         net = transport_network(density_ppm, n_p1, w_mhz=w_mhz, seed=seed, realization=realization)
         rm = build_rates(net, omega_mhz, gamma_mhz)
-        p0 = np.zeros(len(net.sites))
+        p0 = np.zeros(net.n_sites)
         p0[0] = 1.0
         traj = integrate_master_equation(rm, None, p0, grid)
         return msd(traj, net.positions, 0)
@@ -463,10 +466,7 @@ def average_msd(
         c = one(r, times_us)
         curves[r] = c.msd_nm2
         totals[r] = c.survival
-    mean = np.empty(times_us.size)
-    sem = np.empty(times_us.size)
-    for k in range(times_us.size):
-        mean[k], sem[k] = fitkit.reduce_mean_sem(curves[:, k])
+    mean, sem = fitkit.reduce_mean_sem(curves)
     surv = totals.mean(axis=0)
     return MsdCurve(times_us, mean, surv, sem_nm2=sem), box
 

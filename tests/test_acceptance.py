@@ -241,7 +241,7 @@ def test_criterion_6_cluster_dynamics_oracles():
 def test_criterion_7_conservation_and_fits():
     net = transport.transport_network(1.575, 60, seed=9, realization=0)
     rm = transport.build_rates(net, 6.40)
-    p0 = np.zeros(len(net.sites))
+    p0 = np.zeros(len(net.positions))
     p0[0] = 1.0
     traj = transport.integrate_master_equation(rm, None, p0, np.geomspace(0.1, 2e4, 25))
     cons_err = float(np.abs(traj.total() - 1.0).max())

@@ -101,6 +101,29 @@ def test_omega_override_reaches_manifest(tmp_path):
     assert summary["omega_MHz"] == 4.0
 
 
+def test_crossover_uses_configured_disorder(tmp_path, monkeypatch):
+    from spinnet import protocol
+
+    seen = []
+    original = protocol.protocol_network
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["w_mhz"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "protocol_network", recording)
+    config = {
+        "experiment": "crossover",
+        "seed": 0,
+        "realizations": 2,
+        "network": {"disorder_mhz": 0.5},
+        "params": {"omegas_mhz": [1.0, 3.2, 10.0], "n_p1": 30},
+    }
+    path = write_config(tmp_path, config)
+    cli.main(["run", path, "--out", str(tmp_path / "x"), "--quiet"])
+    assert seen and set(seen) == {0.5}
+
+
 def test_run_fit_round_trip(tmp_path):
     x = np.linspace(0.0, 30.0, 40)
     y = 0.9 * (1.0 - np.exp(-x / 3.0))

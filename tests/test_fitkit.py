@@ -88,6 +88,16 @@ def test_linear_fit_exact_and_through_origin():
     assert res0.param_names == ("slope",)
 
 
+def test_linear_fit_point_count_errors():
+    with pytest.raises(fitkit.FitError, match="free intercept needs at least 2 points"):
+        fitkit.linear_fit([1.0], [2.0])
+    with pytest.raises(fitkit.FitError, match="not enough points"):
+        fitkit.linear_fit([], [])
+    with pytest.raises(fitkit.FitError, match="not enough points"):
+        fitkit.linear_fit([], [], through_origin=True)
+    assert fitkit.linear_fit([2.0], [3.0], through_origin=True)["slope"] == 1.5
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.floats(-50, 50), min_size=3, max_size=12, unique=True),
@@ -199,3 +209,16 @@ def test_sem_scales_with_sample_count():
     _, s_all = fitkit.reduce_mean_sem(vals)
     _, s_quarter = fitkit.reduce_mean_sem(vals[:1000])
     assert s_quarter / s_all == pytest.approx(2.0, rel=0.2)
+
+
+def test_reduce_mean_sem_by_column():
+    rng = np.random.default_rng(11)
+    runs = rng.normal(0.3, 1.1, (200, 7))
+    mean, sem = fitkit.reduce_mean_sem(runs)
+    assert mean.shape == sem.shape == (7,)
+    for k in range(7):
+        assert (mean[k], sem[k]) == fitkit.reduce_mean_sem(runs[:, k])
+    m2, s2 = fitkit.reduce_mean_sem(runs[rng.permutation(200)])
+    assert np.array_equal(mean, m2) and np.array_equal(sem, s2)
+    with pytest.raises(fitkit.FitError):
+        fitkit.reduce_mean_sem(np.empty((0, 3)))

@@ -33,13 +33,13 @@ def test_site_count_follows_density():
     spec2 = EnsembleSpec(box_nm=100.0, densities_ppm={Species.P1: 1.575}, seed=7)
     assert spec2.site_count(Species.P1) == round(1.575 * 1.76e-4 * 1e6)
     net = generate_network(spec2)
-    assert len(net.sites) == spec2.site_count(Species.P1)
+    assert len(net.positions) == spec2.site_count(Species.P1)
     assert net.min_pair_distance() >= 1.0
 
 
 def test_zero_density_empty():
     spec = EnsembleSpec(box_nm=50.0, densities_ppm={Species.NV: 0.0})
-    assert generate_network(spec).sites == []
+    assert generate_network(spec).positions.shape == (0, 3)
 
 
 def test_determinism_and_realization_independence():
@@ -86,10 +86,10 @@ def test_lattice_placement_sits_on_diamond_sites():
 def test_axes_uniform_and_pinnable():
     spec = EnsembleSpec(box_nm=120.0, densities_ppm={Species.P1: 10.0}, seed=11)
     net = generate_network(spec)
-    axes = np.array([s.axis for s in net.sites])
+    axes = network.NV_AXES[net.axis_index]
     assert np.allclose(np.linalg.norm(axes, axis=1), 1.0)
     counts = [np.sum(np.all(np.isclose(axes, ax), axis=1)) for ax in network.NV_AXES]
-    n = len(net.sites)
+    n = len(net.axis_index)
     assert sum(counts) == n
     for c in counts:
         assert abs(c / n - 0.25) < 5 * math.sqrt(0.25 * 0.75 / n)
@@ -101,15 +101,14 @@ def test_axes_uniform_and_pinnable():
         seed=2,
     )
     pin_net = generate_network(pinned)
-    for s in pin_net.sites:
-        assert np.allclose(s.axis, network.NV_AXES[0])
-        assert s.subgroup == 0
+    assert np.allclose(network.NV_AXES[pin_net.axis_index], network.NV_AXES[0])
+    assert np.all(pin_net.subgroup == 0)
 
 
 def test_p1_subgroup_fractions():
     spec = EnsembleSpec(box_nm=200.0, densities_ppm={Species.P1: 10.0}, seed=13)
     net = generate_network(spec)
-    groups = np.array([s.subgroup for s in net.sites])
+    groups = net.subgroup
     n = len(groups)
     expected = network.P1_SUBGROUP_WEIGHTS
     for g in range(5):
@@ -120,7 +119,7 @@ def test_p1_subgroup_fractions():
 def test_detunings_quenched_gaussian():
     spec = EnsembleSpec(box_nm=250.0, densities_ppm={Species.P1: 10.0}, seed=4)
     net = generate_network(spec)
-    assert len(net.sites) >= 10_000
+    assert len(net.positions) >= 10_000
     with_d = assign_detunings(net, 1.36, seed=42)
     assert np.std(with_d.detunings) == pytest.approx(1.36, rel=0.03)
     again = assign_detunings(net, 1.36, seed=42)
@@ -169,7 +168,7 @@ def test_json_round_trip_lossless():
     assert back.to_json() == net.to_json()
     assert np.array_equal(back.positions, net.positions)
     assert np.array_equal(back.detunings, net.detunings)
-    assert [s.species for s in back.sites] == [s.species for s in net.sites]
+    assert np.array_equal(back.species, net.species)
 
 
 def test_validation_errors():

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from spinnet import transport
-from spinnet.network import Species, ppm_to_density
+from spinnet.network import Species, ppm_to_density, species_code
 from spinnet.transport import (
     MsdCurve,
     RateMatrix,
@@ -29,7 +29,7 @@ def test_rate_closed_form_on_resonant_pair():
     # two P1s of the same group on the field axis, no detuning:
     # J~ = J/8 and R = 2 J~^2 / Gamma
     net = transport_network(1.575, 2, w_mhz=0.0, seed=1, realization=0)
-    p1 = [i for i, s in enumerate(net.sites) if s.species == Species.P1]
+    p1 = net.indices_of(Species.P1)
     rm = build_rates(net, 6.40)
     i, j = p1
     rvec = net.positions[j] - net.positions[i]
@@ -45,8 +45,8 @@ def test_rate_detuning_dependence():
 
     def rate(delta_i, delta_j):
         net = transport_network(1.575, 2, w_mhz=0.0, seed=1, realization=0)
-        net.sites[1].detuning_mhz = delta_i
-        net.sites[2].detuning_mhz = delta_j
+        net.detunings[1] = delta_i
+        net.detunings[2] = delta_j
         return build_rates(net, omega, gamma).rates[1, 2]
 
     r0 = rate(0.0, 0.0)
@@ -90,7 +90,7 @@ def test_pure_relaxation_without_rates():
 def test_uniform_is_stationary():
     net = transport_network(1.575, 30, seed=5, realization=2)
     rm = build_rates(net, 6.40)
-    n = len(net.sites)
+    n = len(net.positions)
     p0 = np.full(n, 1.0 / n)
     traj = integrate_master_equation(rm, None, p0, np.array([0.0, 500.0, 5000.0]))
     npt.assert_allclose(traj.polarization, np.tile(p0, (3, 1)), atol=1e-9)
@@ -99,7 +99,7 @@ def test_uniform_is_stationary():
 def test_conservation_and_maximum_principle():
     net = transport_network(1.575, 60, seed=9, realization=0)
     rm = build_rates(net, 6.40)
-    p0 = np.zeros(len(net.sites))
+    p0 = np.zeros(len(net.positions))
     p0[0] = 1.0
     traj = integrate_master_equation(rm, None, p0, np.geomspace(0.1, 2e4, 25))
     npt.assert_allclose(traj.total(), 1.0, atol=1e-6)
@@ -118,7 +118,7 @@ def test_long_time_equilibration_on_connected_pair_chain():
 def test_rk_matches_eigh_on_network():
     net = transport_network(1.575, 40, seed=7, realization=1)
     rm = build_rates(net, 6.40)
-    p0 = np.zeros(len(net.sites))
+    p0 = np.zeros(len(net.positions))
     p0[0] = 1.0
     times = np.linspace(0.0, 300.0, 7)
     a = integrate_master_equation(rm, 430.0, p0, times, method="eigh")
@@ -192,8 +192,8 @@ def test_build_rates_cutoff_radius():
 
 def test_transport_network_layout():
     net = transport_network(1.575, 50, w_mhz=1.36, seed=3, realization=4)
-    assert net.sites[0].species == Species.NV
-    assert sum(1 for s in net.sites if s.species == Species.P1) == 50
+    assert net.species[0] == species_code(Species.NV)
+    assert np.sum(net.species == species_code(Species.P1)) == 50
     box = (50 / ppm_to_density(1.575)) ** (1.0 / 3.0)
     npt.assert_allclose(net.positions[0], box / 2.0, atol=1e-9)
     p1_detunings = net.detunings[1:]
