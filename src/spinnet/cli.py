@@ -52,7 +52,11 @@ def validate_config(config: dict) -> list:
     try:
         jsonschema.validate(config, _load_schema())
     except jsonschema.ValidationError as err:
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
+        path = list(err.absolute_path)
+        if err.validator == "additionalProperties":
+            # name the unexpected key itself, e.g. params/omgea_mhz
+            path.append(sorted(set(err.instance) - set(err.schema.get("properties", {})))[0])
+        path = "/".join(str(p) for p in path) or "<root>"
         raise ConfigError(f"config field {path}: {err.message}") from err
     params = config.get("params", {})
     omega = params.get("omega_mhz")
@@ -229,7 +233,7 @@ def _run_crossover(config: dict) -> tuple:
     p = _params(config)
     omegas = p.get("omegas_mhz", [0.5, 1.0, 2.0, 3.2, 6.4, 10.0])
     p_sat, p_sig, cross = protocol.saturation_sweep(
-        omegas,
+        [_protocol_config(p, float(o)) for o in omegas],
         n_realizations=config.get("realizations", 100),
         n_p1=p.get("n_p1", 120),
         seed=config.get("seed", 0),

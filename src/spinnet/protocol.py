@@ -27,7 +27,7 @@ from .network import (
     generate_network,
     ppm_to_density,
 )
-from .transport import RateMatrix, build_rates
+from .transport import RateMatrix, build_rates, factor_generator, pair_table
 
 __all__ = [
     "CycleConfig",
@@ -166,14 +166,18 @@ def protocol_network(
     return net
 
 
+def _relaxation(net: SpinNetwork, t1rho_bath_us: float, t1rho_nv_us: Optional[float]) -> np.ndarray:
+    """Rotating-frame relaxation rate per site: 1/T1rho on the bath, on the sensors 1/T1rho_nv or 0."""
+    t1 = np.full(net.n_sites, t1rho_bath_us)
+    t1[net.indices_of(Species.NV)] = np.inf if t1rho_nv_us is None else t1rho_nv_us
+    return np.where(np.isfinite(t1), 1.0 / t1, 0.0)
+
+
 def _hh_propagator(rm: RateMatrix, net: SpinNetwork, config: CycleConfig):
     """Eigen-decomposed generator for the exchange phase, reused per cycle."""
-    t1 = np.full(net.n_sites, config.t1rho_dark_us)
-    t1[net.indices_of(Species.NV)] = np.inf if config.t1rho_nv_us is None else config.t1rho_nv_us
-    relax = np.where(np.isfinite(t1), 1.0 / t1, 0.0)
-    m = np.diag(rm.rates.sum(axis=1) + relax) - rm.rates
-    evals, evecs = np.linalg.eigh(m)
-    decay = np.exp(-evals * config.t_hh_us)
+    gen = factor_generator(rm, _relaxation(net, config.t1rho_dark_us, config.t1rho_nv_us))
+    evecs = gen.evecs
+    decay = np.exp(-gen.evals * config.t_hh_us)
 
     def step(p: np.ndarray) -> np.ndarray:
         return evecs @ (decay * (evecs.T @ p))
@@ -191,14 +195,10 @@ def _probe_indices(net: SpinNetwork, k: int) -> np.ndarray:
     return p1[np.argsort(dist)[: min(k, p1.size)]]
 
 
-def _single_run(net: SpinNetwork, config: CycleConfig) -> tuple:
+def _single_run(net: SpinNetwork, config: CycleConfig, rm: RateMatrix, probe: np.ndarray) -> tuple:
     nv = net.indices_of(Species.NV)
     p1 = net.indices_of(Species.P1)
-    if nv.size == 0 or p1.size == 0:
-        raise ValueError("network must contain both sensor and bath spins")
-    rm = build_rates(net, config.omega_mhz, config.gamma_mhz)
     step = _hh_propagator(rm, net, config)
-    probe = _probe_indices(net, config.probe_k)
     laser_decay = math.exp(-config.t_laser_us / config.t1rho_laser_us)
 
     p = np.zeros(net.n_sites)
@@ -215,26 +215,9 @@ def _single_run(net: SpinNetwork, config: CycleConfig) -> tuple:
     return traj_nv, traj_p1
 
 
-NetworkFactory = Union[SpinNetwork, Callable[[int], SpinNetwork]]
-
-
-def run_iterative_protocol(
-    net: NetworkFactory,
-    config: CycleConfig,
-    n_realizations: int = 1,
-    fit: bool = True,
-) -> ProtocolResult:
-    """Disorder-averaged per-cycle sensor and bath polarization.
-
-    ``net`` is either a single network (one realization) or a callable
-    mapping a realization index to a network.
-    """
-    factory = net if callable(net) else (lambda r, _n=net: _n)
-    nv_runs = np.empty((n_realizations, config.n_cycles))
-    p1_runs = np.empty((n_realizations, config.n_cycles))
-    for r in range(n_realizations):
-        nv_runs[r], p1_runs[r] = _single_run(factory(r), config)
-    cycles = np.arange(1, config.n_cycles + 1, dtype=float)
+def _reduce(nv_runs: np.ndarray, p1_runs: np.ndarray, fit: bool) -> ProtocolResult:
+    n_realizations, n_cycles = nv_runs.shape
+    cycles = np.arange(1, n_cycles + 1, dtype=float)
     if n_realizations > 1:
         p_nv, nv_sem = fitkit.reduce_mean_sem(nv_runs)
         p_p1, p1_sem = fitkit.reduce_mean_sem(p1_runs)
@@ -247,27 +230,67 @@ def run_iterative_protocol(
     return result
 
 
+NetworkFactory = Union[SpinNetwork, Callable[[int], SpinNetwork]]
+
+
+def run_iterative_protocol(
+    net: NetworkFactory,
+    config: Union[CycleConfig, Sequence[CycleConfig]],
+    n_realizations: int = 1,
+    fit: bool = True,
+) -> Union[ProtocolResult, list]:
+    """Disorder-averaged per-cycle sensor and bath polarization.
+
+    ``net`` is either a single network (one realization) or a callable
+    mapping a realization index to a network.  ``config`` is one
+    :class:`CycleConfig`, which gives one :class:`ProtocolResult`, or a
+    sequence of them, which gives a list with one result per config.
+
+    Realizations form the outer loop: each network is built once, and its
+    pair table (:func:`transport.pair_table`) and probe ranking once;
+    then, for each config, the rates, the exchange-phase propagator and
+    the cycle loop.  Each result is reduced and fitted on its own, so a
+    sequence gives the same numbers as one call per config.
+    """
+    configs = [config] if isinstance(config, CycleConfig) else list(config)
+    factory = net if callable(net) else (lambda r, _n=net: _n)
+    nv_runs = [np.empty((n_realizations, c.n_cycles)) for c in configs]
+    p1_runs = [np.empty((n_realizations, c.n_cycles)) for c in configs]
+    for r in range(n_realizations):
+        one = factory(r)
+        p1_count = one.count(Species.P1)
+        if one.count(Species.NV) == 0 or p1_count == 0:
+            raise ValueError("network must contain both sensor and bath spins")
+        pairs = pair_table(one)
+        ranked = _probe_indices(one, p1_count)
+        for k, c in enumerate(configs):
+            rm = build_rates(pairs, c.omega_mhz, c.gamma_mhz)
+            nv_runs[k][r], p1_runs[k][r] = _single_run(one, c, rm, ranked[: c.probe_k])
+    results = [_reduce(nv, p1, fit) for nv, p1 in zip(nv_runs, p1_runs)]
+    return results[0] if isinstance(config, CycleConfig) else results
+
+
 def saturation_sweep(
-    omegas_mhz: Sequence[float],
+    drives: Sequence[Union[float, CycleConfig]],
     n_realizations: int = 100,
     n_p1: int = 120,
     seed: int = 0,
     w_mhz: float = 1.36,
-    **config_kwargs,
 ) -> tuple:
     """P_sat per drive amplitude plus the crossover fit against disorder.
 
-    ``w_mhz`` is the quenched detuning spread of every network.
+    ``drives`` holds drive amplitudes in MHz, each run with the default
+    :class:`CycleConfig`, or one full config per drive.  The sweep is one
+    :func:`run_iterative_protocol` call with every config, so each
+    network is built once and serves every drive.  ``w_mhz`` is the
+    quenched detuning spread of every network.
     """
-    omegas = np.asarray(omegas_mhz, dtype=float)
-    p_sat = np.empty(omegas.size)
-    p_sat_sigma = np.empty(omegas.size)
+    configs = [d if isinstance(d, CycleConfig) else CycleConfig(omega_mhz=float(d)) for d in drives]
+    omegas = np.array([c.omega_mhz for c in configs], dtype=float)
     factory = lambda r: protocol_network(n_p1=n_p1, w_mhz=w_mhz, seed=seed, realization=r)
-    for k, omega in enumerate(omegas):
-        config = CycleConfig(omega_mhz=float(omega), **config_kwargs)
-        res = run_iterative_protocol(factory, config, n_realizations=n_realizations)
-        p_sat[k] = res.saturation.a_sat
-        p_sat_sigma[k] = res.saturation.a_sat_sigma
+    results = run_iterative_protocol(factory, configs, n_realizations=n_realizations)
+    p_sat = np.array([res.saturation.a_sat for res in results])
+    p_sat_sigma = np.array([res.saturation.a_sat_sigma for res in results])
     cross = fit_crossover(omegas, p_sat, sigma=np.where(p_sat_sigma > 0, p_sat_sigma, None))
     return p_sat, p_sat_sigma, cross
 
@@ -401,17 +424,12 @@ def readout_equilibration(
         nv = one.indices_of(Species.NV)
         p1 = one.indices_of(Species.P1)
         rm = build_rates(one, omega_mhz, gamma_mhz)
-        n = one.n_sites
-        t1 = np.full(n, t1rho_dark_us)
-        t1[nv] = t1rho_nv_us if t1rho_nv_us is not None else np.inf
-        relax = np.where(np.isfinite(t1), 1.0 / t1, 0.0)
-        m = np.diag(rm.rates.sum(axis=1) + relax) - rm.rates
-        evals, evecs = np.linalg.eigh(m)
+        gen = factor_generator(rm, _relaxation(one, t1rho_dark_us, t1rho_nv_us))
         # plus - minus: the sensors cancel, the bath differs by 2 * p_p1
-        d = np.zeros(n)
+        d = np.zeros(one.n_sites)
         d[p1] = 2.0 * p_p1
-        decay = np.exp(-np.outer(times_us, evals))
-        sensors = np.einsum("ik,tk,k->ti", evecs[nv], decay, evecs.T @ d)
+        decay = np.exp(-np.outer(times_us, gen.evals))
+        sensors = np.einsum("ik,tk,k->ti", gen.evecs[nv], decay, gen.evecs.T @ d)
         sensors[times_us == 0] = d[nv]
         curves[r] = sensors.mean(axis=1) / p_nv0
 

@@ -20,7 +20,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -44,6 +44,8 @@ from .spinops import effective_rabi
 
 __all__ = [
     "RateMatrix",
+    "PairTable",
+    "Generator",
     "Trajectory",
     "MsdCurve",
     "DiffusionResult",
@@ -51,7 +53,9 @@ __all__ = [
     "StiffnessError",
     "WindowError",
     "ConservationError",
+    "pair_table",
     "build_rates",
+    "factor_generator",
     "integrate_master_equation",
     "msd",
     "extract_diffusion",
@@ -113,7 +117,59 @@ class RateMatrix:
 _PAIR_FACTOR = np.array([1.0 / 4.0, 1.0 / 8.0])[:, None] * np.sqrt(2.0) ** np.arange(3)
 
 
-def build_rates(net: SpinNetwork, omega_mhz: float, gamma_mhz: float = 0.15) -> RateMatrix:
+@dataclass(frozen=True)
+class PairTable:
+    """The drive-independent part of :func:`build_rates` for one network.
+
+    ``r`` holds the pair distances (nm) with an infinite diagonal, ``fj``
+    the bare dipolar coupling J_ij times its pair prefactor (MHz), and
+    ``detunings`` a copy of the site detunings (MHz).  One table serves
+    every drive amplitude and linewidth.
+    """
+
+    r: np.ndarray
+    fj: np.ndarray
+    detunings: np.ndarray
+
+
+def pair_table(net: SpinNetwork) -> PairTable:
+    """Pair distances and prefactored dipolar couplings of a network.
+
+    The prefactor is 1/8 for degenerate pairs (same species, subgroup
+    and axis) and 1/4 otherwise, times sqrt(2) per NV of the pair.
+    Raises ValueError when two sites sit closer than the exclusion radius.
+    """
+    n = net.n_sites
+    pos = net.positions
+    axis = net.spec.field_axis_unit
+    delta = net.detunings.copy()
+    if n < 2:
+        return PairTable(np.full((n, n), np.inf), np.zeros((n, n)), delta)
+    # rvec[i, j] = pos[j] - pos[i]: row i of pos repeated n times, then
+    # every row subtracted in place from the flattened positions
+    rvec = np.repeat(pos, n, axis=0).reshape(n, 3 * n)
+    rvec = np.subtract(pos.reshape(1, 3 * n), rvec, out=rvec).reshape(n, n, 3)
+    # this sum of squares is np.linalg.norm(rvec, axis=-1) bit for bit, and
+    # rvec @ axis below stays one BLAS call: per-coordinate products round
+    # differently, and every rate must equal the per-site reference
+    rx, ry, rz = rvec[..., 0], rvec[..., 1], rvec[..., 2]
+    r = np.sqrt(rx * rx + ry * ry + rz * rz)
+    np.fill_diagonal(r, np.inf)
+    if net.spec.exclusion_nm > 0 and r.min() < net.spec.exclusion_nm - 1e-9:
+        raise ValueError("network violates its exclusion radius")
+    cos = rvec @ axis
+    cos /= r  # the infinite diagonal gives cos = 0 there
+    j_bare = J0_MHZ_NM3 * (1.0 - 3.0 * cos**2) / r**3
+    key = (net.subgroup * 4 + net.axis_index) * len(SPECIES) + net.species
+    n_nv = (net.species == species_code(Species.NV)).astype(np.intp)
+    same = (key[:, None] == key[None, :]).astype(np.intp)
+    factor = _PAIR_FACTOR.ravel().take(same * 3 + n_nv[:, None] + n_nv[None, :])
+    # the rate multiplies factor * j_bare first, so caching it keeps every
+    # rate bit-equal to the one-step product
+    return PairTable(r, factor * j_bare, delta)
+
+
+def build_rates(net: Union[SpinNetwork, PairTable], omega_mhz: float, gamma_mhz: float = 0.15) -> RateMatrix:
     """Golden-rule flip-flop rates between every pair of dressed sites.
 
     J~_ij = (J_ij/8 for degenerate pairs, J_ij/4 otherwise) sin(theta_i)
@@ -122,48 +178,30 @@ def build_rates(net: SpinNetwork, omega_mhz: float, gamma_mhz: float = 0.15) -> 
     A pair is degenerate when both sites share species, subgroup and
     axis.  Pairs whose best-case rate falls below 1e-6 MHz are dropped;
     the corresponding cutoff radius is recorded.
+
+    The work is two steps: :func:`pair_table` (distances and prefactored
+    couplings, independent of the drive) and the drive-dependent tilt,
+    Lorentzian and cutoff.  Passing a :class:`PairTable` in place of the
+    network skips the first step, so a drive sweep computes the table of
+    each network once; the rates are the same bit for bit.
     """
     if omega_mhz <= 0:
         raise ValueError("drive amplitude must be positive")
     if gamma_mhz <= 0:
         raise ValueError("Hartmann-Hahn linewidth must be positive")
-    n = net.n_sites
-    pos = net.positions
-    axis = net.spec.field_axis_unit
-    delta = net.detunings
+    pairs = net if isinstance(net, PairTable) else pair_table(net)
 
     # largest conceivable |J~| at distance r is J0/r^3 (angular factor 2,
     # double NV scaling 2, inter prefactor 1/4, unit projections)
     cutoff = (2.0 * J0_MHZ_NM3**2 / (gamma_mhz * RATE_FLOOR_MHZ)) ** (1.0 / 6.0)
 
-    rates = np.zeros((n, n))
-    if n >= 2:
-        # rvec[i, j] = pos[j] - pos[i]: row i of pos repeated n times, then
-        # every row subtracted in place from the flattened positions
-        rvec = np.repeat(pos, n, axis=0).reshape(n, 3 * n)
-        rvec = np.subtract(pos.reshape(1, 3 * n), rvec, out=rvec).reshape(n, n, 3)
-        # this sum of squares is np.linalg.norm(rvec, axis=-1) bit for bit, and
-        # rvec @ axis below stays one BLAS call: per-coordinate products round
-        # differently, and every rate must equal the per-site reference
-        rx, ry, rz = rvec[..., 0], rvec[..., 1], rvec[..., 2]
-        r = np.sqrt(rx * rx + ry * ry + rz * rz)
-        np.fill_diagonal(r, np.inf)
-        if net.spec.exclusion_nm > 0 and r.min() < net.spec.exclusion_nm - 1e-9:
-            raise ValueError("network violates its exclusion radius")
-        cos = rvec @ axis
-        cos /= r  # the infinite diagonal gives cos = 0 there
-        j_bare = J0_MHZ_NM3 * (1.0 - 3.0 * cos**2) / r**3
-        key = (net.subgroup * 4 + net.axis_index) * len(SPECIES) + net.species
-        n_nv = (net.species == species_code(Species.NV)).astype(np.intp)
-        same = (key[:, None] == key[None, :]).astype(np.intp)
-        factor = _PAIR_FACTOR.ravel().take(same * 3 + n_nv[:, None] + n_nv[None, :])
-        om_eff = np.array([effective_rabi(omega_mhz, d) for d in delta.tolist()])
-        sin_t = omega_mhz / om_eff  # tilt_projection per site
-        j_eff = factor * j_bare * sin_t[:, None] * sin_t[None, :]
-        d_eff = om_eff[:, None] - om_eff[None, :]
-        rates = 2.0 * j_eff**2 * gamma_mhz / (gamma_mhz**2 + d_eff**2)
-        rates[r > cutoff] = 0.0
-        np.fill_diagonal(rates, 0.0)
+    om_eff = np.array([effective_rabi(omega_mhz, d) for d in pairs.detunings.tolist()])
+    sin_t = omega_mhz / om_eff  # tilt_projection per site
+    j_eff = pairs.fj * sin_t[:, None] * sin_t[None, :]
+    d_eff = om_eff[:, None] - om_eff[None, :]
+    rates = 2.0 * j_eff**2 * gamma_mhz / (gamma_mhz**2 + d_eff**2)
+    rates[pairs.r > cutoff] = 0.0
+    np.fill_diagonal(rates, 0.0)
     return RateMatrix(rates, cutoff_nm=cutoff, omega_mhz=omega_mhz, gamma_mhz=gamma_mhz)
 
 
@@ -185,6 +223,31 @@ def _relaxation_vector(t1rho_us, n: int) -> np.ndarray:
     return 1.0 / arr
 
 
+@dataclass(frozen=True)
+class Generator:
+    """Eigendecomposition of the master-equation generator of one network.
+
+    The generator is M = diag(sum_j R_ij + 1/T1rho_i) - R, so that
+    dP/dt = -M P and P(t) = evecs exp(-evals t) evecs^T P(0).
+    """
+
+    rates: RateMatrix
+    relax: np.ndarray
+    evals: np.ndarray
+    evecs: np.ndarray
+
+
+def _generator_matrix(rates: np.ndarray, relax: np.ndarray) -> np.ndarray:
+    return np.diag(rates.sum(axis=1) + relax) - rates
+
+
+def factor_generator(rates: RateMatrix, relax=None) -> Generator:
+    """Diagonalize the symmetric generator once; ``relax`` holds 1/T1rho per site (default 0)."""
+    relax = np.zeros(rates.n_sites) if relax is None else np.asarray(relax, dtype=float)
+    evals, evecs = np.linalg.eigh(_generator_matrix(rates.rates, relax))
+    return Generator(rates, relax, evals, evecs)
+
+
 def integrate_master_equation(
     rates,
     t1rho_us,
@@ -198,11 +261,21 @@ def integrate_master_equation(
     ``method='eigh'`` (default) diagonalizes the symmetric generator once
     and is exact at any time; ``method='rk'`` runs an explicit adaptive
     integrator with step bounded by 0.1/max(sum_j R_ij + 1/T1rho) as an
-    independent cross-check.  Without relaxation the total polarization is
-    verified to be conserved to 1e-6 and the solution to respect the
-    maximum principle.
+    independent cross-check.  ``rates`` may also be a :class:`Generator`
+    from :func:`factor_generator`, which carries its own relaxation
+    (``t1rho_us`` must then be None); ``method='eigh'`` then reuses its
+    factorization, so several time grids cost one diagonalization.
+    Without relaxation the total polarization is verified to be conserved
+    to 1e-6 and the solution to respect the maximum principle.
     """
-    rm = rates if isinstance(rates, RateMatrix) else RateMatrix(np.asarray(rates, dtype=float), 0.0, 1.0, 0.15)
+    if isinstance(rates, Generator):
+        if t1rho_us is not None:
+            raise ValueError("a factored generator carries its own relaxation; pass t1rho_us=None")
+        gen, rm, relax = rates, rates.rates, rates.relax
+    else:
+        gen = None
+        rm = rates if isinstance(rates, RateMatrix) else RateMatrix(np.asarray(rates, dtype=float), 0.0, 1.0, 0.15)
+        relax = _relaxation_vector(t1rho_us, rm.n_sites)
     r = rm.rates
     n = rm.n_sites
     p0 = np.asarray(p0, dtype=float)
@@ -211,14 +284,14 @@ def integrate_master_equation(
     times = np.asarray(times_us, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
-    relax = _relaxation_vector(t1rho_us, n)
-    m = np.diag(r.sum(axis=1) + relax) - r
 
     if method == "eigh":
-        evals, evecs = np.linalg.eigh(m)
-        coeff = evecs.T @ p0
-        traj = np.einsum("ik,tk,k->ti", evecs, np.exp(-np.outer(times, evals)), coeff)
+        if gen is None:
+            gen = factor_generator(rm, relax)
+        coeff = gen.evecs.T @ p0
+        traj = np.einsum("ik,tk,k->ti", gen.evecs, np.exp(-np.outer(times, gen.evals)), coeff)
     elif method == "rk":
+        m = _generator_matrix(r, relax)
         scale = float(np.max(r.sum(axis=1) + relax))
         max_step = 0.1 / scale if scale > 0 else np.inf
         t_end = float(times.max()) if times.size else 0.0
@@ -244,7 +317,7 @@ def integrate_master_equation(
     else:
         raise ValueError(f"unknown integration method {method!r}")
 
-    if validate and t1rho_us is None:
+    if validate and not relax.any():
         tot0 = p0.sum()
         drift = np.abs(traj.sum(axis=1) - tot0)
         ref = max(abs(tot0), np.abs(p0).max(), 1e-12)
@@ -434,25 +507,31 @@ def average_msd(
     """Disorder-averaged MSD curve for one box size.
 
     When no time grid is given, the grid end is chosen adaptively on the
-    first realization so the curve crosses the top of the analysis window.
-    Returns (curve, box_nm).
+    first realization so the curve crosses the top of the analysis window;
+    every probe grid and the final grid of that realization are propagated
+    from one factorization of its generator.  Returns (curve, box_nm).
     """
     n = ppm_to_density(density_ppm)
     box = (n_p1 / n) ** (1.0 / 3.0)
     msd_top = 0.5 * (box / 2.0) ** 2
 
-    def one(realization, grid):
+    def factored(realization):
         net = transport_network(density_ppm, n_p1, w_mhz=w_mhz, seed=seed, realization=realization)
-        rm = build_rates(net, omega_mhz, gamma_mhz)
+        return net, factor_generator(build_rates(net, omega_mhz, gamma_mhz))
+
+    def curve(net, gen, grid):
         p0 = np.zeros(net.n_sites)
         p0[0] = 1.0
-        traj = integrate_master_equation(rm, None, p0, grid)
+        traj = integrate_master_equation(gen, None, p0, grid)
         return msd(traj, net.positions, 0)
 
+    first = None
     if times_us is None:
+        # every probe grid reuses the factorization of realization 0
+        first = factored(0)
         t_end = 100.0
         for _ in range(8):
-            probe = one(0, _default_time_grid(t_end))
+            probe = curve(*first, _default_time_grid(t_end))
             if probe.msd_nm2.max() >= msd_top:
                 break
             t_end *= 4.0
@@ -463,7 +542,8 @@ def average_msd(
     curves = np.empty((n_realizations, times_us.size))
     totals = np.empty((n_realizations, times_us.size))
     for r in range(n_realizations):
-        c = one(r, times_us)
+        c = curve(*(first or factored(r)), times_us)
+        first = None  # realization 0 is freed before realization 1 is built
         curves[r] = c.msd_nm2
         totals[r] = c.survival
     mean, sem = fitkit.reduce_mean_sem(curves)

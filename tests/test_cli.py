@@ -124,6 +124,53 @@ def test_crossover_uses_configured_disorder(tmp_path, monkeypatch):
     assert seen and set(seen) == {0.5}
 
 
+def test_crossover_honours_protocol_params(tmp_path):
+    # every drive of a crossover run equals a protocol run at that drive
+    params = {"n_p1": 30, "n_cycles": 8, "t_hh_us": 4.0, "probe_k": 5, "t1rho_nv_us": None}
+    omegas = [1.0, 3.2, 10.0]
+    config = {"experiment": "crossover", "seed": 2, "realizations": 3,
+              "params": {"omegas_mhz": omegas, **params}}
+    assert cli.main(["run", write_config(tmp_path, config), "--out", str(tmp_path / "x"), "--quiet"]) == 0
+    rows = (tmp_path / "x" / "crossover_table.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == len(omegas)
+    for omega, row in zip(omegas, rows):
+        single = {"experiment": "protocol", "seed": 2, "realizations": 3,
+                  "params": {"omega_mhz": omega, **params}}
+        out = tmp_path / f"p{omega}"
+        path = write_config(tmp_path, single, name=f"p{omega}.json")
+        assert cli.main(["run", path, "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "protocol_summary.json").read_text())
+        trajectory = (out / "protocol_trajectory.csv").read_text().strip().splitlines()
+        assert len(trajectory) == 1 + 8
+        o, p_sat, p_sig = (float(v) for v in row.split(","))
+        assert (o, p_sat, p_sig) == (omega, summary["P_sat"], summary["P_sat_sigma"])
+
+
+@pytest.mark.parametrize(
+    "experiment, params, typo",
+    [
+        ("deer", {"n_bath": 3, "bath_pi": True}, "bath_ip"),
+        ("hahn", {"n_bath": 3}, "nbath"),
+        ("rabi", {"omega_mhz": 5.0, "t_max_us": 2.0}, "omgea_mhz"),
+        ("diffusion", {"omega_mhz": 6.40, "n_list": [100, 200]}, "n_lsit"),
+        ("protocol", {"omega_mhz": 6.40, "n_cycles": 8}, "n_cylces"),
+        ("crossover", {"omegas_mhz": [1.0, 2.0], "t1rho_nv_us": None}, "t1rho_vn_us"),
+        ("concentration", {"gamma_exp_mhz": 1.0, "n_mc": 100}, "n_cm"),
+        ("fit", {"model": "exp_saturation", "data_csv": "d.csv"}, "data_cvs"),
+    ],
+)
+def test_misspelt_param_is_config_error(tmp_path, capsys, experiment, params, typo):
+    good = write_config(tmp_path, {"experiment": experiment, "params": params})
+    assert cli.main(["validate", good]) == 0
+    # the last key of params, misspelt
+    bad_params = dict(list(params.items())[:-1]) | {typo: list(params.values())[-1]}
+    bad = write_config(tmp_path, {"experiment": experiment, "params": bad_params}, name="bad.json")
+    capsys.readouterr()
+    assert cli.main(["run", bad, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert f"config field params/{typo}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_fit_round_trip(tmp_path):
     x = np.linspace(0.0, 30.0, 40)
     y = 0.9 * (1.0 - np.exp(-x / 3.0))

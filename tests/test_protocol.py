@@ -20,6 +20,7 @@ from spinnet.protocol import (
     spin_temperature,
     thermal_polarization,
 )
+from test_network_reference import reference_build_rates
 
 
 def desk_factory(r, n_p1=120):
@@ -239,3 +240,87 @@ def test_protocol_csv():
     assert len(lines) == 33
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 1.0
+
+
+
+def reference_protocol(factory, config, n_realizations, fit=True):
+    """The drive-by-drive protocol loop: every network and its rates rebuilt per config.
+
+    Rates come from the per-site ``reference_build_rates``, the generator
+    and probe set are formed inline, so nothing is shared with the
+    pair-table path of ``run_iterative_protocol``.
+    """
+    nv_runs = np.empty((n_realizations, config.n_cycles))
+    p1_runs = np.empty((n_realizations, config.n_cycles))
+    for r in range(n_realizations):
+        net = factory(r)
+        nv = net.indices_of(Species.NV)
+        p1 = net.indices_of(Species.P1)
+        rates = reference_build_rates(net.spec, net.sites, config.omega_mhz, config.gamma_mhz)
+        t1 = np.full(net.n_sites, config.t1rho_dark_us)
+        t1[nv] = np.inf if config.t1rho_nv_us is None else config.t1rho_nv_us
+        relax = np.where(np.isfinite(t1), 1.0 / t1, 0.0)
+        evals, evecs = np.linalg.eigh(np.diag(rates.sum(axis=1) + relax) - rates)
+        decay = np.exp(-evals * config.t_hh_us)
+        center = np.full(3, net.spec.box_nm / 2.0)
+        probe_nv = nv[np.argmin(np.linalg.norm(net.positions[nv] - center, axis=1))]
+        dist = np.linalg.norm(net.positions[p1] - net.positions[probe_nv], axis=1)
+        probe = p1[np.argsort(dist)[: min(config.probe_k, p1.size)]]
+        laser_decay = math.exp(-config.t_laser_us / config.t1rho_laser_us)
+        p = np.zeros(net.n_sites)
+        p[nv] = config.p_nv0
+        for cycle in range(config.n_cycles):
+            p = evecs @ (decay * (evecs.T @ p))
+            nv_runs[r, cycle] = p[nv].mean()
+            p1_runs[r, cycle] = p[probe].mean()
+            p[p1] *= laser_decay
+            p[nv] = config.p_nv0
+    cycles = np.arange(1, config.n_cycles + 1, dtype=float)
+    if n_realizations > 1:
+        p_nv, nv_sem = protocol.fitkit.reduce_mean_sem(nv_runs)
+        p_p1, p1_sem = protocol.fitkit.reduce_mean_sem(p1_runs)
+    else:
+        p_nv, p_p1, nv_sem, p1_sem = nv_runs[0], p1_runs[0], None, None
+    res = protocol.ProtocolResult(cycles, p_nv, p_p1, nv_sem, p1_sem, n_realizations)
+    if fit:
+        res.saturation = fit_saturation(cycles, p_p1, sem=p1_sem)
+    return res
+
+
+def assert_same_result(got, want):
+    for name in ("cycles", "p_nv", "p_p1", "p_nv_sem", "p_p1_sem"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+    assert got.n_realizations == want.n_realizations
+    assert (got.saturation is None) == (want.saturation is None)
+    if want.saturation is not None:
+        assert got.saturation.a_sat == want.saturation.a_sat
+        assert got.saturation.n_sat == want.saturation.n_sat
+
+
+# four drives, two linewidths, a short run, a relaxation-free sensor and a
+# probe set larger than the bath
+SWEEP_CONFIGS = (
+    CycleConfig(omega_mhz=0.8),
+    CycleConfig(omega_mhz=3.2, n_cycles=12, t1rho_nv_us=None, probe_k=3),
+    CycleConfig(omega_mhz=6.4, gamma_mhz=0.3, t_hh_us=2.0),
+    CycleConfig(omega_mhz=20.0, n_cycles=5, t1rho_dark_us=200.0, probe_k=50),
+)
+
+
+def test_config_sequence_equals_one_run_per_config():
+    factory = lambda r: desk_factory(r, n_p1=40)
+    together = run_iterative_protocol(factory, SWEEP_CONFIGS, n_realizations=4)
+    assert isinstance(together, list) and len(together) == len(SWEEP_CONFIGS)
+    for got, config in zip(together, SWEEP_CONFIGS):
+        assert_same_result(got, run_iterative_protocol(factory, config, n_realizations=4))
+        assert_same_result(got, reference_protocol(factory, config, 4))
+
+
+def test_config_sequence_on_one_network_equals_one_run_per_config():
+    net = desk_factory(5, n_p1=40)
+    together = run_iterative_protocol(net, SWEEP_CONFIGS, fit=False)
+    for got, config in zip(together, SWEEP_CONFIGS):
+        assert got.p_nv_sem is None and got.saturation is None
+        assert_same_result(got, run_iterative_protocol(net, config, fit=False))
+        assert_same_result(got, reference_protocol(lambda r: net, config, 1, fit=False))

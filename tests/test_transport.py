@@ -13,11 +13,13 @@ from spinnet.transport import (
     build_rates,
     diffusion_length,
     extract_diffusion,
+    factor_generator,
     finite_size_extrapolate,
     integrate_master_equation,
     msd,
     transport_network,
 )
+from test_network_reference import reference_build_rates
 
 
 def two_site_rate_matrix(rate):
@@ -209,6 +211,66 @@ def test_average_msd_reaches_window_top():
     assert curve.msd_nm2.max() >= top
     assert abs(curve.msd_nm2[0]) < 1e-9
     assert np.all(curve.survival > 0.999)
+
+
+def reference_average_msd(omega_mhz, density_ppm, n_p1, n_realizations, seed):
+    """The adaptive-grid loop that rebuilds and refactors realization 0 for every probe.
+
+    Rates come from the per-site ``reference_build_rates`` and the
+    propagation is inline, so nothing is shared with the pair table or
+    the factored generator of ``average_msd``.
+    """
+    box = (n_p1 / ppm_to_density(density_ppm)) ** (1.0 / 3.0)
+
+    def one(realization, grid):
+        net = transport_network(density_ppm, n_p1, seed=seed, realization=realization)
+        rates = reference_build_rates(net.spec, net.sites, omega_mhz)
+        evals, evecs = np.linalg.eigh(np.diag(rates.sum(axis=1)) - rates)
+        p0 = np.zeros(net.n_sites)
+        p0[0] = 1.0
+        traj = np.einsum("ik,tk,k->ti", evecs, np.exp(-np.outer(grid, evals)), evecs.T @ p0)
+        return msd(transport.Trajectory(grid, traj), net.positions, 0)
+
+    t_end = 100.0
+    for _ in range(8):
+        if one(0, transport._default_time_grid(t_end)).msd_nm2.max() >= 0.5 * (box / 2.0) ** 2:
+            break
+        t_end *= 4.0
+    grid = transport._default_time_grid(t_end)
+    runs = [one(r, grid) for r in range(n_realizations)]
+    mean, sem = transport.fitkit.reduce_mean_sem(np.array([c.msd_nm2 for c in runs]))
+    surv = np.array([c.survival for c in runs]).mean(axis=0)
+    return MsdCurve(grid, mean, surv, sem_nm2=sem), box
+
+
+def test_average_msd_equals_probe_per_recompute_loop():
+    # 0.5 MHz needs several probe grids before the curve reaches the window top
+    for omega in (6.40, 0.5):
+        got, box = average_msd(omega, 1.575, 50, 3, seed=5)
+        want, want_box = reference_average_msd(omega, 1.575, 50, 3, seed=5)
+        assert box == want_box
+        for name in ("times_us", "msd_nm2", "survival", "sem_nm2"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (omega, name)
+
+
+def test_factored_generator_propagates_like_the_rate_matrix():
+    net = transport_network(1.575, 30, seed=2, realization=1)
+    rm = build_rates(net, 6.40)
+    p0 = np.zeros(net.n_sites)
+    p0[0] = 1.0
+    times = np.geomspace(0.1, 2e4, 12)
+    gen = factor_generator(rm)
+    npt.assert_array_equal(
+        integrate_master_equation(gen, None, p0, times).polarization,
+        integrate_master_equation(rm, None, p0, times).polarization,
+    )
+    relaxed = factor_generator(rm, np.full(net.n_sites, 1.0 / 430.0))
+    npt.assert_array_equal(
+        integrate_master_equation(relaxed, None, p0, times).polarization,
+        integrate_master_equation(rm, 430.0, p0, times).polarization,
+    )
+    with pytest.raises(ValueError, match="carries its own relaxation"):
+        integrate_master_equation(gen, 430.0, p0, times)
 
 
 def test_diffusion_monotone_in_drive():
