@@ -29,12 +29,15 @@ EXIT_NUMERIC = 3
 
 _NUMERIC_ERRORS = (
     fitkit.FitError,
-    transport.StiffnessError,
     transport.WindowError,
     transport.ConservationError,
     GenerationError,
     np.linalg.LinAlgError,
 )
+
+
+# every network and cluster builder keeps sites this far apart
+_EXCLUSION_NM = 1.0
 
 
 class ConfigError(ValueError):
@@ -63,16 +66,13 @@ def validate_config(config: dict) -> list:
     if omega is not None and omega <= 0:
         raise ConfigError("config field params/omega_mhz: must be positive")
     warnings = []
-    network = config.get("network", {})
-    densities = network.get("densities_ppm", {})
-    total = sum(densities.values())
-    exclusion = network.get("exclusion_nm", 1.0)
-    if total > 0 and exclusion > 0:
+    total = sum(config.get("network", {}).get("densities_ppm", {}).values())
+    if total > 0:
         spacing = ppm_to_density(total) ** (-1.0 / 3.0)
-        if spacing < exclusion:
+        if spacing < _EXCLUSION_NM:
             warnings.append(
                 f"mean spacing {spacing:.2f} nm at {total:g} ppm is below the "
-                f"exclusion radius {exclusion:g} nm; generation may fail"
+                f"exclusion radius {_EXCLUSION_NM:g} nm; generation may fail"
             )
     return warnings
 
@@ -363,6 +363,11 @@ def _apply_overrides(config: dict, args) -> dict:
     if args.realizations is not None:
         config["realizations"] = args.realizations
     if args.omega_mhz is not None:
+        experiment = config.get("experiment")
+        # an unknown or missing experiment is left to the schema check
+        params = _load_schema()["definitions"].get(f"{experiment}_params")
+        if params is not None and "omega_mhz" not in params["properties"]:
+            raise ConfigError(f"--omega-mhz: experiment {experiment!r} takes no omega_mhz")
         config.setdefault("params", {})["omega_mhz"] = args.omega_mhz
     if args.out is not None:
         config["out_dir"] = args.out

@@ -1,18 +1,20 @@
-"""Exact state-vector dynamics of small spin clusters under pulse sequences.
+"""Exact state-vector DEER, Hahn-echo and Rabi runs on small spin clusters.
 
 Clusters are lists of :class:`~spinnet.network.SpinSite` (site 0 is the
 sensor by convention).  Pulses are instantaneous ideal rotations; free
 evolution uses the Hermitian eigendecomposition of the cluster Hamiltonian,
 so arbitrary delay grids cost one diagonalization per realization.  Echo
 signals use the phase-cycled difference of the two final pi/2 phases, which
-rejects common-mode offsets and lands the signal in [-1, 1].
+rejects common-mode offsets and lands the signal in [-1, 1].  The module
+also carries the dephasing fit, the rate-versus-density calibration and
+the concentration estimator built on it.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,18 +33,13 @@ from .network import (
     generate_network,
     ppm_to_density,
 )
-from .spinops import ClusterHamiltonian, Frame, build_cluster_hamiltonian
-from .transport import ConservationError
+from .spinops import Frame, build_cluster_hamiltonian
 
 __all__ = [
     "MAX_CLUSTER_DIM",
-    "PulseEvent",
-    "FreeEvolution",
     "TraceResult",
-    "evolve",
     "rotation_unitary",
     "sample_nv_p1_cluster",
-    "sample_nv_nv_cluster",
     "default_tau_grid",
     "run_deer",
     "deer_trace",
@@ -52,7 +49,6 @@ __all__ = [
     "extract_dephasing_rate",
     "AlphaFit",
     "calibrate_alpha",
-    "group_rate_slope",
     "KEstimate",
     "compute_K",
     "ConcentrationEstimate",
@@ -68,36 +64,6 @@ _AXES_2X2 = {
     "x": np.array([[0, 0.5], [0.5, 0]], dtype=complex),
     "y": np.array([[0, -0.5j], [0.5j, 0]], dtype=complex),
 }
-
-
-@dataclass(frozen=True)
-class PulseEvent:
-    """Instantaneous rotation exp(-i angle S_axis) on the targeted sites.
-
-    ``axis`` is one of x, y, -x, -y; a ``target_species``/``target_subgroup``
-    of None matches everything.
-    """
-
-    angle_rad: float
-    axis: str = "x"
-    target_species: Optional[Species] = None
-    target_subgroup: Optional[int] = None
-
-    def matches(self, site: SpinSite) -> bool:
-        if self.target_species is not None and site.species != Species(self.target_species):
-            return False
-        if self.target_subgroup is not None and site.subgroup != self.target_subgroup:
-            return False
-        return True
-
-
-@dataclass(frozen=True)
-class FreeEvolution:
-    duration_us: float
-
-    def __post_init__(self):
-        if self.duration_us < 0:
-            raise ValueError("free evolution duration must be nonnegative")
 
 
 @dataclass
@@ -140,48 +106,6 @@ def rotation_unitary(n_sites: int, angle_rad: float, axis: str, site_indices) ->
     return u
 
 
-def _as_matrix(hamiltonian) -> np.ndarray:
-    m = hamiltonian.matrix if isinstance(hamiltonian, ClusterHamiltonian) else np.asarray(hamiltonian, dtype=complex)
-    # the cap goes first: the Hermiticity check allocates several copies of m
-    if m.shape[0] > MAX_CLUSTER_DIM:
-        raise ValueError(
-            f"cluster dimension {m.shape[0]} exceeds the {MAX_CLUSTER_DIM} cap"
-        )
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > 1e-12 * scale:
-        raise ValueError("free evolution requires a Hermitian Hamiltonian")
-    return m
-
-
-def evolve(state, hamiltonian, events: Sequence, sites: Sequence[SpinSite]) -> np.ndarray:
-    """Apply a pulse/delay sequence; returns the trajectory after each event.
-
-    The first row is the initial state.  Norm is checked against 1e-10 drift
-    at every step.
-    """
-    m = _as_matrix(hamiltonian)
-    n = len(sites)
-    if m.shape[0] != 2**n:
-        raise ValueError("Hamiltonian dimension does not match the site list")
-    evals, evecs = np.linalg.eigh(m)
-    psi = np.asarray(state, dtype=complex)
-    norm0 = np.linalg.norm(psi)
-    out = [psi.copy()]
-    for ev in events:
-        if isinstance(ev, FreeEvolution):
-            phases = np.exp(-1j * TWO_PI * evals * ev.duration_us)
-            psi = evecs @ (phases * (evecs.conj().T @ psi))
-        elif isinstance(ev, PulseEvent):
-            idx = [i for i, s in enumerate(sites) if ev.matches(s)]
-            psi = rotation_unitary(n, ev.angle_rad, ev.axis, idx) @ psi
-        else:
-            raise TypeError(f"unknown sequence element {ev!r}")
-        if abs(np.linalg.norm(psi) - norm0) > 1e-10:
-            raise ConservationError("state norm drifted beyond 1e-10")
-        out.append(psi.copy())
-    return np.array(out)
-
-
 def _cluster_box_nm(density_ppm: float, n_sites: int) -> float:
     n = ppm_to_density(density_ppm)
     if n <= 0:
@@ -218,56 +142,6 @@ def sample_nv_p1_cluster(
         if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < exclusion_nm:
             continue
         return list(centred_source(base, realization).sites)
-    raise GenerationError("could not place the sensor away from the bath in 100 attempts")
-
-
-def sample_nv_nv_cluster(
-    density_ppm: float,
-    axis_counts: Sequence[int] = (2, 2, 2, 0),
-    seed: int = 0,
-    realization: int = 0,
-    exclusion_nm: float = 1.0,
-) -> list:
-    """All-NV cluster: a sensor plus NVs spread over axis groups.
-
-    ``axis_counts`` gives the group populations including the sensor, which
-    occupies group 0 at the box center.
-    """
-    counts = list(axis_counts)
-    if len(counts) != 4 or counts[0] < 1:
-        raise ValueError("axis_counts needs 4 entries with at least the sensor in group 0")
-    total = sum(counts)
-    box = _cluster_box_nm(density_ppm, total)
-    spec = EnsembleSpec(
-        box_nm=box,
-        densities_ppm={Species.NV: density_ppm * (total - 1) / total},
-        exclusion_nm=exclusion_nm,
-        seed=seed,
-    )
-    axis_pool = []
-    for g, c in enumerate(counts):
-        axis_pool += [g] * c
-    axis_pool = axis_pool[1:]  # sensor takes the first slot of group 0
-    center = np.full(3, box / 2)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, realization, 7]))
-    for attempt in range(100):
-        net = generate_network(spec, realization=realization + 1000 * attempt)
-        pos = net.positions
-        if len(pos) != len(axis_pool):
-            # adjust: force the exact partner count by resizing the draw
-            if len(pos) > len(axis_pool):
-                pos = pos[: len(axis_pool)]
-            else:
-                continue
-        if len(pos) and np.min(np.linalg.norm(pos - center, axis=1)) < exclusion_nm:
-            continue
-        order = rng.permutation(len(axis_pool))
-        sensor = SpinSite(0, center.copy(), Species.NV, NV_AXES[0].copy(), subgroup=0)
-        others = [
-            SpinSite(k + 1, pos[k].copy(), Species.NV, NV_AXES[axis_pool[order[k]]].copy(), subgroup=axis_pool[order[k]])
-            for k in range(len(axis_pool))
-        ]
-        return [sensor] + others
     raise GenerationError("could not place the sensor away from the bath in 100 attempts")
 
 
@@ -446,14 +320,6 @@ def calibrate_alpha(densities_ppm, rates_mhz, rate_sigmas=None) -> AlphaFit:
         raise FitError("rate-vs-density calibration needs at least two distinct densities")
     res = fitkit.linear_fit(d, rates_mhz, sigma=rate_sigmas, through_origin=True)
     return AlphaFit(res["slope"], res.sigma("slope"), res)
-
-
-def group_rate_slope(group_counts, rates_mhz, rate_sigmas=None) -> fitkit.FitResult:
-    """Incremental dephasing per added spin group: slope of rate vs group count."""
-    g = np.asarray(group_counts, dtype=float)
-    if np.unique(g).size < 2:
-        raise FitError("need at least two distinct group counts")
-    return fitkit.linear_fit(g, rates_mhz, sigma=rate_sigmas)
 
 
 @dataclass

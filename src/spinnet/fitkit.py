@@ -32,7 +32,6 @@ __all__ = [
     "EXP_SATURATION",
     "LORENTZIAN",
     "DAMPED_COSINE",
-    "multi_lorentzian",
     "fit",
     "linear_fit",
     "mc_propagate",
@@ -187,52 +186,6 @@ DAMPED_COSINE = ModelSpec(
     upper=(np.inf, np.inf, np.pi, np.inf, np.inf),
     guess=_guess_damped_cosine,
 )
-
-
-def multi_lorentzian(n_components: int) -> ModelSpec:
-    """Sum of ``n_components`` Lorentzians on a shared offset.
-
-    Parameters are center_i, hwhm_i, amp_i for each component plus one
-    offset.  The guess splits the x range into equal windows and seats one
-    component on the largest excursion from the median inside each window.
-    """
-    if n_components < 1:
-        raise FitError("need at least one component")
-
-    def func(x, *p):
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, p[-1])
-        for k in range(n_components):
-            c, w, a = p[3 * k], p[3 * k + 1], p[3 * k + 2]
-            out = out + a * w**2 / ((x - c) ** 2 + w**2)
-        return out
-
-    def guess(x, y):
-        offset = float(np.median(y))
-        edges = np.linspace(0, len(x), n_components + 1).astype(int)
-        p = []
-        span = x[-1] - x[0]
-        for k in range(n_components):
-            sl = slice(edges[k], max(edges[k + 1], edges[k] + 1))
-            idx = edges[k] + int(np.argmax(np.abs(y[sl] - offset)))
-            p += [float(x[idx]), span / (6 * n_components), float(y[idx] - offset)]
-        return p + [offset]
-
-    names = []
-    lower = []
-    upper = []
-    for k in range(1, n_components + 1):
-        names += [f"center{k}", f"hwhm{k}", f"amp{k}"]
-        lower += [-np.inf, 1e-12, -np.inf]
-        upper += [np.inf, np.inf, np.inf]
-    return ModelSpec(
-        name=f"multi_lorentzian_{n_components}",
-        func=func,
-        param_names=tuple(names + ["offset"]),
-        lower=tuple(lower + [-np.inf]),
-        upper=tuple(upper + [np.inf]),
-        guess=guess,
-    )
 
 
 def _covariance(jac, cost, n_points, n_params, absolute):

@@ -428,8 +428,7 @@ def readout_equilibration(
         # plus - minus: the sensors cancel, the bath differs by 2 * p_p1
         d = np.zeros(one.n_sites)
         d[p1] = 2.0 * p_p1
-        decay = np.exp(-np.outer(times_us, gen.evals))
-        sensors = np.einsum("ik,tk,k->ti", gen.evecs[nv], decay, gen.evecs.T @ d)
+        sensors = gen.propagate(d, times_us, rows=nv)
         sensors[times_us == 0] = d[nv]
         curves[r] = sensors.mean(axis=1) / p_nv0
 

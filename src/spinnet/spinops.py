@@ -36,10 +36,6 @@ __all__ = [
     "nv_scaling",
     "pair_coupling",
     "is_heterogeneous",
-    "build_secular_intra",
-    "build_ising_inter",
-    "build_dressed_intra",
-    "build_dressed_inter",
     "build_cluster_hamiltonian",
     "effective_rabi",
     "tilt_projection",
@@ -183,7 +179,7 @@ def _coupling_map(sites, quant_axis, couplings):
 # (dressed frame, degenerate pair) -> (c/J, diagonal weight on s_i s_j, flip
 # weights where the bits differ and agree, -(J/2) Sx Sx weight added last),
 # from c(S~+S~- + S~-S~+) = 2c(SySy + SzSz).  Powers of two added in the order
-# of the builders' operator forms keep entries bit-equal to operator products.
+# of the operator forms keep entries bit-equal to operator products.
 _PAIR_TERMS = {
     (False, True): (1.0, 1.0, -0.25, 0.0, 0.0),
     (False, False): (1.0, 1.0, 0.0, 0.0, 0.0),
@@ -192,9 +188,9 @@ _PAIR_TERMS = {
 }
 
 
-def _hamiltonian(n, frame, cmap, use, degenerate) -> ClusterHamiltonian:
-    """Pair terms ``use``, in order, with ``degenerate(i, j)`` choosing the
-    intra- or inter-group form: Ising parts go on the diagonal, flip-flop
+def _hamiltonian(n, frame, cmap, degenerate) -> ClusterHamiltonian:
+    """The pair terms of ``cmap``, in order, with ``degenerate(i, j)`` choosing
+    the intra- or inter-group form: Ising parts go on the diagonal, flip-flop
     parts on the entries (idx ^ mask_ij, idx) that flip both bits."""
     if n < 1:
         raise ValueError("need at least one site")
@@ -205,7 +201,7 @@ def _hamiltonian(n, frame, cmap, use, degenerate) -> ClusterHamiltonian:
     h = np.zeros((dim, dim), dtype=complex)
     flat = h.reshape(-1)
     diag = flat[:: dim + 1]
-    for i, j in use:
+    for i, j in cmap:
         jij = cmap[i, j]
         scale, ising, differ, agree, sxsx = _PAIR_TERMS[frame == Frame.DRESSED, degenerate(i, j)]
         c = jij * scale
@@ -215,72 +211,7 @@ def _hamiltonian(n, frame, cmap, use, degenerate) -> ClusterHamiltonian:
             flat[flip] += c * np.where(bits[i] != bits[j], differ, agree)
             if sxsx:
                 flat[flip] += (jij * sxsx) * 0.25
-    return ClusterHamiltonian(h, frame, n, {p: cmap[p] for p in use})
-
-
-def build_secular_intra(
-    sites: Sequence[SpinSite],
-    quant_axis=None,
-    couplings: Optional[Mapping] = None,
-) -> ClusterHamiltonian:
-    """Secular Hamiltonian of a degenerate (same species and axis) group.
-
-    H = sum_ij [ -(J_ij/4)(S+S- + S-S+) + J_ij Sz Sz ].
-    """
-    if any(is_heterogeneous(sites[0], a) for a in sites[1:]):
-        raise ValueError("secular intra-group form requires identical species and axis")
-    cmap = _coupling_map(sites, quant_axis, couplings)
-    return _hamiltonian(len(sites), Frame.LAB_SECULAR, cmap, list(cmap), lambda i, j: True)
-
-
-def build_ising_inter(
-    sites: Sequence[SpinSite],
-    quant_axis=None,
-    couplings: Optional[Mapping] = None,
-    pairs: Optional[Sequence] = None,
-) -> ClusterHamiltonian:
-    """Ising Hamiltonian H = sum_ij J_ij Sz Sz over heterogeneous pairs.
-
-    With no explicit ``pairs`` every pair is used and must be heterogeneous.
-    """
-    cmap = _coupling_map(sites, quant_axis, couplings)
-    use = [tuple(sorted(p)) for p in pairs] if pairs is not None else list(cmap)
-    for i, j in use:
-        if not is_heterogeneous(sites[i], sites[j]):
-            raise ValueError(
-                f"sites {i} and {j} form a degenerate pair; the Ising-only form does not apply"
-            )
-    return _hamiltonian(len(sites), Frame.LAB_SECULAR, cmap, use, lambda i, j: False)
-
-
-def build_dressed_intra(
-    sites: Sequence[SpinSite],
-    quant_axis=None,
-    couplings: Optional[Mapping] = None,
-) -> ClusterHamiltonian:
-    """Dressed-frame Hamiltonian of a degenerate group under matched driving.
-
-    H = sum_ij [ (J_ij/8)(S~+S~- + S~-S~+) - (J_ij/2) Sx Sx ].
-    """
-    if any(is_heterogeneous(sites[0], a) for a in sites[1:]):
-        raise ValueError("dressed intra-group form requires identical species and axis")
-    cmap = _coupling_map(sites, quant_axis, couplings)
-    return _hamiltonian(len(sites), Frame.DRESSED, cmap, list(cmap), lambda i, j: True)
-
-
-def build_dressed_inter(
-    sites: Sequence[SpinSite],
-    quant_axis=None,
-    couplings: Optional[Mapping] = None,
-    pairs: Optional[Sequence] = None,
-) -> ClusterHamiltonian:
-    """Dressed-frame exchange between distinct groups at matched Rabi rates.
-
-    H = sum_ij (J_ij/4)(S~+S~- + S~-S~+).
-    """
-    cmap = _coupling_map(sites, quant_axis, couplings)
-    use = [tuple(sorted(p)) for p in pairs] if pairs is not None else list(cmap)
-    return _hamiltonian(len(sites), Frame.DRESSED, cmap, use, lambda i, j: False)
+    return ClusterHamiltonian(h, frame, n, dict(cmap))
 
 
 def build_cluster_hamiltonian(
@@ -296,7 +227,7 @@ def build_cluster_hamiltonian(
     """
     cmap = _coupling_map(sites, quant_axis, couplings)
     degenerate = lambda i, j: not is_heterogeneous(sites[i], sites[j])
-    return _hamiltonian(len(sites), frame, cmap, list(cmap), degenerate)
+    return _hamiltonian(len(sites), frame, cmap, degenerate)
 
 
 def effective_rabi(omega_mhz: float, detuning_mhz: float) -> float:

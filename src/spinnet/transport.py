@@ -3,10 +3,11 @@
 Hartmann-Hahn matched flip-flop channels give golden-rule rates between
 sites; polarization then obeys the linear lattice master equation
 dP_i/dt = sum_j R_ij (P_j - P_i) - P_i / T1rho_i.  Because the generator is
-a constant symmetric positive-semidefinite matrix, the default propagation
-is its exact eigendecomposition (one factorization serves every requested
-time); an explicit Runge-Kutta route is kept as an independent cross-check
-for small systems.
+a constant symmetric positive-semidefinite matrix, it is propagated through
+its exact eigendecomposition: one :func:`factor_generator` call per network,
+then :meth:`Generator.propagate` for every requested time and initial state.
+An explicit Runge-Kutta integration in the tests is the independent
+cross-check.
 
 The diffusion analysis follows the mean-squared displacement of the
 polarization cloud about the source, fits the slope inside a window bounded
@@ -19,11 +20,10 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import fitkit
 from .constants import J0_MHZ_NM3
@@ -50,7 +50,6 @@ __all__ = [
     "MsdCurve",
     "DiffusionResult",
     "ExtrapolationResult",
-    "StiffnessError",
     "WindowError",
     "ConservationError",
     "pair_table",
@@ -67,10 +66,6 @@ __all__ = [
 ]
 
 RATE_FLOOR_MHZ = 1e-6
-
-
-class StiffnessError(RuntimeError):
-    pass
 
 
 class WindowError(RuntimeError):
@@ -105,11 +100,6 @@ class RateMatrix:
     @property
     def n_sites(self) -> int:
         return self.rates.shape[0]
-
-    def hottest_pair(self):
-        flat = int(np.argmax(self.rates))
-        i, j = divmod(flat, self.n_sites)
-        return i, j, float(self.rates[i, j])
 
 
 # Pair prefactor of build_rates: 1/4 (row 0) or 1/8 for degenerate pairs
@@ -236,88 +226,47 @@ class Generator:
     evals: np.ndarray
     evecs: np.ndarray
 
-
-def _generator_matrix(rates: np.ndarray, relax: np.ndarray) -> np.ndarray:
-    return np.diag(rates.sum(axis=1) + relax) - rates
+    def propagate(self, p0, times, rows=None) -> np.ndarray:
+        """P(t) at each time (one row per time), restricted to site ``rows``
+        when given; the restricted rows equal those of the full result."""
+        evecs = self.evecs if rows is None else self.evecs[rows]
+        decay = np.exp(-np.outer(times, self.evals))
+        return np.einsum("ik,tk,k->ti", evecs, decay, self.evecs.T @ p0)
 
 
 def factor_generator(rates: RateMatrix, relax=None) -> Generator:
     """Diagonalize the symmetric generator once; ``relax`` holds 1/T1rho per site (default 0)."""
     relax = np.zeros(rates.n_sites) if relax is None else np.asarray(relax, dtype=float)
-    evals, evecs = np.linalg.eigh(_generator_matrix(rates.rates, relax))
+    evals, evecs = np.linalg.eigh(np.diag(rates.rates.sum(axis=1) + relax) - rates.rates)
     return Generator(rates, relax, evals, evecs)
 
 
-def integrate_master_equation(
-    rates,
-    t1rho_us,
-    p0,
-    times_us,
-    method: str = "eigh",
-    validate: bool = True,
-) -> Trajectory:
+def integrate_master_equation(rates, t1rho_us, p0, times_us) -> Trajectory:
     """Propagate the lattice master equation to the requested times.
 
-    ``method='eigh'`` (default) diagonalizes the symmetric generator once
-    and is exact at any time; ``method='rk'`` runs an explicit adaptive
-    integrator with step bounded by 0.1/max(sum_j R_ij + 1/T1rho) as an
-    independent cross-check.  ``rates`` may also be a :class:`Generator`
-    from :func:`factor_generator`, which carries its own relaxation
-    (``t1rho_us`` must then be None); ``method='eigh'`` then reuses its
-    factorization, so several time grids cost one diagonalization.
-    Without relaxation the total polarization is verified to be conserved
-    to 1e-6 and the solution to respect the maximum principle.
+    The symmetric generator is diagonalized once, so the solution is exact
+    at any time.  ``rates`` is a :class:`RateMatrix`, or a
+    :class:`Generator` from :func:`factor_generator` that carries its own
+    relaxation (``t1rho_us`` must then be None) and whose factorization is
+    reused, so several time grids cost one diagonalization.  Without
+    relaxation the total polarization is verified to be conserved to 1e-6
+    and the solution to respect the maximum principle.
     """
     if isinstance(rates, Generator):
         if t1rho_us is not None:
             raise ValueError("a factored generator carries its own relaxation; pass t1rho_us=None")
-        gen, rm, relax = rates, rates.rates, rates.relax
+        gen = rates
     else:
-        gen = None
-        rm = rates if isinstance(rates, RateMatrix) else RateMatrix(np.asarray(rates, dtype=float), 0.0, 1.0, 0.15)
-        relax = _relaxation_vector(t1rho_us, rm.n_sites)
-    r = rm.rates
-    n = rm.n_sites
+        gen = factor_generator(rates, _relaxation_vector(t1rho_us, rates.n_sites))
     p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (n,):
+    if p0.shape != (gen.rates.n_sites,):
         raise ValueError("initial polarization length must match the rate matrix")
     times = np.asarray(times_us, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
+    traj = gen.propagate(p0, times)
 
-    if method == "eigh":
-        if gen is None:
-            gen = factor_generator(rm, relax)
-        coeff = gen.evecs.T @ p0
-        traj = np.einsum("ik,tk,k->ti", gen.evecs, np.exp(-np.outer(times, gen.evals)), coeff)
-    elif method == "rk":
-        m = _generator_matrix(r, relax)
-        scale = float(np.max(r.sum(axis=1) + relax))
-        max_step = 0.1 / scale if scale > 0 else np.inf
-        t_end = float(times.max()) if times.size else 0.0
-        if max_step < np.inf and t_end / max_step > 2e6:
-            i, j, hot = rm.hottest_pair()
-            raise StiffnessError(
-                f"explicit integration to t={t_end:g} us needs >2e6 steps; "
-                f"stiffness is dominated by pair ({i}, {j}) at R={hot:g} MHz"
-            )
-        sol = solve_ivp(
-            lambda t, p: -(m @ p),
-            (0.0, t_end),
-            p0,
-            t_eval=times,
-            method="RK45",
-            max_step=max_step,
-            rtol=1e-9,
-            atol=1e-12,
-        )
-        if not sol.success:
-            raise StiffnessError(f"explicit integrator failed: {sol.message}")
-        traj = sol.y.T
-    else:
-        raise ValueError(f"unknown integration method {method!r}")
-
-    if validate and not relax.any():
+    if not gen.relax.any():
         tot0 = p0.sum()
         drift = np.abs(traj.sum(axis=1) - tot0)
         ref = max(abs(tot0), np.abs(p0).max(), 1e-12)

@@ -16,12 +16,7 @@ from scipy.linalg import expm
 from spinnet import clusterdyn, fitkit, network, protocol, transport
 from spinnet.constants import TWO_PI
 from spinnet.network import NV_AXES, EnsembleSpec, Placement, Species, SpinSite
-from spinnet.spinops import (
-    build_dressed_intra,
-    build_secular_intra,
-    operator_set,
-    pair_coupling,
-)
+from spinnet.spinops import Frame, build_cluster_hamiltonian, operator_set, pair_coupling
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -182,8 +177,8 @@ def test_criterion_6_cluster_dynamics_oracles():
     j = pair_coupling(*duo, Z)
     omega = 50 * abs(j)
     ops = operator_set(2)
-    h_lab = build_secular_intra(duo, quant_axis=Z).matrix + omega * ops.total_sx
-    h_dr = build_dressed_intra(duo, quant_axis=Z).matrix
+    h_lab = build_cluster_hamiltonian(duo, Z, Frame.LAB_SECULAR).matrix + omega * ops.total_sx
+    h_dr = build_cluster_hamiltonian(duo, Z, Frame.DRESSED).matrix
     x_up = np.array([1, 1]) / math.sqrt(2)
     x_dn = np.array([1, -1]) / math.sqrt(2)
     psi0 = np.kron(x_up, x_dn)

@@ -31,11 +31,28 @@ def test_validate_negative_density_names_field(tmp_path, capsys):
 def test_validate_feasibility_warning(tmp_path, capsys):
     config = {
         "experiment": "deer",
-        "network": {"densities_ppm": {"P1": 500000.0}, "exclusion_nm": 1.0},
+        "network": {"densities_ppm": {"P1": 500000.0}},
     }
     path = write_config(tmp_path, config)
     assert cli.main(["validate", path]) == 0
     assert "exclusion" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "network, field",
+    [
+        ({"box_nm": 80.0}, "network/box_nm"),
+        ({"exclusion_nm": 2.0}, "network/exclusion_nm"),
+        ({"densities_ppm": {"NV": 0.6, "P1": 1.575}}, "network/densities_ppm/NV"),
+    ],
+)
+def test_ignored_network_field_is_config_error(tmp_path, capsys, network, field):
+    # no runner reads these, so a config that sets one must not run silently
+    config = {"experiment": "protocol", "realizations": 1, "network": network, "params": {"n_p1": 20}}
+    path = write_config(tmp_path, config)
+    assert cli.main(["run", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert f"config field {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_rejects_unknown_experiment(tmp_path):
@@ -99,6 +116,15 @@ def test_omega_override_reaches_manifest(tmp_path):
     assert manifest["config"]["params"]["omega_mhz"] == 4.0
     summary = json.loads((out / "protocol_summary.json").read_text())
     assert summary["omega_MHz"] == 4.0
+
+
+def test_omega_flag_rejected_where_experiment_has_no_drive(tmp_path, capsys):
+    path = write_config(tmp_path, {"experiment": "deer", "realizations": 1, "params": {"n_bath": 2}})
+    out = tmp_path / "o"
+    assert cli.main(["run", path, "--out", str(out), "--omega-mhz", "5.0", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "--omega-mhz" in err and "deer" in err
+    assert not out.exists()
 
 
 def test_crossover_uses_configured_disorder(tmp_path, monkeypatch):

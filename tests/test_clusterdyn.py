@@ -5,67 +5,27 @@ import pytest
 
 from spinnet import clusterdyn, fitkit
 from spinnet.clusterdyn import (
-    FreeEvolution,
-    PulseEvent,
     TraceResult,
     calibrate_alpha,
     compute_K,
     deer_trace,
     default_tau_grid,
     estimate_concentration,
-    evolve,
     extract_dephasing_rate,
     fft_peak,
-    group_rate_slope,
     run_deer,
     run_rabi,
-    sample_nv_nv_cluster,
     sample_nv_p1_cluster,
 )
 from spinnet.constants import TWO_PI
 from spinnet.fitkit import FitError
 from spinnet.network import NV_AXES, Species, SpinSite
-from spinnet.spinops import build_cluster_hamiltonian, Frame
 
 Z = np.array([0.0, 0.0, 1.0])
 
 
 def make_site(pos, species=Species.P1, subgroup=0):
     return SpinSite(0, np.asarray(pos, float), species, NV_AXES[0].copy(), subgroup=subgroup)
-
-
-def test_evolve_identity_and_pi_pulse():
-    sites = [make_site([0, 0, 0])]
-    h = np.zeros((2, 2), dtype=complex)
-    psi = np.array([1.0, 0.0], dtype=complex)
-    traj = evolve(psi, h, [FreeEvolution(0.0)], sites)
-    assert np.allclose(traj[-1], psi)
-    traj = evolve(psi, h, [PulseEvent(math.pi, "x")], sites)
-    assert abs(traj[-1][1]) == pytest.approx(1.0, abs=1e-12)
-    assert abs(traj[-1][0]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_evolve_norm_preserved_over_many_segments():
-    rng = np.random.default_rng(0)
-    sites = [make_site(rng.uniform(0, 20, 3), subgroup=k) for k in range(3)]
-    ham = build_cluster_hamiltonian(sites, Z, Frame.LAB_SECULAR)
-    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    psi /= np.linalg.norm(psi)
-    events = []
-    for k in range(500):
-        events.append(FreeEvolution(0.13))
-        events.append(PulseEvent(math.pi / 7, "y" if k % 2 else "x"))
-    traj = evolve(psi, ham, events, sites)
-    assert abs(np.linalg.norm(traj[-1]) - 1.0) < 1e-10
-
-
-def test_evolve_rejects_non_hermitian_and_oversize():
-    sites = [make_site([0, 0, 0])]
-    with pytest.raises(ValueError, match="Hermitian"):
-        evolve(np.array([1, 0], dtype=complex), np.array([[0, 1], [0, 0]]), [], sites)
-    big = np.zeros((8192, 8192), dtype=complex)
-    with pytest.raises(ValueError, match="cap"):
-        clusterdyn._as_matrix(big)
 
 
 def test_deer_single_bath_spin_cosine():
@@ -87,6 +47,13 @@ def test_deer_empty_bath_is_flat_hahn_echo():
     tau = np.linspace(0.0, 10.0, 21)
     trace = run_deer(lambda r: sites, tau, n_realizations=1, field_axis=Z)
     assert np.abs(trace.signal - 1.0).max() < 1e-10
+
+
+def test_run_deer_rejects_oversize_cluster():
+    # 13 spins (dimension 8192) exceed the cap before any matrix is built
+    sites = [make_site([2.0 * k, 0, 0]) for k in range(13)]
+    with pytest.raises(ValueError, match="cap"):
+        run_deer(lambda r: sites, np.linspace(0.0, 1.0, 3), field_axis=Z)
 
 
 def test_hahn_echo_refocuses_static_ising_exactly():
@@ -129,19 +96,23 @@ def test_cluster_builders():
     dists = [np.linalg.norm(s.position_nm - center) for s in cl[1:]]
     assert min(dists) >= 1.0
 
-    nv = sample_nv_nv_cluster(2.4, axis_counts=(2, 2, 2, 0), seed=3)
-    assert len(nv) == 6
-    assert all(s.species == Species.NV for s in nv)
-    groups = sorted(s.subgroup for s in nv)
-    assert groups == [0, 0, 1, 1, 2, 2]
-    with pytest.raises(ValueError):
-        sample_nv_nv_cluster(2.4, axis_counts=(0, 2, 2, 2))
+
+def nv_nv_cluster(realization, groups=(0, 1, 1, 2, 2), density_ppm=2.4):
+    """An NV sensor at the box centre plus NV partners on the given axis
+    groups, placed uniformly in a box of the given NV density."""
+    box = clusterdyn._cluster_box_nm(density_ppm, len(groups) + 1)
+    rng = np.random.default_rng([4, realization])
+    sensor = SpinSite(0, np.full(3, box / 2), Species.NV, NV_AXES[0].copy(), subgroup=0)
+    return [sensor] + [
+        SpinSite(k + 1, rng.uniform(0, box, 3), Species.NV, NV_AXES[g].copy(), subgroup=g)
+        for k, g in enumerate(groups)
+    ]
 
 
 def test_nv_nv_deer_smoke():
     tau = np.linspace(0.0, 2.0, 25)
     trace = run_deer(
-        lambda r: sample_nv_nv_cluster(2.4, seed=4, realization=r),
+        nv_nv_cluster,
         tau,
         n_realizations=30,
         bath_target=(Species.NV, 1),
@@ -208,15 +179,6 @@ def test_calibrate_alpha():
     assert res.alpha_mhz_per_ppm == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(FitError):
         calibrate_alpha([5.0], [0.5])
-
-
-def test_group_rate_slope():
-    g = [0, 1, 2]
-    rates = [0.2, 0.25, 0.3]
-    res = group_rate_slope(g, rates)
-    assert res["slope"] == pytest.approx(0.05, rel=1e-12)
-    with pytest.raises(FitError):
-        group_rate_slope([1, 1], [0.1, 0.1])
 
 
 def test_compute_K_examples():

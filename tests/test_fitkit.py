@@ -46,20 +46,6 @@ def test_damped_cosine_round_trip():
     assert res["tau"] == pytest.approx(5.0, rel=1e-3)
 
 
-def test_multi_lorentzian_round_trip():
-    x = np.linspace(0, 100, 400)
-    y = (
-        0.5
-        - 0.2 * 4.0**2 / ((x - 30.0) ** 2 + 4.0**2)
-        - 0.1 * 6.0**2 / ((x - 70.0) ** 2 + 6.0**2)
-    )
-    model = fitkit.multi_lorentzian(2)
-    res = fitkit.fit(model, x, y)
-    centers = sorted([res["center1"], res["center2"]])
-    assert centers[0] == pytest.approx(30.0, abs=1e-2)
-    assert centers[1] == pytest.approx(70.0, abs=1e-2)
-
-
 def test_underdetermined_raises():
     with pytest.raises(fitkit.FitError):
         fitkit.fit(fitkit.STRETCHED_EXP, [0.0, 1.0], [1.0, 0.5])

@@ -11,10 +11,6 @@ from spinnet.spinops import (
     ClusterHamiltonian,
     Frame,
     build_cluster_hamiltonian,
-    build_dressed_inter,
-    build_dressed_intra,
-    build_ising_inter,
-    build_secular_intra,
     dipolar_coupling,
     effective_disorder,
     effective_rabi,
@@ -88,7 +84,7 @@ def test_nv_scaling_and_spin1_oracle():
 
 def test_secular_intra_hand_matrix():
     j = 0.8
-    ham = build_secular_intra(pair_sites(), couplings={(0, 1): j})
+    ham = build_cluster_hamiltonian(pair_sites(), None, Frame.LAB_SECULAR, {(0, 1): j})
     # basis |uu>, |ud>, |du>, |dd>
     expected = np.array(
         [
@@ -103,28 +99,18 @@ def test_secular_intra_hand_matrix():
 
 
 def test_secular_single_spin_zero():
-    ham = build_secular_intra([site([0, 0, 0])], quant_axis=Z)
+    ham = build_cluster_hamiltonian([site([0, 0, 0])], Z, Frame.LAB_SECULAR)
     assert np.all(ham.matrix == 0)
-
-
-def test_secular_rejects_mixed_species():
-    with pytest.raises(ValueError, match="species"):
-        build_secular_intra(pair_sites(10.0, (Species.NV, Species.P1)), quant_axis=Z)
 
 
 def test_ising_inter_nv_p1_eigenvalues():
     sites = pair_sites(10.0, (Species.NV, Species.P1))
-    ham = build_ising_inter(sites, quant_axis=Z)
+    ham = build_cluster_hamiltonian(sites, Z, Frame.LAB_SECULAR)
     j_scaled = math.sqrt(2) * 0.052
     assert np.allclose(ham.matrix, np.diag([j_scaled / 4, -j_scaled / 4, -j_scaled / 4, j_scaled / 4]))
     evals = np.sort(np.linalg.eigvalsh(ham.matrix))
     assert evals[0] == pytest.approx(-j_scaled / 4)
     assert evals[-1] == pytest.approx(+j_scaled / 4)
-
-
-def test_ising_rejects_degenerate_pair():
-    with pytest.raises(ValueError, match="degenerate"):
-        build_ising_inter(pair_sites(), quant_axis=Z)
 
 
 def test_ising_magic_angle_zero():
@@ -133,13 +119,13 @@ def test_ising_magic_angle_zero():
         site([0, 0, 0], Species.NV),
         site(10 * v / np.linalg.norm(v), Species.P1),
     ]
-    ham = build_ising_inter(sites, quant_axis=Z)
+    ham = build_cluster_hamiltonian(sites, Z, Frame.LAB_SECULAR)
     assert np.abs(ham.matrix).max() < 1e-15
 
 
 def test_dressed_intra_hand_matrix():
     j = 1.2
-    ham = build_dressed_intra(pair_sites(), couplings={(0, 1): j})
+    ham = build_cluster_hamiltonian(pair_sites(), None, Frame.DRESSED, {(0, 1): j})
     ops = operator_set(2)
     expected = (
         j / 4 * (ops.sy[0] @ ops.sy[1] + ops.sz[0] @ ops.sz[1])
@@ -155,7 +141,7 @@ def test_dressed_intra_hand_matrix():
 def test_dressed_conserves_total_sx():
     rng = np.random.default_rng(0)
     sites = [site(rng.uniform(0, 30, 3)) for _ in range(4)]
-    ham = build_dressed_intra(sites, quant_axis=Z)
+    ham = build_cluster_hamiltonian(sites, Z, Frame.DRESSED)
     ops = operator_set(4)
     comm = ham.matrix @ ops.total_sx - ops.total_sx @ ham.matrix
     assert np.abs(comm).max() < 1e-12
@@ -170,8 +156,8 @@ def test_dressed_conserves_total_sx():
 def test_hermiticity_random_geometry():
     rng = np.random.default_rng(2)
     sites = [site(rng.uniform(0, 25, 3)) for _ in range(5)]
-    for build in (build_secular_intra, build_dressed_intra):
-        ham = build(sites, quant_axis=Z)
+    for frame in Frame:
+        ham = build_cluster_hamiltonian(sites, Z, frame)
         assert np.abs(ham.matrix - ham.matrix.conj().T).max() < 1e-12
 
 
@@ -182,18 +168,11 @@ def test_dressed_matches_drive_time_average():
     n_samples = 16
     ops = operator_set(2)
 
-    for builder, lab_builder in (
-        (build_dressed_intra, build_secular_intra),
-        (build_dressed_inter, None),
-    ):
-        if lab_builder is not None:
-            sites = pair_sites()
-            h_lab = lab_builder(sites, quant_axis=Z).matrix
-            h_dressed = builder(sites, quant_axis=Z).matrix
-        else:
-            sites = pair_sites(10.0, (Species.P1, Species.P1), subgroups=(0, 1))
-            h_lab = build_ising_inter(sites, quant_axis=Z).matrix
-            h_dressed = builder(sites, quant_axis=Z).matrix
+    # a degenerate pair takes the intra-group forms, a subgroup-mismatched
+    # pair the inter-group (Ising / dressed exchange) forms
+    for sites in (pair_sites(), pair_sites(10.0, (Species.P1, Species.P1), subgroups=(0, 1))):
+        h_lab = build_cluster_hamiltonian(sites, Z, Frame.LAB_SECULAR).matrix
+        h_dressed = build_cluster_hamiltonian(sites, Z, Frame.DRESSED).matrix
         avg = np.zeros_like(h_lab)
         for k in range(n_samples):
             u = expm(-1j * TWO_PI * omega * (k / (n_samples * omega)) * ops.total_sx)
@@ -208,8 +187,8 @@ def test_dressed_reproduces_driven_dynamics():
     j = pair_coupling(*sites, Z)
     omega = 50 * abs(j)
     ops = operator_set(2)
-    h_lab = build_secular_intra(sites, quant_axis=Z).matrix + omega * ops.total_sx
-    h_dressed = build_dressed_intra(sites, quant_axis=Z).matrix
+    h_lab = build_cluster_hamiltonian(sites, Z, Frame.LAB_SECULAR).matrix + omega * ops.total_sx
+    h_dressed = build_cluster_hamiltonian(sites, Z, Frame.DRESSED).matrix
 
     x_up = np.array([1, 1]) / math.sqrt(2)
     x_dn = np.array([1, -1]) / math.sqrt(2)
@@ -231,7 +210,7 @@ def test_dressed_inter_exchange_period():
     and return at 2/J; the flip-flop matrix element is J/4."""
     j = 0.4
     sites = pair_sites(10.0, (Species.P1, Species.P1), subgroups=(0, 1))
-    ham = build_dressed_inter(sites, couplings={(0, 1): j})
+    ham = build_cluster_hamiltonian(sites, None, Frame.DRESSED, {(0, 1): j})
     x_up = np.array([1, 1]) / math.sqrt(2)
     x_dn = np.array([1, -1]) / math.sqrt(2)
     psi0 = np.kron(x_up, x_dn)
@@ -251,7 +230,7 @@ def test_dressed_inter_exchange_period():
 
 def test_dressed_inter_zero_coupling_identity():
     sites = pair_sites(10.0, (Species.NV, Species.P1))
-    ham = build_dressed_inter(sites, couplings={(0, 1): 0.0})
+    ham = build_cluster_hamiltonian(sites, None, Frame.DRESSED, {(0, 1): 0.0})
     assert np.all(ham.matrix == 0)
 
 
@@ -275,7 +254,7 @@ def test_effective_disorder():
 def test_cluster_hamiltonian_validation_and_json():
     with pytest.raises(ValueError, match="Hermitian"):
         ClusterHamiltonian(np.array([[0, 1], [0, 0]], dtype=complex), Frame.DRESSED, 1)
-    ham = build_secular_intra(pair_sites(), couplings={(0, 1): 0.3})
+    ham = build_cluster_hamiltonian(pair_sites(), None, Frame.LAB_SECULAR, {(0, 1): 0.3})
     import json
 
     data = json.loads(ham.to_json())
@@ -284,12 +263,12 @@ def test_cluster_hamiltonian_validation_and_json():
     assert data["frame"] == "lab_secular"
 
 
-def dense_reference(sites, frame, cmap, use, degenerate):
-    """Operator-product form of the pair terms ``use``, in order: the
-    reference the bit-pattern builders must reproduce bit for bit."""
+def dense_reference(sites, frame, cmap, degenerate):
+    """Operator-product form of the pair terms of ``cmap``, in order: the
+    reference the bit-pattern builder must reproduce bit for bit."""
     ops = spinops.SpinOperatorSet(len(sites))
     h = np.zeros((ops.dim, ops.dim), dtype=complex)
-    for i, j in use:
+    for i, j in cmap:
         jij = cmap[i, j]
         deg = degenerate(i, j)
         if frame == Frame.DRESSED:
@@ -321,6 +300,12 @@ def random_cluster(rng, n, mixed=True):
     ]
 
 
+def heterogeneous_cluster(rng, n):
+    """Sites with distinct (species, axis, subgroup): every pair is heterogeneous."""
+    keys = [(sp, a, g) for sp in (Species.NV, Species.P1) for a in range(4) for g in range(2)]
+    return [site(rng.uniform(0, 12, 3), *keys[k]) for k in rng.permutation(len(keys))[:n]]
+
+
 def random_couplings(rng, n):
     """Explicit couplings over a shuffled subset of pairs, keys in either order."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -338,36 +323,22 @@ def test_builders_bit_equal_dense_operator_products():
         explicit = trial % 2 == 1
         mixed = random_cluster(rng, n)
         uniform = random_cluster(rng, n, mixed=False)
+        hetero = heterogeneous_cluster(rng, n)
         couplings = random_couplings(rng, n) if explicit else None
         axis = None if explicit else Z
-        for sites in (mixed, uniform):
+        # the mixed cluster is classified per pair; the other two must take
+        # the intra-group (all degenerate) and inter-group forms throughout
+        for sites, degenerate in (
+            (mixed, lambda i, j: not spinops.is_heterogeneous(mixed[i], mixed[j])),
+            (uniform, lambda i, j: True),
+            (hetero, lambda i, j: False),
+        ):
             cmap = spinops._coupling_map(sites, axis, couplings)
-            degenerate = lambda i, j: not spinops.is_heterogeneous(sites[i], sites[j])
             for frame in Frame:
                 assert_bit_equal(
                     build_cluster_hamiltonian(sites, axis, frame, couplings),
-                    dense_reference(sites, frame, cmap, list(cmap), degenerate),
+                    dense_reference(sites, frame, cmap, degenerate),
                 )
-            pairs = list(cmap)[::2] if explicit else None
-            use = [tuple(sorted(p)) for p in pairs] if explicit else list(cmap)
-            assert_bit_equal(
-                build_dressed_inter(sites, axis, couplings, pairs),
-                dense_reference(sites, Frame.DRESSED, cmap, use, lambda i, j: False),
-            )
-        cmap = spinops._coupling_map(uniform, axis, couplings)
-        for builder, frame in ((build_secular_intra, Frame.LAB_SECULAR), (build_dressed_intra, Frame.DRESSED)):
-            assert_bit_equal(
-                builder(uniform, axis, couplings),
-                dense_reference(uniform, frame, cmap, list(cmap), lambda i, j: True),
-            )
-        # Ising-only form over the heterogeneous pairs of the mixed cluster
-        cmap = spinops._coupling_map(mixed, axis, couplings)
-        use = [p for p in cmap if spinops.is_heterogeneous(mixed[p[0]], mixed[p[1]])]
-        pairs = [p[::-1] for p in use]
-        assert_bit_equal(
-            build_ising_inter(mixed, axis, couplings, pairs),
-            dense_reference(mixed, Frame.LAB_SECULAR, cmap, use, lambda i, j: False),
-        )
 
 
 def test_ten_spin_build_forms_no_operator_set():

@@ -1,13 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.integrate import solve_ivp
 
 from spinnet import transport
 from spinnet.network import Species, ppm_to_density, species_code
 from spinnet.transport import (
     MsdCurve,
     RateMatrix,
-    StiffnessError,
     WindowError,
     average_msd,
     build_rates,
@@ -72,14 +72,36 @@ def test_rate_matrix_validation():
         build_rates(net, -1.0)
 
 
+def rk_propagate(rm, t1rho_us, p0, times):
+    """Reference solution of dP/dt = -M P by explicit adaptive Runge-Kutta,
+    independent of the spectral propagator: M = diag(sum_j R_ij + 1/T1rho)
+    - R, with the step bounded by 0.1 / max(sum_j R_ij + 1/T1rho)."""
+    r = rm.rates
+    relax = 0.0 if t1rho_us is None else 1.0 / t1rho_us
+    m = np.diag(r.sum(axis=1) + relax) - r
+    scale = float(np.diag(m).max())
+    sol = solve_ivp(
+        lambda t, p: -(m @ p),
+        (0.0, float(times.max())),
+        p0,
+        t_eval=times,
+        method="RK45",
+        max_step=0.1 / scale if scale > 0 else np.inf,
+        rtol=1e-9,
+        atol=1e-12,
+    )
+    assert sol.success, sol.message
+    return sol.y.T
+
+
 def test_two_site_closed_form_both_methods():
     rate = 0.08
     rm = two_site_rate_matrix(rate)
     times = np.linspace(0.0, 40.0, 17)
     expected = 0.5 * (1.0 + np.exp(-2.0 * rate * times))
-    for method in ("eigh", "rk"):
-        traj = integrate_master_equation(rm, None, np.array([1.0, 0.0]), times, method=method)
-        npt.assert_allclose(traj.polarization[:, 0], expected, atol=1e-6)
+    p0 = np.array([1.0, 0.0])
+    for pol in (integrate_master_equation(rm, None, p0, times).polarization, rk_propagate(rm, None, p0, times)):
+        npt.assert_allclose(pol[:, 0], expected, atol=1e-6)
 
 
 def test_pure_relaxation_without_rates():
@@ -123,15 +145,8 @@ def test_rk_matches_eigh_on_network():
     p0 = np.zeros(len(net.positions))
     p0[0] = 1.0
     times = np.linspace(0.0, 300.0, 7)
-    a = integrate_master_equation(rm, 430.0, p0, times, method="eigh")
-    b = integrate_master_equation(rm, 430.0, p0, times, method="rk")
-    npt.assert_allclose(a.polarization, b.polarization, atol=1e-7)
-
-
-def test_stiffness_error_names_hottest_pair():
-    rm = two_site_rate_matrix(5e4)
-    with pytest.raises(StiffnessError, match=r"pair \(0, 1\)"):
-        integrate_master_equation(rm, None, np.array([1.0, 0.0]), np.array([0.0, 1e4]), method="rk")
+    a = integrate_master_equation(rm, 430.0, p0, times)
+    npt.assert_allclose(a.polarization, rk_propagate(rm, 430.0, p0, times), atol=1e-7)
 
 
 def test_msd_source_only_and_shell():
