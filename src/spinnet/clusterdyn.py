@@ -1,13 +1,14 @@
 """Exact state-vector DEER, Hahn-echo and Rabi runs on small spin clusters.
 
-Clusters are lists of :class:`~spinnet.network.SpinSite` (site 0 is the
-sensor by convention).  Pulses are instantaneous ideal rotations; free
-evolution uses the Hermitian eigendecomposition of the cluster Hamiltonian,
-so arbitrary delay grids cost one diagonalization per realization.  Echo
-signals use the phase-cycled difference of the two final pi/2 phases, which
-rejects common-mode offsets and lands the signal in [-1, 1].  The module
-also carries the dephasing fit, the rate-versus-density calibration and
-the concentration estimator built on it.
+Clusters are :class:`~spinnet.network.SpinNetwork` columns (site 0 is the
+sensor by convention), quantized along their spec's field axis.  Pulses
+are instantaneous ideal rotations; free evolution uses the Hermitian
+eigendecomposition of the cluster Hamiltonian, so arbitrary delay grids
+cost one diagonalization per realization.  Echo signals use the
+phase-cycled difference of the two final pi/2 phases, which rejects
+common-mode offsets and lands the signal in [-1, 1].  The module also
+carries the dephasing fit, the rate-versus-density calibration and the
+concentration estimator built on it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,15 +24,15 @@ from . import fitkit
 from .constants import TWO_PI
 from .fitkit import FitError, reduce_mean_sem
 from .network import (
-    NV_AXES,
     EnsembleSpec,
     GenerationError,
     Placement,
     Species,
-    SpinSite,
+    SpinNetwork,
     centred_source,
     generate_network,
     ppm_to_density,
+    species_code,
 )
 from .spinops import Frame, build_cluster_hamiltonian
 
@@ -120,13 +121,14 @@ def sample_nv_p1_cluster(
     realization: int = 0,
     placement: Placement = Placement.DIAMOND_LATTICE,
     exclusion_nm: float = 1.0,
-) -> list:
+) -> SpinNetwork:
     """One NV sensor at the box center plus ``n_bath`` addressed P1 spins.
 
     The box side is chosen so the bath density equals ``density_ppm`` (the
-    density of the addressed spectral group).  Bath spins share the sensor's
-    quantization group tag so they flip-flop among themselves and couple to
-    the NV through the Ising channel.
+    density of the addressed spectral group).  Bath spins share one group
+    key (axis 0, subgroup 0) so they flip-flop among themselves; the NV
+    differs in species and couples to them through the Ising channel.  The
+    cluster keeps the bath's spec, so its field axis is the default <111>.
     """
     box = _cluster_box_nm(density_ppm, n_bath)
     spec = EnsembleSpec(
@@ -141,7 +143,7 @@ def sample_nv_p1_cluster(
         base = generate_network(spec, realization=realization + 1000 * attempt)
         if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < exclusion_nm:
             continue
-        return list(centred_source(base, realization).sites)
+        return centred_source(base, realization)
     raise GenerationError("could not place the sensor away from the bath in 100 attempts")
 
 
@@ -163,29 +165,29 @@ def _sensor_up_probability(states: np.ndarray, n_sites: int, sensor: int = 0) ->
 
 
 def run_deer(
-    cluster_factory: Callable[[int], Sequence[SpinSite]],
+    cluster_factory: Callable[[int], SpinNetwork],
     tau_grid_us,
     n_realizations: int = 1,
     bath_pi: bool = True,
     bath_target: Optional[tuple] = None,
-    field_axis=NV_AXES[0],
     seed: int = 0,
 ) -> TraceResult:
     """Phase-cycled echo with an optional recoupling pi on bath spins.
 
-    Sequence: pi/2_y - tau - pi_x (sensor, plus targeted bath when
-    ``bath_pi``) - tau - pi/2_{+-y}; signal = P_up(-) - P_up(+), i.e. the
-    cosine of the accumulated bath phase, averaged over realizations with
-    random bath product states.
+    Sequence: pi/2_y - tau - pi_x (sensor, plus the bath sites of species
+    and subgroup ``bath_target``, or every bath site, when ``bath_pi``) -
+    tau - pi/2_{+-y}; signal = P_up(-) - P_up(+), i.e. the cosine of the
+    accumulated bath phase, averaged over realizations with random bath
+    product states.
     """
     tau = np.asarray(tau_grid_us, dtype=float)
     signals = []
     for r in range(n_realizations):
-        sites = list(cluster_factory(r))
-        n = len(sites)
+        net = cluster_factory(r)
+        n = net.n_sites
         if 2**n > MAX_CLUSTER_DIM:
             raise ValueError(f"cluster dimension {2**n} exceeds the {MAX_CLUSTER_DIM} cap")
-        ham = build_cluster_hamiltonian(sites, field_axis, Frame.LAB_SECULAR)
+        ham = build_cluster_hamiltonian(net, Frame.LAB_SECULAR)
         evals, evecs = np.linalg.eigh(ham.matrix)
 
         rng = np.random.default_rng(np.random.SeedSequence([seed, r, 11]))
@@ -197,15 +199,16 @@ def run_deer(
         psi0 = np.zeros(2**n, dtype=complex)
         psi0[index] = 1.0
 
-        flip = {0}
+        flip = [0]
         if bath_pi:
-            for i, s in enumerate(sites[1:], start=1):
-                if bath_target is None or (
-                    s.species == bath_target[0] and s.subgroup == bath_target[1]
-                ):
-                    flip.add(i)
+            bath = np.arange(1, n)
+            if bath_target is not None:
+                species, subgroup = bath_target
+                chosen = (net.species[1:] == species_code(species)) & (net.subgroup[1:] == subgroup)
+                bath = bath[chosen]
+            flip += bath.tolist()
         u_half = rotation_unitary(n, math.pi / 2, "y", [0])
-        u_pi = rotation_unitary(n, math.pi, "x", sorted(flip))
+        u_pi = rotation_unitary(n, math.pi, "x", flip)
         u_minus = rotation_unitary(n, math.pi / 2, "-y", [0])
 
         phases = np.exp(-1j * TWO_PI * np.outer(evals, tau))

@@ -65,17 +65,6 @@ class FitResult:
     def sigma(self, name: str) -> float:
         return float(self.sigmas[self.param_names.index(name)])
 
-    def as_dict(self) -> dict:
-        """JSON-ready summary: per-parameter value/sigma plus fit diagnostics."""
-        return {
-            "model": self.model,
-            "params": {n: float(v) for n, v in zip(self.param_names, self.params)},
-            "sigmas": {n: float(s) for n, s in zip(self.param_names, self.sigmas)},
-            "residual_norm": float(self.residual_norm),
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-        }
-
 
 @dataclass(frozen=True)
 class ModelSpec:

@@ -96,7 +96,7 @@ def mean_spacing(concentration_ppm: float) -> float:
 
 @dataclass
 class SpinSite:
-    """One spin as a cluster element (see :mod:`spinnet.spinops`)."""
+    """One spin as a per-site record (see :attr:`SpinNetwork.sites`)."""
 
     id: int
     position_nm: np.ndarray
@@ -212,8 +212,15 @@ class SpinNetwork:
         return len(self.positions)
 
     @property
+    def group_key(self) -> np.ndarray:
+        """One integer per site, equal for two sites exactly when they share
+        species, subgroup and axis: the pair is then degenerate (matching
+        transition frequencies) and keeps its flip-flop terms."""
+        return (self.subgroup * 4 + self.axis_index) * len(SPECIES) + self.species
+
+    @property
     def sites(self) -> list:
-        """Every site as a cluster element, built from the columns on each access."""
+        """Every site as a per-site record, built from the columns on each access."""
         columns = zip(self.positions, self.species, self.axis_index, self.subgroup, self.detunings)
         return [
             SpinSite(i, pos.copy(), SPECIES[code], NV_AXES[axis].copy(), int(group), float(delta))

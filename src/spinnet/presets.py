@@ -2,15 +2,15 @@
 
 Each preset runs a reduced-realization version of one published analysis,
 writes its artifacts, and returns comparison rows against the recorded
-target values.  A row holds (quantity, simulated, target, tolerance_note,
-within) so the runner can print a uniform table.
+target values.  A row holds (quantity, simulated, target, within) so the
+runner can print a uniform table.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,10 +32,7 @@ class PresetResult:
     tag: str
     rows: list
     artifacts: dict  # filename -> text
-
-
-def _row(quantity, simulated, target, within):
-    return PresetRow(quantity, simulated, target, within)
+    realizations: Optional[int] = None  # the count run_preset ran the preset with
 
 
 def closed_form_chain(realizations: int, seed: int) -> PresetResult:
@@ -44,10 +41,10 @@ def closed_form_chain(realizations: int, seed: int) -> PresetResult:
     p_th = protocol.thermal_polarization(300.0, 446.0)
     gain = protocol.enhancement(0.074, p_th)
     rows = [
-        _row("P_p1 from contrast", f"{p_p1:.4f}", "0.074 +- 0.001", abs(p_p1 - 0.074) < 1e-3),
-        _row("spin temperature (K)", f"{t_spin:.4f}", "0.405 +- 0.005", abs(t_spin - 0.405) < 5e-3),
-        _row("thermal polarization", f"{p_th:.6f}", "1.0e-4 +- 5e-6", abs(p_th - 1.0e-4) < 5e-6),
-        _row("enhancement", f"{gain:.1f}", "740 +- 40", abs(gain - 740.0) < 40.0),
+        PresetRow("P_p1 from contrast", f"{p_p1:.4f}", "0.074 +- 0.001", abs(p_p1 - 0.074) < 1e-3),
+        PresetRow("spin temperature (K)", f"{t_spin:.4f}", "0.405 +- 0.005", abs(t_spin - 0.405) < 5e-3),
+        PresetRow("thermal polarization", f"{p_th:.6f}", "1.0e-4 +- 5e-6", abs(p_th - 1.0e-4) < 5e-6),
+        PresetRow("enhancement", f"{gain:.1f}", "740 +- 40", abs(gain - 740.0) < 40.0),
     ]
     summary = {
         "p_p1": p_p1,
@@ -70,13 +67,13 @@ def fig_s2(realizations: int, seed: int) -> PresetResult:
         artifacts[f"deer_trace_{dens:g}ppm.csv"] = trace.to_csv()
     ratio = rates[6.3].rate_mhz / rates[2.4].rate_mhz
     rows = [
-        _row(
+        PresetRow(
             "decay rate 6.3 ppm (MHz)",
             f"{rates[6.3].rate_mhz:.3f}",
             "density-scaled",
             None,
         ),
-        _row("rate ratio 6.3/2.4", f"{ratio:.2f}", "2.63 +- 30%", abs(ratio - 2.625) < 0.3 * 2.625),
+        PresetRow("rate ratio 6.3/2.4", f"{ratio:.2f}", "2.63 +- 30%", abs(ratio - 2.625) < 0.3 * 2.625),
     ]
     artifacts["fig_s2_summary.json"] = json.dumps(
         {
@@ -103,9 +100,9 @@ def fig_s3(realizations: int, seed: int) -> PresetResult:
         d_inf = res.extrapolation.d_inf_nm2_per_us
         table.append({"omega_MHz": omega, "D_inf_nm2_per_us": d_inf, "sigma": res.extrapolation.sigma})
         if omega == 6.40:
-            rows.append(_row("D_inf at 6.40 MHz", f"{d_inf:.4f}", "0.22 (band 0.13-0.33)", 0.13 <= d_inf <= 0.33))
+            rows.append(PresetRow("D_inf at 6.40 MHz", f"{d_inf:.4f}", "0.22 (band 0.13-0.33)", 0.13 <= d_inf <= 0.33))
     monotone = all(table[k]["D_inf_nm2_per_us"] < table[k + 1]["D_inf_nm2_per_us"] for k in range(len(table) - 1))
-    rows.append(_row("D_inf monotone in drive", str(monotone), "True", monotone))
+    rows.append(PresetRow("D_inf monotone in drive", str(monotone), "True", monotone))
     lines = ["omega_MHz,D_inf_nm2_per_us,sigma"]
     for entry in table:
         lines.append(f"{entry['omega_MHz']!r},{entry['D_inf_nm2_per_us']!r},{entry['sigma']!r}")
@@ -123,8 +120,8 @@ def fig_s4a(realizations: int, seed: int) -> PresetResult:
     res = protocol.run_iterative_protocol(factory, config, n_realizations=realizations)
     sat = res.saturation
     rows = [
-        _row("N_sat (cycles)", f"{sat.n_sat:.2f}", "3 (band 2-4)", 2.0 <= sat.n_sat <= 4.0),
-        _row("P_sat at 6.40 MHz", f"{sat.a_sat:.4f}", "reported", None),
+        PresetRow("N_sat (cycles)", f"{sat.n_sat:.2f}", "3 (band 2-4)", 2.0 <= sat.n_sat <= 4.0),
+        PresetRow("P_sat at 6.40 MHz", f"{sat.a_sat:.4f}", "reported", None),
     ]
     summary = {
         "omega_MHz": 6.40,
@@ -146,8 +143,8 @@ def fig_s4b(realizations: int, seed: int) -> PresetResult:
     omegas = [0.5, 1.0, 2.0, 3.2, 6.4, 10.0, 20.0, 40.0]
     p_sat, p_sig, cross = protocol.saturation_sweep(omegas, n_realizations=realizations, seed=seed)
     rows = [
-        _row("P_inf (asymptote)", f"{cross.a_inf:.4f}", "0.179 (band 0.12-0.24)", 0.12 <= cross.a_inf <= 0.24),
-        _row("crossover W (MHz)", f"{cross.w_mhz:.3f}", "finite", np.isfinite(cross.w_mhz) and cross.w_mhz > 0),
+        PresetRow("P_inf (asymptote)", f"{cross.a_inf:.4f}", "0.179 (band 0.12-0.24)", 0.12 <= cross.a_inf <= 0.24),
+        PresetRow("crossover W (MHz)", f"{cross.w_mhz:.3f}", "finite", np.isfinite(cross.w_mhz) and cross.w_mhz > 0),
     ]
     lines = ["omega_MHz,P_sat,P_sat_sigma"]
     for o, p, s in zip(omegas, p_sat, p_sig):
@@ -172,8 +169,8 @@ def fig_2c(realizations: int, seed: int) -> PresetResult:
     factory = lambda r: protocol.protocol_network(n_p1=120, seed=seed, realization=r)
     eq = protocol.readout_equilibration(factory, 6.40, n_realizations=realizations)
     rows = [
-        _row("tau_eq (us)", f"{eq.tau_eq_us:.2f}", "2.2 +- 0.6 (exp); < 8.6", eq.tau_eq_us < 8.6),
-        _row("Delta_C amplitude", f"{eq.amplitude:.4f}", "reported", None),
+        PresetRow("tau_eq (us)", f"{eq.tau_eq_us:.2f}", "2.2 +- 0.6 (exp); < 8.6", eq.tau_eq_us < 8.6),
+        PresetRow("Delta_C amplitude", f"{eq.amplitude:.4f}", "reported", None),
     ]
     lines = ["t_us,delta_c"]
     for t, c in zip(eq.times_us, eq.delta_c):
@@ -209,4 +206,6 @@ def run_preset(tag: str, realizations: Optional[int] = None, seed: int = 0) -> P
     if tag not in PRESETS:
         raise KeyError(tag)
     n = realizations if realizations is not None else _DEFAULT_REALIZATIONS[tag]
-    return PRESETS[tag](n, seed)
+    result = PRESETS[tag](n, seed)
+    result.realizations = n
+    return result

@@ -21,12 +21,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .constants import J0_MHZ_NM3
-from .network import Species, SpinSite
+from .network import Species, SpinNetwork, species_code
 
 __all__ = [
     "Frame",
@@ -34,8 +34,6 @@ __all__ = [
     "ClusterHamiltonian",
     "dipolar_coupling",
     "nv_scaling",
-    "pair_coupling",
-    "is_heterogeneous",
     "build_cluster_hamiltonian",
     "effective_rabi",
     "tilt_projection",
@@ -78,10 +76,6 @@ class SpinOperatorSet:
     @property
     def total_sx(self) -> np.ndarray:
         return sum(self.sx)
-
-    @property
-    def total_sz(self) -> np.ndarray:
-        return sum(self.sz)
 
 
 @lru_cache(maxsize=8)
@@ -146,31 +140,15 @@ def nv_scaling(j_mhz: float, n_nv_participants: int) -> float:
     return j_mhz * math.sqrt(2.0) ** n_nv_participants
 
 
-def pair_coupling(site_i: SpinSite, site_j: SpinSite, quant_axis) -> float:
-    """NV-scaled dipolar coupling between two sites, MHz."""
-    j = dipolar_coupling(site_j.position_nm - site_i.position_nm, quant_axis)
-    n_nv = (site_i.species == Species.NV) + (site_j.species == Species.NV)
-    return nv_scaling(j, n_nv)
-
-
-def is_heterogeneous(site_i: SpinSite, site_j: SpinSite) -> bool:
-    """True when the pair's transition frequencies differ (species, axis or
-    spectral subgroup mismatch), leaving only the Ising part resonant."""
-    if site_i.species != site_j.species:
-        return True
-    if not np.allclose(site_i.axis, site_j.axis):
-        return True
-    return site_i.subgroup != site_j.subgroup
-
-
-def _coupling_map(sites, quant_axis, couplings):
+def _coupling_map(net: SpinNetwork, couplings):
     if couplings is not None:
         return {tuple(sorted(k)): float(v) for k, v in couplings.items()}
-    if quant_axis is None:
-        raise ValueError("need a quantization axis to compute couplings")
-    n = len(sites)
+    pos = net.positions
+    axis = net.spec.field_axis_unit
+    nv = (net.species == species_code(Species.NV)).tolist()
+    n = net.n_sites
     return {
-        (i, j): pair_coupling(sites[i], sites[j], quant_axis)
+        (i, j): nv_scaling(dipolar_coupling(pos[j] - pos[i], axis), nv[i] + nv[j])
         for i in range(n)
         for j in range(i + 1, n)
     }
@@ -215,19 +193,20 @@ def _hamiltonian(n, frame, cmap, degenerate) -> ClusterHamiltonian:
 
 
 def build_cluster_hamiltonian(
-    sites: Sequence[SpinSite],
-    quant_axis,
+    net: SpinNetwork,
     frame: Frame,
     couplings: Optional[Mapping] = None,
 ) -> ClusterHamiltonian:
     """Full cluster Hamiltonian with per-pair classification.
 
-    Degenerate pairs take the intra-group form, all others the inter-group
-    form, in the requested frame.
+    Pairs with equal :attr:`~spinnet.network.SpinNetwork.group_key` take the
+    intra-group form, all others the inter-group form, in the requested
+    frame.  Couplings are the NV-scaled dipolar couplings along the spec's
+    field axis unless ``couplings`` gives them per pair.
     """
-    cmap = _coupling_map(sites, quant_axis, couplings)
-    degenerate = lambda i, j: not is_heterogeneous(sites[i], sites[j])
-    return _hamiltonian(len(sites), frame, cmap, degenerate)
+    cmap = _coupling_map(net, couplings)
+    key = net.group_key.tolist()
+    return _hamiltonian(net.n_sites, frame, cmap, lambda i, j: key[i] == key[j])
 
 
 def effective_rabi(omega_mhz: float, detuning_mhz: float) -> float:

@@ -28,7 +28,6 @@ import numpy as np
 from . import fitkit
 from .constants import J0_MHZ_NM3
 from .network import (
-    SPECIES,
     EnsembleSpec,
     GenerationError,
     Species,
@@ -125,9 +124,9 @@ class PairTable:
 def pair_table(net: SpinNetwork) -> PairTable:
     """Pair distances and prefactored dipolar couplings of a network.
 
-    The prefactor is 1/8 for degenerate pairs (same species, subgroup
-    and axis) and 1/4 otherwise, times sqrt(2) per NV of the pair.
-    Raises ValueError when two sites sit closer than the exclusion radius.
+    The prefactor is 1/8 for degenerate pairs (equal
+    :attr:`~spinnet.network.SpinNetwork.group_key`) and 1/4 otherwise,
+    times sqrt(2) per NV of the pair.  Raises ValueError when two sites sit closer than the exclusion radius.
     """
     n = net.n_sites
     pos = net.positions
@@ -150,7 +149,7 @@ def pair_table(net: SpinNetwork) -> PairTable:
     cos = rvec @ axis
     cos /= r  # the infinite diagonal gives cos = 0 there
     j_bare = J0_MHZ_NM3 * (1.0 - 3.0 * cos**2) / r**3
-    key = (net.subgroup * 4 + net.axis_index) * len(SPECIES) + net.species
+    key = net.group_key
     n_nv = (net.species == species_code(Species.NV)).astype(np.intp)
     same = (key[:, None] == key[None, :]).astype(np.intp)
     factor = _PAIR_FACTOR.ravel().take(same * 3 + n_nv[:, None] + n_nv[None, :])

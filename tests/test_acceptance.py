@@ -15,19 +15,14 @@ from scipy.linalg import expm
 
 from spinnet import clusterdyn, fitkit, network, protocol, transport
 from spinnet.constants import TWO_PI
-from spinnet.network import NV_AXES, EnsembleSpec, Placement, Species, SpinSite
-from spinnet.spinops import Frame, build_cluster_hamiltonian, operator_set, pair_coupling
-
-Z = np.array([0.0, 0.0, 1.0])
+from spinnet.network import EnsembleSpec, Placement, Species
+from spinnet.spinops import Frame, build_cluster_hamiltonian, operator_set
+from test_clusterdyn import cluster
 
 
 def report(k, ok, detail):
     print(f"criterion {k}: {'PASS' if ok else 'FAIL'}  {detail}")
     return ok
-
-
-def site(pos, species=Species.P1, subgroup=0):
-    return SpinSite(0, np.asarray(pos, float), species, NV_AXES[0].copy(), subgroup=subgroup)
 
 
 def test_criterion_1_closed_form_chain():
@@ -155,30 +150,32 @@ def test_criterion_5_crossover_recovery():
 
 def test_criterion_6_cluster_dynamics_oracles():
     # (a) single bath spin: echo modulation is an exact cosine
-    pair = [site([0, 0, 0], Species.NV), site([10.0, 0, 0], Species.P1)]
+    pair = cluster([[0, 0, 0], [10.0, 0, 0]], [Species.NV, Species.P1])
     tau = np.linspace(0.0, 20.0, 101)
-    trace = clusterdyn.run_deer(lambda r: pair, tau, n_realizations=1, field_axis=Z, seed=0)
+    trace = clusterdyn.run_deer(lambda r: pair, tau, n_realizations=1, seed=0)
     cos_err = float(np.abs(trace.signal - np.cos(TWO_PI * math.sqrt(2) * 0.052 * tau)).max())
 
     # (b) mutually detuned bath couples only via Ising terms; without the
     # bath flip the echo refocuses exactly
     rng = np.random.default_rng(5)
-    het = [site([8, 8, 8], Species.NV)] + [
-        site(rng.uniform(0, 16, 3), Species.P1, subgroup=k + 1) for k in range(4)
-    ]
+    het = cluster(
+        [[8, 8, 8]] + [rng.uniform(0, 16, 3) for _ in range(4)],
+        [Species.NV] + [Species.P1] * 4,
+        subgroup=range(5),
+    )
     hahn = clusterdyn.run_deer(
-        lambda r: het, np.linspace(0.0, 12.0, 25), n_realizations=3, bath_pi=False,
-        field_axis=Z, seed=9,
+        lambda r: het, np.linspace(0.0, 12.0, 25), n_realizations=3, bath_pi=False, seed=9,
     )
     hahn_err = float(np.abs(hahn.signal - 1.0).max())
 
     # (c) dressed generator vs full driven evolution at Omega = 50 |J|
-    duo = [site([0, 0, 0]), site([10.0, 0, 0])]
-    j = pair_coupling(*duo, Z)
+    duo = cluster([[0, 0, 0], [10.0, 0, 0]], [Species.P1, Species.P1])
+    lab = build_cluster_hamiltonian(duo, Frame.LAB_SECULAR)
+    j = lab.couplings[0, 1]
     omega = 50 * abs(j)
     ops = operator_set(2)
-    h_lab = build_cluster_hamiltonian(duo, Z, Frame.LAB_SECULAR).matrix + omega * ops.total_sx
-    h_dr = build_cluster_hamiltonian(duo, Z, Frame.DRESSED).matrix
+    h_lab = lab.matrix + omega * ops.total_sx
+    h_dr = build_cluster_hamiltonian(duo, Frame.DRESSED).matrix
     x_up = np.array([1, 1]) / math.sqrt(2)
     x_dn = np.array([1, -1]) / math.sqrt(2)
     psi0 = np.kron(x_up, x_dn)

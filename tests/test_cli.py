@@ -197,6 +197,46 @@ def test_misspelt_param_is_config_error(tmp_path, capsys, experiment, params, ty
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, params, field",
+    [
+        ("deer", {"n_bath": 0}, "params/n_bath"),
+        ("deer", {"n_bath": 12}, "params/n_bath"),
+        ("hahn", {"n_bath": -1}, "params/n_bath"),
+        ("protocol", {"n_cycles": 40}, "params/n_cycles"),
+        ("protocol", {"n_p1": 0}, "params/n_p1"),
+        ("crossover", {"omegas_mhz": [-1, 2]}, "params/omegas_mhz/0"),
+        ("concentration", {"gamma_exp_mhz": 1.0, "addressed_fraction": 2}, "params/addressed_fraction"),
+        ("rabi", {"n_points": 0}, "params/n_points"),
+        ("diffusion", {"n_list": [50]}, "params/n_list"),
+        ("crossover", {"omegas_mhz": [1.0]}, "params/omegas_mhz"),
+        ("concentration", {"gamma_exp_mhz": 1.0, "calibration_densities_ppm": [6.3]}, "params/calibration_densities_ppm"),
+    ],
+)
+def test_out_of_range_param_is_config_error(tmp_path, capsys, experiment, params, field):
+    config = {"experiment": experiment, "realizations": 1, "params": params}
+    path = write_config(tmp_path, config)
+    assert cli.main(["run", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert f"config field {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tag", ["fig-s2", "fig-s4a", "closed-form-chain"])
+def test_reproduce_zero_realizations_is_config_error(tmp_path, capsys, tag):
+    out = tmp_path / "z"
+    assert cli.main(["reproduce", tag, "--realizations", "0", "--quiet", "--out", str(out)]) == 2
+    assert "--realizations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reproduce_manifest_records_realizations_used(tmp_path):
+    default, given = tmp_path / "default", tmp_path / "given"
+    assert cli.main(["reproduce", "closed-form-chain", "--quiet", "--out", str(default)]) == 0
+    assert cli.main(["reproduce", "fig-2c", "--realizations", "2", "--quiet", "--out", str(given)]) == 0
+    assert json.loads((default / "manifest.json").read_text())["realizations"] == 1
+    assert json.loads((given / "manifest.json").read_text())["realizations"] == 2
+
+
 def test_run_fit_round_trip(tmp_path):
     x = np.linspace(0.0, 30.0, 40)
     y = 0.9 * (1.0 - np.exp(-x / 3.0))

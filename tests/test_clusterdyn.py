@@ -19,52 +19,63 @@ from spinnet.clusterdyn import (
 )
 from spinnet.constants import TWO_PI
 from spinnet.fitkit import FitError
-from spinnet.network import NV_AXES, Species, SpinSite
+from spinnet.network import EnsembleSpec, Species, SpinNetwork, species_code
+from spinnet.spinops import Frame, build_cluster_hamiltonian
 
 Z = np.array([0.0, 0.0, 1.0])
 
 
-def make_site(pos, species=Species.P1, subgroup=0):
-    return SpinSite(0, np.asarray(pos, float), species, NV_AXES[0].copy(), subgroup=subgroup)
+def cluster(positions, species, subgroup=None, axis_index=None, field_axis=Z, box_nm=1.0):
+    """Sites at ``positions`` with the given species, on axis 0 and in
+    subgroup 0 unless given, quantized along ``field_axis``."""
+    n = len(species)
+    zeros = np.zeros(n, dtype=int)
+    return SpinNetwork(
+        EnsembleSpec(box_nm=box_nm, densities_ppm={}, field_axis=tuple(field_axis)),
+        positions,
+        [species_code(sp) for sp in species],
+        zeros if axis_index is None else axis_index,
+        zeros if subgroup is None else subgroup,
+        np.zeros(n),
+    )
 
 
 def test_deer_single_bath_spin_cosine():
     # NV at origin, one P1 10 nm away perpendicular to the field:
     # J = 0.052 MHz, NV-scaled to sqrt(2) J
-    sites = [
-        make_site([0, 0, 0], Species.NV),
-        make_site([10.0, 0, 0], Species.P1),
-    ]
+    net = cluster([[0, 0, 0], [10.0, 0, 0]], [Species.NV, Species.P1])
     tau = np.linspace(0.0, 20.0, 101)
-    trace = run_deer(lambda r: sites, tau, n_realizations=2, field_axis=Z, seed=3)
+    trace = run_deer(lambda r: net, tau, n_realizations=2, seed=3)
     expected = np.cos(TWO_PI * math.sqrt(2) * 0.052 * tau)
     assert np.abs(trace.signal - expected).max() < 1e-6
     assert np.all(np.abs(trace.signal) <= 1 + 1e-12)
 
 
 def test_deer_empty_bath_is_flat_hahn_echo():
-    sites = [make_site([0, 0, 0], Species.NV)]
+    net = cluster([[0, 0, 0]], [Species.NV])
     tau = np.linspace(0.0, 10.0, 21)
-    trace = run_deer(lambda r: sites, tau, n_realizations=1, field_axis=Z)
+    trace = run_deer(lambda r: net, tau, n_realizations=1)
     assert np.abs(trace.signal - 1.0).max() < 1e-10
 
 
 def test_run_deer_rejects_oversize_cluster():
     # 13 spins (dimension 8192) exceed the cap before any matrix is built
-    sites = [make_site([2.0 * k, 0, 0]) for k in range(13)]
+    net = cluster([[2.0 * k, 0, 0] for k in range(13)], [Species.P1] * 13)
     with pytest.raises(ValueError, match="cap"):
-        run_deer(lambda r: sites, np.linspace(0.0, 1.0, 3), field_axis=Z)
+        run_deer(lambda r: net, np.linspace(0.0, 1.0, 3))
 
 
 def test_hahn_echo_refocuses_static_ising_exactly():
     # mutually heterogeneous bath -> every coupling is Ising; without the
     # bath pi the echo must refocus exactly for any realization
     rng = np.random.default_rng(5)
-    sites = [make_site([8, 8, 8], Species.NV)] + [
-        make_site(rng.uniform(0, 16, 3), Species.P1, subgroup=k + 1) for k in range(4)
-    ]
+    net = cluster(
+        [[8, 8, 8]] + [rng.uniform(0, 16, 3) for _ in range(4)],
+        [Species.NV] + [Species.P1] * 4,
+        subgroup=range(5),
+    )
     tau = np.linspace(0.0, 12.0, 25)
-    trace = run_deer(lambda r: sites, tau, n_realizations=3, bath_pi=False, field_axis=Z, seed=9)
+    trace = run_deer(lambda r: net, tau, n_realizations=3, bath_pi=False, seed=9)
     assert np.abs(trace.signal - 1.0).max() < 1e-10
 
 
@@ -87,13 +98,13 @@ def test_tau_grid_scales_inversely_with_density():
 
 def test_cluster_builders():
     cl = sample_nv_p1_cluster(6.3, n_bath=5, seed=2, realization=0)
-    assert len(cl) == 6
-    assert cl[0].species == Species.NV
-    assert all(s.species == Species.P1 for s in cl[1:])
+    assert cl.n_sites == 6
+    assert cl.species[0] == species_code(Species.NV)
+    assert all(code == species_code(Species.P1) for code in cl.species[1:])
     box = clusterdyn._cluster_box_nm(6.3, 5)
     center = np.full(3, box / 2)
-    assert np.allclose(cl[0].position_nm, center)
-    dists = [np.linalg.norm(s.position_nm - center) for s in cl[1:]]
+    assert np.allclose(cl.positions[0], center)
+    dists = [np.linalg.norm(pos - center) for pos in cl.positions[1:]]
     assert min(dists) >= 1.0
 
 
@@ -102,11 +113,27 @@ def nv_nv_cluster(realization, groups=(0, 1, 1, 2, 2), density_ppm=2.4):
     groups, placed uniformly in a box of the given NV density."""
     box = clusterdyn._cluster_box_nm(density_ppm, len(groups) + 1)
     rng = np.random.default_rng([4, realization])
-    sensor = SpinSite(0, np.full(3, box / 2), Species.NV, NV_AXES[0].copy(), subgroup=0)
-    return [sensor] + [
-        SpinSite(k + 1, rng.uniform(0, box, 3), Species.NV, NV_AXES[g].copy(), subgroup=g)
-        for k, g in enumerate(groups)
-    ]
+    return cluster(
+        [np.full(3, box / 2)] + [rng.uniform(0, box, 3) for _ in groups],
+        [Species.NV] * (len(groups) + 1),
+        subgroup=[0, *groups],
+        axis_index=[0, *groups],
+        field_axis=(1.0, 1.0, 1.0),
+        box_nm=box,
+    )
+
+
+def test_cluster_path_reads_columns_only(monkeypatch):
+    # per-site records must not creep back into the cluster path
+    def no_records(self):
+        raise AssertionError("the cluster path built per-site records")
+
+    monkeypatch.setattr(SpinNetwork, "sites", property(no_records))
+    net = sample_nv_p1_cluster(6.3, n_bath=4, seed=1)
+    for frame in Frame:
+        assert build_cluster_hamiltonian(net, frame).dim == 32
+    trace = deer_trace(6.3, n_realizations=3, n_bath=4, seed=1)
+    assert trace.signal[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nv_nv_deer_smoke():

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from spinnet import spinops
 from spinnet.constants import TWO_PI
-from spinnet.network import NV_AXES, Species, SpinSite
+from spinnet.network import NV_AXES, EnsembleSpec, Species, SpinNetwork, SpinSite
 from spinnet.spinops import (
     ClusterHamiltonian,
     Frame,
@@ -16,7 +16,6 @@ from spinnet.spinops import (
     effective_rabi,
     nv_scaling,
     operator_set,
-    pair_coupling,
     tilt_projection,
 )
 
@@ -31,6 +30,26 @@ def site(pos, species=Species.P1, axis_idx=0, subgroup=0):
         axis=NV_AXES[axis_idx].copy(),
         subgroup=subgroup,
     )
+
+
+def cluster(sites):
+    """The network of ``sites``, quantized along z."""
+    return SpinNetwork.from_sites(EnsembleSpec(box_nm=1.0, densities_ppm={}, field_axis=tuple(Z)), sites)
+
+
+def coupling(sites):
+    """The NV-scaled dipolar coupling of a two-site cluster, MHz."""
+    return build_cluster_hamiltonian(cluster(sites), Frame.LAB_SECULAR).couplings[0, 1]
+
+
+def is_heterogeneous(site_i, site_j):
+    """Per-site reference classifier: True when the pair's transition
+    frequencies differ (species, axis or spectral subgroup mismatch)."""
+    if site_i.species != site_j.species:
+        return True
+    if not np.allclose(site_i.axis, site_j.axis):
+        return True
+    return site_i.subgroup != site_j.subgroup
 
 
 def pair_sites(r_nm=10.0, species=(Species.P1, Species.P1), subgroups=(0, 0)):
@@ -75,16 +94,16 @@ def test_nv_scaling_and_spin1_oracle():
     assert elem_spin1 / elem_half == pytest.approx(math.sqrt(2), rel=1e-12)
 
     nv_p1 = pair_sites(10.0, (Species.NV, Species.P1))
-    assert pair_coupling(*nv_p1, Z) == pytest.approx(math.sqrt(2) * 0.052)
+    assert coupling(nv_p1) == pytest.approx(math.sqrt(2) * 0.052)
     nv_nv = pair_sites(10.0, (Species.NV, Species.NV))
-    assert pair_coupling(*nv_nv, Z) == pytest.approx(2 * 0.052)
+    assert coupling(nv_nv) == pytest.approx(2 * 0.052)
     p1_p1 = pair_sites(10.0)
-    assert pair_coupling(*p1_p1, Z) == pytest.approx(0.052)
+    assert coupling(p1_p1) == pytest.approx(0.052)
 
 
 def test_secular_intra_hand_matrix():
     j = 0.8
-    ham = build_cluster_hamiltonian(pair_sites(), None, Frame.LAB_SECULAR, {(0, 1): j})
+    ham = build_cluster_hamiltonian(cluster(pair_sites()), Frame.LAB_SECULAR, {(0, 1): j})
     # basis |uu>, |ud>, |du>, |dd>
     expected = np.array(
         [
@@ -99,13 +118,13 @@ def test_secular_intra_hand_matrix():
 
 
 def test_secular_single_spin_zero():
-    ham = build_cluster_hamiltonian([site([0, 0, 0])], Z, Frame.LAB_SECULAR)
+    ham = build_cluster_hamiltonian(cluster([site([0, 0, 0])]), Frame.LAB_SECULAR)
     assert np.all(ham.matrix == 0)
 
 
 def test_ising_inter_nv_p1_eigenvalues():
     sites = pair_sites(10.0, (Species.NV, Species.P1))
-    ham = build_cluster_hamiltonian(sites, Z, Frame.LAB_SECULAR)
+    ham = build_cluster_hamiltonian(cluster(sites), Frame.LAB_SECULAR)
     j_scaled = math.sqrt(2) * 0.052
     assert np.allclose(ham.matrix, np.diag([j_scaled / 4, -j_scaled / 4, -j_scaled / 4, j_scaled / 4]))
     evals = np.sort(np.linalg.eigvalsh(ham.matrix))
@@ -119,13 +138,13 @@ def test_ising_magic_angle_zero():
         site([0, 0, 0], Species.NV),
         site(10 * v / np.linalg.norm(v), Species.P1),
     ]
-    ham = build_cluster_hamiltonian(sites, Z, Frame.LAB_SECULAR)
+    ham = build_cluster_hamiltonian(cluster(sites), Frame.LAB_SECULAR)
     assert np.abs(ham.matrix).max() < 1e-15
 
 
 def test_dressed_intra_hand_matrix():
     j = 1.2
-    ham = build_cluster_hamiltonian(pair_sites(), None, Frame.DRESSED, {(0, 1): j})
+    ham = build_cluster_hamiltonian(cluster(pair_sites()), Frame.DRESSED, {(0, 1): j})
     ops = operator_set(2)
     expected = (
         j / 4 * (ops.sy[0] @ ops.sy[1] + ops.sz[0] @ ops.sz[1])
@@ -141,13 +160,13 @@ def test_dressed_intra_hand_matrix():
 def test_dressed_conserves_total_sx():
     rng = np.random.default_rng(0)
     sites = [site(rng.uniform(0, 30, 3)) for _ in range(4)]
-    ham = build_cluster_hamiltonian(sites, Z, Frame.DRESSED)
+    ham = build_cluster_hamiltonian(cluster(sites), Frame.DRESSED)
     ops = operator_set(4)
     comm = ham.matrix @ ops.total_sx - ops.total_sx @ ham.matrix
     assert np.abs(comm).max() < 1e-12
     het = [site(rng.uniform(0, 30, 3), sp) for sp in (Species.NV, Species.P1, Species.P1)]
     het[2].subgroup = 1
-    ham2 = build_cluster_hamiltonian(het, Z, Frame.DRESSED)
+    ham2 = build_cluster_hamiltonian(cluster(het), Frame.DRESSED)
     ops3 = operator_set(3)
     comm2 = ham2.matrix @ ops3.total_sx - ops3.total_sx @ ham2.matrix
     assert np.abs(comm2).max() < 1e-12
@@ -157,7 +176,7 @@ def test_hermiticity_random_geometry():
     rng = np.random.default_rng(2)
     sites = [site(rng.uniform(0, 25, 3)) for _ in range(5)]
     for frame in Frame:
-        ham = build_cluster_hamiltonian(sites, Z, frame)
+        ham = build_cluster_hamiltonian(cluster(sites), frame)
         assert np.abs(ham.matrix - ham.matrix.conj().T).max() < 1e-12
 
 
@@ -171,8 +190,8 @@ def test_dressed_matches_drive_time_average():
     # a degenerate pair takes the intra-group forms, a subgroup-mismatched
     # pair the inter-group (Ising / dressed exchange) forms
     for sites in (pair_sites(), pair_sites(10.0, (Species.P1, Species.P1), subgroups=(0, 1))):
-        h_lab = build_cluster_hamiltonian(sites, Z, Frame.LAB_SECULAR).matrix
-        h_dressed = build_cluster_hamiltonian(sites, Z, Frame.DRESSED).matrix
+        h_lab = build_cluster_hamiltonian(cluster(sites), Frame.LAB_SECULAR).matrix
+        h_dressed = build_cluster_hamiltonian(cluster(sites), Frame.DRESSED).matrix
         avg = np.zeros_like(h_lab)
         for k in range(n_samples):
             u = expm(-1j * TWO_PI * omega * (k / (n_samples * omega)) * ops.total_sx)
@@ -184,11 +203,11 @@ def test_dressed_matches_drive_time_average():
 def test_dressed_reproduces_driven_dynamics():
     """Full driven lab evolution vs dressed evolution at Omega = 50 |J|."""
     sites = pair_sites()
-    j = pair_coupling(*sites, Z)
+    j = coupling(sites)
     omega = 50 * abs(j)
     ops = operator_set(2)
-    h_lab = build_cluster_hamiltonian(sites, Z, Frame.LAB_SECULAR).matrix + omega * ops.total_sx
-    h_dressed = build_cluster_hamiltonian(sites, Z, Frame.DRESSED).matrix
+    h_lab = build_cluster_hamiltonian(cluster(sites), Frame.LAB_SECULAR).matrix + omega * ops.total_sx
+    h_dressed = build_cluster_hamiltonian(cluster(sites), Frame.DRESSED).matrix
 
     x_up = np.array([1, 1]) / math.sqrt(2)
     x_dn = np.array([1, -1]) / math.sqrt(2)
@@ -210,7 +229,7 @@ def test_dressed_inter_exchange_period():
     and return at 2/J; the flip-flop matrix element is J/4."""
     j = 0.4
     sites = pair_sites(10.0, (Species.P1, Species.P1), subgroups=(0, 1))
-    ham = build_cluster_hamiltonian(sites, None, Frame.DRESSED, {(0, 1): j})
+    ham = build_cluster_hamiltonian(cluster(sites), Frame.DRESSED, {(0, 1): j})
     x_up = np.array([1, 1]) / math.sqrt(2)
     x_dn = np.array([1, -1]) / math.sqrt(2)
     psi0 = np.kron(x_up, x_dn)
@@ -230,7 +249,7 @@ def test_dressed_inter_exchange_period():
 
 def test_dressed_inter_zero_coupling_identity():
     sites = pair_sites(10.0, (Species.NV, Species.P1))
-    ham = build_cluster_hamiltonian(sites, None, Frame.DRESSED, {(0, 1): 0.0})
+    ham = build_cluster_hamiltonian(cluster(sites), Frame.DRESSED, {(0, 1): 0.0})
     assert np.all(ham.matrix == 0)
 
 
@@ -254,7 +273,7 @@ def test_effective_disorder():
 def test_cluster_hamiltonian_validation_and_json():
     with pytest.raises(ValueError, match="Hermitian"):
         ClusterHamiltonian(np.array([[0, 1], [0, 0]], dtype=complex), Frame.DRESSED, 1)
-    ham = build_cluster_hamiltonian(pair_sites(), None, Frame.LAB_SECULAR, {(0, 1): 0.3})
+    ham = build_cluster_hamiltonian(cluster(pair_sites()), Frame.LAB_SECULAR, {(0, 1): 0.3})
     import json
 
     data = json.loads(ham.to_json())
@@ -325,18 +344,17 @@ def test_builders_bit_equal_dense_operator_products():
         uniform = random_cluster(rng, n, mixed=False)
         hetero = heterogeneous_cluster(rng, n)
         couplings = random_couplings(rng, n) if explicit else None
-        axis = None if explicit else Z
         # the mixed cluster is classified per pair; the other two must take
         # the intra-group (all degenerate) and inter-group forms throughout
         for sites, degenerate in (
-            (mixed, lambda i, j: not spinops.is_heterogeneous(mixed[i], mixed[j])),
+            (mixed, lambda i, j: not is_heterogeneous(mixed[i], mixed[j])),
             (uniform, lambda i, j: True),
             (hetero, lambda i, j: False),
         ):
-            cmap = spinops._coupling_map(sites, axis, couplings)
+            cmap = spinops._coupling_map(cluster(sites), couplings)
             for frame in Frame:
                 assert_bit_equal(
-                    build_cluster_hamiltonian(sites, axis, frame, couplings),
+                    build_cluster_hamiltonian(cluster(sites), frame, couplings),
                     dense_reference(sites, frame, cmap, degenerate),
                 )
 
@@ -345,6 +363,6 @@ def test_ten_spin_build_forms_no_operator_set():
     sites = random_cluster(np.random.default_rng(7), 10)
     before = operator_set.cache_info()
     for frame in Frame:
-        ham = build_cluster_hamiltonian(sites, Z, frame)
+        ham = build_cluster_hamiltonian(cluster(sites), frame)
         assert ham.dim == 1024
     assert operator_set.cache_info() == before
