@@ -182,6 +182,7 @@ def run_deer(
     """
     tau = np.asarray(tau_grid_us, dtype=float)
     signals = []
+    pulses = {}  # (n, flipped sites) -> (pi/2_y, pi_x, pi/2_-y); the pulses depend on nothing else
     for r in range(n_realizations):
         net = cluster_factory(r)
         n = net.n_sites
@@ -207,14 +208,20 @@ def run_deer(
                 chosen = (net.species[1:] == species_code(species)) & (net.subgroup[1:] == subgroup)
                 bath = bath[chosen]
             flip += bath.tolist()
-        u_half = rotation_unitary(n, math.pi / 2, "y", [0])
-        u_pi = rotation_unitary(n, math.pi, "x", flip)
-        u_minus = rotation_unitary(n, math.pi / 2, "-y", [0])
+        key = (n, tuple(flip))
+        if key not in pulses:
+            pulses[key] = (
+                rotation_unitary(n, math.pi / 2, "y", [0]),
+                rotation_unitary(n, math.pi, "x", flip),
+                rotation_unitary(n, math.pi / 2, "-y", [0]),
+            )
+        u_half, u_pi, u_minus = pulses[key]
 
         phases = np.exp(-1j * TWO_PI * np.outer(evals, tau))
-        c1 = evecs.conj().T @ (u_half @ psi0)
+        evecs_h = evecs.conj().T
+        c1 = evecs_h @ (u_half @ psi0)
         mid = u_pi @ (evecs @ (phases * c1[:, None]))
-        states = evecs @ (phases * (evecs.conj().T @ mid))
+        states = evecs @ (phases * (evecs_h @ mid))
         p_plus = _sensor_up_probability(u_half @ states, n)
         p_minus = _sensor_up_probability(u_minus @ states, n)
         signals.append(p_minus - p_plus)

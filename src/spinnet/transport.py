@@ -88,8 +88,8 @@ class RateMatrix:
         r = np.asarray(self.rates, dtype=float)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError("rate matrix must be square")
-        if not np.allclose(r, r.T):
-            raise ValueError("rates must be symmetric")
+        if not np.array_equal(r, r.T):
+            raise ValueError("rates must be exactly symmetric")
         if np.any(np.diag(r) != 0):
             raise ValueError("rate matrix diagonal must be zero")
         if not np.all(np.isfinite(r)) or np.any(r < 0):
@@ -173,6 +173,11 @@ def build_rates(net: Union[SpinNetwork, PairTable], omega_mhz: float, gamma_mhz:
     Lorentzian and cutoff.  Passing a :class:`PairTable` in place of the
     network skips the first step, so a drive sweep computes the table of
     each network once; the rates are the same bit for bit.
+
+    The matrix is exactly symmetric, R_ij == R_ji bit for bit, so the
+    generator built from it is an exact symmetric Laplacian.  Both
+    triangles are computed: gathering one triangle and mirroring it costs
+    as much as it saves at the sizes the runners use.
     """
     if omega_mhz <= 0:
         raise ValueError("drive amplitude must be positive")
@@ -186,7 +191,10 @@ def build_rates(net: Union[SpinNetwork, PairTable], omega_mhz: float, gamma_mhz:
 
     om_eff = np.array([effective_rabi(omega_mhz, d) for d in pairs.detunings.tolist()])
     sin_t = omega_mhz / om_eff  # tilt_projection per site
-    j_eff = pairs.fj * sin_t[:, None] * sin_t[None, :]
+    # fj, r and d_eff**2 are exactly symmetric, and so is this outer
+    # product; fj * sin_i * sin_j would round in an order that depends on
+    # the row and break the symmetry in the last digit
+    j_eff = pairs.fj * (sin_t[:, None] * sin_t[None, :])
     d_eff = om_eff[:, None] - om_eff[None, :]
     rates = 2.0 * j_eff**2 * gamma_mhz / (gamma_mhz**2 + d_eff**2)
     rates[pairs.r > cutoff] = 0.0
@@ -227,10 +235,16 @@ class Generator:
 
     def propagate(self, p0, times, rows=None) -> np.ndarray:
         """P(t) at each time (one row per time), restricted to site ``rows``
-        when given; the restricted rows equal those of the full result."""
-        evecs = self.evecs if rows is None else self.evecs[rows]
+        when given; the restricted rows equal those of the full result.
+
+        The work is one matrix product: the mode amplitudes
+        exp(-evals t) evecs^T P(0) of every time, times evecs^T.  ``rows``
+        selects columns of that full product, because a product over fewer
+        eigenvector rows may take another BLAS kernel and round differently.
+        """
         decay = np.exp(-np.outer(times, self.evals))
-        return np.einsum("ik,tk,k->ti", evecs, decay, self.evecs.T @ p0)
+        traj = (decay * (self.evecs.T @ p0)) @ self.evecs.T
+        return traj if rows is None else traj[:, rows]
 
 
 def factor_generator(rates: RateMatrix, relax=None) -> Generator:

@@ -1,0 +1,35 @@
+import importlib.util
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location(
+    "artifact_diff", Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
+)
+artifact_diff = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(artifact_diff)
+
+
+def write(root, rel, text):
+    path = root / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def test_compare_trees_reports_largest_numeric_change(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root, last in ((parent, "0.5"), (change, "0.5000001")):
+        write(root, "fig-s3/seed0/d.csv", f"L_nm,D\n71.0,{last}\n")
+        write(root, "fig-s3/seed0/s.json", '{"D": [1.0, 2.0], "ok": true, "tag": "x"}')
+        write(root, "fig-s3/seed0/manifest.json", f'{{"created_unix": {last}}}')
+    rows, differs = artifact_diff.compare_trees(parent, change)
+    assert differs
+    deltas = {rel.name: delta for rel, delta in rows}
+    assert set(deltas) == {"d.csv", "s.json"}
+    assert deltas["s.json"] == (0.0, 0.0)
+    abs_d, rel_d = deltas["d.csv"]
+    assert abs(abs_d - 1e-7) < 1e-12 and abs(rel_d - 2e-7) < 1e-12
+    assert "identical" in capsys.readouterr().out
+
+
+def test_largest_change_flags_cell_count_mismatch():
+    assert artifact_diff.largest_change([1.0, 2.0], [1.0]) is None
+    assert artifact_diff.largest_change([float("nan"), -4.0], [float("nan"), -2.0]) == (2.0, 0.5)

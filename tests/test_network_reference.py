@@ -135,7 +135,7 @@ def reference_build_rates(spec, sites, omega_mhz, gamma_mhz=0.15):
     same = np.array([[ki == kj for kj in keys] for ki in keys])
     prefactor = np.where(same, 1.0 / 8.0, 1.0 / 4.0)
     sin_t = np.array([tilt_projection(omega_mhz, d) for d in delta])
-    j_eff = prefactor * scale * j_bare * sin_t[:, None] * sin_t[None, :]
+    j_eff = prefactor * scale * j_bare * (sin_t[:, None] * sin_t[None, :])
     om_eff = np.array([effective_rabi(omega_mhz, d) for d in delta])
     d_eff = om_eff[:, None] - om_eff[None, :]
     rates = 2.0 * j_eff**2 * gamma_mhz / (gamma_mhz**2 + d_eff**2)

@@ -5,6 +5,7 @@ from scipy.integrate import solve_ivp
 
 from spinnet import transport
 from spinnet.network import Species, ppm_to_density, species_code
+from spinnet.protocol import protocol_network
 from spinnet.transport import (
     MsdCurve,
     RateMatrix,
@@ -207,6 +208,18 @@ def test_build_rates_cutoff_radius():
     assert np.all(rm.rates[far] == 0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: transport_network(1.575, 400, w_mhz=1.36, seed=3, realization=2),
+    lambda: protocol_network(n_p1=120, seed=0, realization=1),
+], ids=["transport", "protocol"])
+def test_rates_exactly_symmetric(make):
+    # eigh reads one triangle while the generator diagonal sums whole rows,
+    # so the generator is an exact symmetric Laplacian only if R == R.T
+    rates = build_rates(make(), 6.40).rates
+    assert np.count_nonzero(rates) > 0
+    assert np.array_equal(rates, rates.T)
+
+
 def test_transport_network_layout():
     net = transport_network(1.575, 50, w_mhz=1.36, seed=3, realization=4)
     assert net.species[0] == species_code(Species.NV)
@@ -243,7 +256,7 @@ def reference_average_msd(omega_mhz, density_ppm, n_p1, n_realizations, seed):
         evals, evecs = np.linalg.eigh(np.diag(rates.sum(axis=1)) - rates)
         p0 = np.zeros(net.n_sites)
         p0[0] = 1.0
-        traj = np.einsum("ik,tk,k->ti", evecs, np.exp(-np.outer(grid, evals)), evecs.T @ p0)
+        traj = (np.exp(-np.outer(grid, evals)) * (evecs.T @ p0)) @ evecs.T
         return msd(transport.Trajectory(grid, traj), net.positions, 0)
 
     t_end = 100.0
