@@ -8,7 +8,9 @@ config as given plus the command-line overrides (defaults the config
 leaves out are not filled in), the seed, the package version, the wall
 time and the creation time; ``reproduce`` writes the preset tag, the
 realization count it ran with, the seed, the version and the creation
-time.
+time.  Both manifests record the environment the bytes of the transport
+and protocol outputs depend on: the numpy and scipy versions, the CPU
+count and the BLAS thread variables.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Optional
 
 import jsonschema
 import numpy as np
+import scipy
 
 from . import __version__, clusterdyn, fitkit, presets, protocol, transport
 from .network import GenerationError, Placement, ppm_to_density
@@ -352,6 +355,19 @@ def _out_root() -> str:
     return os.environ.get("SPINNET_OUT", "spinnet_runs")
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Library versions, CPU count and BLAS thread variables (None when unset)."""
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        **{name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
+    }
+
+
 def _write_artifacts(out_dir: str, artifacts: dict, manifest: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for name, text in artifacts.items():
@@ -412,6 +428,7 @@ def _cmd_run(args) -> int:
         "version": __version__,
         "wall_time_s": time.time() - start,
         "created_unix": time.time(),
+        "environment": _environment(),
     }
     _write_artifacts(out_dir, artifacts, manifest)
     if not args.quiet:
@@ -441,6 +458,7 @@ def _cmd_reproduce(args) -> int:
         "seed": args.seed or 0,
         "version": __version__,
         "created_unix": time.time(),
+        "environment": _environment(),
     }
     _write_artifacts(out_dir, result.artifacts, manifest)
     if not args.quiet:

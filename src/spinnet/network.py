@@ -233,14 +233,6 @@ class SpinNetwork:
     def count(self, species) -> int:
         return int(self.indices_of(species).size)
 
-    def min_pair_distance(self) -> float:
-        pos = self.positions
-        if len(pos) < 2:
-            return math.inf
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        return float(np.min(dist[np.triu_indices(len(pos), k=1)]))
-
     def to_json(self) -> str:
         spec = self.spec
         payload = {

@@ -247,13 +247,15 @@ def run_iterative_protocol(
     sequence of them, which gives a list with one result per config.
 
     Realizations form the outer loop: each network is built once, and its
-    pair table (:func:`transport.pair_table`) and probe ranking once;
-    then, for each config, the rates, the exchange-phase propagator and
-    the cycle loop.  Each result is reduced and fitted on its own, so a
+    pair table (:func:`transport.pair_table`, at the longest rate cutoff,
+    i.e. the smallest ``gamma_mhz``, of the configs) and probe ranking
+    once; then, for each config, the rates, the exchange-phase propagator
+    and the cycle loop.  Each result is reduced and fitted on its own, so a
     sequence gives the same numbers as one call per config.
     """
     configs = [config] if isinstance(config, CycleConfig) else list(config)
     factory = net if callable(net) else (lambda r, _n=net: _n)
+    gamma_min = min(c.gamma_mhz for c in configs)
     nv_runs = [np.empty((n_realizations, c.n_cycles)) for c in configs]
     p1_runs = [np.empty((n_realizations, c.n_cycles)) for c in configs]
     for r in range(n_realizations):
@@ -261,7 +263,7 @@ def run_iterative_protocol(
         p1_count = one.count(Species.P1)
         if one.count(Species.NV) == 0 or p1_count == 0:
             raise ValueError("network must contain both sensor and bath spins")
-        pairs = pair_table(one)
+        pairs = pair_table(one, gamma_min)
         ranked = _probe_indices(one, p1_count)
         for k, c in enumerate(configs):
             rm = build_rates(pairs, c.omega_mhz, c.gamma_mhz)

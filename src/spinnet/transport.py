@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import fitkit
 from .constants import J0_MHZ_NM3
@@ -52,6 +53,7 @@ __all__ = [
     "WindowError",
     "ConservationError",
     "pair_table",
+    "rate_cutoff",
     "build_rates",
     "factor_generator",
     "integrate_master_equation",
@@ -110,52 +112,77 @@ _PAIR_FACTOR = np.array([1.0 / 4.0, 1.0 / 8.0])[:, None] * np.sqrt(2.0) ** np.ar
 class PairTable:
     """The drive-independent part of :func:`build_rates` for one network.
 
-    ``r`` holds the pair distances (nm) with an infinite diagonal, ``fj``
-    the bare dipolar coupling J_ij times its pair prefactor (MHz), and
-    ``detunings`` a copy of the site detunings (MHz).  One table serves
-    every drive amplitude and linewidth.
+    One entry per site pair ``i < j`` that lies within ``cutoff_nm``:
+    ``r`` the pair distance (nm) and ``fj`` the bare dipolar coupling J_ij
+    times its pair prefactor (MHz).  ``detunings`` is a copy of the site
+    detunings (MHz).  One table serves every drive amplitude and every
+    linewidth whose rate cutoff is no longer than ``cutoff_nm``.
     """
 
+    i: np.ndarray
+    j: np.ndarray
     r: np.ndarray
     fj: np.ndarray
     detunings: np.ndarray
+    n_sites: int
+    cutoff_nm: float
 
 
-def pair_table(net: SpinNetwork) -> PairTable:
-    """Pair distances and prefactored dipolar couplings of a network.
+def rate_cutoff(gamma_mhz: float) -> float:
+    """Distance (nm) beyond which no pair rate reaches 1e-6 MHz at linewidth ``gamma_mhz``."""
+    # largest conceivable |J~| at distance r is J0/r^3 (angular factor 2,
+    # double NV scaling 2, inter prefactor 1/4, unit projections)
+    return (2.0 * J0_MHZ_NM3**2 / (gamma_mhz * RATE_FLOOR_MHZ)) ** (1.0 / 6.0)
 
-    The prefactor is 1/8 for degenerate pairs (equal
-    :attr:`~spinnet.network.SpinNetwork.group_key`) and 1/4 otherwise,
-    times sqrt(2) per NV of the pair.  Raises ValueError when two sites sit closer than the exclusion radius.
+
+def _pair_geometry(pos, i, j, axis) -> tuple:
+    """Distance and cosine to ``axis`` of each pair's separation pos[j] - pos[i].
+
+    A function of its own so that the (pairs, 3) separations, the largest
+    array of :func:`pair_table`, are freed before the couplings are formed.
     """
-    n = net.n_sites
-    pos = net.positions
-    axis = net.spec.field_axis_unit
-    delta = net.detunings.copy()
-    if n < 2:
-        return PairTable(np.full((n, n), np.inf), np.zeros((n, n)), delta)
-    # rvec[i, j] = pos[j] - pos[i]: row i of pos repeated n times, then
-    # every row subtracted in place from the flattened positions
-    rvec = np.repeat(pos, n, axis=0).reshape(n, 3 * n)
-    rvec = np.subtract(pos.reshape(1, 3 * n), rvec, out=rvec).reshape(n, n, 3)
+    rvec = pos.take(j, axis=0)
+    rvec -= pos.take(i, axis=0)
     # this sum of squares is np.linalg.norm(rvec, axis=-1) bit for bit, and
     # rvec @ axis below stays one BLAS call: per-coordinate products round
     # differently, and every rate must equal the per-site reference
-    rx, ry, rz = rvec[..., 0], rvec[..., 1], rvec[..., 2]
+    rx, ry, rz = rvec.T
     r = np.sqrt(rx * rx + ry * ry + rz * rz)
-    np.fill_diagonal(r, np.inf)
-    if net.spec.exclusion_nm > 0 and r.min() < net.spec.exclusion_nm - 1e-9:
-        raise ValueError("network violates its exclusion radius")
     cos = rvec @ axis
-    cos /= r  # the infinite diagonal gives cos = 0 there
+    cos /= r
+    return r, cos
+
+
+def pair_table(net: SpinNetwork, gamma_mhz: float = 0.15) -> PairTable:
+    """Distances and prefactored dipolar couplings of the pairs within the
+    rate cutoff of linewidth ``gamma_mhz``.
+
+    The pairs come from a k-d tree over the positions, queried a relative
+    1e-9 beyond the cutoff (or the exclusion radius, if that is longer), so
+    rounding in the tree's distances cannot drop a pair that
+    :func:`build_rates` keeps.  The prefactor is 1/8 for degenerate pairs
+    (equal :attr:`~spinnet.network.SpinNetwork.group_key`) and 1/4
+    otherwise, times sqrt(2) per NV of the pair.  Raises ValueError when
+    two sites sit closer than the exclusion radius.
+    """
+    if gamma_mhz <= 0:
+        raise ValueError("Hartmann-Hahn linewidth must be positive")
+    pos = net.positions
+    cutoff = rate_cutoff(gamma_mhz)
+    exclusion = net.spec.exclusion_nm
+    radius = max(cutoff, exclusion) * (1.0 + 1e-9)
+    i, j = cKDTree(pos).query_pairs(radius, output_type="ndarray").T.copy()
+    r, cos = _pair_geometry(pos, i, j, net.spec.field_axis_unit)
+    if exclusion > 0 and r.size and r.min() < exclusion - 1e-9:
+        raise ValueError("network violates its exclusion radius")
     j_bare = J0_MHZ_NM3 * (1.0 - 3.0 * cos**2) / r**3
     key = net.group_key
     n_nv = (net.species == species_code(Species.NV)).astype(np.intp)
-    same = (key[:, None] == key[None, :]).astype(np.intp)
-    factor = _PAIR_FACTOR.ravel().take(same * 3 + n_nv[:, None] + n_nv[None, :])
+    same = (key[i] == key[j]).astype(np.intp)
+    factor = _PAIR_FACTOR.ravel().take(same * 3 + n_nv[i] + n_nv[j])
     # the rate multiplies factor * j_bare first, so caching it keeps every
     # rate bit-equal to the one-step product
-    return PairTable(r, factor * j_bare, delta)
+    return PairTable(i, j, r, factor * j_bare, net.detunings.copy(), net.n_sites, cutoff)
 
 
 def build_rates(net: Union[SpinNetwork, PairTable], omega_mhz: float, gamma_mhz: float = 0.15) -> RateMatrix:
@@ -166,39 +193,47 @@ def build_rates(net: Union[SpinNetwork, PairTable], omega_mhz: float, gamma_mhz:
     R_ij = 2 |J~|^2 Gamma / (Gamma^2 + (Omega_eff,i - Omega_eff,j)^2).
     A pair is degenerate when both sites share species, subgroup and
     axis.  Pairs whose best-case rate falls below 1e-6 MHz are dropped;
-    the corresponding cutoff radius is recorded.
+    the corresponding cutoff radius (:func:`rate_cutoff`) is recorded.
 
     The work is two steps: :func:`pair_table` (distances and prefactored
-    couplings, independent of the drive) and the drive-dependent tilt,
-    Lorentzian and cutoff.  Passing a :class:`PairTable` in place of the
-    network skips the first step, so a drive sweep computes the table of
-    each network once; the rates are the same bit for bit.
+    couplings of the pairs within the cutoff, independent of the drive)
+    and the drive-dependent tilt, Lorentzian and cutoff on those pairs,
+    scattered into a dense matrix.  Passing a :class:`PairTable` in place
+    of the network skips the first step, so a drive sweep computes the
+    table of each network once; the rates are the same bit for bit.  A
+    table built for a shorter cutoff than ``gamma_mhz`` needs raises
+    ValueError.
 
     The matrix is exactly symmetric, R_ij == R_ji bit for bit, so the
-    generator built from it is an exact symmetric Laplacian.  Both
-    triangles are computed: gathering one triangle and mirroring it costs
-    as much as it saves at the sizes the runners use.
+    generator built from it is an exact symmetric Laplacian.
     """
     if omega_mhz <= 0:
         raise ValueError("drive amplitude must be positive")
     if gamma_mhz <= 0:
         raise ValueError("Hartmann-Hahn linewidth must be positive")
-    pairs = net if isinstance(net, PairTable) else pair_table(net)
-
-    # largest conceivable |J~| at distance r is J0/r^3 (angular factor 2,
-    # double NV scaling 2, inter prefactor 1/4, unit projections)
-    cutoff = (2.0 * J0_MHZ_NM3**2 / (gamma_mhz * RATE_FLOOR_MHZ)) ** (1.0 / 6.0)
+    cutoff = rate_cutoff(gamma_mhz)
+    pairs = net if isinstance(net, PairTable) else pair_table(net, gamma_mhz)
+    if cutoff > pairs.cutoff_nm:
+        raise ValueError(
+            f"linewidth {gamma_mhz:g} MHz needs a {cutoff:g} nm rate cutoff, "
+            f"but the pair table holds pairs only within {pairs.cutoff_nm:g} nm"
+        )
 
     om_eff = np.array([effective_rabi(omega_mhz, d) for d in pairs.detunings.tolist()])
     sin_t = omega_mhz / om_eff  # tilt_projection per site
-    # fj, r and d_eff**2 are exactly symmetric, and so is this outer
-    # product; fj * sin_i * sin_j would round in an order that depends on
-    # the row and break the symmetry in the last digit
-    j_eff = pairs.fj * (sin_t[:, None] * sin_t[None, :])
-    d_eff = om_eff[:, None] - om_eff[None, :]
-    rates = 2.0 * j_eff**2 * gamma_mhz / (gamma_mhz**2 + d_eff**2)
-    rates[pairs.r > cutoff] = 0.0
-    np.fill_diagonal(rates, 0.0)
+    i, j = pairs.i, pairs.j
+    # J~ = fj * (sin_i * sin_j) and d_eff = Omega_eff,i - Omega_eff,j in one
+    # expression, so no pair-length temporary outlives it; the product and
+    # d_eff^2 are the same for (i, j) and (j, i), so one value serves both
+    # triangles and the matrix is exactly symmetric
+    kept = (
+        2.0 * (pairs.fj * (sin_t[i] * sin_t[j])) ** 2 * gamma_mhz
+        / (gamma_mhz**2 + (om_eff[i] - om_eff[j]) ** 2)
+    )
+    kept[pairs.r > cutoff] = 0.0
+    rates = np.zeros((pairs.n_sites, pairs.n_sites))
+    rates[i, j] = kept
+    rates[j, i] = kept
     return RateMatrix(rates, cutoff_nm=cutoff, omega_mhz=omega_mhz, gamma_mhz=gamma_mhz)
 
 

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from spinnet import cli
 
@@ -235,6 +236,24 @@ def test_reproduce_manifest_records_realizations_used(tmp_path):
     assert cli.main(["reproduce", "fig-2c", "--realizations", "2", "--quiet", "--out", str(given)]) == 0
     assert json.loads((default / "manifest.json").read_text())["realizations"] == 1
     assert json.loads((given / "manifest.json").read_text())["realizations"] == 2
+
+
+def test_manifests_record_the_environment(tmp_path, monkeypatch):
+    # the transport and protocol bytes depend on the BLAS thread count
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    path = write_config(tmp_path, {"experiment": "rabi", "params": {"omega_mhz": 6.40, "t_max_us": 2.0}})
+    run, reproduce = tmp_path / "run", tmp_path / "reproduce"
+    assert cli.main(["run", path, "--out", str(run), "--quiet"]) == 0
+    assert cli.main(["reproduce", "closed-form-chain", "--quiet", "--out", str(reproduce)]) == 0
+    for out in (run, reproduce):
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["MKL_NUM_THREADS"] is None
+        assert env["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS")
 
 
 def test_run_fit_round_trip(tmp_path):

@@ -332,6 +332,21 @@ def test_config_sequence_equals_one_run_per_config():
         assert_same_result(got, reference_protocol(factory, config, 4))
 
 
+def test_mixed_linewidths_equal_one_run_per_config():
+    # the narrowest line needs the longest rate cutoff; the shared pair
+    # table must hold its pairs even when a broader line comes first
+    configs = (
+        CycleConfig(omega_mhz=6.4, gamma_mhz=0.6, n_cycles=6),
+        CycleConfig(omega_mhz=3.2, gamma_mhz=0.02, n_cycles=6),
+        CycleConfig(omega_mhz=6.4, n_cycles=6),
+    )
+    factory = lambda r: desk_factory(r, n_p1=60)
+    together = run_iterative_protocol(factory, configs, n_realizations=3)
+    for got, config in zip(together, configs):
+        assert_same_result(got, run_iterative_protocol(factory, config, n_realizations=3))
+        assert_same_result(got, reference_protocol(factory, config, 3))
+
+
 def test_config_sequence_on_one_network_equals_one_run_per_config():
     net = desk_factory(5, n_p1=40)
     together = run_iterative_protocol(net, SWEEP_CONFIGS, fit=False)

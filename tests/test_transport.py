@@ -1,10 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import solve_ivp
 
 from spinnet import transport
-from spinnet.network import Species, ppm_to_density, species_code
+from spinnet.network import EnsembleSpec, Species, SpinNetwork, ppm_to_density, species_code
 from spinnet.protocol import protocol_network
 from spinnet.transport import (
     MsdCurve,
@@ -18,6 +21,8 @@ from spinnet.transport import (
     finite_size_extrapolate,
     integrate_master_equation,
     msd,
+    pair_table,
+    rate_cutoff,
     transport_network,
 )
 from test_network_reference import reference_build_rates
@@ -206,6 +211,79 @@ def test_build_rates_cutoff_radius():
     r = np.linalg.norm(net.positions[:, None, :] - net.positions[None, :, :], axis=-1)
     far = r > rm.cutoff_nm
     assert np.all(rm.rates[far] == 0.0)
+
+
+def _x_at_distance(target, y):
+    """x with sqrt(x*x + y*y) == target in floating point, or None."""
+    x = math.sqrt(target * target - y * y)
+    for _ in range(8):
+        r = math.sqrt(x * x + y * y)
+        if r == target:
+            return x
+        x = math.nextafter(x, math.inf if r < target else -math.inf)
+    return None
+
+
+def boundary_network(cutoff):
+    """Site 0 (an NV) at the origin and three P1 sites whose distances to it
+    are the float just below ``cutoff``, ``cutoff`` itself and the float just
+    above, computed as pair_table computes them."""
+    targets = (math.nextafter(cutoff, 0.0), cutoff, math.nextafter(cutoff, math.inf))
+    found = []
+    for target in targets:
+        y = next(y for y in np.arange(10.0, 40.0, 0.25) if _x_at_distance(target, y) is not None)
+        found.append((_x_at_distance(target, y), y))
+    # one pair per plane, so the three sites sit far from each other
+    (xa, ya), (xb, yb), (xc, yc) = found
+    positions = [(0.0, 0.0, 0.0), (xa, ya, 0.0), (0.0, xb, yb), (yc, 0.0, xc)]
+    spec = EnsembleSpec(box_nm=2.0 * cutoff, densities_ppm={Species.P1: 0.1})
+    return SpinNetwork(spec, positions, [0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0.0, 0.4, -0.3, 0.9])
+
+
+def test_build_rates_cutoff_boundary_matches_reference():
+    cutoff = rate_cutoff(0.15)
+    net = boundary_network(cutoff)
+    r = np.linalg.norm(net.positions[1:], axis=1)
+    assert r[0] < cutoff and r[1] == cutoff and r[2] > cutoff
+    got = build_rates(net, 6.40)
+    assert got.cutoff_nm == cutoff
+    assert np.array_equal(got.rates, reference_build_rates(net.spec, net.sites, 6.40))
+    assert got.rates[0, 1] > 0 and got.rates[0, 2] > 0 and got.rates[0, 3] == 0
+
+
+def test_pair_table_refuses_a_longer_cutoff():
+    net = transport_network(1.575, 60, w_mhz=1.36, seed=2, realization=1)
+    table = pair_table(net, 0.3)
+    assert table.cutoff_nm == rate_cutoff(0.3)
+    for gamma in (0.3, 0.6):
+        assert np.array_equal(build_rates(table, 6.40, gamma).rates, build_rates(net, 6.40, gamma).rates)
+    with pytest.raises(ValueError, match=f"{rate_cutoff(0.15):g} nm.*{rate_cutoff(0.3):g} nm"):
+        build_rates(table, 6.40, 0.15)
+
+
+def test_pair_table_checks_the_exclusion_radius():
+    net = transport_network(1.575, 20, seed=2, realization=0)
+    net.positions[2] = net.positions[1] + [0.5, 0.0, 0.0]
+    with pytest.raises(ValueError, match="exclusion radius"):
+        pair_table(net)
+
+
+def test_pair_table_and_rates_stay_below_dense_temporaries():
+    # the dense pair table peaked near nine n x n float64 arrays at 801 sites
+    net = transport_network(1.575, 800, w_mhz=1.36, seed=8, realization=0)
+    dense = net.n_sites**2 * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        table = pair_table(net)
+        _, table_peak = tracemalloc.get_traced_memory()
+        del table
+        tracemalloc.reset_peak()
+        build_rates(net, 6.40)
+        _, rates_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table_peak < dense
+    assert rates_peak < 2 * dense
 
 
 @pytest.mark.parametrize("make", [
