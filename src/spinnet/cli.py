@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__, clusterdyn, fitkit, presets, protocol, transport
-from .network import GenerationError, Placement, ppm_to_density
+from .network import EXCLUSION_NM, GenerationError, Placement, ppm_to_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,10 +42,6 @@ _NUMERIC_ERRORS = (
     GenerationError,
     np.linalg.LinAlgError,
 )
-
-
-# every network and cluster builder keeps sites this far apart
-_EXCLUSION_NM = 1.0
 
 
 class ConfigError(ValueError):
@@ -79,10 +75,10 @@ def validate_config(config: dict) -> list:
     total = sum(config.get("network", {}).get("densities_ppm", {}).values())
     if total > 0:
         spacing = ppm_to_density(total) ** (-1.0 / 3.0)
-        if spacing < _EXCLUSION_NM:
+        if spacing < EXCLUSION_NM:
             warnings.append(
                 f"mean spacing {spacing:.2f} nm at {total:g} ppm is below the "
-                f"exclusion radius {_EXCLUSION_NM:g} nm; generation may fail"
+                f"exclusion radius {EXCLUSION_NM:g} nm; generation may fail"
             )
     return warnings
 
@@ -178,9 +174,6 @@ def _run_diffusion(config: dict) -> tuple:
         gamma_mhz=p.get("gamma_mhz", 0.15),
         seed=config.get("seed", 0),
     )
-    lines = ["L_nm,D_L_nm2_per_us,sigma"]
-    for L, d, s in zip(res.box_sizes_nm, res.d_values, res.d_sigmas):
-        lines.append(f"{float(L)!r},{float(d)!r},{float(s)!r}")
     d_inf = res.extrapolation.d_inf_nm2_per_us
     summary = {
         "omega_MHz": res.omega_mhz,
@@ -190,7 +183,9 @@ def _run_diffusion(config: dict) -> tuple:
     }
     return (
         {
-            "diffusion_scaling.csv": "\n".join(lines) + "\n",
+            "diffusion_scaling.csv": fitkit.csv_text(
+                ("L_nm", "D_L_nm2_per_us", "sigma"), res.box_sizes_nm, res.d_values, res.d_sigmas
+            ),
             "diffusion_summary.json": res.to_json(),
         },
         summary,
@@ -249,9 +244,6 @@ def _run_crossover(config: dict) -> tuple:
         seed=config.get("seed", 0),
         w_mhz=config.get("network", {}).get("disorder_mhz", 1.36),
     )
-    lines = ["omega_MHz,P_sat,P_sat_sigma"]
-    for o, v, s in zip(omegas, p_sat, p_sig):
-        lines.append(f"{float(o)!r},{float(v)!r},{float(s)!r}")
     summary = {
         "omegas_MHz": list(map(float, omegas)),
         "A_inf": cross.a_inf,
@@ -261,7 +253,7 @@ def _run_crossover(config: dict) -> tuple:
     }
     return (
         {
-            "crossover_table.csv": "\n".join(lines) + "\n",
+            "crossover_table.csv": fitkit.csv_text(("omega_MHz", "P_sat", "P_sat_sigma"), omegas, p_sat, p_sig),
             "crossover_summary.json": json.dumps(summary, indent=2),
         },
         summary,
@@ -328,6 +320,8 @@ def _run_fit(config: dict) -> tuple:
     if data.shape[1] < 2:
         raise ConfigError("config field params/data_csv: need at least x,y columns")
     sigma = data[:, 2] if data.shape[1] > 2 else None
+    if sigma is not None and not sigma.any():
+        sigma = None  # a noiseless or one-realization trace: fit unweighted
     res = fitkit.fit(_FIT_MODELS[model_name], data[:, 0], data[:, 1], sigma=sigma, p0=p.get("p0"))
     summary = {
         "model": model_name,

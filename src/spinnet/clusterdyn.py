@@ -13,7 +13,6 @@ concentration estimator built on it.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -24,6 +23,7 @@ from . import fitkit
 from .constants import TWO_PI
 from .fitkit import FitError, reduce_mean_sem
 from .network import (
+    EXCLUSION_NM,
     EnsembleSpec,
     GenerationError,
     Placement,
@@ -77,17 +77,7 @@ class TraceResult:
     n_realizations: int
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("abscissa_us,signal,sem\n")
-        for t, s, e in zip(self.abscissa_us, self.signal, self.sem):
-            buf.write(f"{float(t)!r},{float(s)!r},{float(e)!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "TraceResult":
-        rows = [ln.split(",") for ln in text.strip().splitlines()[1:]]
-        data = np.array([[float(c) for c in row] for row in rows])
-        return cls(data[:, 0], data[:, 1], data[:, 2], n_realizations=0)
+        return fitkit.csv_text(("abscissa_us", "signal", "sem"), self.abscissa_us, self.signal, self.sem)
 
 
 def rotation_unitary(n_sites: int, angle_rad: float, axis: str, site_indices) -> np.ndarray:
@@ -120,7 +110,6 @@ def sample_nv_p1_cluster(
     seed: int = 0,
     realization: int = 0,
     placement: Placement = Placement.DIAMOND_LATTICE,
-    exclusion_nm: float = 1.0,
 ) -> SpinNetwork:
     """One NV sensor at the box center plus ``n_bath`` addressed P1 spins.
 
@@ -135,13 +124,12 @@ def sample_nv_p1_cluster(
         box_nm=box,
         densities_ppm={Species.P1: density_ppm},
         placement=placement,
-        exclusion_nm=exclusion_nm,
         seed=seed,
     )
     center = np.full(3, box / 2)
     for attempt in range(100):
         base = generate_network(spec, realization=realization + 1000 * attempt)
-        if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < exclusion_nm:
+        if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < EXCLUSION_NM:
             continue
         return centred_source(base, realization)
     raise GenerationError("could not place the sensor away from the bath in 100 attempts")

@@ -39,6 +39,7 @@ __all__ = [
     "fft_spectrum",
     "spectrum_peak",
     "reduce_mean_sem",
+    "csv_text",
 ]
 
 
@@ -200,8 +201,9 @@ def fit(
 
     ``sigma`` gives per-point 1-sigma errors; when present the covariance is
     absolute, otherwise it is scaled by the reduced chi-square.  A fit that
-    exhausts its iteration budget comes back with ``converged=False`` rather
-    than raising; only structurally unusable input raises :class:`FitError`.
+    exhausts its iteration budget, or that ends on its (clipped) starting
+    point, comes back with ``converged=False`` rather than raising; only
+    structurally unusable input raises :class:`FitError`.
     """
     x = np.asarray(xdata, dtype=float).ravel()
     y = np.asarray(ydata, dtype=float).ravel()
@@ -255,7 +257,7 @@ def fit(
         sigmas=sigmas,
         covariance=cov,
         residual_norm=float(np.sqrt(2.0 * res.cost)),
-        converged=bool(res.status > 0),
+        converged=bool(res.status > 0) and not np.array_equal(res.x, p0),
         iterations=int(res.nfev),
     )
 
@@ -452,3 +454,16 @@ def _mean_sem(vals: list) -> tuple[float, float]:
         return mean, 0.0
     var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
     return mean, math.sqrt(var / n)
+
+
+def csv_text(names: Sequence[str], *columns) -> str:
+    """The CSV text of every table spinnet writes.
+
+    A header line of ``names``, then one line per index of the
+    equal-length ``columns``; each cell is ``repr(float(value))``, the
+    shortest text that reads back to the same float.
+    """
+    if len(names) != len(columns):
+        raise ValueError(f"{len(names)} column names for {len(columns)} columns")
+    rows = (",".join(repr(float(v)) for v in row) for row in zip(*columns, strict=True))
+    return "".join(line + "\n" for line in (",".join(names), *rows))

@@ -30,6 +30,7 @@ __all__ = [
     "species_code",
     "centred_source",
     "GenerationError",
+    "EXCLUSION_NM",
     "NV_AXES",
     "P1_SUBGROUP_WEIGHTS",
     "ppm_to_density",
@@ -79,6 +80,11 @@ class GenerationError(RuntimeError):
     """Raised when a network cannot satisfy its constraints within budget."""
 
 
+# The hard-core exclusion radius, nm, of every network and cluster the
+# runners build.
+EXCLUSION_NM = 1.0
+
+
 def ppm_to_density(concentration_ppm: float) -> float:
     """Defect concentration in ppm to number density in nm^-3."""
     if concentration_ppm < 0:
@@ -119,7 +125,7 @@ class EnsembleSpec:
     box_nm: float
     densities_ppm: dict
     placement: Placement = Placement.CONTINUUM
-    exclusion_nm: float = 1.0
+    exclusion_nm: float = EXCLUSION_NM
     disorder_mhz: float = 0.0
     field_axis: tuple = (1.0, 1.0, 1.0)
     seed: int = 0
@@ -190,23 +196,6 @@ class SpinNetwork:
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"column {name} must have one entry per site ({n})")
 
-    @classmethod
-    def from_sites(cls, spec: EnsembleSpec, sites, realization: int = 0) -> "SpinNetwork":
-        """Columns from per-site records; every axis must be one of NV_AXES."""
-        axes = np.array([s.axis for s in sites], dtype=float).reshape(-1, 3)
-        axis_index = np.argmax(axes @ NV_AXES.T, axis=1)
-        if not np.allclose(NV_AXES[axis_index], axes):
-            raise ValueError("site axes must be <111> crystal axes")
-        return cls(
-            spec=spec,
-            positions=[s.position_nm for s in sites],
-            species=[species_code(s.species) for s in sites],
-            axis_index=axis_index,
-            subgroup=[s.subgroup for s in sites],
-            detunings=[s.detuning_mhz for s in sites],
-            realization=realization,
-        )
-
     @property
     def n_sites(self) -> int:
         return len(self.positions)
@@ -235,6 +224,7 @@ class SpinNetwork:
 
     def to_json(self) -> str:
         spec = self.spec
+        columns = (self.positions, self.species, self.axis_index, self.subgroup, self.detunings)
         payload = {
             "spec": {
                 "box_nm": spec.box_nm,
@@ -253,14 +243,14 @@ class SpinNetwork:
             "realization": self.realization,
             "sites": [
                 {
-                    "id": s.id,
-                    "xyz_nm": [float(c) for c in s.position_nm],
-                    "species": s.species.value,
-                    "subgroup": int(s.subgroup),
-                    "axis": [float(c) for c in s.axis],
-                    "detuning_MHz": float(s.detuning_mhz),
+                    "id": i,
+                    "xyz_nm": pos,
+                    "species": SPECIES[code].value,
+                    "subgroup": group,
+                    "axis": NV_AXES[axis].tolist(),
+                    "detuning_MHz": delta,
                 }
-                for s in self.sites
+                for i, (pos, code, axis, group, delta) in enumerate(zip(*(c.tolist() for c in columns)))
             ],
         }
         return json.dumps(payload)
@@ -283,18 +273,20 @@ class SpinNetwork:
                 else None
             ),
         )
-        sites = [
-            SpinSite(
-                id=rec["id"],
-                position_nm=np.array(rec["xyz_nm"], dtype=float),
-                species=Species(rec["species"]),
-                axis=np.array(rec["axis"], dtype=float),
-                subgroup=rec["subgroup"],
-                detuning_mhz=rec["detuning_MHz"],
-            )
-            for rec in data["sites"]
-        ]
-        return cls.from_sites(spec, sites, realization=data.get("realization", 0))
+        records = data["sites"]
+        axes = np.array([rec["axis"] for rec in records], dtype=float).reshape(-1, 3)
+        axis_index = np.argmax(axes @ NV_AXES.T, axis=1)
+        if not np.allclose(NV_AXES[axis_index], axes):
+            raise ValueError("site axes must be <111> crystal axes")
+        return cls(
+            spec=spec,
+            positions=[rec["xyz_nm"] for rec in records],
+            species=[species_code(rec["species"]) for rec in records],
+            axis_index=axis_index,
+            subgroup=[rec["subgroup"] for rec in records],
+            detunings=[rec["detuning_MHz"] for rec in records],
+            realization=data.get("realization", 0),
+        )
 
 
 def centred_source(base: SpinNetwork, realization: int) -> SpinNetwork:

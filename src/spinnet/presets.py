@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import clusterdyn, protocol, transport
+from . import clusterdyn, fitkit, protocol, transport
 
 __all__ = ["PresetResult", "PRESETS", "run_preset"]
 
@@ -103,11 +103,9 @@ def fig_s3(realizations: int, seed: int) -> PresetResult:
             rows.append(PresetRow("D_inf at 6.40 MHz", f"{d_inf:.4f}", "0.22 (band 0.13-0.33)", 0.13 <= d_inf <= 0.33))
     monotone = all(table[k]["D_inf_nm2_per_us"] < table[k + 1]["D_inf_nm2_per_us"] for k in range(len(table) - 1))
     rows.append(PresetRow("D_inf monotone in drive", str(monotone), "True", monotone))
-    lines = ["omega_MHz,D_inf_nm2_per_us,sigma"]
-    for entry in table:
-        lines.append(f"{entry['omega_MHz']!r},{entry['D_inf_nm2_per_us']!r},{entry['sigma']!r}")
+    names = ("omega_MHz", "D_inf_nm2_per_us", "sigma")
     artifacts = {
-        "fig_s3_dinf.csv": "\n".join(lines) + "\n",
+        "fig_s3_dinf.csv": fitkit.csv_text(names, *([entry[k] for entry in table] for k in names)),
         "fig_s3_summary.json": json.dumps(table, indent=2),
     }
     return PresetResult("fig-s3", rows, artifacts)
@@ -146,9 +144,6 @@ def fig_s4b(realizations: int, seed: int) -> PresetResult:
         PresetRow("P_inf (asymptote)", f"{cross.a_inf:.4f}", "0.179 (band 0.12-0.24)", 0.12 <= cross.a_inf <= 0.24),
         PresetRow("crossover W (MHz)", f"{cross.w_mhz:.3f}", "finite", np.isfinite(cross.w_mhz) and cross.w_mhz > 0),
     ]
-    lines = ["omega_MHz,P_sat,P_sat_sigma"]
-    for o, p, s in zip(omegas, p_sat, p_sig):
-        lines.append(f"{float(o)!r},{float(p)!r},{float(s)!r}")
     summary = {
         "omegas_MHz": omegas,
         "P_sat": list(map(float, p_sat)),
@@ -160,7 +155,10 @@ def fig_s4b(realizations: int, seed: int) -> PresetResult:
     return PresetResult(
         "fig-s4b",
         rows,
-        {"fig_s4b_table.csv": "\n".join(lines) + "\n", "fig_s4b_summary.json": json.dumps(summary, indent=2)},
+        {
+            "fig_s4b_table.csv": fitkit.csv_text(("omega_MHz", "P_sat", "P_sat_sigma"), omegas, p_sat, p_sig),
+            "fig_s4b_summary.json": json.dumps(summary, indent=2),
+        },
     )
 
 
@@ -172,14 +170,14 @@ def fig_2c(realizations: int, seed: int) -> PresetResult:
         PresetRow("tau_eq (us)", f"{eq.tau_eq_us:.2f}", "2.2 +- 0.6 (exp); < 8.6", eq.tau_eq_us < 8.6),
         PresetRow("Delta_C amplitude", f"{eq.amplitude:.4f}", "reported", None),
     ]
-    lines = ["t_us,delta_c"]
-    for t, c in zip(eq.times_us, eq.delta_c):
-        lines.append(f"{float(t)!r},{float(c)!r}")
     summary = {"tau_eq_us": eq.tau_eq_us, "amplitude": eq.amplitude, "n_realizations": realizations}
     return PresetResult(
         "fig-2c",
         rows,
-        {"fig_2c_delta_c.csv": "\n".join(lines) + "\n", "fig_2c_summary.json": json.dumps(summary, indent=2)},
+        {
+            "fig_2c_delta_c.csv": fitkit.csv_text(("t_us", "delta_c"), eq.times_us, eq.delta_c),
+            "fig_2c_summary.json": json.dumps(summary, indent=2),
+        },
     )
 
 

@@ -10,7 +10,6 @@ temperature, and enhancement over thermal equilibrium.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -109,15 +108,9 @@ class ProtocolResult:
     saturation: Optional[SaturationFit] = None
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        has_sem = self.p_nv_sem is not None
-        buf.write("cycle,p_nv,p_p1" + (",p_nv_sem,p_p1_sem" if has_sem else "") + "\n")
-        for k in range(len(self.cycles)):
-            row = [float(self.cycles[k]), float(self.p_nv[k]), float(self.p_p1[k])]
-            if has_sem:
-                row += [float(self.p_nv_sem[k]), float(self.p_p1_sem[k])]
-            buf.write(",".join(repr(v) for v in row) + "\n")
-        return buf.getvalue()
+        sem = () if self.p_nv_sem is None else (self.p_nv_sem, self.p_p1_sem)
+        names = ("cycle", "p_nv", "p_p1", "p_nv_sem", "p_p1_sem")[: 3 + len(sem)]
+        return fitkit.csv_text(names, self.cycles, self.p_nv, self.p_p1, *sem)
 
 
 @dataclass
@@ -136,7 +129,6 @@ def protocol_network(
     w_mhz: float = 1.36,
     seed: int = 0,
     realization: int = 0,
-    exclusion_nm: float = 1.0,
 ) -> SpinNetwork:
     """Two-species box with every site in the driven (addressed) group.
 
@@ -152,7 +144,6 @@ def protocol_network(
         box_nm=box,
         densities_ppm={Species.NV: density_nv_ppm, Species.P1: density_p1_ppm},
         placement=Placement.CONTINUUM,
-        exclusion_nm=exclusion_nm,
         disorder_mhz=w_mhz,
         seed=seed,
         axis_weights={Species.NV: (1.0, 0.0, 0.0, 0.0)},

@@ -16,7 +16,6 @@ the drive axis x.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -104,17 +103,6 @@ class ClusterHamiltonian:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "frame": self.frame.value,
-                "n_sites": self.n_sites,
-                "real": self.matrix.real.tolist(),
-                "imag": self.matrix.imag.tolist(),
-                "couplings": {f"{i},{j}": v for (i, j), v in self.couplings.items()},
-            }
-        )
 
 
 def dipolar_coupling(r_vec, quant_axis) -> float:

@@ -17,7 +17,6 @@ box by a linear extrapolation in 1/L.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from scipy.spatial import cKDTree
 from . import fitkit
 from .constants import J0_MHZ_NM3
 from .network import (
+    EXCLUSION_NM,
     EnsembleSpec,
     GenerationError,
     Species,
@@ -334,24 +334,6 @@ class MsdCurve:
     survival: np.ndarray
     sem_nm2: Optional[np.ndarray] = None
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        cols = "times_us,msd_nm2,survival" + (",sem_nm2" if self.sem_nm2 is not None else "")
-        buf.write(cols + "\n")
-        for k in range(len(self.times_us)):
-            row = [self.times_us[k], self.msd_nm2[k], self.survival[k]]
-            if self.sem_nm2 is not None:
-                row.append(self.sem_nm2[k])
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "MsdCurve":
-        rows = [line.split(",") for line in text.strip().splitlines()]
-        header, data = rows[0], np.array(rows[1:], dtype=float)
-        sem = data[:, 3] if "sem_nm2" in header else None
-        return cls(data[:, 0], data[:, 1], data[:, 2], sem_nm2=sem)
-
 
 def msd(traj: Trajectory, positions_nm, source_index: int) -> MsdCurve:
     """Polarization-weighted mean-squared displacement about the source."""
@@ -414,16 +396,6 @@ class ExtrapolationResult:
     reliable: bool
     fit: fitkit.FitResult
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "D_inf_nm2_per_us": self.d_inf_nm2_per_us,
-                "sigma": self.sigma,
-                "reliable": self.reliable,
-                "slope_vs_inv_L": self.fit["slope"],
-            }
-        )
-
 
 def finite_size_extrapolate(box_sizes_nm, d_values, sigmas=None) -> ExtrapolationResult:
     """Weighted linear fit of D_L vs 1/L; the intercept estimates D at L->inf.
@@ -458,7 +430,6 @@ def transport_network(
     w_mhz: float = 1.36,
     seed: int = 0,
     realization: int = 0,
-    exclusion_nm: float = 1.0,
 ) -> SpinNetwork:
     """A transport box: one polarized NV at the center plus n_p1 addressed P1.
 
@@ -472,13 +443,12 @@ def transport_network(
     spec = EnsembleSpec(
         box_nm=box,
         densities_ppm={Species.P1: density_ppm},
-        exclusion_nm=exclusion_nm,
         seed=seed,
     )
     center = np.full(3, box / 2)
     for attempt in range(100):
         base = generate_network(spec, realization=realization + 1000 * attempt)
-        if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < exclusion_nm:
+        if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < EXCLUSION_NM:
             continue
         net = centred_source(base, realization)
         if w_mhz > 0:

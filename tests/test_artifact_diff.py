@@ -33,3 +33,24 @@ def test_compare_trees_reports_largest_numeric_change(tmp_path, capsys):
 def test_largest_change_flags_cell_count_mismatch():
     assert artifact_diff.largest_change([1.0, 2.0], [1.0]) is None
     assert artifact_diff.largest_change([float("nan"), -4.0], [float("nan"), -2.0]) == (2.0, 0.5)
+
+
+def test_run_configs_cover_every_csv_experiment():
+    from spinnet import cli
+
+    for config in artifact_diff.RUN_CONFIGS.values():
+        assert cli.validate_config(config) == []
+    experiments = {c["experiment"] for c in artifact_diff.RUN_CONFIGS.values()}
+    assert experiments == {"deer", "hahn", "rabi", "diffusion", "protocol", "crossover"}
+    # the protocol CSV leaves out its SEM columns for a single realization
+    assert any(c["experiment"] == "protocol" and c["realizations"] == 1 for c in artifact_diff.RUN_CONFIGS.values())
+
+
+def test_run_artifacts_writes_run_outputs(tmp_path, capsys):
+    src = artifact_diff.package_root(str(Path(__file__).resolve().parents[1]))
+    runs = {"rabi": artifact_diff.RUN_CONFIGS["rabi"]}
+    for side in ("parent", "change"):
+        artifact_diff.run_artifacts(src, tmp_path / side, tags=(), seeds=(1,), runs=runs)
+    rows, differs = artifact_diff.compare_trees(tmp_path / "parent", tmp_path / "change")
+    assert not differs
+    assert {str(rel) for rel, _ in rows} == {"run-rabi/seed1/rabi_trace.csv", "run-rabi/seed1/rabi_summary.json"}

@@ -39,17 +39,32 @@ def test_validate_feasibility_warning(tmp_path, capsys):
     assert "exclusion" in capsys.readouterr().out
 
 
+# (experiment, network block, the field the error names): each field is one
+# that experiment's runner does not read
+IGNORED_NETWORK_FIELDS = [
+    ("protocol", {"box_nm": 80.0}, "network/box_nm"),
+    ("protocol", {"exclusion_nm": 2.0}, "network/exclusion_nm"),
+    ("diffusion", {"densities_ppm": {"NV": 0.6, "P1": 1.575}}, "network/densities_ppm/NV"),
+    ("protocol", {"densities_ppm": {"P1": 30.0}}, "network/densities_ppm"),
+    ("protocol", {"placement": "continuum"}, "network/placement"),
+    ("diffusion", {"placement": "continuum"}, "network/placement"),
+    ("crossover", {"placement": "continuum"}, "network/placement"),
+    ("deer", {"disorder_mhz": 1.36}, "network/disorder_mhz"),
+    ("hahn", {"disorder_mhz": 1.36}, "network/disorder_mhz"),
+    ("rabi", {"densities_ppm": {"P1": 6.3}}, "network/densities_ppm"),
+    ("concentration", {"placement": "continuum"}, "network/placement"),
+    ("fit", {"disorder_mhz": 1.36}, "network/disorder_mhz"),
+]
+
+
 @pytest.mark.parametrize(
-    "network, field",
-    [
-        ({"box_nm": 80.0}, "network/box_nm"),
-        ({"exclusion_nm": 2.0}, "network/exclusion_nm"),
-        ({"densities_ppm": {"NV": 0.6, "P1": 1.575}}, "network/densities_ppm/NV"),
-    ],
+    "experiment, network, field",
+    IGNORED_NETWORK_FIELDS,
+    ids=[f"network{k}-{field}" for k, (_, _, field) in enumerate(IGNORED_NETWORK_FIELDS)],
 )
-def test_ignored_network_field_is_config_error(tmp_path, capsys, network, field):
+def test_ignored_network_field_is_config_error(tmp_path, capsys, experiment, network, field):
     # no runner reads these, so a config that sets one must not run silently
-    config = {"experiment": "protocol", "realizations": 1, "network": network, "params": {"n_p1": 20}}
+    config = {"experiment": experiment, "realizations": 1, "network": network}
     path = write_config(tmp_path, config)
     assert cli.main(["run", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"config field {field}:" in capsys.readouterr().err
@@ -270,6 +285,29 @@ def test_run_fit_round_trip(tmp_path):
     report = json.loads((out / "fit_report.json").read_text())
     assert abs(report["params"]["amp"] - 0.9) < 1e-6
     assert abs(report["params"]["tau"] - 3.0) < 1e-6
+
+
+def test_run_fit_reads_a_written_trace(tmp_path, capsys):
+    # a noiseless trace carries an all-zero SEM column: the fit runs unweighted
+    rabi = write_config(tmp_path, {"experiment": "rabi", "params": {"omega_mhz": 5.0}}, "rabi.json")
+    assert cli.main(["run", rabi, "--out", str(tmp_path / "rabi"), "--quiet"]) == 0
+    trace = tmp_path / "rabi" / "rabi_trace.csv"
+    assert np.loadtxt(trace, delimiter=",", skiprows=1)[:, 2].max() == 0.0
+    config = {"experiment": "fit", "params": {"model": "damped_cosine", "data_csv": str(trace)}}
+    out = tmp_path / "fit"
+    assert cli.main(["run", write_config(tmp_path, config), "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "fit_report.json").read_text())
+    assert report["converged"]
+    assert report["params"]["freq"] == pytest.approx(5.0, rel=1e-6)
+
+    # a negative SEM, or one that mixes zero and positive entries, stays an error
+    rows = trace.read_text().splitlines()
+    for sem in ("-0.1", "0.1"):
+        bad = tmp_path / f"bad{sem}.csv"
+        bad.write_text("\n".join(rows[:2] + [r.rsplit(",", 1)[0] + "," + sem for r in rows[2:]]) + "\n")
+        config["params"]["data_csv"] = str(bad)
+        assert cli.main(["run", write_config(tmp_path, config), "--out", str(out), "--quiet"]) == 3
+        assert "sigma values must be positive" in capsys.readouterr().err
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys):

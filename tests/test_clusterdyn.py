@@ -250,12 +250,3 @@ def test_sem_scales_with_realization_count():
     )
     ratio = np.mean(small.sem[1:]) / np.mean(large.sem[1:])
     assert ratio == pytest.approx(math.sqrt(10), rel=0.2)
-
-
-def test_trace_csv_round_trip():
-    tau = np.linspace(0.0, 1.0, 5)
-    trace = TraceResult(tau, np.cos(tau), np.full(5, 0.01), 10)
-    back = TraceResult.from_csv(trace.to_csv())
-    assert np.array_equal(back.abscissa_us, trace.abscissa_us)
-    assert np.array_equal(back.signal, trace.signal)
-    assert np.array_equal(back.sem, trace.sem)

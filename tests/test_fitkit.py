@@ -53,6 +53,32 @@ def test_underdetermined_raises():
         fitkit.fit(fitkit.STRETCHED_EXP, [0, 1, 2], [1, 0.7, 0.5], sigma=[1, 0, 1])
 
 
+def test_fit_that_never_leaves_its_start_is_not_converged():
+    # an averaged echo is exactly 1 at t = 0 in every realization, so its SEM
+    # there is rounding (~6e-17): that weight stops the solver on its first step
+    t = np.linspace(0.0, 8.0 / 6.3, 48)
+    y = np.exp(-t / 0.4) + np.random.default_rng(2).normal(0.0, 0.009, t.size)
+    y[0] = 1.0
+    sem = np.full(t.size, 0.009)
+    spec = fitkit.STRETCHED_EXP
+    start = np.clip(spec.guess(t, y), spec.lower, spec.upper)
+    stalled = fitkit.fit(spec, t, y, sigma=np.concatenate([[6e-17], sem[1:]]))
+    assert np.array_equal(stalled.params, start)
+    assert not stalled.converged
+    moved = fitkit.fit(spec, t, y, sigma=sem)
+    assert moved.converged and not np.array_equal(moved.params, start)
+
+
+def test_csv_text():
+    text = fitkit.csv_text(("t", "y"), [0, 0.1], np.array([1 / 3, -2.5e-300]))
+    assert text == "t,y\n0.0,0.3333333333333333\n0.1,-2.5e-300\n"
+    assert fitkit.csv_text(("t",), []) == "t\n"
+    with pytest.raises(ValueError):
+        fitkit.csv_text(("t", "y"), [0.0])
+    with pytest.raises(ValueError):
+        fitkit.csv_text(("t", "y"), [0.0, 1.0], [0.0])
+
+
 def test_fit_invariant_under_reordering():
     rng = np.random.default_rng(3)
     t = np.linspace(0, 30, 60)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -174,6 +175,33 @@ def test_json_round_trip_lossless():
     assert np.array_equal(back.positions, net.positions)
     assert np.array_equal(back.detunings, net.detunings)
     assert np.array_equal(back.species, net.species)
+
+
+@pytest.mark.parametrize(
+    "spec, realization, digest",
+    [
+        (
+            EnsembleSpec(
+                box_nm=60.0,
+                densities_ppm={Species.NV: 0.6, Species.P1: 1.575},
+                disorder_mhz=1.36,
+                seed=17,
+                axis_weights={Species.NV: (1, 0, 0, 0)},
+            ),
+            3,
+            "0c1b657ed322dd11eefbf2746a38ccb98455978786b8f175c03ec9a7afa4d71f",
+        ),
+        (
+            EnsembleSpec(box_nm=30.0, densities_ppm={Species.P1: 6.3}, placement=Placement.DIAMOND_LATTICE, seed=4),
+            1,
+            "736abc19a6d72c93be52d3531308b636cdaa47f450a473265557786edae09faf",
+        ),
+    ],
+)
+def test_json_bytes_pinned(spec, realization, digest):
+    # SHA-256 of the JSON text the per-site-record serializer wrote
+    text = generate_network(spec, realization=realization).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_validation_errors():

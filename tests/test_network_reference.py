@@ -1,12 +1,14 @@
 """Array-column networks against a per-site reference.
 
-``reference_*`` below build the same networks and rates one ``SpinSite``
-record at a time: a placement loop that draws through ``Generator.choice``
+``network_from_sites`` turns per-site records into array columns for the
+tests that write a few sites by hand.  ``reference_*`` below build the
+same networks and rates one ``SpinSite`` record at a time: a placement loop that draws through ``Generator.choice``
 and scans every placed site, ``dataclasses.replace`` per detuning, and a
 rate builder that compares per-site key tuples.  Every column and every
 rate matrix of the array code must equal them bit for bit.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -30,6 +32,23 @@ from spinnet.constants import J0_MHZ_NM3
 from spinnet.protocol import protocol_network
 from spinnet.spinops import effective_rabi, tilt_projection
 from spinnet.transport import RATE_FLOOR_MHZ, build_rates, transport_network
+
+
+def network_from_sites(spec, sites, realization=0):
+    """The array network of per-site records; every axis must be one of NV_AXES."""
+    axes = np.array([s.axis for s in sites], dtype=float).reshape(-1, 3)
+    axis_index = np.argmax(axes @ NV_AXES.T, axis=1)
+    if not np.allclose(NV_AXES[axis_index], axes):
+        raise ValueError("site axes must be <111> crystal axes")
+    return network.SpinNetwork(
+        spec,
+        [s.position_nm for s in sites],
+        [network.species_code(s.species) for s in sites],
+        axis_index,
+        [s.subgroup for s in sites],
+        [s.detuning_mhz for s in sites],
+        realization,
+    )
 
 
 def reference_generate_network(spec, realization=0):
@@ -238,10 +257,14 @@ def test_sites_and_json_round_trip():
         assert site.species == SPECIES[net.species[i]]
         assert np.array_equal(site.axis, NV_AXES[net.axis_index[i]])
         assert site.detuning_mhz == net.detunings[i]
-    back = network.SpinNetwork.from_sites(spec, sites, realization=net.realization)
+    back = network_from_sites(spec, sites, realization=net.realization)
     assert back.to_json() == net.to_json()
     with pytest.raises(ValueError, match="axes"):
-        network.SpinNetwork.from_sites(spec, [replace(sites[0], axis=np.array([0.0, 0.0, 1.0]))])
+        network_from_sites(spec, [replace(sites[0], axis=np.array([0.0, 0.0, 1.0]))])
+    payload = json.loads(net.to_json())
+    payload["sites"][0]["axis"] = [0.0, 0.0, 1.0]
+    with pytest.raises(ValueError, match="axes"):
+        network.SpinNetwork.from_json(json.dumps(payload))
     with pytest.raises(ValueError, match="one entry per site"):
         network.SpinNetwork(spec, net.positions, net.species[:-1], net.axis_index, net.subgroup, net.detunings)
 

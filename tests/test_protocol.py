@@ -6,7 +6,7 @@ import pytest
 
 from spinnet import protocol
 from spinnet.constants import TWO_PI
-from spinnet.network import NV_AXES, EnsembleSpec, Placement, Species, SpinNetwork, SpinSite
+from spinnet.network import NV_AXES, EnsembleSpec, Placement, Species, SpinSite
 from spinnet.protocol import (
     CROSSOVER,
     CycleConfig,
@@ -21,7 +21,7 @@ from spinnet.protocol import (
     thermal_polarization,
 )
 from spinnet.transport import build_rates, factor_generator
-from test_network_reference import reference_build_rates
+from test_network_reference import network_from_sites, reference_build_rates
 
 
 def desk_factory(r, n_p1=120):
@@ -42,7 +42,7 @@ def pair_network(r_nm=4.0):
         SpinSite(0, center, Species.NV, axis.copy(), 0, 0.0),
         SpinSite(1, center + r_nm * axis, Species.P1, axis.copy(), 0, 0.0),
     ]
-    return SpinNetwork.from_sites(spec, sites, realization=0)
+    return network_from_sites(spec, sites, realization=0)
 
 
 def test_cycle_config_validation():

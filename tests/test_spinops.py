@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from spinnet import spinops
 from spinnet.constants import TWO_PI
-from spinnet.network import NV_AXES, EnsembleSpec, Species, SpinNetwork, SpinSite
+from spinnet.network import NV_AXES, EnsembleSpec, Species, SpinSite
 from spinnet.spinops import (
     ClusterHamiltonian,
     Frame,
@@ -18,6 +18,7 @@ from spinnet.spinops import (
     operator_set,
     tilt_projection,
 )
+from test_network_reference import network_from_sites
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -34,7 +35,7 @@ def site(pos, species=Species.P1, axis_idx=0, subgroup=0):
 
 def cluster(sites):
     """The network of ``sites``, quantized along z."""
-    return SpinNetwork.from_sites(EnsembleSpec(box_nm=1.0, densities_ppm={}, field_axis=tuple(Z)), sites)
+    return network_from_sites(EnsembleSpec(box_nm=1.0, densities_ppm={}, field_axis=tuple(Z)), sites)
 
 
 def coupling(sites):
@@ -270,16 +271,9 @@ def test_effective_disorder():
         effective_disorder(1.0, 0.0)
 
 
-def test_cluster_hamiltonian_validation_and_json():
+def test_cluster_hamiltonian_validation():
     with pytest.raises(ValueError, match="Hermitian"):
         ClusterHamiltonian(np.array([[0, 1], [0, 0]], dtype=complex), Frame.DRESSED, 1)
-    ham = build_cluster_hamiltonian(cluster(pair_sites()), Frame.LAB_SECULAR, {(0, 1): 0.3})
-    import json
-
-    data = json.loads(ham.to_json())
-    back = np.array(data["real"]) + 1j * np.array(data["imag"])
-    assert np.allclose(back, ham.matrix)
-    assert data["frame"] == "lab_secular"
 
 
 def dense_reference(sites, frame, cmap, degenerate):

@@ -386,13 +386,3 @@ def test_diffusion_monotone_in_drive():
         curve, box = average_msd(omega, 1.575, 100, 5, seed=11)
         out[omega] = extract_diffusion(curve, davg, box).d_nm2_per_us
     assert out[6.40] > 3.0 * out[0.5]
-
-
-def test_msd_curve_csv_round_trip():
-    t = np.linspace(0.0, 10.0, 5)
-    curve = MsdCurve(t, 2.0 * t, np.ones_like(t), sem_nm2=0.1 * np.ones_like(t))
-    text = curve.to_csv()
-    back = MsdCurve.from_csv(text)
-    npt.assert_allclose(back.times_us, curve.times_us, rtol=1e-12)
-    npt.assert_allclose(back.msd_nm2, curve.msd_nm2, rtol=1e-12)
-    npt.assert_allclose(back.sem_nm2, curve.sem_nm2, rtol=1e-12)

@@ -1,17 +1,20 @@
-"""Diff the seeded `spinnet reproduce` artifacts of two source trees.
+"""Diff the seeded artifacts of `spinnet reproduce` and `spinnet run` between two source trees.
 
     python tools/artifact_diff.py PARENT_SRC CHANGE_SRC
 
 Each argument is a checkout root or its ``src`` directory.  For each tree
-the six presets run at seeds 0-3 in one fresh interpreter with every BLAS
-and OpenMP pool pinned to 1 thread (the transport and protocol outputs
-depend on the thread count).  The script prints, per artifact, both
-SHA-256 digests and the largest absolute and relative change of any
-numeric cell, then the largest change per artifact name over all seeds.
-``manifest.json`` holds the creation time and is not compared.
+the six presets and the small ``run`` configs of ``RUN_CONFIGS`` (every
+experiment that writes a CSV, and a one-realization protocol run whose
+CSV has no SEM columns) run at seeds 0-3 in one fresh interpreter with
+every BLAS and OpenMP pool pinned to 1 thread (the transport and
+protocol outputs depend on the thread count).  The script prints, per
+artifact, both SHA-256 digests and the largest absolute and relative
+change of any numeric cell, then the largest change per artifact name
+over all seeds.  ``manifest.json`` holds the creation time and is not
+compared.
 
 Exit status: 0 when every artifact is byte-identical, 1 when some differ,
-2 when a tree cannot be found or a preset fails.
+2 when a tree cannot be found or a run fails.
 """
 
 from __future__ import annotations
@@ -32,15 +35,45 @@ TAGS = ("closed-form-chain", "fig-s2", "fig-s3", "fig-s4a", "fig-s4b", "fig-2c")
 SEEDS = (0, 1, 2, 3)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# `spinnet run` configs small enough to run at every seed in seconds; the
+# presets never write these experiments' CSVs
+RUN_CONFIGS = {
+    "deer": {
+        "experiment": "deer",
+        "realizations": 20,
+        "params": {"n_bath": 4},
+        "network": {"densities_ppm": {"P1": 6.3}, "placement": "diamond_lattice"},
+    },
+    "hahn": {"experiment": "hahn", "realizations": 10, "params": {"n_bath": 4}},
+    "rabi": {"experiment": "rabi", "params": {"omega_mhz": 5.0, "n_points": 64}},
+    "diffusion": {
+        "experiment": "diffusion",
+        "realizations": 2,
+        "params": {"n_list": [50, 100]},
+        "network": {"densities_ppm": {"P1": 1.575}, "disorder_mhz": 1.36},
+    },
+    "protocol": {"experiment": "protocol", "realizations": 3, "params": {"n_p1": 40, "n_cycles": 8}},
+    "protocol-1": {"experiment": "protocol", "realizations": 1, "params": {"n_p1": 40, "n_cycles": 8}},
+    "crossover": {
+        "experiment": "crossover",
+        "realizations": 2,
+        "params": {"n_p1": 40, "n_cycles": 8, "omegas_mhz": [1.0, 6.4, 20.0]},
+        "network": {"disorder_mhz": 1.36},
+    },
+}
+
 _RUN_ALL = """
+import json
 import sys
 from spinnet.cli import main
-out, tags, seeds = sys.argv[1], sys.argv[2].split(","), sys.argv[3].split(",")
-for tag in tags:
+out, tags, seeds, runs = sys.argv[1], sys.argv[2].split(","), sys.argv[3].split(","), json.loads(sys.argv[4])
+jobs = [(tag, ["reproduce", tag]) for tag in filter(None, tags)]
+jobs += [("run-" + name, ["run", path]) for name, path in runs.items()]
+for name, argv in jobs:
     for seed in seeds:
-        code = main(["reproduce", tag, "--seed", seed, "--quiet", "--out", f"{out}/{tag}/seed{seed}"])
+        code = main(argv + ["--seed", seed, "--quiet", "--out", f"{out}/{name}/seed{seed}"])
         if code != 0:
-            sys.exit(f"reproduce {tag} --seed {seed} exited {code}")
+            sys.exit(f"{name} --seed {seed} exited {code}")
 """
 
 
@@ -53,13 +86,15 @@ def package_root(path: str) -> Path:
     raise FileNotFoundError(f"no spinnet package under {root} or {root / 'src'}")
 
 
-def run_presets(src: Path, out: Path) -> None:
+def run_artifacts(src: Path, out: Path, tags=TAGS, seeds=SEEDS, runs=RUN_CONFIGS) -> None:
+    """Write every preset of ``tags`` and every config of ``runs`` at each seed under ``out``."""
     env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
-    subprocess.run(
-        [sys.executable, "-c", _RUN_ALL, str(out), ",".join(TAGS), ",".join(map(str, SEEDS))],
-        env=env,
-        check=True,
-    )
+    with tempfile.TemporaryDirectory(prefix="artifact_configs_") as config_dir:
+        paths = {name: os.path.join(config_dir, f"{name}.json") for name in runs}
+        for name, config in runs.items():
+            Path(paths[name]).write_text(json.dumps(config))
+        argv = [_RUN_ALL, str(out), ",".join(tags), ",".join(map(str, seeds)), json.dumps(paths)]
+        subprocess.run([sys.executable, "-c", *argv], env=env, check=True)
 
 
 def _floats(cells) -> list:
@@ -161,9 +196,9 @@ def main(argv=None) -> int:
         outs = [Path(tmp) / "parent", Path(tmp) / "change"]
         for src, out in zip(trees, outs):
             try:
-                run_presets(src, out)
+                run_artifacts(src, out)
             except subprocess.CalledProcessError as err:
-                print(f"error: presets failed for {src}: exit {err.returncode}", file=sys.stderr)
+                print(f"error: a run failed for {src}: exit {err.returncode}", file=sys.stderr)
                 return 2
         rows, differs = compare_trees(*outs)
     summarize(rows)
