@@ -7,10 +7,10 @@ artifacts, ``run`` writes a ``manifest.json`` with the experiment, the
 config as given plus the command-line overrides (defaults the config
 leaves out are not filled in), the seed, the package version, the wall
 time and the creation time; ``reproduce`` writes the preset tag, the
-realization count it ran with, the seed, the version and the creation
-time.  Both manifests record the environment the bytes of the transport
-and protocol outputs depend on: the numpy and scipy versions, the CPU
-count and the BLAS thread variables.
+realization count it ran with, the seed, the version, the wall time and
+the creation time.  Both manifests record the environment the bytes of
+the transport and protocol outputs depend on: the numpy and scipy
+versions, the CPU count and the BLAS thread variables.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import time
 from importlib import resources
 from typing import Optional
 
-import jsonschema
 import numpy as np
 import scipy
 
@@ -56,6 +55,9 @@ def _load_schema() -> dict:
 
 def validate_config(config: dict) -> list:
     """Schema plus physics sanity; returns warnings, raises ConfigError."""
+    # imported on first use: `reproduce` validates no config
+    import jsonschema
+
     try:
         jsonschema.validate(config, _load_schema())
     except jsonschema.ValidationError as err:
@@ -114,6 +116,8 @@ def _run_deer(config: dict) -> tuple:
         "rate_sigma": fit.rate_sigma,
         "t2_us": fit.t2_us,
         "beta": fit.beta,
+        "converged": fit.fit.converged,
+        "nfev": fit.fit.iterations,
     }
     return (
         {"deer_trace.csv": trace.to_csv(), "deer_fit.json": json.dumps(summary, indent=2)},
@@ -436,6 +440,7 @@ def _cmd_reproduce(args) -> int:
     if args.realizations is not None and args.realizations < 1:
         print(f"error: --realizations must be at least 1, got {args.realizations}", file=sys.stderr)
         return EXIT_CONFIG
+    start = time.time()
     try:
         result = presets.run_preset(args.tag, realizations=args.realizations, seed=args.seed or 0)
     except KeyError:
@@ -451,6 +456,7 @@ def _cmd_reproduce(args) -> int:
         "realizations": result.realizations,
         "seed": args.seed or 0,
         "version": __version__,
+        "wall_time_s": time.time() - start,
         "created_unix": time.time(),
         "environment": _environment(),
     }

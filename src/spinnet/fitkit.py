@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import TWO_PI
 
@@ -240,6 +239,11 @@ def fit(
     def residuals(p):
         r = model.func(x, *p) - y
         return r * weights if weights is not None else r
+
+    # imported on first use: scipy.optimize (which loads scipy.linalg,
+    # scipy.sparse and scipy.spatial) is most of a bare CLI call's start-up,
+    # and only the commands that fit need it
+    from scipy.optimize import least_squares
 
     res = least_squares(
         residuals,

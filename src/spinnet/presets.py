@@ -81,6 +81,8 @@ def fig_s2(realizations: int, seed: int) -> PresetResult:
             "rates_mhz": {str(d): rates[d].rate_mhz for d in densities},
             "stretch_beta": {str(d): rates[d].beta for d in densities},
             "ratio": ratio,
+            "fit_converged": {str(d): rates[d].fit.converged for d in densities},
+            "fit_nfev": {str(d): rates[d].fit.iterations for d in densities},
         },
         indent=2,
     )

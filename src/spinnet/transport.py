@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import fitkit
 from .constants import J0_MHZ_NM3
@@ -171,6 +170,9 @@ def pair_table(net: SpinNetwork, gamma_mhz: float = 0.15) -> PairTable:
     cutoff = rate_cutoff(gamma_mhz)
     exclusion = net.spec.exclusion_nm
     radius = max(cutoff, exclusion) * (1.0 + 1e-9)
+    # imported on first use, so that commands without transport never load it
+    from scipy.spatial import cKDTree
+
     i, j = cKDTree(pos).query_pairs(radius, output_type="ndarray").T.copy()
     r, cos = _pair_geometry(pos, i, j, net.spec.field_axis_unit)
     if exclusion > 0 and r.size and r.min() < exclusion - 1e-9:

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
@@ -31,14 +32,42 @@ def test_benchmark_wrap_points_exist():
     tracing.check_wrap_points(tracing.load_modules())
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+DIFFUSION = {"experiment": "diffusion", "realizations": 2, "params": {"n_list": [50, 100]}}
+RABI = {"experiment": "rabi", "params": {"n_points": 64}}
+RUN = "assert cli.main(['run', path, '--out', out, '--quiet']) == 0"
+
+# (statement run after `import spinnet.cli as cli`, the config it reads from
+# `path`, modules it must leave out): the heavy imports stay inside the one
+# function that needs each of them
+FOOTPRINT_CASES = {
+    "import-integrate": ("pass", None, ("scipy.integrate",)),
+    "import": ("pass", None, ("jsonschema", "scipy.optimize", "scipy.spatial")),
+    "validate-diffusion": ("cli.validate_config(config)", DIFFUSION, ("scipy.optimize", "scipy.spatial")),
+    "run-diffusion": (RUN, DIFFUSION, ("scipy.optimize",)),
+    "run-rabi": (RUN, RABI, ("scipy.optimize", "scipy.spatial")),
+}
+
+
+@pytest.mark.parametrize("case", FOOTPRINT_CASES)
+def test_cli_leaves_out_unused_modules(tmp_path, case):
+    statement, config, absent = FOOTPRINT_CASES[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = (
+        "import json, sys\n"
+        "import spinnet.cli as cli\n"
+        "path, out = sys.argv[1:3]\n"
+        "config = json.loads(open(path).read())\n"
+        f"{statement}\n"
+        "print(json.dumps(sorted(m for m in sys.argv[3:] if m in sys.modules)))\n"
+    )
     src = str(Path(spinnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, spinnet.cli; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", code, str(path), str(tmp_path / "out"), *absent],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

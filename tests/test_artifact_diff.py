@@ -22,12 +22,32 @@ def test_compare_trees_reports_largest_numeric_change(tmp_path, capsys):
         write(root, "fig-s3/seed0/manifest.json", f'{{"created_unix": {last}}}')
     rows, differs = artifact_diff.compare_trees(parent, change)
     assert differs
-    deltas = {rel.name: delta for rel, delta in rows}
+    deltas = {rel.name: delta for rel, delta, _ in rows}
     assert set(deltas) == {"d.csv", "s.json"}
     assert deltas["s.json"] == (0.0, 0.0)
     abs_d, rel_d = deltas["d.csv"]
     assert abs(abs_d - 1e-7) < 1e-12 and abs(rel_d - 2e-7) < 1e-12
     assert "identical" in capsys.readouterr().out
+
+
+def test_json_artifact_that_gains_a_key_compares_the_shared_keys(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write(parent, "run-deer/seed0/fit.json", '{"D": 1.0}')
+    write(change, "run-deer/seed0/fit.json", '{"D": 1.0, "nfev": 5}')
+    rows, differs = artifact_diff.compare_trees(parent, change)
+    assert differs
+    assert rows == [(Path("run-deer/seed0/fit.json"), (0.0, 0.0), ("added nfev",))]
+    assert "max_abs 0.000e+00  max_rel 0.000e+00  added nfev" in capsys.readouterr().out
+    artifact_diff.summarize(rows)
+    assert "added nfev" in capsys.readouterr().out
+
+
+def test_keyed_change_names_removed_and_changed_keys():
+    parent = {"rates": {"2.4": 1.0, "6.3": 2.0}, "ok": True, "old": [1]}
+    change = {"rates": {"2.4": 1.0, "6.3": 2.5}, "ok": False}
+    delta, notes = artifact_diff.keyed_change(parent, change)
+    assert delta == (0.5, 0.2)
+    assert notes == ("changed ok", "removed old/0")
 
 
 def test_largest_change_flags_cell_count_mismatch():
@@ -53,4 +73,4 @@ def test_run_artifacts_writes_run_outputs(tmp_path, capsys):
         artifact_diff.run_artifacts(src, tmp_path / side, tags=(), seeds=(1,), runs=runs)
     rows, differs = artifact_diff.compare_trees(tmp_path / "parent", tmp_path / "change")
     assert not differs
-    assert {str(rel) for rel, _ in rows} == {"run-rabi/seed1/rabi_trace.csv", "run-rabi/seed1/rabi_summary.json"}
+    assert {str(rel) for rel, _, _ in rows} == {"run-rabi/seed1/rabi_trace.csv", "run-rabi/seed1/rabi_summary.json"}

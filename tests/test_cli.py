@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy
 
-from spinnet import cli
+from spinnet import cli, clusterdyn
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -253,6 +253,44 @@ def test_reproduce_manifest_records_realizations_used(tmp_path):
     assert json.loads((given / "manifest.json").read_text())["realizations"] == 2
 
 
+def test_reproduce_manifest_records_wall_time(tmp_path):
+    out = tmp_path / "fig-2c"
+    assert cli.main(["reproduce", "fig-2c", "--realizations", "2", "--quiet", "--out", str(out)]) == 0
+    wall = json.loads((out / "manifest.json").read_text())["wall_time_s"]
+    assert isinstance(wall, float) and wall > 0
+
+
+def read_trace(path, n_realizations):
+    """A trace CSV as spinnet wrote it; every cell is repr(float), so it reads back exactly."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    return clusterdyn.TraceResult(data[:, 0], data[:, 1], data[:, 2], n_realizations)
+
+
+def test_deer_fit_records_the_fit_diagnostics(tmp_path):
+    config = {"experiment": "deer", "realizations": 8, "params": {"n_bath": 3}}
+    out = tmp_path / "deer"
+    assert cli.main(["run", write_config(tmp_path, config), "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "deer_fit.json").read_text())
+    fit = clusterdyn.extract_dephasing_rate(read_trace(out / "deer_trace.csv", 8))
+    assert list(summary)[-2:] == ["converged", "nfev"]
+    assert summary["converged"] is fit.fit.converged
+    assert summary["nfev"] == fit.fit.iterations
+    assert summary["rate_mhz"] == fit.rate_mhz and summary["beta"] == fit.beta
+
+
+def test_fig_s2_summary_records_the_fit_diagnostics(tmp_path):
+    out = tmp_path / "fig-s2"
+    assert cli.main(["reproduce", "fig-s2", "--realizations", "20", "--quiet", "--out", str(out)]) == 0
+    summary = json.loads((out / "fig_s2_summary.json").read_text())
+    assert list(summary)[-2:] == ["fit_converged", "fit_nfev"]
+    for density in summary["densities_ppm"]:
+        key = str(density)
+        fit = clusterdyn.extract_dephasing_rate(read_trace(out / f"deer_trace_{density:g}ppm.csv", 20))
+        assert summary["fit_converged"][key] is fit.fit.converged
+        assert summary["fit_nfev"][key] == fit.fit.iterations
+        assert summary["rates_mhz"][key] == fit.rate_mhz
+
+
 def test_manifests_record_the_environment(tmp_path, monkeypatch):
     # the transport and protocol bytes depend on the BLAS thread count
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -360,10 +398,11 @@ def test_reproduce_preset_writes_comparison(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
-def test_module_entry_point():
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "spinnet.cli", "reproduce", "closed-form-chain", "--quiet", "--out", "/tmp/spinnet-entry-test"],
+        [sys.executable, "-m", "spinnet.cli", "reproduce", "closed-form-chain", "--quiet", "--out", str(tmp_path / "entry")],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
+    assert (tmp_path / "entry" / "closed_form_chain.json").exists()

@@ -10,8 +10,10 @@ every BLAS and OpenMP pool pinned to 1 thread (the transport and
 protocol outputs depend on the thread count).  The script prints, per
 artifact, both SHA-256 digests and the largest absolute and relative
 change of any numeric cell, then the largest change per artifact name
-over all seeds.  ``manifest.json`` holds the creation time and is not
-compared.
+over all seeds.  JSON artifacts are compared key by key: the change is
+taken over the numeric keys present on both sides, and keys that were
+added, removed or changed a non-numeric value are named.
+``manifest.json`` holds the creation time and is not compared.
 
 Exit status: 0 when every artifact is byte-identical, 1 when some differ,
 2 when a tree cannot be found or a run fails.
@@ -107,23 +109,27 @@ def _floats(cells) -> list:
     return out
 
 
-def _json_leaves(node) -> list:
+def _json_leaves(node, path: str = "") -> dict:
+    """Every scalar of a JSON document keyed by its path, e.g. ``rates_mhz/2.4`` or ``D/0``."""
     if isinstance(node, dict):
-        return [x for v in node.values() for x in _json_leaves(v)]
-    if isinstance(node, list):
-        return [x for v in node for x in _json_leaves(v)]
-    return [node]
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return {path: node}
+    leaves = {}
+    for key, child in items:
+        leaves.update(_json_leaves(child, f"{path}/{key}" if path else str(key)))
+    return leaves
 
 
-def numeric_cells(path: Path) -> list:
-    """Every numeric cell of a CSV or JSON artifact, in file order."""
-    text = path.read_text()
-    if path.suffix == ".json":
-        leaves = _json_leaves(json.loads(text))
-        return [float(x) for x in leaves if isinstance(x, (int, float)) and not isinstance(x, bool)]
-    if path.suffix == ".csv":
-        return _floats(cell for row in csv.reader(io.StringIO(text)) for cell in row)
-    return []
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def csv_cells(path: Path) -> list:
+    """Every numeric cell of a CSV artifact, in file order."""
+    return _floats(cell for row in csv.reader(io.StringIO(path.read_text())) for cell in row)
 
 
 def largest_change(a: list, b: list):
@@ -140,12 +146,51 @@ def largest_change(a: list, b: list):
     return abs_d, rel_d
 
 
+def keyed_change(a: dict, b: dict) -> tuple:
+    """Compare two JSON documents leaf by leaf.
+
+    Returns the :func:`largest_change` over the numeric leaves present on
+    both sides, and a sorted note for every other leaf that differs:
+    ``added K`` (only in ``b``), ``removed K`` (only in ``a``) and
+    ``changed K`` (a shared leaf that is not a number on both sides, such
+    as a flag, with a different value).
+    """
+    la, lb = _json_leaves(a), _json_leaves(b)
+    shared = [k for k in la if k in lb and _is_number(la[k]) and _is_number(lb[k])]
+    delta = largest_change([float(la[k]) for k in shared], [float(lb[k]) for k in shared])
+    notes = [f"added {k}" for k in lb.keys() - la.keys()] + [f"removed {k}" for k in la.keys() - lb.keys()]
+    notes += [f"changed {k}" for k in la.keys() & lb.keys() if k not in shared and la[k] != lb[k]]
+    return delta, tuple(sorted(notes))
+
+
+def change_text(delta, notes=()) -> str:
+    text = "cell count differs" if delta is None else f"max_abs {delta[0]:.3e}  max_rel {delta[1]:.3e}"
+    return "  ".join([text, ", ".join(notes)]) if notes else text
+
+
 def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else "-" * 64
 
 
+def file_change(a: Path, b: Path) -> tuple:
+    """(largest numeric change, notes on differing JSON keys) of one artifact.
+
+    A JSON artifact is compared key by key (:func:`keyed_change`), so one
+    that gains or loses a field still reports the change of the others; a
+    CSV is compared cell by cell.
+    """
+    if a.suffix == ".json":
+        return keyed_change(json.loads(a.read_text()), json.loads(b.read_text()))
+    if a.suffix == ".csv":
+        return largest_change(csv_cells(a), csv_cells(b)), ()
+    return (0.0, 0.0), ()
+
+
 def compare_trees(parent: Path, change: Path) -> tuple:
-    """Print the digests and largest change of every artifact; return (rows, any_differs)."""
+    """Print the digests and largest change of every artifact; return (rows, any_differs).
+
+    Each row is (relative path, largest change or None, notes on differing JSON keys).
+    """
     names = sorted(
         {p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
         | {p.relative_to(change) for p in change.rglob("*") if p.is_file()}
@@ -156,29 +201,31 @@ def compare_trees(parent: Path, change: Path) -> tuple:
             continue
         a, b = parent / rel, change / rel
         da, db = digest(a), digest(b)
+        notes = ()
         if da == db:
             change_txt, delta = "identical", (0.0, 0.0)
         elif not (a.is_file() and b.is_file()):
             change_txt, delta = "missing on one side", None
         else:
-            delta = largest_change(numeric_cells(a), numeric_cells(b))
-            change_txt = "cell count differs" if delta is None else f"max_abs {delta[0]:.3e}  max_rel {delta[1]:.3e}"
+            delta, notes = file_change(a, b)
+            change_txt = change_text(delta, notes)
         differs |= da != db
-        rows.append((rel, delta))
+        rows.append((rel, delta, notes))
         print(f"{rel}\n  parent {da}\n  change {db}\n  {change_txt}")
     return rows, differs
 
 
 def summarize(rows) -> None:
-    """Largest change per artifact name over all seeds."""
-    worst = {}
-    for rel, delta in rows:
+    """Largest change and every differing JSON key per artifact name over all seeds."""
+    worst, all_notes = {}, {}
+    for rel, delta, notes in rows:
         key = (rel.parts[0], rel.name)
         prev = worst.get(key, (0.0, 0.0))
         worst[key] = None if delta is None or prev is None else (max(prev[0], delta[0]), max(prev[1], delta[1]))
+        all_notes[key] = all_notes.get(key, set()) | set(notes)
     print(f"\nlargest change over seeds {','.join(map(str, SEEDS))}:")
     for (tag, name), delta in sorted(worst.items()):
-        txt = "structure differs" if delta is None else f"max_abs {delta[0]:.3e}  max_rel {delta[1]:.3e}"
+        txt = "structure differs" if delta is None else change_text(delta, sorted(all_notes[tag, name]))
         print(f"  {tag + '/' + name:<42} {txt}")
 
 
