@@ -16,6 +16,7 @@ versions, the CPU count and the BLAS thread variables.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -196,18 +197,12 @@ def _run_diffusion(config: dict) -> tuple:
     )
 
 
+_CYCLE_FIELDS = {f.name for f in dataclasses.fields(protocol.CycleConfig)} - {"omega_mhz"}
+
+
 def _protocol_config(p: dict, omega: float) -> protocol.CycleConfig:
-    return protocol.CycleConfig(
-        omega_mhz=omega,
-        t_hh_us=p.get("t_hh_us", 5.0),
-        t_laser_us=p.get("t_laser_us", 5.0),
-        n_cycles=p.get("n_cycles", 32),
-        p_nv0=p.get("p_nv0", 0.75),
-        t1rho_dark_us=p.get("t1rho_dark_us", 430.0),
-        t1rho_laser_us=p.get("t1rho_laser_us", 32.0),
-        t1rho_nv_us=p.get("t1rho_nv_us", 1300.0),
-        probe_k=p.get("probe_k", 8),
-    )
+    """The CycleConfig at drive ``omega``; ``params`` keys that name its fields override its defaults."""
+    return protocol.CycleConfig(omega_mhz=omega, **{k: v for k, v in p.items() if k in _CYCLE_FIELDS})
 
 
 def _run_protocol(config: dict) -> tuple:
@@ -217,8 +212,8 @@ def _run_protocol(config: dict) -> tuple:
     n_p1 = p.get("n_p1", 120)
     w = config.get("network", {}).get("disorder_mhz", 1.36)
     factory = lambda r: protocol.protocol_network(n_p1=n_p1, w_mhz=w, seed=seed, realization=r)
-    res = protocol.run_iterative_protocol(
-        factory, _protocol_config(p, omega), n_realizations=config.get("realizations", 100)
+    (res,) = protocol.run_iterative_protocol(
+        factory, [_protocol_config(p, omega)], n_realizations=config.get("realizations", 100)
     )
     sat = res.saturation
     summary = {
@@ -323,6 +318,11 @@ def _run_fit(config: dict) -> tuple:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:
         raise ConfigError("config field params/data_csv: need at least x,y columns")
+    if data.shape[1] > 3:
+        # a wider table, e.g. a protocol trajectory, has no one x,y,sigma reading
+        raise ConfigError(
+            f"config field params/data_csv: {data.shape[1]} columns; the fit reads x,y[,sigma]"
+        )
     sigma = data[:, 2] if data.shape[1] > 2 else None
     if sigma is not None and not sigma.any():
         sigma = None  # a noiseless or one-realization trace: fit unweighted

@@ -447,19 +447,17 @@ def generate_network(spec: EnsembleSpec, realization: int = 0) -> SpinNetwork:
     return net
 
 
-def assign_detunings(net: SpinNetwork, sigma_mhz: float, seed=None, rng=None) -> SpinNetwork:
+def assign_detunings(net: SpinNetwork, sigma_mhz: float, rng=None) -> SpinNetwork:
     """Return a copy of ``net`` with fresh quenched Gaussian detunings.
 
     Detunings are drawn once and stay fixed for the network's lifetime.
-    Either an explicit ``seed`` or an already-running ``rng`` stream selects
-    the draw; with neither, the network's own (seed, realization) stream is
-    extended deterministically.
+    An already-running ``rng`` stream selects the draw; without one, the
+    network's own (seed, realization) stream is extended deterministically.
     """
     if sigma_mhz < 0:
         raise ValueError("detuning sigma must be nonnegative")
     if rng is None:
-        entropy = [net.spec.seed, net.realization, 1] if seed is None else [seed]
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        rng = np.random.default_rng(np.random.SeedSequence([net.spec.seed, net.realization, 1]))
     n = net.n_sites
     deltas = rng.normal(0.0, sigma_mhz, size=n) if sigma_mhz > 0 else np.zeros(n)
     return replace(net, detunings=deltas)

@@ -9,7 +9,7 @@ runner can print a uniform table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -25,6 +25,14 @@ class PresetRow:
     simulated: str
     target: str
     within: Optional[bool]
+
+
+def _flag_stalled(row: PresetRow, *fits) -> PresetRow:
+    """``row`` as it is when every fit behind its number converged; otherwise
+    the row is not judged and its value says the fit stalled."""
+    if all(f.converged for f in fits):
+        return row
+    return replace(row, simulated=f"{row.simulated} (fit stalled)", within=None)
 
 
 @dataclass
@@ -67,13 +75,12 @@ def fig_s2(realizations: int, seed: int) -> PresetResult:
         artifacts[f"deer_trace_{dens:g}ppm.csv"] = trace.to_csv()
     ratio = rates[6.3].rate_mhz / rates[2.4].rate_mhz
     rows = [
-        PresetRow(
-            "decay rate 6.3 ppm (MHz)",
-            f"{rates[6.3].rate_mhz:.3f}",
-            "density-scaled",
-            None,
+        _flag_stalled(PresetRow("decay rate 6.3 ppm (MHz)", f"{rates[6.3].rate_mhz:.3f}", "density-scaled", None), rates[6.3].fit),
+        _flag_stalled(
+            PresetRow("rate ratio 6.3/2.4", f"{ratio:.2f}", "2.63 +- 30%", abs(ratio - 2.625) < 0.3 * 2.625),
+            rates[2.4].fit,
+            rates[6.3].fit,
         ),
-        PresetRow("rate ratio 6.3/2.4", f"{ratio:.2f}", "2.63 +- 30%", abs(ratio - 2.625) < 0.3 * 2.625),
     ]
     artifacts["fig_s2_summary.json"] = json.dumps(
         {
@@ -117,12 +124,13 @@ def fig_s4a(realizations: int, seed: int) -> PresetResult:
     """Per-cycle polarization buildup and its saturation fit."""
     config = protocol.CycleConfig(omega_mhz=6.40)
     factory = lambda r: protocol.protocol_network(n_p1=120, seed=seed, realization=r)
-    res = protocol.run_iterative_protocol(factory, config, n_realizations=realizations)
+    (res,) = protocol.run_iterative_protocol(factory, [config], n_realizations=realizations)
     sat = res.saturation
     rows = [
         PresetRow("N_sat (cycles)", f"{sat.n_sat:.2f}", "3 (band 2-4)", 2.0 <= sat.n_sat <= 4.0),
         PresetRow("P_sat at 6.40 MHz", f"{sat.a_sat:.4f}", "reported", None),
     ]
+    rows = [_flag_stalled(row, sat.fit) for row in rows]
     summary = {
         "omega_MHz": 6.40,
         "P_sat": sat.a_sat,
@@ -141,11 +149,13 @@ def fig_s4a(realizations: int, seed: int) -> PresetResult:
 def fig_s4b(realizations: int, seed: int) -> PresetResult:
     """Saturation amplitude versus drive and the disorder crossover fit."""
     omegas = [0.5, 1.0, 2.0, 3.2, 6.4, 10.0, 20.0, 40.0]
-    p_sat, p_sig, cross = protocol.saturation_sweep(omegas, n_realizations=realizations, seed=seed)
+    configs = [protocol.CycleConfig(omega_mhz=omega) for omega in omegas]
+    p_sat, p_sig, cross = protocol.saturation_sweep(configs, n_realizations=realizations, seed=seed)
     rows = [
         PresetRow("P_inf (asymptote)", f"{cross.a_inf:.4f}", "0.179 (band 0.12-0.24)", 0.12 <= cross.a_inf <= 0.24),
         PresetRow("crossover W (MHz)", f"{cross.w_mhz:.3f}", "finite", np.isfinite(cross.w_mhz) and cross.w_mhz > 0),
     ]
+    rows = [_flag_stalled(row, cross.fit) for row in rows]
     summary = {
         "omegas_MHz": omegas,
         "P_sat": list(map(float, p_sat)),
@@ -167,11 +177,12 @@ def fig_s4b(realizations: int, seed: int) -> PresetResult:
 def fig_2c(realizations: int, seed: int) -> PresetResult:
     """Differential readout transient and its equilibration time."""
     factory = lambda r: protocol.protocol_network(n_p1=120, seed=seed, realization=r)
-    eq = protocol.readout_equilibration(factory, 6.40, n_realizations=realizations)
+    eq = protocol.readout_equilibration(factory, protocol.CycleConfig(omega_mhz=6.40), realizations)
     rows = [
         PresetRow("tau_eq (us)", f"{eq.tau_eq_us:.2f}", "2.2 +- 0.6 (exp); < 8.6", eq.tau_eq_us < 8.6),
         PresetRow("Delta_C amplitude", f"{eq.amplitude:.4f}", "reported", None),
     ]
+    rows = [_flag_stalled(row, eq.fit) for row in rows]
     summary = {"tau_eq_us": eq.tau_eq_us, "amplitude": eq.amplitude, "n_realizations": realizations}
     return PresetResult(
         "fig-2c",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -67,8 +67,9 @@ class CycleConfig:
             raise ValueError("drive amplitude must be positive")
         if self.t_hh_us <= 0 or self.t_laser_us <= 0:
             raise ValueError("phase durations must be positive")
-        if not 1 <= self.n_cycles <= 32:
-            raise ValueError("cycle count must lie in [1, 32]")
+        if not 2 <= self.n_cycles <= 32:
+            # the two-parameter saturation fit needs at least two cycles
+            raise ValueError("cycle count must lie in [2, 32]")
         if not 0.0 <= self.p_nv0 <= 1.0:
             raise ValueError("sensor reset polarization must lie in [0, 1]")
         if self.t1rho_dark_us <= 0 or self.t1rho_laser_us <= 0:
@@ -105,7 +106,7 @@ class ProtocolResult:
     p_nv_sem: Optional[np.ndarray]
     p_p1_sem: Optional[np.ndarray]
     n_realizations: int
-    saturation: Optional[SaturationFit] = None
+    saturation: SaturationFit
 
     def to_csv(self) -> str:
         sem = () if self.p_nv_sem is None else (self.p_nv_sem, self.p_p1_sem)
@@ -164,18 +165,6 @@ def _relaxation(net: SpinNetwork, t1rho_bath_us: float, t1rho_nv_us: Optional[fl
     return np.where(np.isfinite(t1), 1.0 / t1, 0.0)
 
 
-def _hh_propagator(rm: RateMatrix, net: SpinNetwork, config: CycleConfig):
-    """Eigen-decomposed generator for the exchange phase, reused per cycle."""
-    gen = factor_generator(rm, _relaxation(net, config.t1rho_dark_us, config.t1rho_nv_us))
-    evecs = gen.evecs
-    decay = np.exp(-gen.evals * config.t_hh_us)
-
-    def step(p: np.ndarray) -> np.ndarray:
-        return evecs @ (decay * (evecs.T @ p))
-
-    return step
-
-
 def _probe_indices(net: SpinNetwork, k: int) -> np.ndarray:
     """The k bath sites nearest to the most central sensor."""
     nv = net.indices_of(Species.NV)
@@ -189,7 +178,7 @@ def _probe_indices(net: SpinNetwork, k: int) -> np.ndarray:
 def _single_run(net: SpinNetwork, config: CycleConfig, rm: RateMatrix, probe: np.ndarray) -> tuple:
     nv = net.indices_of(Species.NV)
     p1 = net.indices_of(Species.P1)
-    step = _hh_propagator(rm, net, config)
+    gen = factor_generator(rm, _relaxation(net, config.t1rho_dark_us, config.t1rho_nv_us))
     laser_decay = math.exp(-config.t_laser_us / config.t1rho_laser_us)
 
     p = np.zeros(net.n_sites)
@@ -197,7 +186,7 @@ def _single_run(net: SpinNetwork, config: CycleConfig, rm: RateMatrix, probe: np
     traj_nv = np.empty(config.n_cycles)
     traj_p1 = np.empty(config.n_cycles)
     for cycle in range(config.n_cycles):
-        p = step(p)
+        p = gen.propagate(p, config.t_hh_us)[0]
         # record at the end of the exchange phase, before the reset
         traj_nv[cycle] = p[nv].mean()
         traj_p1[cycle] = p[probe].mean()
@@ -206,7 +195,7 @@ def _single_run(net: SpinNetwork, config: CycleConfig, rm: RateMatrix, probe: np
     return traj_nv, traj_p1
 
 
-def _reduce(nv_runs: np.ndarray, p1_runs: np.ndarray, fit: bool) -> ProtocolResult:
+def _reduce(nv_runs: np.ndarray, p1_runs: np.ndarray) -> ProtocolResult:
     n_realizations, n_cycles = nv_runs.shape
     cycles = np.arange(1, n_cycles + 1, dtype=float)
     if n_realizations > 1:
@@ -215,37 +204,26 @@ def _reduce(nv_runs: np.ndarray, p1_runs: np.ndarray, fit: bool) -> ProtocolResu
     else:
         p_nv, p_p1 = nv_runs[0], p1_runs[0]
         nv_sem = p1_sem = None
-    result = ProtocolResult(cycles, p_nv, p_p1, nv_sem, p1_sem, n_realizations)
-    if fit:
-        result.saturation = fit_saturation(cycles, p_p1, sem=p1_sem)
-    return result
-
-
-NetworkFactory = Union[SpinNetwork, Callable[[int], SpinNetwork]]
+    saturation = fit_saturation(cycles, p_p1, sem=p1_sem)
+    return ProtocolResult(cycles, p_nv, p_p1, nv_sem, p1_sem, n_realizations, saturation)
 
 
 def run_iterative_protocol(
-    net: NetworkFactory,
-    config: Union[CycleConfig, Sequence[CycleConfig]],
-    n_realizations: int = 1,
-    fit: bool = True,
-) -> Union[ProtocolResult, list]:
-    """Disorder-averaged per-cycle sensor and bath polarization.
+    factory: Callable[[int], SpinNetwork],
+    configs: Sequence[CycleConfig],
+    n_realizations: int,
+) -> list:
+    """Disorder-averaged per-cycle sensor and bath polarization, one
+    :class:`ProtocolResult` per config.
 
-    ``net`` is either a single network (one realization) or a callable
-    mapping a realization index to a network.  ``config`` is one
-    :class:`CycleConfig`, which gives one :class:`ProtocolResult`, or a
-    sequence of them, which gives a list with one result per config.
-
-    Realizations form the outer loop: each network is built once, and its
-    pair table (:func:`transport.pair_table`, at the longest rate cutoff,
-    i.e. the smallest ``gamma_mhz``, of the configs) and probe ranking
-    once; then, for each config, the rates, the exchange-phase propagator
-    and the cycle loop.  Each result is reduced and fitted on its own, so a
-    sequence gives the same numbers as one call per config.
+    ``factory`` maps a realization index to a network.  Realizations form
+    the outer loop: each network is built once, and its pair table
+    (:func:`transport.pair_table`, at the longest rate cutoff, i.e. the
+    smallest ``gamma_mhz``, of the configs) and probe ranking once; then,
+    for each config, the rates, the exchange-phase generator and the cycle
+    loop.  Each result is reduced and given its saturation fit on its own,
+    so a sequence gives the same numbers as one call per config.
     """
-    configs = [config] if isinstance(config, CycleConfig) else list(config)
-    factory = net if callable(net) else (lambda r, _n=net: _n)
     gamma_min = min(c.gamma_mhz for c in configs)
     nv_runs = [np.empty((n_realizations, c.n_cycles)) for c in configs]
     p1_runs = [np.empty((n_realizations, c.n_cycles)) for c in configs]
@@ -259,26 +237,23 @@ def run_iterative_protocol(
         for k, c in enumerate(configs):
             rm = build_rates(pairs, c.omega_mhz, c.gamma_mhz)
             nv_runs[k][r], p1_runs[k][r] = _single_run(one, c, rm, ranked[: c.probe_k])
-    results = [_reduce(nv, p1, fit) for nv, p1 in zip(nv_runs, p1_runs)]
-    return results[0] if isinstance(config, CycleConfig) else results
+    return [_reduce(nv, p1) for nv, p1 in zip(nv_runs, p1_runs)]
 
 
 def saturation_sweep(
-    drives: Sequence[Union[float, CycleConfig]],
+    configs: Sequence[CycleConfig],
     n_realizations: int = 100,
     n_p1: int = 120,
     seed: int = 0,
     w_mhz: float = 1.36,
 ) -> tuple:
-    """P_sat per drive amplitude plus the crossover fit against disorder.
+    """P_sat per config (one config per drive amplitude) plus the crossover
+    fit against disorder.
 
-    ``drives`` holds drive amplitudes in MHz, each run with the default
-    :class:`CycleConfig`, or one full config per drive.  The sweep is one
-    :func:`run_iterative_protocol` call with every config, so each
-    network is built once and serves every drive.  ``w_mhz`` is the
-    quenched detuning spread of every network.
+    The sweep is one :func:`run_iterative_protocol` call with every config,
+    so each network is built once and serves every drive.  ``w_mhz`` is
+    the quenched detuning spread of every network.
     """
-    configs = [d if isinstance(d, CycleConfig) else CycleConfig(omega_mhz=float(d)) for d in drives]
     omegas = np.array([c.omega_mhz for c in configs], dtype=float)
     factory = lambda r: protocol_network(n_p1=n_p1, w_mhz=w_mhz, seed=seed, realization=r)
     results = run_iterative_protocol(factory, configs, n_realizations=n_realizations)
@@ -383,21 +358,18 @@ def enhancement(p: float, p_thermal: float) -> float:
 
 
 def readout_equilibration(
-    net: NetworkFactory,
-    omega_mhz: float,
+    factory: Callable[[int], SpinNetwork],
+    config: CycleConfig,
+    n_realizations: int,
     times_us=None,
     p_p1: float = 0.074,
-    p_nv0: float = 0.75,
-    t1rho_dark_us: float = 430.0,
-    t1rho_nv_us: Optional[float] = 1300.0,
-    gamma_mhz: float = 0.15,
-    n_realizations: int = 1,
 ) -> EquilibrationResult:
     """Sensor contrast transient while reading out a prepared bath.
 
-    The bath starts at +-p_p1 and the sensors at p_nv0; the contrast
-    difference between the two signs, normalized by p_nv0, rises as the
-    sensors equilibrate with their local bath.  An exponential
+    The bath starts at +-p_p1 and the sensors at ``config.p_nv0``; the
+    contrast difference between the two signs, normalized by p_nv0, rises
+    as the sensors equilibrate with their local bath under the drive,
+    linewidth and dark relaxation of ``config``.  An exponential
     saturation fit gives the equilibration time.
 
     The master equation is linear, so the transient is computed by
@@ -409,21 +381,20 @@ def readout_equilibration(
     if times_us is None:
         times_us = np.linspace(0.0, 10.0, 41)
     times_us = np.asarray(times_us, dtype=float)
-    factory = net if callable(net) else (lambda r, _n=net: _n)
 
     curves = np.empty((n_realizations, times_us.size))
     for r in range(n_realizations):
         one = factory(r)
         nv = one.indices_of(Species.NV)
         p1 = one.indices_of(Species.P1)
-        rm = build_rates(one, omega_mhz, gamma_mhz)
-        gen = factor_generator(rm, _relaxation(one, t1rho_dark_us, t1rho_nv_us))
+        rm = build_rates(one, config.omega_mhz, config.gamma_mhz)
+        gen = factor_generator(rm, _relaxation(one, config.t1rho_dark_us, config.t1rho_nv_us))
         # plus - minus: the sensors cancel, the bath differs by 2 * p_p1
         d = np.zeros(one.n_sites)
         d[p1] = 2.0 * p_p1
         sensors = gen.propagate(d, times_us, rows=nv)
         sensors[times_us == 0] = d[nv]
-        curves[r] = sensors.mean(axis=1) / p_nv0
+        curves[r] = sensors.mean(axis=1) / config.p_nv0
 
     delta_c = curves.mean(axis=0)
     res = fitkit.fit(fitkit.EXP_SATURATION, times_us, delta_c)

@@ -248,15 +248,6 @@ class Trajectory:
         return self.polarization.sum(axis=1)
 
 
-def _relaxation_vector(t1rho_us, n: int) -> np.ndarray:
-    if t1rho_us is None:
-        return np.zeros(n)
-    arr = np.broadcast_to(np.asarray(t1rho_us, dtype=float), (n,)).copy()
-    if np.any(arr <= 0):
-        raise ValueError("T1rho must be positive (or None for no relaxation)")
-    return 1.0 / arr
-
-
 @dataclass(frozen=True)
 class Generator:
     """Eigendecomposition of the master-equation generator of one network.
@@ -291,23 +282,15 @@ def factor_generator(rates: RateMatrix, relax=None) -> Generator:
     return Generator(rates, relax, evals, evecs)
 
 
-def integrate_master_equation(rates, t1rho_us, p0, times_us) -> Trajectory:
+def integrate_master_equation(gen: Generator, p0, times_us) -> Trajectory:
     """Propagate the lattice master equation to the requested times.
 
-    The symmetric generator is diagonalized once, so the solution is exact
-    at any time.  ``rates`` is a :class:`RateMatrix`, or a
-    :class:`Generator` from :func:`factor_generator` that carries its own
-    relaxation (``t1rho_us`` must then be None) and whose factorization is
-    reused, so several time grids cost one diagonalization.  Without
-    relaxation the total polarization is verified to be conserved to 1e-6
-    and the solution to respect the maximum principle.
+    ``gen`` is the diagonalized generator from :func:`factor_generator`,
+    relaxation included, so the solution is exact at any time and several
+    time grids cost one diagonalization.  Without relaxation the total
+    polarization is verified to be conserved to 1e-6 and the solution to
+    respect the maximum principle.
     """
-    if isinstance(rates, Generator):
-        if t1rho_us is not None:
-            raise ValueError("a factored generator carries its own relaxation; pass t1rho_us=None")
-        gen = rates
-    else:
-        gen = factor_generator(rates, _relaxation_vector(t1rho_us, rates.n_sites))
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (gen.rates.n_sites,):
         raise ValueError("initial polarization length must match the rate matrix")
@@ -471,14 +454,13 @@ def average_msd(
     w_mhz: float = 1.36,
     gamma_mhz: float = 0.15,
     seed: int = 0,
-    times_us=None,
 ) -> tuple:
     """Disorder-averaged MSD curve for one box size.
 
-    When no time grid is given, the grid end is chosen adaptively on the
-    first realization so the curve crosses the top of the analysis window;
-    every probe grid and the final grid of that realization are propagated
-    from one factorization of its generator.  Returns (curve, box_nm).
+    The time grid end is chosen adaptively on the first realization so the
+    curve crosses the top of the analysis window; every probe grid and the
+    final grid of that realization are propagated from one factorization
+    of its generator.  Returns (curve, box_nm).
     """
     n = ppm_to_density(density_ppm)
     box = (n_p1 / n) ** (1.0 / 3.0)
@@ -491,22 +473,18 @@ def average_msd(
     def curve(net, gen, grid):
         p0 = np.zeros(net.n_sites)
         p0[0] = 1.0
-        traj = integrate_master_equation(gen, None, p0, grid)
+        traj = integrate_master_equation(gen, p0, grid)
         return msd(traj, net.positions, 0)
 
-    first = None
-    if times_us is None:
-        # every probe grid reuses the factorization of realization 0
-        first = factored(0)
-        t_end = 100.0
-        for _ in range(8):
-            probe = curve(*first, _default_time_grid(t_end))
-            if probe.msd_nm2.max() >= msd_top:
-                break
-            t_end *= 4.0
-        times_us = _default_time_grid(t_end)
-    else:
-        times_us = np.asarray(times_us, dtype=float)
+    # every probe grid reuses the factorization of realization 0
+    first = factored(0)
+    t_end = 100.0
+    for _ in range(8):
+        probe = curve(*first, _default_time_grid(t_end))
+        if probe.msd_nm2.max() >= msd_top:
+            break
+        t_end *= 4.0
+    times_us = _default_time_grid(t_end)
 
     curves = np.empty((n_realizations, times_us.size))
     totals = np.empty((n_realizations, times_us.size))

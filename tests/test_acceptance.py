@@ -110,12 +110,14 @@ def test_criterion_3_diffusion_pipeline():
 def test_criterion_4_protocol_saturation():
     start = time.perf_counter()
     factory = lambda r: protocol.protocol_network(seed=0, realization=r)
-    res = protocol.run_iterative_protocol(
-        factory, protocol.CycleConfig(omega_mhz=6.40), n_realizations=100
+    (res,) = protocol.run_iterative_protocol(
+        factory, [protocol.CycleConfig(omega_mhz=6.40)], n_realizations=100
     )
     n_sat = res.saturation.n_sat
     _, _, cross = protocol.saturation_sweep(
-        [0.5, 1.0, 2.0, 3.2, 6.4, 10.0, 20.0, 40.0], n_realizations=100, seed=0
+        [protocol.CycleConfig(omega_mhz=o) for o in (0.5, 1.0, 2.0, 3.2, 6.4, 10.0, 20.0, 40.0)],
+        n_realizations=100,
+        seed=0,
     )
     elapsed = time.perf_counter() - start
     ok = 2.0 <= n_sat <= 4.0 and 0.12 <= cross.a_inf <= 0.24 and elapsed < 900.0
@@ -128,7 +130,9 @@ def test_criterion_4_protocol_saturation():
 
 def test_criterion_5_crossover_recovery():
     omegas = [0.5, 1.0, 2.0, 3.2, 6.4, 10.0]
-    _, _, sim = protocol.saturation_sweep(omegas, n_realizations=30, seed=1)
+    _, _, sim = protocol.saturation_sweep(
+        [protocol.CycleConfig(omega_mhz=o) for o in omegas], n_realizations=30, seed=1
+    )
     grid = np.linspace(0.5, 10.0, 25)
     clean = 0.179 * grid**2 / (grid**2 + 1.36**2)
     fit0 = protocol.fit_crossover(grid, clean)
@@ -235,7 +239,7 @@ def test_criterion_7_conservation_and_fits():
     rm = transport.build_rates(net, 6.40)
     p0 = np.zeros(len(net.positions))
     p0[0] = 1.0
-    traj = transport.integrate_master_equation(rm, None, p0, np.geomspace(0.1, 2e4, 25))
+    traj = transport.integrate_master_equation(transport.factor_generator(rm), p0, np.geomspace(0.1, 2e4, 25))
     cons_err = float(np.abs(traj.total() - 1.0).max())
 
     rate = 0.08
@@ -243,7 +247,7 @@ def test_criterion_7_conservation_and_fits():
         np.array([[0.0, rate], [rate, 0.0]]), cutoff_nm=60.0, omega_mhz=6.40, gamma_mhz=0.15
     )
     times = np.linspace(0.0, 40.0, 17)
-    traj2 = transport.integrate_master_equation(rm2, None, np.array([1.0, 0.0]), times)
+    traj2 = transport.integrate_master_equation(transport.factor_generator(rm2), np.array([1.0, 0.0]), times)
     two_site_err = float(
         np.abs(traj2.polarization[:, 0] - 0.5 * (1.0 + np.exp(-2.0 * rate * times))).max()
     )
@@ -286,8 +290,9 @@ def test_criterion_7_conservation_and_fits():
 
 def test_criterion_8_readout_equilibration():
     net = protocol.protocol_network(seed=0, realization=0)
-    plus = protocol.readout_equilibration(net, 6.40, p_p1=0.074)
-    minus = protocol.readout_equilibration(net, 6.40, p_p1=-0.074)
+    config = protocol.CycleConfig(omega_mhz=6.40)
+    plus = protocol.readout_equilibration(lambda r: net, config, 1, p_p1=0.074)
+    minus = protocol.readout_equilibration(lambda r: net, config, 1, p_p1=-0.074)
     asym = float(np.abs(plus.delta_c + minus.delta_c).max())
     bound = 430.0 / 50.0
     ok = plus.tau_eq_us < bound and asym < 1e-12

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy
 
-from spinnet import cli, clusterdyn
+from spinnet import cli, clusterdyn, fitkit
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -227,10 +228,20 @@ def test_misspelt_param_is_config_error(tmp_path, capsys, experiment, params, ty
         ("diffusion", {"n_list": [50]}, "params/n_list"),
         ("crossover", {"omegas_mhz": [1.0]}, "params/omegas_mhz"),
         ("concentration", {"gamma_exp_mhz": 1.0, "calibration_densities_ppm": [6.3]}, "params/calibration_densities_ppm"),
+        # one cycle leaves the two-parameter saturation fit underdetermined
+        ("protocol", {"n_cycles": 1}, "params/n_cycles"),
+        ("crossover", {"omegas_mhz": [1.0, 2.0], "n_cycles": 1}, "params/n_cycles"),
+        # one bath spin gives no sensor at the 0.6/1.575 density ratio
+        ("protocol", {"n_p1": 1}, "params/n_p1"),
+        ("crossover", {"omegas_mhz": [1.0, 2.0], "n_p1": 1}, "params/n_p1"),
+        # rows whose field is in the network block give that block's contents
+        ("deer", {"densities_ppm": {"P1": 0}}, "network/densities_ppm/P1"),
+        ("diffusion", {"densities_ppm": {"P1": 0}}, "network/densities_ppm/P1"),
     ],
 )
 def test_out_of_range_param_is_config_error(tmp_path, capsys, experiment, params, field):
-    config = {"experiment": experiment, "realizations": 1, "params": params}
+    block = field.split("/")[0]
+    config = {"experiment": experiment, "realizations": 1, block: params}
     path = write_config(tmp_path, config)
     assert cli.main(["run", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"config field {field}:" in capsys.readouterr().err
@@ -346,6 +357,41 @@ def test_run_fit_reads_a_written_trace(tmp_path, capsys):
         config["params"]["data_csv"] = str(bad)
         assert cli.main(["run", write_config(tmp_path, config), "--out", str(out), "--quiet"]) == 3
         assert "sigma values must be positive" in capsys.readouterr().err
+
+
+def test_run_fit_refuses_a_wider_table(tmp_path, capsys):
+    # a protocol trajectory (cycle,p_nv,p_p1,p_nv_sem,p_p1_sem) has no one x,y,sigma reading
+    config = {"experiment": "protocol", "realizations": 2, "params": {"n_p1": 20, "n_cycles": 8}}
+    assert cli.main(["run", write_config(tmp_path, config), "--out", str(tmp_path / "p"), "--quiet"]) == 0
+    trajectory = tmp_path / "p" / "protocol_trajectory.csv"
+    fit = {"experiment": "fit", "params": {"model": "exp_saturation", "data_csv": str(trajectory)}}
+    capsys.readouterr()
+    assert cli.main(["run", write_config(tmp_path, fit, "fit.json"), "--out", str(tmp_path / "f"), "--quiet"]) == 2
+    assert "config field params/data_csv:" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+# (preset, realizations, the rows judged from a fit)
+STALLED_ROWS = {
+    "fig-s2": (20, ["decay rate 6.3 ppm (MHz)", "rate ratio 6.3/2.4"]),
+    "fig-s4a": (2, ["N_sat (cycles)", "P_sat at 6.40 MHz"]),
+    "fig-s4b": (2, ["P_inf (asymptote)", "crossover W (MHz)"]),
+    "fig-2c": (2, ["tau_eq (us)", "Delta_C amplitude"]),
+}
+
+
+@pytest.mark.parametrize("tag", STALLED_ROWS)
+def test_reproduce_does_not_judge_a_stalled_fit(tmp_path, capsys, monkeypatch, tag):
+    original = fitkit.fit
+    monkeypatch.setattr(fitkit, "fit", lambda *a, **k: replace(original(*a, **k), converged=False))
+    realizations, quantities = STALLED_ROWS[tag]
+    argv = ["reproduce", tag, "--realizations", str(realizations), "--out", str(tmp_path / tag)]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for quantity in quantities:
+        (line,) = [ln for ln in lines if ln.strip().startswith(quantity)]
+        assert "(fit stalled)" in line
+        assert line.rstrip().endswith("--")
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys):

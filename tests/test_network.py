@@ -126,9 +126,9 @@ def test_detunings_quenched_gaussian():
     spec = EnsembleSpec(box_nm=250.0, densities_ppm={Species.P1: 10.0}, seed=4)
     net = generate_network(spec)
     assert len(net.positions) >= 10_000
-    with_d = assign_detunings(net, 1.36, seed=42)
+    with_d = assign_detunings(net, 1.36, rng=np.random.default_rng(42))
     assert np.std(with_d.detunings) == pytest.approx(1.36, rel=0.03)
-    again = assign_detunings(net, 1.36, seed=42)
+    again = assign_detunings(net, 1.36, rng=np.random.default_rng(42))
     assert np.array_equal(with_d.detunings, again.detunings)
     zero = assign_detunings(net, 0.0)
     assert np.all(zero.detunings == 0)

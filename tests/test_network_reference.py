@@ -272,7 +272,7 @@ def test_sites_and_json_round_trip():
 def test_columns_are_not_shared():
     spec = EnsembleSpec(box_nm=40.0, densities_ppm={Species.P1: 1.575}, seed=2)
     net = generate_network(spec)
-    moved = network.assign_detunings(net, 1.0, seed=1)
+    moved = network.assign_detunings(net, 1.0)
     moved.positions[0, 0] = math.nan
     moved.subgroup[:] = 9
     assert not np.isnan(net.positions).any()

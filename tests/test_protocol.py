@@ -48,6 +48,8 @@ def pair_network(r_nm=4.0):
 def test_cycle_config_validation():
     with pytest.raises(ValueError, match="cycle count"):
         CycleConfig(omega_mhz=6.4, n_cycles=33)
+    with pytest.raises(ValueError, match="cycle count"):
+        CycleConfig(omega_mhz=6.4, n_cycles=1)
     with pytest.raises(ValueError, match="positive"):
         CycleConfig(omega_mhz=-1.0)
     with pytest.raises(ValueError, match="reset polarization"):
@@ -79,7 +81,7 @@ def test_missing_species_raises():
 
     net = generate_network(spec, realization=0)
     with pytest.raises(ValueError, match="sensor"):
-        run_iterative_protocol(net, CycleConfig(omega_mhz=6.4))
+        run_iterative_protocol(lambda r: net, [CycleConfig(omega_mhz=6.4)], 1)
 
 
 def test_isolated_pair_shares_polarization():
@@ -88,30 +90,28 @@ def test_isolated_pair_shares_polarization():
     config = CycleConfig(
         omega_mhz=6.4,
         t_hh_us=1e7,
-        n_cycles=1,
+        n_cycles=2,
         t1rho_dark_us=1e15,
         t1rho_nv_us=None,
         probe_k=1,
     )
-    res = run_iterative_protocol(pair_network(), config, fit=False)
+    (res,) = run_iterative_protocol(lambda r: pair_network(), [config], 1)
     npt.assert_allclose(res.p_nv[0], 0.375, atol=1e-6)
     npt.assert_allclose(res.p_p1[0], 0.375, atol=1e-6)
 
 
 def test_hh_phase_conserves_total_polarization():
-    from spinnet.protocol import _hh_propagator
-
     net = desk_factory(0, n_p1=60)
     config = CycleConfig(omega_mhz=6.4, t1rho_dark_us=1e15, t1rho_nv_us=None)
     rm = build_rates(net, 6.4)
-    step = _hh_propagator(rm, net, config)
+    gen = factor_generator(rm, protocol._relaxation(net, config.t1rho_dark_us, config.t1rho_nv_us))
     p = np.zeros(len(net.positions))
     p[net.indices_of(Species.NV)] = 0.75
-    assert abs(step(p).sum() - p.sum()) < 1e-6 * p.sum()
+    assert abs(gen.propagate(p, config.t_hh_us)[0].sum() - p.sum()) < 1e-6 * p.sum()
 
 
 def test_desk_run_monotone_and_bounded():
-    res = run_iterative_protocol(desk_factory, CycleConfig(omega_mhz=6.4), n_realizations=20)
+    (res,) = run_iterative_protocol(desk_factory, [CycleConfig(omega_mhz=6.4)], n_realizations=20)
     assert np.all(res.p_p1 >= -1e-12)
     assert np.all(res.p_p1 <= 1.0)
     assert np.all(res.p_nv <= 1.0)
@@ -123,12 +123,11 @@ def test_desk_run_monotone_and_bounded():
 
 
 def test_slower_laser_relaxation_raises_both_fit_parameters():
-    fast = run_iterative_protocol(
-        desk_factory, CycleConfig(omega_mhz=6.4), n_realizations=10
-    ).saturation
-    slow = run_iterative_protocol(
-        desk_factory, CycleConfig(omega_mhz=6.4, t1rho_laser_us=1e9), n_realizations=10
-    ).saturation
+    (fast,) = run_iterative_protocol(desk_factory, [CycleConfig(omega_mhz=6.4)], n_realizations=10)
+    (slow,) = run_iterative_protocol(
+        desk_factory, [CycleConfig(omega_mhz=6.4, t1rho_laser_us=1e9)], n_realizations=10
+    )
+    fast, slow = fast.saturation, slow.saturation
     assert slow.a_sat > fast.a_sat
     assert slow.n_sat > fast.n_sat
 
@@ -136,7 +135,7 @@ def test_slower_laser_relaxation_raises_both_fit_parameters():
 def test_saturation_monotone_in_drive():
     out = []
     for omega in (0.5, 2.0, 6.4):
-        res = run_iterative_protocol(desk_factory, CycleConfig(omega_mhz=omega), n_realizations=10)
+        (res,) = run_iterative_protocol(desk_factory, [CycleConfig(omega_mhz=omega)], n_realizations=10)
         out.append(res.saturation.a_sat)
     assert out[0] < out[1] < out[2]
 
@@ -202,19 +201,19 @@ def test_temperature_round_trip_and_domain():
 
 def test_readout_zero_preparation_is_null():
     net = desk_factory(0, n_p1=60)
-    eq = readout_equilibration(net, 6.40, p_p1=0.0)
+    eq = readout_equilibration(lambda r: net, CycleConfig(omega_mhz=6.40), 1, p_p1=0.0)
     npt.assert_allclose(eq.delta_c, 0.0, atol=1e-12)
 
 
 def test_readout_sign_flip_antisymmetric():
     net = desk_factory(1, n_p1=60)
-    a = readout_equilibration(net, 6.40, p_p1=0.074)
-    b = readout_equilibration(net, 6.40, p_p1=-0.074)
+    a = readout_equilibration(lambda r: net, CycleConfig(omega_mhz=6.40), 1, p_p1=0.074)
+    b = readout_equilibration(lambda r: net, CycleConfig(omega_mhz=6.40), 1, p_p1=-0.074)
     npt.assert_allclose(a.delta_c, -b.delta_c, atol=1e-14)
 
 
 def test_readout_equilibrates_fast_and_rises():
-    eq = readout_equilibration(lambda r: desk_factory(r), 6.40, n_realizations=10)
+    eq = readout_equilibration(desk_factory, CycleConfig(omega_mhz=6.40), 10)
     assert eq.tau_eq_us < 430.0 / 50.0
     assert eq.delta_c[0] == 0.0
     assert eq.delta_c[-1] > 0.0
@@ -240,15 +239,15 @@ def test_quasi_equilibrium_recovers_prepared_polarization():
     nv = net.indices_of(Species.NV)
     p1 = net.indices_of(Species.P1)
     times = np.concatenate([[0.0], np.geomspace(1.0, 5e4, 30)])
-    eq = readout_equilibration(
-        net, 6.40, times_us=times, p_p1=0.074, t1rho_dark_us=1e12, t1rho_nv_us=None
-    )
+    config = CycleConfig(omega_mhz=6.40, t1rho_dark_us=1e12, t1rho_nv_us=None)
+    eq = readout_equilibration(lambda r: net, config, 1, times_us=times, p_p1=0.074)
     est = estimate_p1_polarization(eq.delta_c[-1], p1.size / nv.size)
     npt.assert_allclose(est, 0.074, rtol=0.10)
 
 
 def test_protocol_csv():
-    res = run_iterative_protocol(desk_factory(3, n_p1=40), CycleConfig(omega_mhz=6.4), fit=False)
+    net = desk_factory(3, n_p1=40)
+    (res,) = run_iterative_protocol(lambda r: net, [CycleConfig(omega_mhz=6.4)], 1)
     text = res.to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "cycle,p_nv,p_p1"
@@ -258,7 +257,7 @@ def test_protocol_csv():
 
 
 
-def reference_protocol(factory, config, n_realizations, fit=True):
+def reference_protocol(factory, config, n_realizations):
     """The drive-by-drive protocol loop: every network and its rates rebuilt per config.
 
     Rates come from the per-site ``reference_build_rates``, the generator
@@ -296,10 +295,8 @@ def reference_protocol(factory, config, n_realizations, fit=True):
         p_p1, p1_sem = protocol.fitkit.reduce_mean_sem(p1_runs)
     else:
         p_nv, p_p1, nv_sem, p1_sem = nv_runs[0], p1_runs[0], None, None
-    res = protocol.ProtocolResult(cycles, p_nv, p_p1, nv_sem, p1_sem, n_realizations)
-    if fit:
-        res.saturation = fit_saturation(cycles, p_p1, sem=p1_sem)
-    return res
+    saturation = fit_saturation(cycles, p_p1, sem=p1_sem)
+    return protocol.ProtocolResult(cycles, p_nv, p_p1, nv_sem, p1_sem, n_realizations, saturation)
 
 
 def assert_same_result(got, want):
@@ -307,10 +304,8 @@ def assert_same_result(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None and b is None) or np.array_equal(a, b), name
     assert got.n_realizations == want.n_realizations
-    assert (got.saturation is None) == (want.saturation is None)
-    if want.saturation is not None:
-        assert got.saturation.a_sat == want.saturation.a_sat
-        assert got.saturation.n_sat == want.saturation.n_sat
+    assert got.saturation.a_sat == want.saturation.a_sat
+    assert got.saturation.n_sat == want.saturation.n_sat
 
 
 # four drives, two linewidths, a short run, a relaxation-free sensor and a
@@ -328,7 +323,7 @@ def test_config_sequence_equals_one_run_per_config():
     together = run_iterative_protocol(factory, SWEEP_CONFIGS, n_realizations=4)
     assert isinstance(together, list) and len(together) == len(SWEEP_CONFIGS)
     for got, config in zip(together, SWEEP_CONFIGS):
-        assert_same_result(got, run_iterative_protocol(factory, config, n_realizations=4))
+        assert_same_result(got, run_iterative_protocol(factory, [config], n_realizations=4)[0])
         assert_same_result(got, reference_protocol(factory, config, 4))
 
 
@@ -343,14 +338,15 @@ def test_mixed_linewidths_equal_one_run_per_config():
     factory = lambda r: desk_factory(r, n_p1=60)
     together = run_iterative_protocol(factory, configs, n_realizations=3)
     for got, config in zip(together, configs):
-        assert_same_result(got, run_iterative_protocol(factory, config, n_realizations=3))
+        assert_same_result(got, run_iterative_protocol(factory, [config], n_realizations=3)[0])
         assert_same_result(got, reference_protocol(factory, config, 3))
 
 
 def test_config_sequence_on_one_network_equals_one_run_per_config():
     net = desk_factory(5, n_p1=40)
-    together = run_iterative_protocol(net, SWEEP_CONFIGS, fit=False)
+    factory = lambda r: net
+    together = run_iterative_protocol(factory, SWEEP_CONFIGS, 1)
     for got, config in zip(together, SWEEP_CONFIGS):
-        assert got.p_nv_sem is None and got.saturation is None
-        assert_same_result(got, run_iterative_protocol(net, config, fit=False))
-        assert_same_result(got, reference_protocol(lambda r: net, config, 1, fit=False))
+        assert got.p_nv_sem is None
+        assert_same_result(got, run_iterative_protocol(factory, [config], 1)[0])
+        assert_same_result(got, reference_protocol(factory, config, 1))

@@ -106,14 +106,14 @@ def test_two_site_closed_form_both_methods():
     times = np.linspace(0.0, 40.0, 17)
     expected = 0.5 * (1.0 + np.exp(-2.0 * rate * times))
     p0 = np.array([1.0, 0.0])
-    for pol in (integrate_master_equation(rm, None, p0, times).polarization, rk_propagate(rm, None, p0, times)):
+    for pol in (integrate_master_equation(factor_generator(rm), p0, times).polarization, rk_propagate(rm, None, p0, times)):
         npt.assert_allclose(pol[:, 0], expected, atol=1e-6)
 
 
 def test_pure_relaxation_without_rates():
     rm = two_site_rate_matrix(0.0)
     times = np.linspace(0.0, 100.0, 11)
-    traj = integrate_master_equation(rm, 430.0, np.array([1.0, 1.0]), times)
+    traj = integrate_master_equation(factor_generator(rm, np.full(2, 1.0 / 430.0)), np.array([1.0, 1.0]), times)
     npt.assert_allclose(traj.polarization, np.exp(-times / 430.0)[:, None] * np.ones(2), rtol=1e-9)
 
 
@@ -122,7 +122,7 @@ def test_uniform_is_stationary():
     rm = build_rates(net, 6.40)
     n = len(net.positions)
     p0 = np.full(n, 1.0 / n)
-    traj = integrate_master_equation(rm, None, p0, np.array([0.0, 500.0, 5000.0]))
+    traj = integrate_master_equation(factor_generator(rm), p0, np.array([0.0, 500.0, 5000.0]))
     npt.assert_allclose(traj.polarization, np.tile(p0, (3, 1)), atol=1e-9)
 
 
@@ -131,7 +131,7 @@ def test_conservation_and_maximum_principle():
     rm = build_rates(net, 6.40)
     p0 = np.zeros(len(net.positions))
     p0[0] = 1.0
-    traj = integrate_master_equation(rm, None, p0, np.geomspace(0.1, 2e4, 25))
+    traj = integrate_master_equation(factor_generator(rm), p0, np.geomspace(0.1, 2e4, 25))
     npt.assert_allclose(traj.total(), 1.0, atol=1e-6)
     assert traj.polarization.min() >= -1e-9
     assert traj.polarization.max() <= 1.0 + 1e-9
@@ -141,7 +141,7 @@ def test_long_time_equilibration_on_connected_pair_chain():
     # three sites coupled in a chain equilibrate to the uniform state
     rates = np.array([[0.0, 0.05, 0.0], [0.05, 0.0, 0.02], [0.0, 0.02, 0.0]])
     rm = RateMatrix(rates, 60.0, 6.4, 0.15)
-    traj = integrate_master_equation(rm, None, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e4]))
+    traj = integrate_master_equation(factor_generator(rm), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e4]))
     npt.assert_allclose(traj.polarization[-1], 1.0 / 3.0, atol=1e-8)
 
 
@@ -151,7 +151,7 @@ def test_rk_matches_eigh_on_network():
     p0 = np.zeros(len(net.positions))
     p0[0] = 1.0
     times = np.linspace(0.0, 300.0, 7)
-    a = integrate_master_equation(rm, 430.0, p0, times)
+    a = integrate_master_equation(factor_generator(rm, np.full(net.n_sites, 1.0 / 430.0)), p0, times)
     npt.assert_allclose(a.polarization, rk_propagate(rm, 430.0, p0, times), atol=1e-7)
 
 
@@ -357,26 +357,6 @@ def test_average_msd_equals_probe_per_recompute_loop():
         assert box == want_box
         for name in ("times_us", "msd_nm2", "survival", "sem_nm2"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (omega, name)
-
-
-def test_factored_generator_propagates_like_the_rate_matrix():
-    net = transport_network(1.575, 30, seed=2, realization=1)
-    rm = build_rates(net, 6.40)
-    p0 = np.zeros(net.n_sites)
-    p0[0] = 1.0
-    times = np.geomspace(0.1, 2e4, 12)
-    gen = factor_generator(rm)
-    npt.assert_array_equal(
-        integrate_master_equation(gen, None, p0, times).polarization,
-        integrate_master_equation(rm, None, p0, times).polarization,
-    )
-    relaxed = factor_generator(rm, np.full(net.n_sites, 1.0 / 430.0))
-    npt.assert_array_equal(
-        integrate_master_equation(relaxed, None, p0, times).polarization,
-        integrate_master_equation(rm, 430.0, p0, times).polarization,
-    )
-    with pytest.raises(ValueError, match="carries its own relaxation"):
-        integrate_master_equation(gen, 430.0, p0, times)
 
 
 def test_diffusion_monotone_in_drive():

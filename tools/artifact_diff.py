@@ -4,10 +4,11 @@
 
 Each argument is a checkout root or its ``src`` directory.  For each tree
 the six presets and the small ``run`` configs of ``RUN_CONFIGS`` (every
-experiment that writes a CSV, and a one-realization protocol run whose
-CSV has no SEM columns) run at seeds 0-3 in one fresh interpreter with
-every BLAS and OpenMP pool pinned to 1 thread (the transport and
-protocol outputs depend on the thread count).  The script prints, per
+experiment that writes a CSV, a one-realization protocol run whose CSV
+has no SEM columns, and a protocol run with every cycle parameter set)
+run at seeds 0-3 in one fresh interpreter with every BLAS and OpenMP
+pool pinned to 1 thread (the transport and protocol outputs depend on
+the thread count).  The script prints, per
 artifact, both SHA-256 digests and the largest absolute and relative
 change of any numeric cell, then the largest change per artifact name
 over all seeds.  JSON artifacts are compared key by key: the change is
@@ -56,6 +57,23 @@ RUN_CONFIGS = {
     },
     "protocol": {"experiment": "protocol", "realizations": 3, "params": {"n_p1": 40, "n_cycles": 8}},
     "protocol-1": {"experiment": "protocol", "realizations": 1, "params": {"n_p1": 40, "n_cycles": 8}},
+    # every CycleConfig field the protocol params can set, each off its default
+    "protocol-cycle": {
+        "experiment": "protocol",
+        "realizations": 2,
+        "params": {
+            "omega_mhz": 3.2,
+            "n_p1": 40,
+            "t_hh_us": 4.0,
+            "t_laser_us": 3.0,
+            "n_cycles": 10,
+            "p_nv0": 0.6,
+            "t1rho_dark_us": 300.0,
+            "t1rho_laser_us": 20.0,
+            "t1rho_nv_us": None,
+            "probe_k": 5,
+        },
+    },
     "crossover": {
         "experiment": "crossover",
         "realizations": 2,
