@@ -10,7 +10,10 @@ time and the creation time; ``reproduce`` writes the preset tag, the
 realization count it ran with, the seed, the version, the wall time and
 the creation time.  Both manifests record the environment the bytes of
 the transport and protocol outputs depend on: the numpy and scipy
-versions, the CPU count and the BLAS thread variables.
+versions, the CPU count and the BLAS thread variables.  The ``diffusion``
+run and the ``fig-s3`` preset also record under ``lanczos``, per box size,
+the range of Lanczos basis dimensions over the realizations and the
+largest final error estimate.
 """
 
 from __future__ import annotations
@@ -123,6 +126,7 @@ def _run_deer(config: dict) -> tuple:
     return (
         {"deer_trace.csv": trace.to_csv(), "deer_fit.json": json.dumps(summary, indent=2)},
         summary,
+        {},
     )
 
 
@@ -144,6 +148,7 @@ def _run_hahn(config: dict) -> tuple:
     return (
         {"hahn_trace.csv": trace.to_csv(), "hahn_summary.json": json.dumps(summary, indent=2)},
         summary,
+        {},
     )
 
 
@@ -165,6 +170,7 @@ def _run_rabi(config: dict) -> tuple:
     return (
         {"rabi_trace.csv": trace.to_csv(), "rabi_summary.json": json.dumps(summary, indent=2)},
         summary,
+        {},
     )
 
 
@@ -194,6 +200,7 @@ def _run_diffusion(config: dict) -> tuple:
             "diffusion_summary.json": res.to_json(),
         },
         summary,
+        {"lanczos": res.lanczos},
     )
 
 
@@ -230,6 +237,7 @@ def _run_protocol(config: dict) -> tuple:
             "protocol_summary.json": json.dumps(summary, indent=2),
         },
         summary,
+        {},
     )
 
 
@@ -256,6 +264,7 @@ def _run_crossover(config: dict) -> tuple:
             "crossover_summary.json": json.dumps(summary, indent=2),
         },
         summary,
+        {},
     )
 
 
@@ -293,7 +302,7 @@ def _run_concentration(config: dict) -> tuple:
         "density_sigma_ppm": est.sigma_ppm,
         "rejection_warning": est.rejection_warning,
     }
-    return ({"concentration_summary.json": json.dumps(summary, indent=2)}, summary)
+    return ({"concentration_summary.json": json.dumps(summary, indent=2)}, summary, {})
 
 
 _FIT_MODELS = {
@@ -334,9 +343,11 @@ def _run_fit(config: dict) -> tuple:
         "residual_norm": res.residual_norm,
         "converged": res.converged,
     }
-    return ({"fit_report.json": json.dumps(summary, indent=2)}, summary)
+    return ({"fit_report.json": json.dumps(summary, indent=2)}, summary, {})
 
 
+# each runner returns (artifacts, the summary printed to the terminal,
+# diagnostics that go into the manifest only)
 _EXPERIMENTS = {
     "deer": _run_deer,
     "rabi": _run_rabi,
@@ -412,7 +423,7 @@ def _cmd_run(args) -> int:
     out_dir = config.get("out_dir") or os.path.join(_out_root(), experiment)
     start = time.time()
     try:
-        artifacts, summary = _EXPERIMENTS[experiment](config)
+        artifacts, summary, record = _EXPERIMENTS[experiment](config)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -427,6 +438,7 @@ def _cmd_run(args) -> int:
         "wall_time_s": time.time() - start,
         "created_unix": time.time(),
         "environment": _environment(),
+        **record,
     }
     _write_artifacts(out_dir, artifacts, manifest)
     if not args.quiet:
@@ -459,6 +471,7 @@ def _cmd_reproduce(args) -> int:
         "wall_time_s": time.time() - start,
         "created_unix": time.time(),
         "environment": _environment(),
+        **result.record,
     }
     _write_artifacts(out_dir, result.artifacts, manifest)
     if not args.quiet:

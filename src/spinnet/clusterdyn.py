@@ -23,13 +23,11 @@ from . import fitkit
 from .constants import TWO_PI
 from .fitkit import FitError, reduce_mean_sem
 from .network import (
-    EXCLUSION_NM,
     EnsembleSpec,
-    GenerationError,
     Placement,
     Species,
     SpinNetwork,
-    centred_source,
+    centred_draw,
     generate_network,
     ppm_to_density,
     species_code,
@@ -126,13 +124,7 @@ def sample_nv_p1_cluster(
         placement=placement,
         seed=seed,
     )
-    center = np.full(3, box / 2)
-    for attempt in range(100):
-        base = generate_network(spec, realization=realization + 1000 * attempt)
-        if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < EXCLUSION_NM:
-            continue
-        return centred_source(base, realization)
-    raise GenerationError("could not place the sensor away from the bath in 100 attempts")
+    return centred_draw(spec, realization, generate_network)
 
 
 def default_tau_grid(density_ppm: float, n_points: int = 48) -> np.ndarray:

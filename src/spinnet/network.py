@@ -29,6 +29,7 @@ __all__ = [
     "SPECIES",
     "species_code",
     "centred_source",
+    "centred_draw",
     "GenerationError",
     "EXCLUSION_NM",
     "NV_AXES",
@@ -303,6 +304,24 @@ def centred_source(base: SpinNetwork, realization: int) -> SpinNetwork:
     species[0] = species_code(Species.NV)
     zeros = np.zeros(n, dtype=np.intp)
     return SpinNetwork(base.spec, positions, species, zeros, zeros, np.zeros(n), realization)
+
+
+def centred_draw(spec: EnsembleSpec, realization: int, generate) -> SpinNetwork:
+    """:func:`centred_source` of the first draw of ``spec`` that leaves the
+    box centre clear: no site within :data:`EXCLUSION_NM` of it.
+
+    Draw k is ``generate(spec, realization=realization + 1000 * k)``;
+    after 100 draws :class:`GenerationError` is raised.  Callers pass
+    :func:`generate_network` as their module sees it, so a wrapper put on
+    that name (the benchmark tracer's) sees every draw.
+    """
+    center = np.full(3, spec.box_nm / 2)
+    for attempt in range(100):
+        base = generate(spec, realization=realization + 1000 * attempt)
+        if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < EXCLUSION_NM:
+            continue
+        return centred_source(base, realization)
+    raise GenerationError("could not place the source away from the bath in 100 attempts")
 
 
 class _LatticeSampler:

@@ -9,7 +9,7 @@ runner can print a uniform table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -41,6 +41,7 @@ class PresetResult:
     rows: list
     artifacts: dict  # filename -> text
     realizations: Optional[int] = None  # the count run_preset ran the preset with
+    record: dict = field(default_factory=dict)  # manifest-only diagnostics
 
 
 def closed_form_chain(realizations: int, seed: int) -> PresetResult:
@@ -102,12 +103,14 @@ def fig_s3(realizations: int, seed: int) -> PresetResult:
     n_list = (100, 200)
     rows = []
     table = []
+    lanczos = []
     for omega in omegas:
         res = transport.diffusion_scaling(
             omega, density_ppm=1.575, n_list=n_list, n_realizations=realizations, seed=seed
         )
         d_inf = res.extrapolation.d_inf_nm2_per_us
         table.append({"omega_MHz": omega, "D_inf_nm2_per_us": d_inf, "sigma": res.extrapolation.sigma})
+        lanczos += [{"omega_MHz": omega, **entry} for entry in res.lanczos]
         if omega == 6.40:
             rows.append(PresetRow("D_inf at 6.40 MHz", f"{d_inf:.4f}", "0.22 (band 0.13-0.33)", 0.13 <= d_inf <= 0.33))
     monotone = all(table[k]["D_inf_nm2_per_us"] < table[k + 1]["D_inf_nm2_per_us"] for k in range(len(table) - 1))
@@ -117,7 +120,7 @@ def fig_s3(realizations: int, seed: int) -> PresetResult:
         "fig_s3_dinf.csv": fitkit.csv_text(names, *([entry[k] for entry in table] for k in names)),
         "fig_s3_summary.json": json.dumps(table, indent=2),
     }
-    return PresetResult("fig-s3", rows, artifacts)
+    return PresetResult("fig-s3", rows, artifacts, record={"lanczos": lanczos})
 
 
 def fig_s4a(realizations: int, seed: int) -> PresetResult:

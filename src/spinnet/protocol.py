@@ -180,13 +180,14 @@ def _single_run(net: SpinNetwork, config: CycleConfig, rm: RateMatrix, probe: np
     p1 = net.indices_of(Species.P1)
     gen = factor_generator(rm, _relaxation(net, config.t1rho_dark_us, config.t1rho_nv_us))
     laser_decay = math.exp(-config.t_laser_us / config.t1rho_laser_us)
+    hh_decay = gen.decay(config.t_hh_us)  # every exchange phase lasts t_hh
 
     p = np.zeros(net.n_sites)
     p[nv] = config.p_nv0
     traj_nv = np.empty(config.n_cycles)
     traj_p1 = np.empty(config.n_cycles)
     for cycle in range(config.n_cycles):
-        p = gen.propagate(p, config.t_hh_us)[0]
+        p = gen.evolve(p, hh_decay)[0]
         # record at the end of the exchange phase, before the reset
         traj_nv[cycle] = p[nv].mean()
         traj_p1[cycle] = p[probe].mean()

@@ -2,12 +2,24 @@
 
 Hartmann-Hahn matched flip-flop channels give golden-rule rates between
 sites; polarization then obeys the linear lattice master equation
-dP_i/dt = sum_j R_ij (P_j - P_i) - P_i / T1rho_i.  Because the generator is
-a constant symmetric positive-semidefinite matrix, it is propagated through
-its exact eigendecomposition: one :func:`factor_generator` call per network,
-then :meth:`Generator.propagate` for every requested time and initial state.
-An explicit Runge-Kutta integration in the tests is the independent
-cross-check.
+dP_i/dt = sum_j R_ij (P_j - P_i) - P_i / T1rho_i.  The generator is a
+constant symmetric positive-semidefinite matrix, propagated one of two
+ways, one per caller:
+
+* the protocol propagates every site's state anew each cycle, so it takes
+  the dense eigendecomposition: one :func:`factor_generator` call per
+  network, then :meth:`Generator.propagate` for every time and initial
+  state;
+* the diffusion pipeline only ever propagates the unit vector at the
+  source, so :func:`lanczos_basis` builds the generator as a sparse
+  Laplacian straight from the pair rates and grows a Lanczos basis from
+  that vector until an a-posteriori error estimate falls below
+  ``LANCZOS_TOL`` over the time grid (exact once the basis spans the
+  network).
+
+Both go through :func:`integrate_master_equation`, which checks
+conservation and the maximum principle.  The dense path and an explicit
+Runge-Kutta integration in the tests are the cross-checks.
 
 The diffusion analysis follows the mean-squared displacement of the
 polarization cloud about the source, fits the slope inside a window bounded
@@ -27,13 +39,11 @@ import numpy as np
 from . import fitkit
 from .constants import J0_MHZ_NM3
 from .network import (
-    EXCLUSION_NM,
     EnsembleSpec,
-    GenerationError,
     Species,
     SpinNetwork,
     assign_detunings,
-    centred_source,
+    centred_draw,
     generate_network,
     mean_spacing,
     ppm_to_density,
@@ -55,6 +65,8 @@ __all__ = [
     "rate_cutoff",
     "build_rates",
     "factor_generator",
+    "LanczosBasis",
+    "lanczos_basis",
     "integrate_master_equation",
     "msd",
     "extract_diffusion",
@@ -187,6 +199,39 @@ def pair_table(net: SpinNetwork, gamma_mhz: float = 0.15) -> PairTable:
     return PairTable(i, j, r, factor * j_bare, net.detunings.copy(), net.n_sites, cutoff)
 
 
+def _pair_rates(pairs: PairTable, omega_mhz: float, gamma_mhz: float) -> np.ndarray:
+    """The rate of each pair of ``pairs`` (MHz), 0 beyond the rate cutoff of
+    ``gamma_mhz``: the one rate formula of :func:`build_rates` and
+    :func:`lanczos_basis`."""
+    cutoff = rate_cutoff(gamma_mhz)
+    if cutoff > pairs.cutoff_nm:
+        raise ValueError(
+            f"linewidth {gamma_mhz:g} MHz needs a {cutoff:g} nm rate cutoff, "
+            f"but the pair table holds pairs only within {pairs.cutoff_nm:g} nm"
+        )
+    om_eff = np.array([effective_rabi(omega_mhz, d) for d in pairs.detunings.tolist()])
+    sin_t = omega_mhz / om_eff  # tilt_projection per site
+    i, j = pairs.i, pairs.j
+    # J~ = fj * (sin_i * sin_j) and d_eff = Omega_eff,i - Omega_eff,j in one
+    # expression, so no pair-length temporary outlives it; the product and
+    # d_eff^2 are the same for (i, j) and (j, i), so one value serves both
+    # triangles and the rates are exactly symmetric
+    kept = (
+        2.0 * (pairs.fj * (sin_t[i] * sin_t[j])) ** 2 * gamma_mhz
+        / (gamma_mhz**2 + (om_eff[i] - om_eff[j]) ** 2)
+    )
+    kept[pairs.r > cutoff] = 0.0
+    return kept
+
+
+def _checked_pairs(net: Union[SpinNetwork, PairTable], omega_mhz: float, gamma_mhz: float) -> PairTable:
+    if omega_mhz <= 0:
+        raise ValueError("drive amplitude must be positive")
+    if gamma_mhz <= 0:
+        raise ValueError("Hartmann-Hahn linewidth must be positive")
+    return net if isinstance(net, PairTable) else pair_table(net, gamma_mhz)
+
+
 def build_rates(net: Union[SpinNetwork, PairTable], omega_mhz: float, gamma_mhz: float = 0.15) -> RateMatrix:
     """Golden-rule flip-flop rates between every pair of dressed sites.
 
@@ -209,34 +254,12 @@ def build_rates(net: Union[SpinNetwork, PairTable], omega_mhz: float, gamma_mhz:
     The matrix is exactly symmetric, R_ij == R_ji bit for bit, so the
     generator built from it is an exact symmetric Laplacian.
     """
-    if omega_mhz <= 0:
-        raise ValueError("drive amplitude must be positive")
-    if gamma_mhz <= 0:
-        raise ValueError("Hartmann-Hahn linewidth must be positive")
-    cutoff = rate_cutoff(gamma_mhz)
-    pairs = net if isinstance(net, PairTable) else pair_table(net, gamma_mhz)
-    if cutoff > pairs.cutoff_nm:
-        raise ValueError(
-            f"linewidth {gamma_mhz:g} MHz needs a {cutoff:g} nm rate cutoff, "
-            f"but the pair table holds pairs only within {pairs.cutoff_nm:g} nm"
-        )
-
-    om_eff = np.array([effective_rabi(omega_mhz, d) for d in pairs.detunings.tolist()])
-    sin_t = omega_mhz / om_eff  # tilt_projection per site
-    i, j = pairs.i, pairs.j
-    # J~ = fj * (sin_i * sin_j) and d_eff = Omega_eff,i - Omega_eff,j in one
-    # expression, so no pair-length temporary outlives it; the product and
-    # d_eff^2 are the same for (i, j) and (j, i), so one value serves both
-    # triangles and the matrix is exactly symmetric
-    kept = (
-        2.0 * (pairs.fj * (sin_t[i] * sin_t[j])) ** 2 * gamma_mhz
-        / (gamma_mhz**2 + (om_eff[i] - om_eff[j]) ** 2)
-    )
-    kept[pairs.r > cutoff] = 0.0
+    pairs = _checked_pairs(net, omega_mhz, gamma_mhz)
+    kept = _pair_rates(pairs, omega_mhz, gamma_mhz)
     rates = np.zeros((pairs.n_sites, pairs.n_sites))
-    rates[i, j] = kept
-    rates[j, i] = kept
-    return RateMatrix(rates, cutoff_nm=cutoff, omega_mhz=omega_mhz, gamma_mhz=gamma_mhz)
+    rates[pairs.i, pairs.j] = kept
+    rates[pairs.j, pairs.i] = kept
+    return RateMatrix(rates, cutoff_nm=rate_cutoff(gamma_mhz), omega_mhz=omega_mhz, gamma_mhz=gamma_mhz)
 
 
 @dataclass
@@ -261,17 +284,33 @@ class Generator:
     evals: np.ndarray
     evecs: np.ndarray
 
+    @property
+    def n_sites(self) -> int:
+        return self.rates.n_sites
+
+    def decay(self, times) -> np.ndarray:
+        """exp(-evals t), one row per time; a scalar time gives one row."""
+        return np.exp(-np.outer(times, self.evals))
+
+    def evolve(self, p0, decay) -> np.ndarray:
+        """P(t) for the mode decay of each time (one row per time).
+
+        The work is one matrix product: the mode amplitudes
+        exp(-evals t) evecs^T P(0) of every time, times evecs^T.  A loop
+        that steps by one fixed time takes :meth:`decay` once and this
+        product per step.
+        """
+        return (decay * (self.evecs.T @ p0)) @ self.evecs.T
+
     def propagate(self, p0, times, rows=None) -> np.ndarray:
         """P(t) at each time (one row per time), restricted to site ``rows``
         when given; the restricted rows equal those of the full result.
 
-        The work is one matrix product: the mode amplitudes
-        exp(-evals t) evecs^T P(0) of every time, times evecs^T.  ``rows``
-        selects columns of that full product, because a product over fewer
-        eigenvector rows may take another BLAS kernel and round differently.
+        ``rows`` selects columns of the full :meth:`evolve` product, because
+        a product over fewer eigenvector rows may take another BLAS kernel
+        and round differently.
         """
-        decay = np.exp(-np.outer(times, self.evals))
-        traj = (decay * (self.evecs.T @ p0)) @ self.evecs.T
+        traj = self.evolve(p0, self.decay(times))
         return traj if rows is None else traj[:, rows]
 
 
@@ -282,18 +321,163 @@ def factor_generator(rates: RateMatrix, relax=None) -> Generator:
     return Generator(rates, relax, evals, evecs)
 
 
-def integrate_master_equation(gen: Generator, p0, times_us) -> Trajectory:
+# Largest a-posteriori error estimate (Saad 1992), relative to |P(0)|, that a
+# Lanczos basis may leave at any time of the grid it propagates
+LANCZOS_TOL = 1e-12
+# Lanczos steps taken between two evaluations of that estimate
+_LANCZOS_BLOCK = 16
+
+
+class LanczosBasis:
+    """exp(-t M) P(0) on a growing Lanczos basis of the sparse generator M,
+    for P(0) a multiple of the unit vector at the ``source`` site.
+
+    ``generator`` is M as a sparse (CSR) matrix without relaxation.  The
+    basis starts at q_0 = e_source; each new vector M q_k takes the
+    three-term recurrence and then one Gram-Schmidt pass against every
+    earlier vector (full reorthogonalization), so Q M Q^T is the
+    tridiagonal T with diagonal alpha and off-diagonal beta.  With
+    T = S diag(theta) S^T,
+
+        exp(-t M) e_source ~ Q^T S exp(-t theta) S^T e_1
+
+    (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).  Saad's
+    a-posteriori estimate of the error (SIAM J. Numer. Anal. 29, 209
+    (1992)), beta_m |e_m^T T^-1 (1 - exp(-t T)) e_1|, decides how far the
+    basis grows: :meth:`propagate` adds steps, ``_LANCZOS_BLOCK`` at a time,
+    until the estimate is at most ``LANCZOS_TOL`` at every time of its grid.
+    The basis is complete, and the result exact, at m = n sites or when
+    the residual vanishes; it never grows past that.  A longer grid extends
+    the same basis, so every grid of one network costs one basis.
+    """
+
+    def __init__(self, generator, source: int):
+        self.generator = generator
+        self.n_sites = generator.shape[0]
+        self.source = source
+        self.relax = np.zeros(self.n_sites)  # the transport generator has none
+        self.error = math.inf  # the estimate at the last grid propagated
+        self._q = np.zeros((min(self.n_sites, 4 * _LANCZOS_BLOCK), self.n_sites))
+        self._q[0, source] = 1.0
+        self._alpha = []
+        self._beta = []  # _beta[k]: norm of the residual after step k
+        self._ritz = None  # (m, theta, S) of the last eigendecomposition of T
+
+    @property
+    def m(self) -> int:
+        """Dimension of the basis."""
+        return len(self._alpha)
+
+    @property
+    def complete(self) -> bool:
+        return self.m == self.n_sites or (self.m > 0 and self._beta[-1] == 0.0)
+
+    def _step(self) -> None:
+        k = self.m
+        q = self._q[: k + 1]
+        w = self.generator @ q[k]
+        # the three-term recurrence, then one Gram-Schmidt pass against the
+        # whole basis for what rounding left; its k-th coefficient corrects alpha
+        alpha = q[k] @ w
+        w -= alpha * q[k]
+        if k:
+            w -= self._beta[-1] * q[k - 1]
+        h = q @ w
+        w -= h @ q
+        beta = math.sqrt(w @ w)
+        self._alpha.append(alpha + h[k])
+        self._beta.append(beta)
+        if k + 1 == self.n_sites or beta == 0.0:
+            return
+        if k + 1 == self._q.shape[0]:
+            grown = np.zeros((min(2 * (k + 1), self.n_sites), self.n_sites))
+            grown[: k + 1] = self._q
+            self._q = grown
+        self._q[k + 1] = w / beta
+
+    def _ritz_pairs(self) -> tuple:
+        """Eigenvalues theta and eigenvectors S of the current T."""
+        if self._ritz is None or self._ritz[0] != self.m:
+            # imported on first use, so that commands without transport never load it
+            from scipy.linalg import eigh_tridiagonal
+
+            theta, s = eigh_tridiagonal(np.array(self._alpha), np.array(self._beta[:-1]))
+            self._ritz = (self.m, theta, s)
+        return self._ritz[1:]
+
+    def _estimate(self, times: np.ndarray) -> float:
+        """Largest error estimate over ``times``; 0 for a complete basis."""
+        if self.m == 0:
+            return math.inf
+        if self.complete:
+            return 0.0
+        theta, s = self._ritz_pairs()
+        # t phi_1(-t theta) = (1 - exp(-t theta)) / theta, which is t at theta = 0
+        tt = np.outer(times, theta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where(tt == 0.0, times[:, None], -np.expm1(-tt) / theta)
+        return self._beta[-1] * float(np.max(np.abs(g @ (s[0] * s[-1])), initial=0.0))
+
+    def propagate(self, p0, times) -> np.ndarray:
+        """P(t) at each time (one row per time), growing the basis as far as ``times`` needs."""
+        p0 = np.asarray(p0, dtype=float)
+        off = p0.copy()
+        off[self.source] = 0.0
+        if off.any():
+            raise ValueError("a Lanczos basis propagates only multiples of the unit vector at its source")
+        times = np.asarray(times, dtype=float)
+        while True:
+            self.error = self._estimate(times)
+            if self.error <= LANCZOS_TOL:
+                break
+            for _ in range(min(_LANCZOS_BLOCK, self.n_sites - self.m)):
+                self._step()
+                if self.complete:
+                    break
+        theta, s = self._ritz_pairs()
+        coeffs = (np.exp(-np.outer(times, theta)) * s[0]) @ s.T
+        return p0[self.source] * (coeffs @ self._q[: self.m])
+
+
+def _laplacian(pairs: PairTable, rates: np.ndarray):
+    """The generator diag(sum_j R_ij) - R as a CSR matrix, from the nonzero pair rates."""
+    # imported on first use, so that commands without transport never load it
+    from scipy.sparse import csr_array
+
+    keep = rates > 0
+    i, j, r = pairs.i[keep], pairs.j[keep], rates[keep]
+    n = pairs.n_sites
+    site = np.arange(n)
+    rows = np.concatenate([i, j, site])
+    cols = np.concatenate([j, i, site])
+    data = np.concatenate([-r, -r, np.bincount(i, r, n) + np.bincount(j, r, n)])
+    return csr_array((data, (rows, cols)), shape=(n, n))
+
+
+def lanczos_basis(net: SpinNetwork, omega_mhz: float, gamma_mhz: float = 0.15) -> LanczosBasis:
+    """The Lanczos basis of ``net``'s transport generator, started at site 0.
+
+    The generator is formed as a sparse Laplacian straight from the pair
+    rates of :func:`build_rates` (the same formula, pair for pair), with
+    no dense matrix.
+    """
+    pairs = _checked_pairs(net, omega_mhz, gamma_mhz)
+    return LanczosBasis(_laplacian(pairs, _pair_rates(pairs, omega_mhz, gamma_mhz)), 0)
+
+
+def integrate_master_equation(gen: Union[Generator, LanczosBasis], p0, times_us) -> Trajectory:
     """Propagate the lattice master equation to the requested times.
 
     ``gen`` is the diagonalized generator from :func:`factor_generator`,
     relaxation included, so the solution is exact at any time and several
-    time grids cost one diagonalization.  Without relaxation the total
-    polarization is verified to be conserved to 1e-6 and the solution to
-    respect the maximum principle.
+    time grids cost one diagonalization; or the :class:`LanczosBasis` of a
+    transport network, for a start at its source.  Without relaxation the
+    total polarization is verified to be conserved to 1e-6 and the
+    solution to respect the maximum principle.
     """
     p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (gen.rates.n_sites,):
-        raise ValueError("initial polarization length must match the rate matrix")
+    if p0.shape != (gen.n_sites,):
+        raise ValueError("initial polarization length must match the generator")
     times = np.asarray(times_us, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
@@ -318,6 +502,9 @@ class MsdCurve:
     msd_nm2: np.ndarray
     survival: np.ndarray
     sem_nm2: Optional[np.ndarray] = None
+    # Lanczos basis dimension and final error estimate of each realization
+    basis_dims: Optional[np.ndarray] = None
+    basis_errors: Optional[np.ndarray] = None
 
 
 def msd(traj: Trajectory, positions_nm, source_index: int) -> MsdCurve:
@@ -430,16 +617,8 @@ def transport_network(
         densities_ppm={Species.P1: density_ppm},
         seed=seed,
     )
-    center = np.full(3, box / 2)
-    for attempt in range(100):
-        base = generate_network(spec, realization=realization + 1000 * attempt)
-        if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < EXCLUSION_NM:
-            continue
-        net = centred_source(base, realization)
-        if w_mhz > 0:
-            net = assign_detunings(net, w_mhz)
-        return net
-    raise GenerationError("could not place the source away from the bath in 100 attempts")
+    net = centred_draw(spec, realization, generate_network)
+    return assign_detunings(net, w_mhz) if w_mhz > 0 else net
 
 
 def _default_time_grid(t_end_us: float, n_points: int = 48) -> np.ndarray:
@@ -457,27 +636,29 @@ def average_msd(
 ) -> tuple:
     """Disorder-averaged MSD curve for one box size.
 
-    The time grid end is chosen adaptively on the first realization so the
-    curve crosses the top of the analysis window; every probe grid and the
-    final grid of that realization are propagated from one factorization
-    of its generator.  Returns (curve, box_nm).
+    Each realization is propagated from its source on one
+    :class:`LanczosBasis`.  The time grid end is chosen adaptively on the
+    first realization so the curve crosses the top of the analysis
+    window; every probe grid and the final grid of that realization extend
+    the same basis.  The curve records each realization's basis dimension
+    and final error estimate.  Returns (curve, box_nm).
     """
     n = ppm_to_density(density_ppm)
     box = (n_p1 / n) ** (1.0 / 3.0)
     msd_top = 0.5 * (box / 2.0) ** 2
 
-    def factored(realization):
+    def based(realization):
         net = transport_network(density_ppm, n_p1, w_mhz=w_mhz, seed=seed, realization=realization)
-        return net, factor_generator(build_rates(net, omega_mhz, gamma_mhz))
+        return net, lanczos_basis(net, omega_mhz, gamma_mhz)
 
-    def curve(net, gen, grid):
+    def curve(net, basis, grid):
         p0 = np.zeros(net.n_sites)
         p0[0] = 1.0
-        traj = integrate_master_equation(gen, p0, grid)
+        traj = integrate_master_equation(basis, p0, grid)
         return msd(traj, net.positions, 0)
 
-    # every probe grid reuses the factorization of realization 0
-    first = factored(0)
+    # every probe grid extends the basis of realization 0
+    first = based(0)
     t_end = 100.0
     for _ in range(8):
         probe = curve(*first, _default_time_grid(t_end))
@@ -488,14 +669,18 @@ def average_msd(
 
     curves = np.empty((n_realizations, times_us.size))
     totals = np.empty((n_realizations, times_us.size))
+    dims = np.empty(n_realizations, dtype=int)
+    errors = np.empty(n_realizations)
     for r in range(n_realizations):
-        c = curve(*(first or factored(r)), times_us)
-        first = None  # realization 0 is freed before realization 1 is built
+        net, basis = first or based(r)
+        first = None
+        c = curve(net, basis, times_us)
         curves[r] = c.msd_nm2
         totals[r] = c.survival
+        dims[r], errors[r] = basis.m, basis.error
     mean, sem = fitkit.reduce_mean_sem(curves)
     surv = totals.mean(axis=0)
-    return MsdCurve(times_us, mean, surv, sem_nm2=sem), box
+    return MsdCurve(times_us, mean, surv, sem_nm2=sem, basis_dims=dims, basis_errors=errors), box
 
 
 @dataclass
@@ -505,6 +690,9 @@ class ScalingResult:
     d_values: list
     d_sigmas: list
     extrapolation: ExtrapolationResult
+    # per box size: the range of Lanczos basis dimensions over the
+    # realizations and the largest final error estimate (run records only)
+    lanczos: list
 
     def to_json(self) -> str:
         return json.dumps(
@@ -530,7 +718,7 @@ def diffusion_scaling(
 ) -> ScalingResult:
     """D_L across box sizes plus the 1/L extrapolation to D_inf."""
     d_avg = mean_spacing(density_ppm)
-    boxes, ds, sigs = [], [], []
+    boxes, ds, sigs, lanczos = [], [], [], []
     for n_p1 in n_list:
         curve, box = average_msd(
             omega_mhz,
@@ -545,6 +733,11 @@ def diffusion_scaling(
         boxes.append(float(box))
         ds.append(res.d_nm2_per_us)
         sigs.append(res.sigma if res.sigma > 0 else None)
+        lanczos.append({
+            "n_p1": n_p1,
+            "basis_dim_range": [int(curve.basis_dims.min()), int(curve.basis_dims.max())],
+            "error_estimate_max": float(curve.basis_errors.max()),
+        })
     sigmas = None if any(s is None for s in sigs) else sigs
     extrap = finite_size_extrapolate(boxes, ds, sigmas)
-    return ScalingResult(omega_mhz, boxes, ds, [s or 0.0 for s in sigs], extrap)
+    return ScalingResult(omega_mhz, boxes, ds, [s or 0.0 for s in sigs], extrap, lanczos)

@@ -41,10 +41,12 @@ RUN = "assert cli.main(['run', path, '--out', out, '--quiet']) == 0"
 # function that needs each of them
 FOOTPRINT_CASES = {
     "import-integrate": ("pass", None, ("scipy.integrate",)),
-    "import": ("pass", None, ("jsonschema", "scipy.optimize", "scipy.spatial")),
-    "validate-diffusion": ("cli.validate_config(config)", DIFFUSION, ("scipy.optimize", "scipy.spatial")),
+    "import": ("pass", None, ("jsonschema", "scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg")),
+    "validate-diffusion": (
+        "cli.validate_config(config)", DIFFUSION, ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg")
+    ),
     "run-diffusion": (RUN, DIFFUSION, ("scipy.optimize",)),
-    "run-rabi": (RUN, RABI, ("scipy.optimize", "scipy.spatial")),
+    "run-rabi": (RUN, RABI, ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg")),
 }
 
 

@@ -264,6 +264,24 @@ def test_reproduce_manifest_records_realizations_used(tmp_path):
     assert json.loads((given / "manifest.json").read_text())["realizations"] == 2
 
 
+def test_diffusion_manifests_record_the_lanczos_basis(tmp_path):
+    config = {"experiment": "diffusion", "realizations": 2, "params": {"n_list": [50, 100]}}
+    run_out, preset_out = tmp_path / "run", tmp_path / "fig-s3"
+    assert cli.main(["run", write_config(tmp_path, config), "--out", str(run_out), "--quiet"]) == 0
+    assert cli.main(["reproduce", "fig-s3", "--realizations", "1", "--quiet", "--out", str(preset_out)]) == 0
+    run_record = json.loads((run_out / "manifest.json").read_text())["lanczos"]
+    preset_record = json.loads((preset_out / "manifest.json").read_text())["lanczos"]
+    assert [e["n_p1"] for e in run_record] == [50, 100]
+    assert [(e["omega_MHz"], e["n_p1"]) for e in preset_record] == [(w, n) for w in (2.0, 6.40, 20.0) for n in (100, 200)]
+    for entry in run_record + preset_record:
+        low, high = entry["basis_dim_range"]
+        assert 1 <= low <= high <= entry["n_p1"] + 1
+        assert 0.0 <= entry["error_estimate_max"] <= 1e-12
+    # the record stays out of the artifacts
+    assert "lanczos" not in (run_out / "diffusion_summary.json").read_text()
+    assert "lanczos" not in (preset_out / "fig_s3_summary.json").read_text()
+
+
 def test_reproduce_manifest_records_wall_time(tmp_path):
     out = tmp_path / "fig-2c"
     assert cli.main(["reproduce", "fig-2c", "--realizations", "2", "--quiet", "--out", str(out)]) == 0

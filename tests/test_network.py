@@ -12,6 +12,7 @@ from spinnet.network import (
     Placement,
     Species,
     assign_detunings,
+    centred_draw,
     empirical_nearest_neighbor,
     generate_network,
     mean_spacing,
@@ -211,3 +212,28 @@ def test_validation_errors():
         EnsembleSpec(box_nm=-5.0, densities_ppm={})
     with pytest.raises(ValueError):
         EnsembleSpec(box_nm=10.0, densities_ppm={}, field_axis=(0, 0, 0))
+
+
+def test_centred_draw_redraws_until_the_centre_is_clear():
+    spec = EnsembleSpec(box_nm=40.0, densities_ppm={Species.P1: 1.575}, seed=3)
+    drawn = []
+
+    def blocking(first_clear):
+        def generate(spec, realization):
+            drawn.append(realization)
+            net = generate_network(spec, realization=realization)
+            if len(drawn) < first_clear:
+                net.positions[0] = spec.box_nm / 2 + 0.5  # within the exclusion radius
+            return net
+
+        return generate
+
+    net = centred_draw(spec, 7, blocking(3))
+    assert drawn == [7, 1007, 2007]
+    base = generate_network(spec, realization=2007)
+    assert np.array_equal(net.positions[1:], base.positions) and net.realization == 7
+    assert np.array_equal(net.positions[0], np.full(3, 20.0))
+    drawn.clear()
+    with pytest.raises(GenerationError, match="100 attempts"):
+        centred_draw(spec, 0, blocking(101))
+    assert len(drawn) == 100

@@ -5,11 +5,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.sparse import identity as sparse_identity
 
 from spinnet import transport
 from spinnet.network import EnsembleSpec, Species, SpinNetwork, ppm_to_density, species_code
 from spinnet.protocol import protocol_network
 from spinnet.transport import (
+    ConservationError,
+    LanczosBasis,
     MsdCurve,
     RateMatrix,
     WindowError,
@@ -20,6 +23,7 @@ from spinnet.transport import (
     factor_generator,
     finite_size_extrapolate,
     integrate_master_equation,
+    lanczos_basis,
     msd,
     pair_table,
     rate_cutoff,
@@ -355,8 +359,11 @@ def test_average_msd_equals_probe_per_recompute_loop():
         got, box = average_msd(omega, 1.575, 50, 3, seed=5)
         want, want_box = reference_average_msd(omega, 1.575, 50, 3, seed=5)
         assert box == want_box
-        for name in ("times_us", "msd_nm2", "survival", "sem_nm2"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (omega, name)
+        assert np.array_equal(got.times_us, want.times_us), omega
+        # the Lanczos propagation rounds differently from the dense oracle
+        for name in ("msd_nm2", "survival", "sem_nm2"):
+            a, b = getattr(got, name), getattr(want, name)
+            npt.assert_allclose(a, b, rtol=1e-10, atol=1e-10 * np.abs(b).max(), err_msg=f"{omega} {name}")
 
 
 def test_diffusion_monotone_in_drive():
@@ -366,3 +373,68 @@ def test_diffusion_monotone_in_drive():
         curve, box = average_msd(omega, 1.575, 100, 5, seed=11)
         out[omega] = extract_diffusion(curve, davg, box).d_nm2_per_us
     assert out[6.40] > 3.0 * out[0.5]
+
+
+def dense_msd(net, omega_mhz, times):
+    p0 = np.zeros(net.n_sites)
+    p0[0] = 1.0
+    traj = integrate_master_equation(factor_generator(build_rates(net, omega_mhz)), p0, times)
+    return msd(traj, net.positions, 0).msd_nm2
+
+
+@pytest.mark.parametrize("n_p1", [100, 200, 400, 800])
+def test_lanczos_msd_matches_dense_oracle(n_p1):
+    # the criterion-3 box sizes, on the grid the adaptive probes chose
+    curve, _ = average_msd(6.40, 1.575, n_p1, 3, seed=20 + n_p1)
+    want = np.mean(
+        [dense_msd(transport_network(1.575, n_p1, seed=20 + n_p1, realization=r), 6.40, curve.times_us) for r in range(3)],
+        axis=0,
+    )
+    npt.assert_allclose(curve.msd_nm2, want, rtol=1e-10, atol=1e-10 * want.max())
+    assert np.all(curve.basis_dims < n_p1 + 1)
+    assert np.all(curve.basis_errors <= transport.LANCZOS_TOL)
+
+
+def test_complete_lanczos_basis_is_exact():
+    net = transport_network(1.575, 5, seed=2, realization=1)
+    times = transport._default_time_grid(1e5)
+    p0 = np.zeros(net.n_sites)
+    p0[0] = 0.5
+    basis = lanczos_basis(net, 6.40)
+    got = basis.propagate(p0, times)
+    assert basis.m == net.n_sites and basis.complete and basis.error == 0.0
+    want = factor_generator(build_rates(net, 6.40)).propagate(p0, times)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_lanczos_basis_extends_for_a_longer_grid():
+    net = transport_network(1.575, 200, seed=4, realization=0)
+    p0 = np.zeros(net.n_sites)
+    p0[0] = 1.0
+    basis = lanczos_basis(net, 6.40)
+    basis.propagate(p0, transport._default_time_grid(10.0))
+    short = basis.m
+    long_grid = transport._default_time_grid(1e5)
+    got = basis.propagate(p0, long_grid)
+    assert short < basis.m < net.n_sites
+    fresh = lanczos_basis(net, 6.40)
+    npt.assert_array_equal(got, fresh.propagate(p0, long_grid))
+    assert fresh.m == basis.m
+
+
+def test_lanczos_path_still_checks_conservation():
+    # a generator with a leak but no relaxation vector breaks conservation
+    net = transport_network(1.575, 20, seed=1, realization=0)
+    leaky = lanczos_basis(net, 6.40).generator + 1e-2 * sparse_identity(net.n_sites)
+    p0 = np.zeros(net.n_sites)
+    p0[0] = 1.0
+    with pytest.raises(ConservationError, match="drifted"):
+        integrate_master_equation(LanczosBasis(leaky, 0), p0, np.array([0.0, 100.0]))
+
+
+def test_lanczos_basis_propagates_only_its_source():
+    net = transport_network(1.575, 20, seed=1, realization=0)
+    p0 = np.zeros(net.n_sites)
+    p0[1] = 1.0
+    with pytest.raises(ValueError, match="source"):
+        integrate_master_equation(lanczos_basis(net, 6.40), p0, np.array([0.0, 1.0]))
