@@ -2,13 +2,17 @@
 
 Subcommands: ``run`` executes one experiment from a JSON config,
 ``reproduce`` executes a named desk-scale preset and prints a comparison
-table, ``validate`` checks a config without computing.  Beside its
-artifacts, ``run`` writes a ``manifest.json`` with the experiment, the
-config as given plus the command-line overrides (defaults the config
-leaves out are not filled in), the seed, the package version, the wall
-time and the creation time; ``reproduce`` writes the preset tag, the
-realization count it ran with, the seed, the version, the wall time and
-the creation time.  Both manifests record the environment the bytes of
+table, ``validate`` checks a config without computing.  A preset is a
+set of ``run`` configs, executed by the same runners as ``run``, plus
+its comparison rows; only ``closed-form-chain`` and ``fig-2c``, which no
+experiment covers, call the physics themselves.  Beside its artifacts,
+``run`` writes a ``manifest.json`` with the experiment, the config as
+given plus the command-line overrides (defaults the config leaves out
+are not filled in), the seed, the package version, the wall time and the
+creation time; ``reproduce`` writes the preset tag, the realization
+count it ran with, the seed, the version, the wall time, the creation
+time and under ``configs`` the ``run`` configs the preset executed.
+Both manifests record the environment the bytes of
 the transport and protocol outputs depend on: the numpy and scipy
 versions, the CPU count and the BLAS thread variables.  The ``diffusion``
 run and the ``fig-s3`` preset also record under ``lanczos``, per box size,
@@ -31,7 +35,7 @@ from typing import Optional
 import numpy as np
 import scipy
 
-from . import __version__, clusterdyn, fitkit, presets, protocol, transport
+from . import __version__, clusterdyn, fitkit, protocol, transport
 from .network import EXCLUSION_NM, GenerationError, Placement, ppm_to_density
 
 EXIT_OK = 0
@@ -230,6 +234,8 @@ def _run_protocol(config: dict) -> tuple:
         "N_sat": sat.n_sat,
         "N_sat_sigma": sat.n_sat_sigma,
         "n_realizations": res.n_realizations,
+        "converged": sat.fit.converged,
+        "nfev": sat.fit.iterations,
     }
     return (
         {
@@ -253,10 +259,13 @@ def _run_crossover(config: dict) -> tuple:
     )
     summary = {
         "omegas_MHz": list(map(float, omegas)),
+        "P_sat": list(map(float, p_sat)),
         "A_inf": cross.a_inf,
         "A_inf_sigma": cross.a_inf_sigma,
         "W_MHz": cross.w_mhz,
         "W_sigma": cross.w_sigma,
+        "converged": cross.fit.converged,
+        "nfev": cross.fit.iterations,
     }
     return (
         {
@@ -324,6 +333,8 @@ def _run_fit(config: dict) -> tuple:
     path = p.get("data_csv")
     if not path or not os.path.exists(path):
         raise ConfigError("config field params/data_csv: file not found")
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:
         raise ConfigError("config field params/data_csv: need at least x,y columns")
@@ -332,9 +343,16 @@ def _run_fit(config: dict) -> tuple:
         raise ConfigError(
             f"config field params/data_csv: {data.shape[1]} columns; the fit reads x,y[,sigma]"
         )
-    sigma = data[:, 2] if data.shape[1] > 2 else None
-    if sigma is not None and not sigma.any():
-        sigma = None  # a noiseless or one-realization trace: fit unweighted
+    sigma = None
+    if data.shape[1] == 3:
+        # a third column is an error bar only by name, e.g. not a trajectory's p_p1
+        name = header[-1].strip()
+        if name not in ("sem", "sigma") and not name.endswith(("_sem", "_sigma")):
+            raise ConfigError(
+                f"config field params/data_csv: third column {name!r} is not a sem or sigma column"
+            )
+        if data[:, 2].any():
+            sigma = data[:, 2]  # an all-zero column (a noiseless or one-realization trace): fit unweighted
     res = fitkit.fit(_FIT_MODELS[model_name], data[:, 0], data[:, 1], sigma=sigma, p0=p.get("p0"))
     summary = {
         "model": model_name,
@@ -357,6 +375,149 @@ _EXPERIMENTS = {
     "crossover": _run_crossover,
     "concentration": _run_concentration,
     "fit": _run_fit,
+}
+
+
+def _row(quantity: str, simulated: str, target: str, within: Optional[bool], *converged: bool) -> tuple:
+    """A comparison row (quantity, simulated, target, within); when a fit
+    behind its number did not converge, the row is not judged and its value
+    says the fit stalled."""
+    if all(converged):
+        return quantity, simulated, target, within
+    return quantity, f"{simulated} (fit stalled)", target, None
+
+
+# each preset maps (realizations, seed) to (the `run` configs it executed
+# through their experiments' runners, artifacts, comparison rows,
+# manifest-only diagnostics)
+def _closed_form_chain(realizations: int, seed: int) -> tuple:
+    p_p1 = protocol.estimate_p1_polarization(0.143, 2.625, 0.75)
+    t_spin = protocol.spin_temperature(0.074, 446.0)
+    p_th = protocol.thermal_polarization(300.0, 446.0)
+    gain = protocol.enhancement(0.074, p_th)
+    rows = [
+        _row("P_p1 from contrast", f"{p_p1:.4f}", "0.074 +- 0.001", abs(p_p1 - 0.074) < 1e-3),
+        _row("spin temperature (K)", f"{t_spin:.4f}", "0.405 +- 0.005", abs(t_spin - 0.405) < 5e-3),
+        _row("thermal polarization", f"{p_th:.6f}", "1.0e-4 +- 5e-6", abs(p_th - 1.0e-4) < 5e-6),
+        _row("enhancement", f"{gain:.1f}", "740 +- 40", abs(gain - 740.0) < 40.0),
+    ]
+    summary = {"p_p1": p_p1, "t_spin_K": t_spin, "p_thermal": p_th, "enhancement": gain}
+    return [], {"closed_form_chain.json": json.dumps(summary, indent=2)}, rows, {}
+
+
+def _fig_s2(realizations: int, seed: int) -> tuple:
+    """Echo-decay rate versus bath density and the density-ratio check: ``deer`` per density."""
+    densities = [2.4, 6.3]
+    configs = [
+        {"experiment": "deer", "seed": seed, "realizations": realizations, "network": {"densities_ppm": {"P1": d}}}
+        for d in densities
+    ]
+    runs = [_run_deer(config) for config in configs]
+    fits = {str(d): summary for d, (_, summary, _) in zip(densities, runs)}
+    ratio = fits["6.3"]["rate_mhz"] / fits["2.4"]["rate_mhz"]
+    rows = [
+        _row("decay rate 6.3 ppm (MHz)", f"{fits['6.3']['rate_mhz']:.3f}", "density-scaled", None, fits["6.3"]["converged"]),
+        _row(
+            "rate ratio 6.3/2.4", f"{ratio:.2f}", "2.63 +- 30%", abs(ratio - 2.625) < 0.3 * 2.625,
+            *(fit["converged"] for fit in fits.values()),
+        ),
+    ]
+    artifacts = {f"deer_trace_{d:g}ppm.csv": art["deer_trace.csv"] for d, (art, _, _) in zip(densities, runs)}
+    artifacts["fig_s2_summary.json"] = json.dumps(
+        {
+            "densities_ppm": densities,
+            "rates_mhz": {k: fit["rate_mhz"] for k, fit in fits.items()},
+            "stretch_beta": {k: fit["beta"] for k, fit in fits.items()},
+            "ratio": ratio,
+            "fit_converged": {k: fit["converged"] for k, fit in fits.items()},
+            "fit_nfev": {k: fit["nfev"] for k, fit in fits.items()},
+        },
+        indent=2,
+    )
+    return configs, artifacts, rows, {}
+
+
+def _fig_s3(realizations: int, seed: int) -> tuple:
+    """Diffusion coefficient versus drive amplitude, with size extrapolation: ``diffusion`` per drive."""
+    configs = [
+        {"experiment": "diffusion", "seed": seed, "realizations": realizations,
+         "params": {"omega_mhz": omega, "n_list": [100, 200]}}
+        for omega in (2.0, 6.40, 20.0)
+    ]
+    runs = [_run_diffusion(config) for config in configs]
+    table = [
+        {"omega_MHz": s["omega_MHz"], "D_inf_nm2_per_us": s["D_inf_nm2_per_us"], "sigma": s["D_inf_sigma"]}
+        for _, s, _ in runs
+    ]
+    lanczos = [{"omega_MHz": s["omega_MHz"], **entry} for _, s, record in runs for entry in record["lanczos"]]
+    d_inf = [entry["D_inf_nm2_per_us"] for entry in table]
+    monotone = all(a < b for a, b in zip(d_inf, d_inf[1:]))
+    rows = [
+        _row("D_inf at 6.40 MHz", f"{d_inf[1]:.4f}", "0.22 (band 0.13-0.33)", 0.13 <= d_inf[1] <= 0.33),
+        _row("D_inf monotone in drive", str(monotone), "True", monotone),
+    ]
+    names = ("omega_MHz", "D_inf_nm2_per_us", "sigma")
+    artifacts = {
+        "fig_s3_dinf.csv": fitkit.csv_text(names, *([entry[k] for entry in table] for k in names)),
+        "fig_s3_summary.json": json.dumps(table, indent=2),
+    }
+    return configs, artifacts, rows, {"lanczos": lanczos}
+
+
+def _fig_s4a(realizations: int, seed: int) -> tuple:
+    """Per-cycle polarization buildup and its saturation fit: ``protocol`` at 6.40 MHz."""
+    config = {"experiment": "protocol", "seed": seed, "realizations": realizations,
+              "params": {"omega_mhz": 6.40, "n_p1": 120}}
+    artifacts, s, _ = _run_protocol(config)
+    rows = [
+        _row("N_sat (cycles)", f"{s['N_sat']:.2f}", "3 (band 2-4)", 2.0 <= s["N_sat"] <= 4.0, s["converged"]),
+        _row("P_sat at 6.40 MHz", f"{s['P_sat']:.4f}", "reported", None, s["converged"]),
+    ]
+    return [config], {k.replace("protocol", "fig_s4a"): v for k, v in artifacts.items()}, rows, {}
+
+
+def _fig_s4b(realizations: int, seed: int) -> tuple:
+    """Saturation amplitude versus drive and the disorder crossover fit: ``crossover`` over eight drives."""
+    config = {"experiment": "crossover", "seed": seed, "realizations": realizations,
+              "params": {"omegas_mhz": [0.5, 1.0, 2.0, 3.2, 6.4, 10.0, 20.0, 40.0], "n_p1": 120}}
+    artifacts, s, _ = _run_crossover(config)
+    rows = [
+        _row("P_inf (asymptote)", f"{s['A_inf']:.4f}", "0.179 (band 0.12-0.24)", 0.12 <= s["A_inf"] <= 0.24, s["converged"]),
+        _row("crossover W (MHz)", f"{s['W_MHz']:.3f}", "finite", math.isfinite(s["W_MHz"]) and s["W_MHz"] > 0, s["converged"]),
+    ]
+    return [config], {k.replace("crossover", "fig_s4b"): v for k, v in artifacts.items()}, rows, {}
+
+
+def _fig_2c(realizations: int, seed: int) -> tuple:
+    """Differential readout transient and its equilibration time."""
+    factory = lambda r: protocol.protocol_network(n_p1=120, seed=seed, realization=r)
+    eq = protocol.readout_equilibration(factory, protocol.CycleConfig(omega_mhz=6.40), realizations)
+    s = {
+        "tau_eq_us": eq.tau_eq_us,
+        "amplitude": eq.amplitude,
+        "n_realizations": realizations,
+        "converged": eq.fit.converged,
+        "nfev": eq.fit.iterations,
+    }
+    rows = [
+        _row("tau_eq (us)", f"{s['tau_eq_us']:.2f}", "2.2 +- 0.6 (exp); < 8.6", s["tau_eq_us"] < 8.6, s["converged"]),
+        _row("Delta_C amplitude", f"{s['amplitude']:.4f}", "reported", None, s["converged"]),
+    ]
+    artifacts = {
+        "fig_2c_delta_c.csv": fitkit.csv_text(("t_us", "delta_c"), eq.times_us, eq.delta_c),
+        "fig_2c_summary.json": json.dumps(s, indent=2),
+    }
+    return [], artifacts, rows, {}
+
+
+# tag -> (preset, default realization count)
+_PRESETS = {
+    "closed-form-chain": (_closed_form_chain, 1),
+    "fig-s2": (_fig_s2, 200),
+    "fig-s3": (_fig_s3, 20),
+    "fig-s4a": (_fig_s4a, 100),
+    "fig-s4b": (_fig_s4b, 50),
+    "fig-2c": (_fig_2c, 50),
 }
 
 
@@ -449,40 +610,47 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    if args.tag not in _PRESETS:
+        tags = ", ".join(sorted(_PRESETS))
+        print(f"error: unknown tag {args.tag!r}; valid tags: {tags}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.realizations is not None and args.realizations < 1:
         print(f"error: --realizations must be at least 1, got {args.realizations}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.realizations is not None and args.tag == "closed-form-chain":
+        print("error: --realizations: preset 'closed-form-chain' is closed-form and draws nothing", file=sys.stderr)
+        return EXIT_CONFIG
+    preset, default = _PRESETS[args.tag]
+    realizations = args.realizations or default
+    seed = args.seed or 0
     start = time.time()
     try:
-        result = presets.run_preset(args.tag, realizations=args.realizations, seed=args.seed or 0)
-    except KeyError:
-        tags = ", ".join(sorted(presets.PRESETS))
-        print(f"error: unknown tag {args.tag!r}; valid tags: {tags}", file=sys.stderr)
-        return EXIT_CONFIG
+        configs, artifacts, rows, record = preset(realizations, seed)
     except _NUMERIC_ERRORS as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     out_dir = args.out or os.path.join(_out_root(), args.tag)
     manifest = {
         "preset": args.tag,
-        "realizations": result.realizations,
-        "seed": args.seed or 0,
+        "realizations": realizations,
+        "seed": seed,
         "version": __version__,
         "wall_time_s": time.time() - start,
         "created_unix": time.time(),
         "environment": _environment(),
-        **result.record,
+        "configs": configs,
+        **record,
     }
-    _write_artifacts(out_dir, result.artifacts, manifest)
+    _write_artifacts(out_dir, artifacts, manifest)
     if not args.quiet:
-        print(f"{args.tag}: wrote {len(result.artifacts)} artifacts to {out_dir}")
-        width = max(len(r.quantity) for r in result.rows)
-        for row in result.rows:
-            if row.within is None:
+        print(f"{args.tag}: wrote {len(artifacts)} artifacts to {out_dir}")
+        width = max(len(row[0]) for row in rows)
+        for quantity, simulated, target, within in rows:
+            if within is None:
                 status = "  --  "
             else:
-                status = "within" if row.within else "OUTSIDE"
-            print(f"  {row.quantity:<{width}}  {row.simulated:>12}  target {row.target:<22} {status}")
+                status = "within" if within else "OUTSIDE"
+            print(f"  {quantity:<{width}}  {simulated:>12}  target {target:<22} {status}")
     return EXIT_OK
 
 

@@ -66,6 +66,13 @@ def test_run_configs_cover_every_csv_experiment():
     assert any(c["experiment"] == "protocol" and c["realizations"] == 1 for c in artifact_diff.RUN_CONFIGS.values())
 
 
+def test_tags_cover_every_preset():
+    from spinnet import cli
+
+    # a new preset cannot skip the byte gate
+    assert sorted(artifact_diff.TAGS) == sorted(cli._PRESETS)
+
+
 def test_run_artifacts_writes_run_outputs(tmp_path, capsys):
     src = artifact_diff.package_root(str(Path(__file__).resolve().parents[1]))
     runs = {"rabi": artifact_diff.RUN_CONFIGS["rabi"]}

@@ -256,6 +256,29 @@ def test_reproduce_zero_realizations_is_config_error(tmp_path, capsys, tag):
     assert not out.exists()
 
 
+def test_closed_form_chain_refuses_realizations(tmp_path, capsys):
+    # the preset draws nothing, so a count would be recorded and ignored
+    out = tmp_path / "cfc"
+    assert cli.main(["reproduce", "closed-form-chain", "--realizations", "7", "--quiet", "--out", str(out)]) == 2
+    assert "--realizations" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["reproduce", "closed-form-chain", "--seed", "3", "--quiet", "--out", str(out)]) == 0
+    # it runs no `run` config either
+    assert json.loads((out / "manifest.json").read_text())["configs"] == []
+
+
+def test_reproduce_reports_a_key_error_inside_a_preset(tmp_path, monkeypatch):
+    # only a tag that is not in the table is an unknown tag
+    from spinnet import protocol
+
+    def broken(*args, **kwargs):
+        raise KeyError("P_sat")
+
+    monkeypatch.setattr(protocol, "run_iterative_protocol", broken)
+    with pytest.raises(KeyError, match="P_sat"):
+        cli.main(["reproduce", "fig-s4a", "--realizations", "2", "--quiet", "--out", str(tmp_path / "o")])
+
+
 def test_reproduce_manifest_records_realizations_used(tmp_path):
     default, given = tmp_path / "default", tmp_path / "given"
     assert cli.main(["reproduce", "closed-form-chain", "--quiet", "--out", str(default)]) == 0
@@ -320,6 +343,68 @@ def test_fig_s2_summary_records_the_fit_diagnostics(tmp_path):
         assert summary["rates_mhz"][key] == fit.rate_mhz
 
 
+def test_fitted_summaries_end_with_the_fit_diagnostics(tmp_path):
+    protocol_run = {"experiment": "protocol", "realizations": 2, "params": {"n_p1": 30, "n_cycles": 8}}
+    crossover_run = {"experiment": "crossover", "realizations": 2,
+                     "params": {"n_p1": 30, "n_cycles": 8, "omegas_mhz": [1.0, 6.4, 20.0]}}
+    for config in (protocol_run, crossover_run):
+        out = tmp_path / config["experiment"]
+        assert cli.main(["run", write_config(tmp_path, config), "--out", str(out), "--quiet"]) == 0
+    protocol_summary = json.loads((tmp_path / "protocol" / "protocol_summary.json").read_text())
+    crossover_summary = json.loads((tmp_path / "crossover" / "crossover_summary.json").read_text())
+    assert list(crossover_summary)[:2] == ["omegas_MHz", "P_sat"]
+    table = np.loadtxt(tmp_path / "crossover" / "crossover_table.csv", delimiter=",", skiprows=1)
+    assert crossover_summary["P_sat"] == table[:, 1].tolist()
+    out = tmp_path / "fig-2c"
+    assert cli.main(["reproduce", "fig-2c", "--realizations", "2", "--quiet", "--out", str(out)]) == 0
+    fig_2c_summary = json.loads((out / "fig_2c_summary.json").read_text())
+    assert json.loads((out / "manifest.json").read_text())["configs"] == []
+    for summary in (protocol_summary, crossover_summary, fig_2c_summary):
+        assert list(summary)[-2:] == ["converged", "nfev"]
+        assert isinstance(summary["converged"], bool) and summary["nfev"] >= 1
+
+
+# (preset, realizations, {`run` artifact: preset artifact} per config, in config order)
+PRESET_RUNS = {
+    "fig-s2": (20, [{"deer_trace.csv": "deer_trace_2.4ppm.csv"}, {"deer_trace.csv": "deer_trace_6.3ppm.csv"}]),
+    "fig-s3": (1, [{}, {}, {}]),
+    "fig-s4a": (2, [{"protocol_trajectory.csv": "fig_s4a_trajectory.csv",
+                     "protocol_summary.json": "fig_s4a_summary.json"}]),
+    "fig-s4b": (2, [{"crossover_table.csv": "fig_s4b_table.csv", "crossover_summary.json": "fig_s4b_summary.json"}]),
+}
+
+
+@pytest.mark.parametrize("tag", PRESET_RUNS)
+def test_preset_is_its_run_configs(tmp_path, tag):
+    realizations, files = PRESET_RUNS[tag]
+    preset = tmp_path / tag
+    argv = ["reproduce", tag, "--realizations", str(realizations), "--seed", "1", "--quiet", "--out", str(preset)]
+    assert cli.main(argv) == 0
+    configs = json.loads((preset / "manifest.json").read_text())["configs"]
+    assert len(configs) == len(files)
+    runs = []
+    for k, (config, names) in enumerate(zip(configs, files)):
+        assert cli.validate_config(config) == []
+        out = tmp_path / f"run{k}"
+        assert cli.main(["run", write_config(tmp_path, config, f"c{k}.json"), "--out", str(out), "--quiet"]) == 0
+        for run_name, preset_name in names.items():
+            assert (out / run_name).read_bytes() == (preset / preset_name).read_bytes()
+        runs.append(out)
+    if tag == "fig-s2":
+        summary = json.loads((preset / "fig_s2_summary.json").read_text())
+        for density, out in zip(summary["densities_ppm"], runs):
+            fit = json.loads((out / "deer_fit.json").read_text())
+            assert summary["rates_mhz"][str(density)] == fit["rate_mhz"]
+            assert summary["fit_nfev"][str(density)] == fit["nfev"]
+    if tag == "fig-s3":
+        table = json.loads((preset / "fig_s3_summary.json").read_text())
+        for entry, out in zip(table, runs):
+            summary = json.loads((out / "diffusion_summary.json").read_text())
+            assert (entry["omega_MHz"], entry["D_inf_nm2_per_us"], entry["sigma"]) == (
+                summary["omega_MHz"], summary["D_inf"], summary["sigma"]
+            )
+
+
 def test_manifests_record_the_environment(tmp_path, monkeypatch):
     # the transport and protocol bytes depend on the BLAS thread count
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -375,6 +460,26 @@ def test_run_fit_reads_a_written_trace(tmp_path, capsys):
         config["params"]["data_csv"] = str(bad)
         assert cli.main(["run", write_config(tmp_path, config), "--out", str(out), "--quiet"]) == 3
         assert "sigma values must be positive" in capsys.readouterr().err
+
+
+def test_run_fit_reads_a_third_column_as_sigma_only_by_name(tmp_path, capsys):
+    # a one-realization trajectory is cycle,p_nv,p_p1: p_p1 is no error bar for p_nv
+    config = {"experiment": "protocol", "realizations": 1, "params": {"n_p1": 20, "n_cycles": 8}}
+    assert cli.main(["run", write_config(tmp_path, config), "--out", str(tmp_path / "p"), "--quiet"]) == 0
+    trajectory = tmp_path / "p" / "protocol_trajectory.csv"
+    assert trajectory.read_text().splitlines()[0] == "cycle,p_nv,p_p1"
+    fit = {"experiment": "fit", "params": {"model": "exp_saturation", "data_csv": str(trajectory)}}
+    capsys.readouterr()
+    assert cli.main(["run", write_config(tmp_path, fit, "fit.json"), "--out", str(tmp_path / "f"), "--quiet"]) == 2
+    assert "config field params/data_csv:" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+    # the same numbers under an error-bar name are fitted with them as sigma
+    rows = trajectory.read_text().splitlines()
+    for name in ("sem", "sigma", "p_p1_sem", "P_sat_sigma"):
+        named = tmp_path / f"{name}.csv"
+        named.write_text("\n".join([f"cycle,p_nv,{name}"] + rows[1:]) + "\n")
+        fit["params"]["data_csv"] = str(named)
+        assert cli.main(["run", write_config(tmp_path, fit, "fit.json"), "--out", str(tmp_path / name), "--quiet"]) == 0
 
 
 def test_run_fit_refuses_a_wider_table(tmp_path, capsys):

@@ -38,8 +38,10 @@ TAGS = ("closed-form-chain", "fig-s2", "fig-s3", "fig-s4a", "fig-s4b", "fig-2c")
 SEEDS = (0, 1, 2, 3)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# `spinnet run` configs small enough to run at every seed in seconds; the
-# presets never write these experiments' CSVs
+# `spinnet run` configs small enough to run at every seed in seconds.  The
+# presets run `deer`, `diffusion`, `protocol` and `crossover` at their own
+# configs only; these add `hahn` and `rabi`, which no preset runs, and the
+# params no preset sets
 RUN_CONFIGS = {
     "deer": {
         "experiment": "deer",
