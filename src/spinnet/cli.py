@@ -617,6 +617,9 @@ def _cmd_reproduce(args) -> int:
     if args.realizations is not None and args.realizations < 1:
         print(f"error: --realizations must be at least 1, got {args.realizations}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.seed is not None and args.seed < 0:
+        print(f"error: --seed must be nonnegative, got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.realizations is not None and args.tag == "closed-form-chain":
         print("error: --realizations: preset 'closed-form-chain' is closed-form and draws nothing", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .network import (
     centred_draw,
     generate_network,
     ppm_to_density,
-    species_code,
 )
 from .spinops import Frame, build_cluster_hamiltonian
 
@@ -127,14 +126,14 @@ def sample_nv_p1_cluster(
     return centred_draw(spec, realization, generate_network)
 
 
-def default_tau_grid(density_ppm: float, n_points: int = 48) -> np.ndarray:
-    """Echo delay grid scaled inversely with density (denser bath, faster decay)."""
+def default_tau_grid(density_ppm: float) -> np.ndarray:
+    """48 echo delays scaled inversely with density (denser bath, faster decay)."""
     if density_ppm <= 0:
         raise ValueError("density must be positive")
     # the disorder-averaged echo decays on ~2.5/density us, so 8/density
     # reaches deep into the tail at any density
     tau_max = 8.0 / density_ppm
-    return np.linspace(0.0, tau_max, n_points)
+    return np.linspace(0.0, tau_max, 48)
 
 
 def _sensor_up_probability(states: np.ndarray, n_sites: int, sensor: int = 0) -> np.ndarray:
@@ -149,20 +148,18 @@ def run_deer(
     tau_grid_us,
     n_realizations: int = 1,
     bath_pi: bool = True,
-    bath_target: Optional[tuple] = None,
     seed: int = 0,
 ) -> TraceResult:
-    """Phase-cycled echo with an optional recoupling pi on bath spins.
+    """Phase-cycled echo with an optional recoupling pi on the bath.
 
-    Sequence: pi/2_y - tau - pi_x (sensor, plus the bath sites of species
-    and subgroup ``bath_target``, or every bath site, when ``bath_pi``) -
-    tau - pi/2_{+-y}; signal = P_up(-) - P_up(+), i.e. the cosine of the
-    accumulated bath phase, averaged over realizations with random bath
-    product states.
+    Sequence: pi/2_y - tau - pi_x (sensor, plus every bath site when
+    ``bath_pi``) - tau - pi/2_{+-y}; signal = P_up(-) - P_up(+), i.e. the
+    cosine of the accumulated bath phase, averaged over realizations with
+    random bath product states.
     """
     tau = np.asarray(tau_grid_us, dtype=float)
     signals = []
-    pulses = {}  # (n, flipped sites) -> (pi/2_y, pi_x, pi/2_-y); the pulses depend on nothing else
+    pulses = {}  # n -> (pi/2_y, pi_x, pi/2_-y); the pulses depend on nothing else
     for r in range(n_realizations):
         net = cluster_factory(r)
         n = net.n_sites
@@ -180,22 +177,13 @@ def run_deer(
         psi0 = np.zeros(2**n, dtype=complex)
         psi0[index] = 1.0
 
-        flip = [0]
-        if bath_pi:
-            bath = np.arange(1, n)
-            if bath_target is not None:
-                species, subgroup = bath_target
-                chosen = (net.species[1:] == species_code(species)) & (net.subgroup[1:] == subgroup)
-                bath = bath[chosen]
-            flip += bath.tolist()
-        key = (n, tuple(flip))
-        if key not in pulses:
-            pulses[key] = (
+        if n not in pulses:
+            pulses[n] = (
                 rotation_unitary(n, math.pi / 2, "y", [0]),
-                rotation_unitary(n, math.pi, "x", flip),
+                rotation_unitary(n, math.pi, "x", range(n) if bath_pi else [0]),
                 rotation_unitary(n, math.pi / 2, "-y", [0]),
             )
-        u_half, u_pi, u_minus = pulses[key]
+        u_half, u_pi, u_minus = pulses[n]
 
         phases = np.exp(-1j * TWO_PI * np.outer(evals, tau))
         evecs_h = evecs.conj().T
@@ -212,27 +200,19 @@ def run_deer(
 
 def deer_trace(
     density_ppm: float,
-    tau_grid_us=None,
     n_realizations: int = 200,
     n_bath: int = 5,
     seed: int = 0,
     bath_pi: bool = True,
     placement: Placement = Placement.DIAMOND_LATTICE,
 ) -> TraceResult:
-    """Disorder-averaged NV-P1 DEER decay at the given addressed density."""
-    if tau_grid_us is None:
-        tau_grid_us = default_tau_grid(density_ppm)
+    """Disorder-averaged NV-P1 DEER decay at the given addressed density,
+    on :func:`default_tau_grid`."""
     factory = lambda r: sample_nv_p1_cluster(
         density_ppm, n_bath=n_bath, seed=seed, realization=r, placement=placement
     )
-    return run_deer(
-        factory,
-        tau_grid_us,
-        n_realizations=n_realizations,
-        bath_pi=bath_pi,
-        bath_target=(Species.P1, 0),
-        seed=seed,
-    )
+    tau = default_tau_grid(density_ppm)
+    return run_deer(factory, tau, n_realizations=n_realizations, bath_pi=bath_pi, seed=seed)
 
 
 def run_rabi(

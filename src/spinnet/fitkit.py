@@ -42,6 +42,15 @@ __all__ = [
 ]
 
 
+# Function evaluations least_squares may spend on one fit
+MAX_NFEV = 2000
+# Quantile levels of every Monte Carlo summary
+MC_QUANTILES = (0.025, 0.16, 0.5, 0.84, 0.975)
+# Smallest positive-frequency peak, relative to the largest spectrum bin,
+# that counts as an oscillation
+PEAK_REL_FLOOR = 1e-9
+
+
 class FitError(ValueError):
     """Raised for underdetermined or otherwise unusable fit input."""
 
@@ -194,15 +203,14 @@ def fit(
     ydata,
     sigma=None,
     p0: Optional[Sequence[float]] = None,
-    max_nfev: int = 2000,
 ) -> FitResult:
     """Weighted least-squares fit of ``model`` to (xdata, ydata).
 
     ``sigma`` gives per-point 1-sigma errors; when present the covariance is
     absolute, otherwise it is scaled by the reduced chi-square.  A fit that
-    exhausts its iteration budget, or that ends on its (clipped) starting
-    point, comes back with ``converged=False`` rather than raising; only
-    structurally unusable input raises :class:`FitError`.
+    exhausts its budget of :data:`MAX_NFEV` evaluations, or that ends on its
+    (clipped) starting point, comes back with ``converged=False`` rather
+    than raising; only structurally unusable input raises :class:`FitError`.
     """
     x = np.asarray(xdata, dtype=float).ravel()
     y = np.asarray(ydata, dtype=float).ravel()
@@ -250,7 +258,7 @@ def fit(
         p0,
         bounds=(model.lower, model.upper),
         method="trf",
-        max_nfev=max_nfev,
+        max_nfev=MAX_NFEV,
     )
     cov = _covariance(res.jac, res.cost, x.size, n_params, absolute=sigma is not None)
     sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -352,13 +360,13 @@ def mc_propagate(
     n: int = 10000,
     seed: int = 0,
     reject: Optional[Callable] = None,
-    quantile_levels: Sequence[float] = (0.025, 0.16, 0.5, 0.84, 0.975),
 ) -> McResult:
     """Propagate Gaussian input uncertainties through ``func`` by sampling.
 
     ``func`` receives one array per input (vectorized over the n draws).
     ``reject`` may veto draws (e.g. nonphysical denominators); rejected draws
-    are counted and a warning flag is set when they exceed 1% of n.
+    are counted and a warning flag is set when they exceed 1% of n.  The
+    quantiles are taken at :data:`MC_QUANTILES`.
     """
     means = np.asarray(means, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
@@ -378,7 +386,7 @@ def mc_propagate(
     if not cols[0].size:
         raise FitError("all Monte Carlo draws rejected")
     values = np.asarray(func(*cols), dtype=float)
-    qs = {q: float(np.quantile(values, q)) for q in quantile_levels}
+    qs = {q: float(np.quantile(values, q)) for q in MC_QUANTILES}
     return McResult(
         mean=float(np.mean(values)),
         sigma=float(np.std(values, ddof=1)) if values.size > 1 else 0.0,
@@ -402,11 +410,12 @@ def fft_spectrum(trace, dt: float):
     return freqs, mag
 
 
-def spectrum_peak(freqs, magnitude, rel_floor: float = 1e-9):
+def spectrum_peak(freqs, magnitude):
     """Dominant positive-frequency component, refined by parabolic interpolation.
 
     Returns None when the positive-frequency content is negligible (flat
-    trace).  ``rel_floor`` is measured against the full spectrum magnitude.
+    trace): a peak below :data:`PEAK_REL_FLOOR` times the full spectrum
+    magnitude.
     """
     freqs = np.asarray(freqs, dtype=float)
     magnitude = np.asarray(magnitude, dtype=float)
@@ -419,7 +428,7 @@ def spectrum_peak(freqs, magnitude, rel_floor: float = 1e-9):
     mpos = magnitude[pos]
     fpos = freqs[pos]
     k = int(np.argmax(mpos))
-    if mpos[k] < rel_floor * scale:
+    if mpos[k] < PEAK_REL_FLOOR * scale:
         return None
     if 0 < k < mpos.size - 1:
         denom = mpos[k - 1] - 2 * mpos[k] + mpos[k + 1]
@@ -435,24 +444,21 @@ def reduce_mean_sem(values) -> tuple:
     """Order-insensitive mean and standard error over realizations.
 
     A (realizations x points) array is reduced along axis 0 and gives
-    one mean and one standard error per column, as two arrays; any other
-    input is one set of realization values and gives two floats.  Each
-    set is summed exactly (``math.fsum``), so any permutation of the
+    one mean and one standard error per column, as two arrays.  Each
+    column is summed exactly (``math.fsum``), so any permutation of the
     realizations produces bit-identical results.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 2:
-        if arr.shape[0] == 0:
-            raise FitError("no values to reduce")
-        columns = [_mean_sem(col.tolist()) for col in arr.T]
-        return np.array([m for m, _ in columns]), np.array([s for _, s in columns])
-    return _mean_sem(arr.ravel().tolist())
+    if arr.ndim != 2:
+        raise ValueError(f"need a (realizations x points) array, got {arr.ndim} dimensions")
+    if arr.shape[0] == 0:
+        raise FitError("no values to reduce")
+    columns = [_mean_sem(col.tolist()) for col in arr.T]
+    return np.array([m for m, _ in columns]), np.array([s for _, s in columns])
 
 
 def _mean_sem(vals: list) -> tuple[float, float]:
     n = len(vals)
-    if n == 0:
-        raise FitError("no values to reduce")
     mean = math.fsum(vals) / n
     if n == 1:
         return mean, 0.0

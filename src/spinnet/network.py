@@ -1,4 +1,4 @@
-"""Disordered spin-ensemble generation and geometric statistics.
+"""Disordered spin-ensemble generation.
 
 Networks are cubic boxes of point defects (NV and P1 centers) at given
 densities, with per-site symmetry axes, an optional hard-core exclusion
@@ -9,7 +9,6 @@ index), so realizations are independent and can be generated in any order.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -38,8 +37,6 @@ __all__ = [
     "mean_spacing",
     "generate_network",
     "assign_detunings",
-    "nearest_neighbor_stats",
-    "empirical_nearest_neighbor",
 ]
 
 
@@ -222,72 +219,6 @@ class SpinNetwork:
 
     def count(self, species) -> int:
         return int(self.indices_of(species).size)
-
-    def to_json(self) -> str:
-        spec = self.spec
-        columns = (self.positions, self.species, self.axis_index, self.subgroup, self.detunings)
-        payload = {
-            "spec": {
-                "box_nm": spec.box_nm,
-                "densities_ppm": {Species(k).value: v for k, v in spec.densities_ppm.items()},
-                "placement": spec.placement.value,
-                "exclusion_nm": spec.exclusion_nm,
-                "disorder_mhz": spec.disorder_mhz,
-                "field_axis": list(spec.field_axis),
-                "seed": spec.seed,
-                "axis_weights": (
-                    {Species(k).value: list(v) for k, v in spec.axis_weights.items()}
-                    if spec.axis_weights
-                    else None
-                ),
-            },
-            "realization": self.realization,
-            "sites": [
-                {
-                    "id": i,
-                    "xyz_nm": pos,
-                    "species": SPECIES[code].value,
-                    "subgroup": group,
-                    "axis": NV_AXES[axis].tolist(),
-                    "detuning_MHz": delta,
-                }
-                for i, (pos, code, axis, group, delta) in enumerate(zip(*(c.tolist() for c in columns)))
-            ],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpinNetwork":
-        data = json.loads(text)
-        sp = data["spec"]
-        spec = EnsembleSpec(
-            box_nm=sp["box_nm"],
-            densities_ppm={Species(k): v for k, v in sp["densities_ppm"].items()},
-            placement=Placement(sp["placement"]),
-            exclusion_nm=sp["exclusion_nm"],
-            disorder_mhz=sp["disorder_mhz"],
-            field_axis=tuple(sp["field_axis"]),
-            seed=sp["seed"],
-            axis_weights=(
-                {Species(k): tuple(v) for k, v in sp["axis_weights"].items()}
-                if sp.get("axis_weights")
-                else None
-            ),
-        )
-        records = data["sites"]
-        axes = np.array([rec["axis"] for rec in records], dtype=float).reshape(-1, 3)
-        axis_index = np.argmax(axes @ NV_AXES.T, axis=1)
-        if not np.allclose(NV_AXES[axis_index], axes):
-            raise ValueError("site axes must be <111> crystal axes")
-        return cls(
-            spec=spec,
-            positions=[rec["xyz_nm"] for rec in records],
-            species=[species_code(rec["species"]) for rec in records],
-            axis_index=axis_index,
-            subgroup=[rec["subgroup"] for rec in records],
-            detunings=[rec["detuning_MHz"] for rec in records],
-            realization=data.get("realization", 0),
-        )
 
 
 def centred_source(base: SpinNetwork, realization: int) -> SpinNetwork:
@@ -480,45 +411,3 @@ def assign_detunings(net: SpinNetwork, sigma_mhz: float, rng=None) -> SpinNetwor
     n = net.n_sites
     deltas = rng.normal(0.0, sigma_mhz, size=n) if sigma_mhz > 0 else np.zeros(n)
     return replace(net, detunings=deltas)
-
-
-@dataclass
-class NeighborStats:
-    d_nn_nm: float
-    fraction_within: float
-
-
-def nearest_neighbor_stats(density_ppm: float, radius_nm: float = 0.0) -> NeighborStats:
-    """Poisson nearest-neighbor statistics at the given density.
-
-    d_NN = Gamma(4/3) * (4 pi n / 3)^(-1/3) (= 0.55396 n^(-1/3)) and the
-    probability of finding at least one neighbor within ``radius_nm``.
-    """
-    if density_ppm <= 0:
-        raise ValueError("nearest-neighbor distance undefined at zero density")
-    if radius_nm < 0:
-        raise ValueError("radius must be nonnegative")
-    n = ppm_to_density(density_ppm)
-    d_nn = math.gamma(4.0 / 3.0) * (4.0 * math.pi * n / 3.0) ** (-1.0 / 3.0)
-    fraction = 1.0 - math.exp(-(4.0 / 3.0) * math.pi * radius_nm**3 * n)
-    return NeighborStats(d_nn_nm=d_nn, fraction_within=fraction)
-
-
-def empirical_nearest_neighbor(net: SpinNetwork, margin_nm: float = 0.0) -> np.ndarray:
-    """Per-site nearest-neighbor distances, restricted to interior sites.
-
-    Sites closer than ``margin_nm`` to a box face are excluded as reference
-    points (their true nearest neighbor may lie outside the box), but all
-    sites count as candidate neighbors.
-    """
-    pos = net.positions
-    if len(pos) < 2:
-        return np.zeros(0)
-    L = net.spec.box_nm
-    interior = np.all((pos >= margin_nm) & (pos <= L - margin_nm), axis=1)
-    if not np.any(interior):
-        return np.zeros(0)
-    diff = pos[interior][:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    dist[dist == 0] = np.inf
-    return dist.min(axis=1)

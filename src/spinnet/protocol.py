@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+# Sensor and bath densities of every protocol network: the box edge follows
+# from the bath density and n_p1, the sensor count from the ratio.
+DENSITY_NV_PPM = 0.6
+DENSITY_P1_PPM = 1.575
+
+
 @dataclass(frozen=True)
 class CycleConfig:
     """Timing, drive, and relaxation parameters of one transfer cycle."""
@@ -125,25 +131,23 @@ class EquilibrationResult:
 
 def protocol_network(
     n_p1: int = 120,
-    density_nv_ppm: float = 0.6,
-    density_p1_ppm: float = 1.575,
     w_mhz: float = 1.36,
     seed: int = 0,
     realization: int = 0,
 ) -> SpinNetwork:
     """Two-species box with every site in the driven (addressed) group.
 
-    The box edge is set by the bath density and ``n_p1``; the sensor
-    count follows from the density ratio.  All sensors share one
-    crystallographic axis and all bath spins one spectral group, so
-    every pair participates in the dressed exchange.
+    The box edge is set by :data:`DENSITY_P1_PPM` and ``n_p1``; the
+    sensor count follows from the ratio to :data:`DENSITY_NV_PPM`.  All
+    sensors share one crystallographic axis and all bath spins one
+    spectral group, so every pair participates in the dressed exchange.
     """
     if n_p1 < 1:
         raise ValueError("need at least one bath spin")
-    box = (n_p1 / ppm_to_density(density_p1_ppm)) ** (1.0 / 3.0)
+    box = (n_p1 / ppm_to_density(DENSITY_P1_PPM)) ** (1.0 / 3.0)
     spec = EnsembleSpec(
         box_nm=box,
-        densities_ppm={Species.NV: density_nv_ppm, Species.P1: density_p1_ppm},
+        densities_ppm={Species.NV: DENSITY_NV_PPM, Species.P1: DENSITY_P1_PPM},
         placement=Placement.CONTINUUM,
         disorder_mhz=w_mhz,
         seed=seed,
@@ -264,7 +268,7 @@ def saturation_sweep(
     return p_sat, p_sat_sigma, cross
 
 
-def fit_saturation(n_values, a_values, sem=None, p0=None) -> SaturationFit:
+def fit_saturation(n_values, a_values, sem=None) -> SaturationFit:
     """Exponential-saturation fit A(N) = A_sat (1 - exp(-N/N_sat))."""
     n_values = np.asarray(n_values, dtype=float)
     a_values = np.asarray(a_values, dtype=float)
@@ -273,7 +277,7 @@ def fit_saturation(n_values, a_values, sem=None, p0=None) -> SaturationFit:
         sem = np.asarray(sem, dtype=float)
         if np.all(sem > 0):
             sigma = sem
-    res = fitkit.fit(fitkit.EXP_SATURATION, n_values, a_values, sigma=sigma, p0=p0)
+    res = fitkit.fit(fitkit.EXP_SATURATION, n_values, a_values, sigma=sigma)
     return SaturationFit(
         a_sat=res["amp"],
         n_sat=res["tau"],
@@ -302,9 +306,9 @@ CROSSOVER = fitkit.ModelSpec(
 )
 
 
-def fit_crossover(omegas_mhz, a_sat, sigma=None, p0=None) -> CrossoverFit:
+def fit_crossover(omegas_mhz, a_sat, sigma=None) -> CrossoverFit:
     """Disorder-crossover fit A_sat(Omega) = A_inf Omega^2/(Omega^2 + W^2)."""
-    res = fitkit.fit(CROSSOVER, np.asarray(omegas_mhz, dtype=float), np.asarray(a_sat, dtype=float), sigma=sigma, p0=p0)
+    res = fitkit.fit(CROSSOVER, np.asarray(omegas_mhz, dtype=float), np.asarray(a_sat, dtype=float), sigma=sigma)
     return CrossoverFit(
         a_inf=res["a_inf"],
         w_mhz=res["w"],
@@ -388,12 +392,14 @@ def readout_equilibration(
         one = factory(r)
         nv = one.indices_of(Species.NV)
         p1 = one.indices_of(Species.P1)
-        rm = build_rates(one, config.omega_mhz, config.gamma_mhz)
+        rm = build_rates(pair_table(one, config.gamma_mhz), config.omega_mhz, config.gamma_mhz)
         gen = factor_generator(rm, _relaxation(one, config.t1rho_dark_us, config.t1rho_nv_us))
         # plus - minus: the sensors cancel, the bath differs by 2 * p_p1
         d = np.zeros(one.n_sites)
         d[p1] = 2.0 * p_p1
-        sensors = gen.propagate(d, times_us, rows=nv)
+        # the sensor columns of the full product: a product over the sensor
+        # rows of the eigenvectors alone may round differently
+        sensors = gen.propagate(d, times_us)[:, nv]
         sensors[times_us == 0] = d[nv]
         curves[r] = sensors.mean(axis=1) / config.p_nv0
 

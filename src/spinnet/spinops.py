@@ -35,7 +35,6 @@ __all__ = [
     "nv_scaling",
     "build_cluster_hamiltonian",
     "effective_rabi",
-    "tilt_projection",
     "effective_disorder",
 ]
 
@@ -200,15 +199,6 @@ def build_cluster_hamiltonian(
 def effective_rabi(omega_mhz: float, detuning_mhz: float) -> float:
     """Generalized Rabi frequency sqrt(Omega^2 + delta^2), MHz."""
     return math.hypot(omega_mhz, detuning_mhz)
-
-
-def tilt_projection(omega_mhz: float, detuning_mhz: float) -> float:
-    """sin(theta) = Omega / Omega_eff, the transverse projection of a
-    detuned dressed spin (1 on resonance, 0 at zero drive)."""
-    eff = effective_rabi(omega_mhz, detuning_mhz)
-    if eff == 0:
-        raise ValueError("tilt undefined with zero drive and zero detuning")
-    return omega_mhz / eff
 
 
 def effective_disorder(w_mhz: float, omega_mhz: float) -> float:

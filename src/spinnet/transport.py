@@ -203,6 +203,10 @@ def _pair_rates(pairs: PairTable, omega_mhz: float, gamma_mhz: float) -> np.ndar
     """The rate of each pair of ``pairs`` (MHz), 0 beyond the rate cutoff of
     ``gamma_mhz``: the one rate formula of :func:`build_rates` and
     :func:`lanczos_basis`."""
+    if omega_mhz <= 0:
+        raise ValueError("drive amplitude must be positive")
+    if gamma_mhz <= 0:
+        raise ValueError("Hartmann-Hahn linewidth must be positive")
     cutoff = rate_cutoff(gamma_mhz)
     if cutoff > pairs.cutoff_nm:
         raise ValueError(
@@ -210,7 +214,7 @@ def _pair_rates(pairs: PairTable, omega_mhz: float, gamma_mhz: float) -> np.ndar
             f"but the pair table holds pairs only within {pairs.cutoff_nm:g} nm"
         )
     om_eff = np.array([effective_rabi(omega_mhz, d) for d in pairs.detunings.tolist()])
-    sin_t = omega_mhz / om_eff  # tilt_projection per site
+    sin_t = omega_mhz / om_eff  # sin(theta) per site, the transverse projection
     i, j = pairs.i, pairs.j
     # J~ = fj * (sin_i * sin_j) and d_eff = Omega_eff,i - Omega_eff,j in one
     # expression, so no pair-length temporary outlives it; the product and
@@ -224,15 +228,7 @@ def _pair_rates(pairs: PairTable, omega_mhz: float, gamma_mhz: float) -> np.ndar
     return kept
 
 
-def _checked_pairs(net: Union[SpinNetwork, PairTable], omega_mhz: float, gamma_mhz: float) -> PairTable:
-    if omega_mhz <= 0:
-        raise ValueError("drive amplitude must be positive")
-    if gamma_mhz <= 0:
-        raise ValueError("Hartmann-Hahn linewidth must be positive")
-    return net if isinstance(net, PairTable) else pair_table(net, gamma_mhz)
-
-
-def build_rates(net: Union[SpinNetwork, PairTable], omega_mhz: float, gamma_mhz: float = 0.15) -> RateMatrix:
+def build_rates(pairs: PairTable, omega_mhz: float, gamma_mhz: float = 0.15) -> RateMatrix:
     """Golden-rule flip-flop rates between every pair of dressed sites.
 
     J~_ij = (J_ij/8 for degenerate pairs, J_ij/4 otherwise) sin(theta_i)
@@ -242,19 +238,16 @@ def build_rates(net: Union[SpinNetwork, PairTable], omega_mhz: float, gamma_mhz:
     axis.  Pairs whose best-case rate falls below 1e-6 MHz are dropped;
     the corresponding cutoff radius (:func:`rate_cutoff`) is recorded.
 
-    The work is two steps: :func:`pair_table` (distances and prefactored
-    couplings of the pairs within the cutoff, independent of the drive)
-    and the drive-dependent tilt, Lorentzian and cutoff on those pairs,
-    scattered into a dense matrix.  Passing a :class:`PairTable` in place
-    of the network skips the first step, so a drive sweep computes the
-    table of each network once; the rates are the same bit for bit.  A
-    table built for a shorter cutoff than ``gamma_mhz`` needs raises
-    ValueError.
+    ``pairs`` is the :func:`pair_table` of the network (distances and
+    prefactored couplings of the pairs within the cutoff, independent of
+    the drive); this step applies the drive-dependent tilt, Lorentzian and
+    cutoff to those pairs and scatters them into a dense matrix, so a
+    drive sweep computes the table of each network once.  A table built
+    for a shorter cutoff than ``gamma_mhz`` needs raises ValueError.
 
     The matrix is exactly symmetric, R_ij == R_ji bit for bit, so the
     generator built from it is an exact symmetric Laplacian.
     """
-    pairs = _checked_pairs(net, omega_mhz, gamma_mhz)
     kept = _pair_rates(pairs, omega_mhz, gamma_mhz)
     rates = np.zeros((pairs.n_sites, pairs.n_sites))
     rates[pairs.i, pairs.j] = kept
@@ -266,9 +259,6 @@ def build_rates(net: Union[SpinNetwork, PairTable], omega_mhz: float, gamma_mhz:
 class Trajectory:
     times_us: np.ndarray
     polarization: np.ndarray  # (n_times, n_sites)
-
-    def total(self) -> np.ndarray:
-        return self.polarization.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -302,16 +292,9 @@ class Generator:
         """
         return (decay * (self.evecs.T @ p0)) @ self.evecs.T
 
-    def propagate(self, p0, times, rows=None) -> np.ndarray:
-        """P(t) at each time (one row per time), restricted to site ``rows``
-        when given; the restricted rows equal those of the full result.
-
-        ``rows`` selects columns of the full :meth:`evolve` product, because
-        a product over fewer eigenvector rows may take another BLAS kernel
-        and round differently.
-        """
-        traj = self.evolve(p0, self.decay(times))
-        return traj if rows is None else traj[:, rows]
+    def propagate(self, p0, times) -> np.ndarray:
+        """P(t) at each time (one row per time)."""
+        return self.evolve(p0, self.decay(times))
 
 
 def factor_generator(rates: RateMatrix, relax=None) -> Generator:
@@ -461,7 +444,7 @@ def lanczos_basis(net: SpinNetwork, omega_mhz: float, gamma_mhz: float = 0.15) -
     rates of :func:`build_rates` (the same formula, pair for pair), with
     no dense matrix.
     """
-    pairs = _checked_pairs(net, omega_mhz, gamma_mhz)
+    pairs = pair_table(net, gamma_mhz)
     return LanczosBasis(_laplacian(pairs, _pair_rates(pairs, omega_mhz, gamma_mhz)), 0)
 
 

@@ -1,6 +1,8 @@
 """Guards on the package surface that the runners and the benchmark tracer use."""
 
+import ast
 import importlib
+import inspect
 import importlib.util
 import json
 import os
@@ -22,6 +24,68 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"spinnet.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"spinnet.{name}.__all__ names missing attributes: {missing}"
+
+
+# Optional parameters that no call in src/ passes, kept for a test that
+# substitutes them
+UNPASSED_ALLOWED = {
+    # explicit couplings stand in for the dipolar ones in the frame and
+    # pair-classification tests
+    ("build_cluster_hamiltonian", "couplings"),
+    # criterion 8 drives +-p_p1 through readout_equilibration, and the
+    # quasi-equilibrium test reads it out on a grid out to 5e4 us
+    ("readout_equilibration", "times_us"),
+    ("readout_equilibration", "p_p1"),
+}
+
+
+def exported_functions() -> dict:
+    """Every function named in a module's ``__all__``, by name."""
+    functions = {}
+    for name in MODULES:
+        module = importlib.import_module(f"spinnet.{name}")
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            if inspect.isfunction(obj):
+                assert attr not in functions, f"{attr} is exported by two modules"
+                functions[attr] = obj
+    return functions
+
+
+def passed_parameters(functions: dict) -> set:
+    """(function, parameter) for every argument some call in src/spinnet passes,
+    positional arguments mapped through the signature."""
+    passed = set()
+    for path in Path(spinnet.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if callee not in functions:
+                continue
+            params = list(inspect.signature(functions[callee]).parameters.values())
+            for param, arg in zip(params, node.args):
+                if isinstance(arg, ast.Starred) or param.kind not in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
+                    break
+                passed.add((callee, param.name))
+            passed.update((callee, kw.arg) for kw in node.keywords if kw.arg is not None)
+    return passed
+
+
+def test_every_optional_parameter_is_passed_in_src():
+    # a default that no runner overrides is a mode no experiment uses
+    functions = exported_functions()
+    optional = {
+        (name, param.name)
+        for name, fn in functions.items()
+        for param in inspect.signature(fn).parameters.values()
+        if param.default is not param.empty
+    }
+    unpassed = optional - passed_parameters(functions)
+    assert unpassed == UNPASSED_ALLOWED, (
+        f"never passed in src/: {sorted(unpassed - UNPASSED_ALLOWED)}; "
+        f"allowed but passed or gone: {sorted(UNPASSED_ALLOWED - unpassed)}"
+    )
 
 
 def test_benchmark_wrap_points_exist():

@@ -61,7 +61,7 @@ def test_run_configs_cover_every_csv_experiment():
     for config in artifact_diff.RUN_CONFIGS.values():
         assert cli.validate_config(config) == []
     experiments = {c["experiment"] for c in artifact_diff.RUN_CONFIGS.values()}
-    assert experiments == {"deer", "hahn", "rabi", "diffusion", "protocol", "crossover"}
+    assert experiments == set(cli._EXPERIMENTS)
     # the protocol CSV leaves out its SEM columns for a single realization
     assert any(c["experiment"] == "protocol" and c["realizations"] == 1 for c in artifact_diff.RUN_CONFIGS.values())
 

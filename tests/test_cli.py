@@ -256,6 +256,15 @@ def test_reproduce_zero_realizations_is_config_error(tmp_path, capsys, tag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tag", ["fig-s2", "fig-s4a"])
+def test_reproduce_negative_seed_is_config_error(tmp_path, capsys, tag):
+    # a negative seed reached numpy's SeedSequence and died with a traceback
+    out = tmp_path / "neg"
+    assert cli.main(["reproduce", tag, "--realizations", "2", "--seed", "-1", "--quiet", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_closed_form_chain_refuses_realizations(tmp_path, capsys):
     # the preset draws nothing, so a count would be recorded and ignored
     out = tmp_path / "cfc"

@@ -17,9 +17,9 @@ from spinnet.clusterdyn import (
     run_rabi,
     sample_nv_p1_cluster,
 )
-from spinnet.constants import TWO_PI
+from spinnet.constants import J0_MHZ_NM3, TWO_PI
 from spinnet.fitkit import FitError
-from spinnet.network import EnsembleSpec, Species, SpinNetwork, species_code
+from spinnet.network import EnsembleSpec, Placement, Species, SpinNetwork, species_code
 from spinnet.spinops import Frame, build_cluster_hamiltonian
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -49,6 +49,22 @@ def test_deer_single_bath_spin_cosine():
     expected = np.cos(TWO_PI * math.sqrt(2) * 0.052 * tau)
     assert np.abs(trace.signal - expected).max() < 1e-6
     assert np.all(np.abs(trace.signal) <= 1 + 1e-12)
+
+
+@pytest.mark.parametrize("placement", list(Placement))
+@pytest.mark.parametrize("density_ppm", [2.4, 6.3])
+def test_sampled_one_spin_deer_is_the_ising_cosine(density_ppm, placement):
+    # one bath spin: the echo phase is exactly 2 pi sqrt(2) J tau, with J the
+    # bare dipolar coupling of the pair along the field axis
+    tau = default_tau_grid(density_ppm)
+    for r in range(20):
+        net = sample_nv_p1_cluster(density_ppm, n_bath=1, seed=0, realization=r, placement=placement)
+        rvec = net.positions[1] - net.positions[0]
+        dist = np.linalg.norm(rvec)
+        cos = rvec @ np.ones(3) / (math.sqrt(3.0) * dist)
+        j = J0_MHZ_NM3 * (1.0 - 3.0 * cos**2) / dist**3
+        trace = run_deer(lambda k: net, tau, seed=r)
+        assert np.abs(trace.signal - np.cos(TWO_PI * math.sqrt(2.0) * j * tau)).max() <= 1e-13
 
 
 def test_deer_empty_bath_is_flat_hahn_echo():
@@ -142,7 +158,6 @@ def test_nv_nv_deer_smoke():
         nv_nv_cluster,
         tau,
         n_realizations=30,
-        bath_target=(Species.NV, 1),
         seed=4,
     )
     assert trace.signal[0] == pytest.approx(1.0, abs=1e-12)
@@ -238,14 +253,12 @@ def test_sem_scales_with_realization_count():
         lambda r: sample_nv_p1_cluster(6.3, seed=6, realization=r),
         tau,
         n_realizations=25,
-        bath_target=(Species.P1, 0),
         seed=6,
     )
     large = run_deer(
         lambda r: sample_nv_p1_cluster(6.3, seed=6, realization=r),
         tau,
         n_realizations=250,
-        bath_target=(Species.P1, 0),
         seed=6,
     )
     ratio = np.mean(small.sem[1:]) / np.mean(large.sem[1:])

@@ -209,8 +209,8 @@ def test_fft_flat_trace_has_no_positive_peak():
 def test_reduce_mean_sem_shuffle_invariant():
     rng = np.random.default_rng(7)
     vals = rng.normal(0.3, 1.1, 500)
-    m1, s1 = fitkit.reduce_mean_sem(vals)
-    m2, s2 = fitkit.reduce_mean_sem(vals[rng.permutation(500)])
+    m1, s1 = fitkit.reduce_mean_sem(vals[:, None])
+    m2, s2 = fitkit.reduce_mean_sem(vals[rng.permutation(500)][:, None])
     assert m1 == m2 and s1 == s2
     assert s1 == pytest.approx(1.1 / math.sqrt(500), rel=0.15)
 
@@ -218,8 +218,8 @@ def test_reduce_mean_sem_shuffle_invariant():
 def test_sem_scales_with_sample_count():
     rng = np.random.default_rng(9)
     vals = rng.normal(0, 1, 4000)
-    _, s_all = fitkit.reduce_mean_sem(vals)
-    _, s_quarter = fitkit.reduce_mean_sem(vals[:1000])
+    _, s_all = fitkit.reduce_mean_sem(vals[:, None])
+    _, s_quarter = fitkit.reduce_mean_sem(vals[:1000, None])
     assert s_quarter / s_all == pytest.approx(2.0, rel=0.2)
 
 
@@ -229,7 +229,8 @@ def test_reduce_mean_sem_by_column():
     mean, sem = fitkit.reduce_mean_sem(runs)
     assert mean.shape == sem.shape == (7,)
     for k in range(7):
-        assert (mean[k], sem[k]) == fitkit.reduce_mean_sem(runs[:, k])
+        mk, sk = fitkit.reduce_mean_sem(runs[:, [k]])
+        assert (mean[k], sem[k]) == (mk[0], sk[0])
     m2, s2 = fitkit.reduce_mean_sem(runs[rng.permutation(200)])
     assert np.array_equal(mean, m2) and np.array_equal(sem, s2)
     with pytest.raises(fitkit.FitError):

@@ -16,9 +16,8 @@ from spinnet.spinops import (
     effective_rabi,
     nv_scaling,
     operator_set,
-    tilt_projection,
 )
-from test_network_reference import network_from_sites
+from test_network_reference import network_from_sites, tilt_projection
 
 Z = np.array([0.0, 0.0, 1.0])
 

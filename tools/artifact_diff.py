@@ -4,11 +4,12 @@
 
 Each argument is a checkout root or its ``src`` directory.  For each tree
 the six presets and the small ``run`` configs of ``RUN_CONFIGS`` (every
-experiment that writes a CSV, a one-realization protocol run whose CSV
-has no SEM columns, and a protocol run with every cycle parameter set)
-run at seeds 0-3 in one fresh interpreter with every BLAS and OpenMP
-pool pinned to 1 thread (the transport and protocol outputs depend on
-the thread count).  The script prints, per
+experiment, a one-realization protocol run whose CSV has no SEM columns,
+and a protocol run with every cycle parameter set) run at seeds 0-3 in
+one fresh interpreter with every BLAS and OpenMP pool pinned to 1 thread
+(the transport and protocol outputs depend on the thread count).  The
+interpreter starts in the directory that holds the configs and
+``FIT_CSV``, the table the ``fit`` config reads.  The script prints, per
 artifact, both SHA-256 digests and the largest absolute and relative
 change of any numeric cell, then the largest change per artifact name
 over all seeds.  JSON artifacts are compared key by key: the change is
@@ -38,10 +39,18 @@ TAGS = ("closed-form-chain", "fig-s2", "fig-s3", "fig-s4a", "fig-s4b", "fig-2c")
 SEEDS = (0, 1, 2, 3)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# x, y, sem of a saturating buildup: the table the `fit` config reads
+FIT_DATA = "fit_data.csv"
+FIT_CSV = (
+    "cycle,p_p1,p_p1_sem\n"
+    "1,0.03728,0.003\n2,0.06415,0.003\n3,0.08775,0.003\n4,0.10436,0.003\n"
+    "5,0.11697,0.003\n6,0.12138,0.003\n8,0.12792,0.003\n10,0.13991,0.003\n"
+)
+
 # `spinnet run` configs small enough to run at every seed in seconds.  The
 # presets run `deer`, `diffusion`, `protocol` and `crossover` at their own
-# configs only; these add `hahn` and `rabi`, which no preset runs, and the
-# params no preset sets
+# configs only; these add `hahn`, `rabi`, `concentration` and `fit`, which
+# no preset runs, and the params no preset sets
 RUN_CONFIGS = {
     "deer": {
         "experiment": "deer",
@@ -82,6 +91,19 @@ RUN_CONFIGS = {
         "params": {"n_p1": 40, "n_cycles": 8, "omegas_mhz": [1.0, 6.4, 20.0]},
         "network": {"disorder_mhz": 1.36},
     },
+    # DEER calibration fits, the through-origin rate fit and mc_propagate
+    "concentration": {
+        "experiment": "concentration",
+        "realizations": 10,
+        "params": {
+            "gamma_exp_mhz": 0.6,
+            "gamma_sigma_mhz": 0.05,
+            "calibration_densities_ppm": [2.4, 6.3],
+            "n_mc": 2000,
+        },
+    },
+    # a weighted fit from a given start vector
+    "fit": {"experiment": "fit", "params": {"model": "exp_saturation", "data_csv": FIT_DATA, "p0": [0.1, 2.0]}},
 }
 
 _RUN_ALL = """
@@ -115,8 +137,9 @@ def run_artifacts(src: Path, out: Path, tags=TAGS, seeds=SEEDS, runs=RUN_CONFIGS
         paths = {name: os.path.join(config_dir, f"{name}.json") for name in runs}
         for name, config in runs.items():
             Path(paths[name]).write_text(json.dumps(config))
-        argv = [_RUN_ALL, str(out), ",".join(tags), ",".join(map(str, seeds)), json.dumps(paths)]
-        subprocess.run([sys.executable, "-c", *argv], env=env, check=True)
+        Path(config_dir, FIT_DATA).write_text(FIT_CSV)
+        argv = [_RUN_ALL, str(Path(out).resolve()), ",".join(tags), ",".join(map(str, seeds)), json.dumps(paths)]
+        subprocess.run([sys.executable, "-c", *argv], env=env, check=True, cwd=config_dir)
 
 
 def _floats(cells) -> list:
