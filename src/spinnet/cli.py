@@ -290,23 +290,19 @@ def _run_concentration(config: dict) -> tuple:
         fit = clusterdyn.extract_dephasing_rate(trace)
         rates.append(fit.rate_mhz)
         sigmas.append(fit.rate_sigma)
-    alpha = clusterdyn.calibrate_alpha(densities, rates, rate_sigmas=sigmas)
-    k = clusterdyn.compute_K(
-        alpha.alpha_mhz_per_ppm, p.get("addressed_fraction", 0.25), alpha.alpha_sigma
-    )
+    calibration = clusterdyn.calibrate_alpha(densities, rates, rate_sigmas=sigmas)
+    alpha, alpha_sigma = calibration["slope"], calibration.sigma("slope")
+    # K: the dephasing per addressed spectral group at 1 ppm total density
+    fraction = p.get("addressed_fraction", 0.25)
+    k, k_sigma = alpha * fraction, alpha_sigma * fraction
     est = clusterdyn.estimate_concentration(
-        p["gamma_exp_mhz"],
-        p.get("gamma_sigma_mhz", 0.0),
-        k.k_mhz_per_group_ppm,
-        k.k_sigma,
-        n_mc=p.get("n_mc", 10_000),
-        seed=seed,
+        p["gamma_exp_mhz"], p.get("gamma_sigma_mhz", 0.0), k, k_sigma, n_mc=p.get("n_mc", 10_000), seed=seed
     )
     summary = {
-        "alpha_mhz_per_ppm": alpha.alpha_mhz_per_ppm,
-        "alpha_sigma": alpha.alpha_sigma,
-        "K_mhz_per_group_ppm": k.k_mhz_per_group_ppm,
-        "K_sigma": k.k_sigma,
+        "alpha_mhz_per_ppm": alpha,
+        "alpha_sigma": alpha_sigma,
+        "K_mhz_per_group_ppm": k,
+        "K_sigma": k_sigma,
         "density_ppm": est.mean_ppm,
         "density_sigma_ppm": est.sigma_ppm,
         "rejection_warning": est.rejection_warning,
@@ -330,12 +326,27 @@ def _run_fit(config: dict) -> tuple:
         raise ConfigError(
             f"config field params/model: must be one of {sorted(_FIT_MODELS)}"
         )
+    model = _FIT_MODELS[model_name]
+    p0 = p.get("p0")
+    if p0 is not None and len(p0) != len(model.param_names):
+        raise ConfigError(
+            f"config field params/p0: {len(p0)} values for the {len(model.param_names)} "
+            f"parameters {list(model.param_names)} of {model_name}"
+        )
+    if p0 is not None and not np.all(np.isfinite(p0)):
+        raise ConfigError(f"config field params/p0: {p0} holds a value that is not a finite number")
     path = p.get("data_csv")
     if not path or not os.path.exists(path):
         raise ConfigError("config field params/data_csv: file not found")
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as err:
+        # a directory, an unreadable file or a cell that is not a number
+        raise ConfigError(f"config field params/data_csv: {err}") from err
+    if not np.all(np.isfinite(data)):
+        raise ConfigError("config field params/data_csv: a cell is nan or infinite")
     if data.shape[1] < 2:
         raise ConfigError("config field params/data_csv: need at least x,y columns")
     if data.shape[1] > 3:
@@ -353,7 +364,7 @@ def _run_fit(config: dict) -> tuple:
             )
         if data[:, 2].any():
             sigma = data[:, 2]  # an all-zero column (a noiseless or one-realization trace): fit unweighted
-    res = fitkit.fit(_FIT_MODELS[model_name], data[:, 0], data[:, 1], sigma=sigma, p0=p.get("p0"))
+    res = fitkit.fit(model, data[:, 0], data[:, 1], sigma=sigma, p0=p0)
     summary = {
         "model": model_name,
         "params": {k: res[k] for k in res.param_names},

@@ -45,10 +45,7 @@ __all__ = [
     "fft_peak",
     "DephasingFit",
     "extract_dephasing_rate",
-    "AlphaFit",
     "calibrate_alpha",
-    "KEstimate",
-    "compute_K",
     "ConcentrationEstimate",
     "estimate_concentration",
 ]
@@ -276,48 +273,19 @@ def extract_dephasing_rate(trace: TraceResult) -> DephasingFit:
     )
 
 
-@dataclass
-class AlphaFit:
-    alpha_mhz_per_ppm: float
-    alpha_sigma: float
-    fit: fitkit.FitResult
-
-
-def calibrate_alpha(densities_ppm, rates_mhz, rate_sigmas=None) -> AlphaFit:
-    """Through-origin weighted fit of dephasing rate vs density."""
+def calibrate_alpha(densities_ppm, rates_mhz, rate_sigmas=None) -> fitkit.FitResult:
+    """Through-origin weighted fit of dephasing rate vs density; its
+    ``slope`` is alpha in MHz per ppm."""
     d = np.asarray(densities_ppm, dtype=float)
     if np.unique(d).size < 2:
         raise FitError("rate-vs-density calibration needs at least two distinct densities")
-    res = fitkit.linear_fit(d, rates_mhz, sigma=rate_sigmas, through_origin=True)
-    return AlphaFit(res["slope"], res.sigma("slope"), res)
-
-
-@dataclass
-class KEstimate:
-    k_mhz_per_group_ppm: float
-    k_sigma: float
-
-
-def compute_K(alpha_mhz_per_ppm: float, addressed_fraction: float, alpha_sigma: float = 0.0) -> KEstimate:
-    """Expected dephasing per addressed group at 1 ppm total density.
-
-    ``addressed_fraction`` is the population fraction carried by one
-    addressed spectral group (1 for a single group, 1/2 for two equal
-    groups, 3/12 for the usual P1 dip).
-    """
-    if not 0 < addressed_fraction <= 1:
-        raise ValueError("addressed fraction must lie in (0, 1]")
-    return KEstimate(
-        alpha_mhz_per_ppm * addressed_fraction, alpha_sigma * addressed_fraction
-    )
+    return fitkit.linear_fit(d, rates_mhz, sigma=rate_sigmas, through_origin=True)
 
 
 @dataclass
 class ConcentrationEstimate:
     mean_ppm: float
     sigma_ppm: float
-    quantiles: dict
-    n_samples: int
     n_rejected: int
     rejection_warning: bool
 
@@ -332,24 +300,21 @@ def estimate_concentration(
 ) -> ConcentrationEstimate:
     """Monte Carlo posterior for total density = gamma_exp / K.
 
-    Both inputs are sampled as Gaussians; K draws at or below zero are
+    Both inputs are drawn as Gaussians; K draws at or below zero are
     rejected and counted, with a warning flag past 1% rejections.
     """
     if k_mhz_per_group_ppm <= 0:
         raise ValueError("K must be positive")
-    res = fitkit.mc_propagate(
-        lambda g, k: g / k,
-        [gamma_exp_mhz, k_mhz_per_group_ppm],
-        [gamma_sigma, k_sigma],
-        n=n_mc,
-        seed=seed,
-        reject=lambda g, k: k <= 0,
-    )
+    rng = np.random.default_rng(seed)
+    g, k = rng.normal([gamma_exp_mhz, k_mhz_per_group_ppm], [gamma_sigma, k_sigma], size=(n_mc, 2)).T
+    keep = k > 0
+    if not keep.any():
+        raise FitError("all Monte Carlo draws rejected")
+    ratio = g[keep] / k[keep]
+    n_rejected = n_mc - int(keep.sum())
     return ConcentrationEstimate(
-        mean_ppm=res.mean,
-        sigma_ppm=res.sigma,
-        quantiles=res.quantiles,
-        n_samples=res.n_samples,
-        n_rejected=res.n_rejected,
-        rejection_warning=res.rejection_warning,
+        mean_ppm=float(np.mean(ratio)),
+        sigma_ppm=float(np.std(ratio, ddof=1)) if ratio.size > 1 else 0.0,
+        n_rejected=n_rejected,
+        rejection_warning=n_rejected > 0.01 * n_mc,
     )

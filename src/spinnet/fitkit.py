@@ -16,7 +16,7 @@ unweighted fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,8 +33,6 @@ __all__ = [
     "DAMPED_COSINE",
     "fit",
     "linear_fit",
-    "mc_propagate",
-    "McResult",
     "fft_spectrum",
     "spectrum_peak",
     "reduce_mean_sem",
@@ -44,8 +42,6 @@ __all__ = [
 
 # Function evaluations least_squares may spend on one fit
 MAX_NFEV = 2000
-# Quantile levels of every Monte Carlo summary
-MC_QUANTILES = (0.025, 0.16, 0.5, 0.84, 0.975)
 # Smallest positive-frequency peak, relative to the largest spectrum bin,
 # that counts as an oscillation
 PEAK_REL_FLOOR = 1e-9
@@ -338,62 +334,6 @@ def linear_fit(x, y, sigma=None, through_origin: bool = False) -> FitResult:
         residual_norm=math.sqrt(chi2),
         converged=True,
         iterations=0,
-    )
-
-
-@dataclass
-class McResult:
-    """Summary of a Monte Carlo uncertainty propagation."""
-
-    mean: float
-    sigma: float
-    quantiles: dict = field(default_factory=dict)
-    n_samples: int = 0
-    n_rejected: int = 0
-    rejection_warning: bool = False
-
-
-def mc_propagate(
-    func: Callable,
-    means: Sequence[float],
-    sigmas: Sequence[float],
-    n: int = 10000,
-    seed: int = 0,
-    reject: Optional[Callable] = None,
-) -> McResult:
-    """Propagate Gaussian input uncertainties through ``func`` by sampling.
-
-    ``func`` receives one array per input (vectorized over the n draws).
-    ``reject`` may veto draws (e.g. nonphysical denominators); rejected draws
-    are counted and a warning flag is set when they exceed 1% of n.  The
-    quantiles are taken at :data:`MC_QUANTILES`.
-    """
-    means = np.asarray(means, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    if means.shape != sigmas.shape:
-        raise FitError("means and sigmas lengths differ")
-    if np.any(sigmas < 0):
-        raise FitError("sigmas must be nonnegative")
-    rng = np.random.default_rng(seed)
-    draws = rng.normal(means, sigmas, size=(n, means.size))
-    cols = [draws[:, k] for k in range(means.size)]
-    if reject is not None:
-        keep = ~reject(*cols)
-        n_rejected = int(n - keep.sum())
-        cols = [c[keep] for c in cols]
-    else:
-        n_rejected = 0
-    if not cols[0].size:
-        raise FitError("all Monte Carlo draws rejected")
-    values = np.asarray(func(*cols), dtype=float)
-    qs = {q: float(np.quantile(values, q)) for q in MC_QUANTILES}
-    return McResult(
-        mean=float(np.mean(values)),
-        sigma=float(np.std(values, ddof=1)) if values.size > 1 else 0.0,
-        quantiles=qs,
-        n_samples=int(values.size),
-        n_rejected=n_rejected,
-        rejection_warning=n_rejected > 0.01 * n,
     )
 
 

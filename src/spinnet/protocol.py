@@ -66,7 +66,6 @@ class CycleConfig:
     t1rho_laser_us: float = 32.0
     t1rho_nv_us: Optional[float] = 1300.0
     probe_k: int = 8
-    gamma_mhz: float = 0.15
 
     def __post_init__(self):
         if self.omega_mhz <= 0:
@@ -223,13 +222,11 @@ def run_iterative_protocol(
 
     ``factory`` maps a realization index to a network.  Realizations form
     the outer loop: each network is built once, and its pair table
-    (:func:`transport.pair_table`, at the longest rate cutoff, i.e. the
-    smallest ``gamma_mhz``, of the configs) and probe ranking once; then,
+    (:func:`transport.pair_table`) and probe ranking once; then,
     for each config, the rates, the exchange-phase generator and the cycle
     loop.  Each result is reduced and given its saturation fit on its own,
     so a sequence gives the same numbers as one call per config.
     """
-    gamma_min = min(c.gamma_mhz for c in configs)
     nv_runs = [np.empty((n_realizations, c.n_cycles)) for c in configs]
     p1_runs = [np.empty((n_realizations, c.n_cycles)) for c in configs]
     for r in range(n_realizations):
@@ -237,10 +234,10 @@ def run_iterative_protocol(
         p1_count = one.count(Species.P1)
         if one.count(Species.NV) == 0 or p1_count == 0:
             raise ValueError("network must contain both sensor and bath spins")
-        pairs = pair_table(one, gamma_min)
+        pairs = pair_table(one)
         ranked = _probe_indices(one, p1_count)
         for k, c in enumerate(configs):
-            rm = build_rates(pairs, c.omega_mhz, c.gamma_mhz)
+            rm = build_rates(pairs, c.omega_mhz)
             nv_runs[k][r], p1_runs[k][r] = _single_run(one, c, rm, ranked[: c.probe_k])
     return [_reduce(nv, p1) for nv, p1 in zip(nv_runs, p1_runs)]
 
@@ -373,8 +370,8 @@ def readout_equilibration(
 
     The bath starts at +-p_p1 and the sensors at ``config.p_nv0``; the
     contrast difference between the two signs, normalized by p_nv0, rises
-    as the sensors equilibrate with their local bath under the drive,
-    linewidth and dark relaxation of ``config``.  An exponential
+    as the sensors equilibrate with their local bath under the drive and
+    dark relaxation of ``config``.  An exponential
     saturation fit gives the equilibration time.
 
     The master equation is linear, so the transient is computed by
@@ -392,7 +389,7 @@ def readout_equilibration(
         one = factory(r)
         nv = one.indices_of(Species.NV)
         p1 = one.indices_of(Species.P1)
-        rm = build_rates(pair_table(one, config.gamma_mhz), config.omega_mhz, config.gamma_mhz)
+        rm = build_rates(pair_table(one), config.omega_mhz)
         gen = factor_generator(rm, _relaxation(one, config.t1rho_dark_us, config.t1rho_nv_us))
         # plus - minus: the sensors cancel, the bath differs by 2 * p_p1
         d = np.zeros(one.n_sites)

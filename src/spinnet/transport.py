@@ -78,6 +78,9 @@ __all__ = [
 ]
 
 RATE_FLOOR_MHZ = 1e-6
+# Hartmann-Hahn linewidth (MHz) of every dense rate matrix, and the
+# default of the diffusion pipeline
+GAMMA_MHZ = 0.15
 
 
 class WindowError(RuntimeError):
@@ -164,7 +167,7 @@ def _pair_geometry(pos, i, j, axis) -> tuple:
     return r, cos
 
 
-def pair_table(net: SpinNetwork, gamma_mhz: float = 0.15) -> PairTable:
+def pair_table(net: SpinNetwork, gamma_mhz: float = GAMMA_MHZ) -> PairTable:
     """Distances and prefactored dipolar couplings of the pairs within the
     rate cutoff of linewidth ``gamma_mhz``.
 
@@ -228,12 +231,13 @@ def _pair_rates(pairs: PairTable, omega_mhz: float, gamma_mhz: float) -> np.ndar
     return kept
 
 
-def build_rates(pairs: PairTable, omega_mhz: float, gamma_mhz: float = 0.15) -> RateMatrix:
+def build_rates(pairs: PairTable, omega_mhz: float) -> RateMatrix:
     """Golden-rule flip-flop rates between every pair of dressed sites.
 
     J~_ij = (J_ij/8 for degenerate pairs, J_ij/4 otherwise) sin(theta_i)
     sin(theta_j) with NV scaling inside J_ij, and
-    R_ij = 2 |J~|^2 Gamma / (Gamma^2 + (Omega_eff,i - Omega_eff,j)^2).
+    R_ij = 2 |J~|^2 Gamma / (Gamma^2 + (Omega_eff,i - Omega_eff,j)^2)
+    at the linewidth Gamma = :data:`GAMMA_MHZ`.
     A pair is degenerate when both sites share species, subgroup and
     axis.  Pairs whose best-case rate falls below 1e-6 MHz are dropped;
     the corresponding cutoff radius (:func:`rate_cutoff`) is recorded.
@@ -243,16 +247,16 @@ def build_rates(pairs: PairTable, omega_mhz: float, gamma_mhz: float = 0.15) -> 
     the drive); this step applies the drive-dependent tilt, Lorentzian and
     cutoff to those pairs and scatters them into a dense matrix, so a
     drive sweep computes the table of each network once.  A table built
-    for a shorter cutoff than ``gamma_mhz`` needs raises ValueError.
+    for a shorter cutoff than that linewidth needs raises ValueError.
 
     The matrix is exactly symmetric, R_ij == R_ji bit for bit, so the
     generator built from it is an exact symmetric Laplacian.
     """
-    kept = _pair_rates(pairs, omega_mhz, gamma_mhz)
+    kept = _pair_rates(pairs, omega_mhz, GAMMA_MHZ)
     rates = np.zeros((pairs.n_sites, pairs.n_sites))
     rates[pairs.i, pairs.j] = kept
     rates[pairs.j, pairs.i] = kept
-    return RateMatrix(rates, cutoff_nm=rate_cutoff(gamma_mhz), omega_mhz=omega_mhz, gamma_mhz=gamma_mhz)
+    return RateMatrix(rates, cutoff_nm=rate_cutoff(GAMMA_MHZ), omega_mhz=omega_mhz, gamma_mhz=GAMMA_MHZ)
 
 
 @dataclass
@@ -437,7 +441,7 @@ def _laplacian(pairs: PairTable, rates: np.ndarray):
     return csr_array((data, (rows, cols)), shape=(n, n))
 
 
-def lanczos_basis(net: SpinNetwork, omega_mhz: float, gamma_mhz: float = 0.15) -> LanczosBasis:
+def lanczos_basis(net: SpinNetwork, omega_mhz: float, gamma_mhz: float = GAMMA_MHZ) -> LanczosBasis:
     """The Lanczos basis of ``net``'s transport generator, started at site 0.
 
     The generator is formed as a sparse Laplacian straight from the pair
@@ -614,7 +618,7 @@ def average_msd(
     n_p1: int,
     n_realizations: int = 100,
     w_mhz: float = 1.36,
-    gamma_mhz: float = 0.15,
+    gamma_mhz: float = GAMMA_MHZ,
     seed: int = 0,
 ) -> tuple:
     """Disorder-averaged MSD curve for one box size.
@@ -696,7 +700,7 @@ def diffusion_scaling(
     n_list: Sequence[int] = (100, 200, 400, 800),
     n_realizations: int = 100,
     w_mhz: float = 1.36,
-    gamma_mhz: float = 0.15,
+    gamma_mhz: float = GAMMA_MHZ,
     seed: int = 0,
 ) -> ScalingResult:
     """D_L across box sizes plus the 1/L extrapolation to D_inf."""

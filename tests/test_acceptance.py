@@ -252,13 +252,11 @@ def test_criterion_6_cluster_dynamics_oracles():
     alpha = clusterdyn.calibrate_alpha(
         densities, rates, rate_sigmas=[fits[d].rate_sigma for d in densities]
     )
-    k_est = clusterdyn.compute_K(alpha.alpha_mhz_per_ppm, 0.25, alpha.alpha_sigma)
+    # K for the usual P1 dip, which addresses 3 of the 12 lines
+    k, k_sigma = 0.25 * alpha["slope"], 0.25 * alpha.sigma("slope")
     target = 6.3
-    est = clusterdyn.estimate_concentration(
-        k_est.k_mhz_per_group_ppm * target, 0.0,
-        k_est.k_mhz_per_group_ppm, k_est.k_sigma, n_mc=20_000, seed=3,
-    )
-    sigma_lin = target * k_est.k_sigma / k_est.k_mhz_per_group_ppm
+    est = clusterdyn.estimate_concentration(k * target, 0.0, k, k_sigma, n_mc=20_000, seed=3)
+    sigma_lin = target * k_sigma / k
 
     ok = (
         cos_err < 1e-6

@@ -1,6 +1,7 @@
 """Guards on the package surface that the runners and the benchmark tracer use."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import importlib.util
@@ -86,6 +87,98 @@ def test_every_optional_parameter_is_passed_in_src():
         f"never passed in src/: {sorted(unpassed - UNPASSED_ALLOWED)}; "
         f"allowed but passed or gone: {sorted(UNPASSED_ALLOWED - unpassed)}"
     )
+
+
+# Defaulted dataclass fields that no constructor or replace call in src/
+# sets, kept for a test that varies them
+UNSET_FIELDS_ALLOWED = {
+    # criterion 2 compares the continuum nearest-neighbour law with no
+    # exclusion, and the geometry tests enforce radii of 0.5, 2.5 and 25 nm
+    ("EnsembleSpec", "exclusion_nm"),
+    # the cluster and spin-operator tests quantize along z rather than the
+    # (1, 1, 1) default to compare against closed forms, and a zero axis
+    # must be refused
+    ("EnsembleSpec", "field_axis"),
+}
+
+# The experiments whose params cli._protocol_config spreads into a CycleConfig
+CYCLE_EXPERIMENTS = ("protocol", "crossover")
+
+
+def exported_dataclasses() -> dict:
+    """Every dataclass named in a module's ``__all__``, by name."""
+    classes = {}
+    for name in MODULES:
+        module = importlib.import_module(f"spinnet.{name}")
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            if inspect.isclass(obj) and dataclasses.is_dataclass(obj):
+                assert attr not in classes, f"{attr} is exported by two modules"
+                classes[attr] = obj
+    return classes
+
+
+def set_fields(classes: dict) -> set:
+    """(class, field) for every field some call in src/spinnet sets.
+
+    A constructor call sets its keywords and, through the order of
+    ``dataclasses.fields``, its positional arguments.  A ``replace`` call
+    sets its keywords on every exported class that has a field of that
+    name.  A ``**`` argument sets nothing: the cycle fields that
+    ``cli._protocol_config`` spreads from ``params`` count as set only
+    where the schema gives the key.
+    """
+    from spinnet import cli
+
+    found = set()
+    for path in Path(spinnet.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+            if callee == "replace":
+                found.update(
+                    (name, f.name) for name, cls in classes.items() for f in dataclasses.fields(cls) if f.name in keywords
+                )
+            elif callee in classes:
+                init_fields = [f.name for f in dataclasses.fields(classes[callee]) if f.init]
+                for field, arg in zip(init_fields, node.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    found.add((callee, field))
+                found.update((callee, kw) for kw in keywords)
+    schema = cli._load_schema()["definitions"]
+    given = set.intersection(*(set(schema[f"{e}_params"]["properties"]) for e in CYCLE_EXPERIMENTS))
+    found.update(("CycleConfig", name) for name in cli._CYCLE_FIELDS & given)
+    return found
+
+
+def test_every_defaulted_field_is_set_in_src():
+    # a field default that no runner overrides is a setting no experiment uses
+    classes = exported_dataclasses()
+    defaulted = {
+        (name, f.name)
+        for name, cls in classes.items()
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+    }
+    unset = defaulted - set_fields(classes)
+    assert unset == UNSET_FIELDS_ALLOWED, (
+        f"never set in src/: {sorted(unset - UNSET_FIELDS_ALLOWED)}; "
+        f"allowed but set or gone: {sorted(UNSET_FIELDS_ALLOWED - unset)}"
+    )
+
+
+@pytest.mark.parametrize("experiment", CYCLE_EXPERIMENTS)
+def test_every_cycle_field_is_a_schema_param(experiment):
+    # cli._protocol_config spreads params into CycleConfig with **; a field
+    # the schema does not give can never leave its default
+    from spinnet import cli
+
+    properties = cli._load_schema()["definitions"][f"{experiment}_params"]["properties"]
+    missing = sorted(cli._CYCLE_FIELDS - set(properties))
+    assert not missing, f"CycleConfig fields that {experiment} params cannot set: {missing}"
 
 
 def test_benchmark_wrap_points_exist():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -501,6 +502,39 @@ def test_run_fit_refuses_a_wider_table(tmp_path, capsys):
     assert cli.main(["run", write_config(tmp_path, fit, "fit.json"), "--out", str(tmp_path / "f"), "--quiet"]) == 2
     assert "config field params/data_csv:" in capsys.readouterr().err
     assert not (tmp_path / "f").exists()
+
+
+# case: (the field the refusal names, the params it changes, the text of
+# one y cell, or None); each case spoils one part of a well-formed
+# exp_saturation run
+MALFORMED_FIT = {
+    "non-numeric cell": ("params/data_csv", {}, "n/a"),
+    "nan cell": ("params/data_csv", {}, "nan"),
+    "data_csv is a directory": ("params/data_csv", {"data_csv": "."}, None),
+    "p0 with 3 values for 2 parameters": ("params/p0", {"p0": [0.5, 2.0, 1.0]}, None),
+    "p0 with 1 value for 2 parameters": ("params/p0", {"p0": [0.5]}, None),
+    "p0 with a nan value": ("params/p0", {"p0": [math.nan, 2.0]}, None),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FIT)
+def test_run_fit_refuses_malformed_input(tmp_path, capsys, case):
+    field, spoilt, cell = MALFORMED_FIT[case]
+    x = np.linspace(0.0, 30.0, 20).tolist()
+    rows = [f"{a!r},{0.9 * (1.0 - math.exp(-a / 3.0))!r}" for a in x]
+    data = tmp_path / "data.csv"
+    data.write_text("x,y\n" + "\n".join(rows) + "\n")
+    params = {"model": "exp_saturation", "data_csv": str(data), "p0": [0.5, 2.0]}
+    good = write_config(tmp_path, {"experiment": "fit", "params": params}, "good.json")
+    assert cli.main(["run", good, "--out", str(tmp_path / "good"), "--quiet"]) == 0
+    if cell is not None:
+        rows[5] = f"{x[5]!r},{cell}"
+        data.write_text("x,y\n" + "\n".join(rows) + "\n")
+    bad = write_config(tmp_path, {"experiment": "fit", "params": params | spoilt}, "bad.json")
+    capsys.readouterr()
+    assert cli.main(["run", bad, "--out", str(tmp_path / "bad"), "--quiet"]) == 2
+    assert f"config field {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 # (preset, realizations, the rows judged from a fit)

@@ -7,7 +7,6 @@ from spinnet import clusterdyn, fitkit
 from spinnet.clusterdyn import (
     TraceResult,
     calibrate_alpha,
-    compute_K,
     deer_trace,
     default_tau_grid,
     estimate_concentration,
@@ -218,33 +217,67 @@ def test_flat_trace_raises_not_fits():
 def test_calibrate_alpha():
     d = np.array([1.0, 2.0, 4.0, 8.0])
     res = calibrate_alpha(d, 0.1 * d)
-    assert res.alpha_mhz_per_ppm == pytest.approx(0.1, rel=1e-12)
+    assert res["slope"] == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(FitError):
         calibrate_alpha([5.0], [0.5])
 
 
-def test_compute_K_examples():
-    assert compute_K(0.4, 1.0).k_mhz_per_group_ppm == pytest.approx(0.4)
-    assert compute_K(0.4, 0.5).k_mhz_per_group_ppm == pytest.approx(0.2)
-    assert compute_K(0.4, 3 / 12).k_mhz_per_group_ppm == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        compute_K(0.4, 0.0)
+def reference_estimate_concentration(gamma, gamma_sigma, k, k_sigma, n_mc=10_000, seed=0):
+    """gamma / K as the generic Monte Carlo propagation computed it: one
+    column per input drawn from (n, inputs) normals, draws with K <= 0
+    vetoed, the ratio over the kept columns.  Returns (mean, sigma,
+    n_rejected)."""
+    means = np.asarray([gamma, k], dtype=float)
+    sigmas = np.asarray([gamma_sigma, k_sigma], dtype=float)
+    draws = np.random.default_rng(seed).normal(means, sigmas, size=(n_mc, means.size))
+    cols = [draws[:, i] for i in range(means.size)]
+    keep = ~(cols[1] <= 0)
+    g, kk = (c[keep] for c in cols)
+    values = np.asarray(g / kk, dtype=float)
+    sigma = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+    return float(np.mean(values)), sigma, int(n_mc - keep.sum())
+
+
+def assert_matches_reference(est, *args, **kwargs):
+    mean, sigma, n_rejected = reference_estimate_concentration(*args, **kwargs)
+    assert est.mean_ppm == mean
+    assert est.sigma_ppm == sigma
+    assert est.n_rejected == n_rejected
 
 
 def test_estimate_concentration():
     exact = estimate_concentration(0.063, 0.0, 0.01, 0.0, n_mc=100)
     assert exact.mean_ppm == pytest.approx(6.3, rel=1e-12)
     assert exact.sigma_ppm == pytest.approx(0.0, abs=1e-12)
+    assert_matches_reference(exact, 0.063, 0.0, 0.01, 0.0, n_mc=100)
 
     # 10% sigma on both inputs -> ~14% on the ratio (first-order quadrature)
     res = estimate_concentration(1.0, 0.1, 1.0, 0.1, n_mc=50_000, seed=2)
     rel = res.sigma_ppm / res.mean_ppm
     assert rel == pytest.approx(math.sqrt(0.1**2 + 0.1**2), rel=0.10)
     assert not res.rejection_warning
+    assert_matches_reference(res, 1.0, 0.1, 1.0, 0.1, n_mc=50_000, seed=2)
 
+    # K within 1.3 sigma of zero: about 9% of the draws are rejected
+    wide = estimate_concentration(1.0, 0.1, 0.2, 0.15, n_mc=20_000, seed=3)
+    assert 0.08 * 20_000 < wide.n_rejected < 0.10 * 20_000
+    assert_matches_reference(wide, 1.0, 0.1, 0.2, 0.15, n_mc=20_000, seed=3)
+
+
+def test_estimate_concentration_rejection_warning():
+    # the flag is raised past 1% rejected draws: K 2.5 sigma from zero
+    # rejects about 0.6%, K 1.3 sigma from zero about 9%
+    close = estimate_concentration(1.0, 0.1, 1.0, 0.4, n_mc=20_000, seed=3)
+    assert 0 < close.n_rejected <= 0.01 * 20_000
+    assert not close.rejection_warning
     wide = estimate_concentration(1.0, 0.1, 0.2, 0.15, n_mc=20_000, seed=3)
     assert wide.n_rejected > 0.01 * 20_000
     assert wide.rejection_warning
+    # a run whose every draw is rejected has no estimate (the one K draw at seed 0 is negative)
+    with pytest.raises(FitError, match="all Monte Carlo draws rejected"):
+        estimate_concentration(1.0, 0.1, 0.1, 1.0, n_mc=1, seed=0)
+    with pytest.raises(ValueError, match="K must be positive"):
+        estimate_concentration(1.0, 0.1, 0.0, 0.1)
 
 
 def test_sem_scales_with_realization_count():

@@ -167,27 +167,6 @@ def test_nonlinear_coverage_with_known_noise():
     assert 0.88 <= hits / trials <= 1.0
 
 
-def test_mc_propagate_linear_oracle():
-    # f = a + 2b with independent gaussians: sigma_f = sqrt(sa^2 + 4 sb^2)
-    res = fitkit.mc_propagate(lambda a, b: a + 2 * b, [1.0, 2.0], [0.3, 0.4], n=200_000, seed=5)
-    assert res.mean == pytest.approx(5.0, abs=0.01)
-    assert res.sigma == pytest.approx(math.hypot(0.3, 0.8), rel=0.02)
-    assert not res.rejection_warning
-
-
-def test_mc_propagate_rejection_warning():
-    res = fitkit.mc_propagate(
-        lambda a: np.sqrt(a),
-        [0.0],
-        [1.0],
-        n=10_000,
-        seed=1,
-        reject=lambda a: a < 0,
-    )
-    assert res.n_rejected > 3000
-    assert res.rejection_warning
-
-
 def test_fft_peak_pure_cosine():
     dt = 0.01
     t = np.arange(0, 512) * dt

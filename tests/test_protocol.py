@@ -255,7 +255,7 @@ def reference_protocol(factory, config, n_realizations):
         net = factory(r)
         nv = net.indices_of(Species.NV)
         p1 = net.indices_of(Species.P1)
-        rates = reference_build_rates(net.spec, net.sites, config.omega_mhz, config.gamma_mhz)
+        rates = reference_build_rates(net.spec, net.sites, config.omega_mhz)
         t1 = np.full(net.n_sites, config.t1rho_dark_us)
         t1[nv] = np.inf if config.t1rho_nv_us is None else config.t1rho_nv_us
         relax = np.where(np.isfinite(t1), 1.0 / t1, 0.0)
@@ -293,12 +293,12 @@ def assert_same_result(got, want):
     assert got.saturation.n_sat == want.saturation.n_sat
 
 
-# four drives, two linewidths, a short run, a relaxation-free sensor and a
-# probe set larger than the bath
+# four drives, a short run, a relaxation-free sensor and a probe set larger
+# than the bath
 SWEEP_CONFIGS = (
     CycleConfig(omega_mhz=0.8),
     CycleConfig(omega_mhz=3.2, n_cycles=12, t1rho_nv_us=None, probe_k=3),
-    CycleConfig(omega_mhz=6.4, gamma_mhz=0.3, t_hh_us=2.0),
+    CycleConfig(omega_mhz=6.4, t_hh_us=2.0),
     CycleConfig(omega_mhz=20.0, n_cycles=5, t1rho_dark_us=200.0, probe_k=50),
 )
 
@@ -310,21 +310,6 @@ def test_config_sequence_equals_one_run_per_config():
     for got, config in zip(together, SWEEP_CONFIGS):
         assert_same_result(got, run_iterative_protocol(factory, [config], n_realizations=4)[0])
         assert_same_result(got, reference_protocol(factory, config, 4))
-
-
-def test_mixed_linewidths_equal_one_run_per_config():
-    # the narrowest line needs the longest rate cutoff; the shared pair
-    # table must hold its pairs even when a broader line comes first
-    configs = (
-        CycleConfig(omega_mhz=6.4, gamma_mhz=0.6, n_cycles=6),
-        CycleConfig(omega_mhz=3.2, gamma_mhz=0.02, n_cycles=6),
-        CycleConfig(omega_mhz=6.4, n_cycles=6),
-    )
-    factory = lambda r: desk_factory(r, n_p1=60)
-    together = run_iterative_protocol(factory, configs, n_realizations=3)
-    for got, config in zip(together, configs):
-        assert_same_result(got, run_iterative_protocol(factory, [config], n_realizations=3)[0])
-        assert_same_result(got, reference_protocol(factory, config, 3))
 
 
 def test_config_sequence_on_one_network_equals_one_run_per_config():

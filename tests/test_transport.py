@@ -11,6 +11,7 @@ from spinnet import transport
 from spinnet.network import EnsembleSpec, Species, SpinNetwork, ppm_to_density, species_code
 from spinnet.protocol import protocol_network
 from spinnet.transport import (
+    GAMMA_MHZ,
     ConservationError,
     LanczosBasis,
     MsdCurve,
@@ -52,14 +53,14 @@ def test_rate_closed_form_on_resonant_pair():
 
 
 def test_rate_detuning_dependence():
-    gamma = 0.15
+    gamma = GAMMA_MHZ
     omega = 6.40
 
     def rate(delta_i, delta_j):
         net = transport_network(1.575, 2, w_mhz=0.0, seed=1, realization=0)
         net.detunings[1] = delta_i
         net.detunings[2] = delta_j
-        return build_rates(pair_table(net, gamma), omega, gamma).rates[1, 2]
+        return build_rates(pair_table(net), omega).rates[1, 2]
 
     r0 = rate(0.0, 0.0)
     # craft a detuning so Omega_eff differs by exactly Gamma: the Lorentzian
@@ -257,12 +258,14 @@ def test_build_rates_cutoff_boundary_matches_reference():
 
 def test_pair_table_refuses_a_longer_cutoff():
     net = transport_network(1.575, 60, w_mhz=1.36, seed=2, realization=1)
+    # a narrower line's table holds more pairs; the rates drop the extra ones
+    wide = pair_table(net, 0.05)
+    assert wide.cutoff_nm == rate_cutoff(0.05) and wide.r.size > pair_table(net).r.size
+    assert np.array_equal(build_rates(wide, 6.40).rates, build_rates(pair_table(net), 6.40).rates)
     table = pair_table(net, 0.3)
     assert table.cutoff_nm == rate_cutoff(0.3)
-    for gamma in (0.3, 0.6):
-        assert np.array_equal(build_rates(table, 6.40, gamma).rates, build_rates(pair_table(net, gamma), 6.40, gamma).rates)
-    with pytest.raises(ValueError, match=f"{rate_cutoff(0.15):g} nm.*{rate_cutoff(0.3):g} nm"):
-        build_rates(table, 6.40, 0.15)
+    with pytest.raises(ValueError, match=f"{rate_cutoff(GAMMA_MHZ):g} nm.*{rate_cutoff(0.3):g} nm"):
+        build_rates(table, 6.40)
 
 
 def test_pair_table_checks_the_exclusion_radius():

@@ -91,7 +91,8 @@ RUN_CONFIGS = {
         "params": {"n_p1": 40, "n_cycles": 8, "omegas_mhz": [1.0, 6.4, 20.0]},
         "network": {"disorder_mhz": 1.36},
     },
-    # DEER calibration fits, the through-origin rate fit and mc_propagate
+    # DEER calibration fits, the through-origin rate fit and the Monte Carlo
+    # ratio of estimate_concentration
     "concentration": {
         "experiment": "concentration",
         "realizations": 10,
