@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from importlib import resources
 from typing import Optional
 
@@ -341,10 +342,15 @@ def _run_fit(config: dict) -> tuple:
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a table without data rows is refused below, by name
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as err:
         # a directory, an unreadable file or a cell that is not a number
         raise ConfigError(f"config field params/data_csv: {err}") from err
+    if data.shape[0] == 0:
+        raise ConfigError("config field params/data_csv: no data rows below the header")
     if not np.all(np.isfinite(data)):
         raise ConfigError("config field params/data_csv: a cell is nan or infinite")
     if data.shape[1] < 2:

@@ -280,43 +280,6 @@ class _LatticeSampler:
         return pos
 
 
-class _ExclusionGrid:
-    """Placed sites binned in cubes a little wider than the exclusion radius.
-
-    Every placed site closer than the radius to a candidate lies in one
-    of the 27 cubes around the candidate's own (the width margin covers
-    the rounding of x / width), so a check costs O(1) instead of a scan
-    of every placed site.  Squared distances are summed in the order
-    ``np.sum((placed - pos) ** 2, axis=1)`` uses, ((dx^2 + dy^2) + dz^2).
-    """
-
-    def __init__(self, radius_nm: float, box_nm: float):
-        self.r2 = radius_nm**2
-        self.width = max(radius_nm * (1.0 + 1e-6), box_nm * 1e-8)
-        # cube (i, j, k) has key ((i+1)*m + j+1)*m + k+1; m keeps the keys of
-        # every cube in the box and of its neighbours distinct
-        self.m = m = math.ceil(box_nm / self.width) + 3
-        self.around = [(i * m + j) * m + k for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)]
-        self.cells = {}
-
-    def _key(self, x, y, z) -> int:
-        w, m = self.width, self.m
-        return ((math.floor(x / w) + 1) * m + math.floor(y / w) + 1) * m + math.floor(z / w) + 1
-
-    def admits(self, pos: list) -> bool:
-        x, y, z = pos
-        key = self._key(x, y, z)
-        for d in self.around:
-            for px, py, pz in self.cells.get(key + d, ()):
-                dx, dy, dz = px - x, py - y, pz - z
-                if dx * dx + dy * dy + dz * dz < self.r2:
-                    return False
-        return True
-
-    def add(self, pos: list) -> None:
-        self.cells.setdefault(self._key(*pos), []).append(pos)
-
-
 def _cdf(weights: np.ndarray) -> list:
     # the cumulative table Generator.choice(k, p=weights) searches
     cdf = np.cumsum(weights)
@@ -339,6 +302,164 @@ def _axis_cdf(spec: EnsembleSpec, species: Species) -> Optional[list]:
     return _cdf(w / w.sum())
 
 
+def _unit_doubles(raw: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of each 64-bit PCG64 output: its top 53 bits times 2**-53."""
+    return (raw >> 11) * 2.0**-53
+
+
+def _squared_lengths(d: np.ndarray) -> np.ndarray:
+    """Squared length of each row of ``d``, summed (dx^2 + dy^2) + dz^2; ``d`` is overwritten."""
+    d *= d
+    s = d[:, 0] + d[:, 1]
+    s += d[:, 2]
+    return s
+
+
+class _Placer:
+    """The columns of one network under construction, its generator and its
+    draw budget.
+
+    :meth:`place_site` draws one site with the generator's own calls;
+    :meth:`place_block` places a run of continuum sites from one raw draw,
+    decoded as those calls would read it.  Both count every position draw
+    against the budget and keep a site only if no earlier site lies closer
+    than the exclusion radius, ((dx^2 + dy^2) + dz^2) < r^2.  Lattice
+    sites are placed one at a time; continuum sites in blocks, each
+    ended by its first violating site, which :meth:`place_site` redraws.
+    """
+
+    def __init__(self, spec: EnsembleSpec, rng: np.random.Generator, counts: list):
+        self.spec, self.rng = spec, rng
+        self.total = total = sum(counts)
+        self.budget = 100 * max(total, 1)
+        self.attempts = 0
+        self.r2 = spec.exclusion_nm**2
+        self.species = np.repeat(np.arange(len(SPECIES)), counts)
+        self.cdfs = [_axis_cdf(spec, sp) for sp in SPECIES]
+        self.uniform = np.array([cdf is None for cdf in self.cdfs])[self.species]
+        self.p1 = self.species == species_code(Species.P1)
+        self.positions = np.zeros((total, 3))
+        self.axis_index = np.zeros(total, dtype=np.intp)
+        self.subgroup = np.zeros(total, dtype=np.intp)
+
+    def place_site(self, k: int, draw) -> None:
+        """Site k from ``draw()`` (a position, or None for a refused draw),
+        redrawn until it keeps the exclusion radius, then its axis and, for
+        P1, its subgroup."""
+        rng = self.rng
+        # without a radius no placed site constrains a draw
+        placed = self.positions[:k] if self.r2 > 0 else self.positions[:0]
+        while True:
+            self.attempts += 1
+            if self.attempts > self.budget:
+                raise GenerationError(
+                    f"could not satisfy exclusion radius {self.spec.exclusion_nm} nm "
+                    f"within the retry budget of {self.budget} draws "
+                    f"(100x the {self.total} requested sites)"
+                )
+            pos = draw()
+            if pos is not None and not (placed.size and (_squared_lengths(placed - pos) < self.r2).any()):
+                break
+        self.positions[k] = pos
+        cdf = self.cdfs[self.species[k]]
+        axis = rng.integers(0, 4) if cdf is None else bisect_right(cdf, rng.random())
+        self.axis_index[k] = axis
+        self.subgroup[k] = bisect_right(_P1_SUBGROUP_CDF, rng.random()) if self.p1[k] else axis
+
+    def place_lattice(self) -> None:
+        lattice = _LatticeSampler(self.spec.box_nm)
+        for k in range(self.total):
+            self.place_site(k, lambda: lattice.draw(self.rng))
+
+    def place_continuum(self) -> None:
+        draw = lambda: self.rng.uniform(0.0, self.spec.box_nm, size=3)
+        k = 0
+        while k < self.total:
+            m = min(self.total - k, self.budget - self.attempts)
+            accepted = self.place_block(k, m) if m else 0
+            k += accepted
+            if accepted < m or not m:
+                # site k violated the radius, or the budget is spent
+                self.place_site(k, draw)
+                k += 1
+
+    def place_block(self, k: int, m: int) -> int:
+        """Continuum sites k .. k+m-1 from one ``random_raw`` draw; returns
+        how many lead the block without a violation of the exclusion radius.
+
+        Those are accepted, and the generator is left just after their
+        draws, its 32-bit buffer as their ``integers`` calls left it.  A
+        site's slots are three positions, an axis output unless its
+        ``integers(0, 4)`` call reads the buffered upper half of the
+        previous call's output, and for P1 a subgroup output.
+        """
+        bg = self.rng.bit_generator
+        saved = bg.state
+        buffered, half = saved["has_uint32"], saved["uinteger"]
+        block = slice(k, k + m)
+        uniform = self.uniform[block]
+        p1 = self.p1[block]
+        # the i-th integers call of the block draws a new output when the
+        # buffer is empty: i even with an empty buffer at the start, odd with a full one
+        fresh = uniform & ((np.cumsum(uniform) + buffered) % 2 == 1)
+        slots = 3 + (~uniform | fresh) + p1
+        end = np.cumsum(slots)
+        start = end - slots
+        raw = bg.random_raw(int(end[-1]))
+
+        self.positions[block] = self.spec.box_nm * _unit_doubles(raw[start[:, None] + np.arange(3)])
+        axis = np.empty(m, dtype=np.intp)
+        species = self.species[block]
+        for code, cdf in enumerate(self.cdfs):
+            if cdf is not None:
+                sel = species == code
+                axis[sel] = np.searchsorted(cdf, _unit_doubles(raw[start[sel] + 3]), side="right")
+        calls = np.flatnonzero(uniform)
+        if calls.size:
+            own = start[calls] + 3
+            # a call that finds the buffer full reads the upper half of the
+            # output the call before it drew (or, first in the block, the state's)
+            src = np.where(fresh[calls], own, np.concatenate(([-1], own[:-1])))
+            out = raw[src]
+            axis[calls] = np.where(fresh[calls], (out & 0xFFFFFFFF) >> 30, out >> 62)
+            if src[0] < 0:
+                axis[calls[0]] = half >> 30
+        subgroup = axis.copy()
+        subgroup[p1] = np.searchsorted(_P1_SUBGROUP_CDF, _unit_doubles(raw[end[p1] - 1]), side="right")
+
+        first = self._first_violation(k, m) if self.r2 > 0 else m
+        self.attempts += first
+        self.axis_index[k : k + first] = axis[:first]
+        self.subgroup[k : k + first] = subgroup[:first]
+
+        drawn = np.flatnonzero(fresh[:first])
+        if drawn.size:
+            half = int(raw[start[drawn[-1]] + 3] >> 32)
+        buffered = (buffered + int(uniform[:first].sum())) % 2
+        if first < m:
+            bg.state = saved
+            bg.random_raw(int(start[first]))
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = buffered, half
+        bg.state = state
+        return first
+
+    def _first_violation(self, k: int, m: int) -> int:
+        """Offset in block k .. k+m-1 of its first site closer than the
+        exclusion radius to an earlier site, or m."""
+        # imported on first use, so that commands without geometry never load it
+        from scipy.spatial import cKDTree
+
+        pos = self.positions[: k + m]
+        # the tree's radius is a relative 1e-9 wider, so that its rounding
+        # cannot drop a pair the exact predicate below refuses
+        i, j = cKDTree(pos).query_pairs(self.spec.exclusion_nm * (1.0 + 1e-9), output_type="ndarray").T
+        late = j >= k  # pairs come as i < j; pairs of accepted sites were checked before
+        i, j = i[late], j[late]
+        close = _squared_lengths(pos[i] - pos[j]) < self.r2
+        return int(j[close].min()) - k if close.any() else m
+
+
 def generate_network(spec: EnsembleSpec, realization: int = 0) -> SpinNetwork:
     """Build one network realization.
 
@@ -351,47 +472,30 @@ def generate_network(spec: EnsembleSpec, realization: int = 0) -> SpinNetwork:
     axes) without its per-call validation.  The total redraw budget is
     100x the site count, and exhausting it raises
     :class:`GenerationError` naming the budget.
+
+    Continuum sites are placed in blocks: the outputs of every remaining
+    site are drawn at once with ``bit_generator.random_raw`` and decoded
+    as the per-site calls would read them; the sites before the first
+    one that violates the exclusion radius are kept, the generator is
+    rewound to that site's first draw, and the site is redrawn with the
+    calls themselves.  This rests on numpy's PCG64 stream contract, which
+    ``tests/test_network_reference.py`` pins: ``uniform(0, L)`` is
+    ``0.0 + L * ((u >> 11) * 2**-53)`` of one 64-bit output u, ``random()``
+    is ``(u >> 11) * 2**-53``, and ``integers(0, 4)`` is the top two bits
+    of a 32-bit half, consecutive calls sharing one output, lower half
+    first, through the generator's ``has_uint32``/``uinteger`` buffer.
+    Lattice sites (clusters of a few sites) are drawn one at a time.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, realization]))
-    L = spec.box_nm
     counts = [spec.site_count(sp) for sp in SPECIES]
-    total = sum(counts)
-    budget = 100 * max(total, 1)
-    grid = _ExclusionGrid(spec.exclusion_nm, L) if spec.exclusion_nm > 0 else None
-    lattice = _LatticeSampler(L) if spec.placement == Placement.DIAMOND_LATTICE else None
-    positions = np.zeros((total, 3))
-    axis_index = np.zeros(total, dtype=np.intp)
-    subgroup = np.zeros(total, dtype=np.intp)
-
-    k = 0
-    attempts = 0
-    for species, count in zip(SPECIES, counts):
-        cdf = _axis_cdf(spec, species)
-        for _ in range(count):
-            while True:
-                attempts += 1
-                if attempts > budget:
-                    raise GenerationError(
-                        f"could not satisfy exclusion radius {spec.exclusion_nm} nm "
-                        f"within the retry budget of {budget} draws "
-                        f"(100x the {total} requested sites)"
-                    )
-                pos = lattice.draw(rng) if lattice else rng.uniform(0.0, L, size=3)
-                if pos is None:
-                    continue
-                pos = pos.tolist()
-                if grid is None or grid.admits(pos):
-                    break
-            if grid is not None:
-                grid.add(pos)
-            positions[k] = pos
-            axis = rng.integers(0, 4) if cdf is None else bisect_right(cdf, rng.random())
-            axis_index[k] = axis
-            subgroup[k] = bisect_right(_P1_SUBGROUP_CDF, rng.random()) if species == Species.P1 else axis
-            k += 1
-
-    species_col = np.repeat(np.arange(len(SPECIES)), counts)
-    net = SpinNetwork(spec, positions, species_col, axis_index, subgroup, np.zeros(total), realization)
+    placer = _Placer(spec, rng, counts)
+    if spec.placement == Placement.DIAMOND_LATTICE:
+        placer.place_lattice()
+    else:
+        placer.place_continuum()
+    net = SpinNetwork(
+        spec, placer.positions, placer.species, placer.axis_index, placer.subgroup, np.zeros(placer.total), realization
+    )
     if spec.disorder_mhz > 0:
         net = assign_detunings(net, spec.disorder_mhz, rng=rng)
     return net

@@ -25,6 +25,7 @@ from .network import (
     SpinNetwork,
     generate_network,
     ppm_to_density,
+    species_code,
 )
 from .transport import RateMatrix, build_rates, factor_generator, pair_table
 
@@ -179,23 +180,24 @@ def _probe_indices(net: SpinNetwork, k: int) -> np.ndarray:
 
 
 def _single_run(net: SpinNetwork, config: CycleConfig, rm: RateMatrix, probe: np.ndarray) -> tuple:
-    nv = net.indices_of(Species.NV)
-    p1 = net.indices_of(Species.P1)
+    # the sensors lead the network (see run_iterative_protocol), so the
+    # sensor and bath sets are slices; sum() / count is .mean() bit for bit
+    n_nv = net.count(Species.NV)
     gen = factor_generator(rm, _relaxation(net, config.t1rho_dark_us, config.t1rho_nv_us))
     laser_decay = math.exp(-config.t_laser_us / config.t1rho_laser_us)
     hh_decay = gen.decay(config.t_hh_us)  # every exchange phase lasts t_hh
 
     p = np.zeros(net.n_sites)
-    p[nv] = config.p_nv0
+    p[:n_nv] = config.p_nv0
     traj_nv = np.empty(config.n_cycles)
     traj_p1 = np.empty(config.n_cycles)
     for cycle in range(config.n_cycles):
         p = gen.evolve(p, hh_decay)[0]
         # record at the end of the exchange phase, before the reset
-        traj_nv[cycle] = p[nv].mean()
-        traj_p1[cycle] = p[probe].mean()
-        p[p1] *= laser_decay
-        p[nv] = config.p_nv0
+        traj_nv[cycle] = p[:n_nv].sum() / n_nv
+        traj_p1[cycle] = p[probe].sum() / probe.size
+        p[n_nv:] *= laser_decay
+        p[:n_nv] = config.p_nv0
     return traj_nv, traj_p1
 
 
@@ -220,7 +222,9 @@ def run_iterative_protocol(
     """Disorder-averaged per-cycle sensor and bath polarization, one
     :class:`ProtocolResult` per config.
 
-    ``factory`` maps a realization index to a network.  Realizations form
+    ``factory`` maps a realization index to a network whose NV sites come
+    first and whose other sites are P1, as :func:`protocol_network` builds
+    it; other networks raise ValueError.  Realizations form
     the outer loop: each network is built once, and its pair table
     (:func:`transport.pair_table`) and probe ranking once; then,
     for each config, the rates, the exchange-phase generator and the cycle
@@ -231,9 +235,12 @@ def run_iterative_protocol(
     p1_runs = [np.empty((n_realizations, c.n_cycles)) for c in configs]
     for r in range(n_realizations):
         one = factory(r)
+        n_nv = one.count(Species.NV)
         p1_count = one.count(Species.P1)
-        if one.count(Species.NV) == 0 or p1_count == 0:
+        if n_nv == 0 or p1_count == 0:
             raise ValueError("network must contain both sensor and bath spins")
+        if np.any(one.species[:n_nv] != species_code(Species.NV)):
+            raise ValueError("the sensors must lead the network's sites, as generate_network orders them")
         pairs = pair_table(one)
         ranked = _probe_indices(one, p1_count)
         for k, c in enumerate(configs):

@@ -97,8 +97,6 @@ class RateMatrix:
 
     rates: np.ndarray
     cutoff_nm: float
-    omega_mhz: float
-    gamma_mhz: float
 
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float)
@@ -256,7 +254,7 @@ def build_rates(pairs: PairTable, omega_mhz: float) -> RateMatrix:
     rates = np.zeros((pairs.n_sites, pairs.n_sites))
     rates[pairs.i, pairs.j] = kept
     rates[pairs.j, pairs.i] = kept
-    return RateMatrix(rates, cutoff_nm=rate_cutoff(GAMMA_MHZ), omega_mhz=omega_mhz, gamma_mhz=GAMMA_MHZ)
+    return RateMatrix(rates, cutoff_nm=rate_cutoff(GAMMA_MHZ))
 
 
 @dataclass

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from spinnet import cli, clusterdyn, fitkit
+from spinnet import cli, clusterdyn, fitkit, protocol, transport
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -68,6 +68,30 @@ def test_ignored_network_field_is_config_error(tmp_path, capsys, experiment, net
     # no runner reads these, so a config that sets one must not run silently
     config = {"experiment": experiment, "realizations": 1, "network": network}
     path = write_config(tmp_path, config)
+    assert cli.main(["run", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert f"config field {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# (experiment, params at the size cap, the same above it, the field the
+# refusal names); the caps come from the memory model in the schema
+SIZE_CAPS = [
+    ("protocol", {"n_p1": 3000}, {"n_p1": 3001}, "params/n_p1"),
+    ("crossover", {"n_p1": 3000}, {"n_p1": 3001}, "params/n_p1"),
+    ("diffusion", {"n_list": [100, 6400]}, {"n_list": [100, 6401]}, "params/n_list/1"),
+]
+
+
+@pytest.mark.parametrize("experiment, at_cap, above, field", SIZE_CAPS, ids=[c[0] for c in SIZE_CAPS])
+def test_size_above_the_memory_cap_is_config_error(tmp_path, capsys, monkeypatch, experiment, at_cap, above, field):
+    def refused(*args, **kwargs):
+        raise AssertionError("a refused config built a network")
+
+    monkeypatch.setattr(protocol, "generate_network", refused)
+    monkeypatch.setattr(transport, "generate_network", refused)
+    assert cli.main(["validate", write_config(tmp_path, {"experiment": experiment, "params": at_cap})]) == 0
+    path = write_config(tmp_path, {"experiment": experiment, "realizations": 1, "params": above})
+    capsys.readouterr()
     assert cli.main(["run", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"config field {field}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -535,6 +559,17 @@ def test_run_fit_refuses_malformed_input(tmp_path, capsys, case):
     assert cli.main(["run", bad, "--out", str(tmp_path / "bad"), "--quiet"]) == 2
     assert f"config field {field}:" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["x,y\n", "x,y\n\n# no rows\n"])
+def test_run_fit_refuses_a_table_without_rows(tmp_path, capsys, text):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    config = write_config(tmp_path, {"experiment": "fit", "params": {"model": "exp_saturation", "data_csv": str(data)}})
+    assert cli.main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "config field params/data_csv: no data rows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # (preset, realizations, the rows judged from a fit)

@@ -123,7 +123,8 @@ def network_from_json(text):
 
 
 def reference_generate_network(spec, realization=0):
-    """(sites, rng) of the per-site placement loop; rng continues the stream."""
+    """The sites of the per-site placement loop, each one drawn with the
+    generator's own calls and checked against every placed site."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, realization]))
     L = spec.box_nm
     counts = [(sp, spec.site_count(sp)) for sp in (Species.NV, Species.P1)]
@@ -317,13 +318,91 @@ def test_transport_network_matches_per_site_reference(n_p1, w_mhz, seed, realiza
     assert_rates_equal(net, sites)
 
 
-def test_budget_exhaustion_at_the_same_draw():
+@pytest.fixture
+def streams(monkeypatch):
+    """Every generator ``np.random.default_rng`` makes while the test runs, in order."""
+    made = []
+    make = np.random.default_rng
+
+    def recording(seed=None):
+        made.append(make(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return made
+
+
+def sweep_cases():
+    """(spec, realization) cases for the block placement: 210 networks."""
+    p1, nv = Species.P1, Species.NV
+    cases = []
+    # the protocol spec: weighted NV axes (random()), uniform P1 axes and subgroups
+    for n_p1 in (20, 60, 120, 240):
+        box = (n_p1 / ppm_to_density(1.575)) ** (1.0 / 3.0)
+        spec = dict(box_nm=box, densities_ppm={nv: 0.6, p1: 1.575}, disorder_mhz=1.36, axis_weights={nv: (1, 0, 0, 0)})
+        cases += [(EnsembleSpec(seed=seed, **spec), r) for seed in range(6) for r in (0, 7)]
+    # transport boxes: uniform axes only, so every other integers call reads the buffer
+    for n_p1 in (1, 2, 3, 4, 5, 7, 10, 15, 25, 40, 65, 100, 160, 250, 400, 800):
+        box = (n_p1 / ppm_to_density(1.575)) ** (1.0 / 3.0)
+        cases += [(EnsembleSpec(box_nm=box, densities_ppm={p1: 1.575}, seed=seed), seed % 3) for seed in range(4)]
+    # 23 NV with uniform axes: a full buffer crosses from the NV into the P1
+    cases += [(EnsembleSpec(box_nm=60.0, densities_ppm={nv: 0.6, p1: 1.575}, seed=s), r) for s in range(10) for r in (0, 1)]
+    # rejection heavy: ~11 redraws per network, so most replay mid-block
+    cases += [(EnsembleSpec(box_nm=30.0, densities_ppm={p1: 20.0}, exclusion_nm=2.5, seed=s), s) for s in range(30)]
+    cases += [
+        (EnsembleSpec(box_nm=40.0, densities_ppm={nv: 2.0, p1: 4.0}, exclusion_nm=0.0, disorder_mhz=0.5, seed=s), 0)
+        for s in range(20)
+    ]
+    # a species with zero sites, given as 0 ppm, rounded to 0 or absent
+    for densities in ({nv: 0.0, p1: 2.0}, {nv: 1e-4, p1: 2.0}, {nv: 2.0}, {p1: 0.0}):
+        cases += [(EnsembleSpec(box_nm=50.0, densities_ppm=densities, seed=s), 0) for s in range(4)]
+    # weighted P1 axes behind uniform NV axes, and both weighted
+    for weights in ({p1: (1, 2, 3, 4)}, {nv: (0.1, 0.2, 0.3, 0.4), p1: (0, 1, 0, 3)}):
+        spec = dict(box_nm=50.0, densities_ppm={nv: 1.0, p1: 2.0}, axis_weights=weights)
+        cases += [(EnsembleSpec(seed=s, **spec), s) for s in range(6)]
+    return cases
+
+
+def test_block_placement_matches_the_per_site_loop(streams):
+    # every column, and the generator's final state after the detunings,
+    # equal those of the loop that draws one site at a time
+    cases = sweep_cases()
+    assert len(cases) >= 200
+    for spec, realization in cases:
+        net = generate_network(spec, realization=realization)
+        state = streams[-1].bit_generator.state
+        sites = reference_generate_network(spec, realization)
+        assert streams[-1].bit_generator.state == state, (spec, realization)
+        assert_columns_equal(net, sites)
+
+
+def test_budget_exhaustion_at_the_same_draw(streams):
     # both loops give up on the same attempt of an infeasible exclusion radius
     spec = EnsembleSpec(box_nm=30.0, densities_ppm={Species.P1: 8.8}, exclusion_nm=25.0, seed=0)
     with pytest.raises(GenerationError, match="budget"):
         generate_network(spec)
+    state = streams[-1].bit_generator.state
     with pytest.raises(GenerationError, match="budget"):
         reference_generate_network(spec)
+    assert streams[-1].bit_generator.state == state
+
+
+def test_decoded_stream_is_the_generator_calls():
+    # the PCG64 stream contract of generate_network's block placement: if a
+    # numpy release draws these differently, this test names the change
+    fresh = lambda seed: np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    for seed in range(4):
+        box = 47.25 + seed
+        a, b = fresh(seed), fresh(seed)
+        raw = b.bit_generator.random_raw(3)
+        assert np.array_equal(a.uniform(0.0, box, size=3), box * network._unit_doubles(raw))
+        assert a.random() == network._unit_doubles(b.bit_generator.random_raw(1))[0]
+        a, b = fresh(seed), fresh(seed)
+        halves = [half for u in b.bit_generator.random_raw(3).tolist() for half in (u & 0xFFFFFFFF, u >> 32)]
+        assert [a.integers(0, 4) for _ in range(5)] == [half >> 30 for half in halves[:5]]
+        state = a.bit_generator.state
+        assert (state["has_uint32"], state["uinteger"]) == (1, halves[5])
+        assert state["state"] == b.bit_generator.state["state"]
 
 
 def test_sites_and_json_round_trip():

@@ -28,7 +28,7 @@ def desk_factory(r, n_p1=120):
     return protocol_network(n_p1=n_p1, seed=0, realization=r)
 
 
-def pair_network(r_nm=4.0):
+def pair_network(r_nm=4.0, bath_first=False):
     # one sensor and one bath spin separated along the field axis
     axis = NV_AXES[0]
     spec = EnsembleSpec(
@@ -42,7 +42,7 @@ def pair_network(r_nm=4.0):
         SpinSite(0, center, Species.NV, axis.copy(), 0, 0.0),
         SpinSite(1, center + r_nm * axis, Species.P1, axis.copy(), 0, 0.0),
     ]
-    return network_from_sites(spec, sites, realization=0)
+    return network_from_sites(spec, sites[::-1] if bath_first else sites, realization=0)
 
 
 def test_cycle_config_validation():
@@ -82,6 +82,12 @@ def test_missing_species_raises():
     net = generate_network(spec, realization=0)
     with pytest.raises(ValueError, match="sensor"):
         run_iterative_protocol(lambda r: net, [CycleConfig(omega_mhz=6.4)], 1)
+
+
+def test_sensors_must_lead_the_network():
+    # the cycle loop reads the sensors as the leading slice of the sites
+    with pytest.raises(ValueError, match="sensors must lead"):
+        run_iterative_protocol(lambda r: pair_network(bath_first=True), [CycleConfig(omega_mhz=6.4)], 1)
 
 
 def test_isolated_pair_shares_polarization():

@@ -35,7 +35,7 @@ from test_network_reference import reference_build_rates
 
 def two_site_rate_matrix(rate):
     rates = np.array([[0.0, rate], [rate, 0.0]])
-    return RateMatrix(rates, cutoff_nm=60.0, omega_mhz=6.40, gamma_mhz=0.15)
+    return RateMatrix(rates, cutoff_nm=60.0)
 
 
 def test_rate_closed_form_on_resonant_pair():
@@ -73,11 +73,11 @@ def test_rate_detuning_dependence():
 
 def test_rate_matrix_validation():
     with pytest.raises(ValueError, match="symmetric"):
-        RateMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), 60.0, 6.4, 0.15)
+        RateMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), 60.0)
     with pytest.raises(ValueError, match="diagonal"):
-        RateMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]), 60.0, 6.4, 0.15)
+        RateMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]), 60.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        RateMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]), 60.0, 6.4, 0.15)
+        RateMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]), 60.0)
     with pytest.raises(ValueError, match="positive"):
         net = transport_network(1.575, 2, seed=0, realization=0)
         build_rates(pair_table(net), -1.0)
@@ -145,7 +145,7 @@ def test_conservation_and_maximum_principle():
 def test_long_time_equilibration_on_connected_pair_chain():
     # three sites coupled in a chain equilibrate to the uniform state
     rates = np.array([[0.0, 0.05, 0.0], [0.05, 0.0, 0.02], [0.0, 0.02, 0.0]])
-    rm = RateMatrix(rates, 60.0, 6.4, 0.15)
+    rm = RateMatrix(rates, 60.0)
     traj = integrate_master_equation(factor_generator(rm), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e4]))
     npt.assert_allclose(traj.polarization[-1], 1.0 / 3.0, atol=1e-8)
 
