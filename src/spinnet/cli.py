@@ -14,8 +14,10 @@ count it ran with, the seed, the version, the wall time, the creation
 time and under ``configs`` the ``run`` configs the preset executed.
 Both manifests record the environment the bytes of
 the transport and protocol outputs depend on: the numpy and scipy
-versions, the CPU count and the BLAS thread variables.  The ``diffusion``
-run and the ``fig-s3`` preset also record under ``lanczos``, per box size,
+versions, the CPU count and the BLAS thread variables, and beside them
+the most realization workers the command ran (``fitkit.map_realizations``).
+The ``diffusion`` run and the ``fig-s3`` preset also record under
+``lanczos``, per box size,
 the range of Lanczos basis dimensions over the realizations and the
 largest final error estimate.
 """
@@ -34,7 +36,6 @@ from importlib import resources
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__, clusterdyn, fitkit, protocol, transport
 from .network import EXCLUSION_NM, GenerationError, Placement, ppm_to_density
@@ -44,6 +45,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 _NUMERIC_ERRORS = (
+    ArithmeticError,  # overflow, e.g. a rate cutoff or a mode decay past the largest float
     fitkit.FitError,
     transport.WindowError,
     transport.ConservationError,
@@ -62,6 +64,21 @@ def _load_schema() -> dict:
         return json.load(fh)
 
 
+def _nonfinite(value, path: str):
+    """(path, value) of the first field of ``value`` that is a non-finite
+    number or a list holding one, None when there is none."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path, value
+    if isinstance(value, list) and not all(math.isfinite(v) for v in value if isinstance(v, float)):
+        return path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            found = _nonfinite(item, f"{path}/{key}" if path else key)
+            if found is not None:
+                return found
+    return None
+
+
 def validate_config(config: dict) -> list:
     """Schema plus physics sanity; returns warnings, raises ConfigError."""
     # imported on first use: `reproduce` validates no config
@@ -76,12 +93,23 @@ def validate_config(config: dict) -> list:
             path.append(sorted(set(err.instance) - set(err.schema.get("properties", {})))[0])
         path = "/".join(str(p) for p in path) or "<root>"
         raise ConfigError(f"config field {path}: {err.message}") from err
+    bad = _nonfinite(config, "")
+    if bad is not None:
+        # Python's JSON parser reads NaN and Infinity, and no schema bound refuses nan
+        path, value = bad
+        raise ConfigError(f"config field {path}: {value} holds a value that is not a finite number")
     n_bath = config.get("params", {}).get("n_bath")
     if n_bath is not None and n_bath + 1 > math.log2(clusterdyn.MAX_CLUSTER_DIM):
         raise ConfigError(
             f"config field params/n_bath: {n_bath} bath spins and the sensor exceed "
             f"the cluster dimension cap {clusterdyn.MAX_CLUSTER_DIM}"
         )
+    densities = {"network/densities_ppm/P1": config.get("network", {}).get("densities_ppm", {}).get("P1")}
+    for i, d in enumerate(config.get("params", {}).get("calibration_densities_ppm", [])):
+        densities[f"params/calibration_densities_ppm/{i}"] = d
+    for field, d in densities.items():
+        if d is not None and ppm_to_density(d) == 0:
+            raise ConfigError(f"config field {field}: {d} ppm is no number density above zero")
     warnings = []
     total = sum(config.get("network", {}).get("densities_ppm", {}).values())
     if total > 0:
@@ -123,6 +151,7 @@ def _run_deer(config: dict) -> tuple:
         "density_ppm": density,
         "rate_mhz": fit.rate_mhz,
         "rate_sigma": fit.rate_sigma,
+        "mean_field_rate_mhz": clusterdyn.mean_field_deer_rate(density),
         "t2_us": fit.t2_us,
         "beta": fit.beta,
         "converged": fit.fit.converged,
@@ -334,8 +363,6 @@ def _run_fit(config: dict) -> tuple:
             f"config field params/p0: {len(p0)} values for the {len(model.param_names)} "
             f"parameters {list(model.param_names)} of {model_name}"
         )
-    if p0 is not None and not np.all(np.isfinite(p0)):
-        raise ConfigError(f"config field params/p0: {p0} holds a value that is not a finite number")
     path = p.get("data_csv")
     if not path or not os.path.exists(path):
         raise ConfigError("config field params/data_csv: file not found")
@@ -444,6 +471,7 @@ def _fig_s2(realizations: int, seed: int) -> tuple:
         {
             "densities_ppm": densities,
             "rates_mhz": {k: fit["rate_mhz"] for k, fit in fits.items()},
+            "mean_field_rates_mhz": {k: fit["mean_field_rate_mhz"] for k, fit in fits.items()},
             "stretch_beta": {k: fit["beta"] for k, fit in fits.items()},
             "ratio": ratio,
             "fit_converged": {k: fit["converged"] for k, fit in fits.items()},
@@ -542,16 +570,18 @@ def _out_root() -> str:
     return os.environ.get("SPINNET_OUT", "spinnet_runs")
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _environment() -> dict:
-    """Library versions, CPU count and BLAS thread variables (None when unset)."""
+    """Library versions, CPU count, the most realization workers the command
+    used and the BLAS thread variables (None when unset)."""
+    # imported here, not with the module: a bare CLI start never needs scipy
+    import scipy
+
     return {
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
-        **{name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
+        "workers": fitkit.workers_used,
+        **{name: os.environ.get(name) for name in fitkit.BLAS_THREAD_VARS},
     }
 
 
@@ -600,6 +630,7 @@ def _cmd_run(args) -> int:
     experiment = config["experiment"]
     out_dir = config.get("out_dir") or os.path.join(_out_root(), experiment)
     start = time.time()
+    fitkit.workers_used = 1
     try:
         artifacts, summary, record = _EXPERIMENTS[experiment](config)
     except ConfigError as err:
@@ -607,6 +638,9 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     except _NUMERIC_ERRORS as err:
         print(f"numeric failure: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except fitkit.WorkerLost as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     manifest = {
         "experiment": experiment,
@@ -644,10 +678,14 @@ def _cmd_reproduce(args) -> int:
     realizations = args.realizations or default
     seed = args.seed or 0
     start = time.time()
+    fitkit.workers_used = 1
     try:
         configs, artifacts, rows, record = preset(realizations, seed)
     except _NUMERIC_ERRORS as err:
         print(f"numeric failure: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except fitkit.WorkerLost as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     out_dir = args.out or os.path.join(_out_root(), args.tag)
     manifest = {

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import fitkit
-from .constants import TWO_PI
+from .constants import J0_MHZ_NM3, TWO_PI
 from .fitkit import FitError, reduce_mean_sem
 from .network import (
     EnsembleSpec,
@@ -45,6 +45,7 @@ __all__ = [
     "fft_peak",
     "DephasingFit",
     "extract_dephasing_rate",
+    "mean_field_deer_rate",
     "calibrate_alpha",
     "ConcentrationEstimate",
     "estimate_concentration",
@@ -155,9 +156,9 @@ def run_deer(
     random bath product states.
     """
     tau = np.asarray(tau_grid_us, dtype=float)
-    signals = []
     pulses = {}  # n -> (pi/2_y, pi_x, pi/2_-y); the pulses depend on nothing else
-    for r in range(n_realizations):
+
+    def signal(r):
         net = cluster_factory(r)
         n = net.n_sites
         if 2**n > MAX_CLUSTER_DIM:
@@ -189,9 +190,9 @@ def run_deer(
         states = evecs @ (phases * (evecs_h @ mid))
         p_plus = _sensor_up_probability(u_half @ states, n)
         p_minus = _sensor_up_probability(u_minus @ states, n)
-        signals.append(p_minus - p_plus)
+        return p_minus - p_plus
 
-    mean, sem = reduce_mean_sem(np.array(signals))
+    mean, sem = reduce_mean_sem(np.array(fitkit.map_realizations(signal, n_realizations)))
     return TraceResult(tau, mean, sem, n_realizations)
 
 
@@ -273,6 +274,21 @@ def extract_dephasing_rate(trace: TraceResult) -> DephasingFit:
     )
 
 
+# The dilute-bath limit of the DEER decay: for bath spins placed uniformly
+# at density n around the sensor, the echo of Ising pair phases
+# phi = TWO_PI sqrt(2) J0 (1 - 3 cos^2 theta) tau / r^3 averages to
+# exp(-n Int d^3r [1 - cos phi]) = exp(-k n tau), with
+# k = 16 sqrt(2) pi^3 / (9 sqrt(3)) J0 (Salikhov, Dzuba & Raitsimring,
+# J. Magn. Reson. 42, 255 (1981)), about 2340 nm^3/us.
+_MEAN_FIELD_K_NM3_PER_US = 16.0 * math.sqrt(2.0) * math.pi**3 / (9.0 * math.sqrt(3.0)) * J0_MHZ_NM3
+
+
+def mean_field_deer_rate(density_ppm: float) -> float:
+    """Decay rate (MHz) of the bath-averaged DEER echo at ``density_ppm``
+    in the dilute, Ising-only limit: k times the bath number density."""
+    return _MEAN_FIELD_K_NM3_PER_US * ppm_to_density(density_ppm)
+
+
 def calibrate_alpha(densities_ppm, rates_mhz, rate_sigmas=None) -> fitkit.FitResult:
     """Through-origin weighted fit of dephasing rate vs density; its
     ``slope`` is alpha in MHz per ppm."""
@@ -304,7 +320,7 @@ def estimate_concentration(
     rejected and counted, with a warning flag past 1% rejections.
     """
     if k_mhz_per_group_ppm <= 0:
-        raise ValueError("K must be positive")
+        raise FitError("K must be positive")
     rng = np.random.default_rng(seed)
     g, k = rng.normal([gamma_exp_mhz, k_mhz_per_group_ppm], [gamma_sigma, k_sigma], size=(n_mc, 2)).T
     keep = k > 0

@@ -16,6 +16,7 @@ unweighted fits.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -36,6 +37,7 @@ __all__ = [
     "fft_spectrum",
     "spectrum_peak",
     "reduce_mean_sem",
+    "WorkerLost",
     "csv_text",
 ]
 
@@ -249,13 +251,18 @@ def fit(
     # and only the commands that fit need it
     from scipy.optimize import least_squares
 
-    res = least_squares(
-        residuals,
-        p0,
-        bounds=(model.lower, model.upper),
-        method="trf",
-        max_nfev=MAX_NFEV,
-    )
+    try:
+        res = least_squares(
+            residuals,
+            p0,
+            bounds=(model.lower, model.upper),
+            method="trf",
+            max_nfev=MAX_NFEV,
+        )
+    except ValueError as err:
+        # residuals that are not finite at the start point: data or weights
+        # that are not finite, or a model that overflows there
+        raise FitError(f"{model.name}: {err}") from err
     cov = _covariance(res.jac, res.cost, x.size, n_params, absolute=sigma is not None)
     sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FitResult(
@@ -404,6 +411,109 @@ def _mean_sem(vals: list) -> tuple[float, float]:
         return mean, 0.0
     var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
     return mean, math.sqrt(var / n)
+
+
+class WorkerLost(RuntimeError):
+    """Raised when a realization worker process dies before it returns."""
+
+
+# The variables that set the BLAS thread count; the run manifests record them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Memory one realization may take: the schema's size caps keep every
+# realization below it, so a run needs (workers + 1) times this
+REALIZATION_BYTES = 1 << 30
+
+# The per-realization function of the map in progress.  The workers are
+# forked while it is set and read it from their copy of this module, so it
+# is never pickled.
+_task = None
+# True in a worker: a map called inside a realization runs in place
+_in_worker = False
+# The most workers one map_realizations call has used since the command
+# began (the command resets it); the run manifests record it
+workers_used = 1
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _available_bytes() -> int:
+    """MemAvailable of the kernel, or the free pages where it is not reported."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _blas_threads() -> Optional[int]:
+    """The largest thread count the BLAS variables set, None when none sets one."""
+    counts = [os.environ.get(name, "").strip() for name in BLAS_THREAD_VARS]
+    counts = [int(c) for c in counts if c.isdigit() and int(c) > 0]
+    return max(counts, default=None)
+
+
+def worker_count(n: int) -> int:
+    """Processes :func:`map_realizations` spreads ``n`` realizations over.
+
+    The smallest of ``n``, the usable CPUs divided by the BLAS threads and
+    the available memory in units of :data:`REALIZATION_BYTES`, and at
+    least 1.  Without a BLAS thread variable the BLAS already threads over
+    every core, so the count is 1; inside a worker it is 1 as well.
+    """
+    threads = _blas_threads()
+    if _in_worker or threads is None:
+        return 1
+    return max(1, min(n, _usable_cpus() // threads, _available_bytes() // REALIZATION_BYTES))
+
+
+def _enter_worker() -> None:
+    global _in_worker
+    _in_worker = True
+
+
+def _run_task(r: int):
+    return _task(r)
+
+
+def map_realizations(fn: Callable[[int], object], n: int) -> list:
+    """``[fn(r) for r in range(n)]``, the calls spread over forked workers.
+
+    Each realization seeds its streams from its index, so the calls are
+    independent and every result is the one a serial loop gives; only the
+    results are pickled back, and they come in realization order.  With
+    one worker (:func:`worker_count`) the loop runs in this process.  An
+    exception raised by ``fn`` reaches the caller with its type; a worker
+    that dies raises :class:`WorkerLost`.  Every worker has exited when
+    this returns or raises.
+    """
+    global _task, workers_used
+    workers = worker_count(n)
+    workers_used = max(workers_used, workers)
+    if workers == 1:
+        return [fn(r) for r in range(n)]
+    # imported on first use: most commands never fork
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # the fork context flushes stdout and stderr before each fork, so a
+    # worker inherits no buffered output to print a second time
+    _task = fn
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_enter_worker)
+    try:
+        return list(pool.map(_run_task, range(n), chunksize=max(1, n // (4 * workers))))
+    except BrokenProcessPool as err:
+        raise WorkerLost(f"a realization worker was lost before it returned ({err})") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _task = None
 
 
 def csv_text(names: Sequence[str], *columns) -> str:

@@ -10,6 +10,7 @@ index), so realizations are independent and can be generated in any order.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -81,6 +82,8 @@ class GenerationError(RuntimeError):
 # The hard-core exclusion radius, nm, of every network and cluster the
 # runners build.
 EXCLUSION_NM = 1.0
+# The longest box edge, nm, whose volume is a finite float
+_MAX_BOX_NM = sys.float_info.max ** (1.0 / 3.0)
 
 
 def ppm_to_density(concentration_ppm: float) -> float:
@@ -132,6 +135,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.box_nm <= 0:
             raise ValueError(f"box length must be positive, got {self.box_nm}")
+        if self.box_nm > _MAX_BOX_NM:
+            raise GenerationError(f"a {self.box_nm:g} nm box has no finite volume")
         if self.exclusion_nm < 0:
             raise ValueError("exclusion radius must be nonnegative")
         if self.disorder_mhz < 0:
@@ -266,6 +271,8 @@ class _LatticeSampler:
     def __init__(self, L):
         self.L = L
         self.n_cells = max(1, math.ceil(L / A_DIAMOND_NM))
+        if self.n_cells > np.iinfo(np.int64).max:
+            raise GenerationError(f"a {L:g} nm box holds more diamond cells per edge than a 64-bit index counts")
         self.used = set()
 
     def draw(self, rng):

@@ -231,9 +231,7 @@ def run_iterative_protocol(
     loop.  Each result is reduced and given its saturation fit on its own,
     so a sequence gives the same numbers as one call per config.
     """
-    nv_runs = [np.empty((n_realizations, c.n_cycles)) for c in configs]
-    p1_runs = [np.empty((n_realizations, c.n_cycles)) for c in configs]
-    for r in range(n_realizations):
+    def runs(r):
         one = factory(r)
         n_nv = one.count(Species.NV)
         p1_count = one.count(Species.P1)
@@ -243,10 +241,13 @@ def run_iterative_protocol(
             raise ValueError("the sensors must lead the network's sites, as generate_network orders them")
         pairs = pair_table(one)
         ranked = _probe_indices(one, p1_count)
-        for k, c in enumerate(configs):
-            rm = build_rates(pairs, c.omega_mhz)
-            nv_runs[k][r], p1_runs[k][r] = _single_run(one, c, rm, ranked[: c.probe_k])
-    return [_reduce(nv, p1) for nv, p1 in zip(nv_runs, p1_runs)]
+        return [_single_run(one, c, build_rates(pairs, c.omega_mhz), ranked[: c.probe_k]) for c in configs]
+
+    rows = fitkit.map_realizations(runs, n_realizations)
+    return [
+        _reduce(np.array([row[k][0] for row in rows]), np.array([row[k][1] for row in rows]))
+        for k in range(len(configs))
+    ]
 
 
 def saturation_sweep(
@@ -391,8 +392,7 @@ def readout_equilibration(
         times_us = np.linspace(0.0, 10.0, 41)
     times_us = np.asarray(times_us, dtype=float)
 
-    curves = np.empty((n_realizations, times_us.size))
-    for r in range(n_realizations):
+    def curve(r):
         one = factory(r)
         nv = one.indices_of(Species.NV)
         p1 = one.indices_of(Species.P1)
@@ -405,9 +405,9 @@ def readout_equilibration(
         # rows of the eigenvectors alone may round differently
         sensors = gen.propagate(d, times_us)[:, nv]
         sensors[times_us == 0] = d[nv]
-        curves[r] = sensors.mean(axis=1) / config.p_nv0
+        return sensors.mean(axis=1) / config.p_nv0
 
-    delta_c = curves.mean(axis=0)
+    delta_c = np.array(fitkit.map_realizations(curve, n_realizations)).mean(axis=0)
     res = fitkit.fit(fitkit.EXP_SATURATION, times_us, delta_c)
     return EquilibrationResult(
         times_us=times_us,

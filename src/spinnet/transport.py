@@ -141,10 +141,16 @@ class PairTable:
 
 
 def rate_cutoff(gamma_mhz: float) -> float:
-    """Distance (nm) beyond which no pair rate reaches 1e-6 MHz at linewidth ``gamma_mhz``."""
+    """Distance (nm) beyond which no pair rate reaches 1e-6 MHz at linewidth
+    ``gamma_mhz``; FloatingPointError when the linewidth is too narrow for
+    a finite distance."""
     # largest conceivable |J~| at distance r is J0/r^3 (angular factor 2,
     # double NV scaling 2, inter prefactor 1/4, unit projections)
-    return (2.0 * J0_MHZ_NM3**2 / (gamma_mhz * RATE_FLOOR_MHZ)) ** (1.0 / 6.0)
+    floor = gamma_mhz * RATE_FLOOR_MHZ
+    cutoff = (2.0 * J0_MHZ_NM3**2 / floor) ** (1.0 / 6.0) if floor > 0 else math.inf
+    if not math.isfinite(cutoff):
+        raise FloatingPointError(f"linewidth {gamma_mhz:g} MHz is too narrow for a finite rate cutoff")
+    return cutoff
 
 
 def _pair_geometry(pos, i, j, axis) -> tuple:
@@ -281,8 +287,14 @@ class Generator:
         return self.rates.n_sites
 
     def decay(self, times) -> np.ndarray:
-        """exp(-evals t), one row per time; a scalar time gives one row."""
-        return np.exp(-np.outer(times, self.evals))
+        """exp(-evals t), one row per time; a scalar time gives one row.
+
+        FloatingPointError when a factor overflows: an eigenvalue below
+        zero by more than rounding, as when the relaxation rates swamp the
+        pair rates by ~1e16 and the eigensolver resolves only the former.
+        """
+        with np.errstate(over="raise"):
+            return np.exp(-np.outer(times, self.evals))
 
     def evolve(self, p0, decay) -> np.ndarray:
         """P(t) for the mode decay of each time (one row per time).
@@ -652,20 +664,17 @@ def average_msd(
         t_end *= 4.0
     times_us = _default_time_grid(t_end)
 
-    curves = np.empty((n_realizations, times_us.size))
-    totals = np.empty((n_realizations, times_us.size))
-    dims = np.empty(n_realizations, dtype=int)
-    errors = np.empty(n_realizations)
-    for r in range(n_realizations):
-        net, basis = first or based(r)
-        first = None
+    def row(r):
+        net, basis = first if r == 0 else based(r)
         c = curve(net, basis, times_us)
-        curves[r] = c.msd_nm2
-        totals[r] = c.survival
-        dims[r], errors[r] = basis.m, basis.error
-    mean, sem = fitkit.reduce_mean_sem(curves)
-    surv = totals.mean(axis=0)
-    return MsdCurve(times_us, mean, surv, sem_nm2=sem, basis_dims=dims, basis_errors=errors), box
+        return c.msd_nm2, c.survival, basis.m, basis.error
+
+    curves, totals, dims, errors = zip(*fitkit.map_realizations(row, n_realizations))
+    mean, sem = fitkit.reduce_mean_sem(np.array(curves))
+    surv = np.array(totals).mean(axis=0)
+    return MsdCurve(
+        times_us, mean, surv, sem_nm2=sem, basis_dims=np.array(dims), basis_errors=np.array(errors)
+    ), box
 
 
 @dataclass

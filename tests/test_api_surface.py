@@ -200,7 +200,7 @@ FOOTPRINT_CASES = {
     "import-integrate": ("pass", None, ("scipy.integrate",)),
     "import": ("pass", None, ("jsonschema", "scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg")),
     "validate-diffusion": (
-        "cli.validate_config(config)", DIFFUSION, ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg")
+        "cli.validate_config(config)", DIFFUSION, ("scipy", "scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg")
     ),
     "run-diffusion": (RUN, DIFFUSION, ("scipy.optimize",)),
     "run-rabi": (RUN, RABI, ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg")),

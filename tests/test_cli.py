@@ -170,8 +170,10 @@ def test_omega_flag_rejected_where_experiment_has_no_drive(tmp_path, capsys):
 
 
 def test_crossover_uses_configured_disorder(tmp_path, monkeypatch):
-    from spinnet import protocol
+    from spinnet import fitkit, protocol
 
+    # the spy records calls in this process only, so the networks are built here
+    monkeypatch.setattr(fitkit, "worker_count", lambda n: 1)
     seen = []
     original = protocol.protocol_network
 
@@ -362,6 +364,10 @@ def test_deer_fit_records_the_fit_diagnostics(tmp_path):
     assert summary["converged"] is fit.fit.converged
     assert summary["nfev"] == fit.fit.iterations
     assert summary["rate_mhz"] == fit.rate_mhz and summary["beta"] == fit.beta
+    # the dilute-bath rate sits right after the fitted one
+    keys = list(summary)
+    assert keys[keys.index("rate_sigma") + 1] == "mean_field_rate_mhz"
+    assert summary["mean_field_rate_mhz"] == clusterdyn.mean_field_deer_rate(6.3)
 
 
 def test_fig_s2_summary_records_the_fit_diagnostics(tmp_path):
@@ -375,6 +381,9 @@ def test_fig_s2_summary_records_the_fit_diagnostics(tmp_path):
         assert summary["fit_converged"][key] is fit.fit.converged
         assert summary["fit_nfev"][key] == fit.fit.iterations
         assert summary["rates_mhz"][key] == fit.rate_mhz
+        assert summary["mean_field_rates_mhz"][key] == clusterdyn.mean_field_deer_rate(density)
+    keys = list(summary)
+    assert keys[keys.index("rates_mhz") + 1] == "mean_field_rates_mhz"
 
 
 def test_fitted_summaries_end_with_the_fit_diagnostics(tmp_path):
@@ -570,6 +579,16 @@ def test_run_fit_refuses_a_table_without_rows(tmp_path, capsys, text):
     assert cli.main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert "config field params/data_csv: no data rows" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_fit_whose_model_overflows_at_its_start_exits_3(tmp_path, capsys):
+    # a Lorentzian width guessed from abscissae near 1e200 squares to infinity
+    data = tmp_path / "data.csv"
+    data.write_text("x,y\n0,1\n1e200,2\n2e200,5\n3e200,2\n4e200,1\n")
+    config = write_config(tmp_path, {"experiment": "fit", "params": {"model": "lorentzian", "data_csv": str(data)}})
+    assert cli.main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert "numeric failure: lorentzian:" in capsys.readouterr().err
 
 
 # (preset, realizations, the rows judged from a fit)

@@ -12,11 +12,12 @@ from spinnet.clusterdyn import (
     estimate_concentration,
     extract_dephasing_rate,
     fft_peak,
+    mean_field_deer_rate,
     run_deer,
     run_rabi,
     sample_nv_p1_cluster,
 )
-from spinnet.constants import J0_MHZ_NM3, TWO_PI
+from spinnet.constants import J0_MHZ_NM3, PPM_TO_PER_NM3, TWO_PI
 from spinnet.fitkit import FitError
 from spinnet.network import EnsembleSpec, Placement, Species, SpinNetwork, species_code
 from spinnet.spinops import Frame, build_cluster_hamiltonian
@@ -220,6 +221,17 @@ def test_calibrate_alpha():
     assert res["slope"] == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(FitError):
         calibrate_alpha([5.0], [0.5])
+
+
+def test_mean_field_deer_rate():
+    assert round(mean_field_deer_rate(2.4), 3) == 0.989
+    assert round(mean_field_deer_rate(6.3), 3) == 2.595
+    # n Int d^3r [1 - cos(c (1 - 3u^2) / r^3)] with c = TWO_PI sqrt(2) J0 tau:
+    # the radial integral is pi |c (1 - 3u^2)| / 6, which leaves
+    # k = (pi^2 / 3) TWO_PI sqrt(2) J0 Int_{-1}^{1} |1 - 3u^2| du
+    u = np.linspace(-1.0, 1.0, 200_001)
+    k = math.pi**2 / 3 * TWO_PI * math.sqrt(2.0) * J0_MHZ_NM3 * np.trapezoid(np.abs(1 - 3 * u**2), u)
+    assert mean_field_deer_rate(1.0) == pytest.approx(k * PPM_TO_PER_NM3, rel=1e-8)
 
 
 def reference_estimate_concentration(gamma, gamma_sigma, k, k_sigma, n_mc=10_000, seed=0):
