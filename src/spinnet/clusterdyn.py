@@ -53,7 +53,8 @@ __all__ = [
 
 # At the cap one dense complex Hamiltonian is 4096^2 * 16 B = 256 MiB, and
 # eigh adds its eigenvectors and workspace of the same order.  The builders
-# form no per-site operator set (7 n 4^n * 16 B, 21 GiB at 12 spins).
+# form no per-site operator set (7 n 4^n * 16 B, 21 GiB at 12 spins); their
+# per-size pair tables take 24 B per pair and basis state, 6.5 MB at 12 spins.
 MAX_CLUSTER_DIM = 4096
 
 _AXES_2X2 = {
@@ -86,6 +87,9 @@ def rotation_unitary(n_sites: int, angle_rad: float, axis: str, site_indices) ->
     s_op = sign * _AXES_2X2[key]
     r2 = math.cos(angle_rad / 2) * np.eye(2) - 2j * math.sin(angle_rad / 2) * s_op
     chosen = set(int(i) for i in site_indices)
+    for i in sorted(chosen):
+        if not 0 <= i < n_sites:
+            raise ValueError(f"site index {i} is outside [0, {n_sites})")
     u = np.array([[1.0 + 0j]])
     for i in range(n_sites):
         u = np.kron(u, r2 if i in chosen else np.eye(2, dtype=complex))
@@ -134,11 +138,10 @@ def default_tau_grid(density_ppm: float) -> np.ndarray:
     return np.linspace(0.0, tau_max, 48)
 
 
-def _sensor_up_probability(states: np.ndarray, n_sites: int, sensor: int = 0) -> np.ndarray:
-    dim = states.shape[0]
-    idx = np.arange(dim)
-    up = ((idx >> (n_sites - 1 - sensor)) & 1) == 0
-    return np.sum(np.abs(states[up, :]) ** 2, axis=0)
+def _sensor_up_probability(states: np.ndarray) -> np.ndarray:
+    # the sensor is site 0, the top bit of the basis index: it is up in
+    # the first half of the basis
+    return np.sum(np.abs(states[: states.shape[0] // 2]) ** 2, axis=0)
 
 
 def run_deer(
@@ -188,8 +191,8 @@ def run_deer(
         c1 = evecs_h @ (u_half @ psi0)
         mid = u_pi @ (evecs @ (phases * c1[:, None]))
         states = evecs @ (phases * (evecs_h @ mid))
-        p_plus = _sensor_up_probability(u_half @ states, n)
-        p_minus = _sensor_up_probability(u_minus @ states, n)
+        p_plus = _sensor_up_probability(u_half @ states)
+        p_minus = _sensor_up_probability(u_minus @ states)
         return p_minus - p_plus
 
     mean, sem = reduce_mean_sem(np.array(fitkit.map_realizations(signal, n_realizations)))

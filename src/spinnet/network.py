@@ -61,17 +61,15 @@ NV_AXES = np.array(
 P1_SUBGROUP_WEIGHTS = np.array([1, 3, 4, 3, 1], dtype=float) / 12.0
 
 # Conventional diamond cell: fcc sites plus the (1/4,1/4,1/4) sublattice.
-_DIAMOND_BASIS = np.array(
-    [
-        [0.0, 0.0, 0.0],
-        [0.0, 0.5, 0.5],
-        [0.5, 0.0, 0.5],
-        [0.5, 0.5, 0.0],
-        [0.25, 0.25, 0.25],
-        [0.25, 0.75, 0.75],
-        [0.75, 0.25, 0.75],
-        [0.75, 0.75, 0.25],
-    ]
+_DIAMOND_BASIS = (
+    (0.0, 0.0, 0.0),
+    (0.0, 0.5, 0.5),
+    (0.5, 0.0, 0.5),
+    (0.5, 0.5, 0.0),
+    (0.25, 0.25, 0.25),
+    (0.25, 0.75, 0.75),
+    (0.75, 0.25, 0.75),
+    (0.75, 0.75, 0.25),
 )
 
 
@@ -260,33 +258,6 @@ def centred_draw(spec: EnsembleSpec, realization: int, generate) -> SpinNetwork:
     raise GenerationError("could not place the source away from the bath in 100 attempts")
 
 
-class _LatticeSampler:
-    """Uniform sampling without replacement over diamond sites in the box.
-
-    Cells are indexed rather than enumerated, so the box may contain ~1e8
-    candidate sites without materializing them; a drawn (cell, basis) code is
-    rejected if already used or if the site falls outside the box.
-    """
-
-    def __init__(self, L):
-        self.L = L
-        self.n_cells = max(1, math.ceil(L / A_DIAMOND_NM))
-        if self.n_cells > np.iinfo(np.int64).max:
-            raise GenerationError(f"a {L:g} nm box holds more diamond cells per edge than a 64-bit index counts")
-        self.used = set()
-
-    def draw(self, rng):
-        code = tuple(rng.integers(0, self.n_cells, size=3)) + (int(rng.integers(0, 8)),)
-        if code in self.used:
-            return None
-        frac = np.array(code[:3], dtype=float) + _DIAMOND_BASIS[code[3]]
-        pos = frac * A_DIAMOND_NM
-        if np.any(pos >= self.L):
-            return None
-        self.used.add(code)
-        return pos
-
-
 def _cdf(weights: np.ndarray) -> list:
     # the cumulative table Generator.choice(k, p=weights) searches
     cdf = np.cumsum(weights)
@@ -314,6 +285,16 @@ def _unit_doubles(raw: np.ndarray) -> np.ndarray:
     return (raw >> 11) * 2.0**-53
 
 
+def _clear_of(placed: list, x: float, y: float, z: float, r2: float) -> bool:
+    """No point of ``placed`` lies closer to (x, y, z) than sqrt(r2), by
+    ((dx^2 + dy^2) + dz^2) < r2, as :func:`_squared_lengths` sums it."""
+    for px, py, pz in placed:
+        dx, dy, dz = px - x, py - y, pz - z
+        if dx * dx + dy * dy + dz * dz < r2:
+            return False
+    return True
+
+
 def _squared_lengths(d: np.ndarray) -> np.ndarray:
     """Squared length of each row of ``d``, summed (dx^2 + dy^2) + dz^2; ``d`` is overwritten."""
     d *= d
@@ -326,13 +307,15 @@ class _Placer:
     """The columns of one network under construction, its generator and its
     draw budget.
 
-    :meth:`place_site` draws one site with the generator's own calls;
-    :meth:`place_block` places a run of continuum sites from one raw draw,
-    decoded as those calls would read it.  Both count every position draw
-    against the budget and keep a site only if no earlier site lies closer
-    than the exclusion radius, ((dx^2 + dy^2) + dz^2) < r^2.  Lattice
-    sites are placed one at a time; continuum sites in blocks, each
-    ended by its first violating site, which :meth:`place_site` redraws.
+    :meth:`place_lattice` draws lattice sites one at a time with the
+    generator's own calls and Python float arithmetic; :meth:`place_site`
+    draws one continuum site with those calls, and :meth:`place_block` a
+    run of continuum sites from one raw draw, decoded as those calls would
+    read it.  All count every position draw against the budget and keep a
+    site only if no earlier site lies closer than the exclusion radius,
+    ((dx^2 + dy^2) + dz^2) < r^2.  Continuum sites are placed in blocks,
+    each ended by its first violating site, which :meth:`place_site`
+    redraws.
     """
 
     def __init__(self, spec: EnsembleSpec, rng: np.random.Generator, counts: list):
@@ -349,34 +332,65 @@ class _Placer:
         self.axis_index = np.zeros(total, dtype=np.intp)
         self.subgroup = np.zeros(total, dtype=np.intp)
 
-    def place_site(self, k: int, draw) -> None:
-        """Site k from ``draw()`` (a position, or None for a refused draw),
-        redrawn until it keeps the exclusion radius, then its axis and, for
-        P1, its subgroup."""
+    def _count_attempt(self) -> None:
+        self.attempts += 1
+        if self.attempts > self.budget:
+            raise GenerationError(
+                f"could not satisfy exclusion radius {self.spec.exclusion_nm} nm "
+                f"within the retry budget of {self.budget} draws "
+                f"(100x the {self.total} requested sites)"
+            )
+
+    def _orient(self, k: int) -> None:
+        """Site k's axis draw and, for P1, its subgroup draw."""
         rng = self.rng
-        # without a radius no placed site constrains a draw
-        placed = self.positions[:k] if self.r2 > 0 else self.positions[:0]
-        while True:
-            self.attempts += 1
-            if self.attempts > self.budget:
-                raise GenerationError(
-                    f"could not satisfy exclusion radius {self.spec.exclusion_nm} nm "
-                    f"within the retry budget of {self.budget} draws "
-                    f"(100x the {self.total} requested sites)"
-                )
-            pos = draw()
-            if pos is not None and not (placed.size and (_squared_lengths(placed - pos) < self.r2).any()):
-                break
-        self.positions[k] = pos
         cdf = self.cdfs[self.species[k]]
         axis = rng.integers(0, 4) if cdf is None else bisect_right(cdf, rng.random())
         self.axis_index[k] = axis
         self.subgroup[k] = bisect_right(_P1_SUBGROUP_CDF, rng.random()) if self.p1[k] else axis
 
+    def place_site(self, k: int, draw) -> None:
+        """Continuum site k from ``draw()``, redrawn until it keeps the
+        exclusion radius, then its axis and, for P1, its subgroup."""
+        # without a radius no placed site constrains a draw
+        placed = self.positions[:k] if self.r2 > 0 else self.positions[:0]
+        while True:
+            self._count_attempt()
+            pos = draw()
+            if not (placed.size and (_squared_lengths(placed - pos) < self.r2).any()):
+                break
+        self.positions[k] = pos
+        self._orient(k)
+
     def place_lattice(self) -> None:
-        lattice = _LatticeSampler(self.spec.box_nm)
+        """Diamond sites in the box, drawn without replacement in Python
+        floats: a cell code (``integers(0, n_cells, size=3)`` then
+        ``integers(0, 8)`` for the basis site) is refused when it was drawn
+        before or its site lies outside the box; a code inside the box
+        stays used even when the exclusion radius refuses its site.  Cells
+        are indexed, never enumerated, so a box may hold ~1e8 candidates."""
+        L, rng, r2 = self.spec.box_nm, self.rng, self.r2
+        n_cells = max(1, math.ceil(L / A_DIAMOND_NM))
+        if n_cells > np.iinfo(np.int64).max:
+            raise GenerationError(f"a {L:g} nm box holds more diamond cells per edge than a 64-bit index counts")
+        used, placed = set(), []
         for k in range(self.total):
-            self.place_site(k, lambda: lattice.draw(self.rng))
+            while True:
+                self._count_attempt()
+                cell = rng.integers(0, n_cells, size=3).tolist()
+                code = (*cell, int(rng.integers(0, 8)))
+                if code in used:
+                    continue
+                x, y, z = ((c + b) * A_DIAMOND_NM for c, b in zip(cell, _DIAMOND_BASIS[code[3]]))
+                if x >= L or y >= L or z >= L:
+                    continue
+                used.add(code)
+                if r2 > 0 and not _clear_of(placed, x, y, z, r2):
+                    continue
+                break
+            placed.append((x, y, z))
+            self.positions[k] = x, y, z
+            self._orient(k)
 
     def place_continuum(self) -> None:
         draw = lambda: self.rng.uniform(0.0, self.spec.box_nm, size=3)

@@ -110,13 +110,18 @@ def dipolar_coupling(r_vec, quant_axis) -> float:
     ``theta`` is the angle between the pair separation and the quantization
     axis set by the static field.
     """
-    r_vec = np.asarray(r_vec, dtype=float)
-    r = float(np.linalg.norm(r_vec))
+    axis = np.asarray(quant_axis, dtype=float)
+    return _dipolar(np.asarray(r_vec, dtype=float), axis / np.linalg.norm(axis))
+
+
+def _dipolar(r_vec: np.ndarray, unit_axis: np.ndarray) -> float:
+    """:func:`dipolar_coupling` along an already normalized axis; the
+    length is sqrt(r . r), which is what ``np.linalg.norm`` computes for a
+    1-D vector."""
+    r = math.sqrt(r_vec.dot(r_vec))
     if r == 0:
         raise ValueError("dipolar coupling diverges at zero separation")
-    axis = np.asarray(quant_axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    cos = float(np.dot(r_vec, axis)) / r
+    cos = float(r_vec.dot(unit_axis)) / r
     return J0_MHZ_NM3 * (1.0 - 3.0 * cos**2) / r**3
 
 
@@ -130,52 +135,76 @@ def nv_scaling(j_mhz: float, n_nv_participants: int) -> float:
 def _coupling_map(net: SpinNetwork, couplings):
     if couplings is not None:
         return {tuple(sorted(k)): float(v) for k, v in couplings.items()}
-    pos = net.positions
+    rows = list(net.positions)
     axis = net.spec.field_axis_unit
+    axis = axis / np.linalg.norm(axis)  # normalized again, as dipolar_coupling does
     nv = (net.species == species_code(Species.NV)).tolist()
     n = net.n_sites
     return {
-        (i, j): nv_scaling(dipolar_coupling(pos[j] - pos[i], axis), nv[i] + nv[j])
+        (i, j): nv_scaling(_dipolar(rows[j] - rows[i], axis), nv[i] + nv[j])
         for i in range(n)
         for j in range(i + 1, n)
     }
 
 
-# (dressed frame, degenerate pair) -> (c/J, diagonal weight on s_i s_j, flip
-# weights where the bits differ and agree, -(J/2) Sx Sx weight added last),
-# from c(S~+S~- + S~-S~+) = 2c(SySy + SzSz).  Powers of two added in the order
-# of the operator forms keep entries bit-equal to operator products.
+# frame (dressed?) -> (diagonal weight on s_i s_j, flip weights where the
+# bits differ and where they agree), from c(S~+S~- + S~-S~+) = 2c(SySy + SzSz)
+_FRAME_TERMS = {False: (1.0, -0.25, 0.0), True: (2.0, 0.5, -0.5)}
+# (dressed frame, degenerate pair) -> (c/J, flip-flop terms written,
+# -(J/2) Sx Sx weight added last).  Powers of two added in the order of the
+# operator forms keep entries bit-equal to operator products.
 _PAIR_TERMS = {
-    (False, True): (1.0, 1.0, -0.25, 0.0, 0.0),
-    (False, False): (1.0, 1.0, 0.0, 0.0, 0.0),
-    (True, True): (0.125, 2.0, 0.5, -0.5, -0.5),
-    (True, False): (0.25, 2.0, 0.5, -0.5, 0.0),
+    (False, True): (1.0, True, 0.0),
+    (False, False): (1.0, False, 0.0),
+    (True, True): (0.125, True, -0.5),
+    (True, False): (0.25, True, 0.0),
 }
 
 
-def _hamiltonian(n, frame, cmap, degenerate) -> ClusterHamiltonian:
-    """The pair terms of ``cmap``, in order, with ``degenerate(i, j)`` choosing
-    the intra- or inter-group form: Ising parts go on the diagonal, flip-flop
-    parts on the entries (idx ^ mask_ij, idx) that flip both bits."""
-    if n < 1:
-        raise ValueError("need at least one site")
+@lru_cache(maxsize=24)  # both frames at every size up to the 12-site cap
+def _pair_table(n: int, dressed: bool) -> tuple:
+    """The per-pair entries of an n-site cluster in one frame, built once:
+    ``rows`` maps each pair (i, j), i < j, to its row k of ``diag_w`` (the
+    Ising weights on the diagonal), ``flips`` (the flat indices of the
+    entries (idx ^ mask_ij, idx) that flip both bits) and ``flip_w`` (their
+    weights).  Site 0 is the top bit of idx, and s = 1/2 - bit."""
     dim = 2**n
     idx = np.arange(dim)
     bits = (idx >> np.arange(n - 1, -1, -1)[:, None]) & 1
     s = 0.5 - bits
+    i, j = np.triu_indices(n, 1)
+    ising, differ, agree = _FRAME_TERMS[dressed]
+    diag_w = ising * (s[i] * s[j])
+    flips = (idx ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j)))[:, None]) * dim + idx
+    flip_w = np.where(bits[i] != bits[j], differ, agree)
+    for table in (diag_w, flips, flip_w):
+        table.flags.writeable = False
+    return {pair: k for k, pair in enumerate(zip(i.tolist(), j.tolist()))}, diag_w, flips, flip_w
+
+
+def _hamiltonian(n, frame, cmap, key) -> ClusterHamiltonian:
+    """The pair terms of ``cmap``, in order, each scaled from its
+    :func:`_pair_table` row, with equal ``key`` entries choosing the
+    intra-group form: Ising parts summed on the diagonal, flip-flop parts
+    added to their entries.  No two pairs share an off-diagonal entry."""
+    if n < 1:
+        raise ValueError("need at least one site")
+    dressed = frame == Frame.DRESSED
+    rows, diag_w, flips, flip_w = _pair_table(n, dressed)
+    dim = 2**n
     h = np.zeros((dim, dim), dtype=complex)
     flat = h.reshape(-1)
-    diag = flat[:: dim + 1]
-    for i, j in cmap:
-        jij = cmap[i, j]
-        scale, ising, differ, agree, sxsx = _PAIR_TERMS[frame == Frame.DRESSED, degenerate(i, j)]
+    diag = np.zeros(dim)
+    for (i, j), jij in cmap.items():
+        k = rows[i, j]
+        scale, flipflop, sxsx = _PAIR_TERMS[dressed, key[i] == key[j]]
         c = jij * scale
-        diag += c * (ising * (s[i] * s[j]))
-        if differ or agree:
-            flip = (idx ^ (1 << (n - 1 - i) | 1 << (n - 1 - j))) * dim + idx
-            flat[flip] += c * np.where(bits[i] != bits[j], differ, agree)
+        diag += c * diag_w[k]
+        if flipflop:
+            flat[flips[k]] += c * flip_w[k]
             if sxsx:
-                flat[flip] += (jij * sxsx) * 0.25
+                flat[flips[k]] += (jij * sxsx) * 0.25
+    flat[:: dim + 1] = diag
     return ClusterHamiltonian(h, frame, n, dict(cmap))
 
 
@@ -191,9 +220,7 @@ def build_cluster_hamiltonian(
     frame.  Couplings are the NV-scaled dipolar couplings along the spec's
     field axis unless ``couplings`` gives them per pair.
     """
-    cmap = _coupling_map(net, couplings)
-    key = net.group_key.tolist()
-    return _hamiltonian(net.n_sites, frame, cmap, lambda i, j: key[i] == key[j])
+    return _hamiltonian(net.n_sites, frame, _coupling_map(net, couplings), net.group_key.tolist())
 
 
 def effective_rabi(omega_mhz: float, detuning_mhz: float) -> float:

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 spec = importlib.util.spec_from_file_location(
     "artifact_diff", Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
 )
@@ -20,8 +22,8 @@ def test_compare_trees_reports_largest_numeric_change(tmp_path, capsys):
         write(root, "fig-s3/seed0/d.csv", f"L_nm,D\n71.0,{last}\n")
         write(root, "fig-s3/seed0/s.json", '{"D": [1.0, 2.0], "ok": true, "tag": "x"}')
         write(root, "fig-s3/seed0/manifest.json", f'{{"created_unix": {last}}}')
-    rows, differs = artifact_diff.compare_trees(parent, change)
-    assert differs
+    rows, verdict = artifact_diff.compare_trees(parent, change)
+    assert verdict == artifact_diff.DIFFERS
     deltas = {rel.name: delta for rel, delta, _ in rows}
     assert set(deltas) == {"d.csv", "s.json"}
     assert deltas["s.json"] == (0.0, 0.0)
@@ -34,12 +36,58 @@ def test_json_artifact_that_gains_a_key_compares_the_shared_keys(tmp_path, capsy
     parent, change = tmp_path / "parent", tmp_path / "change"
     write(parent, "run-deer/seed0/fit.json", '{"D": 1.0}')
     write(change, "run-deer/seed0/fit.json", '{"D": 1.0, "nfev": 5}')
-    rows, differs = artifact_diff.compare_trees(parent, change)
-    assert differs
+    rows, verdict = artifact_diff.compare_trees(parent, change)
+    assert verdict == artifact_diff.ADDED_KEYS
     assert rows == [(Path("run-deer/seed0/fit.json"), (0.0, 0.0), ("added nfev",))]
     assert "max_abs 0.000e+00  max_rel 0.000e+00  added nfev" in capsys.readouterr().out
     artifact_diff.summarize(rows)
     assert "added nfev" in capsys.readouterr().out
+
+
+def verdict_of(tmp_path, parent_files, change_files):
+    for side, files in (("parent", parent_files), ("change", change_files)):
+        for rel, text in files.items():
+            write(tmp_path / side, rel, text)
+    return artifact_diff.compare_trees(tmp_path / "parent", tmp_path / "change")[1]
+
+
+FIT = {"run-deer/seed0/fit.json": '{"rate": 0.5}', "run-deer/seed0/trace.csv": "t,s\n0.0,1.0\n"}
+
+
+def test_verdict_identical(tmp_path):
+    assert verdict_of(tmp_path, FIT, FIT) == artifact_diff.IDENTICAL == 0
+
+
+def test_verdict_added_keys_only(tmp_path):
+    change = dict(FIT, **{"run-deer/seed0/fit.json": '{"rate": 0.5, "nfev": 7, "flags": {"ok": true}}'})
+    assert verdict_of(tmp_path, FIT, change) == artifact_diff.ADDED_KEYS == 3
+
+
+@pytest.mark.parametrize(
+    "rel,text",
+    [
+        ("run-deer/seed0/trace.csv", "t,s\n0.0,0.9\n"),  # a CSV cell
+        ("run-deer/seed0/fit.json", '{"rate": 0.6, "nfev": 7}'),  # a shared value, beside an added key
+        ("run-deer/seed0/fit.json", "{}"),  # a removed key
+        ("run-deer/seed0/fit.json", '{"rate":0.5}'),  # the same keys and values, other bytes
+        ("run-deer/seed0/extra.json", '{"rate": 0.5}'),  # a file only on one side
+    ],
+)
+def test_verdict_differs(tmp_path, rel, text):
+    assert verdict_of(tmp_path, FIT, dict(FIT, **{rel: text})) == artifact_diff.DIFFERS == 1
+
+
+def test_verdict_differs_outranks_added_keys(tmp_path):
+    change = {
+        "run-deer/seed0/fit.json": '{"rate": 0.5, "nfev": 7}',
+        "run-deer/seed0/trace.csv": "t,s\n0.0,0.9\n",
+    }
+    assert verdict_of(tmp_path, FIT, change) == artifact_diff.DIFFERS
+
+
+def test_missing_tree_exits_2(tmp_path, capsys):
+    assert artifact_diff.main([str(tmp_path / "absent"), str(tmp_path / "absent")]) == artifact_diff.FAILED == 2
+    assert "no spinnet package" in capsys.readouterr().err
 
 
 def test_keyed_change_names_removed_and_changed_keys():
@@ -66,6 +114,14 @@ def test_run_configs_cover_every_csv_experiment():
     assert any(c["experiment"] == "protocol" and c["realizations"] == 1 for c in artifact_diff.RUN_CONFIGS.values())
 
 
+def test_run_configs_cover_cluster_shapes_no_preset_runs():
+    # fig-s2 runs 6-site lattice clusters only
+    deer = [c for c in artifact_diff.RUN_CONFIGS.values() if c["experiment"] == "deer"]
+    shapes = {(c["params"]["n_bath"], c["network"]["placement"]) for c in deer}
+    assert (7, "diamond_lattice") in shapes
+    assert any(placement == "continuum" for _, placement in shapes)
+
+
 def test_tags_cover_every_preset():
     from spinnet import cli
 
@@ -78,6 +134,6 @@ def test_run_artifacts_writes_run_outputs(tmp_path, capsys):
     runs = {"rabi": artifact_diff.RUN_CONFIGS["rabi"]}
     for side in ("parent", "change"):
         artifact_diff.run_artifacts(src, tmp_path / side, tags=(), seeds=(1,), runs=runs)
-    rows, differs = artifact_diff.compare_trees(tmp_path / "parent", tmp_path / "change")
-    assert not differs
+    rows, verdict = artifact_diff.compare_trees(tmp_path / "parent", tmp_path / "change")
+    assert verdict == artifact_diff.IDENTICAL
     assert {str(rel) for rel, _, _ in rows} == {"run-rabi/seed1/rabi_trace.csv", "run-rabi/seed1/rabi_summary.json"}

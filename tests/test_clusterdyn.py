@@ -124,6 +124,15 @@ def test_cluster_builders():
     assert min(dists) >= 1.0
 
 
+def test_rotation_unitary_refuses_a_site_outside_the_cluster():
+    # a pi_x on sites 0 and 1 of a 2-site cluster flips both spins
+    flip = clusterdyn.rotation_unitary(2, math.pi, "x", [0, 1])
+    assert np.allclose(np.abs(flip), np.fliplr(np.eye(4)))
+    for bad in (2, -1, 7):
+        with pytest.raises(ValueError, match=f"site index {bad} is outside"):
+            clusterdyn.rotation_unitary(2, math.pi, "x", [0, bad])
+
+
 def nv_nv_cluster(realization, groups=(0, 1, 1, 2, 2), density_ppm=2.4):
     """An NV sensor at the box centre plus NV partners on the given axis
     groups, placed uniformly in a box of the given NV density."""

@@ -30,7 +30,8 @@ from spinnet.network import (
     generate_network,
     ppm_to_density,
 )
-from spinnet.constants import J0_MHZ_NM3
+from spinnet.constants import A_DIAMOND_NM, J0_MHZ_NM3
+from spinnet.clusterdyn import sample_nv_p1_cluster
 from spinnet.protocol import protocol_network
 from spinnet.spinops import effective_rabi
 from spinnet.transport import RATE_FLOOR_MHZ, build_rates, pair_table, transport_network
@@ -122,6 +123,28 @@ def network_from_json(text):
     )
 
 
+class LatticeSampler:
+    """Uniform sampling without replacement over diamond sites in the box,
+    one numpy array per draw: a drawn (cell, basis) code is refused if
+    already used or if its site falls outside the box."""
+
+    def __init__(self, L):
+        self.L = L
+        self.n_cells = max(1, math.ceil(L / A_DIAMOND_NM))
+        self.used = set()
+
+    def draw(self, rng):
+        code = tuple(rng.integers(0, self.n_cells, size=3)) + (int(rng.integers(0, 8)),)
+        if code in self.used:
+            return None
+        frac = np.array(code[:3], dtype=float) + np.array(network._DIAMOND_BASIS[code[3]])
+        pos = frac * A_DIAMOND_NM
+        if np.any(pos >= self.L):
+            return None
+        self.used.add(code)
+        return pos
+
+
 def reference_generate_network(spec, realization=0):
     """The sites of the per-site placement loop, each one drawn with the
     generator's own calls and checked against every placed site."""
@@ -132,7 +155,7 @@ def reference_generate_network(spec, realization=0):
     budget = 100 * max(total, 1)
     placed = np.zeros((total, 3))
     n_placed = 0
-    lattice = network._LatticeSampler(L) if spec.placement == Placement.DIAMOND_LATTICE else None
+    lattice = LatticeSampler(L) if spec.placement == Placement.DIAMOND_LATTICE else None
 
     sites = []
     attempts = 0
@@ -174,22 +197,29 @@ def reference_assign_detunings(sites, sigma_mhz, rng):
     return [replace(s, detuning_mhz=float(d)) for s, d in zip(sites, deltas)]
 
 
-def reference_transport_sites(density_ppm, n_p1, w_mhz, seed, realization, exclusion_nm=1.0):
-    box = (n_p1 / ppm_to_density(density_ppm)) ** (1.0 / 3.0)
-    spec = EnsembleSpec(box_nm=box, densities_ppm={Species.P1: density_ppm}, exclusion_nm=exclusion_nm, seed=seed)
-    center = np.full(3, box / 2)
+def reference_centred_sites(spec, realization, w_mhz=0.0):
+    """An NV at the box centre plus the first draw of ``spec`` that leaves
+    the centre clear, as P1 of the addressed group, with detunings of
+    width ``w_mhz`` from the (seed, realization, 1) stream."""
+    center = np.full(3, spec.box_nm / 2)
     for attempt in range(100):
         base = reference_generate_network(spec, realization + 1000 * attempt)
         pos = np.array([s.position_nm for s in base]).reshape(-1, 3)
-        if len(pos) and np.min(np.linalg.norm(pos - center, axis=1)) < exclusion_nm:
+        if len(pos) and np.min(np.linalg.norm(pos - center, axis=1)) < spec.exclusion_nm:
             continue
         sites = [SpinSite(0, center.copy(), Species.NV, NV_AXES[0].copy(), subgroup=0)]
         sites += [SpinSite(k + 1, s.position_nm, Species.P1, NV_AXES[0].copy(), subgroup=0) for k, s in enumerate(base)]
         if w_mhz > 0:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, realization, 1]))
+            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, realization, 1]))
             sites = reference_assign_detunings(sites, w_mhz, rng)
-        return spec, sites
+        return sites
     raise GenerationError("source")
+
+
+def reference_transport_sites(density_ppm, n_p1, w_mhz, seed, realization, exclusion_nm=1.0):
+    box = (n_p1 / ppm_to_density(density_ppm)) ** (1.0 / 3.0)
+    spec = EnsembleSpec(box_nm=box, densities_ppm={Species.P1: density_ppm}, exclusion_nm=exclusion_nm, seed=seed)
+    return spec, reference_centred_sites(spec, realization, w_mhz)
 
 
 def reference_protocol_sites(n_p1, seed, realization):
@@ -385,6 +415,51 @@ def test_budget_exhaustion_at_the_same_draw(streams):
     with pytest.raises(GenerationError, match="budget"):
         reference_generate_network(spec)
     assert streams[-1].bit_generator.state == state
+
+
+@pytest.mark.parametrize("density_ppm", [1.6, 2.4, 6.3, 12.6])
+def test_lattice_clusters_match_the_per_site_reference(density_ppm, streams):
+    # every column, and the state of the last generator drawn from, for
+    # n_bath 1-11 at 50 realizations each
+    for n_bath in range(1, 12):
+        box = (n_bath / ppm_to_density(density_ppm)) ** (1.0 / 3.0)
+        spec = EnsembleSpec(
+            box_nm=box, densities_ppm={Species.P1: density_ppm}, placement=Placement.DIAMOND_LATTICE, seed=n_bath
+        )
+        for realization in range(50):
+            net = sample_nv_p1_cluster(density_ppm, n_bath=n_bath, seed=n_bath, realization=realization)
+            state = streams[-1].bit_generator.state
+            sites = reference_centred_sites(spec, realization)
+            assert streams[-1].bit_generator.state == state, (n_bath, realization)
+            assert net.spec == spec
+            assert_columns_equal(net, sites)
+
+
+@pytest.mark.parametrize(
+    "box_nm,density_ppm,exclusion_nm",
+    [
+        (1.0, 11400.0, 5.0),  # 2 sites that the exclusion radius keeps apart further than the box allows
+        (0.5, 1.9e6, 0.0),  # 42 sites, more than the lattice sites in the box
+    ],
+)
+def test_lattice_budget_exhaustion_at_the_same_draw(box_nm, density_ppm, exclusion_nm, streams):
+    spec = EnsembleSpec(
+        box_nm=box_nm, densities_ppm={Species.P1: density_ppm}, placement=Placement.DIAMOND_LATTICE,
+        exclusion_nm=exclusion_nm, seed=4,
+    )
+    with pytest.raises(GenerationError, match="budget"):
+        generate_network(spec)
+    state = streams[-1].bit_generator.state
+    with pytest.raises(GenerationError, match="budget"):
+        reference_generate_network(spec)
+    assert streams[-1].bit_generator.state == state
+
+
+def test_lattice_cell_count_guard():
+    # a box whose cell index would overflow int64 is refused before any draw
+    spec = EnsembleSpec(box_nm=1e19, densities_ppm={Species.P1: 0.0}, placement=Placement.DIAMOND_LATTICE)
+    with pytest.raises(GenerationError, match="64-bit index"):
+        generate_network(spec)
 
 
 def test_decoded_stream_is_the_generator_calls():

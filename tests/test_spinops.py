@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -275,23 +276,45 @@ def test_cluster_hamiltonian_validation():
         ClusterHamiltonian(np.array([[0, 1], [0, 0]], dtype=complex), Frame.DRESSED, 1)
 
 
-def dense_reference(sites, frame, cmap, degenerate):
+def sparse_operators(n):
+    """The per-site operators of ``SpinOperatorSet(n)`` as CSR matrices,
+    formed the same way (Kronecker products with identities, then the
+    ladder sums), so that 10 spins fit in memory."""
+    from scipy import sparse
+
+    def embed(op, site):
+        left, right = sparse.identity(2**site, dtype=complex), sparse.identity(2 ** (n - site - 1), dtype=complex)
+        return sparse.kron(sparse.kron(left, sparse.csr_matrix(op)), right, format="csr")
+
+    ops = SimpleNamespace(dim=2**n)
+    ops.sx, ops.sy, ops.sz = ([embed(op, i) for i in range(n)] for op in (spinops._SX, spinops._SY, spinops._SZ))
+    ops.sp = [x + 1j * y for x, y in zip(ops.sx, ops.sy)]
+    ops.sm = [x - 1j * y for x, y in zip(ops.sx, ops.sy)]
+    ops.tp = [y + 1j * z for y, z in zip(ops.sy, ops.sz)]
+    ops.tm = [y - 1j * z for y, z in zip(ops.sy, ops.sz)]
+    return ops
+
+
+def dense_reference(sites, frame, cmap, degenerate, ops=None):
     """Operator-product form of the pair terms of ``cmap``, in order: the
-    reference the bit-pattern builder must reproduce bit for bit."""
-    ops = spinops.SpinOperatorSet(len(sites))
+    reference the bit-pattern builder must reproduce bit for bit.  The
+    per-site operators are ``SpinOperatorSet``'s unless ``ops`` gives them
+    (as :func:`sparse_operators`); each pair's product is added densely."""
+    ops = ops or spinops.SpinOperatorSet(len(sites))
+    dense = lambda m: m.toarray() if hasattr(m, "toarray") else m
     h = np.zeros((ops.dim, ops.dim), dtype=complex)
     for i, j in cmap:
         jij = cmap[i, j]
         deg = degenerate(i, j)
         if frame == Frame.DRESSED:
             c = jij / 8.0 if deg else jij / 4.0
-            h += c * (ops.tp[i] @ ops.tm[j] + ops.tm[i] @ ops.tp[j])
+            h += dense(c * (ops.tp[i] @ ops.tm[j] + ops.tm[i] @ ops.tp[j]))
             if deg:
-                h += -(jij / 2.0) * (ops.sx[i] @ ops.sx[j])
+                h += dense(-(jij / 2.0) * (ops.sx[i] @ ops.sx[j]))
         else:
             if deg:
-                h += -(jij / 4.0) * (ops.sp[i] @ ops.sm[j] + ops.sm[i] @ ops.sp[j])
-            h += jij * (ops.sz[i] @ ops.sz[j])
+                h += dense(-(jij / 4.0) * (ops.sp[i] @ ops.sm[j] + ops.sm[i] @ ops.sp[j]))
+            h += dense(jij * (ops.sz[i] @ ops.sz[j]))
     return h
 
 
@@ -359,3 +382,26 @@ def test_ten_spin_build_forms_no_operator_set():
         ham = build_cluster_hamiltonian(cluster(sites), frame)
         assert ham.dim == 1024
     assert operator_set.cache_info() == before
+
+
+def test_every_cluster_size_bit_equal_in_shuffled_order():
+    # the per-size pair tables start empty and the sizes come out of order,
+    # so a table built for one size cannot stand in for another
+    spinops._pair_table.cache_clear()
+    rng = np.random.default_rng(2024)
+    for n in rng.permutation(np.arange(1, 11)).tolist():
+        ops = sparse_operators(n)
+        one_group = random_cluster(rng, n, mixed=False)
+        multi_group = random_cluster(rng, n)
+        for sites, degenerate in (
+            (one_group, lambda i, j: True),
+            (multi_group, lambda i, j: not is_heterogeneous(multi_group[i], multi_group[j])),
+        ):
+            cmap = spinops._coupling_map(cluster(sites), None)
+            for frame in Frame:
+                expected = dense_reference(sites, frame, cmap, degenerate, ops)
+                if n <= 6:
+                    # the sparse operators give the dense operator products' bits
+                    dense = dense_reference(sites, frame, cmap, degenerate)
+                    assert np.array_equal(expected.view(np.float64), dense.view(np.float64))
+                assert_bit_equal(build_cluster_hamiltonian(cluster(sites), frame), expected)

@@ -5,7 +5,8 @@
 Each argument is a checkout root or its ``src`` directory.  For each tree
 the six presets and the small ``run`` configs of ``RUN_CONFIGS`` (every
 experiment, a one-realization protocol run whose CSV has no SEM columns,
-and a protocol run with every cycle parameter set) run at seeds 0-3 in
+a protocol run with every cycle parameter set, and DEER on 8-site
+lattice clusters and on continuum clusters) run at seeds 0-3 in
 one fresh interpreter with every BLAS and OpenMP pool pinned to 1 thread
 (the transport and protocol outputs depend on the thread count).  The
 interpreter starts in the directory that holds the configs and
@@ -17,8 +18,11 @@ taken over the numeric keys present on both sides, and keys that were
 added, removed or changed a non-numeric value are named.
 ``manifest.json`` holds the creation time and is not compared.
 
-Exit status: 0 when every artifact is byte-identical, 1 when some differ,
-2 when a tree cannot be found or a run fails.
+Exit status: 0 when every artifact is byte-identical; 3 when the only
+differences are JSON artifacts that gain keys, every CSV and every value
+present on both sides staying identical; 1 when anything else differs (a
+CSV, a shared value, a removed key, a missing file); 2 when a tree cannot
+be found or a run fails.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from pathlib import Path
 TAGS = ("closed-form-chain", "fig-s2", "fig-s3", "fig-s4a", "fig-s4b", "fig-2c")
 SEEDS = (0, 1, 2, 3)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# exit statuses; a lower one outranks a higher one among 1 and 3
+IDENTICAL, DIFFERS, FAILED, ADDED_KEYS = 0, 1, 2, 3
 
 # x, y, sem of a saturating buildup: the table the `fit` config reads
 FIT_DATA = "fit_data.csv"
@@ -57,6 +63,20 @@ RUN_CONFIGS = {
         "realizations": 20,
         "params": {"n_bath": 4},
         "network": {"densities_ppm": {"P1": 6.3}, "placement": "diamond_lattice"},
+    },
+    # the 28-pair cluster of the deer_cluster benchmark workload, a size no preset runs
+    "deer-7": {
+        "experiment": "deer",
+        "realizations": 8,
+        "params": {"n_bath": 7},
+        "network": {"densities_ppm": {"P1": 6.3}, "placement": "diamond_lattice"},
+    },
+    # clusters placed by the continuum block sampler
+    "deer-continuum": {
+        "experiment": "deer",
+        "realizations": 20,
+        "params": {"n_bath": 5},
+        "network": {"densities_ppm": {"P1": 6.3}, "placement": "continuum"},
     },
     "hahn": {"experiment": "hahn", "realizations": 10, "params": {"n_bath": 4}},
     "rabi": {"experiment": "rabi", "params": {"omega_mhz": 5.0, "n_points": 64}},
@@ -231,15 +251,18 @@ def file_change(a: Path, b: Path) -> tuple:
 
 
 def compare_trees(parent: Path, change: Path) -> tuple:
-    """Print the digests and largest change of every artifact; return (rows, any_differs).
+    """Print the digests and largest change of every artifact; return (rows, verdict).
 
-    Each row is (relative path, largest change or None, notes on differing JSON keys).
+    Each row is (relative path, largest change or None, notes on differing
+    JSON keys).  The verdict is :data:`IDENTICAL`, :data:`ADDED_KEYS` when
+    every differing artifact is a JSON file that only gains keys, with no
+    shared value changed, or :data:`DIFFERS`.
     """
     names = sorted(
         {p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
         | {p.relative_to(change) for p in change.rglob("*") if p.is_file()}
     )
-    rows, differs = [], False
+    rows, verdicts = [], set()
     for rel in names:
         if rel.name == "manifest.json":
             continue
@@ -253,10 +276,12 @@ def compare_trees(parent: Path, change: Path) -> tuple:
         else:
             delta, notes = file_change(a, b)
             change_txt = change_text(delta, notes)
-        differs |= da != db
+        if da != db:
+            added_only = delta == (0.0, 0.0) and notes and all(n.startswith("added ") for n in notes)
+            verdicts.add(ADDED_KEYS if added_only else DIFFERS)
         rows.append((rel, delta, notes))
         print(f"{rel}\n  parent {da}\n  change {db}\n  {change_txt}")
-    return rows, differs
+    return rows, min(verdicts, default=IDENTICAL)
 
 
 def summarize(rows) -> None:
@@ -282,7 +307,7 @@ def main(argv=None) -> int:
         trees = [package_root(args.parent_src), package_root(args.change_src)]
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return FAILED
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
         outs = [Path(tmp) / "parent", Path(tmp) / "change"]
         for src, out in zip(trees, outs):
@@ -290,10 +315,12 @@ def main(argv=None) -> int:
                 run_artifacts(src, out)
             except subprocess.CalledProcessError as err:
                 print(f"error: a run failed for {src}: exit {err.returncode}", file=sys.stderr)
-                return 2
-        rows, differs = compare_trees(*outs)
+                return FAILED
+        rows, verdict = compare_trees(*outs)
     summarize(rows)
-    return 1 if differs else 0
+    if verdict == ADDED_KEYS:
+        print("\nonly added JSON keys differ; every CSV and every shared value is identical")
+    return verdict
 
 
 if __name__ == "__main__":
