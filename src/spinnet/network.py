@@ -295,6 +295,20 @@ def _clear_of(placed: list, x: float, y: float, z: float, r2: float) -> bool:
     return True
 
 
+def _lattice_sites_in_box(box_nm: float) -> int:
+    """Diamond sites (cell, basis site) that :meth:`_Placer.place_lattice`
+    finds inside a box of side ``box_nm``: (c + b) a < L on every axis."""
+    n_cells = max(1, math.ceil(box_nm / A_DIAMOND_NM))
+
+    def along(b):
+        c = n_cells  # only the last cells can reach past the box
+        while c and (c - 1 + b) * A_DIAMOND_NM >= box_nm:
+            c -= 1
+        return c
+
+    return sum(along(bx) * along(by) * along(bz) for bx, by, bz in _DIAMOND_BASIS)
+
+
 def _squared_lengths(d: np.ndarray) -> np.ndarray:
     """Squared length of each row of ``d``, summed (dx^2 + dy^2) + dz^2; ``d`` is overwritten."""
     d *= d
@@ -335,11 +349,15 @@ class _Placer:
     def _count_attempt(self) -> None:
         self.attempts += 1
         if self.attempts > self.budget:
-            raise GenerationError(
-                f"could not satisfy exclusion radius {self.spec.exclusion_nm} nm "
-                f"within the retry budget of {self.budget} draws "
-                f"(100x the {self.total} requested sites)"
-            )
+            budget = f"the retry budget of {self.budget} draws (100x the {self.total} requested sites)"
+            if self.spec.placement is Placement.DIAMOND_LATTICE:
+                sites = _lattice_sites_in_box(self.spec.box_nm)
+                if sites < self.total:
+                    raise GenerationError(
+                        f"a {self.spec.box_nm:g} nm box holds only {sites} diamond lattice sites, "
+                        f"fewer than the {self.total} requested; spent {budget}"
+                    )
+            raise GenerationError(f"could not satisfy exclusion radius {self.spec.exclusion_nm} nm within {budget}")
 
     def _orient(self, k: int) -> None:
         """Site k's axis draw and, for P1, its subgroup draw."""

@@ -526,8 +526,8 @@ class DiffusionResult:
     fit: fitkit.FitResult
 
 
-def extract_diffusion(curve: MsdCurve, d_avg_nm: float, box_nm: float) -> DiffusionResult:
-    """Slope/6 of the MSD inside the window [d_avg^2, 0.5 (L/2)^2]."""
+def _window(d_avg_nm: float, box_nm: float) -> tuple:
+    """The MSD analysis window [d_avg^2, 0.5 (L/2)^2]; WindowError when it is empty."""
     lo = d_avg_nm**2
     hi = 0.5 * (box_nm / 2.0) ** 2
     if hi <= lo:
@@ -535,6 +535,12 @@ def extract_diffusion(curve: MsdCurve, d_avg_nm: float, box_nm: float) -> Diffus
             f"analysis window is empty: box {box_nm:g} nm gives MSD ceiling "
             f"{hi:g} nm^2 below the one-hop floor {lo:g} nm^2; use a larger box"
         )
+    return lo, hi
+
+
+def extract_diffusion(curve: MsdCurve, d_avg_nm: float, box_nm: float) -> DiffusionResult:
+    """Slope/6 of the MSD inside the window [d_avg^2, 0.5 (L/2)^2]."""
+    lo, hi = _window(d_avg_nm, box_nm)
     inside = (curve.msd_nm2 >= lo) & (curve.msd_nm2 <= hi)
     if inside.sum() < 2:
         raise WindowError(
@@ -593,6 +599,14 @@ def diffusion_length(d_nm2_per_us: float, tau_us: float) -> float:
     return math.sqrt(6.0 * d_nm2_per_us * tau_us)
 
 
+def _box_nm(density_ppm: float, n_p1: int) -> float:
+    """Side (nm) of the transport box that holds ``n_p1`` P1 at ``density_ppm``."""
+    n = ppm_to_density(density_ppm)
+    if n <= 0:
+        raise ValueError("transport needs a positive P1 density")
+    return (n_p1 / n) ** (1.0 / 3.0)
+
+
 def transport_network(
     density_ppm: float,
     n_p1: int,
@@ -605,12 +619,8 @@ def transport_network(
     The box side is (n_p1 / n)^(1/3) so the P1 density is exact; every P1
     carries the addressed group tag.  Site 0 is the NV source.
     """
-    n = ppm_to_density(density_ppm)
-    if n <= 0:
-        raise ValueError("transport needs a positive P1 density")
-    box = (n_p1 / n) ** (1.0 / 3.0)
     spec = EnsembleSpec(
-        box_nm=box,
+        box_nm=_box_nm(density_ppm, n_p1),
         densities_ppm={Species.P1: density_ppm},
         seed=seed,
     )
@@ -622,16 +632,97 @@ def _default_time_grid(t_end_us: float, n_points: int = 48) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(max(t_end_us * 1e-4, 1e-3), t_end_us, n_points - 1)])
 
 
+# The modules a transport realization imports on first use: the pair
+# table's k-d tree, the sparse Laplacian and the tridiagonal eigensolver
+_REALIZATION_IMPORTS = ("scipy.spatial", "scipy.sparse", "scipy.linalg")
+
+
+def _msd_curves(
+    omega_mhz: float,
+    density_ppm: float,
+    boxes: Sequence[tuple],
+    n_realizations: int,
+    w_mhz: float,
+    gamma_mhz: float,
+) -> list:
+    """(curve, box_nm) of each ``(n_p1, seed)`` of ``boxes``, in that order.
+
+    Two :func:`fitkit.map_realizations` calls run every realization, each
+    over a task list ordered largest box first, so that the longest tasks
+    start first and the short ones fill the tail (Graham, SIAM J. Appl.
+    Math. 17, 416 (1969)).  The probe map runs one task per box: it
+    builds realization 0 and its :class:`LanczosBasis`, extends that
+    basis over probe grids that end 4x later each time until the curve
+    crosses the top of the analysis window, and returns the final grid
+    with realization 0's row on it.  The second map runs every other
+    (box, realization) on its box's grid.  This process only reduces the
+    rows, box by box in realization order.
+    """
+    if n_realizations < 1:
+        raise ValueError("the MSD average needs at least one realization")
+    sides = [_box_nm(density_ppm, n_p1) for n_p1, _ in boxes]
+    order = sorted(range(len(boxes)), key=lambda k: -boxes[k][0])
+
+    def realization(k, r):
+        """The row of realization ``r`` of box ``k`` as a function of the
+        time grid; every grid extends the one basis."""
+        n_p1, seed = boxes[k]
+        net = transport_network(density_ppm, n_p1, w_mhz=w_mhz, seed=seed, realization=r)
+        basis = lanczos_basis(net, omega_mhz, gamma_mhz)
+        p0 = np.zeros(net.n_sites)
+        p0[0] = 1.0
+
+        def row(times):
+            c = msd(integrate_master_equation(basis, p0, times), net.positions, 0)
+            return c.msd_nm2, c.survival, basis.m, basis.error
+
+        return row
+
+    def probe(i):
+        k = order[i]
+        row = realization(k, 0)
+        t_end = 100.0
+        for _ in range(8):
+            if row(_default_time_grid(t_end))[0].max() >= 0.5 * (sides[k] / 2.0) ** 2:
+                break
+            t_end *= 4.0
+        times = _default_time_grid(t_end)
+        return times, row(times)
+
+    probes = dict(zip(order, fitkit.map_realizations(probe, len(order), imports=_REALIZATION_IMPORTS)))
+    tasks = [(k, r) for k in order for r in range(1, n_realizations)]
+
+    def rest(i):
+        k, r = tasks[i]
+        return realization(k, r)(probes[k][0])
+
+    rows = {k: [first] for k, (_, first) in probes.items()}
+    for (k, _), one in zip(tasks, fitkit.map_realizations(rest, len(tasks), imports=_REALIZATION_IMPORTS)):
+        rows[k].append(one)
+
+    out = []
+    for k, side in enumerate(sides):
+        curves, totals, dims, errors = zip(*rows[k])
+        mean, sem = fitkit.reduce_mean_sem(np.array(curves))
+        surv = np.array(totals).mean(axis=0)
+        curve = MsdCurve(
+            probes[k][0], mean, surv, sem_nm2=sem, basis_dims=np.array(dims), basis_errors=np.array(errors)
+        )
+        out.append((curve, side))
+    return out
+
+
 def average_msd(
     omega_mhz: float,
     density_ppm: float,
     n_p1: int,
-    n_realizations: int = 100,
-    w_mhz: float = 1.36,
-    gamma_mhz: float = GAMMA_MHZ,
-    seed: int = 0,
+    n_realizations: int,
+    w_mhz: float,
+    gamma_mhz: float,
+    seed: int,
 ) -> tuple:
-    """Disorder-averaged MSD curve for one box size.
+    """Disorder-averaged MSD curve for one box size: the one-box case of
+    :func:`diffusion_scaling`'s schedule, on the same two maps.
 
     Each realization is propagated from its source on one
     :class:`LanczosBasis`.  The time grid end is chosen adaptively on the
@@ -640,41 +731,7 @@ def average_msd(
     the same basis.  The curve records each realization's basis dimension
     and final error estimate.  Returns (curve, box_nm).
     """
-    n = ppm_to_density(density_ppm)
-    box = (n_p1 / n) ** (1.0 / 3.0)
-    msd_top = 0.5 * (box / 2.0) ** 2
-
-    def based(realization):
-        net = transport_network(density_ppm, n_p1, w_mhz=w_mhz, seed=seed, realization=realization)
-        return net, lanczos_basis(net, omega_mhz, gamma_mhz)
-
-    def curve(net, basis, grid):
-        p0 = np.zeros(net.n_sites)
-        p0[0] = 1.0
-        traj = integrate_master_equation(basis, p0, grid)
-        return msd(traj, net.positions, 0)
-
-    # every probe grid extends the basis of realization 0
-    first = based(0)
-    t_end = 100.0
-    for _ in range(8):
-        probe = curve(*first, _default_time_grid(t_end))
-        if probe.msd_nm2.max() >= msd_top:
-            break
-        t_end *= 4.0
-    times_us = _default_time_grid(t_end)
-
-    def row(r):
-        net, basis = first if r == 0 else based(r)
-        c = curve(net, basis, times_us)
-        return c.msd_nm2, c.survival, basis.m, basis.error
-
-    curves, totals, dims, errors = zip(*fitkit.map_realizations(row, n_realizations))
-    mean, sem = fitkit.reduce_mean_sem(np.array(curves))
-    surv = np.array(totals).mean(axis=0)
-    return MsdCurve(
-        times_us, mean, surv, sem_nm2=sem, basis_dims=np.array(dims), basis_errors=np.array(errors)
-    ), box
+    return _msd_curves(omega_mhz, density_ppm, [(n_p1, seed)], n_realizations, w_mhz, gamma_mhz)[0]
 
 
 @dataclass
@@ -710,19 +767,25 @@ def diffusion_scaling(
     gamma_mhz: float = GAMMA_MHZ,
     seed: int = 0,
 ) -> ScalingResult:
-    """D_L across box sizes plus the 1/L extrapolation to D_inf."""
+    """D_L across box sizes plus the 1/L extrapolation to D_inf.
+
+    Box ``n_p1`` gets the :func:`average_msd` curve at seed ``seed + n_p1``,
+    but all boxes share one schedule of two forked maps: the adaptive
+    probes of every box, then every other realization of every box, each
+    map largest box first.  With more than one worker this process builds
+    no network, pair table, Laplacian or Lanczos basis; it only reduces
+    the rows and fits the windows.  Each box's curve is the same bytes at
+    any worker count and wherever the box sits in ``n_list``.  A box
+    whose analysis window is empty raises WindowError before any
+    realization runs.
+    """
     d_avg = mean_spacing(density_ppm)
-    boxes, ds, sigs, lanczos = [], [], [], []
+    # an empty window needs no realization to show
     for n_p1 in n_list:
-        curve, box = average_msd(
-            omega_mhz,
-            density_ppm,
-            n_p1,
-            n_realizations=n_realizations,
-            w_mhz=w_mhz,
-            gamma_mhz=gamma_mhz,
-            seed=seed + n_p1,
-        )
+        _window(d_avg, _box_nm(density_ppm, n_p1))
+    curves = _msd_curves(omega_mhz, density_ppm, [(n_p1, seed + n_p1) for n_p1 in n_list], n_realizations, w_mhz, gamma_mhz)
+    boxes, ds, sigs, lanczos = [], [], [], []
+    for n_p1, (curve, box) in zip(n_list, curves):
         res = extract_diffusion(curve, d_avg, box)
         boxes.append(float(box))
         ds.append(res.d_nm2_per_us)

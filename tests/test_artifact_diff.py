@@ -122,6 +122,16 @@ def test_run_configs_cover_cluster_shapes_no_preset_runs():
     assert any(placement == "continuum" for _, placement in shapes)
 
 
+def test_run_configs_cover_a_probe_only_diffusion_out_of_order():
+    # fig-s3 and the diffusion config list their boxes in ascending order
+    # and run more than one realization
+    diffusion = [c for c in artifact_diff.RUN_CONFIGS.values() if c["experiment"] == "diffusion"]
+    assert any(
+        c["realizations"] == 1 and len(c["params"]["n_list"]) == 3 and c["params"]["n_list"] != sorted(c["params"]["n_list"])
+        for c in diffusion
+    )
+
+
 def test_tags_cover_every_preset():
     from spinnet import cli
 

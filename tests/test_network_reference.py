@@ -455,6 +455,30 @@ def test_lattice_budget_exhaustion_at_the_same_draw(box_nm, density_ppm, exclusi
     assert streams[-1].bit_generator.state == state
 
 
+def test_lattice_budget_exhaustion_names_its_cause():
+    # a box with fewer lattice sites than requested is not an exclusion failure
+    small = EnsembleSpec(
+        box_nm=0.5, densities_ppm={Species.P1: 1.9e6}, placement=Placement.DIAMOND_LATTICE, exclusion_nm=0.0, seed=4
+    )
+    assert small.site_count(Species.P1) == 42
+    with pytest.raises(GenerationError, match=r"a 0\.5 nm box holds only 28 diamond lattice sites, fewer than the 42 requested; spent the retry budget of 4200 draws"):
+        generate_network(small)
+    apart = replace(small, box_nm=1.0, densities_ppm={Species.P1: 11400.0}, exclusion_nm=5.0)
+    with pytest.raises(GenerationError, match=r"could not satisfy exclusion radius 5\.0 nm within the retry budget of 200 draws"):
+        generate_network(apart)
+
+
+@pytest.mark.parametrize("box_nm", [0.3, A_DIAMOND_NM, 0.5, 1.0, 2 * A_DIAMOND_NM + 1e-12, 1.3])
+def test_lattice_site_count_is_every_code_inside_the_box(box_nm):
+    n_cells = max(1, math.ceil(box_nm / A_DIAMOND_NM))
+    inside = [
+        code
+        for code in np.ndindex(n_cells, n_cells, n_cells, 8)
+        if np.all((np.array(code[:3], dtype=float) + np.array(network._DIAMOND_BASIS[code[3]])) * A_DIAMOND_NM < box_nm)
+    ]
+    assert network._lattice_sites_in_box(box_nm) == len(inside)
+
+
 def test_lattice_cell_count_guard():
     # a box whose cell index would overflow int64 is refused before any draw
     spec = EnsembleSpec(box_nm=1e19, densities_ppm={Species.P1: 0.0}, placement=Placement.DIAMOND_LATTICE)

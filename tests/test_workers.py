@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinnet
@@ -57,8 +58,17 @@ def readout_loop():
 
 def msd_loop(n):
     def run():
-        curve, _ = transport.average_msd(6.4, 1.575, 50, n_realizations=n, seed=4)
+        curve, _ = transport.average_msd(6.4, 1.575, 50, n_realizations=n, w_mhz=1.36, gamma_mhz=transport.GAMMA_MHZ, seed=4)
         return curve.msd_nm2, curve.sem_nm2, curve.survival, curve.basis_dims, curve.basis_errors
+
+    return run
+
+
+def scaling_loop(n):
+    # box sizes out of order, so the schedule's largest-first lists differ from n_list
+    def run():
+        res = transport.diffusion_scaling(6.4, n_list=(100, 50, 75), n_realizations=n, seed=6)
+        return (np.array([res.to_json(), json.dumps(res.lanczos)]),)
 
     return run
 
@@ -70,6 +80,9 @@ LOOPS = {
     "average_msd": msd_loop(3),
     # fewer realizations than the 3 workers
     "average_msd-2": msd_loop(2),
+    # probes only: the realization map is empty
+    "diffusion_scaling-1": scaling_loop(1),
+    "diffusion_scaling-2": scaling_loop(2),
 }
 
 
@@ -83,6 +96,79 @@ def test_realization_loops_give_the_same_bytes_at_any_worker_count(loop, workers
         for serial, forked in zip(runs[0], arrays, strict=True):
             assert serial.dtype == forked.dtype
             assert serial.tobytes() == forked.tobytes()
+
+
+def logged(log, fn, entry):
+    """``fn``, appending ``entry(*args)`` to ``log`` at each call made in this process."""
+
+    def call(*args, **kwargs):
+        log.append(entry(*args))
+        return fn(*args, **kwargs)
+
+    return call
+
+
+def test_diffusion_parent_only_reduces(monkeypatch, workers):
+    # with workers, the parent builds no realization and forks two maps for all boxes
+    built, maps = [], []
+    for name in ("transport_network", "pair_table", "lanczos_basis"):
+        monkeypatch.setattr(transport, name, logged(built, getattr(transport, name), lambda *a, name=name: name))
+    monkeypatch.setattr(fitkit, "map_realizations", logged(maps, fitkit.map_realizations, lambda fn, n: n))
+    run = lambda: transport.diffusion_scaling(6.4, n_list=(50, 100, 75), n_realizations=3, seed=8).to_json()
+    workers(1)
+    serial = run()
+    assert sorted(built) == sorted(["transport_network", "pair_table", "lanczos_basis"] * 9)
+    assert maps == [3, 6]
+    built.clear()
+    maps.clear()
+    workers(2)
+    assert run() == serial
+    assert built == []
+    assert maps == [3, 6]
+
+
+# Runs one `spinnet run` config on 2 forced workers and prints, for each task
+# that imported modules while it ran, the task's index and those modules
+GROWTH = """
+import json, sys
+from spinnet import cli, fitkit
+fitkit.worker_count = lambda n: 2
+run_task = fitkit._run_task
+
+def watched(r):
+    before = set(sys.modules)
+    result = run_task(r)
+    grown = sorted(set(sys.modules) - before)
+    if grown:
+        print(json.dumps([r, grown]), flush=True)
+    return result
+
+fitkit._run_task = watched
+sys.exit(cli.main(["run", sys.argv[1], "--out", sys.argv[2], "--quiet"]))
+"""
+
+GROWTH_CONFIGS = {
+    "diffusion": {"experiment": "diffusion", "realizations": 2, "params": {"n_list": [50, 100]}},
+    "protocol": {"experiment": "protocol", "realizations": 4, "params": {"n_p1": 30, "n_cycles": 4}},
+    "deer-continuum": {
+        "experiment": "deer", "realizations": 4, "params": {"n_bath": 3},
+        "network": {"densities_ppm": {"P1": 6.3}, "placement": "continuum"},
+    },
+}
+
+
+@pytest.mark.parametrize("name", GROWTH_CONFIGS)
+def test_workers_import_nothing_during_their_realizations(tmp_path, name):
+    # the parent imports what the realizations load on first use before it
+    # forks, so no worker imports it anew
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(GROWTH_CONFIGS[name]))
+    proc = subprocess.run(
+        [sys.executable, "-c", GROWTH, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_map_keeps_realization_order_and_never_nests(monkeypatch, workers):

@@ -5,8 +5,9 @@
 Each argument is a checkout root or its ``src`` directory.  For each tree
 the six presets and the small ``run`` configs of ``RUN_CONFIGS`` (every
 experiment, a one-realization protocol run whose CSV has no SEM columns,
-a protocol run with every cycle parameter set, and DEER on 8-site
-lattice clusters and on continuum clusters) run at seeds 0-3 in
+a protocol run with every cycle parameter set, DEER on 8-site lattice
+clusters and on continuum clusters, and a one-realization diffusion run
+over box sizes out of order) run at seeds 0-3 in
 one fresh interpreter with every BLAS and OpenMP pool pinned to 1 thread
 (the transport and protocol outputs depend on the thread count).  The
 interpreter starts in the directory that holds the configs and
@@ -84,6 +85,14 @@ RUN_CONFIGS = {
         "experiment": "diffusion",
         "realizations": 2,
         "params": {"n_list": [50, 100]},
+        "network": {"densities_ppm": {"P1": 1.575}, "disorder_mhz": 1.36},
+    },
+    # box sizes out of order, and one realization each, so that the probes
+    # are the whole run
+    "diffusion-unsorted": {
+        "experiment": "diffusion",
+        "realizations": 1,
+        "params": {"n_list": [100, 50, 75]},
         "network": {"densities_ppm": {"P1": 1.575}, "disorder_mhz": 1.36},
     },
     "protocol": {"experiment": "protocol", "realizations": 3, "params": {"n_p1": 40, "n_cycles": 8}},
