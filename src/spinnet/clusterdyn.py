@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -150,16 +150,13 @@ def run_deer(
     n_realizations: int = 1,
     bath_pi: bool = True,
     seed: int = 0,
-    imports: Sequence[str] = (),
 ) -> TraceResult:
     """Phase-cycled echo with an optional recoupling pi on the bath.
 
     Sequence: pi/2_y - tau - pi_x (sensor, plus every bath site when
     ``bath_pi``) - tau - pi/2_{+-y}; signal = P_up(-) - P_up(+), i.e. the
     cosine of the accumulated bath phase, averaged over realizations with
-    random bath product states.  ``imports`` names the modules that
-    ``cluster_factory`` imports on first use (see
-    :func:`fitkit.map_realizations`).
+    random bath product states.
     """
     tau = np.asarray(tau_grid_us, dtype=float)
     pulses = {}  # n -> (pi/2_y, pi_x, pi/2_-y); the pulses depend on nothing else
@@ -198,7 +195,7 @@ def run_deer(
         p_minus = _sensor_up_probability(u_minus @ states)
         return p_minus - p_plus
 
-    mean, sem = reduce_mean_sem(np.array(fitkit.map_realizations(signal, n_realizations, imports=imports)))
+    mean, sem = reduce_mean_sem(np.array(fitkit.map_realizations(signal, n_realizations)))
     return TraceResult(tau, mean, sem, n_realizations)
 
 
@@ -216,9 +213,11 @@ def deer_trace(
         density_ppm, n_bath=n_bath, seed=seed, realization=r, placement=placement
     )
     tau = default_tau_grid(density_ppm)
-    # a continuum placement imports its exclusion test's k-d tree on first use
-    imports = ("scipy.spatial",) if placement is Placement.CONTINUUM else ()
-    return run_deer(factory, tau, n_realizations=n_realizations, bath_pi=bath_pi, seed=seed, imports=imports)
+    if placement is Placement.CONTINUUM:
+        # the k-d tree of the exclusion test: imported before run_deer's
+        # map forks, so that its workers inherit it
+        import scipy.spatial
+    return run_deer(factory, tau, n_realizations=n_realizations, bath_pi=bath_pi, seed=seed)
 
 
 def run_rabi(

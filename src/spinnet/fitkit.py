@@ -482,19 +482,16 @@ def _run_task(r: int):
     return _task(r)
 
 
-def map_realizations(fn: Callable[[int], object], n: int, imports: Sequence[str] = ()) -> list:
+def map_realizations(fn: Callable[[int], object], n: int) -> list:
     """``[fn(r) for r in range(n)]``, the calls spread over forked workers.
 
     Each realization seeds its streams from its index, so the calls are
     independent and every result is the one a serial loop gives; only the
     results are pickled back, and they come in realization order.  With
-    one worker (:func:`worker_count`) the loop runs in this process.
-    ``imports`` names the modules that ``fn`` imports on first use: this
-    process imports them before it forks, so that the workers inherit
-    them instead of each importing them anew.
-    An exception raised by ``fn`` reaches the caller with its type; a
-    worker that dies raises :class:`WorkerLost`.  Every worker has exited
-    when this returns or raises.
+    one worker (:func:`worker_count`) the loop runs in this process.  An
+    exception raised by ``fn`` reaches the caller with its type; a worker
+    that dies raises :class:`WorkerLost`.  Every worker has exited when
+    this returns or raises.
     """
     global _task, workers_used
     workers = worker_count(n)
@@ -502,13 +499,10 @@ def map_realizations(fn: Callable[[int], object], n: int, imports: Sequence[str]
     if workers == 1:
         return [fn(r) for r in range(n)]
     # imported on first use: most commands never fork
-    import importlib
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    for name in imports:
-        importlib.import_module(name)
     # the fork context flushes stdout and stderr before each fork, so a
     # worker inherits no buffered output to print a second time
     _task = fn

@@ -295,14 +295,21 @@ def _clear_of(placed: list, x: float, y: float, z: float, r2: float) -> bool:
     return True
 
 
+def _lattice_coord(c: int, b: float, box_nm: float) -> float | None:
+    """Coordinate (c + b) a of basis offset ``b`` in cell ``c`` along one
+    axis, or None when it lies outside a box of side ``box_nm``."""
+    x = (c + b) * A_DIAMOND_NM
+    return x if x < box_nm else None
+
+
 def _lattice_sites_in_box(box_nm: float) -> int:
     """Diamond sites (cell, basis site) that :meth:`_Placer.place_lattice`
-    finds inside a box of side ``box_nm``: (c + b) a < L on every axis."""
+    finds inside a box of side ``box_nm``, by its own :func:`_lattice_coord`."""
     n_cells = max(1, math.ceil(box_nm / A_DIAMOND_NM))
 
     def along(b):
         c = n_cells  # only the last cells can reach past the box
-        while c and (c - 1 + b) * A_DIAMOND_NM >= box_nm:
+        while c and _lattice_coord(c - 1, b, box_nm) is None:
             c -= 1
         return c
 
@@ -399,9 +406,10 @@ class _Placer:
                 code = (*cell, int(rng.integers(0, 8)))
                 if code in used:
                     continue
-                x, y, z = ((c + b) * A_DIAMOND_NM for c, b in zip(cell, _DIAMOND_BASIS[code[3]]))
-                if x >= L or y >= L or z >= L:
+                pos = [_lattice_coord(c, b, L) for c, b in zip(cell, _DIAMOND_BASIS[code[3]])]
+                if None in pos:
                     continue
+                x, y, z = pos
                 used.add(code)
                 if r2 > 0 and not _clear_of(placed, x, y, z, r2):
                     continue

@@ -52,9 +52,6 @@ __all__ = [
 # from the bath density and n_p1, the sensor count from the ratio.
 DENSITY_NV_PPM = 0.6
 DENSITY_P1_PPM = 1.575
-# The module a protocol realization imports on first use: the k-d tree of
-# its pair table and of its continuum placement
-_REALIZATION_IMPORTS = ("scipy.spatial",)
 
 
 @dataclass(frozen=True)
@@ -246,7 +243,11 @@ def run_iterative_protocol(
         ranked = _probe_indices(one, p1_count)
         return [_single_run(one, c, build_rates(pairs, c.omega_mhz), ranked[: c.probe_k]) for c in configs]
 
-    rows = fitkit.map_realizations(runs, n_realizations, imports=_REALIZATION_IMPORTS)
+    # the k-d tree of each pair table and continuum placement: imported
+    # before the map forks, so that its workers inherit it
+    import scipy.spatial
+
+    rows = fitkit.map_realizations(runs, n_realizations)
     return [
         _reduce(np.array([row[k][0] for row in rows]), np.array([row[k][1] for row in rows]))
         for k in range(len(configs))
@@ -410,7 +411,11 @@ def readout_equilibration(
         sensors[times_us == 0] = d[nv]
         return sensors.mean(axis=1) / config.p_nv0
 
-    delta_c = np.array(fitkit.map_realizations(curve, n_realizations, imports=_REALIZATION_IMPORTS)).mean(axis=0)
+    # the k-d tree of each pair table and continuum placement: imported
+    # before the map forks, so that its workers inherit it
+    import scipy.spatial
+
+    delta_c = np.array(fitkit.map_realizations(curve, n_realizations)).mean(axis=0)
     res = fitkit.fit(fitkit.EXP_SATURATION, times_us, delta_c)
     return EquilibrationResult(
         times_us=times_us,

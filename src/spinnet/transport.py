@@ -73,7 +73,6 @@ __all__ = [
     "finite_size_extrapolate",
     "diffusion_length",
     "transport_network",
-    "average_msd",
     "diffusion_scaling",
 ]
 
@@ -632,11 +631,6 @@ def _default_time_grid(t_end_us: float, n_points: int = 48) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(max(t_end_us * 1e-4, 1e-3), t_end_us, n_points - 1)])
 
 
-# The modules a transport realization imports on first use: the pair
-# table's k-d tree, the sparse Laplacian and the tridiagonal eigensolver
-_REALIZATION_IMPORTS = ("scipy.spatial", "scipy.sparse", "scipy.linalg")
-
-
 def _msd_curves(
     omega_mhz: float,
     density_ppm: float,
@@ -655,8 +649,10 @@ def _msd_curves(
     basis over probe grids that end 4x later each time until the curve
     crosses the top of the analysis window, and returns the final grid
     with realization 0's row on it.  The second map runs every other
-    (box, realization) on its box's grid.  This process only reduces the
-    rows, box by box in realization order.
+    (box, realization) on its box's grid.  This process reduces the rows,
+    box by box in realization order; with more than one box and more than
+    one worker that is all it does.  A map of one task runs in this
+    process, so the probe of a lone box runs here.
     """
     if n_realizations < 1:
         raise ValueError("the MSD average needs at least one realization")
@@ -689,7 +685,14 @@ def _msd_curves(
         times = _default_time_grid(t_end)
         return times, row(times)
 
-    probes = dict(zip(order, fitkit.map_realizations(probe, len(order), imports=_REALIZATION_IMPORTS)))
+    # the pair table's k-d tree, the sparse Laplacian and the tridiagonal
+    # eigensolver: imported before the maps fork, so that their workers
+    # inherit them
+    import scipy.linalg
+    import scipy.sparse
+    import scipy.spatial
+
+    probes = dict(zip(order, fitkit.map_realizations(probe, len(order))))
     tasks = [(k, r) for k in order for r in range(1, n_realizations)]
 
     def rest(i):
@@ -697,7 +700,7 @@ def _msd_curves(
         return realization(k, r)(probes[k][0])
 
     rows = {k: [first] for k, (_, first) in probes.items()}
-    for (k, _), one in zip(tasks, fitkit.map_realizations(rest, len(tasks), imports=_REALIZATION_IMPORTS)):
+    for (k, _), one in zip(tasks, fitkit.map_realizations(rest, len(tasks))):
         rows[k].append(one)
 
     out = []
@@ -716,10 +719,10 @@ def average_msd(
     omega_mhz: float,
     density_ppm: float,
     n_p1: int,
-    n_realizations: int,
-    w_mhz: float,
-    gamma_mhz: float,
-    seed: int,
+    n_realizations: int = 100,
+    w_mhz: float = 1.36,
+    gamma_mhz: float = GAMMA_MHZ,
+    seed: int = 0,
 ) -> tuple:
     """Disorder-averaged MSD curve for one box size: the one-box case of
     :func:`diffusion_scaling`'s schedule, on the same two maps.
@@ -728,8 +731,11 @@ def average_msd(
     :class:`LanczosBasis`.  The time grid end is chosen adaptively on the
     first realization so the curve crosses the top of the analysis
     window; every probe grid and the final grid of that realization extend
-    the same basis.  The curve records each realization's basis dimension
-    and final error estimate.  Returns (curve, box_nm).
+    the same basis.  The probe, a map of one task, runs in this process;
+    the other realizations run on the second map.  The curve records each
+    realization's basis dimension and final error estimate.  Returns
+    (curve, box_nm).  Not in ``__all__``: no runner calls it, and its
+    defaults are :func:`diffusion_scaling`'s.
     """
     return _msd_curves(omega_mhz, density_ppm, [(n_p1, seed)], n_realizations, w_mhz, gamma_mhz)[0]
 
@@ -772,12 +778,13 @@ def diffusion_scaling(
     Box ``n_p1`` gets the :func:`average_msd` curve at seed ``seed + n_p1``,
     but all boxes share one schedule of two forked maps: the adaptive
     probes of every box, then every other realization of every box, each
-    map largest box first.  With more than one worker this process builds
-    no network, pair table, Laplacian or Lanczos basis; it only reduces
-    the rows and fits the windows.  Each box's curve is the same bytes at
-    any worker count and wherever the box sits in ``n_list``.  A box
-    whose analysis window is empty raises WindowError before any
-    realization runs.
+    map largest box first.  With more than one box and more than one
+    worker this process builds no network, pair table, Laplacian or
+    Lanczos basis; it only reduces the rows and fits the windows.  With
+    one box the probe map has one task and runs here.  Each box's curve
+    is the same bytes at any worker count and wherever the box sits in
+    ``n_list``.  A box whose analysis window is empty raises WindowError
+    before any realization runs.
     """
     d_avg = mean_spacing(density_ppm)
     # an empty window needs no realization to show

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -328,8 +329,16 @@ def test_transport_network_layout():
     npt.assert_array_equal(net.detunings, again.detunings)
 
 
+def test_average_msd_keeps_the_diffusion_defaults():
+    # the one-box case takes the defaults of the schedule it shares
+    one = inspect.signature(average_msd).parameters
+    scaling = inspect.signature(transport.diffusion_scaling).parameters
+    shared = ("n_realizations", "w_mhz", "gamma_mhz", "seed")
+    assert [one[p].default for p in shared] == [scaling[p].default for p in shared] == [100, 1.36, GAMMA_MHZ, 0]
+
+
 def test_average_msd_reaches_window_top():
-    curve, box = average_msd(6.40, 1.575, 60, 4, w_mhz=1.36, gamma_mhz=GAMMA_MHZ, seed=13)
+    curve, box = average_msd(6.40, 1.575, 60, 4, seed=13)
     top = 0.5 * (box / 2.0) ** 2
     assert curve.msd_nm2.max() >= top
     assert abs(curve.msd_nm2[0]) < 1e-9
@@ -369,7 +378,7 @@ def reference_average_msd(omega_mhz, density_ppm, n_p1, n_realizations, seed):
 def test_average_msd_equals_probe_per_recompute_loop():
     # 0.5 MHz needs several probe grids before the curve reaches the window top
     for omega in (6.40, 0.5):
-        got, box = average_msd(omega, 1.575, 50, 3, w_mhz=1.36, gamma_mhz=GAMMA_MHZ, seed=5)
+        got, box = average_msd(omega, 1.575, 50, 3, seed=5)
         want, want_box = reference_average_msd(omega, 1.575, 50, 3, seed=5)
         assert box == want_box
         assert np.array_equal(got.times_us, want.times_us), omega
@@ -383,7 +392,7 @@ def test_diffusion_monotone_in_drive():
     davg = ppm_to_density(1.575) ** (-1.0 / 3.0)
     out = {}
     for omega in (0.5, 6.40):
-        curve, box = average_msd(omega, 1.575, 100, 5, w_mhz=1.36, gamma_mhz=GAMMA_MHZ, seed=11)
+        curve, box = average_msd(omega, 1.575, 100, 5, seed=11)
         out[omega] = extract_diffusion(curve, davg, box).d_nm2_per_us
     assert out[6.40] > 3.0 * out[0.5]
 
@@ -398,7 +407,7 @@ def dense_msd(net, omega_mhz, times):
 @pytest.mark.parametrize("n_p1", [100, 200, 400, 800])
 def test_lanczos_msd_matches_dense_oracle(n_p1):
     # the criterion-3 box sizes, on the grid the adaptive probes chose
-    curve, _ = average_msd(6.40, 1.575, n_p1, 3, w_mhz=1.36, gamma_mhz=GAMMA_MHZ, seed=20 + n_p1)
+    curve, _ = average_msd(6.40, 1.575, n_p1, 3, seed=20 + n_p1)
     want = np.mean(
         [dense_msd(transport_network(1.575, n_p1, seed=20 + n_p1, realization=r), 6.40, curve.times_us) for r in range(3)],
         axis=0,

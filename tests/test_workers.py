@@ -58,7 +58,7 @@ def readout_loop():
 
 def msd_loop(n):
     def run():
-        curve, _ = transport.average_msd(6.4, 1.575, 50, n_realizations=n, w_mhz=1.36, gamma_mhz=transport.GAMMA_MHZ, seed=4)
+        curve, _ = transport.average_msd(6.4, 1.575, 50, n_realizations=n, seed=4)
         return curve.msd_nm2, curve.sem_nm2, curve.survival, curve.basis_dims, curve.basis_errors
 
     return run
