@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import fitkit
-from .constants import J0_MHZ_NM3, TWO_PI
+from .constants import J0_MHZ_NM3, MAX_CLUSTER_DIM, TWO_PI
 from .fitkit import FitError, reduce_mean_sem
 from .network import (
     EnsembleSpec,
@@ -50,12 +50,6 @@ __all__ = [
     "ConcentrationEstimate",
     "estimate_concentration",
 ]
-
-# At the cap one dense complex Hamiltonian is 4096^2 * 16 B = 256 MiB, and
-# eigh adds its eigenvectors and workspace of the same order.  The builders
-# form no per-site operator set (7 n 4^n * 16 B, 21 GiB at 12 spins); their
-# per-size pair tables take 24 B per pair and basis state, 6.5 MB at 12 spins.
-MAX_CLUSTER_DIM = 4096
 
 _AXES_2X2 = {
     "x": np.array([[0, 0.5], [0.5, 0]], dtype=complex),

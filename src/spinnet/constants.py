@@ -1,9 +1,10 @@
-"""Physical constants shared across the package.
+"""Physical constants and limits shared across the package.
 
 All Hamiltonians and rates are expressed in MHz, times in microseconds and
 distances in nanometres.  Frequencies are plain (not angular): the factor of
 2*pi enters exactly once, in the propagator exp(-i * TWO_PI * H * t), via
-:data:`TWO_PI`.
+:data:`TWO_PI`.  This module imports only :mod:`math`, so the command-line
+front validates configs against these limits without loading numpy.
 """
 
 import math
@@ -26,3 +27,20 @@ TWO_PI = 2.0 * math.pi
 # 8 atoms per cubic cell of side A_DIAMOND_NM: 1e-6 * 8 / a^3 = 1.76e-4.
 A_DIAMOND_NM = 0.3567
 PPM_TO_PER_NM3 = 1.76e-4
+
+# The hard-core exclusion radius, nm, of every network and cluster the
+# runners build.
+EXCLUSION_NM = 1.0
+
+# At the cap one dense complex Hamiltonian is 4096^2 * 16 B = 256 MiB, and
+# eigh adds its eigenvectors and workspace of the same order.  The builders
+# form no per-site operator set (7 n 4^n * 16 B, 21 GiB at 12 spins); their
+# per-size pair tables take 24 B per pair and basis state, 6.5 MB at 12 spins.
+MAX_CLUSTER_DIM = 4096
+
+
+def ppm_to_density(concentration_ppm: float) -> float:
+    """Defect concentration in ppm to number density in nm^-3."""
+    if concentration_ppm < 0:
+        raise ValueError(f"concentration must be nonnegative, got {concentration_ppm}")
+    return concentration_ppm * PPM_TO_PER_NM3

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import A_DIAMOND_NM, PPM_TO_PER_NM3
+from .constants import A_DIAMOND_NM, EXCLUSION_NM, ppm_to_density
 
 __all__ = [
     "Species",
@@ -77,18 +77,8 @@ class GenerationError(RuntimeError):
     """Raised when a network cannot satisfy its constraints within budget."""
 
 
-# The hard-core exclusion radius, nm, of every network and cluster the
-# runners build.
-EXCLUSION_NM = 1.0
 # The longest box edge, nm, whose volume is a finite float
 _MAX_BOX_NM = sys.float_info.max ** (1.0 / 3.0)
-
-
-def ppm_to_density(concentration_ppm: float) -> float:
-    """Defect concentration in ppm to number density in nm^-3."""
-    if concentration_ppm < 0:
-        raise ValueError(f"concentration must be nonnegative, got {concentration_ppm}")
-    return concentration_ppm * PPM_TO_PER_NM3
 
 
 def mean_spacing(concentration_ppm: float) -> float:

@@ -101,7 +101,7 @@ UNSET_FIELDS_ALLOWED = {
     ("EnsembleSpec", "field_axis"),
 }
 
-# The experiments whose params cli._protocol_config spreads into a CycleConfig
+# The experiments whose params experiments._protocol_config spreads into a CycleConfig
 CYCLE_EXPERIMENTS = ("protocol", "crossover")
 
 
@@ -125,10 +125,10 @@ def set_fields(classes: dict) -> set:
     ``dataclasses.fields``, its positional arguments.  A ``replace`` call
     sets its keywords on every exported class that has a field of that
     name.  A ``**`` argument sets nothing: the cycle fields that
-    ``cli._protocol_config`` spreads from ``params`` count as set only
-    where the schema gives the key.
+    ``experiments._protocol_config`` spreads from ``params`` count as set
+    only where the schema gives the key.
     """
-    from spinnet import cli
+    from spinnet import cli, experiments
 
     found = set()
     for path in Path(spinnet.__file__).parent.glob("*.py"):
@@ -150,7 +150,7 @@ def set_fields(classes: dict) -> set:
                 found.update((callee, kw) for kw in keywords)
     schema = cli._load_schema()["definitions"]
     given = set.intersection(*(set(schema[f"{e}_params"]["properties"]) for e in CYCLE_EXPERIMENTS))
-    found.update(("CycleConfig", name) for name in cli._CYCLE_FIELDS & given)
+    found.update(("CycleConfig", name) for name in experiments._CYCLE_FIELDS & given)
     return found
 
 
@@ -172,12 +172,12 @@ def test_every_defaulted_field_is_set_in_src():
 
 @pytest.mark.parametrize("experiment", CYCLE_EXPERIMENTS)
 def test_every_cycle_field_is_a_schema_param(experiment):
-    # cli._protocol_config spreads params into CycleConfig with **; a field
-    # the schema does not give can never leave its default
-    from spinnet import cli
+    # experiments._protocol_config spreads params into CycleConfig with **;
+    # a field the schema does not give can never leave its default
+    from spinnet import cli, experiments
 
     properties = cli._load_schema()["definitions"][f"{experiment}_params"]["properties"]
-    missing = sorted(cli._CYCLE_FIELDS - set(properties))
+    missing = sorted(experiments._CYCLE_FIELDS - set(properties))
     assert not missing, f"CycleConfig fields that {experiment} params cannot set: {missing}"
 
 
@@ -191,17 +191,39 @@ def test_benchmark_wrap_points_exist():
 
 DIFFUSION = {"experiment": "diffusion", "realizations": 2, "params": {"n_list": [50, 100]}}
 RABI = {"experiment": "rabi", "params": {"n_points": 64}}
+# between them every physics check of validate_config: the n_bath cap, the
+# density underflow in the network and the calibration, the spacing warning
+PHYSICS_CHECKED = [
+    {"experiment": "deer", "params": {"n_bath": 4}, "network": {"densities_ppm": {"P1": 500000.0}}},
+    {"experiment": "concentration", "params": {"gamma_exp_mhz": 0.5, "calibration_densities_ppm": [1.6, 3.2]}},
+]
 RUN = "assert cli.main(['run', path, '--out', out, '--quiet']) == 0"
+# numpy and the modules that import it load with spinnet.experiments, when a
+# command computes
+NUMPY_AND_PHYSICS = (
+    "numpy", "spinnet.experiments", "spinnet.network", "spinnet.spinops",
+    "spinnet.clusterdyn", "spinnet.transport", "spinnet.protocol", "spinnet.fitkit",
+)
+SCIPY = ("scipy", "scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg")
 
 # (statement run after `import spinnet.cli as cli`, the config it reads from
 # `path`, modules it must leave out): the heavy imports stay inside the one
 # function that needs each of them
 FOOTPRINT_CASES = {
     "import-integrate": ("pass", None, ("scipy.integrate",)),
-    "import": ("pass", None, ("jsonschema", "scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg")),
-    "validate-diffusion": (
-        "cli.validate_config(config)", DIFFUSION, ("scipy", "scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg")
+    "import": ("pass", None, ("jsonschema", *SCIPY, *NUMPY_AND_PHYSICS)),
+    "validate-diffusion": ("cli.validate_config(config)", DIFFUSION, (*SCIPY, *NUMPY_AND_PHYSICS)),
+    "validate-physics": (
+        "assert [cli.validate_config(c) for c in config][0][0].startswith('mean spacing')",
+        PHYSICS_CHECKED,
+        (*SCIPY, *NUMPY_AND_PHYSICS),
     ),
+    "run-invalid": (
+        "assert cli.main(['run', path, '--out', out, '--quiet']) == 2",
+        {"experiment": "deer", "params": {"n_bath": 12}},
+        (*SCIPY, *NUMPY_AND_PHYSICS),
+    ),
+    "reproduce-unknown-tag": ("assert cli.main(['reproduce', 'no-such-tag']) == 2", None, (*SCIPY, *NUMPY_AND_PHYSICS)),
     "run-diffusion": (RUN, DIFFUSION, ("scipy.optimize",)),
     "run-rabi": (RUN, RABI, ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg")),
 }

@@ -104,12 +104,12 @@ def test_largest_change_flags_cell_count_mismatch():
 
 
 def test_run_configs_cover_every_csv_experiment():
-    from spinnet import cli
+    from spinnet import cli, experiments
 
     for config in artifact_diff.RUN_CONFIGS.values():
         assert cli.validate_config(config) == []
-    experiments = {c["experiment"] for c in artifact_diff.RUN_CONFIGS.values()}
-    assert experiments == set(cli._EXPERIMENTS)
+    covered = {c["experiment"] for c in artifact_diff.RUN_CONFIGS.values()}
+    assert covered == set(experiments._EXPERIMENTS)
     # the protocol CSV leaves out its SEM columns for a single realization
     assert any(c["experiment"] == "protocol" and c["realizations"] == 1 for c in artifact_diff.RUN_CONFIGS.values())
 
@@ -133,10 +133,10 @@ def test_run_configs_cover_a_probe_only_diffusion_out_of_order():
 
 
 def test_tags_cover_every_preset():
-    from spinnet import cli
+    from spinnet import cli, experiments
 
-    # a new preset cannot skip the byte gate
-    assert sorted(artifact_diff.TAGS) == sorted(cli._PRESETS)
+    # a new preset cannot skip the byte gate, nor run without a default realization count
+    assert sorted(artifact_diff.TAGS) == sorted(experiments._PRESETS) == sorted(cli._PRESET_REALIZATIONS)
 
 
 def test_run_artifacts_writes_run_outputs(tmp_path, capsys):

@@ -108,6 +108,34 @@ def test_validate_rejects_nonpositive_drive(tmp_path, capsys):
     assert "omega_mhz" in capsys.readouterr().err
 
 
+def test_shipped_schema_is_valid_against_its_metaschema():
+    # validate_config leaves this check out of every call
+    import jsonschema
+
+    schema = cli._load_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"experiment": "rabi", "x": "\u00b5s"}'.encode("latin-1"))
+    flags = ["--out", str(tmp_path / "o"), "--quiet"] if command == "run" else []
+    assert cli.main([command, str(path), *flags]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_path_that_cannot_be_created_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    path = write_config(tmp_path, {"experiment": "rabi", "params": {"n_points": 16}})
+    for argv in (["run", path], ["reproduce", "closed-form-chain"]):
+        assert cli.main([*argv, "--out", str(blocker / "out"), "--quiet"]) == 2
+        assert "--out" in capsys.readouterr().err
+    assert blocker.read_text() == "kept"
+
+
 def test_unknown_tag_lists_valid_tags(capsys):
     assert cli.main(["reproduce", "fig-s9"]) == 2
     err = capsys.readouterr().err

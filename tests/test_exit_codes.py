@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spinnet import cli, fitkit
+from spinnet import cli, experiments, fitkit
 
 SCHEMA = cli._load_schema()
 DEFS = SCHEMA["definitions"]
@@ -67,7 +67,7 @@ def value(name, node, csv_path):
     if kind == "object":
         return fields(node, csv_path)
     if name == "model":
-        return st.sampled_from([*cli._FIT_MODELS, "no_such_model"])
+        return st.sampled_from([*experiments._FIT_MODELS, "no_such_model"])
     if name == "data_csv":
         return st.sampled_from([csv_path, csv_path + ".missing"])
     raise AssertionError(f"no strategy for {name}: {node}")
@@ -172,15 +172,21 @@ FOUND = [
     ({"experiment": "deer", "realizations": 1, "network": {"densities_ppm": {"P1": 2.9e-285}}}, 3),
     ({"experiment": "concentration", "realizations": 1,
       "params": {"calibration_densities_ppm": [1.1e-308, 1.0], "gamma_exp_mhz": 0.5}}, 3),
+    # a config, or with --omega-mhz a params, that is not an object, which the
+    # command-line overrides wrote into; a (config, flags) pair adds the flags
+    ([1], 2),
+    ("x", 2),
+    *((({"experiment": "rabi", "params": params}, ["--omega-mhz", "5"]), 2) for params in (5, [], None, "x")),
 ]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("config, code", FOUND)
 def test_found_configs_exit_2_or_3(tmp_path, capsys, config, code):
+    config, flags = config if isinstance(config, tuple) else (config, [])
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     with mock.patch.object(fitkit, "worker_count", lambda n: 2):
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == code
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet", *flags]) == code
     assert capsys.readouterr().err.startswith("numeric failure: " if code == 3 else "error: config field ")
     assert multiprocessing.active_children() == []
