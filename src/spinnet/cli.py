@@ -189,41 +189,57 @@ def _apply_overrides(config, args):
     return config
 
 
-def _cmd_run(args) -> int:
-    config = _apply_overrides(_read_config(args.config), args)
-    for w in validate_config(config):
-        print(f"warning: {w}", file=sys.stderr)
+def _check_out(out_dir: str) -> None:
+    """ConfigError naming --out when ``out_dir``'s nearest existing ancestor
+    (itself, if it exists) is not a writable directory."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK)):
+        raise ConfigError(f"--out: cannot write the artifacts: {path} is not a writable directory")
+
+
+def _compute_and_write(name: str, out_dir: str, compute, manifest: dict, quiet: bool) -> int:
+    """Check ``out_dir``, then run ``compute(experiments)``, which returns
+    (artifacts, lines printed after the artifact count, manifest-only
+    record), and write the artifacts and ``manifest`` with its common
+    tail; a numeric failure or a lost worker exits 3."""
+    _check_out(out_dir)
     # imported only now: a config error exits before numpy and the physics load
     from . import experiments, fitkit
 
-    experiment = config["experiment"]
-    out_dir = config.get("out_dir") or os.path.join(_out_root(), experiment)
     start = time.time()
     fitkit.workers_used = 1
     try:
-        artifacts, summary, record = experiments._EXPERIMENTS[experiment](config)
+        artifacts, lines, record = compute(experiments)
     except experiments._NUMERIC_ERRORS as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except fitkit.WorkerLost as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    manifest = {
-        "experiment": experiment,
-        "config": config,
-        "seed": config.get("seed", 0),
-        "version": __version__,
-        "wall_time_s": time.time() - start,
-        "created_unix": time.time(),
-        "environment": _environment(),
-        **record,
-    }
+    manifest.update(wall_time_s=time.time() - start, created_unix=time.time(), environment=_environment(), **record)
     _write_artifacts(out_dir, artifacts, manifest)
-    if not args.quiet:
-        print(f"{experiment}: wrote {len(artifacts)} artifacts to {out_dir}")
-        for key, value in summary.items():
-            print(f"  {key} = {value}")
+    if not quiet:
+        print(f"{name}: wrote {len(artifacts)} artifacts to {out_dir}")
+        for line in lines:
+            print(line)
     return EXIT_OK
+
+
+def _cmd_run(args) -> int:
+    config = _apply_overrides(_read_config(args.config), args)
+    for w in validate_config(config):
+        print(f"warning: {w}", file=sys.stderr)
+    experiment = config["experiment"]
+
+    def compute(experiments):
+        artifacts, summary, record = experiments._EXPERIMENTS[experiment](config)
+        return artifacts, [f"  {key} = {value}" for key, value in summary.items()], record
+
+    manifest = {"experiment": experiment, "config": config, "seed": config.get("seed", 0), "version": __version__}
+    out_dir = config.get("out_dir") or os.path.join(_out_root(), experiment)
+    return _compute_and_write(experiment, out_dir, compute, manifest, args.quiet)
 
 
 def _cmd_reproduce(args) -> int:
@@ -235,44 +251,22 @@ def _cmd_reproduce(args) -> int:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     if args.realizations is not None and args.tag == "closed-form-chain":
         raise ConfigError("--realizations: preset 'closed-form-chain' is closed-form and draws nothing")
-    # imported only now: an unknown tag or a bad flag exits before numpy and the physics load
-    from . import experiments, fitkit
-
     realizations = args.realizations or _PRESET_REALIZATIONS[args.tag]
     seed = args.seed or 0
-    start = time.time()
-    fitkit.workers_used = 1
-    try:
+
+    def compute(experiments):
         configs, artifacts, rows, record = experiments._PRESETS[args.tag](realizations, seed)
-    except experiments._NUMERIC_ERRORS as err:
-        print(f"numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except fitkit.WorkerLost as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    out_dir = args.out or os.path.join(_out_root(), args.tag)
-    manifest = {
-        "preset": args.tag,
-        "realizations": realizations,
-        "seed": seed,
-        "version": __version__,
-        "wall_time_s": time.time() - start,
-        "created_unix": time.time(),
-        "environment": _environment(),
-        "configs": configs,
-        **record,
-    }
-    _write_artifacts(out_dir, artifacts, manifest)
-    if not args.quiet:
-        print(f"{args.tag}: wrote {len(artifacts)} artifacts to {out_dir}")
         width = max(len(row[0]) for row in rows)
-        for quantity, simulated, target, within in rows:
-            if within is None:
-                status = "  --  "
-            else:
-                status = "within" if within else "OUTSIDE"
-            print(f"  {quantity:<{width}}  {simulated:>12}  target {target:<22} {status}")
-    return EXIT_OK
+        status = {None: "  --  ", True: "within", False: "OUTSIDE"}
+        lines = [
+            f"  {quantity:<{width}}  {simulated:>12}  target {target:<22} {status[within]}"
+            for quantity, simulated, target, within in rows
+        ]
+        return artifacts, lines, {"configs": configs, **record}
+
+    manifest = {"preset": args.tag, "realizations": realizations, "seed": seed, "version": __version__}
+    out_dir = args.out or os.path.join(_out_root(), args.tag)
+    return _compute_and_write(args.tag, out_dir, compute, manifest, args.quiet)
 
 
 def _cmd_validate(args) -> int:

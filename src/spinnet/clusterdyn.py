@@ -22,16 +22,8 @@ import numpy as np
 from . import fitkit
 from .constants import J0_MHZ_NM3, MAX_CLUSTER_DIM, TWO_PI
 from .fitkit import FitError, reduce_mean_sem
-from .network import (
-    EnsembleSpec,
-    Placement,
-    Species,
-    SpinNetwork,
-    centred_draw,
-    generate_network,
-    ppm_to_density,
-)
-from .spinops import Frame, build_cluster_hamiltonian
+from .network import Placement, SpinNetwork, centred_box, generate_network, ppm_to_density
+from .spinops import _SX, _SY, _SZ, Frame, build_cluster_hamiltonian
 
 __all__ = [
     "MAX_CLUSTER_DIM",
@@ -50,12 +42,6 @@ __all__ = [
     "ConcentrationEstimate",
     "estimate_concentration",
 ]
-
-_AXES_2X2 = {
-    "x": np.array([[0, 0.5], [0.5, 0]], dtype=complex),
-    "y": np.array([[0, -0.5j], [0.5j, 0]], dtype=complex),
-}
-
 
 @dataclass
 class TraceResult:
@@ -76,9 +62,9 @@ def rotation_unitary(n_sites: int, angle_rad: float, axis: str, site_indices) ->
         raise ValueError("rotation angle must be finite")
     sign = -1.0 if axis.startswith("-") else 1.0
     key = axis.lstrip("+-")
-    if key not in _AXES_2X2:
+    if key not in ("x", "y"):
         raise ValueError(f"unknown rotation axis {axis!r}")
-    s_op = sign * _AXES_2X2[key]
+    s_op = sign * (_SX if key == "x" else _SY)
     r2 = math.cos(angle_rad / 2) * np.eye(2) - 2j * math.sin(angle_rad / 2) * s_op
     chosen = set(int(i) for i in site_indices)
     for i in sorted(chosen):
@@ -88,13 +74,6 @@ def rotation_unitary(n_sites: int, angle_rad: float, axis: str, site_indices) ->
     for i in range(n_sites):
         u = np.kron(u, r2 if i in chosen else np.eye(2, dtype=complex))
     return u
-
-
-def _cluster_box_nm(density_ppm: float, n_sites: int) -> float:
-    n = ppm_to_density(density_ppm)
-    if n <= 0:
-        raise ValueError("cluster sampling needs a positive density")
-    return (n_sites / n) ** (1.0 / 3.0)
 
 
 def sample_nv_p1_cluster(
@@ -112,14 +91,7 @@ def sample_nv_p1_cluster(
     differs in species and couples to them through the Ising channel.  The
     cluster keeps the bath's spec, so its field axis is the default <111>.
     """
-    box = _cluster_box_nm(density_ppm, n_bath)
-    spec = EnsembleSpec(
-        box_nm=box,
-        densities_ppm={Species.P1: density_ppm},
-        placement=placement,
-        seed=seed,
-    )
-    return centred_draw(spec, realization, generate_network)
+    return centred_box(density_ppm, n_bath, placement, seed, realization, generate_network)
 
 
 def default_tau_grid(density_ppm: float) -> np.ndarray:
@@ -225,9 +197,7 @@ def run_rabi(
     at sqrt(Omega^2 + delta^2) with contrast Omega^2 / (Omega^2 + delta^2).
     """
     t = np.asarray(t_grid_us, dtype=float)
-    h = omega_mhz * np.array([[0, 0.5], [0.5, 0]]) + detuning_mhz * np.array(
-        [[0.5, 0], [0, -0.5]]
-    )
+    h = omega_mhz * _SX.real + detuning_mhz * _SZ.real
     evals, evecs = np.linalg.eigh(h)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     phases = np.exp(-1j * TWO_PI * np.outer(evals, t))
@@ -262,8 +232,7 @@ def extract_dephasing_rate(trace: TraceResult) -> DephasingFit:
     y = trace.signal
     if np.ptp(y) < 0.05 * max(np.abs(y).max(), 1e-12) or np.ptp(y) < 1e-12:
         raise FitError("trace shows no decay; dephasing rate is not identifiable")
-    sigma = trace.sem if np.all(trace.sem > 0) else None
-    res = fitkit.fit(fitkit.STRETCHED_EXP, trace.abscissa_us, y, sigma=sigma)
+    res = fitkit.fit(fitkit.STRETCHED_EXP, trace.abscissa_us, y, sigma=fitkit.fit_sigma(trace.sem))
     t2 = res["t2"]
     t2_sigma = res.sigma("t2")
     return DephasingFit(
@@ -296,7 +265,7 @@ def calibrate_alpha(densities_ppm, rates_mhz, rate_sigmas=None) -> fitkit.FitRes
     d = np.asarray(densities_ppm, dtype=float)
     if np.unique(d).size < 2:
         raise FitError("rate-vs-density calibration needs at least two distinct densities")
-    return fitkit.linear_fit(d, rates_mhz, sigma=rate_sigmas, through_origin=True)
+    return fitkit.linear_fit(d, rates_mhz, sigma=fitkit.fit_sigma(rate_sigmas), through_origin=True)
 
 
 @dataclass

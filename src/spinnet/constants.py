@@ -1,10 +1,14 @@
 """Physical constants and limits shared across the package.
 
 All Hamiltonians and rates are expressed in MHz, times in microseconds and
-distances in nanometres.  Frequencies are plain (not angular): the factor of
-2*pi enters exactly once, in the propagator exp(-i * TWO_PI * H * t), via
-:data:`TWO_PI`.  This module imports only :mod:`math`, so the command-line
-front validates configs against these limits without loading numpy.
+distances in nanometres.  Frequencies are plain (not angular): the factor
+of 2*pi enters exactly once, in the cluster propagator
+exp(-i * TWO_PI * H * t), via :data:`TWO_PI`.  The rate layer applies its
+golden-rule rates R (MHz, from plain J~, Gamma and Delta) per microsecond
+with none, so a dressed pair with coherence decay 2*pi*Gamma per
+microsecond transfers at 2*pi*R (``spinnet.transport.build_rates``).  This
+module imports only :mod:`math`, so the command-line front validates
+configs against these limits without loading numpy.
 """
 
 import math

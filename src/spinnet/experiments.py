@@ -44,17 +44,22 @@ def _placement(config: dict) -> Placement:
     return Placement(name)
 
 
-def _run_deer(config: dict) -> tuple:
-    p = _params(config)
+def _echo_trace(config: dict, bath_pi: bool) -> tuple:
+    """(density, trace) of the echo that ``deer`` and ``hahn`` run."""
     density = _density_p1(config, 6.3)
     trace = clusterdyn.deer_trace(
         density,
         n_realizations=config.get("realizations", 200),
-        n_bath=p.get("n_bath", 5),
+        n_bath=_params(config).get("n_bath", 5),
         seed=config.get("seed", 0),
-        bath_pi=p.get("bath_pi", True),
+        bath_pi=bath_pi,
         placement=_placement(config),
     )
+    return density, trace
+
+
+def _run_deer(config: dict) -> tuple:
+    density, trace = _echo_trace(config, _params(config).get("bath_pi", True))
     fit = clusterdyn.extract_dephasing_rate(trace)
     summary = {
         "density_ppm": density,
@@ -74,16 +79,7 @@ def _run_deer(config: dict) -> tuple:
 
 
 def _run_hahn(config: dict) -> tuple:
-    p = _params(config)
-    density = _density_p1(config, 6.3)
-    trace = clusterdyn.deer_trace(
-        density,
-        n_realizations=config.get("realizations", 200),
-        n_bath=p.get("n_bath", 5),
-        seed=config.get("seed", 0),
-        bath_pi=False,
-        placement=_placement(config),
-    )
+    density, trace = _echo_trace(config, False)
     summary = {
         "density_ppm": density,
         "max_refocus_deviation": float(np.max(np.abs(trace.signal - 1.0))),

@@ -34,6 +34,7 @@ __all__ = [
     "DAMPED_COSINE",
     "fit",
     "linear_fit",
+    "fit_sigma",
     "fft_spectrum",
     "spectrum_peak",
     "reduce_mean_sem",
@@ -195,6 +196,14 @@ def _covariance(jac, cost, n_points, n_params, absolute):
     return cov
 
 
+def _checked_sigma(sigma) -> np.ndarray:
+    """``sigma`` as a flat float array; FitError unless every error bar is positive."""
+    sigma = np.asarray(sigma, dtype=float).ravel()
+    if np.any(sigma <= 0):
+        raise FitError("sigma values must be positive")
+    return sigma
+
+
 def fit(
     model: ModelSpec,
     xdata,
@@ -219,13 +228,12 @@ def fit(
         raise FitError(
             f"{model.name}: {x.size} points cannot determine {n_params} parameters"
         )
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float).ravel()
-        if np.any(sigma <= 0):
-            raise FitError("sigma values must be positive")
-        weights = 1.0 / sigma
-    else:
-        weights = None
+    y_max = float(np.max(np.abs(y)))
+    if 0.0 < y_max and y_max * y_max < np.finfo(float).tiny:
+        # the cost 0.5 * sum(r^2) underflows to 0: the fit would stop on its
+        # start point and report an exact fit with zero uncertainty
+        raise FitError(f"{model.name}: data of magnitude {y_max:g} are too small to fit; their squares underflow")
+    weights = None if sigma is None else 1.0 / _checked_sigma(sigma)
 
     # sort by x up front: makes the fit bit-identical under input reordering
     order = np.argsort(x, kind="stable")
@@ -299,13 +307,7 @@ def linear_fit(x, y, sigma=None, through_origin: bool = False) -> FitResult:
         raise FitError("not enough points")
     if x.size < n_params:
         raise FitError("a line with free intercept needs at least 2 points")
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float).ravel()
-        if np.any(sigma <= 0):
-            raise FitError("sigma values must be positive")
-        w = 1.0 / sigma**2
-    else:
-        w = np.ones_like(x)
+    w = np.ones_like(x) if sigma is None else 1.0 / _checked_sigma(sigma) ** 2
     order = np.argsort(x, kind="stable")
     x, y, w = x[order], y[order], w[order]
 
@@ -342,6 +344,16 @@ def linear_fit(x, y, sigma=None, through_origin: bool = False) -> FitResult:
         converged=True,
         iterations=0,
     )
+
+
+def fit_sigma(sigma) -> Optional[np.ndarray]:
+    """``sigma`` as a float array when every error bar is positive, else
+    None: a zero error bar (one realization, or a point every realization
+    agrees on) leaves the fit unweighted, not infinitely weighted."""
+    if sigma is None:
+        return None
+    sigma = np.asarray(sigma, dtype=float)
+    return sigma if np.all(sigma > 0) else None
 
 
 def fft_spectrum(trace, dt: float):

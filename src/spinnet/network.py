@@ -30,12 +30,14 @@ __all__ = [
     "species_code",
     "centred_source",
     "centred_draw",
+    "centred_box",
     "GenerationError",
     "EXCLUSION_NM",
     "NV_AXES",
     "P1_SUBGROUP_WEIGHTS",
     "ppm_to_density",
     "mean_spacing",
+    "box_side",
     "generate_network",
     "assign_detunings",
 ]
@@ -87,6 +89,16 @@ def mean_spacing(concentration_ppm: float) -> float:
     if n == 0:
         raise ValueError("mean spacing undefined at zero density")
     return n ** (-1.0 / 3.0)
+
+
+def box_side(density_ppm: float, n_sites: int) -> float:
+    """Side (n_sites / n)^(1/3), nm, of the cubic box that holds ``n_sites``
+    at ``density_ppm``: the box of every transport, protocol and cluster
+    network."""
+    n = ppm_to_density(density_ppm)
+    if n <= 0:
+        raise ValueError("a box needs a positive density")
+    return (n_sites / n) ** (1.0 / 3.0)
 
 
 @dataclass
@@ -248,6 +260,21 @@ def centred_draw(spec: EnsembleSpec, realization: int, generate) -> SpinNetwork:
     raise GenerationError("could not place the source away from the bath in 100 attempts")
 
 
+def centred_box(
+    density_ppm: float, n_bath: int, placement: Placement, seed: int, realization: int, generate
+) -> SpinNetwork:
+    """:func:`centred_draw` of the box that holds ``n_bath`` P1 at
+    ``density_ppm`` (:func:`box_side`), placed by ``placement``: the
+    transport box and the DEER cluster.  ``generate`` is passed on."""
+    spec = EnsembleSpec(
+        box_nm=box_side(density_ppm, n_bath),
+        densities_ppm={Species.P1: density_ppm},
+        placement=placement,
+        seed=seed,
+    )
+    return centred_draw(spec, realization, generate)
+
+
 def _cdf(weights: np.ndarray) -> list:
     # the cumulative table Generator.choice(k, p=weights) searches
     cdf = np.cumsum(weights)
@@ -261,7 +288,7 @@ def _axis_cdf(spec: EnsembleSpec, species: Species) -> Optional[list]:
     """Cumulative axis weights of a species, or None for the uniform default."""
     if not spec.axis_weights:
         return None
-    w = spec.axis_weights.get(species, spec.axis_weights.get(species.value))
+    w = spec.axis_weights.get(species)
     if w is None:
         return None
     w = np.asarray(w, dtype=float)

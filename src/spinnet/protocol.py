@@ -23,8 +23,8 @@ from .network import (
     Placement,
     Species,
     SpinNetwork,
+    box_side,
     generate_network,
-    ppm_to_density,
     species_code,
 )
 from .transport import RateMatrix, build_rates, factor_generator, pair_table
@@ -144,9 +144,8 @@ def protocol_network(
     """
     if n_p1 < 1:
         raise ValueError("need at least one bath spin")
-    box = (n_p1 / ppm_to_density(DENSITY_P1_PPM)) ** (1.0 / 3.0)
     spec = EnsembleSpec(
-        box_nm=box,
+        box_nm=box_side(DENSITY_P1_PPM, n_p1),
         densities_ppm={Species.NV: DENSITY_NV_PPM, Species.P1: DENSITY_P1_PPM},
         placement=Placement.CONTINUUM,
         disorder_mhz=w_mhz,
@@ -273,7 +272,7 @@ def saturation_sweep(
     results = run_iterative_protocol(factory, configs, n_realizations=n_realizations)
     p_sat = np.array([res.saturation.a_sat for res in results])
     p_sat_sigma = np.array([res.saturation.a_sat_sigma for res in results])
-    cross = fit_crossover(omegas, p_sat, sigma=np.where(p_sat_sigma > 0, p_sat_sigma, None))
+    cross = fit_crossover(omegas, p_sat, sigma=fitkit.fit_sigma(p_sat_sigma))
     return p_sat, p_sat_sigma, cross
 
 
@@ -281,12 +280,7 @@ def fit_saturation(n_values, a_values, sem=None) -> SaturationFit:
     """Exponential-saturation fit A(N) = A_sat (1 - exp(-N/N_sat))."""
     n_values = np.asarray(n_values, dtype=float)
     a_values = np.asarray(a_values, dtype=float)
-    sigma = None
-    if sem is not None:
-        sem = np.asarray(sem, dtype=float)
-        if np.all(sem > 0):
-            sigma = sem
-    res = fitkit.fit(fitkit.EXP_SATURATION, n_values, a_values, sigma=sigma)
+    res = fitkit.fit(fitkit.EXP_SATURATION, n_values, a_values, sigma=fitkit.fit_sigma(sem))
     return SaturationFit(
         a_sat=res["amp"],
         n_sat=res["tau"],

@@ -38,6 +38,8 @@ __all__ = [
     "effective_disorder",
 ]
 
+# The spin-1/2 matrices of the package: the cluster operators here, the
+# pulses and the Rabi drive of clusterdyn
 _SX = np.array([[0, 1], [1, 0]], dtype=complex) / 2
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex) / 2
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex) / 2
@@ -121,7 +123,13 @@ def _dipolar(r_vec: np.ndarray, unit_axis: np.ndarray) -> float:
     r = math.sqrt(r_vec.dot(r_vec))
     if r == 0:
         raise ValueError("dipolar coupling diverges at zero separation")
-    cos = float(r_vec.dot(unit_axis)) / r
+    return _dipolar_term(float(r_vec.dot(unit_axis)) / r, r)
+
+
+def _dipolar_term(cos, r):
+    """J0 (1 - 3 cos^2 theta) / r^3, MHz, at cosine ``cos`` to the axis and
+    length ``r`` (nm): floats here, one array entry per pair in
+    :func:`~spinnet.transport.pair_table`."""
     return J0_MHZ_NM3 * (1.0 - 3.0 * cos**2) / r**3
 
 
@@ -152,7 +160,8 @@ def _coupling_map(net: SpinNetwork, couplings):
 _FRAME_TERMS = {False: (1.0, -0.25, 0.0), True: (2.0, 0.5, -0.5)}
 # (dressed frame, degenerate pair) -> (c/J, flip-flop terms written,
 # -(J/2) Sx Sx weight added last).  Powers of two added in the order of the
-# operator forms keep entries bit-equal to operator products.
+# operator forms keep entries bit-equal to operator products.  The dressed
+# c/J is also the pair prefactor of transport's golden-rule rates.
 _PAIR_TERMS = {
     (False, True): (1.0, True, 0.0),
     (False, False): (1.0, False, 0.0),

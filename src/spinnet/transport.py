@@ -39,17 +39,17 @@ import numpy as np
 from . import fitkit
 from .constants import J0_MHZ_NM3
 from .network import (
-    EnsembleSpec,
+    Placement,
     Species,
     SpinNetwork,
     assign_detunings,
-    centred_draw,
+    box_side,
+    centred_box,
     generate_network,
     mean_spacing,
-    ppm_to_density,
     species_code,
 )
-from .spinops import effective_rabi
+from .spinops import _PAIR_TERMS, _dipolar_term, effective_rabi, nv_scaling
 
 __all__ = [
     "RateMatrix",
@@ -114,9 +114,10 @@ class RateMatrix:
         return self.rates.shape[0]
 
 
-# Pair prefactor of build_rates: 1/4 (row 0) or 1/8 for degenerate pairs
+# Pair prefactor of build_rates: the dressed-frame flip-flop weight c/J of
+# the cluster builder, 1/4 across groups (row 0) or 1/8 for degenerate pairs
 # (row 1), times sqrt(2) per NV of the pair (column = NV count).
-_PAIR_FACTOR = np.array([1.0 / 4.0, 1.0 / 8.0])[:, None] * np.sqrt(2.0) ** np.arange(3)
+_PAIR_FACTOR = np.array([[nv_scaling(_PAIR_TERMS[True, same][0], k) for k in range(3)] for same in (False, True)])
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def pair_table(net: SpinNetwork, gamma_mhz: float = GAMMA_MHZ) -> PairTable:
     r, cos = _pair_geometry(pos, i, j, net.spec.field_axis_unit)
     if exclusion > 0 and r.size and r.min() < exclusion - 1e-9:
         raise ValueError("network violates its exclusion radius")
-    j_bare = J0_MHZ_NM3 * (1.0 - 3.0 * cos**2) / r**3
+    j_bare = _dipolar_term(cos, r)
     key = net.group_key
     n_nv = (net.species == species_code(Species.NV)).astype(np.intp)
     same = (key[i] == key[j]).astype(np.intp)
@@ -241,6 +242,12 @@ def build_rates(pairs: PairTable, omega_mhz: float) -> RateMatrix:
     sin(theta_j) with NV scaling inside J_ij, and
     R_ij = 2 |J~|^2 Gamma / (Gamma^2 + (Omega_eff,i - Omega_eff,j)^2)
     at the linewidth Gamma = :data:`GAMMA_MHZ`.
+
+    J~ (the dressed cluster Hamiltonian's flip-flop element, tilted),
+    Gamma (the line's half-width) and the mismatch Delta of the dressed
+    frequencies are plain frequencies in MHz; the master equation applies
+    R per us, with no 2 pi.  A dressed pair whose coherence decays at
+    2 pi Gamma per us transfers at 2 pi R per us, to O((J~/Gamma)^2).
     A pair is degenerate when both sites share species, subgroup and
     axis.  Pairs whose best-case rate falls below 1e-6 MHz are dropped;
     the corresponding cutoff radius (:func:`rate_cutoff`) is recorded.
@@ -549,10 +556,8 @@ def extract_diffusion(curve: MsdCurve, d_avg_nm: float, box_nm: float) -> Diffus
         )
     t = curve.times_us[inside]
     y = curve.msd_nm2[inside]
-    sigma = None
-    if curve.sem_nm2 is not None and np.all(curve.sem_nm2[inside] > 0):
-        sigma = curve.sem_nm2[inside]
-    res = fitkit.linear_fit(t, y, sigma=sigma)
+    sem = None if curve.sem_nm2 is None else curve.sem_nm2[inside]
+    res = fitkit.linear_fit(t, y, sigma=fitkit.fit_sigma(sem))
     return DiffusionResult(
         d_nm2_per_us=res["slope"] / 6.0,
         sigma=res.sigma("slope") / 6.0,
@@ -598,14 +603,6 @@ def diffusion_length(d_nm2_per_us: float, tau_us: float) -> float:
     return math.sqrt(6.0 * d_nm2_per_us * tau_us)
 
 
-def _box_nm(density_ppm: float, n_p1: int) -> float:
-    """Side (nm) of the transport box that holds ``n_p1`` P1 at ``density_ppm``."""
-    n = ppm_to_density(density_ppm)
-    if n <= 0:
-        raise ValueError("transport needs a positive P1 density")
-    return (n_p1 / n) ** (1.0 / 3.0)
-
-
 def transport_network(
     density_ppm: float,
     n_p1: int,
@@ -618,12 +615,7 @@ def transport_network(
     The box side is (n_p1 / n)^(1/3) so the P1 density is exact; every P1
     carries the addressed group tag.  Site 0 is the NV source.
     """
-    spec = EnsembleSpec(
-        box_nm=_box_nm(density_ppm, n_p1),
-        densities_ppm={Species.P1: density_ppm},
-        seed=seed,
-    )
-    net = centred_draw(spec, realization, generate_network)
+    net = centred_box(density_ppm, n_p1, Placement.CONTINUUM, seed, realization, generate_network)
     return assign_detunings(net, w_mhz) if w_mhz > 0 else net
 
 
@@ -656,7 +648,7 @@ def _msd_curves(
     """
     if n_realizations < 1:
         raise ValueError("the MSD average needs at least one realization")
-    sides = [_box_nm(density_ppm, n_p1) for n_p1, _ in boxes]
+    sides = [box_side(density_ppm, n_p1) for n_p1, _ in boxes]
     order = sorted(range(len(boxes)), key=lambda k: -boxes[k][0])
 
     def realization(k, r):
@@ -789,19 +781,18 @@ def diffusion_scaling(
     d_avg = mean_spacing(density_ppm)
     # an empty window needs no realization to show
     for n_p1 in n_list:
-        _window(d_avg, _box_nm(density_ppm, n_p1))
+        _window(d_avg, box_side(density_ppm, n_p1))
     curves = _msd_curves(omega_mhz, density_ppm, [(n_p1, seed + n_p1) for n_p1 in n_list], n_realizations, w_mhz, gamma_mhz)
     boxes, ds, sigs, lanczos = [], [], [], []
     for n_p1, (curve, box) in zip(n_list, curves):
         res = extract_diffusion(curve, d_avg, box)
         boxes.append(float(box))
         ds.append(res.d_nm2_per_us)
-        sigs.append(res.sigma if res.sigma > 0 else None)
+        sigs.append(res.sigma)
         lanczos.append({
             "n_p1": n_p1,
             "basis_dim_range": [int(curve.basis_dims.min()), int(curve.basis_dims.max())],
             "error_estimate_max": float(curve.basis_errors.max()),
         })
-    sigmas = None if any(s is None for s in sigs) else sigs
-    extrap = finite_size_extrapolate(boxes, ds, sigmas)
-    return ScalingResult(omega_mhz, boxes, ds, [s or 0.0 for s in sigs], extrap, lanczos)
+    extrap = finite_size_extrapolate(boxes, ds, fitkit.fit_sigma(sigs))
+    return ScalingResult(omega_mhz, boxes, ds, sigs, extrap, lanczos)

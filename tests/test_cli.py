@@ -136,6 +136,23 @@ def test_out_path_that_cannot_be_created_is_config_error(tmp_path, capsys):
     assert blocker.read_text() == "kept"
 
 
+def test_unwritable_out_is_refused_before_computing(tmp_path, capsys, monkeypatch):
+    from spinnet import experiments
+
+    def never(*args):
+        raise AssertionError("computed although --out cannot be written")
+
+    monkeypatch.setitem(experiments._EXPERIMENTS, "rabi", never)
+    monkeypatch.setitem(experiments._PRESETS, "fig-s4a", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    path = write_config(tmp_path, {"experiment": "rabi"})
+    for argv in (["run", path], ["reproduce", "fig-s4a", "--realizations", "2"]):
+        assert cli.main([*argv, "--out", str(blocker / "out"), "--quiet"]) == 2
+        assert "--out" in capsys.readouterr().err
+    assert blocker.read_text() == "kept"
+
+
 def test_unknown_tag_lists_valid_tags(capsys):
     assert cli.main(["reproduce", "fig-s9"]) == 2
     err = capsys.readouterr().err

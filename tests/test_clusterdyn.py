@@ -19,7 +19,7 @@ from spinnet.clusterdyn import (
 )
 from spinnet.constants import J0_MHZ_NM3, PPM_TO_PER_NM3, TWO_PI
 from spinnet.fitkit import FitError
-from spinnet.network import EnsembleSpec, Placement, Species, SpinNetwork, species_code
+from spinnet.network import EnsembleSpec, Placement, Species, SpinNetwork, box_side, species_code
 from spinnet.spinops import Frame, build_cluster_hamiltonian
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -117,7 +117,7 @@ def test_cluster_builders():
     assert cl.n_sites == 6
     assert cl.species[0] == species_code(Species.NV)
     assert all(code == species_code(Species.P1) for code in cl.species[1:])
-    box = clusterdyn._cluster_box_nm(6.3, 5)
+    box = box_side(6.3, 5)
     center = np.full(3, box / 2)
     assert np.allclose(cl.positions[0], center)
     dists = [np.linalg.norm(pos - center) for pos in cl.positions[1:]]
@@ -136,7 +136,7 @@ def test_rotation_unitary_refuses_a_site_outside_the_cluster():
 def nv_nv_cluster(realization, groups=(0, 1, 1, 2, 2), density_ppm=2.4):
     """An NV sensor at the box centre plus NV partners on the given axis
     groups, placed uniformly in a box of the given NV density."""
-    box = clusterdyn._cluster_box_nm(density_ppm, len(groups) + 1)
+    box = box_side(density_ppm, len(groups) + 1)
     rng = np.random.default_rng([4, realization])
     return cluster(
         [np.full(3, box / 2)] + [rng.uniform(0, box, 3) for _ in groups],

@@ -163,7 +163,7 @@ FOUND = [
     # relaxation so fast that the data, or a mode decay, overflow
     ({"experiment": "crossover", "realizations": 2, "params": {"n_p1": 6, "t1rho_dark_us": 1e-323}}, 3),
     ({"experiment": "protocol", "params": {"n_p1": 4, "t1rho_dark_us": 3.740630224316167e-138}}, 3),
-    # a polarization so small that its SEM has no finite reciprocal
+    # a polarization so small that the squares of the fitted data underflow
     ({"experiment": "crossover", "realizations": 3, "params": {"n_p1": 6, "p_nv0": 3.158472690093709e-249}}, 3),
     # a K that underflows to 0
     ({"experiment": "concentration", "realizations": 2,

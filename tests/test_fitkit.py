@@ -1,11 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinnet import fitkit
+from spinnet import clusterdyn, fitkit, protocol, transport
 from spinnet.constants import TWO_PI
 
 
@@ -214,3 +215,93 @@ def test_reduce_mean_sem_by_column():
     assert np.array_equal(mean, m2) and np.array_equal(sem, s2)
     with pytest.raises(fitkit.FitError):
         fitkit.reduce_mean_sem(np.empty((0, 3)))
+
+
+def test_data_whose_squares_underflow_are_refused():
+    # every residual of a 1e-250 trace squares to 0: the fit would stop on
+    # its start point as an exact fit with zero uncertainty
+    n = np.arange(1, 9, dtype=float)
+    with pytest.raises(fitkit.FitError, match="too small to fit"):
+        fitkit.fit(fitkit.EXP_SATURATION, n, 1e-250 * (1 - np.exp(-n / 3)))
+    assert fitkit.fit(fitkit.EXP_SATURATION, n, np.zeros_like(n)).params.size == 2
+
+
+# The fit sites of fitkit.fit_sigma: site -> (a function of the error bars,
+# None for the unweighted fit, that returns the fitted parameters; positive
+# error bars; the index set to zero)
+T = np.linspace(0.0, 4.0, 24)
+DECAY = np.exp(-((T / 1.3) ** 0.9)) + 0.01 * np.sin(7 * T)
+CYCLES = np.arange(1, 13, dtype=float)
+BUILDUP = 0.12 * (1 - np.exp(-CYCLES / 2.7)) + 0.002 * np.cos(3 * CYCLES)
+OMEGAS = np.array([0.5, 1.0, 2.0, 3.2, 6.4, 10.0])
+P_SAT = 0.18 * OMEGAS**2 / (OMEGAS**2 + 1.9**2) + 0.003 * np.sin(OMEGAS)
+
+
+def _with_zero(sigma, k):
+    sigma = np.array(sigma, dtype=float)
+    sigma[k] = 0.0
+    return sigma
+
+
+def _dephasing(sem, monkeypatch):
+    sem = np.zeros_like(T) if sem is None else sem
+    return clusterdyn.extract_dephasing_rate(clusterdyn.TraceResult(T, DECAY, sem, 20)).fit.params
+
+
+def _saturation(sem, monkeypatch):
+    return protocol.fit_saturation(CYCLES, BUILDUP, sem=sem).fit.params
+
+
+def _sweep(sigma, monkeypatch):
+    if sigma is None:
+        return protocol.fit_crossover(OMEGAS, P_SAT).fit.params
+    results = [SimpleNamespace(saturation=SimpleNamespace(a_sat=a, a_sat_sigma=s)) for a, s in zip(P_SAT, sigma)]
+    monkeypatch.setattr(protocol, "run_iterative_protocol", lambda factory, configs, n_realizations: results)
+    configs = [protocol.CycleConfig(omega_mhz=o) for o in OMEGAS]
+    return protocol.saturation_sweep(configs, n_realizations=2)[2].fit.params
+
+
+def _diffusion_window(sem, monkeypatch):
+    times = np.linspace(0.0, 2000.0, 41)
+    curve = 6.0 * 0.01 * times + 30.0 * np.sin(times / 90.0) + 150.0
+    msd = transport.MsdCurve(times, curve, np.ones_like(times), sem_nm2=sem)
+    return transport.extract_diffusion(msd, 10.0, 100.0).fit.params
+
+
+def _diffusion_scaling(sigma, monkeypatch):
+    boxes = [50.0, 70.0, 90.0, 110.0]
+    ds = [0.0120, 0.0104, 0.0101, 0.0097]
+    if sigma is None:
+        return transport.finite_size_extrapolate(boxes, ds).fit.params
+    curve = transport.MsdCurve(T, T, T, basis_dims=np.ones(2), basis_errors=np.zeros(2))
+    monkeypatch.setattr(transport, "_msd_curves", lambda *args: [(curve, box) for box in boxes])
+    fits = iter(zip(ds, sigma))
+    monkeypatch.setattr(
+        transport, "extract_diffusion",
+        lambda curve, d_avg, box: transport.DiffusionResult(*next(fits), (0, 1), (0, 1), 2, None),
+    )
+    return transport.diffusion_scaling(6.4, n_list=(100, 200, 400, 800), n_realizations=2).extrapolation.fit.params
+
+
+def _calibration(sigma, monkeypatch):
+    return clusterdyn.calibrate_alpha([1.6, 3.2, 6.3, 12.6], [0.61, 1.33, 2.49, 5.12], rate_sigmas=sigma).params
+
+
+FIT_SITES = {
+    "extract_dephasing_rate": (_dephasing, np.full(T.size, 0.02), 5),
+    "fit_saturation": (_saturation, np.full(CYCLES.size, 0.004), 0),
+    "saturation_sweep": (_sweep, np.full(OMEGAS.size, 0.006), 2),
+    "extract_diffusion": (_diffusion_window, np.full(41, 4.0), 12),
+    "diffusion_scaling": (_diffusion_scaling, [4e-4, 3e-4, 2e-4, 1e-4], 1),
+    "calibrate_alpha": (_calibration, [0.05, 0.08, 0.1, 0.2], 3),
+}
+
+
+@pytest.mark.parametrize("site", FIT_SITES)
+def test_one_zero_error_bar_gives_the_unweighted_fit(site, monkeypatch):
+    fn, sigma, k = FIT_SITES[site]
+    fit = lambda s: fn(s, monkeypatch)
+    unweighted = fit(None)
+    assert np.array_equal(fit(_with_zero(sigma, k)), unweighted)
+    # and the error bars do weight the fit when every one is positive
+    assert not np.array_equal(fit(np.asarray(sigma, dtype=float) * np.linspace(1.0, 3.0, len(sigma))), unweighted)

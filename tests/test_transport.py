@@ -6,11 +6,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.sparse import identity as sparse_identity
 
 from spinnet import transport
+from spinnet.constants import TWO_PI
 from spinnet.network import EnsembleSpec, Species, SpinNetwork, ppm_to_density, species_code
 from spinnet.protocol import protocol_network
+from spinnet.spinops import Frame, build_cluster_hamiltonian
 from spinnet.transport import (
     GAMMA_MHZ,
     ConservationError,
@@ -70,6 +73,56 @@ def test_rate_detuning_dependence():
     npt.assert_allclose(rate(target, 0.0), 0.5 * (omega / (omega + gamma)) ** 2 * r0, rtol=1e-9)
     # equal detunings keep the pair resonant; only the projections remain
     npt.assert_allclose(rate(1.0, 1.0) / r0, (omega**2 / (omega**2 + 1.0)) ** 2, rtol=1e-9)
+
+
+def dressed_duo(species, subgroup, detunings):
+    """Two sites 20 nm apart at cos(theta) = 0.8 to the z field axis."""
+    spec = EnsembleSpec(box_nm=40.0, densities_ppm={}, field_axis=(0.0, 0.0, 1.0))
+    return SpinNetwork(
+        spec, [[0.0, 0.0, 0.0], [12.0, 0.0, 16.0]], [species_code(sp) for sp in species], [0, 0], subgroup, detunings
+    )
+
+
+@pytest.mark.parametrize("delta_mhz", [0.0, 0.1, 0.3, 1.0])
+@pytest.mark.parametrize("species, subgroup", [
+    ((Species.P1, Species.P1), [0, 0]),  # degenerate: J/8
+    ((Species.P1, Species.P1), [0, 1]),  # across P1 groups: J/4
+    ((Species.NV, Species.P1), [0, 0]),  # NV-P1: sqrt(2) J/4
+])
+def test_dressed_pair_transfers_at_two_pi_times_the_rate(species, subgroup, delta_mhz):
+    # The rate convention, from the cluster layer: the flip-flop element V of
+    # the dressed Hamiltonian between |+x,-x> and |-x,+x> is the pair table's
+    # coupling, and the doublet with dressed frequencies Delta apart and
+    # coherence decay 2 pi Gamma per us transfers population at W = 2 pi R
+    # per us (Bloch equations), up to O((V/Gamma)^2) (4 (V/Gamma)^2 at
+    # Delta = 0); at 20 nm V/Gamma < 0.015.
+    omega, gamma = 6.40, GAMMA_MHZ
+    plus_minus = np.kron(*[np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)] * 2)
+    hx = plus_minus.T @ build_cluster_hamiltonian(dressed_duo(species, subgroup, [0.0, 0.0]), Frame.DRESSED).matrix @ plus_minus
+    # the dressed frame conserves total Sx: the doublet is closed
+    npt.assert_allclose(hx[[0, 0, 3, 3], [1, 2, 1, 2]], 0.0, atol=1e-18)
+    # site 1's detuning puts its dressed frequency delta_mhz above site 0's
+    net = dressed_duo(species, subgroup, [0.0, math.sqrt((omega + delta_mhz) ** 2 - omega**2)])
+    pairs = pair_table(net)
+    v = hx[1, 2].real
+    npt.assert_allclose(v, pairs.fj[0], rtol=1e-12)
+    rate = transport._pair_rates(pairs, omega, gamma)[0]
+
+    # the doublet: flip-flop V tilted by sin(theta) per site, as the rate
+    # layer projects it, and the mismatch of the dressed frequencies
+    om_eff = np.hypot(omega, net.detunings)
+    v_tilted = v * np.prod(omega / om_eff)
+    mismatch = om_eff[0] - om_eff[1]
+    # Bloch vector of the doublet, dr/dt = Omega x r - 2 pi Gamma (r_x, r_y, 0),
+    # with Omega = 2 pi (2 V, 0, Delta); r_z = p(+x,-x) - p(-x,+x)
+    ox, oz, g = TWO_PI * 2.0 * v_tilted, TWO_PI * mismatch, TWO_PI * gamma
+    bloch = np.array([[-g, -oz, 0.0], [oz, -g, -ox], [0.0, ox, 0.0]])
+    t1 = 20.0 / g  # the coherences have settled
+    t2 = t1 + 1.0 / (TWO_PI * rate)
+    w1, w2 = (expm(bloch * t)[2, 2] for t in (t1, t2))
+    # dP_0/dt = W (P_1 - P_0) makes p(+x,-x) - p(-x,+x) decay at 2 W
+    transfer = math.log(w1 / w2) / (2.0 * (t2 - t1))
+    assert abs(transfer / (TWO_PI * rate) - 1.0) < 5.0 * (v_tilted / gamma) ** 2
 
 
 def test_rate_matrix_validation():
