@@ -84,11 +84,18 @@ def validate_config(config: dict) -> list:
     # metaschema on every call; tests/test_cli.py checks it once
     validator = jsonschema.validators.validator_for(schema)(schema)
     err = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    if err is None and "params" not in config:
+        # a config without params reads as one with empty params, as the
+        # runners read it; this names the params it lacks
+        err = jsonschema.exceptions.best_match(validator.iter_errors({**config, "params": {}}))
     if err is not None:
         path = list(err.absolute_path)
         if err.validator == "additionalProperties":
             # name the unexpected key itself, e.g. params/omgea_mhz
             path.append(sorted(set(err.instance) - set(err.schema.get("properties", {})))[0])
+        if err.validator == "required":
+            # name the missing key itself, e.g. params/gamma_exp_mhz
+            path.append(next(k for k in err.validator_value if k not in err.instance))
         path = "/".join(str(p) for p in path) or "<root>"
         raise ConfigError(f"config field {path}: {err.message}") from err
     bad = _nonfinite(config, "")

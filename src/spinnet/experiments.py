@@ -44,6 +44,16 @@ def _placement(config: dict) -> Placement:
     return Placement(name)
 
 
+def _fit_tail(res: fitkit.FitResult) -> dict:
+    """The ``converged``/``nfev`` pair that ends every summary of a fitted number."""
+    return {"converged": res.converged, "nfev": res.iterations}
+
+
+def _deer_config(density: float, seed: int, realizations: int) -> dict:
+    """The ``deer`` config at one bath density, every other field at its default."""
+    return {"experiment": "deer", "seed": seed, "realizations": realizations, "network": {"densities_ppm": {"P1": density}}}
+
+
 def _echo_trace(config: dict, bath_pi: bool) -> tuple:
     """(density, trace) of the echo that ``deer`` and ``hahn`` run."""
     density = _density_p1(config, 6.3)
@@ -68,8 +78,7 @@ def _run_deer(config: dict) -> tuple:
         "mean_field_rate_mhz": clusterdyn.mean_field_deer_rate(density),
         "t2_us": fit.t2_us,
         "beta": fit.beta,
-        "converged": fit.fit.converged,
-        "nfev": fit.fit.iterations,
+        **_fit_tail(fit.fit),
     }
     return (
         {"deer_trace.csv": trace.to_csv(), "deer_fit.json": json.dumps(summary, indent=2)},
@@ -162,15 +171,15 @@ def _run_protocol(config: dict) -> tuple:
         factory, [_protocol_config(p, omega)], n_realizations=config.get("realizations", 100)
     )
     sat = res.saturation
+    # P_sat is the saturation fit's amp, N_sat its tau
     summary = {
         "omega_MHz": omega,
-        "P_sat": sat.a_sat,
-        "P_sat_sigma": sat.a_sat_sigma,
-        "N_sat": sat.n_sat,
-        "N_sat_sigma": sat.n_sat_sigma,
+        "P_sat": sat["amp"],
+        "P_sat_sigma": sat.sigma("amp"),
+        "N_sat": sat["tau"],
+        "N_sat_sigma": sat.sigma("tau"),
         "n_realizations": res.n_realizations,
-        "converged": sat.fit.converged,
-        "nfev": sat.fit.iterations,
+        **_fit_tail(sat),
     }
     return (
         {
@@ -192,15 +201,15 @@ def _run_crossover(config: dict) -> tuple:
         seed=config.get("seed", 0),
         w_mhz=config.get("network", {}).get("disorder_mhz", 1.36),
     )
+    # A_inf and W are the crossover fit's a_inf and w
     summary = {
         "omegas_MHz": list(map(float, omegas)),
         "P_sat": list(map(float, p_sat)),
-        "A_inf": cross.a_inf,
-        "A_inf_sigma": cross.a_inf_sigma,
-        "W_MHz": cross.w_mhz,
-        "W_sigma": cross.w_sigma,
-        "converged": cross.fit.converged,
-        "nfev": cross.fit.iterations,
+        "A_inf": cross["a_inf"],
+        "A_inf_sigma": cross.sigma("a_inf"),
+        "W_MHz": cross["w"],
+        "W_sigma": cross.sigma("w"),
+        **_fit_tail(cross),
     }
     return (
         {
@@ -214,17 +223,11 @@ def _run_crossover(config: dict) -> tuple:
 
 def _run_concentration(config: dict) -> tuple:
     p = _params(config)
-    if "gamma_exp_mhz" not in p:
-        raise ConfigError("config field params/gamma_exp_mhz: required for concentration")
     densities = p.get("calibration_densities_ppm", [1.6, 3.2, 6.3, 12.6])
     seed = config.get("seed", 0)
-    n_real = config.get("realizations", 200)
-    rates, sigmas = [], []
-    for dens in densities:
-        trace = clusterdyn.deer_trace(dens, n_realizations=n_real, seed=seed)
-        fit = clusterdyn.extract_dephasing_rate(trace)
-        rates.append(fit.rate_mhz)
-        sigmas.append(fit.rate_sigma)
+    fits = [_run_deer(_deer_config(d, seed, config.get("realizations", 200)))[1] for d in densities]
+    rates = [fit["rate_mhz"] for fit in fits]
+    sigmas = [fit["rate_sigma"] for fit in fits]
     calibration = clusterdyn.calibrate_alpha(densities, rates, rate_sigmas=sigmas)
     alpha, alpha_sigma = calibration["slope"], calibration.sigma("slope")
     # K: the dephasing per addressed spectral group at 1 ppm total density
@@ -256,11 +259,7 @@ _FIT_MODELS = {
 
 def _run_fit(config: dict) -> tuple:
     p = _params(config)
-    model_name = p.get("model")
-    if model_name not in _FIT_MODELS:
-        raise ConfigError(
-            f"config field params/model: must be one of {sorted(_FIT_MODELS)}"
-        )
+    model_name = p["model"]
     model = _FIT_MODELS[model_name]
     p0 = p.get("p0")
     if p0 is not None and len(p0) != len(model.param_names):
@@ -268,8 +267,8 @@ def _run_fit(config: dict) -> tuple:
             f"config field params/p0: {len(p0)} values for the {len(model.param_names)} "
             f"parameters {list(model.param_names)} of {model_name}"
         )
-    path = p.get("data_csv")
-    if not path or not os.path.exists(path):
+    path = p["data_csv"]
+    if not os.path.exists(path):
         raise ConfigError("config field params/data_csv: file not found")
     try:
         with open(path) as fh:
@@ -357,10 +356,7 @@ def _closed_form_chain(realizations: int, seed: int) -> tuple:
 def _fig_s2(realizations: int, seed: int) -> tuple:
     """Echo-decay rate versus bath density and the density-ratio check: ``deer`` per density."""
     densities = [2.4, 6.3]
-    configs = [
-        {"experiment": "deer", "seed": seed, "realizations": realizations, "network": {"densities_ppm": {"P1": d}}}
-        for d in densities
-    ]
+    configs = [_deer_config(d, seed, realizations) for d in densities]
     runs = [_run_deer(config) for config in configs]
     fits = {str(d): summary for d, (_, summary, _) in zip(densities, runs)}
     ratio = fits["6.3"]["rate_mhz"] / fits["2.4"]["rate_mhz"]
@@ -442,12 +438,12 @@ def _fig_2c(realizations: int, seed: int) -> tuple:
     """Differential readout transient and its equilibration time."""
     factory = lambda r: protocol.protocol_network(n_p1=120, seed=seed, realization=r)
     eq = protocol.readout_equilibration(factory, protocol.CycleConfig(omega_mhz=6.40), realizations)
+    # tau_eq is the saturation fit's tau, the amplitude its amp
     s = {
-        "tau_eq_us": eq.tau_eq_us,
-        "amplitude": eq.amplitude,
+        "tau_eq_us": eq.fit["tau"],
+        "amplitude": eq.fit["amp"],
         "n_realizations": realizations,
-        "converged": eq.fit.converged,
-        "nfev": eq.fit.iterations,
+        **_fit_tail(eq.fit),
     }
     rows = [
         _row("tau_eq (us)", f"{s['tau_eq_us']:.2f}", "2.2 +- 0.6 (exp); < 8.6", s["tau_eq_us"] < 8.6, s["converged"]),

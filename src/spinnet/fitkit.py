@@ -405,7 +405,9 @@ def reduce_mean_sem(values) -> tuple:
     A (realizations x points) array is reduced along axis 0 and gives
     one mean and one standard error per column, as two arrays.  Each
     column is summed exactly (``math.fsum``), so any permutation of the
-    realizations produces bit-identical results.
+    realizations produces bit-identical results.  One realization gives
+    its own row and a zero standard error, which :func:`fit_sigma` reads
+    as an unweighted fit.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:

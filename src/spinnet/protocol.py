@@ -32,8 +32,6 @@ from .transport import RateMatrix, build_rates, factor_generator, pair_table
 __all__ = [
     "CycleConfig",
     "ProtocolResult",
-    "SaturationFit",
-    "CrossoverFit",
     "EquilibrationResult",
     "protocol_network",
     "run_iterative_protocol",
@@ -87,35 +85,18 @@ class CycleConfig:
 
 
 @dataclass
-class SaturationFit:
-    a_sat: float
-    n_sat: float
-    a_sat_sigma: float
-    n_sat_sigma: float
-    fit: fitkit.FitResult
-
-
-@dataclass
-class CrossoverFit:
-    a_inf: float
-    w_mhz: float
-    a_inf_sigma: float
-    w_sigma: float
-    fit: fitkit.FitResult
-
-
-@dataclass
 class ProtocolResult:
     cycles: np.ndarray
     p_nv: np.ndarray
     p_p1: np.ndarray
-    p_nv_sem: Optional[np.ndarray]
-    p_p1_sem: Optional[np.ndarray]
+    p_nv_sem: np.ndarray
+    p_p1_sem: np.ndarray
     n_realizations: int
-    saturation: SaturationFit
+    saturation: fitkit.FitResult  # fit_saturation of p_p1
 
     def to_csv(self) -> str:
-        sem = () if self.p_nv_sem is None else (self.p_nv_sem, self.p_p1_sem)
+        """cycle,p_nv,p_p1, plus the two SEM columns when more than one realization was run."""
+        sem = (self.p_nv_sem, self.p_p1_sem) if self.n_realizations > 1 else ()
         names = ("cycle", "p_nv", "p_p1", "p_nv_sem", "p_p1_sem")[: 3 + len(sem)]
         return fitkit.csv_text(names, self.cycles, self.p_nv, self.p_p1, *sem)
 
@@ -124,9 +105,7 @@ class ProtocolResult:
 class EquilibrationResult:
     times_us: np.ndarray
     delta_c: np.ndarray
-    amplitude: float
-    tau_eq_us: float
-    fit: fitkit.FitResult
+    fit: fitkit.FitResult  # amplitude fit["amp"], equilibration time tau_eq = fit["tau"]
 
 
 def protocol_network(
@@ -201,14 +180,11 @@ def _single_run(net: SpinNetwork, config: CycleConfig, rm: RateMatrix, probe: np
 
 
 def _reduce(nv_runs: np.ndarray, p1_runs: np.ndarray) -> ProtocolResult:
+    # one realization reduces to its own row and a zero SEM: an unweighted fit
     n_realizations, n_cycles = nv_runs.shape
     cycles = np.arange(1, n_cycles + 1, dtype=float)
-    if n_realizations > 1:
-        p_nv, nv_sem = fitkit.reduce_mean_sem(nv_runs)
-        p_p1, p1_sem = fitkit.reduce_mean_sem(p1_runs)
-    else:
-        p_nv, p_p1 = nv_runs[0], p1_runs[0]
-        nv_sem = p1_sem = None
+    p_nv, nv_sem = fitkit.reduce_mean_sem(nv_runs)
+    p_p1, p1_sem = fitkit.reduce_mean_sem(p1_runs)
     saturation = fit_saturation(cycles, p_p1, sem=p1_sem)
     return ProtocolResult(cycles, p_nv, p_p1, nv_sem, p1_sem, n_realizations, saturation)
 
@@ -270,24 +246,20 @@ def saturation_sweep(
     omegas = np.array([c.omega_mhz for c in configs], dtype=float)
     factory = lambda r: protocol_network(n_p1=n_p1, w_mhz=w_mhz, seed=seed, realization=r)
     results = run_iterative_protocol(factory, configs, n_realizations=n_realizations)
-    p_sat = np.array([res.saturation.a_sat for res in results])
-    p_sat_sigma = np.array([res.saturation.a_sat_sigma for res in results])
+    p_sat = np.array([res.saturation["amp"] for res in results])
+    p_sat_sigma = np.array([res.saturation.sigma("amp") for res in results])
     cross = fit_crossover(omegas, p_sat, sigma=fitkit.fit_sigma(p_sat_sigma))
     return p_sat, p_sat_sigma, cross
 
 
-def fit_saturation(n_values, a_values, sem=None) -> SaturationFit:
-    """Exponential-saturation fit A(N) = A_sat (1 - exp(-N/N_sat))."""
-    n_values = np.asarray(n_values, dtype=float)
-    a_values = np.asarray(a_values, dtype=float)
-    res = fitkit.fit(fitkit.EXP_SATURATION, n_values, a_values, sigma=fitkit.fit_sigma(sem))
-    return SaturationFit(
-        a_sat=res["amp"],
-        n_sat=res["tau"],
-        a_sat_sigma=res.sigma("amp"),
-        n_sat_sigma=res.sigma("tau"),
-        fit=res,
-    )
+def fit_saturation(n_values, a_values, sem=None) -> fitkit.FitResult:
+    """Exponential-saturation fit A(N) = A_sat (1 - exp(-N/N_sat)).
+
+    The saturation amplitude A_sat is the fit's ``amp`` and the saturation
+    cycle count N_sat its ``tau``; ``sem`` weights the fit by the rule of
+    :func:`fitkit.fit_sigma`.
+    """
+    return fitkit.fit(fitkit.EXP_SATURATION, n_values, a_values, sigma=fitkit.fit_sigma(sem))
 
 
 def _crossover_model(omega, a_inf, w):
@@ -309,16 +281,13 @@ CROSSOVER = fitkit.ModelSpec(
 )
 
 
-def fit_crossover(omegas_mhz, a_sat, sigma=None) -> CrossoverFit:
-    """Disorder-crossover fit A_sat(Omega) = A_inf Omega^2/(Omega^2 + W^2)."""
-    res = fitkit.fit(CROSSOVER, np.asarray(omegas_mhz, dtype=float), np.asarray(a_sat, dtype=float), sigma=sigma)
-    return CrossoverFit(
-        a_inf=res["a_inf"],
-        w_mhz=res["w"],
-        a_inf_sigma=res.sigma("a_inf"),
-        w_sigma=res.sigma("w"),
-        fit=res,
-    )
+def fit_crossover(omegas_mhz, a_sat, sigma=None) -> fitkit.FitResult:
+    """Disorder-crossover fit A_sat(Omega) = A_inf Omega^2/(Omega^2 + W^2).
+
+    The asymptote A_inf is the fit's ``a_inf`` and the crossover width W
+    (MHz) its ``w``.
+    """
+    return fitkit.fit(CROSSOVER, omegas_mhz, a_sat, sigma=sigma)
 
 
 def estimate_p1_polarization(a: float, p1_to_nv_ratio: float, p_nv0: float = 0.75) -> float:
@@ -378,7 +347,8 @@ def readout_equilibration(
     contrast difference between the two signs, normalized by p_nv0, rises
     as the sensors equilibrate with their local bath under the drive and
     dark relaxation of ``config``.  An exponential
-    saturation fit gives the equilibration time.
+    saturation fit gives the amplitude (``amp``) and the equilibration
+    time tau_eq (``tau``).
 
     The master equation is linear, so the transient is computed by
     evolving the single difference ``plus - minus`` (zero on the sensors,
@@ -409,12 +379,5 @@ def readout_equilibration(
     # before the map forks, so that its workers inherit it
     import scipy.spatial
 
-    delta_c = np.array(fitkit.map_realizations(curve, n_realizations)).mean(axis=0)
-    res = fitkit.fit(fitkit.EXP_SATURATION, times_us, delta_c)
-    return EquilibrationResult(
-        times_us=times_us,
-        delta_c=delta_c,
-        amplitude=res["amp"],
-        tau_eq_us=res["tau"],
-        fit=res,
-    )
+    delta_c = fitkit.reduce_mean_sem(fitkit.map_realizations(curve, n_realizations))[0]
+    return EquilibrationResult(times_us, delta_c, fitkit.fit(fitkit.EXP_SATURATION, times_us, delta_c))

@@ -698,8 +698,8 @@ def _msd_curves(
     out = []
     for k, side in enumerate(sides):
         curves, totals, dims, errors = zip(*rows[k])
-        mean, sem = fitkit.reduce_mean_sem(np.array(curves))
-        surv = np.array(totals).mean(axis=0)
+        mean, sem = fitkit.reduce_mean_sem(curves)
+        surv = fitkit.reduce_mean_sem(totals)[0]
         curve = MsdCurve(
             probes[k][0], mean, surv, sem_nm2=sem, basis_dims=np.array(dims), basis_errors=np.array(errors)
         )

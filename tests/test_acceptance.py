@@ -156,18 +156,18 @@ def test_criterion_4_protocol_saturation():
     (res,) = protocol.run_iterative_protocol(
         factory, [protocol.CycleConfig(omega_mhz=6.40)], n_realizations=100
     )
-    n_sat = res.saturation.n_sat
+    n_sat = res.saturation["tau"]
     _, _, cross = protocol.saturation_sweep(
         [protocol.CycleConfig(omega_mhz=o) for o in (0.5, 1.0, 2.0, 3.2, 6.4, 10.0, 20.0, 40.0)],
         n_realizations=100,
         seed=0,
     )
     elapsed = time.perf_counter() - start
-    ok = 2.0 <= n_sat <= 4.0 and 0.12 <= cross.a_inf <= 0.24 and elapsed < 900.0
+    ok = 2.0 <= n_sat <= 4.0 and 0.12 <= cross["a_inf"] <= 0.24 and elapsed < 900.0
     assert report(
         4, ok,
-        f"N_sat={n_sat:.2f}+-{res.saturation.n_sat_sigma:.2f} (band [2, 4]) "
-        f"P_inf={cross.a_inf:.4f}+-{cross.a_inf_sigma:.4f} (band [0.12, 0.24]) ({elapsed:.0f}s)",
+        f"N_sat={n_sat:.2f}+-{res.saturation.sigma('tau'):.2f} (band [2, 4]) "
+        f"P_inf={cross['a_inf']:.4f}+-{cross.sigma('a_inf'):.4f} (band [0.12, 0.24]) ({elapsed:.0f}s)",
     )
 
 
@@ -183,15 +183,15 @@ def test_criterion_5_crossover_recovery():
     noisy = clean * (1.0 + 0.05 * rng.standard_normal(grid.size))
     fitn = protocol.fit_crossover(grid, noisy)
     ok = (
-        math.isfinite(sim.w_mhz)
-        and sim.w_mhz > 0
-        and abs(fit0.w_mhz - 1.36) <= 1e-6
-        and abs(fitn.w_mhz - 1.36) <= 0.2
+        math.isfinite(sim["w"])
+        and sim["w"] > 0
+        and abs(fit0["w"] - 1.36) <= 1e-6
+        and abs(fitn["w"] - 1.36) <= 0.2
     )
     assert report(
         5, ok,
-        f"W_sim={sim.w_mhz:.3f}MHz clean|dW|={abs(fit0.w_mhz - 1.36):.2e} "
-        f"noisy W={fitn.w_mhz:.3f}MHz",
+        f"W_sim={sim['w']:.3f}MHz clean|dW|={abs(fit0['w'] - 1.36):.2e} "
+        f"noisy W={fitn['w']:.3f}MHz",
     )
 
 
@@ -334,8 +334,8 @@ def test_criterion_8_readout_equilibration():
     minus = protocol.readout_equilibration(lambda r: net, config, 1, p_p1=-0.074)
     asym = float(np.abs(plus.delta_c + minus.delta_c).max())
     bound = 430.0 / 50.0
-    ok = plus.tau_eq_us < bound and asym < 1e-12
+    ok = plus.fit["tau"] < bound and asym < 1e-12
     assert report(
         8, ok,
-        f"tau_eq={plus.tau_eq_us:.2f}us (< {bound:.1f}) antisymmetry={asym:.1e}",
+        f"tau_eq={plus.fit['tau']:.2f}us (< {bound:.1f}) antisymmetry={asym:.1e}",
     )

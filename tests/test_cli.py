@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from spinnet import cli, clusterdyn, fitkit, protocol, transport
+from spinnet import cli, clusterdyn, experiments, fitkit, protocol, transport
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -688,6 +688,31 @@ def test_missing_required_param_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, {"experiment": "concentration"})
     assert cli.main(["run", path, "--out", str(tmp_path / "c"), "--quiet"]) == 2
     assert "gamma_exp_mhz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"experiment": "concentration"}, "params/gamma_exp_mhz"),
+        ({"experiment": "concentration", "params": {"n_mc": 100}}, "params/gamma_exp_mhz"),
+        ({"experiment": "fit", "params": {"model": "nope", "data_csv": "d.csv"}}, "params/model"),
+        ({"experiment": "fit", "params": {"data_csv": "d.csv"}}, "params/model"),
+        ({"experiment": "fit", "params": {"model": "exp_saturation"}}, "params/data_csv"),
+        ({"experiment": "fit"}, "params/model"),
+    ],
+)
+def test_validate_refuses_what_run_refuses(tmp_path, capsys, config, field):
+    path = write_config(tmp_path, config)
+    assert cli.main(["validate", path]) == 2
+    assert f"config field {field}:" in capsys.readouterr().err
+    assert cli.main(["run", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert f"config field {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_schema_fit_models_are_the_runner_models():
+    model = cli._load_schema()["definitions"]["fit_params"]["properties"]["model"]
+    assert model["enum"] == list(experiments._FIT_MODELS)
 
 
 def test_env_var_sets_output_root(tmp_path, monkeypatch):

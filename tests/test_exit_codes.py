@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spinnet import cli, experiments, fitkit
+from spinnet import cli, fitkit
 
 SCHEMA = cli._load_schema()
 DEFS = SCHEMA["definitions"]
@@ -66,8 +66,6 @@ def value(name, node, csv_path):
         return st.lists(value(name, node["items"], csv_path), min_size=node["minItems"], max_size=node["minItems"] + 2)
     if kind == "object":
         return fields(node, csv_path)
-    if name == "model":
-        return st.sampled_from([*experiments._FIT_MODELS, "no_such_model"])
     if name == "data_csv":
         return st.sampled_from([csv_path, csv_path + ".missing"])
     raise AssertionError(f"no strategy for {name}: {node}")

@@ -249,16 +249,18 @@ def _dephasing(sem, monkeypatch):
 
 
 def _saturation(sem, monkeypatch):
-    return protocol.fit_saturation(CYCLES, BUILDUP, sem=sem).fit.params
+    return protocol.fit_saturation(CYCLES, BUILDUP, sem=sem).params
 
 
 def _sweep(sigma, monkeypatch):
     if sigma is None:
-        return protocol.fit_crossover(OMEGAS, P_SAT).fit.params
-    results = [SimpleNamespace(saturation=SimpleNamespace(a_sat=a, a_sat_sigma=s)) for a, s in zip(P_SAT, sigma)]
+        return protocol.fit_crossover(OMEGAS, P_SAT).params
+    # saturation fits that report A_sat = amp with its sigma
+    saturation = lambda a, s: fitkit.FitResult("exp_saturation", ("amp", "tau"), np.array([a, 1.0]), np.array([s, 0.0]), np.zeros((2, 2)), 0.0, True, 0)
+    results = [SimpleNamespace(saturation=saturation(a, s)) for a, s in zip(P_SAT, sigma)]
     monkeypatch.setattr(protocol, "run_iterative_protocol", lambda factory, configs, n_realizations: results)
     configs = [protocol.CycleConfig(omega_mhz=o) for o in OMEGAS]
-    return protocol.saturation_sweep(configs, n_realizations=2)[2].fit.params
+    return protocol.saturation_sweep(configs, n_realizations=2)[2].params
 
 
 def _diffusion_window(sem, monkeypatch):

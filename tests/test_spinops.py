@@ -174,11 +174,16 @@ def test_dressed_conserves_total_sx():
 
 
 def test_hermiticity_random_geometry():
+    # ClusterHamiltonian does not check Hermiticity: the builder writes each
+    # flip entry and its mirror with one real value, so the matrix equals its
+    # conjugate transpose exactly, at every size, frame, grouping and coupling source
     rng = np.random.default_rng(2)
-    sites = [site(rng.uniform(0, 25, 3)) for _ in range(5)]
-    for frame in Frame:
-        ham = build_cluster_hamiltonian(cluster(sites), frame)
-        assert np.abs(ham.matrix - ham.matrix.conj().T).max() < 1e-12
+    for n in range(1, 11):
+        for sites in (random_cluster(rng, n, mixed=False), random_cluster(rng, n)):
+            for couplings in (None, random_couplings(rng, n)):
+                for frame in Frame:
+                    m = build_cluster_hamiltonian(cluster(sites), frame, couplings).matrix
+                    assert np.array_equal(m, m.conj().T), (n, frame, couplings is None)
 
 
 def test_dressed_matches_drive_time_average():
@@ -272,8 +277,8 @@ def test_effective_disorder():
 
 
 def test_cluster_hamiltonian_validation():
-    with pytest.raises(ValueError, match="Hermitian"):
-        ClusterHamiltonian(np.array([[0, 1], [0, 0]], dtype=complex), Frame.DRESSED, 1)
+    with pytest.raises(ValueError, match="2\\^n_sites"):
+        ClusterHamiltonian(np.zeros((2, 2), dtype=complex), Frame.DRESSED, 2)
 
 
 def sparse_operators(n):

@@ -98,6 +98,40 @@ def test_realization_loops_give_the_same_bytes_at_any_worker_count(loop, workers
             assert serial.tobytes() == forked.tobytes()
 
 
+def deer_fit_loop():
+    trace = clusterdyn.deer_trace(6.3, n_realizations=6, n_bath=3, seed=1)
+    return trace.signal, trace.sem, clusterdyn.extract_dephasing_rate(trace).fit.params
+
+
+def protocol_fit_loop():
+    factory = lambda r: protocol.protocol_network(n_p1=30, seed=2, realization=r)
+    (res,) = protocol.run_iterative_protocol(factory, [protocol.CycleConfig(omega_mhz=6.4, n_cycles=6)], 6)
+    return res.p_nv, res.p_p1, res.p_nv_sem, res.p_p1_sem, res.saturation.params
+
+
+def readout_fit_loop():
+    factory = lambda r: protocol.protocol_network(n_p1=30, seed=3, realization=r)
+    eq = protocol.readout_equilibration(factory, protocol.CycleConfig(omega_mhz=6.4), 6)
+    return eq.delta_c, eq.fit.params
+
+
+ORDER_LOOPS = {
+    "run_deer": deer_fit_loop,
+    "run_iterative_protocol": protocol_fit_loop,
+    "readout_equilibration": readout_fit_loop,
+}
+
+
+@pytest.mark.parametrize("loop", ORDER_LOOPS)
+def test_reduction_and_fit_ignore_the_realization_order(loop, monkeypatch):
+    # every realization average goes through fitkit.reduce_mean_sem, which
+    # sums exactly: rows that come back in reverse give the same bytes
+    forward = ORDER_LOOPS[loop]()
+    monkeypatch.setattr(fitkit, "map_realizations", lambda fn, n: [fn(r) for r in reversed(range(n))])
+    for want, got in zip(forward, ORDER_LOOPS[loop](), strict=True):
+        assert want.tobytes() == got.tobytes()
+
+
 def logged(log, fn, entry):
     """``fn``, appending ``entry(*args)`` to ``log`` at each call made in this process."""
 
