@@ -15,8 +15,15 @@ count it ran with, the seed, the version, the wall time, the creation
 time and under ``configs`` the ``run`` configs the preset executed.
 Both manifests record the environment the bytes of
 the transport and protocol outputs depend on: the numpy and scipy
-versions, the CPU count and the BLAS thread variables, and beside them
-the most realization workers the command ran (``fitkit.map_realizations``).
+versions, the CPU count and the BLAS thread variables as the caller set
+them, and beside them the most realization workers the command ran
+(``fitkit.map_realizations``) and the allocator settings it applied.
+
+Before ``run`` and ``reproduce`` import numpy, they set the process up
+for realization loops (:func:`_set_up_process`): BLAS runs one thread,
+so the realizations spread over workers and the bytes do not depend on
+the caller's thread setting, and on glibc freed memory stays in the heap
+for the next realization.
 The ``diffusion`` run and the ``fig-s3`` preset also record under
 ``lanczos``, per box size,
 the range of Lanczos basis dimensions over the realizations and the
@@ -35,11 +42,17 @@ from importlib import resources
 from typing import Optional
 
 from . import ConfigError, __version__
-from .constants import EXCLUSION_NM, MAX_CLUSTER_DIM, ppm_to_density
+from .constants import BLAS_THREAD_VARS, EXCLUSION_NM, MAX_CLUSTER_DIM, REALIZATION_BYTES, ppm_to_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# glibc's mallopt parameter numbers (malloc.h)
+_MALLOPT_PARAMS = {"M_TRIM_THRESHOLD": -1, "M_MMAP_THRESHOLD": -3}
+# Blocks below this size come from the heap, not from a mapping of their
+# own: the largest mmap threshold glibc takes on 64-bit systems
+_MMAP_THRESHOLD_BYTES = 32 << 20
 
 # tag -> the realization count `reproduce <tag>` runs without --realizations;
 # the presets themselves are spinnet.experiments._PRESETS
@@ -103,6 +116,10 @@ def validate_config(config: dict) -> list:
         # Python's JSON parser reads NaN and Infinity, and no schema bound refuses nan
         path, value = bad
         raise ConfigError(f"config field {path}: {value} holds a value that is not a finite number")
+    data_csv = config.get("params", {}).get("data_csv")
+    if data_csv is not None and not os.path.exists(data_csv):
+        # the schema cannot see files; `run` reads the table only after this
+        raise ConfigError("config field params/data_csv: file not found")
     n_bath = config.get("params", {}).get("n_bath")
     if n_bath is not None and n_bath + 1 > math.log2(MAX_CLUSTER_DIM):
         raise ConfigError(
@@ -140,9 +157,10 @@ def _out_root() -> str:
     return os.environ.get("SPINNET_OUT", "spinnet_runs")
 
 
-def _environment() -> dict:
+def _environment(setup: dict) -> dict:
     """Library versions, CPU count, the most realization workers the command
-    used and the BLAS thread variables (None when unset)."""
+    used, and the caller's BLAS thread variables and the allocator
+    settings of :func:`_set_up_process`."""
     # imported here, not with the module: validation needs none of them
     import numpy
     import scipy
@@ -154,8 +172,67 @@ def _environment() -> dict:
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         "workers": fitkit.workers_used,
-        **{name: os.environ.get(name) for name in fitkit.BLAS_THREAD_VARS},
+        **setup,
     }
+
+
+def _tune_malloc() -> Optional[dict]:
+    """Keep the memory a realization frees in the heap, on glibc.
+
+    Blocks below 32 MiB come from the heap rather than from mappings of
+    their own, and the heap gives its free top back to the system only
+    beyond :data:`REALIZATION_BYTES`.  The LAPACK workspaces and result
+    arrays one eigensolve frees are then reused by the next instead of
+    being unmapped and faulted in again, and forked workers inherit the
+    settings.  Returns the settings applied; None, with nothing changed,
+    where the C library is not glibc or has no ``mallopt``.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        # no confstr, or a C library that does not know the name
+        glibc = None
+    if not glibc:
+        return None
+    # imported here: validation and the config errors never need it
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    settings = {"M_MMAP_THRESHOLD": _MMAP_THRESHOLD_BYTES, "M_TRIM_THRESHOLD": REALIZATION_BYTES}
+    # mallopt returns 1 on success
+    applied = [mallopt(_MALLOPT_PARAMS[name], value) == 1 for name, value in settings.items()]
+    return settings if all(applied) else None
+
+
+# The caller's BLAS thread variables, read before _set_up_process set
+# them; None while it has set none
+_caller_threads: Optional[dict] = None
+
+
+def _set_up_process() -> dict:
+    """Set this process up for realization loops; returns what the manifest
+    records of it.
+
+    When numpy has not loaded yet, each BLAS thread variable is set to 1:
+    BLAS then runs one thread, ``fitkit.worker_count`` spreads the
+    realizations over the CPUs, and the bytes do not depend on the
+    caller's setting.  A caller that has loaded numpy keeps its
+    environment and its threads.  The allocator settings of
+    :func:`_tune_malloc` apply either way.  The record holds the caller's
+    thread variables (None when unset), also on a later command in the
+    same process, and under ``malloc`` the allocator settings (None where
+    none applied).
+    """
+    global _caller_threads
+    if "numpy" not in sys.modules:
+        _caller_threads = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    threads = _caller_threads or {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    return {**threads, "malloc": _tune_malloc()}
 
 
 def _write_artifacts(out_dir: str, artifacts: dict, manifest: dict) -> None:
@@ -212,6 +289,7 @@ def _compute_and_write(name: str, out_dir: str, compute, manifest: dict, quiet: 
     record), and write the artifacts and ``manifest`` with its common
     tail; a numeric failure or a lost worker exits 3."""
     _check_out(out_dir)
+    setup = _set_up_process()
     # imported only now: a config error exits before numpy and the physics load
     from . import experiments, fitkit
 
@@ -225,7 +303,7 @@ def _compute_and_write(name: str, out_dir: str, compute, manifest: dict, quiet: 
     except fitkit.WorkerLost as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    manifest.update(wall_time_s=time.time() - start, created_unix=time.time(), environment=_environment(), **record)
+    manifest.update(wall_time_s=time.time() - start, created_unix=time.time(), environment=_environment(setup), **record)
     _write_artifacts(out_dir, artifacts, manifest)
     if not quiet:
         print(f"{name}: wrote {len(artifacts)} artifacts to {out_dir}")

@@ -42,6 +42,17 @@ EXCLUSION_NM = 1.0
 # per-size pair tables take 24 B per pair and basis state, 6.5 MB at 12 spins.
 MAX_CLUSTER_DIM = 4096
 
+# The variables that set the BLAS thread count.  The command-line front
+# sets each to 1 before numpy loads, and the run manifests record the
+# values the caller gave.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Memory one realization may take: the schema's size caps keep every
+# realization below it, so a run needs (workers + 1) times this.  The
+# command-line front lets the heap keep this much free memory for the
+# next realization.
+REALIZATION_BYTES = 1 << 30
+
 
 def ppm_to_density(concentration_ppm: float) -> float:
     """Defect concentration in ppm to number density in nm^-3."""

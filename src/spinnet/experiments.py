@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import warnings
 from typing import Optional
 
@@ -267,9 +266,8 @@ def _run_fit(config: dict) -> tuple:
             f"config field params/p0: {len(p0)} values for the {len(model.param_names)} "
             f"parameters {list(model.param_names)} of {model_name}"
         )
+    # cli.validate_config has checked that the file exists
     path = p["data_csv"]
-    if not os.path.exists(path):
-        raise ConfigError("config field params/data_csv: file not found")
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .constants import TWO_PI
+from .constants import BLAS_THREAD_VARS, REALIZATION_BYTES, TWO_PI
 
 __all__ = [
     "FitError",
@@ -430,12 +430,6 @@ def _mean_sem(vals: list) -> tuple[float, float]:
 class WorkerLost(RuntimeError):
     """Raised when a realization worker process dies before it returns."""
 
-
-# The variables that set the BLAS thread count; the run manifests record them
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# Memory one realization may take: the schema's size caps keep every
-# realization below it, so a run needs (workers + 1) times this
-REALIZATION_BYTES = 1 << 30
 
 # The per-realization function of the map in progress.  The workers are
 # forked while it is set and read it from their copy of this module, so it

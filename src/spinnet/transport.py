@@ -671,8 +671,10 @@ def _msd_curves(
         row = realization(k, 0)
         t_end = 100.0
         for _ in range(8):
-            if row(_default_time_grid(t_end))[0].max() >= 0.5 * (sides[k] / 2.0) ** 2:
-                break
+            times = _default_time_grid(t_end)
+            first = row(times)
+            if first[0].max() >= 0.5 * (sides[k] / 2.0) ** 2:
+                return times, first
             t_end *= 4.0
         times = _default_time_grid(t_end)
         return times, row(times)

@@ -70,11 +70,26 @@ def test_verdict_added_keys_only(tmp_path):
         ("run-deer/seed0/fit.json", '{"rate": 0.6, "nfev": 7}'),  # a shared value, beside an added key
         ("run-deer/seed0/fit.json", "{}"),  # a removed key
         ("run-deer/seed0/fit.json", '{"rate":0.5}'),  # the same keys and values, other bytes
-        ("run-deer/seed0/extra.json", '{"rate": 0.5}'),  # a file only on one side
     ],
 )
 def test_verdict_differs(tmp_path, rel, text):
     assert verdict_of(tmp_path, FIT, dict(FIT, **{rel: text})) == artifact_diff.DIFFERS == 1
+
+
+def test_verdict_added_file_is_an_addition(tmp_path, capsys):
+    # e.g. a new verdicts.json beside unchanged artifacts
+    change = dict(FIT, **{"run-deer/seed0/verdicts.json": '{"ok": true}'})
+    assert verdict_of(tmp_path, FIT, change) == artifact_diff.ADDED_KEYS == 3
+    assert "added file" in capsys.readouterr().out
+    # beside any other difference it is one difference more
+    change["run-deer/seed0/trace.csv"] = "t,s\n0.0,0.9\n"
+    assert verdict_of(tmp_path / "csv", FIT, change) == artifact_diff.DIFFERS
+
+
+def test_verdict_removed_file_differs(tmp_path, capsys):
+    parent = dict(FIT, **{"run-deer/seed0/extra.json": '{"rate": 0.5}'})
+    assert verdict_of(tmp_path, parent, FIT) == artifact_diff.DIFFERS == 1
+    assert "removed file" in capsys.readouterr().out
 
 
 def test_verdict_differs_outranks_added_keys(tmp_path):
@@ -103,9 +118,12 @@ def test_largest_change_flags_cell_count_mismatch():
     assert artifact_diff.largest_change([float("nan"), -4.0], [float("nan"), -2.0]) == (2.0, 0.5)
 
 
-def test_run_configs_cover_every_csv_experiment():
+def test_run_configs_cover_every_csv_experiment(tmp_path, monkeypatch):
     from spinnet import cli, experiments
 
+    # the fit config reads the table the tool writes beside the configs
+    (tmp_path / artifact_diff.FIT_DATA).write_text(artifact_diff.FIT_CSV)
+    monkeypatch.chdir(tmp_path)
     for config in artifact_diff.RUN_CONFIGS.values():
         assert cli.validate_config(config) == []
     covered = {c["experiment"] for c in artifact_diff.RUN_CONFIGS.values()}

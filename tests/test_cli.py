@@ -274,7 +274,10 @@ def test_crossover_honours_protocol_params(tmp_path):
         ("fit", {"model": "exp_saturation", "data_csv": "d.csv"}, "data_cvs"),
     ],
 )
-def test_misspelt_param_is_config_error(tmp_path, capsys, experiment, params, typo):
+def test_misspelt_param_is_config_error(tmp_path, monkeypatch, capsys, experiment, params, typo):
+    # the fit's table must exist for validate to say ok
+    (tmp_path / "d.csv").write_text("x,y\n0.0,1.0\n")
+    monkeypatch.chdir(tmp_path)
     good = write_config(tmp_path, {"experiment": experiment, "params": params})
     assert cli.main(["validate", good]) == 0
     # the last key of params, misspelt
@@ -707,6 +710,15 @@ def test_validate_refuses_what_run_refuses(tmp_path, capsys, config, field):
     assert f"config field {field}:" in capsys.readouterr().err
     assert cli.main(["run", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"config field {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_and_run_agree_on_a_missing_table(tmp_path, capsys):
+    config = {"experiment": "fit", "params": {"model": "exp_saturation", "data_csv": str(tmp_path / "absent.csv")}}
+    path = write_config(tmp_path, config)
+    for argv in (["validate", path], ["run", path, "--out", str(tmp_path / "o"), "--quiet"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: config field params/data_csv: file not found\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -441,6 +441,22 @@ def test_average_msd_equals_probe_per_recompute_loop():
             npt.assert_allclose(a, b, rtol=1e-10, atol=1e-10 * np.abs(b).max(), err_msg=f"{omega} {name}")
 
 
+@pytest.mark.parametrize("omega", [6.40, 0.5])
+def test_probe_propagates_each_grid_once(monkeypatch, omega):
+    # the probe returns the row of the grid on which the curve crossed the
+    # window top, without propagating that grid a second time
+    grids = []
+
+    def counted(gen, p0, times):
+        grids.append(float(times[-1]))
+        return integrate_master_equation(gen, p0, times)
+
+    monkeypatch.setattr(transport, "integrate_master_equation", counted)
+    curve, _ = average_msd(omega, 1.575, 50, 1, seed=5)
+    assert grids == [100.0 * 4.0**k for k in range(len(grids))]
+    assert grids[-1] == curve.times_us[-1]
+
+
 def test_diffusion_monotone_in_drive():
     davg = ppm_to_density(1.575) ** (-1.0 / 3.0)
     out = {}

@@ -19,11 +19,14 @@ taken over the numeric keys present on both sides, and keys that were
 added, removed or changed a non-numeric value are named.
 ``manifest.json`` holds the creation time and is not compared.
 
+An artifact only the change tree writes is noted as an added file.
+
 Exit status: 0 when every artifact is byte-identical; 3 when the only
-differences are JSON artifacts that gain keys, every CSV and every value
-present on both sides staying identical; 1 when anything else differs (a
-CSV, a shared value, a removed key, a missing file); 2 when a tree cannot
-be found or a run fails.
+differences are additions (JSON artifacts that gain keys, artifacts only
+the change tree writes), every CSV and every value present on both sides
+staying identical; 1 when anything else differs (a CSV, a shared value,
+a removed key, an artifact only the parent tree writes); 2 when a tree
+cannot be found or a run fails.
 """
 
 from __future__ import annotations
@@ -263,9 +266,10 @@ def compare_trees(parent: Path, change: Path) -> tuple:
     """Print the digests and largest change of every artifact; return (rows, verdict).
 
     Each row is (relative path, largest change or None, notes on differing
-    JSON keys).  The verdict is :data:`IDENTICAL`, :data:`ADDED_KEYS` when
-    every differing artifact is a JSON file that only gains keys, with no
-    shared value changed, or :data:`DIFFERS`.
+    JSON keys, or ``added file``).  The verdict is :data:`IDENTICAL`,
+    :data:`ADDED_KEYS` when every differing artifact is a JSON file that
+    only gains keys, with no shared value changed, or a file only the
+    change tree holds, or :data:`DIFFERS`.
     """
     names = sorted(
         {p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
@@ -280,8 +284,10 @@ def compare_trees(parent: Path, change: Path) -> tuple:
         notes = ()
         if da == db:
             change_txt, delta = "identical", (0.0, 0.0)
-        elif not (a.is_file() and b.is_file()):
-            change_txt, delta = "missing on one side", None
+        elif not a.is_file():
+            change_txt, delta, notes = "added file", (0.0, 0.0), ("added file",)
+        elif not b.is_file():
+            change_txt, delta = "removed file", None
         else:
             delta, notes = file_change(a, b)
             change_txt = change_text(delta, notes)
@@ -328,7 +334,7 @@ def main(argv=None) -> int:
         rows, verdict = compare_trees(*outs)
     summarize(rows)
     if verdict == ADDED_KEYS:
-        print("\nonly added JSON keys differ; every CSV and every shared value is identical")
+        print("\nonly added JSON keys and added files differ; every CSV and every shared value is identical")
     return verdict
 
 
