@@ -6,33 +6,35 @@ table, ``validate`` checks a config without computing.  The runners and
 presets are :mod:`spinnet.experiments`, which ``run`` and ``reproduce``
 import only once the config or the preset tag has passed its checks: this
 module loads no numpy, so ``validate`` and every config error (exit 2)
-are answered before numpy loads.  Beside its artifacts, ``run`` writes
-a ``manifest.json`` with the experiment, the config as given plus the
-command-line overrides (defaults the config leaves out are not filled
-in), the seed, the package version, the wall time and the
-creation time; ``reproduce`` writes the preset tag, the realization
-count it ran with, the seed, the version, the wall time, the creation
-time and under ``configs`` the ``run`` configs the preset executed.
-Both manifests record the environment the bytes of
-the transport and protocol outputs depend on: the numpy and scipy
-versions, the CPU count and the BLAS thread variables as the caller set
-them, and beside them the most realization workers the command ran
-(``fitkit.map_realizations``) and the allocator settings it applied.
+are answered before numpy loads.  The run-config defaults are read in the
+shipped schema and nowhere else: :func:`resolve_config` fills them into a
+copy of a config, which ``run`` validates once and hands to the runner.
+
+``run`` writes a ``manifest.json`` with the experiment, that resolved
+config, the seed (null for ``rabi`` and ``fit``, which draw nothing),
+the package version, the wall time and the creation time; ``reproduce``
+writes the preset tag, the realization count it ran with, the seed, the
+version, the times and under ``configs`` the resolved ``run`` configs
+the preset executed.  Both record the environment the transport and
+protocol bytes depend on: the numpy and scipy versions, the CPU count,
+the caller's BLAS thread variables, the most realization workers the
+command ran (``fitkit.map_realizations``) and the allocator settings it
+applied.  The ``diffusion`` run and the ``fig-s3`` preset also record
+under ``lanczos``, per box size, the range of Lanczos basis dimensions
+over the realizations and the largest final error estimate.
 
 Before ``run`` and ``reproduce`` import numpy, they set the process up
 for realization loops (:func:`_set_up_process`): BLAS runs one thread,
 so the realizations spread over workers and the bytes do not depend on
 the caller's thread setting, and on glibc freed memory stays in the heap
 for the next realization.
-The ``diffusion`` run and the ``fig-s3`` preset also record under
-``lanczos``, per box size,
-the range of Lanczos basis dimensions over the realizations and the
-largest final error estimate.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import math
 import os
@@ -66,10 +68,47 @@ _PRESET_REALIZATIONS = {
 }
 
 
+@functools.cache
 def _load_schema() -> dict:
-    ref = resources.files("spinnet").joinpath("schemas/runconfig.schema.json")
-    with ref.open() as fh:
-        return json.load(fh)
+    """The shipped run-config schema, read once per process; callers must not change it."""
+    return json.loads(resources.files("spinnet").joinpath("schemas/runconfig.schema.json").read_text())
+
+
+def _deref(node):
+    """A schema node with its ``$ref`` followed into the definitions."""
+    if isinstance(node, dict) and "$ref" in node:
+        return _load_schema()["definitions"][node["$ref"].split("/")[-1]]
+    return node
+
+
+def _fields(experiment) -> Optional[dict]:
+    """Name -> schema of each top-level field ``experiment`` takes; None for an unknown experiment."""
+    schema = _load_schema()
+    for rule in schema["allOf"]:
+        if rule["if"]["properties"]["experiment"]["const"] == experiment:
+            merged = {**schema["properties"], **rule["then"]["properties"]}
+            # a clause refuses a shared field with {"not": {}}, which no value meets
+            return {name: _deref(node) for name, node in merged.items() if node != {"not": {}}}
+    return None
+
+
+def _fill(value, node):
+    """``value`` with the defaults of ``node``'s properties set where it lacks them, recursively."""
+    if isinstance(value, dict):
+        for name, prop in node.get("properties", {}).items():
+            prop = _deref(prop)
+            if name not in value and "default" in prop:
+                value[name] = copy.deepcopy(prop["default"])
+            _fill(value.get(name), prop)
+    return value
+
+
+def resolve_config(config):
+    """A copy of ``config`` with every schema default its experiment takes
+    filled in, into objects only.  A config that is not an object, or whose
+    experiment is unknown, is returned as it is, for the schema check to name."""
+    fields = _fields(config.get("experiment")) if isinstance(config, dict) else None
+    return config if fields is None else _fill(copy.deepcopy(config), {"properties": fields})
 
 
 def _nonfinite(value, path: str):
@@ -88,7 +127,9 @@ def _nonfinite(value, path: str):
 
 
 def validate_config(config: dict) -> list:
-    """Schema plus physics sanity; returns warnings, raises ConfigError."""
+    """Schema plus physics sanity of ``config`` as given (``run`` and
+    ``validate`` pass the :func:`resolve_config` copy); returns warnings,
+    raises ConfigError."""
     # imported on first use: `reproduce` validates no config
     import jsonschema
 
@@ -96,11 +137,10 @@ def validate_config(config: dict) -> list:
     # jsonschema.validate would also check the shipped schema against its
     # metaschema on every call; tests/test_cli.py checks it once
     validator = jsonschema.validators.validator_for(schema)(schema)
-    err = jsonschema.exceptions.best_match(validator.iter_errors(config))
-    if err is None and "params" not in config:
-        # a config without params reads as one with empty params, as the
-        # runners read it; this names the params it lacks
-        err = jsonschema.exceptions.best_match(validator.iter_errors({**config, "params": {}}))
+    # a wrong field is named before a missing one, which a block that
+    # resolution filled in (a config without params) may lack
+    key = lambda e: (e.validator != "required", *jsonschema.exceptions.relevance(e))
+    err = jsonschema.exceptions.best_match(validator.iter_errors(config), key=key)
     if err is not None:
         path = list(err.absolute_path)
         if err.validator == "additionalProperties":
@@ -109,8 +149,11 @@ def validate_config(config: dict) -> list:
         if err.validator == "required":
             # name the missing key itself, e.g. params/gamma_exp_mhz
             path.append(next(k for k in err.validator_value if k not in err.instance))
+        # {"not": {}} is how an experiment's clause refuses a field, e.g. seed for rabi
+        refused = err.validator == "not" and err.validator_value == {}
+        message = f"experiment {config['experiment']!r} takes no {path[-1]}" if refused else err.message
         path = "/".join(str(p) for p in path) or "<root>"
-        raise ConfigError(f"config field {path}: {err.message}") from err
+        raise ConfigError(f"config field {path}: {message}") from err
     bad = _nonfinite(config, "")
     if bad is not None:
         # Python's JSON parser reads NaN and Infinity, and no schema bound refuses nan
@@ -249,25 +292,27 @@ def _write_artifacts(out_dir: str, artifacts: dict, manifest: dict) -> None:
 
 
 def _apply_overrides(config, args):
-    """A copy of ``config`` with the command-line values set.  A config or a
+    """``config`` with the command-line values set in place; ConfigError
+    naming the flag when the experiment takes no such field.  A config or a
     ``params`` that is not an object is passed on unchanged, for the schema
     check to name."""
     if not isinstance(config, dict):
         return config
-    config = json.loads(json.dumps(config))
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.realizations is not None:
-        config["realizations"] = args.realizations
-    if args.omega_mhz is not None:
-        experiment = config.get("experiment")
+    fields = _fields(config.get("experiment"))
+    flags = (
+        ("--seed", None, "seed", args.seed),
+        ("--realizations", None, "realizations", args.realizations),
+        ("--omega-mhz", "params", "omega_mhz", args.omega_mhz),
+    )
+    for flag, block, name, value in flags:
+        if value is None:
+            continue
         # an unknown or missing experiment is left to the schema check
-        params = _load_schema()["definitions"].get(f"{experiment}_params")
-        if params is not None and "omega_mhz" not in params["properties"]:
-            raise ConfigError(f"--omega-mhz: experiment {experiment!r} takes no omega_mhz")
-        target = config.setdefault("params", {})
+        if fields is not None and name not in (fields[block]["properties"] if block else fields):
+            raise ConfigError(f"{flag}: experiment {config['experiment']!r} takes no {name}")
+        target = config.setdefault(block, {}) if block else config
         if isinstance(target, dict):
-            target["omega_mhz"] = args.omega_mhz
+            target[name] = value
     if args.out is not None:
         config["out_dir"] = args.out
     return config
@@ -313,7 +358,7 @@ def _compute_and_write(name: str, out_dir: str, compute, manifest: dict, quiet: 
 
 
 def _cmd_run(args) -> int:
-    config = _apply_overrides(_read_config(args.config), args)
+    config = _apply_overrides(resolve_config(_read_config(args.config)), args)
     for w in validate_config(config):
         print(f"warning: {w}", file=sys.stderr)
     experiment = config["experiment"]
@@ -322,7 +367,7 @@ def _cmd_run(args) -> int:
         artifacts, summary, record = experiments._EXPERIMENTS[experiment](config)
         return artifacts, [f"  {key} = {value}" for key, value in summary.items()], record
 
-    manifest = {"experiment": experiment, "config": config, "seed": config.get("seed", 0), "version": __version__}
+    manifest = {"experiment": experiment, "config": config, "seed": config.get("seed"), "version": __version__}
     out_dir = config.get("out_dir") or os.path.join(_out_root(), experiment)
     return _compute_and_write(experiment, out_dir, compute, manifest, args.quiet)
 
@@ -355,7 +400,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    warnings = validate_config(_read_config(args.config))
+    warnings = validate_config(resolve_config(_read_config(args.config)))
     print("ok")
     for w in warnings:
         print(f"warning: {w}")

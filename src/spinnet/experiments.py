@@ -3,8 +3,10 @@
 A preset is a set of ``run`` configs, executed by the same runners as
 ``run``, plus its comparison rows; only ``closed-form-chain`` and
 ``fig-2c``, which no experiment covers, call the physics themselves.
-This module loads numpy and the physics modules; ``spinnet.cli`` imports
-it only when a command computes.
+Every runner reads a config as :func:`spinnet.cli.resolve_config` returns
+it, with each default of the schema filled in, and every preset resolves
+the configs it runs.  This module loads numpy and the physics modules;
+``spinnet.cli`` imports it only when a command computes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import ConfigError, clusterdyn, fitkit, protocol, transport
+from .cli import resolve_config
 from .network import GenerationError, Placement
 
 _NUMERIC_ERRORS = (
@@ -30,45 +33,34 @@ _NUMERIC_ERRORS = (
 )
 
 
-def _params(config: dict) -> dict:
-    return config.get("params", {})
-
-
-def _density_p1(config: dict, default: float) -> float:
-    return config.get("network", {}).get("densities_ppm", {}).get("P1", default)
-
-
-def _placement(config: dict) -> Placement:
-    name = config.get("network", {}).get("placement", "diamond_lattice")
-    return Placement(name)
-
-
 def _fit_tail(res: fitkit.FitResult) -> dict:
     """The ``converged``/``nfev`` pair that ends every summary of a fitted number."""
     return {"converged": res.converged, "nfev": res.iterations}
 
 
 def _deer_config(density: float, seed: int, realizations: int) -> dict:
-    """The ``deer`` config at one bath density, every other field at its default."""
-    return {"experiment": "deer", "seed": seed, "realizations": realizations, "network": {"densities_ppm": {"P1": density}}}
+    """The resolved ``deer`` config at one bath density, every other field at its default."""
+    network = {"densities_ppm": {"P1": density}}
+    return resolve_config({"experiment": "deer", "seed": seed, "realizations": realizations, "network": network})
 
 
 def _echo_trace(config: dict, bath_pi: bool) -> tuple:
     """(density, trace) of the echo that ``deer`` and ``hahn`` run."""
-    density = _density_p1(config, 6.3)
+    network = config["network"]
+    density = network["densities_ppm"]["P1"]
     trace = clusterdyn.deer_trace(
         density,
-        n_realizations=config.get("realizations", 200),
-        n_bath=_params(config).get("n_bath", 5),
-        seed=config.get("seed", 0),
+        n_realizations=config["realizations"],
+        n_bath=config["params"]["n_bath"],
+        seed=config["seed"],
         bath_pi=bath_pi,
-        placement=_placement(config),
+        placement=Placement(network["placement"]),
     )
     return density, trace
 
 
 def _run_deer(config: dict) -> tuple:
-    density, trace = _echo_trace(config, _params(config).get("bath_pi", True))
+    density, trace = _echo_trace(config, config["params"]["bath_pi"])
     fit = clusterdyn.extract_dephasing_rate(trace)
     summary = {
         "density_ppm": density,
@@ -79,11 +71,7 @@ def _run_deer(config: dict) -> tuple:
         "beta": fit.beta,
         **_fit_tail(fit.fit),
     }
-    return (
-        {"deer_trace.csv": trace.to_csv(), "deer_fit.json": json.dumps(summary, indent=2)},
-        summary,
-        {},
-    )
+    return {"deer_trace.csv": trace.to_csv(), "deer_fit.json": json.dumps(summary, indent=2)}, summary, {}
 
 
 def _run_hahn(config: dict) -> tuple:
@@ -92,20 +80,13 @@ def _run_hahn(config: dict) -> tuple:
         "density_ppm": density,
         "max_refocus_deviation": float(np.max(np.abs(trace.signal - 1.0))),
     }
-    return (
-        {"hahn_trace.csv": trace.to_csv(), "hahn_summary.json": json.dumps(summary, indent=2)},
-        summary,
-        {},
-    )
+    return {"hahn_trace.csv": trace.to_csv(), "hahn_summary.json": json.dumps(summary, indent=2)}, summary, {}
 
 
 def _run_rabi(config: dict) -> tuple:
-    p = _params(config)
-    omega = p.get("omega_mhz", 5.0)
-    detuning = p.get("detuning_mhz", 0.0)
-    t_max = p.get("t_max_us", 2.0)
-    n_points = p.get("n_points", 256)
-    grid = np.linspace(0.0, t_max, n_points)
+    p = config["params"]
+    omega, detuning = p["omega_mhz"], p["detuning_mhz"]
+    grid = np.linspace(0.0, p["t_max_us"], p["n_points"])
     trace = clusterdyn.run_rabi(omega, grid, detuning_mhz=detuning)
     peak = clusterdyn.fft_peak(trace)
     summary = {
@@ -114,23 +95,19 @@ def _run_rabi(config: dict) -> tuple:
         "peak_mhz": peak,
         "expected_mhz": float(np.hypot(omega, detuning)),
     }
-    return (
-        {"rabi_trace.csv": trace.to_csv(), "rabi_summary.json": json.dumps(summary, indent=2)},
-        summary,
-        {},
-    )
+    return {"rabi_trace.csv": trace.to_csv(), "rabi_summary.json": json.dumps(summary, indent=2)}, summary, {}
 
 
 def _run_diffusion(config: dict) -> tuple:
-    p = _params(config)
+    p, network = config["params"], config["network"]
     res = transport.diffusion_scaling(
-        p.get("omega_mhz", 6.40),
-        density_ppm=_density_p1(config, 1.575),
-        n_list=tuple(p.get("n_list", (100, 200, 400, 800))),
-        n_realizations=config.get("realizations", 100),
-        w_mhz=config.get("network", {}).get("disorder_mhz", 1.36),
-        gamma_mhz=p.get("gamma_mhz", 0.15),
-        seed=config.get("seed", 0),
+        p["omega_mhz"],
+        density_ppm=network["densities_ppm"]["P1"],
+        n_list=tuple(p["n_list"]),
+        n_realizations=config["realizations"],
+        w_mhz=network["disorder_mhz"],
+        gamma_mhz=p["gamma_mhz"],
+        seed=config["seed"],
     )
     d_inf = res.extrapolation.d_inf_nm2_per_us
     summary = {
@@ -155,20 +132,16 @@ _CYCLE_FIELDS = {f.name for f in dataclasses.fields(protocol.CycleConfig)} - {"o
 
 
 def _protocol_config(p: dict, omega: float) -> protocol.CycleConfig:
-    """The CycleConfig at drive ``omega``; ``params`` keys that name its fields override its defaults."""
-    return protocol.CycleConfig(omega_mhz=omega, **{k: v for k, v in p.items() if k in _CYCLE_FIELDS})
+    """The CycleConfig at drive ``omega``, every other field from the resolved ``params``."""
+    return protocol.CycleConfig(omega_mhz=omega, **{k: p[k] for k in _CYCLE_FIELDS})
 
 
 def _run_protocol(config: dict) -> tuple:
-    p = _params(config)
-    omega = p.get("omega_mhz", 6.40)
-    seed = config.get("seed", 0)
-    n_p1 = p.get("n_p1", 120)
-    w = config.get("network", {}).get("disorder_mhz", 1.36)
+    p = config["params"]
+    omega, seed, n_p1 = p["omega_mhz"], config["seed"], p["n_p1"]
+    w = config["network"]["disorder_mhz"]
     factory = lambda r: protocol.protocol_network(n_p1=n_p1, w_mhz=w, seed=seed, realization=r)
-    (res,) = protocol.run_iterative_protocol(
-        factory, [_protocol_config(p, omega)], n_realizations=config.get("realizations", 100)
-    )
+    (res,) = protocol.run_iterative_protocol(factory, [_protocol_config(p, omega)], config["realizations"])
     sat = res.saturation
     # P_sat is the saturation fit's amp, N_sat its tau
     summary = {
@@ -180,25 +153,19 @@ def _run_protocol(config: dict) -> tuple:
         "n_realizations": res.n_realizations,
         **_fit_tail(sat),
     }
-    return (
-        {
-            "protocol_trajectory.csv": res.to_csv(),
-            "protocol_summary.json": json.dumps(summary, indent=2),
-        },
-        summary,
-        {},
-    )
+    artifacts = {"protocol_trajectory.csv": res.to_csv(), "protocol_summary.json": json.dumps(summary, indent=2)}
+    return artifacts, summary, {}
 
 
 def _run_crossover(config: dict) -> tuple:
-    p = _params(config)
-    omegas = p.get("omegas_mhz", [0.5, 1.0, 2.0, 3.2, 6.4, 10.0])
+    p = config["params"]
+    omegas = p["omegas_mhz"]
     p_sat, p_sig, cross = protocol.saturation_sweep(
         [_protocol_config(p, float(o)) for o in omegas],
-        n_realizations=config.get("realizations", 100),
-        n_p1=p.get("n_p1", 120),
-        seed=config.get("seed", 0),
-        w_mhz=config.get("network", {}).get("disorder_mhz", 1.36),
+        n_realizations=config["realizations"],
+        n_p1=p["n_p1"],
+        seed=config["seed"],
+        w_mhz=config["network"]["disorder_mhz"],
     )
     # A_inf and W are the crossover fit's a_inf and w
     summary = {
@@ -210,30 +177,23 @@ def _run_crossover(config: dict) -> tuple:
         "W_sigma": cross.sigma("w"),
         **_fit_tail(cross),
     }
-    return (
-        {
-            "crossover_table.csv": fitkit.csv_text(("omega_MHz", "P_sat", "P_sat_sigma"), omegas, p_sat, p_sig),
-            "crossover_summary.json": json.dumps(summary, indent=2),
-        },
-        summary,
-        {},
-    )
+    table = fitkit.csv_text(("omega_MHz", "P_sat", "P_sat_sigma"), omegas, p_sat, p_sig)
+    return {"crossover_table.csv": table, "crossover_summary.json": json.dumps(summary, indent=2)}, summary, {}
 
 
 def _run_concentration(config: dict) -> tuple:
-    p = _params(config)
-    densities = p.get("calibration_densities_ppm", [1.6, 3.2, 6.3, 12.6])
-    seed = config.get("seed", 0)
-    fits = [_run_deer(_deer_config(d, seed, config.get("realizations", 200)))[1] for d in densities]
+    p = config["params"]
+    densities, seed = p["calibration_densities_ppm"], config["seed"]
+    fits = [_run_deer(_deer_config(d, seed, config["realizations"]))[1] for d in densities]
     rates = [fit["rate_mhz"] for fit in fits]
     sigmas = [fit["rate_sigma"] for fit in fits]
     calibration = clusterdyn.calibrate_alpha(densities, rates, rate_sigmas=sigmas)
     alpha, alpha_sigma = calibration["slope"], calibration.sigma("slope")
     # K: the dephasing per addressed spectral group at 1 ppm total density
-    fraction = p.get("addressed_fraction", 0.25)
+    fraction = p["addressed_fraction"]
     k, k_sigma = alpha * fraction, alpha_sigma * fraction
     est = clusterdyn.estimate_concentration(
-        p["gamma_exp_mhz"], p.get("gamma_sigma_mhz", 0.0), k, k_sigma, n_mc=p.get("n_mc", 10_000), seed=seed
+        p["gamma_exp_mhz"], p["gamma_sigma_mhz"], k, k_sigma, n_mc=p["n_mc"], seed=seed
     )
     summary = {
         "alpha_mhz_per_ppm": alpha,
@@ -244,7 +204,7 @@ def _run_concentration(config: dict) -> tuple:
         "density_sigma_ppm": est.sigma_ppm,
         "rejection_warning": est.rejection_warning,
     }
-    return ({"concentration_summary.json": json.dumps(summary, indent=2)}, summary, {})
+    return {"concentration_summary.json": json.dumps(summary, indent=2)}, summary, {}
 
 
 _FIT_MODELS = {
@@ -257,10 +217,9 @@ _FIT_MODELS = {
 
 
 def _run_fit(config: dict) -> tuple:
-    p = _params(config)
-    model_name = p["model"]
+    p = config["params"]
+    model_name, p0 = p["model"], p["p0"]
     model = _FIT_MODELS[model_name]
-    p0 = p.get("p0")
     if p0 is not None and len(p0) != len(model.param_names):
         raise ConfigError(
             f"config field params/p0: {len(p0)} values for the {len(model.param_names)} "
@@ -307,7 +266,7 @@ def _run_fit(config: dict) -> tuple:
         "residual_norm": res.residual_norm,
         "converged": res.converged,
     }
-    return ({"fit_report.json": json.dumps(summary, indent=2)}, summary, {})
+    return {"fit_report.json": json.dumps(summary, indent=2)}, summary, {}
 
 
 # each runner returns (artifacts, the summary printed to the terminal,
@@ -333,7 +292,7 @@ def _row(quantity: str, simulated: str, target: str, within: Optional[bool], *co
     return quantity, f"{simulated} (fit stalled)", target, None
 
 
-# each preset maps (realizations, seed) to (the `run` configs it executed
+# each preset maps (realizations, seed) to (the resolved `run` configs it executed
 # through their experiments' runners, artifacts, comparison rows,
 # manifest-only diagnostics)
 def _closed_form_chain(realizations: int, seed: int) -> tuple:
@@ -384,8 +343,8 @@ def _fig_s2(realizations: int, seed: int) -> tuple:
 def _fig_s3(realizations: int, seed: int) -> tuple:
     """Diffusion coefficient versus drive amplitude, with size extrapolation: ``diffusion`` per drive."""
     configs = [
-        {"experiment": "diffusion", "seed": seed, "realizations": realizations,
-         "params": {"omega_mhz": omega, "n_list": [100, 200]}}
+        resolve_config({"experiment": "diffusion", "seed": seed, "realizations": realizations,
+                        "params": {"omega_mhz": omega, "n_list": [100, 200]}})
         for omega in (2.0, 6.40, 20.0)
     ]
     runs = [_run_diffusion(config) for config in configs]
@@ -410,8 +369,8 @@ def _fig_s3(realizations: int, seed: int) -> tuple:
 
 def _fig_s4a(realizations: int, seed: int) -> tuple:
     """Per-cycle polarization buildup and its saturation fit: ``protocol`` at 6.40 MHz."""
-    config = {"experiment": "protocol", "seed": seed, "realizations": realizations,
-              "params": {"omega_mhz": 6.40, "n_p1": 120}}
+    config = resolve_config({"experiment": "protocol", "seed": seed, "realizations": realizations,
+                             "params": {"omega_mhz": 6.40, "n_p1": 120}})
     artifacts, s, _ = _run_protocol(config)
     rows = [
         _row("N_sat (cycles)", f"{s['N_sat']:.2f}", "3 (band 2-4)", 2.0 <= s["N_sat"] <= 4.0, s["converged"]),
@@ -422,8 +381,8 @@ def _fig_s4a(realizations: int, seed: int) -> tuple:
 
 def _fig_s4b(realizations: int, seed: int) -> tuple:
     """Saturation amplitude versus drive and the disorder crossover fit: ``crossover`` over eight drives."""
-    config = {"experiment": "crossover", "seed": seed, "realizations": realizations,
-              "params": {"omegas_mhz": [0.5, 1.0, 2.0, 3.2, 6.4, 10.0, 20.0, 40.0], "n_p1": 120}}
+    config = resolve_config({"experiment": "crossover", "seed": seed, "realizations": realizations,
+                             "params": {"omegas_mhz": [0.5, 1.0, 2.0, 3.2, 6.4, 10.0, 20.0, 40.0], "n_p1": 120}})
     artifacts, s, _ = _run_crossover(config)
     rows = [
         _row("P_inf (asymptote)", f"{s['A_inf']:.4f}", "0.179 (band 0.12-0.24)", 0.12 <= s["A_inf"] <= 0.24, s["converged"]),

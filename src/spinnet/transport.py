@@ -526,9 +526,6 @@ def msd(traj: Trajectory, positions_nm, source_index: int) -> MsdCurve:
 class DiffusionResult:
     d_nm2_per_us: float
     sigma: float
-    window_t_us: tuple
-    window_msd_nm2: tuple
-    n_window_points: int
     fit: fitkit.FitResult
 
 
@@ -561,9 +558,6 @@ def extract_diffusion(curve: MsdCurve, d_avg_nm: float, box_nm: float) -> Diffus
     return DiffusionResult(
         d_nm2_per_us=res["slope"] / 6.0,
         sigma=res.sigma("slope") / 6.0,
-        window_t_us=(float(t.min()), float(t.max())),
-        window_msd_nm2=(lo, hi),
-        n_window_points=int(inside.sum()),
         fit=res,
     )
 

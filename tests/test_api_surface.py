@@ -181,6 +181,68 @@ def test_every_cycle_field_is_a_schema_param(experiment):
     assert not missing, f"CycleConfig fields that {experiment} params cannot set: {missing}"
 
 
+def resolved_default(experiment, path):
+    """The value at ``path`` of the resolved minimal ``experiment`` config."""
+    from spinnet import cli
+
+    value = cli.resolve_config({"experiment": experiment})
+    for key in path.split("/"):
+        value = value[key]
+    return value
+
+
+def library_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def mirrored_defaults() -> list:
+    """(schema field, its resolved default, the library default it mirrors)."""
+    from spinnet import clusterdyn, network, protocol, transport
+
+    pairs = [
+        ("protocol", "params/n_p1", protocol.protocol_network, "n_p1"),
+        ("protocol", "network/disorder_mhz", protocol.protocol_network, "w_mhz"),
+        ("crossover", "realizations", protocol.saturation_sweep, "n_realizations"),
+        ("crossover", "params/n_p1", protocol.saturation_sweep, "n_p1"),
+        ("crossover", "network/disorder_mhz", protocol.saturation_sweep, "w_mhz"),
+        ("deer", "realizations", clusterdyn.deer_trace, "n_realizations"),
+        ("deer", "params/n_bath", clusterdyn.deer_trace, "n_bath"),
+        ("deer", "params/bath_pi", clusterdyn.deer_trace, "bath_pi"),
+        ("diffusion", "network/densities_ppm/P1", transport.diffusion_scaling, "density_ppm"),
+        ("diffusion", "params/n_list", transport.diffusion_scaling, "n_list"),
+        ("diffusion", "realizations", transport.diffusion_scaling, "n_realizations"),
+        ("diffusion", "network/disorder_mhz", transport.diffusion_scaling, "w_mhz"),
+        ("diffusion", "params/gamma_mhz", transport.diffusion_scaling, "gamma_mhz"),
+        ("concentration", "params/n_mc", clusterdyn.estimate_concentration, "n_mc"),
+        ("rabi", "params/detuning_mhz", clusterdyn.run_rabi, "detuning_mhz"),
+    ]
+    rows = [
+        (f"{e}:{path}", resolved_default(e, path), library_default(fn, name))
+        for e, path, fn, name in pairs
+    ]
+    placement = resolved_default("deer", "network/placement")
+    rows.append(("deer:network/placement", network.Placement(placement), library_default(clusterdyn.deer_trace, "placement")))
+    cycle = [f for f in dataclasses.fields(protocol.CycleConfig) if f.name != "omega_mhz"]
+    rows += [
+        (f"{e}:params/{f.name}", resolved_default(e, f"params/{f.name}"), f.default) for e in CYCLE_EXPERIMENTS for f in cycle
+    ]
+    return rows
+
+
+def test_every_schema_default_equals_the_library_default_it_mirrors():
+    # the schema is the one home of the run-config defaults; the library
+    # keeps its own for the tests and fig-2c, and they must not drift apart
+    def typed(value):
+        # the type counts (6.0 and 6 write different bytes), except that a
+        # JSON array reads as a list where the library default is a tuple
+        if isinstance(value, (list, tuple)):
+            return tuple(map(typed, value))
+        return type(value).__name__, value
+
+    drift = [(field, schema, library) for field, schema, library in mirrored_defaults() if typed(schema) != typed(library)]
+    assert not drift, f"schema default != library default: {drift}"
+
+
 def test_benchmark_wrap_points_exist():
     # perfbench/ is outside the default test paths; load its tracer by path
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -228,6 +290,12 @@ FOOTPRINT_CASES = {
     "reproduce-unknown-tag": ("assert cli.main(['reproduce', 'no-such-tag']) == 2", None, NOT_COMPUTING),
     "run-diffusion": (RUN, DIFFUSION, ("scipy.optimize",)),
     "run-rabi": (RUN, RABI, ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg")),
+    # the presets resolve their configs without the validator
+    "reproduce-fig-s4a": (
+        "assert cli.main(['reproduce', 'fig-s4a', '--realizations', '1', '--out', out, '--quiet']) == 0",
+        None,
+        ("jsonschema",),
+    ),
 }
 
 

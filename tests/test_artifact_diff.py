@@ -164,4 +164,13 @@ def test_run_artifacts_writes_run_outputs(tmp_path, capsys):
         artifact_diff.run_artifacts(src, tmp_path / side, tags=(), seeds=(1,), runs=runs)
     rows, verdict = artifact_diff.compare_trees(tmp_path / "parent", tmp_path / "change")
     assert verdict == artifact_diff.IDENTICAL
-    assert {str(rel) for rel, _, _ in rows} == {"run-rabi/seed1/rabi_trace.csv", "run-rabi/seed1/rabi_summary.json"}
+    # rabi draws nothing and takes no seed, so it runs once
+    assert {str(rel) for rel, _, _ in rows} == {"run-rabi/rabi_trace.csv", "run-rabi/rabi_summary.json"}
+
+
+def test_seedless_runs_are_the_experiments_that_take_no_seed():
+    from spinnet import cli, experiments
+
+    # a seedless run gets no --seed, which the experiments that draw nothing refuse
+    takes_no_seed = {e for e in experiments._EXPERIMENTS if "seed" not in cli.resolve_config({"experiment": e})}
+    assert set(artifact_diff.SEEDLESS) == takes_no_seed

@@ -18,6 +18,15 @@ def write_config(tmp_path, config, name="config.json"):
     return str(path)
 
 
+# experiments that draw nothing: the schema refuses a seed and a realization count for them
+DRAW_NOTHING = ("rabi", "fit")
+
+
+def one_realization(experiment):
+    """The realization count that keeps a run of ``experiment`` small, where it takes one."""
+    return {} if experiment in DRAW_NOTHING else {"realizations": 1}
+
+
 def test_validate_ok(tmp_path, capsys):
     path = write_config(tmp_path, {"experiment": "rabi", "params": {"omega_mhz": 5.0}})
     assert cli.main(["validate", path]) == 0
@@ -66,7 +75,7 @@ IGNORED_NETWORK_FIELDS = [
 )
 def test_ignored_network_field_is_config_error(tmp_path, capsys, experiment, network, field):
     # no runner reads these, so a config that sets one must not run silently
-    config = {"experiment": experiment, "realizations": 1, "network": network}
+    config = {"experiment": experiment, **one_realization(experiment), "network": network}
     path = write_config(tmp_path, config)
     assert cli.main(["run", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"config field {field}:" in capsys.readouterr().err
@@ -160,9 +169,7 @@ def test_unknown_tag_lists_valid_tags(capsys):
 
 
 def test_run_rabi_writes_artifacts_and_manifest(tmp_path):
-    path = write_config(
-        tmp_path, {"experiment": "rabi", "seed": 1, "params": {"omega_mhz": 6.40, "t_max_us": 2.0}}
-    )
+    path = write_config(tmp_path, {"experiment": "rabi", "params": {"omega_mhz": 6.40, "t_max_us": 2.0}})
     out = tmp_path / "out"
     assert cli.main(["run", path, "--out", str(out), "--quiet"]) == 0
     assert (out / "rabi_trace.csv").exists()
@@ -170,7 +177,8 @@ def test_run_rabi_writes_artifacts_and_manifest(tmp_path):
     assert abs(summary["peak_mhz"] - 6.40) < 0.5
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["experiment"] == "rabi"
-    assert manifest["seed"] == 1
+    # rabi draws nothing, so neither the manifest nor its config holds a seed
+    assert manifest["seed"] is None and "seed" not in manifest["config"]
     assert manifest["config"]["params"]["omega_mhz"] == 6.40
     assert "version" in manifest and "wall_time_s" in manifest
 
@@ -212,6 +220,77 @@ def test_omega_flag_rejected_where_experiment_has_no_drive(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--omega-mhz" in err and "deer" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", DRAW_NOTHING)
+@pytest.mark.parametrize("field", ["seed", "realizations"])
+def test_experiment_that_draws_nothing_refuses_a_seed_and_a_count(tmp_path, capsys, experiment, field):
+    # a seed or a count these runs accepted would be recorded and ignored
+    params = {"rabi": {"n_points": 16}, "fit": {"model": "exp_saturation", "data_csv": "d.csv"}}[experiment]
+    path = write_config(tmp_path, {"experiment": experiment, "params": params})
+    out = tmp_path / "o"
+    assert cli.main(["run", path, f"--{field}", "9", "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: --{field}: experiment {experiment!r} takes no {field}\n"
+    path = write_config(tmp_path, {"experiment": experiment, field: 9, "params": params})
+    for argv in (["validate", path], ["run", path, "--out", str(out), "--quiet"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: config field {field}:")
+    assert not out.exists()
+
+
+def test_resolve_fills_only_the_objects_the_experiment_takes():
+    config = {"experiment": "protocol", "params": [1], "network": {}}
+    resolved = cli.resolve_config(config)
+    # a params that is not an object stays for the schema check to name
+    assert resolved["params"] == [1] and resolved["network"] == {"disorder_mhz": 1.36}
+    assert resolved["seed"] == 0 and resolved["realizations"] == 100
+    assert config == {"experiment": "protocol", "params": [1], "network": {}}
+    # rabi takes no seed, no count and no network block
+    assert cli.resolve_config({"experiment": "rabi"}) == {
+        "experiment": "rabi",
+        "params": {"omega_mhz": 5.0, "detuning_mhz": 0.0, "t_max_us": 2.0, "n_points": 256},
+    }
+    for config in ({"experiment": "teleport"}, {}, [1], "x"):
+        assert cli.resolve_config(config) == config
+    # the schema is read once per process, and a resolved config shares none of it
+    cli.resolve_config({"experiment": "diffusion"})["params"]["n_list"].append(1600)
+    assert cli.resolve_config({"experiment": "diffusion"})["params"]["n_list"] == [100, 200, 400, 800]
+    assert cli._load_schema() is cli._load_schema()
+
+
+# A small config of every experiment, the fields it does not set at their defaults
+MINIMAL_CONFIGS = {
+    "deer": {"experiment": "deer", "realizations": 8, "params": {"n_bath": 3}},
+    "rabi": {"experiment": "rabi", "params": {"n_points": 32}},
+    "hahn": {"experiment": "hahn", "realizations": 4, "params": {"n_bath": 3}},
+    "diffusion": {"experiment": "diffusion", "realizations": 1, "params": {"n_list": [50, 100]}},
+    "protocol": {"experiment": "protocol", "realizations": 2, "params": {"n_p1": 20, "n_cycles": 6}},
+    "crossover": {"experiment": "crossover", "realizations": 2,
+                  "params": {"n_p1": 20, "n_cycles": 6, "omegas_mhz": [1.0, 6.4, 20.0]}},
+    "concentration": {"experiment": "concentration", "realizations": 8,
+                      "params": {"gamma_exp_mhz": 0.6, "calibration_densities_ppm": [2.4, 6.3], "n_mc": 200}},
+    "fit": {"experiment": "fit", "params": {"model": "exp_saturation", "data_csv": "data.csv"}},
+}
+
+
+@pytest.mark.parametrize("experiment", MINIMAL_CONFIGS)
+def test_manifest_config_reruns_to_the_same_bytes(tmp_path, monkeypatch, experiment):
+    # the manifest records the config with every default filled in, and
+    # running that config writes what the minimal one wrote
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("x,y\n1,0.037\n2,0.064\n3,0.088\n4,0.104\n6,0.121\n10,0.140\n")
+    config = MINIMAL_CONFIGS[experiment]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["run", write_config(tmp_path, config), "--out", str(first), "--quiet"]) == 0
+    recorded = json.loads((first / "manifest.json").read_text())["config"]
+    assert recorded == cli.resolve_config({**config, "out_dir": str(first)})
+    path = write_config(tmp_path, recorded, "recorded.json")
+    assert cli.main(["run", path, "--out", str(second), "--quiet"]) == 0
+    assert json.loads((second / "manifest.json").read_text())["config"] == {**recorded, "out_dir": str(second)}
+    names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+    assert names and names == sorted(p.name for p in second.iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_crossover_uses_configured_disorder(tmp_path, monkeypatch):
@@ -316,7 +395,7 @@ def test_misspelt_param_is_config_error(tmp_path, monkeypatch, capsys, experimen
 )
 def test_out_of_range_param_is_config_error(tmp_path, capsys, experiment, params, field):
     block = field.split("/")[0]
-    config = {"experiment": experiment, "realizations": 1, block: params}
+    config = {"experiment": experiment, **one_realization(experiment), block: params}
     path = write_config(tmp_path, config)
     assert cli.main(["run", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"config field {field}:" in capsys.readouterr().err

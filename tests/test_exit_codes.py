@@ -22,6 +22,13 @@ NETWORKS = {
     for rule in SCHEMA["allOf"]
 }
 
+# the experiments whose clause refuses a seed and a realization count
+DRAW_NOTHING = {
+    rule["if"]["properties"]["experiment"]["const"]
+    for rule in SCHEMA["allOf"]
+    if rule["then"]["properties"].get("seed") == {"not": {}}
+}
+
 # Sizes are capped small so that an example costs milliseconds; every other
 # bound is the schema's.  Unbounded numbers are drawn up to FLOAT_MAX, and
 # the mutations below reach past it.
@@ -99,9 +106,11 @@ def configs(draw, csv_path):
     experiment = draw(st.sampled_from(EXPERIMENTS))
     params_def = DEFS[f"{experiment}_params"]
     network_def = DEFS[NETWORKS[experiment]]
-    # the realization count is always drawn: its defaults (100-200) are not small
-    config = {"experiment": experiment, "realizations": draw(value("realizations", SCHEMA["properties"]["realizations"], csv_path))}
-    config.update(draw(fields({"properties": {"seed": SCHEMA["properties"]["seed"]}}, csv_path)))
+    config = {"experiment": experiment}
+    if experiment not in DRAW_NOTHING:
+        # the realization count is always drawn: its defaults (100-200) are not small
+        config["realizations"] = draw(value("realizations", SCHEMA["properties"]["realizations"], csv_path))
+        config.update(draw(fields({"properties": {"seed": SCHEMA["properties"]["seed"]}}, csv_path)))
     config["params"] = draw(fields(params_def, csv_path))
     config["network"] = draw(fields(network_def, csv_path))
     if experiment == "concentration" and draw(st.booleans()):

@@ -280,7 +280,7 @@ def _diffusion_scaling(sigma, monkeypatch):
     fits = iter(zip(ds, sigma))
     monkeypatch.setattr(
         transport, "extract_diffusion",
-        lambda curve, d_avg, box: transport.DiffusionResult(*next(fits), (0, 1), (0, 1), 2, None),
+        lambda curve, d_avg, box: transport.DiffusionResult(*next(fits), None),
     )
     return transport.diffusion_scaling(6.4, n_list=(100, 200, 400, 800), n_realizations=2).extrapolation.fit.params
 

@@ -7,7 +7,8 @@ the six presets and the small ``run`` configs of ``RUN_CONFIGS`` (every
 experiment, a one-realization protocol run whose CSV has no SEM columns,
 a protocol run with every cycle parameter set, DEER on 8-site lattice
 clusters and on continuum clusters, and a one-realization diffusion run
-over box sizes out of order) run at seeds 0-3 in
+over box sizes out of order) run at seeds 0-3, except the ``rabi`` and
+``fit`` configs, which draw nothing, take no seed and run once, all in
 one fresh interpreter with every BLAS and OpenMP pool pinned to 1 thread
 (the transport and protocol outputs depend on the thread count).  The
 interpreter starts in the directory that holds the configs and
@@ -45,6 +46,8 @@ from pathlib import Path
 
 TAGS = ("closed-form-chain", "fig-s2", "fig-s3", "fig-s4a", "fig-s4b", "fig-2c")
 SEEDS = (0, 1, 2, 3)
+# experiments that draw nothing and refuse --seed: their configs run once
+SEEDLESS = ("rabi", "fit")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # exit statuses; a lower one outranks a higher one among 1 and 3
 IDENTICAL, DIFFERS, FAILED, ADDED_KEYS = 0, 1, 2, 3
@@ -144,13 +147,14 @@ import json
 import sys
 from spinnet.cli import main
 out, tags, seeds, runs = sys.argv[1], sys.argv[2].split(","), sys.argv[3].split(","), json.loads(sys.argv[4])
-jobs = [(tag, ["reproduce", tag]) for tag in filter(None, tags)]
-jobs += [("run-" + name, ["run", path]) for name, path in runs.items()]
-for name, argv in jobs:
-    for seed in seeds:
-        code = main(argv + ["--seed", seed, "--quiet", "--out", f"{out}/{name}/seed{seed}"])
+jobs = [(tag, ["reproduce", tag], True) for tag in filter(None, tags)]
+jobs += [("run-" + name, ["run", path], seeded) for name, (path, seeded) in runs.items()]
+for name, argv, seeded in jobs:
+    for seed in seeds if seeded else [None]:
+        flags, where = (["--seed", seed], f"{name}/seed{seed}") if seeded else ([], name)
+        code = main(argv + flags + ["--quiet", "--out", f"{out}/{where}"])
         if code != 0:
-            sys.exit(f"{name} --seed {seed} exited {code}")
+            sys.exit(f"{where} exited {code}")
 """
 
 
@@ -164,14 +168,16 @@ def package_root(path: str) -> Path:
 
 
 def run_artifacts(src: Path, out: Path, tags=TAGS, seeds=SEEDS, runs=RUN_CONFIGS) -> None:
-    """Write every preset of ``tags`` and every config of ``runs`` at each seed under ``out``."""
+    """Write every preset of ``tags`` and every config of ``runs`` under ``out``, at each
+    seed unless its experiment is :data:`SEEDLESS`."""
     env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
     with tempfile.TemporaryDirectory(prefix="artifact_configs_") as config_dir:
         paths = {name: os.path.join(config_dir, f"{name}.json") for name in runs}
         for name, config in runs.items():
             Path(paths[name]).write_text(json.dumps(config))
         Path(config_dir, FIT_DATA).write_text(FIT_CSV)
-        argv = [_RUN_ALL, str(Path(out).resolve()), ",".join(tags), ",".join(map(str, seeds)), json.dumps(paths)]
+        jobs = {name: (paths[name], config["experiment"] not in SEEDLESS) for name, config in runs.items()}
+        argv = [_RUN_ALL, str(Path(out).resolve()), ",".join(tags), ",".join(map(str, seeds)), json.dumps(jobs)]
         subprocess.run([sys.executable, "-c", *argv], env=env, check=True, cwd=config_dir)
 
 
