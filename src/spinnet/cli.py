@@ -15,7 +15,9 @@ config, the seed (null for ``rabi`` and ``fit``, which draw nothing),
 the package version, the wall time and the creation time; ``reproduce``
 writes the preset tag, the realization count it ran with, the seed, the
 version, the times and under ``configs`` the resolved ``run`` configs
-the preset executed.  Both record the environment the transport and
+the preset executed; ``fig-2c``, which executes none, records under
+``readout_config`` the resolved ``protocol`` config whose networks and
+cycle its readout runs on.  Both record the environment the transport and
 protocol bytes depend on: the numpy and scipy versions, the CPU count,
 the caller's BLAS thread variables, the most realization workers the
 command ran (``fitkit.map_realizations``) and the allocator settings it

@@ -5,8 +5,10 @@ A preset is a set of ``run`` configs, executed by the same runners as
 ``fig-2c``, which no experiment covers, call the physics themselves.
 Every runner reads a config as :func:`spinnet.cli.resolve_config` returns
 it, with each default of the schema filled in, and every preset resolves
-the configs it runs.  This module loads numpy and the physics modules;
-``spinnet.cli`` imports it only when a command computes.
+the configs it runs: ``fig-2c`` reads its networks and cycle from the
+resolved ``protocol`` config and records it as ``readout_config``.  This
+module loads numpy and the physics modules; ``spinnet.cli`` imports it
+only when a command computes.
 """
 
 from __future__ import annotations
@@ -136,12 +138,18 @@ def _protocol_config(p: dict, omega: float) -> protocol.CycleConfig:
     return protocol.CycleConfig(omega_mhz=omega, **{k: p[k] for k in _CYCLE_FIELDS})
 
 
-def _run_protocol(config: dict) -> tuple:
-    p = config["params"]
-    omega, seed, n_p1 = p["omega_mhz"], config["seed"], p["n_p1"]
-    w = config["network"]["disorder_mhz"]
+def _protocol_inputs(config: dict) -> tuple:
+    """(network factory, CycleConfig) of a resolved ``protocol`` config."""
+    p, seed = config["params"], config["seed"]
+    n_p1, w = p["n_p1"], config["network"]["disorder_mhz"]
     factory = lambda r: protocol.protocol_network(n_p1=n_p1, w_mhz=w, seed=seed, realization=r)
-    (res,) = protocol.run_iterative_protocol(factory, [_protocol_config(p, omega)], config["realizations"])
+    return factory, _protocol_config(p, p["omega_mhz"])
+
+
+def _run_protocol(config: dict) -> tuple:
+    omega = config["params"]["omega_mhz"]
+    factory, cycle = _protocol_inputs(config)
+    (res,) = protocol.run_iterative_protocol(factory, [cycle], config["realizations"])
     sat = res.saturation
     # P_sat is the saturation fit's amp, N_sat its tau
     summary = {
@@ -369,8 +377,7 @@ def _fig_s3(realizations: int, seed: int) -> tuple:
 
 def _fig_s4a(realizations: int, seed: int) -> tuple:
     """Per-cycle polarization buildup and its saturation fit: ``protocol`` at 6.40 MHz."""
-    config = resolve_config({"experiment": "protocol", "seed": seed, "realizations": realizations,
-                             "params": {"omega_mhz": 6.40, "n_p1": 120}})
+    config = resolve_config({"experiment": "protocol", "seed": seed, "realizations": realizations})
     artifacts, s, _ = _run_protocol(config)
     rows = [
         _row("N_sat (cycles)", f"{s['N_sat']:.2f}", "3 (band 2-4)", 2.0 <= s["N_sat"] <= 4.0, s["converged"]),
@@ -382,7 +389,7 @@ def _fig_s4a(realizations: int, seed: int) -> tuple:
 def _fig_s4b(realizations: int, seed: int) -> tuple:
     """Saturation amplitude versus drive and the disorder crossover fit: ``crossover`` over eight drives."""
     config = resolve_config({"experiment": "crossover", "seed": seed, "realizations": realizations,
-                             "params": {"omegas_mhz": [0.5, 1.0, 2.0, 3.2, 6.4, 10.0, 20.0, 40.0], "n_p1": 120}})
+                             "params": {"omegas_mhz": [0.5, 1.0, 2.0, 3.2, 6.4, 10.0, 20.0, 40.0]}})
     artifacts, s, _ = _run_crossover(config)
     rows = [
         _row("P_inf (asymptote)", f"{s['A_inf']:.4f}", "0.179 (band 0.12-0.24)", 0.12 <= s["A_inf"] <= 0.24, s["converged"]),
@@ -392,9 +399,10 @@ def _fig_s4b(realizations: int, seed: int) -> tuple:
 
 
 def _fig_2c(realizations: int, seed: int) -> tuple:
-    """Differential readout transient and its equilibration time."""
-    factory = lambda r: protocol.protocol_network(n_p1=120, seed=seed, realization=r)
-    eq = protocol.readout_equilibration(factory, protocol.CycleConfig(omega_mhz=6.40), realizations)
+    """Differential readout transient and its equilibration time, on the
+    networks and cycle of the resolved ``protocol`` config that ``fig-s4a`` runs."""
+    config = resolve_config({"experiment": "protocol", "seed": seed, "realizations": realizations})
+    eq = protocol.readout_equilibration(*_protocol_inputs(config), realizations)
     # tau_eq is the saturation fit's tau, the amplitude its amp
     s = {
         "tau_eq_us": eq.fit["tau"],
@@ -410,8 +418,8 @@ def _fig_2c(realizations: int, seed: int) -> tuple:
         "fig_2c_delta_c.csv": fitkit.csv_text(("t_us", "delta_c"), eq.times_us, eq.delta_c),
         "fig_2c_summary.json": json.dumps(s, indent=2),
     }
-    return [], artifacts, rows, {}
-
+    # no `run` config executes; the readout's settings are a manifest-only record
+    return [], artifacts, rows, {"readout_config": config}
 
 
 # tag -> preset; the tags and their default realization counts are

@@ -28,8 +28,6 @@ __all__ = [
     "SpinNetwork",
     "SPECIES",
     "species_code",
-    "centred_source",
-    "centred_draw",
     "centred_box",
     "GenerationError",
     "EXCLUSION_NM",
@@ -226,53 +224,39 @@ class SpinNetwork:
         return int(self.indices_of(species).size)
 
 
-def centred_source(base: SpinNetwork, realization: int) -> SpinNetwork:
-    """One NV at the centre of ``base``'s box (site 0) plus ``base``'s sites as P1.
-
-    Every site carries axis 0 and subgroup 0 (the addressed group) and a
-    zero detuning; the result keeps ``base.spec``.
-    """
-    n = base.n_sites + 1
-    positions = np.empty((n, 3))
-    positions[0] = base.spec.box_nm / 2
-    positions[1:] = base.positions
-    species = np.full(n, species_code(Species.P1))
-    species[0] = species_code(Species.NV)
-    zeros = np.zeros(n, dtype=np.intp)
-    return SpinNetwork(base.spec, positions, species, zeros, zeros, np.zeros(n), realization)
-
-
-def centred_draw(spec: EnsembleSpec, realization: int, generate) -> SpinNetwork:
-    """:func:`centred_source` of the first draw of ``spec`` that leaves the
-    box centre clear: no site within :data:`EXCLUSION_NM` of it.
-
-    Draw k is ``generate(spec, realization=realization + 1000 * k)``;
-    after 100 draws :class:`GenerationError` is raised.  Callers pass
-    :func:`generate_network` as their module sees it, so a wrapper put on
-    that name (the benchmark tracer's) sees every draw.
-    """
-    center = np.full(3, spec.box_nm / 2)
-    for attempt in range(100):
-        base = generate(spec, realization=realization + 1000 * attempt)
-        if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < EXCLUSION_NM:
-            continue
-        return centred_source(base, realization)
-    raise GenerationError("could not place the source away from the bath in 100 attempts")
-
-
 def centred_box(
     density_ppm: float, n_bath: int, placement: Placement, seed: int, realization: int, generate
 ) -> SpinNetwork:
-    """:func:`centred_draw` of the box that holds ``n_bath`` P1 at
-    ``density_ppm`` (:func:`box_side`), placed by ``placement``: the
-    transport box and the DEER cluster.  ``generate`` is passed on."""
+    """One NV at the centre of the box that holds ``n_bath`` P1 at
+    ``density_ppm`` (:func:`box_side`), placed by ``placement``, plus the
+    P1 of the first draw that leaves the centre clear (no site within
+    :data:`EXCLUSION_NM` of it): the transport box and the DEER cluster.
+
+    The NV is site 0.  Every site carries axis 0 and subgroup 0 (the
+    addressed group) and a zero detuning, and the network keeps the spec
+    of the draws.  Draw k is ``generate(spec, realization=realization +
+    1000 * k)``; after 100 draws :class:`GenerationError` is raised.
+    Callers pass :func:`generate_network` as their module sees it, so a
+    wrapper put on that name (the benchmark tracer's) sees every draw.
+    """
     spec = EnsembleSpec(
         box_nm=box_side(density_ppm, n_bath),
         densities_ppm={Species.P1: density_ppm},
         placement=placement,
         seed=seed,
     )
-    return centred_draw(spec, realization, generate)
+    center = np.full(3, spec.box_nm / 2)
+    for attempt in range(100):
+        base = generate(spec, realization=realization + 1000 * attempt)
+        if base.n_sites and np.min(np.linalg.norm(base.positions - center, axis=1)) < EXCLUSION_NM:
+            continue
+        n = base.n_sites + 1
+        positions = np.concatenate((center[None], base.positions))
+        species = np.full(n, species_code(Species.P1))
+        species[0] = species_code(Species.NV)
+        zeros = np.zeros(n, dtype=np.intp)
+        return SpinNetwork(spec, positions, species, zeros, zeros, np.zeros(n), realization)
+    raise GenerationError("could not place the source away from the bath in 100 attempts")
 
 
 def _cdf(weights: np.ndarray) -> list:
@@ -346,14 +330,13 @@ class _Placer:
     draw budget.
 
     :meth:`place_lattice` draws lattice sites one at a time with the
-    generator's own calls and Python float arithmetic; :meth:`place_site`
-    draws one continuum site with those calls, and :meth:`place_block` a
-    run of continuum sites from one raw draw, decoded as those calls would
-    read it.  All count every position draw against the budget and keep a
-    site only if no earlier site lies closer than the exclusion radius,
-    ((dx^2 + dy^2) + dz^2) < r^2.  Continuum sites are placed in blocks,
-    each ended by its first violating site, which :meth:`place_site`
-    redraws.
+    generator's own calls and Python float arithmetic; :meth:`place_block`
+    draws a run of continuum sites from one raw draw, decoded as those
+    calls would read it.  Both count every position draw against the
+    budget and keep a site only if no earlier site lies closer than the
+    exclusion radius, ((dx^2 + dy^2) + dz^2) < r^2.  Continuum sites are
+    placed in blocks only, each ended by its first violating site, whose
+    redraw is the next block's first site.
     """
 
     def __init__(self, spec: EnsembleSpec, rng: np.random.Generator, counts: list):
@@ -391,19 +374,6 @@ class _Placer:
         self.axis_index[k] = axis
         self.subgroup[k] = bisect_right(_P1_SUBGROUP_CDF, rng.random()) if self.p1[k] else axis
 
-    def place_site(self, k: int, draw) -> None:
-        """Continuum site k from ``draw()``, redrawn until it keeps the
-        exclusion radius, then its axis and, for P1, its subgroup."""
-        # without a radius no placed site constrains a draw
-        placed = self.positions[:k] if self.r2 > 0 else self.positions[:0]
-        while True:
-            self._count_attempt()
-            pos = draw()
-            if not (placed.size and (_squared_lengths(placed - pos) < self.r2).any()):
-                break
-        self.positions[k] = pos
-        self._orient(k)
-
     def place_lattice(self) -> None:
         """Diamond sites in the box, drawn without replacement in Python
         floats: a cell code (``integers(0, n_cells, size=3)`` then
@@ -436,26 +406,30 @@ class _Placer:
             self._orient(k)
 
     def place_continuum(self) -> None:
-        draw = lambda: self.rng.uniform(0.0, self.spec.box_nm, size=3)
-        k = 0
+        k, m = 0, self.total
         while k < self.total:
-            m = min(self.total - k, self.budget - self.attempts)
-            accepted = self.place_block(k, m) if m else 0
-            k += accepted
-            if accepted < m or not m:
-                # site k violated the radius, or the budget is spent
-                self.place_site(k, draw)
-                k += 1
+            m = min(m, self.total - k, self.budget - self.attempts)
+            if not m:
+                self._count_attempt()  # the budget is spent: raises
+            kept = self.place_block(k, m)
+            k += kept
+            # A block's size changes no draw.  After a block that kept no
+            # site, the refused site is redrawn alone until it is kept: near
+            # the packing limit a block per attempt would otherwise decode
+            # every remaining site and build a tree over the whole box.
+            m = self.total if kept else 1
 
     def place_block(self, k: int, m: int) -> int:
         """Continuum sites k .. k+m-1 from one ``random_raw`` draw; returns
         how many lead the block without a violation of the exclusion radius.
 
-        Those are accepted, and the generator is left just after their
-        draws, its 32-bit buffer as their ``integers`` calls left it.  A
-        site's slots are three positions, an axis output unless its
-        ``integers(0, 4)`` call reads the buffered upper half of the
-        previous call's output, and for P1 a subgroup output.
+        Those are kept.  A site's slots are three positions, an axis output
+        unless its ``integers(0, 4)`` call reads the buffered upper half of
+        the previous call's output, and for P1 a subgroup output.  The
+        first violating site, if any, counts as one refused attempt, and
+        the generator is left just after its three position outputs, so
+        that the next block starts with its redraw; either way the 32-bit
+        buffer is as the kept sites' ``integers`` calls left it.
         """
         bg = self.rng.bit_generator
         saved = bg.state
@@ -501,8 +475,9 @@ class _Placer:
             half = int(raw[start[drawn[-1]] + 3] >> 32)
         buffered = (buffered + int(uniform[:first].sum())) % 2
         if first < m:
+            self._count_attempt()
             bg.state = saved
-            bg.random_raw(int(start[first]))
+            bg.random_raw(int(start[first]) + 3)
         state = bg.state
         state["has_uint32"], state["uinteger"] = buffered, half
         bg.state = state
@@ -511,6 +486,9 @@ class _Placer:
     def _first_violation(self, k: int, m: int) -> int:
         """Offset in block k .. k+m-1 of its first site closer than the
         exclusion radius to an earlier site, or m."""
+        if m == 1:
+            # one site: against every kept site, without building a tree
+            return int(not (_squared_lengths(self.positions[:k] - self.positions[k]) < self.r2).any())
         # imported on first use, so that commands without geometry never load it
         from scipy.spatial import cKDTree
 
@@ -541,8 +519,8 @@ def generate_network(spec: EnsembleSpec, realization: int = 0) -> SpinNetwork:
     site are drawn at once with ``bit_generator.random_raw`` and decoded
     as the per-site calls would read them; the sites before the first
     one that violates the exclusion radius are kept, the generator is
-    rewound to that site's first draw, and the site is redrawn with the
-    calls themselves.  This rests on numpy's PCG64 stream contract, which
+    rewound to just after that site's position draws, and the next block
+    starts with its redraw.  This rests on numpy's PCG64 stream contract, which
     ``tests/test_network_reference.py`` pins: ``uniform(0, L)`` is
     ``0.0 + L * ((u >> 11) * 2**-53)`` of one 64-bit output u, ``random()``
     is ``(u >> 11) * 2**-53``, and ``integers(0, 4)`` is the top two bits

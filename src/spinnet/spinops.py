@@ -17,10 +17,9 @@ the drive axis x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Optional
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "Frame",
     "SpinOperatorSet",
     "ClusterHamiltonian",
-    "dipolar_coupling",
     "nv_scaling",
     "build_cluster_hamiltonian",
     "effective_rabi",
@@ -94,7 +92,6 @@ class ClusterHamiltonian:
     matrix: np.ndarray
     frame: Frame
     n_sites: int
-    couplings: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -107,20 +104,11 @@ class ClusterHamiltonian:
         return self.matrix.shape[0]
 
 
-def dipolar_coupling(r_vec, quant_axis) -> float:
-    """Bare dipolar coupling J0 (1 - 3 cos^2 theta) / r^3, MHz.
-
-    ``theta`` is the angle between the pair separation and the quantization
-    axis set by the static field.
-    """
-    axis = np.asarray(quant_axis, dtype=float)
-    return _dipolar(np.asarray(r_vec, dtype=float), axis / np.linalg.norm(axis))
-
-
 def _dipolar(r_vec: np.ndarray, unit_axis: np.ndarray) -> float:
-    """:func:`dipolar_coupling` along an already normalized axis; the
-    length is sqrt(r . r), which is what ``np.linalg.norm`` computes for a
-    1-D vector."""
+    """Bare dipolar coupling J0 (1 - 3 cos^2 theta) / r^3, MHz, of the
+    separation ``r_vec``, theta its angle to the normalized quantization
+    axis; the length is sqrt(r . r), which is what ``np.linalg.norm``
+    computes for a 1-D vector."""
     r = math.sqrt(r_vec.dot(r_vec))
     if r == 0:
         raise ValueError("dipolar coupling diverges at zero separation")
@@ -141,12 +129,11 @@ def nv_scaling(j_mhz: float, n_nv_participants: int) -> float:
     return j_mhz * math.sqrt(2.0) ** n_nv_participants
 
 
-def _coupling_map(net: SpinNetwork, couplings):
-    if couplings is not None:
-        return {tuple(sorted(k)): float(v) for k, v in couplings.items()}
+def _coupling_map(net: SpinNetwork) -> dict:
+    """(i, j) -> the NV-scaled dipolar coupling along the spec's field axis, MHz, for i < j."""
     rows = list(net.positions)
     axis = net.spec.field_axis_unit
-    axis = axis / np.linalg.norm(axis)  # normalized again, as dipolar_coupling does
+    axis = axis / np.linalg.norm(axis)  # normalized twice: the cluster bytes rest on this rounding
     nv = (net.species == species_code(Species.NV)).tolist()
     n = net.n_sites
     return {
@@ -215,22 +202,18 @@ def _hamiltonian(n, frame, cmap, key) -> ClusterHamiltonian:
             if sxsx:
                 flat[flips[k]] += (jij * sxsx) * 0.25
     flat[:: dim + 1] = diag
-    return ClusterHamiltonian(h, frame, n, dict(cmap))
+    return ClusterHamiltonian(h, frame, n)
 
 
-def build_cluster_hamiltonian(
-    net: SpinNetwork,
-    frame: Frame,
-    couplings: Optional[Mapping] = None,
-) -> ClusterHamiltonian:
+def build_cluster_hamiltonian(net: SpinNetwork, frame: Frame) -> ClusterHamiltonian:
     """Full cluster Hamiltonian with per-pair classification.
 
     Pairs with equal :attr:`~spinnet.network.SpinNetwork.group_key` take the
     intra-group form, all others the inter-group form, in the requested
     frame.  Couplings are the NV-scaled dipolar couplings along the spec's
-    field axis unless ``couplings`` gives them per pair.
+    field axis (:func:`_coupling_map`).
     """
-    return _hamiltonian(net.n_sites, frame, _coupling_map(net, couplings), net.group_key.tolist())
+    return _hamiltonian(net.n_sites, frame, _coupling_map(net), net.group_key.tolist())
 
 
 def effective_rabi(omega_mhz: float, detuning_mhz: float) -> float:

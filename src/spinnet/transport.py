@@ -566,28 +566,17 @@ def extract_diffusion(curve: MsdCurve, d_avg_nm: float, box_nm: float) -> Diffus
 class ExtrapolationResult:
     d_inf_nm2_per_us: float
     sigma: float
-    reliable: bool
     fit: fitkit.FitResult
 
 
 def finite_size_extrapolate(box_sizes_nm, d_values, sigmas=None) -> ExtrapolationResult:
-    """Weighted linear fit of D_L vs 1/L; the intercept estimates D at L->inf.
-
-    With only two sizes the fit is exact and its uncertainty meaningless, so
-    the result is flagged unreliable.
-    """
+    """Weighted linear fit of D_L vs 1/L; the intercept estimates D at L->inf."""
     L = np.asarray(box_sizes_nm, dtype=float)
     d = np.asarray(d_values, dtype=float)
     if L.size < 2:
         raise fitkit.FitError("extrapolation needs at least two box sizes")
     res = fitkit.linear_fit(1.0 / L, d, sigma=sigmas)
-    reliable = L.size > 2 or sigmas is not None
-    return ExtrapolationResult(
-        d_inf_nm2_per_us=res["intercept"],
-        sigma=res.sigma("intercept"),
-        reliable=reliable,
-        fit=res,
-    )
+    return ExtrapolationResult(d_inf_nm2_per_us=res["intercept"], sigma=res.sigma("intercept"), fit=res)
 
 
 def diffusion_length(d_nm2_per_us: float, tau_us: float) -> float:
@@ -638,11 +627,15 @@ def _msd_curves(
     (box, realization) on its box's grid.  This process reduces the rows,
     box by box in realization order; with more than one box and more than
     one worker that is all it does.  A map of one task runs in this
-    process, so the probe of a lone box runs here.
+    process, so the probe of a lone box runs here.  The window top is
+    :func:`_window`'s, so a box whose window is empty raises WindowError
+    before either map runs.
     """
     if n_realizations < 1:
         raise ValueError("the MSD average needs at least one realization")
     sides = [box_side(density_ppm, n_p1) for n_p1, _ in boxes]
+    # an empty window needs no realization to show
+    tops = [_window(mean_spacing(density_ppm), side)[1] for side in sides]
     order = sorted(range(len(boxes)), key=lambda k: -boxes[k][0])
 
     def realization(k, r):
@@ -667,7 +660,7 @@ def _msd_curves(
         for _ in range(8):
             times = _default_time_grid(t_end)
             first = row(times)
-            if first[0].max() >= 0.5 * (sides[k] / 2.0) ** 2:
+            if first[0].max() >= tops[k]:
                 return times, first
             t_end *= 4.0
         times = _default_time_grid(t_end)
@@ -722,8 +715,9 @@ def average_msd(
     the same basis.  The probe, a map of one task, runs in this process;
     the other realizations run on the second map.  The curve records each
     realization's basis dimension and final error estimate.  Returns
-    (curve, box_nm).  Not in ``__all__``: no runner calls it, and its
-    defaults are :func:`diffusion_scaling`'s.
+    (curve, box_nm); a box whose analysis window is empty raises
+    WindowError before any realization runs.  Not in ``__all__``: no
+    runner calls it, and its defaults are :func:`diffusion_scaling`'s.
     """
     return _msd_curves(omega_mhz, density_ppm, [(n_p1, seed)], n_realizations, w_mhz, gamma_mhz)[0]
 
@@ -775,9 +769,6 @@ def diffusion_scaling(
     before any realization runs.
     """
     d_avg = mean_spacing(density_ppm)
-    # an empty window needs no realization to show
-    for n_p1 in n_list:
-        _window(d_avg, box_side(density_ppm, n_p1))
     curves = _msd_curves(omega_mhz, density_ppm, [(n_p1, seed + n_p1) for n_p1 in n_list], n_realizations, w_mhz, gamma_mhz)
     boxes, ds, sigs, lanczos = [], [], [], []
     for n_p1, (curve, box) in zip(n_list, curves):

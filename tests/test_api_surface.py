@@ -30,9 +30,6 @@ def test_every_exported_name_resolves(name):
 # Optional parameters that no call in src/ passes, kept for a test that
 # substitutes them
 UNPASSED_ALLOWED = {
-    # explicit couplings stand in for the dipolar ones in the frame and
-    # pair-classification tests
-    ("build_cluster_hamiltonian", "couplings"),
     # criterion 8 drives +-p_p1 through readout_equilibration, and the
     # quasi-equilibrium test reads it out on a grid out to 5e4 us
     ("readout_equilibration", "times_us"),
@@ -231,7 +228,7 @@ def mirrored_defaults() -> list:
 
 def test_every_schema_default_equals_the_library_default_it_mirrors():
     # the schema is the one home of the run-config defaults; the library
-    # keeps its own for the tests and fig-2c, and they must not drift apart
+    # keeps its own for the tests, and they must not drift apart
     def typed(value):
         # the type counts (6.0 and 6 write different bytes), except that a
         # JSON array reads as a list where the library default is a tuple
@@ -241,6 +238,58 @@ def test_every_schema_default_equals_the_library_default_it_mirrors():
 
     drift = [(field, schema, library) for field, schema, library in mirrored_defaults() if typed(schema) != typed(library)]
     assert not drift, f"schema default != library default: {drift}"
+
+
+# Top-level definitions in src/spinnet that no code in src/ names, kept
+# for a reason
+UNNAMED_ALLOWED = {
+    # a benchmark wrap point (perfbench/tracing.py); ROADMAP item 7 moves
+    # it into the tests
+    "spinops.operator_set",
+    # a benchmark wrap point, and the one-box MSD the transport tests call
+    "transport.average_msd",
+    # ROADMAP item 5 decides whether the crossover reports it or it leaves src/
+    "spinops.effective_disorder",
+}
+
+
+def unnamed_definitions() -> set:
+    """``module.name`` of every top-level function and class of src/spinnet
+    that no code in src/spinnet names outside its own body.
+
+    A name counts where it is loaded as a name or an attribute: a call, or
+    a function passed to a caller (a runner of ``experiments._EXPERIMENTS``,
+    a realization function of ``fitkit.map_realizations``).  Names are
+    matched by their text, so a local or attribute of the same name also
+    counts.
+    """
+    named, defined = set(), set()
+    for path in Path(spinnet.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bodies = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+                bodies[node.name] = {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if id(node) not in bodies.get(name, ()):
+                named.add(name)
+    return {f"{module}.{name}" for module, name in defined if name not in named}
+
+
+def test_every_definition_is_named_in_src():
+    # a definition that nothing in src/ reaches is dead code or a test helper
+    unnamed = unnamed_definitions()
+    assert unnamed == UNNAMED_ALLOWED, (
+        f"named nowhere in src/: {sorted(unnamed - UNNAMED_ALLOWED)}; "
+        f"allowed but named or gone: {sorted(UNNAMED_ALLOWED - unnamed)}"
+    )
 
 
 def test_benchmark_wrap_points_exist():

@@ -475,6 +475,18 @@ def test_reproduce_manifest_records_wall_time(tmp_path):
     assert isinstance(wall, float) and wall > 0
 
 
+def test_fig_2c_records_the_protocol_config_it_reads(tmp_path):
+    # fig-2c runs no `run` config, but its networks and cycle are the
+    # resolved protocol config's, which its manifest records
+    out = tmp_path / "fig-2c"
+    assert cli.main(["reproduce", "fig-2c", "--realizations", "2", "--seed", "1", "--quiet", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["configs"] == []
+    record = manifest["readout_config"]
+    assert cli.validate_config(record) == []
+    assert record == cli.resolve_config({"experiment": "protocol", "seed": 1, "realizations": 2})
+
+
 def read_trace(path, n_realizations):
     """A trace CSV as spinnet wrote it; every cell is repr(float), so it reads back exactly."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)

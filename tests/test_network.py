@@ -12,7 +12,7 @@ from spinnet.network import (
     Placement,
     Species,
     assign_detunings,
-    centred_draw,
+    centred_box,
     generate_network,
     mean_spacing,
     ppm_to_density,
@@ -214,8 +214,8 @@ def test_validation_errors():
         EnsembleSpec(box_nm=10.0, densities_ppm={}, field_axis=(0, 0, 0))
 
 
-def test_centred_draw_redraws_until_the_centre_is_clear():
-    spec = EnsembleSpec(box_nm=40.0, densities_ppm={Species.P1: 1.575}, seed=3)
+def test_centred_box_redraws_until_the_centre_is_clear():
+    spec = EnsembleSpec(box_nm=network.box_side(1.575, 18), densities_ppm={Species.P1: 1.575}, seed=3)
     drawn = []
 
     def blocking(first_clear):
@@ -228,12 +228,15 @@ def test_centred_draw_redraws_until_the_centre_is_clear():
 
         return generate
 
-    net = centred_draw(spec, 7, blocking(3))
+    net = centred_box(1.575, 18, Placement.CONTINUUM, 3, 7, blocking(3))
     assert drawn == [7, 1007, 2007]
     base = generate_network(spec, realization=2007)
-    assert np.array_equal(net.positions[1:], base.positions) and net.realization == 7
-    assert np.array_equal(net.positions[0], np.full(3, 20.0))
+    assert net.spec == spec and net.realization == 7
+    assert np.array_equal(net.positions[1:], base.positions)
+    assert np.array_equal(net.positions[0], np.full(3, spec.box_nm / 2))
+    assert net.species.tolist() == [0] + [1] * 18
+    assert not (net.axis_index.any() or net.subgroup.any() or net.detunings.any())
     drawn.clear()
     with pytest.raises(GenerationError, match="100 attempts"):
-        centred_draw(spec, 0, blocking(101))
+        centred_box(1.575, 18, Placement.CONTINUUM, 0, 0, blocking(101))
     assert len(drawn) == 100

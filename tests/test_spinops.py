@@ -12,7 +12,6 @@ from spinnet.spinops import (
     ClusterHamiltonian,
     Frame,
     build_cluster_hamiltonian,
-    dipolar_coupling,
     effective_disorder,
     effective_rabi,
     nv_scaling,
@@ -40,7 +39,17 @@ def cluster(sites):
 
 def coupling(sites):
     """The NV-scaled dipolar coupling of a two-site cluster, MHz."""
-    return build_cluster_hamiltonian(cluster(sites), Frame.LAB_SECULAR).couplings[0, 1]
+    return spinops._coupling_map(cluster(sites))[0, 1]
+
+
+def hamiltonian(sites, frame, cmap=None):
+    """The cluster Hamiltonian of ``sites``: the dipolar couplings through
+    the public builder, or the explicit couplings ``cmap`` through the
+    builder's own :func:`spinops._hamiltonian`."""
+    net = cluster(sites)
+    if cmap is None:
+        return build_cluster_hamiltonian(net, frame)
+    return spinops._hamiltonian(net.n_sites, frame, cmap, net.group_key.tolist())
 
 
 def is_heterogeneous(site_i, site_j):
@@ -73,12 +82,13 @@ def test_operator_algebra():
 
 
 def test_dipolar_coupling_closed_form():
-    assert dipolar_coupling([10, 0, 0], Z) == pytest.approx(0.052)
-    assert dipolar_coupling([0, 0, 10], Z) == pytest.approx(-0.104)
+    dipolar = lambda r: spinops._dipolar(np.array(r, dtype=float), Z)
+    assert dipolar([10, 0, 0]) == pytest.approx(0.052)
+    assert dipolar([0, 0, 10]) == pytest.approx(-0.104)
     magic = np.array([math.sqrt(2), 0, 1])  # cos^2(theta) = 1/3
-    assert dipolar_coupling(10 * magic / np.linalg.norm(magic), Z) == pytest.approx(0.0, abs=1e-15)
+    assert dipolar(10 * magic / np.linalg.norm(magic)) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
-        dipolar_coupling([0, 0, 0], Z)
+        dipolar([0, 0, 0])
 
 
 def test_nv_scaling_and_spin1_oracle():
@@ -104,7 +114,7 @@ def test_nv_scaling_and_spin1_oracle():
 
 def test_secular_intra_hand_matrix():
     j = 0.8
-    ham = build_cluster_hamiltonian(cluster(pair_sites()), Frame.LAB_SECULAR, {(0, 1): j})
+    ham = hamiltonian(pair_sites(), Frame.LAB_SECULAR, {(0, 1): j})
     # basis |uu>, |ud>, |du>, |dd>
     expected = np.array(
         [
@@ -145,7 +155,7 @@ def test_ising_magic_angle_zero():
 
 def test_dressed_intra_hand_matrix():
     j = 1.2
-    ham = build_cluster_hamiltonian(cluster(pair_sites()), Frame.DRESSED, {(0, 1): j})
+    ham = hamiltonian(pair_sites(), Frame.DRESSED, {(0, 1): j})
     ops = operator_set(2)
     expected = (
         j / 4 * (ops.sy[0] @ ops.sy[1] + ops.sz[0] @ ops.sz[1])
@@ -182,7 +192,7 @@ def test_hermiticity_random_geometry():
         for sites in (random_cluster(rng, n, mixed=False), random_cluster(rng, n)):
             for couplings in (None, random_couplings(rng, n)):
                 for frame in Frame:
-                    m = build_cluster_hamiltonian(cluster(sites), frame, couplings).matrix
+                    m = hamiltonian(sites, frame, couplings).matrix
                     assert np.array_equal(m, m.conj().T), (n, frame, couplings is None)
 
 
@@ -235,7 +245,7 @@ def test_dressed_inter_exchange_period():
     and return at 2/J; the flip-flop matrix element is J/4."""
     j = 0.4
     sites = pair_sites(10.0, (Species.P1, Species.P1), subgroups=(0, 1))
-    ham = build_cluster_hamiltonian(cluster(sites), Frame.DRESSED, {(0, 1): j})
+    ham = hamiltonian(sites, Frame.DRESSED, {(0, 1): j})
     x_up = np.array([1, 1]) / math.sqrt(2)
     x_dn = np.array([1, -1]) / math.sqrt(2)
     psi0 = np.kron(x_up, x_dn)
@@ -255,7 +265,7 @@ def test_dressed_inter_exchange_period():
 
 def test_dressed_inter_zero_coupling_identity():
     sites = pair_sites(10.0, (Species.NV, Species.P1))
-    ham = build_cluster_hamiltonian(cluster(sites), Frame.DRESSED, {(0, 1): 0.0})
+    ham = hamiltonian(sites, Frame.DRESSED, {(0, 1): 0.0})
     assert np.all(ham.matrix == 0)
 
 
@@ -347,13 +357,10 @@ def heterogeneous_cluster(rng, n):
 
 
 def random_couplings(rng, n):
-    """Explicit couplings over a shuffled subset of pairs, keys in either order."""
+    """Explicit couplings over a shuffled subset of pairs (i, j), i < j."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = rng.permutation(len(pairs))[: max(1, len(pairs) - 2)]
-    return {
-        (pairs[k] if rng.random() < 0.5 else pairs[k][::-1]): float(rng.normal(0.0, 0.3))
-        for k in keep
-    }
+    return {pairs[k]: float(rng.normal(0.0, 0.3)) for k in keep}
 
 
 def test_builders_bit_equal_dense_operator_products():
@@ -372,10 +379,10 @@ def test_builders_bit_equal_dense_operator_products():
             (uniform, lambda i, j: True),
             (hetero, lambda i, j: False),
         ):
-            cmap = spinops._coupling_map(cluster(sites), couplings)
+            cmap = spinops._coupling_map(cluster(sites)) if couplings is None else couplings
             for frame in Frame:
                 assert_bit_equal(
-                    build_cluster_hamiltonian(cluster(sites), frame, couplings),
+                    hamiltonian(sites, frame, couplings),
                     dense_reference(sites, frame, cmap, degenerate),
                 )
 
@@ -402,7 +409,7 @@ def test_every_cluster_size_bit_equal_in_shuffled_order():
             (one_group, lambda i, j: True),
             (multi_group, lambda i, j: not is_heterogeneous(multi_group[i], multi_group[j])),
         ):
-            cmap = spinops._coupling_map(cluster(sites), None)
+            cmap = spinops._coupling_map(cluster(sites))
             for frame in Frame:
                 expected = dense_reference(sites, frame, cmap, degenerate, ops)
                 if n <= 6:

@@ -260,9 +260,8 @@ def test_finite_size_extrapolation_round_trip():
     d_l = 0.22 - 3.0 / boxes
     res = finite_size_extrapolate(boxes, d_l)
     npt.assert_allclose(res.d_inf_nm2_per_us, 0.22, rtol=1e-9)
-    assert res.reliable
     two = finite_size_extrapolate(boxes[:2], d_l[:2])
-    assert not two.reliable
+    npt.assert_allclose(two.d_inf_nm2_per_us, 0.22, rtol=1e-9)
     with pytest.raises(Exception, match="two box sizes"):
         finite_size_extrapolate(boxes[:1], d_l[:1])
 
