@@ -6,7 +6,11 @@ table, ``validate`` checks a config without computing.  The runners and
 presets are :mod:`spinnet.experiments`, which ``run`` and ``reproduce``
 import only once the config or the preset tag has passed its checks: this
 module loads no numpy, so ``validate`` and every config error (exit 2)
-are answered before numpy loads.  The run-config defaults are read in the
+are answered before numpy loads.  The schema check is this module's own
+(:func:`_check`, standard library only): it implements the keywords the
+shipped schema uses, refuses a schema with any other when it loads, and
+names one field by the rule of :func:`validate_config`; no command
+imports jsonschema.  The run-config defaults are read in the
 shipped schema and nowhere else: :func:`resolve_config` fills them into a
 copy of a config, which ``run`` validates once and hands to the runner.
 
@@ -43,7 +47,7 @@ import os
 import sys
 import time
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ConfigError, __version__
 from .constants import BLAS_THREAD_VARS, EXCLUSION_NM, MAX_CLUSTER_DIM, REALIZATION_BYTES, ppm_to_density
@@ -70,10 +74,63 @@ _PRESET_REALIZATIONS = {
 }
 
 
+# The schema keywords _check implements, and the annotations it reads past;
+# _load_schema refuses a schema that uses any other keyword, so that no
+# keyword is accepted and silently ignored
+_CHECKED = frozenset({
+    "type", "enum", "const", "minimum", "maximum", "exclusiveMinimum", "minLength", "items", "minItems",
+    "properties", "additionalProperties", "required", "allOf", "if", "then", "not", "$ref",
+})
+_ANNOTATIONS = frozenset({"$schema", "title", "description", "default", "definitions"})
+
+# JSON type -> test of a parsed JSON value; an integer is also a float with
+# no fraction, as in JSON Schema draft 7
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer(),
+}
+
+# bound keyword -> (test of a number against it that fails, the wording of the failure)
+_BOUNDS = {
+    "minimum": (lambda v, b: v < b, "is less than the minimum of"),
+    "maximum": (lambda v, b: v > b, "is greater than the maximum of"),
+    "exclusiveMinimum": (lambda v, b: v <= b, "is less than or equal to the minimum of"),
+}
+
+
+def _unchecked_keywords(node) -> set:
+    """The keywords of the schema ``node`` and of its subschemas that
+    :func:`_check` neither implements nor reads past as an annotation.  A
+    subschema that is not an object (a boolean schema, ``items`` as an
+    array) is named by its repr, and so is ``additionalProperties`` other
+    than true or false."""
+    if not isinstance(node, dict):
+        return {repr(node)}
+    unchecked = set(node) - _CHECKED - _ANNOTATIONS
+    if not isinstance(node.get("additionalProperties", False), bool):
+        unchecked.add(f"additionalProperties: {node['additionalProperties']!r}")
+    subschemas = [node[k] for k in ("if", "then", "not", "items") if k in node]
+    subschemas += [*node.get("properties", {}).values(), *node.get("definitions", {}).values(), *node.get("allOf", ())]
+    for sub in subschemas:
+        unchecked |= _unchecked_keywords(sub)
+    return unchecked
+
+
 @functools.cache
 def _load_schema() -> dict:
-    """The shipped run-config schema, read once per process; callers must not change it."""
-    return json.loads(resources.files("spinnet").joinpath("schemas/runconfig.schema.json").read_text())
+    """The shipped run-config schema, read once per process; callers must
+    not change it.  A schema with a keyword that :func:`_check` does not
+    implement is refused."""
+    schema = json.loads(resources.files("spinnet").joinpath("schemas/runconfig.schema.json").read_text())
+    unchecked = _unchecked_keywords(schema)
+    if unchecked:
+        raise ValueError(f"run-config schema: spinnet.cli does not check {sorted(unchecked)}")
+    return schema
 
 
 def _deref(node):
@@ -107,10 +164,107 @@ def _fill(value, node):
 
 def resolve_config(config):
     """A copy of ``config`` with every schema default its experiment takes
-    filled in, into objects only.  A config that is not an object, or whose
-    experiment is unknown, is returned as it is, for the schema check to name."""
+    filled in, into objects only.  A config that is not an object, whose
+    experiment is unknown or that is nested too deeply to copy is returned
+    as it is, for the schema check to name."""
     fields = _fields(config.get("experiment")) if isinstance(config, dict) else None
-    return config if fields is None else _fill(copy.deepcopy(config), {"properties": fields})
+    if fields is None:
+        return config
+    try:
+        copied = copy.deepcopy(config)
+    except RecursionError:
+        # far deeper than any config the schema takes, whose deepest field
+        # (an item of params/n_list) is three keys down
+        return config
+    return _fill(copied, {"properties": fields})
+
+
+class _Failure(NamedTuple):
+    """One way a config fails the schema (see :func:`validate_config`)."""
+
+    keyword: str
+    # the keyword's value in the schema
+    bound: object
+    # the tested value's position: each key's index in its object, each item's index
+    where: tuple
+    # the field named: the tested value's keys, plus the key an object lacks or does not take
+    path: tuple
+    message: str
+
+
+def _show(value) -> str:
+    """``value`` as a failure message names it: a scalar by its repr, an
+    object or array by its JSON type, however large or deep it is."""
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "an array"
+    return repr(value)
+
+
+def _valid(value, node) -> bool:
+    """Whether ``value`` meets the schema ``node``."""
+    return next(_check(value, node), None) is None
+
+
+def _check(value, node, path=(), where=()):
+    """Yield a :class:`_Failure` for each way ``value``, found at ``path``
+    and ``where`` in a config, fails the schema ``node``.
+
+    The keywords are those of :data:`_CHECKED`, with the JSON Schema
+    draft 7 meaning: a ``$ref`` replaces its node, ``if`` applies ``then``
+    when ``value`` meets it, and a bound or a length applies to values of
+    its own type only.  Each node's keywords are checked in the schema's
+    order and an object's properties in the config's order.  Messages are
+    jsonschema's, with every object and array named by its JSON type
+    (:func:`_show`).
+    """
+    node = _deref(node)
+    for keyword, bound in node.items():
+        # a failure of `value`, or with `key` of the object `value` at the key it lacks or does not take
+        fail = lambda message, *key: _Failure(keyword, bound, where, (*path, *key), message)
+        if keyword == "type":
+            kinds = bound if isinstance(bound, list) else [bound]
+            if not any(_TYPES[kind](value) for kind in kinds):
+                yield fail(f"{_show(value)} is not of type {', '.join(map(repr, kinds))}")
+        elif keyword == "enum":
+            if value not in bound:
+                yield fail(f"{_show(value)} is not one of {bound!r}")
+        elif keyword == "const":
+            if value != bound:
+                yield fail(f"{bound!r} was expected")
+        elif keyword in _BOUNDS:
+            refuses, wording = _BOUNDS[keyword]
+            if _TYPES["number"](value) and refuses(value, bound):
+                yield fail(f"{value!r} {wording} {bound!r}")
+        elif keyword in ("minLength", "minItems"):
+            if isinstance(value, str if keyword == "minLength" else list) and len(value) < bound:
+                yield fail(f"{_show(value)} {'should be non-empty' if bound == 1 else 'is too short'}")
+        elif keyword == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _check(item, bound, (*path, i), (*where, i))
+        elif keyword == "properties" and isinstance(value, dict):
+            for i, (name, item) in enumerate(value.items()):
+                if name in bound:
+                    yield from _check(item, bound[name], (*path, name), (*where, i))
+        elif keyword == "additionalProperties" and bound is False and isinstance(value, dict):
+            extra = [name for name in value if name not in node.get("properties", {})]
+            listed = f"{', '.join(map(repr, sorted(extra)))} {'was' if len(extra) == 1 else 'were'} unexpected"
+            for name in extra:
+                yield fail(f"Additional properties are not allowed ({listed})", name)
+        elif keyword == "required" and isinstance(value, dict):
+            for name in bound:
+                if name not in value:
+                    yield fail(f"{name!r} is a required property", name)
+        elif keyword == "allOf":
+            for rule in bound:
+                yield from _check(value, rule, path, where)
+        elif keyword == "if":
+            if "then" in node and _valid(value, bound):
+                yield from _check(value, node["then"], path, where)
+        elif keyword == "not":
+            if _valid(value, bound):
+                yield fail(f"{_show(value)} should not be valid under {bound!r}")
 
 
 def _nonfinite(value, path: str):
@@ -131,31 +285,28 @@ def _nonfinite(value, path: str):
 def validate_config(config: dict) -> list:
     """Schema plus physics sanity of ``config`` as given (``run`` and
     ``validate`` pass the :func:`resolve_config` copy); returns warnings,
-    raises ConfigError."""
-    # imported on first use: `reproduce` validates no config
-    import jsonschema
+    raises ConfigError naming one field.
 
-    schema = _load_schema()
-    # jsonschema.validate would also check the shipped schema against its
-    # metaschema on every call; tests/test_cli.py checks it once
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    # a wrong field is named before a missing one, which a block that
-    # resolution filled in (a config without params) may lack
-    key = lambda e: (e.validator != "required", *jsonschema.exceptions.relevance(e))
-    err = jsonschema.exceptions.best_match(validator.iter_errors(config), key=key)
-    if err is not None:
-        path = list(err.absolute_path)
-        if err.validator == "additionalProperties":
-            # name the unexpected key itself, e.g. params/omgea_mhz
-            path.append(sorted(set(err.instance) - set(err.schema.get("properties", {})))[0])
-        if err.validator == "required":
-            # name the missing key itself, e.g. params/gamma_exp_mhz
-            path.append(next(k for k in err.validator_value if k not in err.instance))
-        # {"not": {}} is how an experiment's clause refuses a field, e.g. seed for rabi
-        refused = err.validator == "not" and err.validator_value == {}
-        message = f"experiment {config['experiment']!r} takes no {path[-1]}" if refused else err.message
-        path = "/".join(str(p) for p in path) or "<root>"
-        raise ConfigError(f"config field {path}: {message}") from err
+    The schema check (:func:`_check`) names the first failure in this
+    order: a wrong value before a missing key, which a block that
+    resolution filled in (a config without params) may lack; then the
+    failure of the value nearest the root; then, at equal depth, the value
+    first in the config (keys in the config's order, items by index); and
+    for one value the keyword first in the schema.  The field named is the
+    value's path, or for an object that lacks a key or holds one it does
+    not take, that key, e.g. ``params/gamma_exp_mhz`` or
+    ``params/omgea_mhz``.  A field that an experiment's clause refuses
+    with ``{"not": {}}`` reads, e.g., "experiment 'rabi' takes no seed".
+    """
+    rank = lambda f: (f.keyword == "required", len(f.where), f.where)
+    failure = min(_check(config, _load_schema()), key=rank, default=None)
+    if failure is not None:
+        message = failure.message
+        if failure.keyword == "not" and failure.bound == {}:
+            # a clause applies only to a config that names its experiment
+            message = f"experiment {config['experiment']!r} takes no {failure.path[-1]}"
+        path = "/".join(str(p) for p in failure.path) or "<root>"
+        raise ConfigError(f"config field {path}: {message}")
     bad = _nonfinite(config, "")
     if bad is not None:
         # Python's JSON parser reads NaN and Infinity, and no schema bound refuses nan
@@ -194,7 +345,8 @@ def _read_config(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        # RecursionError: nested deeper than Python's JSON parser reads
         raise ConfigError(f"cannot read config: {err}") from err
 
 

@@ -325,16 +325,16 @@ NOT_COMPUTING = (*SCIPY, *NUMPY_AND_PHYSICS, "ctypes")
 FOOTPRINT_CASES = {
     "import-integrate": ("pass", None, ("scipy.integrate",)),
     "import": ("pass", None, ("jsonschema", *NOT_COMPUTING)),
-    "validate-diffusion": ("cli.validate_config(config)", DIFFUSION, NOT_COMPUTING),
+    "validate-diffusion": ("cli.validate_config(config)", DIFFUSION, ("jsonschema", *NOT_COMPUTING)),
     "validate-physics": (
         "assert [cli.validate_config(c) for c in config][0][0].startswith('mean spacing')",
         PHYSICS_CHECKED,
-        NOT_COMPUTING,
+        ("jsonschema", *NOT_COMPUTING),
     ),
     "run-invalid": (
         "assert cli.main(['run', path, '--out', out, '--quiet']) == 2",
         {"experiment": "deer", "params": {"n_bath": 12}},
-        NOT_COMPUTING,
+        ("jsonschema", *NOT_COMPUTING),
     ),
     "reproduce-unknown-tag": ("assert cli.main(['reproduce', 'no-such-tag']) == 2", None, NOT_COMPUTING),
     "run-diffusion": (RUN, DIFFUSION, ("scipy.optimize",)),
@@ -346,6 +346,14 @@ FOOTPRINT_CASES = {
         ("jsonschema",),
     ),
 }
+
+
+def run_python(code: str, *args: str) -> str:
+    """The last line that ``python -c code args`` prints, with this checkout's spinnet on the path."""
+    src = str(Path(spinnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True)
+    return proc.stdout.splitlines()[-1]
 
 
 @pytest.mark.parametrize("case", FOOTPRINT_CASES)
@@ -361,13 +369,23 @@ def test_cli_leaves_out_unused_modules(tmp_path, case):
         f"{statement}\n"
         "print(json.dumps(sorted(m for m in sys.argv[3:] if m in sys.modules)))\n"
     )
-    src = str(Path(spinnet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(path), str(tmp_path / "out"), *absent],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
+    assert json.loads(run_python(code, str(path), str(tmp_path / "out"), *absent)) == []
+
+
+def test_validate_loads_only_the_standard_library_and_spinnet(tmp_path):
+    # every module `spinnet validate` loads is in a bare interpreter, in the
+    # standard library or in spinnet: no third-party package answers it
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(PHYSICS_CHECKED[0]))
+    bare = set(json.loads(run_python("import json, sys; print(json.dumps(sorted(sys.modules)))")))
+    code = (
+        "import json, sys\n"
+        "import spinnet.cli as cli\n"
+        "assert cli.main(['validate', sys.argv[1]]) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    loaded = set(json.loads(run_python(code, str(path))))
+    foreign = sorted(
+        m for m in loaded - bare if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "spinnet"
+    )
+    assert not foreign, f"`spinnet validate` loads {foreign}"

@@ -197,3 +197,25 @@ def test_found_configs_exit_2_or_3(tmp_path, capsys, config, code):
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet", *flags]) == code
     assert capsys.readouterr().err.startswith("numeric failure: " if code == 3 else "error: config field ")
     assert multiprocessing.active_children() == []
+
+
+# (nesting depth of params/n_bath, the whole of stderr): at 300 the wrong
+# type is named without printing the value; at 600 the config is too deep
+# to copy and the schema check names it as it is; at 1000 the JSON parser
+# gives up.  Both used to exit 1 with a RecursionError.
+DEEP = [
+    (300, "error: config field params/n_bath: an array is not of type 'integer'\n"),
+    (600, "error: config field params/n_bath: an array is not of type 'integer'\n"),
+    (1000, "error: cannot read config: maximum recursion depth exceeded"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("depth, err", DEEP, ids=[str(d) for d, _ in DEEP])
+def test_config_nested_deeper_than_the_schema_exits_2(tmp_path, capsys, command, depth, err):
+    path = tmp_path / "deep.json"
+    path.write_text('{"experiment": "deer", "params": {"n_bath": ' + "[" * depth + "]" * depth + "}}")
+    flags = ["--out", str(tmp_path / "out"), "--quiet"] if command == "run" else []
+    assert cli.main([command, str(path), *flags]) == 2
+    assert capsys.readouterr().err.startswith(err)
+    assert not (tmp_path / "out").exists()
