@@ -79,7 +79,7 @@ _PRESET_REALIZATIONS = {
 # keyword is accepted and silently ignored
 _CHECKED = frozenset({
     "type", "enum", "const", "minimum", "maximum", "exclusiveMinimum", "minLength", "items", "minItems",
-    "properties", "additionalProperties", "required", "allOf", "if", "then", "not", "$ref",
+    "uniqueItems", "properties", "additionalProperties", "required", "allOf", "if", "then", "not", "$ref",
 })
 _ANNOTATIONS = frozenset({"$schema", "title", "description", "default", "definitions"})
 
@@ -141,30 +141,45 @@ def _deref(node):
 
 
 def _fields(experiment) -> Optional[dict]:
-    """Name -> schema of each top-level field ``experiment`` takes; None for an unknown experiment."""
+    """Name -> schema of each top-level field ``experiment`` takes, the
+    shared node's keywords and its clause's in one; None for an unknown
+    experiment."""
     schema = _load_schema()
     for rule in schema["allOf"]:
         if rule["if"]["properties"]["experiment"]["const"] == experiment:
-            merged = {**schema["properties"], **rule["then"]["properties"]}
+            shared, own = schema["properties"], rule["then"]["properties"]
             # a clause refuses a shared field with {"not": {}}, which no value meets
-            return {name: _deref(node) for name, node in merged.items() if node != {"not": {}}}
+            return {
+                name: {**_deref(shared.get(name, {})), **_deref(own.get(name, {}))}
+                for name in {**shared, **own}
+                if own.get(name) != {"not": {}}
+            }
     return None
 
 
 def _fill(value, node):
-    """``value`` with the defaults of ``node``'s properties set where it lacks them, recursively."""
+    """``value`` with the defaults of ``node``'s properties set where it
+    lacks them, and an integral float where ``node`` takes an integer as
+    an int, recursively."""
+    if isinstance(value, float) and value.is_integer() and node.get("type") == "integer":
+        # draft 7 counts 16.0 as an integer; the runners take Python ints
+        return int(value)
     if isinstance(value, dict):
         for name, prop in node.get("properties", {}).items():
             prop = _deref(prop)
             if name not in value and "default" in prop:
                 value[name] = copy.deepcopy(prop["default"])
-            _fill(value.get(name), prop)
+            if name in value:
+                value[name] = _fill(value[name], prop)
+    elif isinstance(value, list) and "items" in node:
+        return [_fill(item, _deref(node["items"])) for item in value]
     return value
 
 
 def resolve_config(config):
     """A copy of ``config`` with every schema default its experiment takes
-    filled in, into objects only.  A config that is not an object, whose
+    filled in, into objects only, and each integral float at an integer
+    field read as an int.  A config that is not an object, whose
     experiment is unknown or that is nested too deeply to copy is returned
     as it is, for the schema check to name."""
     fields = _fields(config.get("experiment")) if isinstance(config, dict) else None
@@ -200,6 +215,16 @@ def _show(value) -> str:
     if isinstance(value, list):
         return "an array"
     return repr(value)
+
+
+def _json_key(value):
+    """A hashable key that two JSON values share when JSON Schema counts
+    them equal: 1 and 1.0 do, true and 1 do not."""
+    if isinstance(value, list):
+        return ("array", *map(_json_key, value))
+    if isinstance(value, dict):
+        return ("object", frozenset((name, _json_key(item)) for name, item in value.items()))
+    return isinstance(value, bool), value
 
 
 def _valid(value, node) -> bool:
@@ -240,6 +265,9 @@ def _check(value, node, path=(), where=()):
         elif keyword in ("minLength", "minItems"):
             if isinstance(value, str if keyword == "minLength" else list) and len(value) < bound:
                 yield fail(f"{_show(value)} {'should be non-empty' if bound == 1 else 'is too short'}")
+        elif keyword == "uniqueItems":
+            if bound and isinstance(value, list) and len(set(map(_json_key, value))) < len(value):
+                yield fail(f"{_show(value)} has non-unique elements")
         elif keyword == "items" and isinstance(value, list):
             for i, item in enumerate(value):
                 yield from _check(item, bound, (*path, i), (*where, i))

@@ -35,7 +35,6 @@ __all__ = [
     "deer_trace",
     "run_rabi",
     "fft_peak",
-    "DephasingFit",
     "extract_dephasing_rate",
     "mean_field_deer_rate",
     "calibrate_alpha",
@@ -218,30 +217,17 @@ def fft_peak(trace: TraceResult):
     return fitkit.spectrum_peak(freqs, mag)
 
 
-@dataclass
-class DephasingFit:
-    rate_mhz: float
-    rate_sigma: float
-    t2_us: float
-    beta: float
-    fit: fitkit.FitResult
+def extract_dephasing_rate(trace: TraceResult) -> fitkit.FitResult:
+    """Stretched-exponential fit amp exp(-(t/T2)^beta) of an echo decay.
 
-
-def extract_dephasing_rate(trace: TraceResult) -> DephasingFit:
-    """Stretched-exponential fit of an echo decay; returns 1/T2 with 1 sigma."""
+    The dephasing rate is 1/T2 with sigma sigma_T2/T2^2, where T2 is the
+    fit's ``t2``; the stretch is its ``beta``.  ``trace.sem`` weights the
+    fit by the rule of :func:`fitkit.fit_sigma`.
+    """
     y = trace.signal
     if np.ptp(y) < 0.05 * max(np.abs(y).max(), 1e-12) or np.ptp(y) < 1e-12:
         raise FitError("trace shows no decay; dephasing rate is not identifiable")
-    res = fitkit.fit(fitkit.STRETCHED_EXP, trace.abscissa_us, y, sigma=fitkit.fit_sigma(trace.sem))
-    t2 = res["t2"]
-    t2_sigma = res.sigma("t2")
-    return DephasingFit(
-        rate_mhz=1.0 / t2,
-        rate_sigma=t2_sigma / t2**2,
-        t2_us=t2,
-        beta=res["beta"],
-        fit=res,
-    )
+    return fitkit.fit(fitkit.STRETCHED_EXP, trace.abscissa_us, y, sigma=fitkit.fit_sigma(trace.sem))
 
 
 # The dilute-bath limit of the DEER decay: for bath spins placed uniformly

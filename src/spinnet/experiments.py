@@ -64,14 +64,16 @@ def _echo_trace(config: dict, bath_pi: bool) -> tuple:
 def _run_deer(config: dict) -> tuple:
     density, trace = _echo_trace(config, config["params"]["bath_pi"])
     fit = clusterdyn.extract_dephasing_rate(trace)
+    t2 = fit["t2"]
+    # the dephasing rate is 1/T2, its sigma sigma_T2/T2^2
     summary = {
         "density_ppm": density,
-        "rate_mhz": fit.rate_mhz,
-        "rate_sigma": fit.rate_sigma,
+        "rate_mhz": 1.0 / t2,
+        "rate_sigma": fit.sigma("t2") / t2**2,
         "mean_field_rate_mhz": clusterdyn.mean_field_deer_rate(density),
-        "t2_us": fit.t2_us,
-        "beta": fit.beta,
-        **_fit_tail(fit.fit),
+        "t2_us": t2,
+        "beta": fit["beta"],
+        **_fit_tail(fit),
     }
     return {"deer_trace.csv": trace.to_csv(), "deer_fit.json": json.dumps(summary, indent=2)}, summary, {}
 
@@ -111,11 +113,12 @@ def _run_diffusion(config: dict) -> tuple:
         gamma_mhz=p["gamma_mhz"],
         seed=config["seed"],
     )
-    d_inf = res.extrapolation.d_inf_nm2_per_us
+    # D_inf is the extrapolation's intercept
+    d_inf = res.extrapolation["intercept"]
     summary = {
         "omega_MHz": res.omega_mhz,
         "D_inf_nm2_per_us": d_inf,
-        "D_inf_sigma": res.extrapolation.sigma,
+        "D_inf_sigma": res.extrapolation.sigma("intercept"),
         "diffusion_length_30us_nm": transport.diffusion_length(max(d_inf, 0.0), 30.0),
     }
     return (

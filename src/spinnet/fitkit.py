@@ -58,7 +58,6 @@ class FitError(ValueError):
 class FitResult:
     """Parameters, 1-sigma uncertainties and covariance of a least-squares fit."""
 
-    model: str
     param_names: tuple[str, ...]
     params: np.ndarray
     sigmas: np.ndarray
@@ -274,7 +273,6 @@ def fit(
     cov = _covariance(res.jac, res.cost, x.size, n_params, absolute=sigma is not None)
     sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FitResult(
-        model=model.name,
         param_names=model.param_names,
         params=res.x,
         sigmas=sigmas,
@@ -335,7 +333,6 @@ def linear_fit(x, y, sigma=None, through_origin: bool = False) -> FitResult:
     cov[:, 0] /= scale
     sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FitResult(
-        model="linear_origin" if through_origin else "linear",
         param_names=("slope",) if through_origin else ("slope", "intercept"),
         params=params,
         sigmas=sigmas,

@@ -83,14 +83,13 @@ def operator_set(n_sites: int) -> SpinOperatorSet:
 
 @dataclass
 class ClusterHamiltonian:
-    """Dense Hermitian cluster Hamiltonian in MHz with its frame tag.
+    """Dense Hermitian cluster Hamiltonian in MHz.
 
     Hermitian by construction: the builder writes each flip entry and its
     mirror with one real value, so only the shape is checked here.
     """
 
     matrix: np.ndarray
-    frame: Frame
     n_sites: int
 
     def __post_init__(self):
@@ -202,7 +201,7 @@ def _hamiltonian(n, frame, cmap, key) -> ClusterHamiltonian:
             if sxsx:
                 flat[flips[k]] += (jij * sxsx) * 0.25
     flat[:: dim + 1] = diag
-    return ClusterHamiltonian(h, frame, n)
+    return ClusterHamiltonian(h, n)
 
 
 def build_cluster_hamiltonian(net: SpinNetwork, frame: Frame) -> ClusterHamiltonian:

@@ -55,10 +55,7 @@ __all__ = [
     "RateMatrix",
     "PairTable",
     "Generator",
-    "Trajectory",
     "MsdCurve",
-    "DiffusionResult",
-    "ExtrapolationResult",
     "WindowError",
     "ConservationError",
     "pair_table",
@@ -269,12 +266,6 @@ def build_rates(pairs: PairTable, omega_mhz: float) -> RateMatrix:
     return RateMatrix(rates, cutoff_nm=rate_cutoff(GAMMA_MHZ))
 
 
-@dataclass
-class Trajectory:
-    times_us: np.ndarray
-    polarization: np.ndarray  # (n_times, n_sites)
-
-
 @dataclass(frozen=True)
 class Generator:
     """Eigendecomposition of the master-equation generator of one network.
@@ -468,8 +459,9 @@ def lanczos_basis(net: SpinNetwork, omega_mhz: float, gamma_mhz: float = GAMMA_M
     return LanczosBasis(_laplacian(pairs, _pair_rates(pairs, omega_mhz, gamma_mhz)), 0)
 
 
-def integrate_master_equation(gen: Union[Generator, LanczosBasis], p0, times_us) -> Trajectory:
-    """Propagate the lattice master equation to the requested times.
+def integrate_master_equation(gen: Union[Generator, LanczosBasis], p0, times_us) -> np.ndarray:
+    """The polarization at each of the requested times, one row per time
+    and one column per site, from the lattice master equation.
 
     ``gen`` is the diagonalized generator from :func:`factor_generator`,
     relaxation included, so the solution is exact at any time and several
@@ -496,7 +488,7 @@ def integrate_master_equation(gen: Union[Generator, LanczosBasis], p0, times_us)
         tol = 1e-9 * max(abs(lo), abs(hi), 1.0)
         if traj.min() < lo - tol or traj.max() > hi + tol:
             raise ConservationError("maximum principle violated without relaxation")
-    return Trajectory(times, traj)
+    return traj
 
 
 @dataclass
@@ -510,23 +502,16 @@ class MsdCurve:
     basis_errors: Optional[np.ndarray] = None
 
 
-def msd(traj: Trajectory, positions_nm, source_index: int) -> MsdCurve:
-    """Polarization-weighted mean-squared displacement about the source."""
+def msd(times_us, polarization, positions_nm, source_index: int) -> MsdCurve:
+    """Polarization-weighted mean-squared displacement about the source of
+    the (times x sites) ``polarization`` at ``times_us``."""
     pos = np.asarray(positions_nm, dtype=float)
     r2 = np.sum((pos - pos[source_index]) ** 2, axis=1)
-    p = traj.polarization
-    tot = p.sum(axis=1)
+    tot = polarization.sum(axis=1)
     if np.any(tot <= 0):
         raise ValueError("total polarization must stay positive for the MSD")
-    curve = (p @ r2) / tot
-    return MsdCurve(traj.times_us, curve, tot)
-
-
-@dataclass
-class DiffusionResult:
-    d_nm2_per_us: float
-    sigma: float
-    fit: fitkit.FitResult
+    curve = (polarization @ r2) / tot
+    return MsdCurve(times_us, curve, tot)
 
 
 def _window(d_avg_nm: float, box_nm: float) -> tuple:
@@ -541,8 +526,13 @@ def _window(d_avg_nm: float, box_nm: float) -> tuple:
     return lo, hi
 
 
-def extract_diffusion(curve: MsdCurve, d_avg_nm: float, box_nm: float) -> DiffusionResult:
-    """Slope/6 of the MSD inside the window [d_avg^2, 0.5 (L/2)^2]."""
+def extract_diffusion(curve: MsdCurve, d_avg_nm: float, box_nm: float) -> fitkit.FitResult:
+    """Linear fit of the MSD inside the window [d_avg^2, 0.5 (L/2)^2].
+
+    The box's diffusion coefficient D_L is the fit's ``slope``/6, with
+    sigma ``sigma("slope")``/6; the curve's SEM weights the fit by the
+    rule of :func:`fitkit.fit_sigma`.
+    """
     lo, hi = _window(d_avg_nm, box_nm)
     inside = (curve.msd_nm2 >= lo) & (curve.msd_nm2 <= hi)
     if inside.sum() < 2:
@@ -554,29 +544,20 @@ def extract_diffusion(curve: MsdCurve, d_avg_nm: float, box_nm: float) -> Diffus
     t = curve.times_us[inside]
     y = curve.msd_nm2[inside]
     sem = None if curve.sem_nm2 is None else curve.sem_nm2[inside]
-    res = fitkit.linear_fit(t, y, sigma=fitkit.fit_sigma(sem))
-    return DiffusionResult(
-        d_nm2_per_us=res["slope"] / 6.0,
-        sigma=res.sigma("slope") / 6.0,
-        fit=res,
-    )
+    return fitkit.linear_fit(t, y, sigma=fitkit.fit_sigma(sem))
 
 
-@dataclass
-class ExtrapolationResult:
-    d_inf_nm2_per_us: float
-    sigma: float
-    fit: fitkit.FitResult
+def finite_size_extrapolate(box_sizes_nm, d_values, sigmas=None) -> fitkit.FitResult:
+    """Weighted linear fit of D_L vs 1/L.
 
-
-def finite_size_extrapolate(box_sizes_nm, d_values, sigmas=None) -> ExtrapolationResult:
-    """Weighted linear fit of D_L vs 1/L; the intercept estimates D at L->inf."""
+    D at L -> inf, D_inf, is the fit's ``intercept``, with sigma
+    ``sigma("intercept")``.
+    """
     L = np.asarray(box_sizes_nm, dtype=float)
     d = np.asarray(d_values, dtype=float)
     if L.size < 2:
         raise fitkit.FitError("extrapolation needs at least two box sizes")
-    res = fitkit.linear_fit(1.0 / L, d, sigma=sigmas)
-    return ExtrapolationResult(d_inf_nm2_per_us=res["intercept"], sigma=res.sigma("intercept"), fit=res)
+    return fitkit.linear_fit(1.0 / L, d, sigma=sigmas)
 
 
 def diffusion_length(d_nm2_per_us: float, tau_us: float) -> float:
@@ -648,7 +629,7 @@ def _msd_curves(
         p0[0] = 1.0
 
         def row(times):
-            c = msd(integrate_master_equation(basis, p0, times), net.positions, 0)
+            c = msd(times, integrate_master_equation(basis, p0, times), net.positions, 0)
             return c.msd_nm2, c.survival, basis.m, basis.error
 
         return row
@@ -728,7 +709,7 @@ class ScalingResult:
     box_sizes_nm: list
     d_values: list
     d_sigmas: list
-    extrapolation: ExtrapolationResult
+    extrapolation: fitkit.FitResult  # finite_size_extrapolate of d_values; D_inf = extrapolation["intercept"]
     # per box size: the range of Lanczos basis dimensions over the
     # realizations and the largest final error estimate (run records only)
     lanczos: list
@@ -740,8 +721,8 @@ class ScalingResult:
                 "L_nm": self.box_sizes_nm,
                 "D_L": self.d_values,
                 "D_L_sigma": self.d_sigmas,
-                "D_inf": self.extrapolation.d_inf_nm2_per_us,
-                "sigma": self.extrapolation.sigma,
+                "D_inf": self.extrapolation["intercept"],
+                "sigma": self.extrapolation.sigma("intercept"),
             }
         )
 
@@ -774,8 +755,8 @@ def diffusion_scaling(
     for n_p1, (curve, box) in zip(n_list, curves):
         res = extract_diffusion(curve, d_avg, box)
         boxes.append(float(box))
-        ds.append(res.d_nm2_per_us)
-        sigs.append(res.sigma)
+        ds.append(res["slope"] / 6.0)
+        sigs.append(res.sigma("slope") / 6.0)
         lanczos.append({
             "n_p1": n_p1,
             "basis_dim_range": [int(curve.basis_dims.min()), int(curve.basis_dims.max())],

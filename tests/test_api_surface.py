@@ -10,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,29 @@ def test_every_defaulted_field_is_set_in_src():
         f"never set in src/: {sorted(unset - UNSET_FIELDS_ALLOWED)}; "
         f"allowed but set or gone: {sorted(UNSET_FIELDS_ALLOWED - unset)}"
     )
+
+
+# The exported functions that return a fit, and the results that keep one
+# beside the data it was fitted to
+FIT_FUNCTIONS = (
+    "fit", "linear_fit", "fit_saturation", "fit_crossover",
+    "extract_dephasing_rate", "extract_diffusion", "finite_size_extrapolate", "calibrate_alpha",
+)
+FIT_HOLDERS = {"ProtocolResult", "EquilibrationResult", "ScalingResult"}
+
+
+def test_every_fit_returns_the_one_fit_record():
+    # a number behind the paper is read off fitkit.FitResult where it is
+    # published, so its diagnostics reach the summary through one record
+    from spinnet.fitkit import FitResult
+
+    functions = exported_functions()
+    returns = {name: typing.get_type_hints(functions[name])["return"] for name in FIT_FUNCTIONS}
+    assert all(r is FitResult for r in returns.values()), returns
+    holders = {
+        name for name, cls in exported_dataclasses().items() if FitResult in typing.get_type_hints(cls).values()
+    }
+    assert not holders - FIT_HOLDERS, f"records that copy a fit: {sorted(holders - FIT_HOLDERS)}"
 
 
 @pytest.mark.parametrize("experiment", CYCLE_EXPERIMENTS)

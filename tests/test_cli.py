@@ -258,6 +258,44 @@ def test_resolve_fills_only_the_objects_the_experiment_takes():
     assert cli._load_schema() is cli._load_schema()
 
 
+SMALL_DEER = {"experiment": "deer", "seed": 3, "realizations": 4, "params": {"n_bath": 2}}
+SMALL_PROTOCOL = {"experiment": "protocol", "realizations": 2, "params": {"n_p1": 10, "n_cycles": 4}}
+# (config, an integer field of it): each of the integer fields the runners
+# pass to range, a seed or an array size
+INTEGER_FIELDS = [
+    ({"experiment": "rabi", "params": {"n_points": 16}}, ("params", "n_points")),
+    (SMALL_DEER, ("realizations",)),
+    (SMALL_DEER, ("seed",)),
+    (SMALL_DEER, ("params", "n_bath")),
+    (SMALL_PROTOCOL, ("params", "n_p1")),
+    (SMALL_PROTOCOL, ("params", "n_cycles")),
+    ({"experiment": "diffusion", "realizations": 1, "params": {"n_list": [50, 100]}}, ("params", "n_list", 0)),
+]
+
+
+@pytest.mark.parametrize("config, field", INTEGER_FIELDS, ids=["/".join(map(str, f)) for _, f in INTEGER_FIELDS])
+def test_integral_float_in_an_integer_field_runs_as_the_int(tmp_path, config, field):
+    # draft 7 counts 16.0 as an integer, so validate takes it; run and the
+    # manifest then read it as the int 16
+    floated = json.loads(json.dumps(config))
+    parent = floated
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = float(parent[field[-1]])
+    outs = [tmp_path / "int", tmp_path / "float"]
+    for k, (c, out) in enumerate(zip((config, floated), outs)):
+        assert cli.main(["run", write_config(tmp_path, c, f"c{k}.json"), "--out", str(out), "--quiet"]) == 0
+    # json.dumps writes 16 and 16.0 apart
+    int_config, float_config = (
+        json.dumps({**json.loads((out / "manifest.json").read_text())["config"], "out_dir": None}) for out in outs
+    )
+    assert float_config == int_config
+    names = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert names
+    for name in names:
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+
 # A small config of every experiment, the fields it does not set at their defaults
 MINIMAL_CONFIGS = {
     "deer": {"experiment": "deer", "realizations": 8, "params": {"n_bath": 3}},
@@ -391,6 +429,8 @@ def test_misspelt_param_is_config_error(tmp_path, monkeypatch, capsys, experimen
         # rows whose field is in the network block give that block's contents
         ("deer", {"densities_ppm": {"P1": 0}}, "network/densities_ppm/P1"),
         ("diffusion", {"densities_ppm": {"P1": 0}}, "network/densities_ppm/P1"),
+        # an integral float is an integer, but not 16.5
+        ("rabi", {"n_points": 16.5}, "params/n_points"),
     ],
 )
 def test_out_of_range_param_is_config_error(tmp_path, capsys, experiment, params, field):
@@ -500,9 +540,9 @@ def test_deer_fit_records_the_fit_diagnostics(tmp_path):
     summary = json.loads((out / "deer_fit.json").read_text())
     fit = clusterdyn.extract_dephasing_rate(read_trace(out / "deer_trace.csv", 8))
     assert list(summary)[-2:] == ["converged", "nfev"]
-    assert summary["converged"] is fit.fit.converged
-    assert summary["nfev"] == fit.fit.iterations
-    assert summary["rate_mhz"] == fit.rate_mhz and summary["beta"] == fit.beta
+    assert summary["converged"] is fit.converged
+    assert summary["nfev"] == fit.iterations
+    assert summary["rate_mhz"] == 1.0 / fit["t2"] and summary["beta"] == fit["beta"]
     # the dilute-bath rate sits right after the fitted one
     keys = list(summary)
     assert keys[keys.index("rate_sigma") + 1] == "mean_field_rate_mhz"
@@ -517,9 +557,9 @@ def test_fig_s2_summary_records_the_fit_diagnostics(tmp_path):
     for density in summary["densities_ppm"]:
         key = str(density)
         fit = clusterdyn.extract_dephasing_rate(read_trace(out / f"deer_trace_{density:g}ppm.csv", 20))
-        assert summary["fit_converged"][key] is fit.fit.converged
-        assert summary["fit_nfev"][key] == fit.fit.iterations
-        assert summary["rates_mhz"][key] == fit.rate_mhz
+        assert summary["fit_converged"][key] is fit.converged
+        assert summary["fit_nfev"][key] == fit.iterations
+        assert summary["rates_mhz"][key] == 1.0 / fit["t2"]
         assert summary["mean_field_rates_mhz"][key] == clusterdyn.mean_field_deer_rate(density)
     keys = list(summary)
     assert keys[keys.index("rates_mhz") + 1] == "mean_field_rates_mhz"
@@ -793,6 +833,13 @@ def test_missing_required_param_is_config_error(tmp_path, capsys):
         ({"experiment": "fit", "params": {"data_csv": "d.csv"}}, "params/model"),
         ({"experiment": "fit", "params": {"model": "exp_saturation"}}, "params/data_csv"),
         ({"experiment": "fit"}, "params/model"),
+        # a repeated box size or calibration density leaves its fit without
+        # distinct abscissae, and a repeated drive fits one point twice
+        ({"experiment": "diffusion", "params": {"n_list": [50, 50]}, "realizations": 2}, "params/n_list"),
+        ({"experiment": "concentration", "params": {"gamma_exp_mhz": 0.5, "calibration_densities_ppm": [6.3, 6.3]},
+          "realizations": 2}, "params/calibration_densities_ppm"),
+        ({"experiment": "crossover", "params": {"omegas_mhz": [6.4, 6.4], "n_p1": 10, "n_cycles": 4},
+          "realizations": 2}, "params/omegas_mhz"),
     ],
 )
 def test_validate_refuses_what_run_refuses(tmp_path, capsys, config, field):

@@ -99,9 +99,9 @@ def test_deer_decay_fits_stretched_exponential():
     trace = deer_trace(6.3, n_realizations=150, seed=1)
     assert trace.signal[0] == pytest.approx(1.0, abs=1e-12)
     fit = extract_dephasing_rate(trace)
-    assert fit.fit.converged
-    assert 0.15 < fit.t2_us < 0.8
-    assert 0.5 < fit.beta < 1.6
+    assert fit.converged
+    assert 0.15 < fit["t2"] < 0.8
+    assert 0.5 < fit["beta"] < 1.6
     # the trace decays deep into the tail over the default grid
     assert np.mean(trace.signal[-8:]) < 0.2
 
@@ -200,9 +200,8 @@ def test_extract_dephasing_rate_round_trip():
     t = np.linspace(0, 30, 80)
     y = np.exp(-((t / 10.0) ** 1.5))
     fit = extract_dephasing_rate(TraceResult(t, y, np.zeros_like(t), 1))
-    assert fit.t2_us == pytest.approx(10.0, rel=1e-6)
-    assert fit.beta == pytest.approx(1.5, rel=1e-6)
-    assert fit.rate_mhz == pytest.approx(0.1, rel=1e-6)
+    assert fit["t2"] == pytest.approx(10.0, rel=1e-6)
+    assert fit["beta"] == pytest.approx(1.5, rel=1e-6)
 
 
 def test_extract_dephasing_rate_coverage():
@@ -213,7 +212,7 @@ def test_extract_dephasing_rate_coverage():
     for _ in range(100):
         y = truth + rng.normal(0, 0.02, t.size)
         fit = extract_dephasing_rate(TraceResult(t, y, np.full(t.size, 0.02), 1))
-        if abs(fit.t2_us - 10.0) < 1.96 * fit.fit.sigma("t2"):
+        if abs(fit["t2"] - 10.0) < 1.96 * fit.sigma("t2"):
             hits += 1
     assert hits >= 88
 

@@ -258,6 +258,11 @@ def test_a_schema_with_an_unchecked_keyword_is_refused_at_load(monkeypatch):
         ({"a": [1]}, {"type": "integer"}, ["an object is not of type 'integer'"]),
         ([[1]], {"type": "array", "minItems": 2}, ["an array is too short"]),
         ([], {"type": "array", "minItems": 1}, ["an array should be non-empty"]),
+        # 1 and 1.0 are one JSON number, true and 1 are not
+        ([1, 1.0], {"uniqueItems": True}, ["an array has non-unique elements"]),
+        ([[1, {"a": 2}], [1.0, {"a": 2.0}]], {"uniqueItems": True}, ["an array has non-unique elements"]),
+        ([True, 1, False, 0], {"uniqueItems": True}, []),
+        ([1, 1], {"uniqueItems": False}, []),
         ({"a": 1, "b": 2}, {"additionalProperties": False}, ["Additional properties are not allowed ('a', 'b' were unexpected)"] * 2),
         ({"x": 1}, {"if": {"required": ["x"]}, "then": {"properties": {"x": {"const": "y"}}}}, ["'y' was expected"]),
         ({}, {"if": {"required": ["x"]}, "then": {"properties": {"x": {"const": "y"}}}}, []),

@@ -245,7 +245,7 @@ def _with_zero(sigma, k):
 
 def _dephasing(sem, monkeypatch):
     sem = np.zeros_like(T) if sem is None else sem
-    return clusterdyn.extract_dephasing_rate(clusterdyn.TraceResult(T, DECAY, sem, 20)).fit.params
+    return clusterdyn.extract_dephasing_rate(clusterdyn.TraceResult(T, DECAY, sem, 20)).params
 
 
 def _saturation(sem, monkeypatch):
@@ -256,7 +256,7 @@ def _sweep(sigma, monkeypatch):
     if sigma is None:
         return protocol.fit_crossover(OMEGAS, P_SAT).params
     # saturation fits that report A_sat = amp with its sigma
-    saturation = lambda a, s: fitkit.FitResult("exp_saturation", ("amp", "tau"), np.array([a, 1.0]), np.array([s, 0.0]), np.zeros((2, 2)), 0.0, True, 0)
+    saturation = lambda a, s: fitkit.FitResult(("amp", "tau"), np.array([a, 1.0]), np.array([s, 0.0]), np.zeros((2, 2)), 0.0, True, 0)
     results = [SimpleNamespace(saturation=saturation(a, s)) for a, s in zip(P_SAT, sigma)]
     monkeypatch.setattr(protocol, "run_iterative_protocol", lambda factory, configs, n_realizations: results)
     configs = [protocol.CycleConfig(omega_mhz=o) for o in OMEGAS]
@@ -267,22 +267,22 @@ def _diffusion_window(sem, monkeypatch):
     times = np.linspace(0.0, 2000.0, 41)
     curve = 6.0 * 0.01 * times + 30.0 * np.sin(times / 90.0) + 150.0
     msd = transport.MsdCurve(times, curve, np.ones_like(times), sem_nm2=sem)
-    return transport.extract_diffusion(msd, 10.0, 100.0).fit.params
+    return transport.extract_diffusion(msd, 10.0, 100.0).params
 
 
 def _diffusion_scaling(sigma, monkeypatch):
     boxes = [50.0, 70.0, 90.0, 110.0]
-    ds = [0.0120, 0.0104, 0.0101, 0.0097]
+    # the window fits' slopes, 6 D_L
+    slopes = [0.0720, 0.0624, 0.0606, 0.0582]
     if sigma is None:
-        return transport.finite_size_extrapolate(boxes, ds).fit.params
+        return transport.finite_size_extrapolate(boxes, [s / 6.0 for s in slopes]).params
     curve = transport.MsdCurve(T, T, T, basis_dims=np.ones(2), basis_errors=np.zeros(2))
     monkeypatch.setattr(transport, "_msd_curves", lambda *args: [(curve, box) for box in boxes])
-    fits = iter(zip(ds, sigma))
-    monkeypatch.setattr(
-        transport, "extract_diffusion",
-        lambda curve, d_avg, box: transport.DiffusionResult(*next(fits), None),
-    )
-    return transport.diffusion_scaling(6.4, n_list=(100, 200, 400, 800), n_realizations=2).extrapolation.fit.params
+    # window fits that report D_L = slope / 6 with sigma
+    window = lambda slope, s: fitkit.FitResult(("slope", "intercept"), np.array([slope, 0.0]), np.array([6.0 * s, 0.0]), np.zeros((2, 2)), 0.0, True, 0)
+    fits = iter(zip(slopes, sigma))
+    monkeypatch.setattr(transport, "extract_diffusion", lambda curve, d_avg, box: window(*next(fits)))
+    return transport.diffusion_scaling(6.4, n_list=(100, 200, 400, 800), n_realizations=2).extrapolation.params
 
 
 def _calibration(sigma, monkeypatch):

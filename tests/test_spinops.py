@@ -125,7 +125,6 @@ def test_secular_intra_hand_matrix():
         ]
     )
     assert np.allclose(ham.matrix, expected, atol=1e-14)
-    assert ham.frame == Frame.LAB_SECULAR
 
 
 def test_secular_single_spin_zero():
@@ -288,7 +287,7 @@ def test_effective_disorder():
 
 def test_cluster_hamiltonian_validation():
     with pytest.raises(ValueError, match="2\\^n_sites"):
-        ClusterHamiltonian(np.zeros((2, 2), dtype=complex), Frame.DRESSED, 2)
+        ClusterHamiltonian(np.zeros((2, 2), dtype=complex), 2)
 
 
 def sparse_operators(n):

@@ -100,7 +100,7 @@ def test_realization_loops_give_the_same_bytes_at_any_worker_count(loop, workers
 
 def deer_fit_loop():
     trace = clusterdyn.deer_trace(6.3, n_realizations=6, n_bath=3, seed=1)
-    return trace.signal, trace.sem, clusterdyn.extract_dephasing_rate(trace).fit.params
+    return trace.signal, trace.sem, clusterdyn.extract_dephasing_rate(trace).params
 
 
 def protocol_fit_loop():
