@@ -25,9 +25,8 @@ cycle its readout runs on.  Both record the environment the transport and
 protocol bytes depend on: the numpy and scipy versions, the CPU count,
 the caller's BLAS thread variables, the most realization workers the
 command ran (``fitkit.map_realizations``) and the allocator settings it
-applied.  The ``diffusion`` run and the ``fig-s3`` preset also record
-under ``lanczos``, per box size, the range of Lanczos basis dimensions
-over the realizations and the largest final error estimate.
+applied.  The runners of :mod:`spinnet.experiments` add their own
+records, such as the ``lanczos`` entries of ``diffusion`` and ``fig-s3``.
 
 Before ``run`` and ``reproduce`` import numpy, they set the process up
 for realization loops (:func:`_set_up_process`): BLAS runs one thread,

@@ -8,7 +8,8 @@ cost one diagonalization per realization.  Echo signals use the
 phase-cycled difference of the two final pi/2 phases, which rejects
 common-mode offsets and lands the signal in [-1, 1].  The module also
 carries the dephasing fit, the rate-versus-density calibration and the
-concentration estimator built on it.
+concentration estimator built on it.  Every function returns numbers:
+:mod:`spinnet.experiments` lays out every artifact and run record.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ class TraceResult:
     abscissa_us: np.ndarray
     signal: np.ndarray
     sem: np.ndarray
-    n_realizations: int
-
-    def to_csv(self) -> str:
-        return fitkit.csv_text(("abscissa_us", "signal", "sem"), self.abscissa_us, self.signal, self.sem)
 
 
 def rotation_unitary(n_sites: int, angle_rad: float, axis: str, site_indices) -> np.ndarray:
@@ -161,7 +158,7 @@ def run_deer(
         return p_minus - p_plus
 
     mean, sem = reduce_mean_sem(np.array(fitkit.map_realizations(signal, n_realizations)))
-    return TraceResult(tau, mean, sem, n_realizations)
+    return TraceResult(tau, mean, sem)
 
 
 def deer_trace(
@@ -202,7 +199,7 @@ def run_rabi(
     phases = np.exp(-1j * TWO_PI * np.outer(evals, t))
     states = evecs @ (phases * (evecs.conj().T @ psi0)[:, None])
     sz = np.abs(states[0, :]) ** 2 - np.abs(states[1, :]) ** 2
-    return TraceResult(t, sz, np.zeros_like(t), 1)
+    return TraceResult(t, sz, np.zeros_like(t))
 
 
 def fft_peak(trace: TraceResult):

@@ -8,7 +8,10 @@ it, with each default of the schema filled in, and every preset resolves
 the configs it runs: ``fig-2c`` reads its networks and cycle from the
 resolved ``protocol`` config and records it as ``readout_config``.  This
 module loads numpy and the physics modules; ``spinnet.cli`` imports it
-only when a command computes.
+only when a command computes.  It alone lays out every artifact and run
+record: the physics modules return numbers, and the runners here name the
+artifacts, CSV columns, JSON keys and manifest-only records; it is the
+only caller in ``src/`` of :func:`spinnet.fitkit.csv_text`.
 """
 
 from __future__ import annotations
@@ -38,6 +41,18 @@ _NUMERIC_ERRORS = (
 def _fit_tail(res: fitkit.FitResult) -> dict:
     """The ``converged``/``nfev`` pair that ends every summary of a fitted number."""
     return {"converged": res.converged, "nfev": res.iterations}
+
+
+def _trace_csv(trace: clusterdyn.TraceResult) -> str:
+    """The CSV of a ``deer``, ``hahn`` or ``rabi`` trace."""
+    return fitkit.csv_text(("abscissa_us", "signal", "sem"), trace.abscissa_us, trace.signal, trace.sem)
+
+
+def _trajectory_csv(res: protocol.ProtocolResult) -> str:
+    """cycle,p_nv,p_p1, plus the two SEM columns when more than one realization was run."""
+    sem = (res.p_nv_sem, res.p_p1_sem) if res.n_realizations > 1 else ()
+    names = ("cycle", "p_nv", "p_p1", "p_nv_sem", "p_p1_sem")[: 3 + len(sem)]
+    return fitkit.csv_text(names, res.cycles, res.p_nv, res.p_p1, *sem)
 
 
 def _deer_config(density: float, seed: int, realizations: int) -> dict:
@@ -75,7 +90,7 @@ def _run_deer(config: dict) -> tuple:
         "beta": fit["beta"],
         **_fit_tail(fit),
     }
-    return {"deer_trace.csv": trace.to_csv(), "deer_fit.json": json.dumps(summary, indent=2)}, summary, {}
+    return {"deer_trace.csv": _trace_csv(trace), "deer_fit.json": json.dumps(summary, indent=2)}, summary, {}
 
 
 def _run_hahn(config: dict) -> tuple:
@@ -84,7 +99,7 @@ def _run_hahn(config: dict) -> tuple:
         "density_ppm": density,
         "max_refocus_deviation": float(np.max(np.abs(trace.signal - 1.0))),
     }
-    return {"hahn_trace.csv": trace.to_csv(), "hahn_summary.json": json.dumps(summary, indent=2)}, summary, {}
+    return {"hahn_trace.csv": _trace_csv(trace), "hahn_summary.json": json.dumps(summary, indent=2)}, summary, {}
 
 
 def _run_rabi(config: dict) -> tuple:
@@ -99,13 +114,14 @@ def _run_rabi(config: dict) -> tuple:
         "peak_mhz": peak,
         "expected_mhz": float(np.hypot(omega, detuning)),
     }
-    return {"rabi_trace.csv": trace.to_csv(), "rabi_summary.json": json.dumps(summary, indent=2)}, summary, {}
+    return {"rabi_trace.csv": _trace_csv(trace), "rabi_summary.json": json.dumps(summary, indent=2)}, summary, {}
 
 
 def _run_diffusion(config: dict) -> tuple:
     p, network = config["params"], config["network"]
+    omega = p["omega_mhz"]
     res = transport.diffusion_scaling(
-        p["omega_mhz"],
+        omega,
         density_ppm=network["densities_ppm"]["P1"],
         n_list=tuple(p["n_list"]),
         n_realizations=config["realizations"],
@@ -114,23 +130,26 @@ def _run_diffusion(config: dict) -> tuple:
         seed=config["seed"],
     )
     # D_inf is the extrapolation's intercept
-    d_inf = res.extrapolation["intercept"]
+    d_inf, d_inf_sigma = res.extrapolation["intercept"], res.extrapolation.sigma("intercept")
     summary = {
-        "omega_MHz": res.omega_mhz,
+        "omega_MHz": omega,
         "D_inf_nm2_per_us": d_inf,
-        "D_inf_sigma": res.extrapolation.sigma("intercept"),
+        "D_inf_sigma": d_inf_sigma,
         "diffusion_length_30us_nm": transport.diffusion_length(max(d_inf, 0.0), 30.0),
     }
-    return (
-        {
-            "diffusion_scaling.csv": fitkit.csv_text(
-                ("L_nm", "D_L_nm2_per_us", "sigma"), res.box_sizes_nm, res.d_values, res.d_sigmas
-            ),
-            "diffusion_summary.json": res.to_json(),
-        },
-        summary,
-        {"lanczos": res.lanczos},
-    )
+    columns = {"L_nm": res.box_sizes_nm, "D_L": res.d_values, "D_L_sigma": res.d_sigmas}
+    artifacts = {
+        "diffusion_scaling.csv": fitkit.csv_text(("L_nm", "D_L_nm2_per_us", "sigma"), *columns.values()),
+        # compact, unlike every other JSON artifact
+        "diffusion_summary.json": json.dumps({"omega_MHz": omega, **columns, "D_inf": d_inf, "sigma": d_inf_sigma}),
+    }
+    # the manifest's record: per box size, the range of Lanczos basis
+    # dimensions and the largest final error estimate
+    lanczos = [
+        {"n_p1": n_p1, "basis_dim_range": [int(dims.min()), int(dims.max())], "error_estimate_max": float(errors.max())}
+        for n_p1, dims, errors in zip(p["n_list"], res.basis_dims, res.basis_errors)
+    ]
+    return artifacts, summary, {"lanczos": lanczos}
 
 
 _CYCLE_FIELDS = {f.name for f in dataclasses.fields(protocol.CycleConfig)} - {"omega_mhz"}
@@ -164,7 +183,7 @@ def _run_protocol(config: dict) -> tuple:
         "n_realizations": res.n_realizations,
         **_fit_tail(sat),
     }
-    artifacts = {"protocol_trajectory.csv": res.to_csv(), "protocol_summary.json": json.dumps(summary, indent=2)}
+    artifacts = {"protocol_trajectory.csv": _trajectory_csv(res), "protocol_summary.json": json.dumps(summary, indent=2)}
     return artifacts, summary, {}
 
 

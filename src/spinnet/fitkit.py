@@ -522,7 +522,8 @@ def map_realizations(fn: Callable[[int], object], n: int) -> list:
 
 
 def csv_text(names: Sequence[str], *columns) -> str:
-    """The CSV text of every table spinnet writes.
+    """The CSV text of every table spinnet writes; :mod:`spinnet.experiments`,
+    which lays out every artifact, is its only caller in ``src/``.
 
     A header line of ``names``, then one line per index of the
     equal-length ``columns``; each cell is ``repr(float(value))``, the

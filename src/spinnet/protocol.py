@@ -5,7 +5,9 @@ evolution with rotating-frame relaxation) and an optical phase that
 repolarizes the sensors while the bath relaxes faster under
 illumination.  The module also carries the closed-form chain from a
 measured contrast amplitude to an absolute bath polarization, spin
-temperature, and enhancement over thermal equilibrium.
+temperature, and enhancement over thermal equilibrium.  Every function
+returns numbers: :mod:`spinnet.experiments` lays out every artifact and
+run record.
 """
 
 from __future__ import annotations
@@ -93,12 +95,6 @@ class ProtocolResult:
     p_p1_sem: np.ndarray
     n_realizations: int
     saturation: fitkit.FitResult  # fit_saturation of p_p1
-
-    def to_csv(self) -> str:
-        """cycle,p_nv,p_p1, plus the two SEM columns when more than one realization was run."""
-        sem = (self.p_nv_sem, self.p_p1_sem) if self.n_realizations > 1 else ()
-        names = ("cycle", "p_nv", "p_p1", "p_nv_sem", "p_p1_sem")[: 3 + len(sem)]
-        return fitkit.csv_text(names, self.cycles, self.p_nv, self.p_p1, *sem)
 
 
 @dataclass

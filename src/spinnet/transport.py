@@ -24,12 +24,12 @@ Runge-Kutta integration in the tests are the cross-checks.
 The diffusion analysis follows the mean-squared displacement of the
 polarization cloud about the source, fits the slope inside a window bounded
 below by the one-hop distance and above by the box, and removes the finite
-box by a linear extrapolation in 1/L.
+box by a linear extrapolation in 1/L.  Every function returns numbers, of
+which :mod:`spinnet.experiments` lays out every artifact and run record.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -70,6 +70,7 @@ __all__ = [
     "finite_size_extrapolate",
     "diffusion_length",
     "transport_network",
+    "ScalingResult",
     "diffusion_scaling",
 ]
 
@@ -705,26 +706,16 @@ def average_msd(
 
 @dataclass
 class ScalingResult:
-    omega_mhz: float
+    """D_L per box size, in ``n_list`` order, and its 1/L extrapolation; numbers
+    only, of which :mod:`spinnet.experiments` lays out every artifact and run record."""
+
     box_sizes_nm: list
     d_values: list
     d_sigmas: list
     extrapolation: fitkit.FitResult  # finite_size_extrapolate of d_values; D_inf = extrapolation["intercept"]
-    # per box size: the range of Lanczos basis dimensions over the
-    # realizations and the largest final error estimate (run records only)
-    lanczos: list
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "omega_MHz": self.omega_mhz,
-                "L_nm": self.box_sizes_nm,
-                "D_L": self.d_values,
-                "D_L_sigma": self.d_sigmas,
-                "D_inf": self.extrapolation["intercept"],
-                "sigma": self.extrapolation.sigma("intercept"),
-            }
-        )
+    # per box size, each realization's Lanczos basis dimension and final error estimate
+    basis_dims: list
+    basis_errors: list
 
 
 def diffusion_scaling(
@@ -751,16 +742,10 @@ def diffusion_scaling(
     """
     d_avg = mean_spacing(density_ppm)
     curves = _msd_curves(omega_mhz, density_ppm, [(n_p1, seed + n_p1) for n_p1 in n_list], n_realizations, w_mhz, gamma_mhz)
-    boxes, ds, sigs, lanczos = [], [], [], []
-    for n_p1, (curve, box) in zip(n_list, curves):
-        res = extract_diffusion(curve, d_avg, box)
-        boxes.append(float(box))
-        ds.append(res["slope"] / 6.0)
-        sigs.append(res.sigma("slope") / 6.0)
-        lanczos.append({
-            "n_p1": n_p1,
-            "basis_dim_range": [int(curve.basis_dims.min()), int(curve.basis_dims.max())],
-            "error_estimate_max": float(curve.basis_errors.max()),
-        })
+    fits = [extract_diffusion(curve, d_avg, box) for curve, box in curves]
+    boxes = [float(box) for _, box in curves]
+    ds = [res["slope"] / 6.0 for res in fits]
+    sigs = [res.sigma("slope") / 6.0 for res in fits]
     extrap = finite_size_extrapolate(boxes, ds, fitkit.fit_sigma(sigs))
-    return ScalingResult(omega_mhz, boxes, ds, sigs, extrap, lanczos)
+    dims, errors = [c.basis_dims for c, _ in curves], [c.basis_errors for c, _ in curves]
+    return ScalingResult(boxes, ds, sigs, extrap, dims, errors)

@@ -191,6 +191,48 @@ def test_every_fit_returns_the_one_fit_record():
     assert not holders - FIT_HOLDERS, f"records that copy a fit: {sorted(holders - FIT_HOLDERS)}"
 
 
+def dataclasses_named(annotation) -> set:
+    """Every dataclass in a resolved annotation, inside ``Optional``, ``tuple[...]`` and the like."""
+    if inspect.isclass(annotation) and dataclasses.is_dataclass(annotation):
+        return {annotation}
+    return set().union(*map(dataclasses_named, typing.get_args(annotation)))
+
+
+def test_every_returned_dataclass_is_exported():
+    # the guards above walk the exported dataclasses; a record that an
+    # exported function returns but its module leaves out would escape them
+    exported = set(exported_dataclasses().values())
+    missing = {
+        f"{name} -> {cls.__module__}.{cls.__name__}"
+        for name, fn in exported_functions().items()
+        for cls in dataclasses_named(typing.get_type_hints(fn).get("return"))
+        if cls not in exported
+    }
+    assert not missing, f"returned but not exported: {sorted(missing)}"
+
+
+# The modules that return numbers: spinnet.experiments lays out every
+# artifact and run record of them
+PHYSICS_MODULES = ("network", "spinops", "clusterdyn", "transport", "protocol")
+
+
+@pytest.mark.parametrize("name", PHYSICS_MODULES)
+def test_physics_modules_lay_out_no_artifact(name):
+    # an artifact name, CSV column or JSON key decided here would be a
+    # second home beside experiments
+    nodes = list(ast.walk(ast.parse((Path(spinnet.__file__).parent / f"{name}.py").read_text())))
+    imported = {alias.name.split(".")[0] for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {(node.module or "").split(".")[0] for node in nodes if isinstance(node, ast.ImportFrom)}
+    named = {node.id for node in nodes if isinstance(node, ast.Name)}
+    named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    named |= {node.name for node in nodes if isinstance(node, ast.alias)}
+    classes = [node for node in nodes if isinstance(node, ast.ClassDef)]
+    methods = {item.name for node in classes for item in node.body if isinstance(item, ast.FunctionDef)}
+    assert "json" not in imported
+    assert "csv_text" not in named
+    assert not methods & {"to_csv", "to_json"}
+
+
 @pytest.mark.parametrize("experiment", CYCLE_EXPERIMENTS)
 def test_every_cycle_field_is_a_schema_param(experiment):
     # experiments._protocol_config spreads params into CycleConfig with **;

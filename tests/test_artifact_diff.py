@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,9 @@ def test_compare_trees_reports_largest_numeric_change(tmp_path, capsys):
     rows, verdict = artifact_diff.compare_trees(parent, change)
     assert verdict == artifact_diff.DIFFERS
     deltas = {rel.name: delta for rel, delta, _ in rows}
-    assert set(deltas) == {"d.csv", "s.json"}
-    assert deltas["s.json"] == (0.0, 0.0)
+    # the manifests differ only in their creation time, which is not compared
+    assert set(deltas) == {"d.csv", "s.json", "manifest.json"}
+    assert deltas["s.json"] == deltas["manifest.json"] == (0.0, 0.0)
     abs_d, rel_d = deltas["d.csv"]
     assert abs(abs_d - 1e-7) < 1e-12 and abs(rel_d - 2e-7) < 1e-12
     assert "identical" in capsys.readouterr().out
@@ -100,6 +102,32 @@ def test_verdict_differs_outranks_added_keys(tmp_path):
     assert verdict_of(tmp_path, FIT, change) == artifact_diff.DIFFERS
 
 
+LANCZOS = [{"n_p1": 100, "basis_dim_range": [61, 84], "error_estimate_max": 3e-9}]
+
+
+def manifest(lanczos, wall_time_s=1.0, out_dir="parent/run-diffusion/seed0", **records):
+    config = {"experiment": "diffusion", "seed": 0, "out_dir": out_dir}
+    times = {"wall_time_s": wall_time_s, "created_unix": wall_time_s}
+    return json.dumps({"experiment": "diffusion", "config": config, **times, "lanczos": lanczos, **records}, indent=2)
+
+
+def test_manifests_that_differ_in_a_lanczos_entry_differ(tmp_path, capsys):
+    changed = [dict(LANCZOS[0], basis_dim_range=[61, 85])]
+    parent = dict(FIT, **{"run-diffusion/seed0/manifest.json": manifest(LANCZOS)})
+    change = dict(FIT, **{"run-diffusion/seed0/manifest.json": manifest(changed)})
+    assert verdict_of(tmp_path, parent, change) == artifact_diff.DIFFERS == 1
+    assert "max_abs 1.000e+00" in capsys.readouterr().out
+
+
+def test_manifests_compare_without_their_run_to_run_fields(tmp_path):
+    parent = dict(FIT, **{"run-diffusion/seed0/manifest.json": manifest(LANCZOS)})
+    change = dict(FIT, **{"run-diffusion/seed0/manifest.json": manifest(LANCZOS, 2.5, "change/run-diffusion/seed0")})
+    assert verdict_of(tmp_path, parent, change) == artifact_diff.IDENTICAL
+    # a manifest that gains a record is an addition, like a JSON artifact that gains a key
+    change["run-diffusion/seed0/manifest.json"] = manifest(LANCZOS, workers=2)
+    assert verdict_of(tmp_path / "added", parent, change) == artifact_diff.ADDED_KEYS
+
+
 def test_missing_tree_exits_2(tmp_path, capsys):
     assert artifact_diff.main([str(tmp_path / "absent"), str(tmp_path / "absent")]) == artifact_diff.FAILED == 2
     assert "no spinnet package" in capsys.readouterr().err
@@ -164,8 +192,11 @@ def test_run_artifacts_writes_run_outputs(tmp_path, capsys):
         artifact_diff.run_artifacts(src, tmp_path / side, tags=(), seeds=(1,), runs=runs)
     rows, verdict = artifact_diff.compare_trees(tmp_path / "parent", tmp_path / "change")
     assert verdict == artifact_diff.IDENTICAL
-    # rabi draws nothing and takes no seed, so it runs once
-    assert {str(rel) for rel, _, _ in rows} == {"run-rabi/rabi_trace.csv", "run-rabi/rabi_summary.json"}
+    # rabi draws nothing and takes no seed, so it runs once; its two manifests
+    # differ only in their times and output paths
+    assert {str(rel) for rel, _, _ in rows} == {
+        "run-rabi/rabi_trace.csv", "run-rabi/rabi_summary.json", "run-rabi/manifest.json"
+    }
 
 
 def test_seedless_runs_are_the_experiments_that_take_no_seed():

@@ -527,10 +527,10 @@ def test_fig_2c_records_the_protocol_config_it_reads(tmp_path):
     assert record == cli.resolve_config({"experiment": "protocol", "seed": 1, "realizations": 2})
 
 
-def read_trace(path, n_realizations):
+def read_trace(path):
     """A trace CSV as spinnet wrote it; every cell is repr(float), so it reads back exactly."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return clusterdyn.TraceResult(data[:, 0], data[:, 1], data[:, 2], n_realizations)
+    return clusterdyn.TraceResult(data[:, 0], data[:, 1], data[:, 2])
 
 
 def test_deer_fit_records_the_fit_diagnostics(tmp_path):
@@ -538,7 +538,7 @@ def test_deer_fit_records_the_fit_diagnostics(tmp_path):
     out = tmp_path / "deer"
     assert cli.main(["run", write_config(tmp_path, config), "--out", str(out), "--quiet"]) == 0
     summary = json.loads((out / "deer_fit.json").read_text())
-    fit = clusterdyn.extract_dephasing_rate(read_trace(out / "deer_trace.csv", 8))
+    fit = clusterdyn.extract_dephasing_rate(read_trace(out / "deer_trace.csv"))
     assert list(summary)[-2:] == ["converged", "nfev"]
     assert summary["converged"] is fit.converged
     assert summary["nfev"] == fit.iterations
@@ -556,7 +556,7 @@ def test_fig_s2_summary_records_the_fit_diagnostics(tmp_path):
     assert list(summary)[-2:] == ["fit_converged", "fit_nfev"]
     for density in summary["densities_ppm"]:
         key = str(density)
-        fit = clusterdyn.extract_dephasing_rate(read_trace(out / f"deer_trace_{density:g}ppm.csv", 20))
+        fit = clusterdyn.extract_dephasing_rate(read_trace(out / f"deer_trace_{density:g}ppm.csv"))
         assert summary["fit_converged"][key] is fit.converged
         assert summary["fit_nfev"][key] == fit.iterations
         assert summary["rates_mhz"][key] == 1.0 / fit["t2"]

@@ -199,7 +199,7 @@ def test_rabi_detuned_frequency_and_contrast():
 def test_extract_dephasing_rate_round_trip():
     t = np.linspace(0, 30, 80)
     y = np.exp(-((t / 10.0) ** 1.5))
-    fit = extract_dephasing_rate(TraceResult(t, y, np.zeros_like(t), 1))
+    fit = extract_dephasing_rate(TraceResult(t, y, np.zeros_like(t)))
     assert fit["t2"] == pytest.approx(10.0, rel=1e-6)
     assert fit["beta"] == pytest.approx(1.5, rel=1e-6)
 
@@ -211,7 +211,7 @@ def test_extract_dephasing_rate_coverage():
     hits = 0
     for _ in range(100):
         y = truth + rng.normal(0, 0.02, t.size)
-        fit = extract_dephasing_rate(TraceResult(t, y, np.full(t.size, 0.02), 1))
+        fit = extract_dephasing_rate(TraceResult(t, y, np.full(t.size, 0.02)))
         if abs(fit["t2"] - 10.0) < 1.96 * fit.sigma("t2"):
             hits += 1
     assert hits >= 88
@@ -220,7 +220,7 @@ def test_extract_dephasing_rate_coverage():
 def test_flat_trace_raises_not_fits():
     t = np.linspace(0, 10, 20)
     with pytest.raises(FitError, match="no decay"):
-        extract_dephasing_rate(TraceResult(t, np.ones_like(t), np.zeros_like(t), 1))
+        extract_dephasing_rate(TraceResult(t, np.ones_like(t), np.zeros_like(t)))
 
 
 def test_calibrate_alpha():

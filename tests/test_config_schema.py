@@ -111,7 +111,18 @@ def cli_test_configs() -> list:
     return configs
 
 
-@pytest.mark.parametrize("config", cli_test_configs(), ids=lambda c: json.dumps(c)[:60])
+def config_id(config) -> str:
+    """A test id from the whole config text, so that no two configs share one."""
+    return json.dumps(config)
+
+
+def test_cli_test_config_ids_are_unique():
+    # pytest renumbers clashing ids, which renames a test that was not touched
+    ids = [config_id(config) for config in cli_test_configs()]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("config", cli_test_configs(), ids=config_id)
 def test_cli_test_configs_name_the_field_they_named(config):
     resolved = cli.resolve_config(config)
     assert_parity(resolved)

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spinnet import cli, fitkit
+from spinnet.constants import ppm_to_density
 
 SCHEMA = cli._load_schema()
 DEFS = SCHEMA["definitions"]
@@ -33,6 +34,8 @@ DRAW_NOTHING = {
 # bound is the schema's.  Unbounded numbers are drawn up to FLOAT_MAX, and
 # the mutations below reach past it.
 SIZE_CAPS = {"realizations": 3, "n_p1": 24, "n_list": 30, "n_bath": 4, "n_points": 64, "n_mc": 200, "probe_k": 12}
+# the fields validate_config refuses when their number density underflows to 0
+DENSITIES = ("P1", "calibration_densities_ppm")
 FLOAT_MAX = 1e6
 FIT_CSV = "x,y,sigma\n0,0.01,0.01\n1,0.4,0.01\n2,0.62,0.01\n3,0.75,0.01\n4,0.83,0.01\n6,0.9,0.01\n"
 
@@ -52,7 +55,9 @@ def number(node):
 
 
 def value(name, node, csv_path):
-    """A value the schema accepts for field ``name``."""
+    """A value that validate_config accepts for field ``name``: the schema's
+    types, bounds and ``uniqueItems``, a density above underflow, a table
+    that exists."""
     node = resolve(node)
     if "enum" in node:
         return st.sampled_from(node["enum"])
@@ -61,6 +66,8 @@ def value(name, node, csv_path):
         low = node.get("minimum", 0)
         high = min(node.get("maximum", low + 50), low + SIZE_CAPS.get(name, 50))
         return st.integers(low, high)
+    if kind == "number" and name in DENSITIES:
+        return number(node).filter(lambda d: ppm_to_density(d) > 0)
     if kind == "number":
         return number(node)
     if kind == ["number", "null"]:
@@ -70,18 +77,27 @@ def value(name, node, csv_path):
     if kind == "boolean":
         return st.booleans()
     if kind == "array":
-        return st.lists(value(name, node["items"], csv_path), min_size=node["minItems"], max_size=node["minItems"] + 2)
+        # numbers that compare equal are equal in JSON too (1 and 1.0); no bool is drawn here
+        return st.lists(
+            value(name, node["items"], csv_path),
+            min_size=node["minItems"],
+            max_size=node["minItems"] + 2,
+            unique=node.get("uniqueItems", False),
+        )
     if kind == "object":
         return fields(node, csv_path)
     if name == "data_csv":
-        return st.sampled_from([csv_path, csv_path + ".missing"])
+        return st.just(csv_path)
     raise AssertionError(f"no strategy for {name}: {node}")
 
 
 def fields(node, csv_path):
-    """A subset of an object's properties, each with a schema-valid value."""
-    props = node.get("properties", {})
-    return st.fixed_dictionaries({}, optional={k: value(k, v, csv_path) for k, v in props.items()})
+    """Every required property of an object and a subset of the others, each with a valid value."""
+    props = {k: value(k, v, csv_path) for k, v in node.get("properties", {}).items()}
+    required = node.get("required", ())
+    return st.fixed_dictionaries(
+        {k: props[k] for k in required}, optional={k: v for k, v in props.items() if k not in required}
+    )
 
 
 def out_of_range(node):
@@ -102,29 +118,37 @@ def out_of_range(node):
 
 
 @st.composite
-def configs(draw, csv_path):
+def valid_configs(draw, csv_path):
+    """A config of one experiment whose every field has a :func:`value`."""
     experiment = draw(st.sampled_from(EXPERIMENTS))
-    params_def = DEFS[f"{experiment}_params"]
-    network_def = DEFS[NETWORKS[experiment]]
     config = {"experiment": experiment}
     if experiment not in DRAW_NOTHING:
         # the realization count is always drawn: its defaults (100-200) are not small
         config["realizations"] = draw(value("realizations", SCHEMA["properties"]["realizations"], csv_path))
         config.update(draw(fields({"properties": {"seed": SCHEMA["properties"]["seed"]}}, csv_path)))
-    config["params"] = draw(fields(params_def, csv_path))
-    config["network"] = draw(fields(network_def, csv_path))
-    if experiment == "concentration" and draw(st.booleans()):
-        config["params"].setdefault("gamma_exp_mhz", draw(number({})))
+    config["params"] = draw(fields(DEFS[f"{experiment}_params"], csv_path))
+    config["network"] = draw(fields(DEFS[NETWORKS[experiment]], csv_path))
+    return config
+
+
+@st.composite
+def configs(draw, csv_path):
+    """A valid config, or one with a single field out of range, unknown or left out."""
+    config = draw(valid_configs(csv_path))
     if draw(st.booleans()):
-        # one field out of range, or one the experiment does not take
+        # one field out of range, one the experiment does not take, or a required one left out
         where = draw(st.sampled_from(["top", "params", "network"]))
-        target, props = {
-            "top": (config, {k: SCHEMA["properties"][k] for k in ("seed", "realizations")}),
-            "params": (config["params"], params_def.get("properties", {})),
-            "network": (config["network"], network_def.get("properties", {})),
+        target, node = {
+            "top": (config, {"properties": {k: SCHEMA["properties"][k] for k in ("seed", "realizations")}}),
+            "params": (config["params"], DEFS[f"{config['experiment']}_params"]),
+            "network": (config["network"], DEFS[NETWORKS[config["experiment"]]]),
         }[where]
+        props = node.get("properties", {})
         name = draw(st.sampled_from([*props, "unknown_field"]))
-        target[name] = draw(st.sampled_from(out_of_range(props[name]) if name in props else [1.0]))
+        if name in node.get("required", ()) and draw(st.booleans()):
+            del target[name]
+        else:
+            target[name] = draw(st.sampled_from(out_of_range(props[name]) if name in props else [1.0]))
     return config
 
 
@@ -152,6 +176,17 @@ def test_every_run_exits_0_2_or_3(csv_path, run_dir):
             code = cli.main(["run", str(path), "--out", str(run_dir / "out"), "--quiet"])
         assert code in (0, 2, 3), config
         assert multiprocessing.active_children() == []
+
+    check()
+
+
+def test_every_valid_config_passes_validate_config(csv_path):
+    # the strategy of the test above must know the schema as validate_config does:
+    # a config it calls valid and `run` refuses would count an exit 2 as a pass
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(valid_configs(csv_path))
+    def check(config):
+        cli.validate_config(cli.resolve_config(config))  # raises ConfigError on a config it refuses
 
     check()
 

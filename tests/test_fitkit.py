@@ -245,7 +245,7 @@ def _with_zero(sigma, k):
 
 def _dephasing(sem, monkeypatch):
     sem = np.zeros_like(T) if sem is None else sem
-    return clusterdyn.extract_dephasing_rate(clusterdyn.TraceResult(T, DECAY, sem, 20)).params
+    return clusterdyn.extract_dephasing_rate(clusterdyn.TraceResult(T, DECAY, sem)).params
 
 
 def _saturation(sem, monkeypatch):

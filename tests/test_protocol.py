@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spinnet import protocol
+from spinnet import experiments, protocol
 from spinnet.constants import TWO_PI
 from spinnet.network import NV_AXES, EnsembleSpec, Placement, Species, SpinSite
 from spinnet.protocol import (
@@ -239,7 +239,7 @@ def test_quasi_equilibrium_recovers_prepared_polarization():
 def test_protocol_csv():
     net = desk_factory(3, n_p1=40)
     (res,) = run_iterative_protocol(lambda r: net, [CycleConfig(omega_mhz=6.4)], 1)
-    text = res.to_csv()
+    text = experiments._trajectory_csv(res)
     lines = text.strip().splitlines()
     assert lines[0] == "cycle,p_nv,p_p1"
     assert len(lines) == 33

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import spinnet
-from spinnet import cli, clusterdyn, fitkit, protocol, transport
+from spinnet import cli, clusterdyn, experiments, fitkit, protocol, transport
 from spinnet.network import GenerationError
 
 SRC = str(Path(spinnet.__file__).resolve().parents[1])
@@ -64,11 +64,21 @@ def msd_loop(n):
     return run
 
 
+def diffusion_config(n_list, realizations, seed):
+    params = {"omega_mhz": 6.4, "n_list": n_list}
+    return cli.resolve_config({"experiment": "diffusion", "seed": seed, "realizations": realizations, "params": params})
+
+
+def diffusion_texts(config):
+    """The artifacts and the ``lanczos`` record of a ``diffusion`` run, as experiments writes them."""
+    artifacts, _, record = experiments._run_diffusion(config)
+    return [*artifacts.values(), json.dumps(record)]
+
+
 def scaling_loop(n):
     # box sizes out of order, so the schedule's largest-first lists differ from n_list
     def run():
-        res = transport.diffusion_scaling(6.4, n_list=(100, 50, 75), n_realizations=n, seed=6)
-        return (np.array([res.to_json(), json.dumps(res.lanczos)]),)
+        return (np.array(diffusion_texts(diffusion_config([100, 50, 75], n, 6))),)
 
     return run
 
@@ -148,7 +158,7 @@ def test_diffusion_parent_only_reduces(monkeypatch, workers):
     for name in ("transport_network", "pair_table", "lanczos_basis"):
         monkeypatch.setattr(transport, name, logged(built, getattr(transport, name), lambda *a, name=name: name))
     monkeypatch.setattr(fitkit, "map_realizations", logged(maps, fitkit.map_realizations, lambda fn, n: n))
-    run = lambda: transport.diffusion_scaling(6.4, n_list=(50, 100, 75), n_realizations=3, seed=8).to_json()
+    run = lambda: diffusion_texts(diffusion_config([50, 100, 75], 3, 8))
     workers(1)
     serial = run()
     assert sorted(built) == sorted(["transport_network", "pair_table", "lanczos_basis"] * 9)

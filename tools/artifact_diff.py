@@ -17,13 +17,20 @@ artifact, both SHA-256 digests and the largest absolute and relative
 change of any numeric cell, then the largest change per artifact name
 over all seeds.  JSON artifacts are compared key by key: the change is
 taken over the numeric keys present on both sides, and keys that were
-added, removed or changed a non-numeric value are named.
-``manifest.json`` holds the creation time and is not compared.
+added, removed or changed a non-numeric value are named.  A
+``manifest.json`` is compared the same way, key by key, after
+:func:`artifact_bytes` removes the fields that differ between two runs of
+one tree: ``wall_time_s`` and ``created_unix``, which are clock readings,
+and the ``config.out_dir`` of a ``run``, the output path, which names the
+tree's own directory.  No other field is removed, so a changed run record
+(a ``lanczos`` entry, a resolved ``config`` or ``readout_config``, the
+``environment``) is a difference.
 
 An artifact only the change tree writes is noted as an added file.
 
-Exit status: 0 when every artifact is byte-identical; 3 when the only
-differences are additions (JSON artifacts that gain keys, artifacts only
+Exit status: 0 when every artifact, and every manifest outside its
+run-to-run fields, is byte-identical; 3 when the only differences are
+additions (JSON artifacts or manifests that gain keys, artifacts only
 the change tree writes), every CSV and every value present on both sides
 staying identical; 1 when anything else differs (a CSV, a shared value,
 a removed key, an artifact only the parent tree writes); 2 when a tree
@@ -51,6 +58,8 @@ SEEDLESS = ("rabi", "fit")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # exit statuses; a lower one outranks a higher one among 1 and 3
 IDENTICAL, DIFFERS, FAILED, ADDED_KEYS = 0, 1, 2, 3
+# the manifest fields that differ between two runs of one tree
+RUN_TO_RUN = ("wall_time_s", "created_unix")
 
 # x, y, sem of a saturating buildup: the table the `fit` config reads
 FIT_DATA = "fit_data.csv"
@@ -250,8 +259,22 @@ def change_text(delta, notes=()) -> str:
     return "  ".join([text, ", ".join(notes)]) if notes else text
 
 
+def artifact_bytes(path: Path) -> bytes:
+    """The bytes compared of an artifact: the file's own, except that a
+    ``manifest.json`` is written again, in its key order, without the
+    :data:`RUN_TO_RUN` fields and without ``config.out_dir``."""
+    if path.name != "manifest.json":
+        return path.read_bytes()
+    manifest = json.loads(path.read_text())
+    for key in RUN_TO_RUN:
+        manifest.pop(key, None)
+    if isinstance(manifest.get("config"), dict):
+        manifest["config"].pop("out_dir", None)
+    return json.dumps(manifest, indent=2).encode()
+
+
 def digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else "-" * 64
+    return hashlib.sha256(artifact_bytes(path)).hexdigest() if path.is_file() else "-" * 64
 
 
 def file_change(a: Path, b: Path) -> tuple:
@@ -262,14 +285,15 @@ def file_change(a: Path, b: Path) -> tuple:
     CSV is compared cell by cell.
     """
     if a.suffix == ".json":
-        return keyed_change(json.loads(a.read_text()), json.loads(b.read_text()))
+        return keyed_change(json.loads(artifact_bytes(a)), json.loads(artifact_bytes(b)))
     if a.suffix == ".csv":
         return largest_change(csv_cells(a), csv_cells(b)), ()
     return (0.0, 0.0), ()
 
 
 def compare_trees(parent: Path, change: Path) -> tuple:
-    """Print the digests and largest change of every artifact; return (rows, verdict).
+    """Print the digests and largest change of every artifact and manifest
+    (of :func:`artifact_bytes`); return (rows, verdict).
 
     Each row is (relative path, largest change or None, notes on differing
     JSON keys, or ``added file``).  The verdict is :data:`IDENTICAL`,
@@ -283,8 +307,6 @@ def compare_trees(parent: Path, change: Path) -> tuple:
     )
     rows, verdicts = [], set()
     for rel in names:
-        if rel.name == "manifest.json":
-            continue
         a, b = parent / rel, change / rel
         da, db = digest(a), digest(b)
         notes = ()
