@@ -8,9 +8,9 @@ import only once the config or the preset tag has passed its checks: this
 module loads no numpy, so ``validate`` and every config error (exit 2)
 are answered before numpy loads.  The schema check is this module's own
 (:func:`_check`, standard library only): it implements the keywords the
-shipped schema uses, refuses a schema with any other when it loads, and
-names one field by the rule of :func:`validate_config`; no command
-imports jsonschema.  The run-config defaults are read in the
+shipped schema uses, which the tests hold to that set, and names one
+field by the rule of :func:`validate_config`; no command imports
+jsonschema.  The run-config defaults are read in the
 shipped schema and nowhere else: :func:`resolve_config` fills them into a
 copy of a config, which ``run`` validates once and hands to the runner.
 
@@ -73,15 +73,6 @@ _PRESET_REALIZATIONS = {
 }
 
 
-# The schema keywords _check implements, and the annotations it reads past;
-# _load_schema refuses a schema that uses any other keyword, so that no
-# keyword is accepted and silently ignored
-_CHECKED = frozenset({
-    "type", "enum", "const", "minimum", "maximum", "exclusiveMinimum", "minLength", "items", "minItems",
-    "uniqueItems", "properties", "additionalProperties", "required", "allOf", "if", "then", "not", "$ref",
-})
-_ANNOTATIONS = frozenset({"$schema", "title", "description", "default", "definitions"})
-
 # JSON type -> test of a parsed JSON value; an integer is also a float with
 # no fraction, as in JSON Schema draft 7
 _TYPES = {
@@ -102,34 +93,11 @@ _BOUNDS = {
 }
 
 
-def _unchecked_keywords(node) -> set:
-    """The keywords of the schema ``node`` and of its subschemas that
-    :func:`_check` neither implements nor reads past as an annotation.  A
-    subschema that is not an object (a boolean schema, ``items`` as an
-    array) is named by its repr, and so is ``additionalProperties`` other
-    than true or false."""
-    if not isinstance(node, dict):
-        return {repr(node)}
-    unchecked = set(node) - _CHECKED - _ANNOTATIONS
-    if not isinstance(node.get("additionalProperties", False), bool):
-        unchecked.add(f"additionalProperties: {node['additionalProperties']!r}")
-    subschemas = [node[k] for k in ("if", "then", "not", "items") if k in node]
-    subschemas += [*node.get("properties", {}).values(), *node.get("definitions", {}).values(), *node.get("allOf", ())]
-    for sub in subschemas:
-        unchecked |= _unchecked_keywords(sub)
-    return unchecked
-
-
 @functools.cache
 def _load_schema() -> dict:
     """The shipped run-config schema, read once per process; callers must
-    not change it.  A schema with a keyword that :func:`_check` does not
-    implement is refused."""
-    schema = json.loads(resources.files("spinnet").joinpath("schemas/runconfig.schema.json").read_text())
-    unchecked = _unchecked_keywords(schema)
-    if unchecked:
-        raise ValueError(f"run-config schema: spinnet.cli does not check {sorted(unchecked)}")
-    return schema
+    not change it."""
+    return json.loads(resources.files("spinnet").joinpath("schemas/runconfig.schema.json").read_text())
 
 
 def _deref(node):
@@ -235,7 +203,7 @@ def _check(value, node, path=(), where=()):
     """Yield a :class:`_Failure` for each way ``value``, found at ``path``
     and ``where`` in a config, fails the schema ``node``.
 
-    The keywords are those of :data:`_CHECKED`, with the JSON Schema
+    The keywords are those the shipped schema uses, with the JSON Schema
     draft 7 meaning: a ``$ref`` replaces its node, ``if`` applies ``then``
     when ``value`` meets it, and a bound or a length applies to values of
     its own type only.  Each node's keywords are checked in the schema's

@@ -74,10 +74,10 @@ def rotation_unitary(n_sites: int, angle_rad: float, axis: str, site_indices) ->
 
 def sample_nv_p1_cluster(
     density_ppm: float,
-    n_bath: int = 5,
+    n_bath: int,
+    placement: Placement,
     seed: int = 0,
     realization: int = 0,
-    placement: Placement = Placement.DIAMOND_LATTICE,
 ) -> SpinNetwork:
     """One NV sensor at the box center plus ``n_bath`` addressed P1 spins.
 
@@ -109,8 +109,8 @@ def _sensor_up_probability(states: np.ndarray) -> np.ndarray:
 def run_deer(
     cluster_factory: Callable[[int], SpinNetwork],
     tau_grid_us,
+    bath_pi: bool,
     n_realizations: int = 1,
-    bath_pi: bool = True,
     seed: int = 0,
 ) -> TraceResult:
     """Phase-cycled echo with an optional recoupling pi on the bath.
@@ -163,11 +163,11 @@ def run_deer(
 
 def deer_trace(
     density_ppm: float,
-    n_realizations: int = 200,
-    n_bath: int = 5,
+    n_realizations: int,
+    n_bath: int,
+    bath_pi: bool,
+    placement: Placement,
     seed: int = 0,
-    bath_pi: bool = True,
-    placement: Placement = Placement.DIAMOND_LATTICE,
 ) -> TraceResult:
     """Disorder-averaged NV-P1 DEER decay at the given addressed density,
     on :func:`default_tau_grid`."""
@@ -182,11 +182,7 @@ def deer_trace(
     return run_deer(factory, tau, n_realizations=n_realizations, bath_pi=bath_pi, seed=seed)
 
 
-def run_rabi(
-    omega_mhz: float,
-    t_grid_us,
-    detuning_mhz: float = 0.0,
-) -> TraceResult:
+def run_rabi(omega_mhz: float, t_grid_us, detuning_mhz: float) -> TraceResult:
     """Driven single-spin evolution; returns the <sigma_z> trace.
 
     In the rotating frame H = Omega Sx + delta Sz, so the signal oscillates
@@ -264,7 +260,7 @@ def estimate_concentration(
     gamma_sigma: float,
     k_mhz_per_group_ppm: float,
     k_sigma: float,
-    n_mc: int = 10_000,
+    n_mc: int,
     seed: int = 0,
 ) -> ConcentrationEstimate:
     """Monte Carlo posterior for total density = gamma_exp / K.

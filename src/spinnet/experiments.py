@@ -160,18 +160,16 @@ def _protocol_config(p: dict, omega: float) -> protocol.CycleConfig:
     return protocol.CycleConfig(omega_mhz=omega, **{k: p[k] for k in _CYCLE_FIELDS})
 
 
-def _protocol_inputs(config: dict) -> tuple:
-    """(network factory, CycleConfig) of a resolved ``protocol`` config."""
-    p, seed = config["params"], config["seed"]
-    n_p1, w = p["n_p1"], config["network"]["disorder_mhz"]
-    factory = lambda r: protocol.protocol_network(n_p1=n_p1, w_mhz=w, seed=seed, realization=r)
-    return factory, _protocol_config(p, p["omega_mhz"])
+def _protocol_factory(config: dict):
+    """The network factory of a resolved ``protocol`` or ``crossover`` config."""
+    n_p1, w, seed = config["params"]["n_p1"], config["network"]["disorder_mhz"], config["seed"]
+    return lambda r: protocol.protocol_network(n_p1=n_p1, w_mhz=w, seed=seed, realization=r)
 
 
 def _run_protocol(config: dict) -> tuple:
     omega = config["params"]["omega_mhz"]
-    factory, cycle = _protocol_inputs(config)
-    (res,) = protocol.run_iterative_protocol(factory, [cycle], config["realizations"])
+    cycle = _protocol_config(config["params"], omega)
+    (res,) = protocol.run_iterative_protocol(_protocol_factory(config), [cycle], config["realizations"])
     sat = res.saturation
     # P_sat is the saturation fit's amp, N_sat its tau
     summary = {
@@ -190,13 +188,12 @@ def _run_protocol(config: dict) -> tuple:
 def _run_crossover(config: dict) -> tuple:
     p = config["params"]
     omegas = p["omegas_mhz"]
-    p_sat, p_sig, cross = protocol.saturation_sweep(
-        [_protocol_config(p, float(o)) for o in omegas],
-        n_realizations=config["realizations"],
-        n_p1=p["n_p1"],
-        seed=config["seed"],
-        w_mhz=config["network"]["disorder_mhz"],
-    )
+    # one run over every drive, so that each network is built once and serves them all
+    cycles = [_protocol_config(p, float(o)) for o in omegas]
+    results = protocol.run_iterative_protocol(_protocol_factory(config), cycles, config["realizations"])
+    p_sat = np.array([res.saturation["amp"] for res in results])
+    p_sig = np.array([res.saturation.sigma("amp") for res in results])
+    cross = protocol.fit_crossover(np.array(omegas, dtype=float), p_sat, sigma=fitkit.fit_sigma(p_sig))
     # A_inf and W are the crossover fit's a_inf and w
     summary = {
         "omegas_MHz": list(map(float, omegas)),
@@ -286,9 +283,12 @@ def _run_fit(config: dict) -> tuple:
             raise ConfigError(
                 f"config field params/data_csv: third column {name!r} is not a sem or sigma column"
             )
-        if data[:, 2].any():
-            sigma = data[:, 2]  # an all-zero column (a noiseless or one-realization trace): fit unweighted
-    res = fitkit.fit(model, data[:, 0], data[:, 1], sigma=sigma, p0=p0)
+        sigma = data[:, 2]
+        if np.any(sigma < 0):
+            raise ConfigError("config field params/data_csv: a sigma cell is negative")
+    # a zero error bar (a noiseless or one-realization trace, a point every
+    # realization agrees on) leaves the fit unweighted
+    res = fitkit.fit(model, data[:, 0], data[:, 1], sigma=fitkit.fit_sigma(sigma), p0=p0)
     summary = {
         "model": model_name,
         "params": {k: res[k] for k in res.param_names},
@@ -424,7 +424,8 @@ def _fig_2c(realizations: int, seed: int) -> tuple:
     """Differential readout transient and its equilibration time, on the
     networks and cycle of the resolved ``protocol`` config that ``fig-s4a`` runs."""
     config = resolve_config({"experiment": "protocol", "seed": seed, "realizations": realizations})
-    eq = protocol.readout_equilibration(*_protocol_inputs(config), realizations)
+    cycle = _protocol_config(config["params"], config["params"]["omega_mhz"])
+    eq = protocol.readout_equilibration(_protocol_factory(config), cycle, realizations)
     # tau_eq is the saturation fit's tau, the amplitude its amp
     s = {
         "tau_eq_us": eq.fit["tau"],

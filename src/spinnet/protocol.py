@@ -37,7 +37,6 @@ __all__ = [
     "EquilibrationResult",
     "protocol_network",
     "run_iterative_protocol",
-    "saturation_sweep",
     "fit_saturation",
     "fit_crossover",
     "estimate_p1_polarization",
@@ -59,14 +58,14 @@ class CycleConfig:
     """Timing, drive, and relaxation parameters of one transfer cycle."""
 
     omega_mhz: float
-    t_hh_us: float = 5.0
-    t_laser_us: float = 5.0
-    n_cycles: int = 32
-    p_nv0: float = 0.75
-    t1rho_dark_us: float = 430.0
-    t1rho_laser_us: float = 32.0
-    t1rho_nv_us: Optional[float] = 1300.0
-    probe_k: int = 8
+    t_hh_us: float
+    t_laser_us: float
+    n_cycles: int
+    p_nv0: float
+    t1rho_dark_us: float
+    t1rho_laser_us: float
+    t1rho_nv_us: Optional[float]
+    probe_k: int
 
     def __post_init__(self):
         if self.omega_mhz <= 0:
@@ -104,16 +103,12 @@ class EquilibrationResult:
     fit: fitkit.FitResult  # amplitude fit["amp"], equilibration time tau_eq = fit["tau"]
 
 
-def protocol_network(
-    n_p1: int = 120,
-    w_mhz: float = 1.36,
-    seed: int = 0,
-    realization: int = 0,
-) -> SpinNetwork:
+def protocol_network(n_p1: int, w_mhz: float, seed: int = 0, realization: int = 0) -> SpinNetwork:
     """Two-species box with every site in the driven (addressed) group.
 
     The box edge is set by :data:`DENSITY_P1_PPM` and ``n_p1``; the
-    sensor count follows from the ratio to :data:`DENSITY_NV_PPM`.  All
+    sensor count follows from the ratio to :data:`DENSITY_NV_PPM`, and
+    ``w_mhz`` is the quenched detuning spread of every site.  All
     sensors share one crystallographic axis and all bath spins one
     spectral group, so every pair participates in the dressed exchange.
     """
@@ -225,29 +220,6 @@ def run_iterative_protocol(
     ]
 
 
-def saturation_sweep(
-    configs: Sequence[CycleConfig],
-    n_realizations: int = 100,
-    n_p1: int = 120,
-    seed: int = 0,
-    w_mhz: float = 1.36,
-) -> tuple:
-    """P_sat per config (one config per drive amplitude) plus the crossover
-    fit against disorder.
-
-    The sweep is one :func:`run_iterative_protocol` call with every config,
-    so each network is built once and serves every drive.  ``w_mhz`` is
-    the quenched detuning spread of every network.
-    """
-    omegas = np.array([c.omega_mhz for c in configs], dtype=float)
-    factory = lambda r: protocol_network(n_p1=n_p1, w_mhz=w_mhz, seed=seed, realization=r)
-    results = run_iterative_protocol(factory, configs, n_realizations=n_realizations)
-    p_sat = np.array([res.saturation["amp"] for res in results])
-    p_sat_sigma = np.array([res.saturation.sigma("amp") for res in results])
-    cross = fit_crossover(omegas, p_sat, sigma=fitkit.fit_sigma(p_sat_sigma))
-    return p_sat, p_sat_sigma, cross
-
-
 def fit_saturation(n_values, a_values, sem=None) -> fitkit.FitResult:
     """Exponential-saturation fit A(N) = A_sat (1 - exp(-N/N_sat)).
 
@@ -286,7 +258,7 @@ def fit_crossover(omegas_mhz, a_sat, sigma=None) -> fitkit.FitResult:
     return fitkit.fit(CROSSOVER, omegas_mhz, a_sat, sigma=sigma)
 
 
-def estimate_p1_polarization(a: float, p1_to_nv_ratio: float, p_nv0: float = 0.75) -> float:
+def estimate_p1_polarization(a: float, p1_to_nv_ratio: float, p_nv0: float) -> float:
     """Absolute bath polarization from the saturated contrast amplitude.
 
     Polarization bookkeeping between the optically reset sensors and the

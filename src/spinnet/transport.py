@@ -75,8 +75,8 @@ __all__ = [
 ]
 
 RATE_FLOOR_MHZ = 1e-6
-# Hartmann-Hahn linewidth (MHz) of every dense rate matrix, and the
-# default of the diffusion pipeline
+# Hartmann-Hahn linewidth (MHz) of every dense rate matrix: the protocol's
+# fixed linewidth, which no run setting changes
 GAMMA_MHZ = 0.15
 
 
@@ -449,7 +449,7 @@ def _laplacian(pairs: PairTable, rates: np.ndarray):
     return csr_array((data, (rows, cols)), shape=(n, n))
 
 
-def lanczos_basis(net: SpinNetwork, omega_mhz: float, gamma_mhz: float = GAMMA_MHZ) -> LanczosBasis:
+def lanczos_basis(net: SpinNetwork, omega_mhz: float, gamma_mhz: float) -> LanczosBasis:
     """The Lanczos basis of ``net``'s transport generator, started at site 0.
 
     The generator is formed as a sparse Laplacian straight from the pair
@@ -496,7 +496,6 @@ def integrate_master_equation(gen: Union[Generator, LanczosBasis], p0, times_us)
 class MsdCurve:
     times_us: np.ndarray
     msd_nm2: np.ndarray
-    survival: np.ndarray
     sem_nm2: Optional[np.ndarray] = None
     # Lanczos basis dimension and final error estimate of each realization
     basis_dims: Optional[np.ndarray] = None
@@ -511,8 +510,7 @@ def msd(times_us, polarization, positions_nm, source_index: int) -> MsdCurve:
     tot = polarization.sum(axis=1)
     if np.any(tot <= 0):
         raise ValueError("total polarization must stay positive for the MSD")
-    curve = (polarization @ r2) / tot
-    return MsdCurve(times_us, curve, tot)
+    return MsdCurve(times_us, (polarization @ r2) / tot)
 
 
 def _window(d_avg_nm: float, box_nm: float) -> tuple:
@@ -568,13 +566,7 @@ def diffusion_length(d_nm2_per_us: float, tau_us: float) -> float:
     return math.sqrt(6.0 * d_nm2_per_us * tau_us)
 
 
-def transport_network(
-    density_ppm: float,
-    n_p1: int,
-    w_mhz: float = 1.36,
-    seed: int = 0,
-    realization: int = 0,
-) -> SpinNetwork:
+def transport_network(density_ppm: float, n_p1: int, w_mhz: float, seed: int = 0, realization: int = 0) -> SpinNetwork:
     """A transport box: one polarized NV at the center plus n_p1 addressed P1.
 
     The box side is (n_p1 / n)^(1/3) so the P1 density is exact; every P1
@@ -631,7 +623,7 @@ def _msd_curves(
 
         def row(times):
             c = msd(times, integrate_master_equation(basis, p0, times), net.positions, 0)
-            return c.msd_nm2, c.survival, basis.m, basis.error
+            return c.msd_nm2, basis.m, basis.error
 
         return row
 
@@ -668,13 +660,9 @@ def _msd_curves(
 
     out = []
     for k, side in enumerate(sides):
-        curves, totals, dims, errors = zip(*rows[k])
+        curves, dims, errors = zip(*rows[k])
         mean, sem = fitkit.reduce_mean_sem(curves)
-        surv = fitkit.reduce_mean_sem(totals)[0]
-        curve = MsdCurve(
-            probes[k][0], mean, surv, sem_nm2=sem, basis_dims=np.array(dims), basis_errors=np.array(errors)
-        )
-        out.append((curve, side))
+        out.append((MsdCurve(probes[k][0], mean, sem, np.array(dims), np.array(errors)), side))
     return out
 
 
@@ -682,9 +670,9 @@ def average_msd(
     omega_mhz: float,
     density_ppm: float,
     n_p1: int,
-    n_realizations: int = 100,
-    w_mhz: float = 1.36,
-    gamma_mhz: float = GAMMA_MHZ,
+    n_realizations: int,
+    w_mhz: float,
+    gamma_mhz: float,
     seed: int = 0,
 ) -> tuple:
     """Disorder-averaged MSD curve for one box size: the one-box case of
@@ -699,7 +687,7 @@ def average_msd(
     realization's basis dimension and final error estimate.  Returns
     (curve, box_nm); a box whose analysis window is empty raises
     WindowError before any realization runs.  Not in ``__all__``: no
-    runner calls it, and its defaults are :func:`diffusion_scaling`'s.
+    runner calls it.
     """
     return _msd_curves(omega_mhz, density_ppm, [(n_p1, seed)], n_realizations, w_mhz, gamma_mhz)[0]
 
@@ -720,11 +708,11 @@ class ScalingResult:
 
 def diffusion_scaling(
     omega_mhz: float,
-    density_ppm: float = 1.575,
-    n_list: Sequence[int] = (100, 200, 400, 800),
-    n_realizations: int = 100,
-    w_mhz: float = 1.36,
-    gamma_mhz: float = GAMMA_MHZ,
+    density_ppm: float,
+    n_list: Sequence[int],
+    n_realizations: int,
+    w_mhz: float,
+    gamma_mhz: float,
     seed: int = 0,
 ) -> ScalingResult:
     """D_L across box sizes plus the 1/L extrapolation to D_inf.

@@ -2,8 +2,9 @@
 
 Each test prints a single ``criterion N: PASS|FAIL`` line with the
 measured numbers (visible with ``-rA`` or ``-s``) and then asserts, so
-``pytest -v`` shows one verdict per criterion.  Workloads follow the
-documented defaults; total runtime is a few minutes.
+``pytest -v`` shows one verdict per criterion.  Workloads run the
+experiments' resolved configs (:mod:`run_settings`), so a criterion runs
+what the matching preset runs; total runtime is a few minutes.
 """
 
 import math
@@ -14,10 +15,11 @@ import numpy as np
 import numpy.testing as npt
 from scipy.linalg import expm
 
-from spinnet import clusterdyn, fitkit, network, protocol, spinops, transport
+from spinnet import clusterdyn, experiments, fitkit, network, protocol, spinops, transport
 from spinnet.constants import TWO_PI
 from spinnet.network import EnsembleSpec, Placement, Species
 from spinnet.spinops import Frame, build_cluster_hamiltonian, operator_set
+from run_settings import cycle, deer_trace, protocol_factory, resolved, setting
 from test_clusterdyn import cluster
 
 
@@ -152,30 +154,25 @@ def test_criterion_3_diffusion_pipeline():
 
 def test_criterion_4_protocol_saturation():
     start = time.perf_counter()
-    factory = lambda r: protocol.protocol_network(seed=0, realization=r)
-    (res,) = protocol.run_iterative_protocol(
-        factory, [protocol.CycleConfig(omega_mhz=6.40)], n_realizations=100
+    # fig-s4a, and fig-s4b at 100 realizations
+    _, sat, _ = experiments._run_protocol(resolved("protocol", seed=0, realizations=100))
+    omegas = [0.5, 1.0, 2.0, 3.2, 6.4, 10.0, 20.0, 40.0]
+    _, cross, _ = experiments._run_crossover(
+        resolved("crossover", seed=0, realizations=100, params={"omegas_mhz": omegas})
     )
-    n_sat = res.saturation["tau"]
-    _, _, cross = protocol.saturation_sweep(
-        [protocol.CycleConfig(omega_mhz=o) for o in (0.5, 1.0, 2.0, 3.2, 6.4, 10.0, 20.0, 40.0)],
-        n_realizations=100,
-        seed=0,
-    )
+    n_sat = sat["N_sat"]
     elapsed = time.perf_counter() - start
-    ok = 2.0 <= n_sat <= 4.0 and 0.12 <= cross["a_inf"] <= 0.24 and elapsed < 900.0
+    ok = 2.0 <= n_sat <= 4.0 and 0.12 <= cross["A_inf"] <= 0.24 and elapsed < 900.0
     assert report(
         4, ok,
-        f"N_sat={n_sat:.2f}+-{res.saturation.sigma('tau'):.2f} (band [2, 4]) "
-        f"P_inf={cross['a_inf']:.4f}+-{cross.sigma('a_inf'):.4f} (band [0.12, 0.24]) ({elapsed:.0f}s)",
+        f"N_sat={n_sat:.2f}+-{sat['N_sat_sigma']:.2f} (band [2, 4]) "
+        f"P_inf={cross['A_inf']:.4f}+-{cross['A_inf_sigma']:.4f} (band [0.12, 0.24]) ({elapsed:.0f}s)",
     )
 
 
 def test_criterion_5_crossover_recovery():
-    omegas = [0.5, 1.0, 2.0, 3.2, 6.4, 10.0]
-    _, _, sim = protocol.saturation_sweep(
-        [protocol.CycleConfig(omega_mhz=o) for o in omegas], n_realizations=30, seed=1
-    )
+    # the crossover's own drives, 0.5-10 MHz
+    _, sim, _ = experiments._run_crossover(resolved("crossover", seed=1, realizations=30))
     grid = np.linspace(0.5, 10.0, 25)
     clean = 0.179 * grid**2 / (grid**2 + 1.36**2)
     fit0 = protocol.fit_crossover(grid, clean)
@@ -183,14 +180,14 @@ def test_criterion_5_crossover_recovery():
     noisy = clean * (1.0 + 0.05 * rng.standard_normal(grid.size))
     fitn = protocol.fit_crossover(grid, noisy)
     ok = (
-        math.isfinite(sim["w"])
-        and sim["w"] > 0
+        math.isfinite(sim["W_MHz"])
+        and sim["W_MHz"] > 0
         and abs(fit0["w"] - 1.36) <= 1e-6
         and abs(fitn["w"] - 1.36) <= 0.2
     )
     assert report(
         5, ok,
-        f"W_sim={sim['w']:.3f}MHz clean|dW|={abs(fit0['w'] - 1.36):.2e} "
+        f"W_sim={sim['W_MHz']:.3f}MHz clean|dW|={abs(fit0['w'] - 1.36):.2e} "
         f"noisy W={fitn['w']:.3f}MHz",
     )
 
@@ -199,7 +196,7 @@ def test_criterion_6_cluster_dynamics_oracles():
     # (a) single bath spin: echo modulation is an exact cosine
     pair = cluster([[0, 0, 0], [10.0, 0, 0]], [Species.NV, Species.P1])
     tau = np.linspace(0.0, 20.0, 101)
-    trace = clusterdyn.run_deer(lambda r: pair, tau, n_realizations=1, seed=0)
+    trace = clusterdyn.run_deer(lambda r: pair, tau, bath_pi=True, n_realizations=1, seed=0)
     cos_err = float(np.abs(trace.signal - np.cos(TWO_PI * math.sqrt(2) * 0.052 * tau)).max())
 
     # (b) mutually detuned bath couples only via Ising terms; without the
@@ -236,12 +233,7 @@ def test_criterion_6_cluster_dynamics_oracles():
 
     # (d) dephasing rate is linear in density
     densities = [1.6, 3.2, 6.3, 12.6]
-    fits = {
-        d: clusterdyn.extract_dephasing_rate(
-            clusterdyn.deer_trace(d, n_realizations=200, seed=11)
-        )
-        for d in densities + [2.4]
-    }
+    fits = {d: clusterdyn.extract_dephasing_rate(deer_trace(d, 200, 11)) for d in densities + [2.4]}
     # the dephasing rate is 1/T2, its sigma sigma_T2/T2^2
     rate = {d: 1.0 / fit["t2"] for d, fit in fits.items()}
     rates = [rate[d] for d in densities]
@@ -278,7 +270,7 @@ def test_criterion_6_cluster_dynamics_oracles():
 
 
 def test_criterion_7_conservation_and_fits():
-    net = transport.transport_network(1.575, 60, seed=9, realization=0)
+    net = transport.transport_network(1.575, 60, setting("diffusion", "network/disorder_mhz"), seed=9, realization=0)
     rm = transport.build_rates(transport.pair_table(net), 6.40)
     p0 = np.zeros(len(net.positions))
     p0[0] = 1.0
@@ -330,8 +322,8 @@ def test_criterion_7_conservation_and_fits():
 
 
 def test_criterion_8_readout_equilibration():
-    net = protocol.protocol_network(seed=0, realization=0)
-    config = protocol.CycleConfig(omega_mhz=6.40)
+    # the first realization of the networks and cycle of fig-2c
+    net, config = protocol_factory(0)(0), cycle()
     plus = protocol.readout_equilibration(lambda r: net, config, 1, p_p1=0.074)
     minus = protocol.readout_equilibration(lambda r: net, config, 1, p_p1=-0.074)
     asym = float(np.abs(plus.delta_c + minus.delta_c).max())

@@ -122,12 +122,8 @@ def set_fields(classes: dict) -> set:
     A constructor call sets its keywords and, through the order of
     ``dataclasses.fields``, its positional arguments.  A ``replace`` call
     sets its keywords on every exported class that has a field of that
-    name.  A ``**`` argument sets nothing: the cycle fields that
-    ``experiments._protocol_config`` spreads from ``params`` count as set
-    only where the schema gives the key.
+    name.  A ``**`` argument sets nothing.
     """
-    from spinnet import cli, experiments
-
     found = set()
     for path in Path(spinnet.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -146,9 +142,6 @@ def set_fields(classes: dict) -> set:
                         break
                     found.add((callee, field))
                 found.update((callee, kw) for kw in keywords)
-    schema = cli._load_schema()["definitions"]
-    given = set.intersection(*(set(schema[f"{e}_params"]["properties"]) for e in CYCLE_EXPERIMENTS))
-    found.update(("CycleConfig", name) for name in experiments._CYCLE_FIELDS & given)
     return found
 
 
@@ -236,7 +229,7 @@ def test_physics_modules_lay_out_no_artifact(name):
 @pytest.mark.parametrize("experiment", CYCLE_EXPERIMENTS)
 def test_every_cycle_field_is_a_schema_param(experiment):
     # experiments._protocol_config spreads params into CycleConfig with **;
-    # a field the schema does not give can never leave its default
+    # a field the schema does not give would stop every run with a KeyError
     from spinnet import cli, experiments
 
     properties = cli._load_schema()["definitions"][f"{experiment}_params"]["properties"]
@@ -244,66 +237,34 @@ def test_every_cycle_field_is_a_schema_param(experiment):
     assert not missing, f"CycleConfig fields that {experiment} params cannot set: {missing}"
 
 
-def resolved_default(experiment, path):
-    """The value at ``path`` of the resolved minimal ``experiment`` config."""
-    from spinnet import cli
-
-    value = cli.resolve_config({"experiment": experiment})
-    for key in path.split("/"):
-        value = value[key]
-    return value
-
-
-def library_default(fn, name):
-    return inspect.signature(fn).parameters[name].default
-
-
-def mirrored_defaults() -> list:
-    """(schema field, its resolved default, the library default it mirrors)."""
-    from spinnet import clusterdyn, network, protocol, transport
-
-    pairs = [
-        ("protocol", "params/n_p1", protocol.protocol_network, "n_p1"),
-        ("protocol", "network/disorder_mhz", protocol.protocol_network, "w_mhz"),
-        ("crossover", "realizations", protocol.saturation_sweep, "n_realizations"),
-        ("crossover", "params/n_p1", protocol.saturation_sweep, "n_p1"),
-        ("crossover", "network/disorder_mhz", protocol.saturation_sweep, "w_mhz"),
-        ("deer", "realizations", clusterdyn.deer_trace, "n_realizations"),
-        ("deer", "params/n_bath", clusterdyn.deer_trace, "n_bath"),
-        ("deer", "params/bath_pi", clusterdyn.deer_trace, "bath_pi"),
-        ("diffusion", "network/densities_ppm/P1", transport.diffusion_scaling, "density_ppm"),
-        ("diffusion", "params/n_list", transport.diffusion_scaling, "n_list"),
-        ("diffusion", "realizations", transport.diffusion_scaling, "n_realizations"),
-        ("diffusion", "network/disorder_mhz", transport.diffusion_scaling, "w_mhz"),
-        ("diffusion", "params/gamma_mhz", transport.diffusion_scaling, "gamma_mhz"),
-        ("concentration", "params/n_mc", clusterdyn.estimate_concentration, "n_mc"),
-        ("rabi", "params/detuning_mhz", clusterdyn.run_rabi, "detuning_mhz"),
-    ]
-    rows = [
-        (f"{e}:{path}", resolved_default(e, path), library_default(fn, name))
-        for e, path, fn, name in pairs
-    ]
-    placement = resolved_default("deer", "network/placement")
-    rows.append(("deer:network/placement", network.Placement(placement), library_default(clusterdyn.deer_trace, "placement")))
-    cycle = [f for f in dataclasses.fields(protocol.CycleConfig) if f.name != "omega_mhz"]
-    rows += [
-        (f"{e}:params/{f.name}", resolved_default(e, f"params/{f.name}"), f.default) for e in CYCLE_EXPERIMENTS for f in cycle
-    ]
-    return rows
+# Run settings whose schema defaults the physics modules once repeated as
+# their own: the schema is their one home, and every caller passes them
+FORMER_COPIES = {
+    "protocol.CycleConfig": (
+        "t_hh_us", "t_laser_us", "n_cycles", "p_nv0", "t1rho_dark_us", "t1rho_laser_us", "t1rho_nv_us", "probe_k",
+    ),
+    "protocol.protocol_network": ("n_p1", "w_mhz"),
+    "protocol.estimate_p1_polarization": ("p_nv0",),
+    "clusterdyn.deer_trace": ("n_realizations", "n_bath", "bath_pi", "placement"),
+    "clusterdyn.sample_nv_p1_cluster": ("n_bath", "placement"),
+    "clusterdyn.run_deer": ("bath_pi",),
+    "clusterdyn.run_rabi": ("detuning_mhz",),
+    "clusterdyn.estimate_concentration": ("n_mc",),
+    "transport.diffusion_scaling": ("density_ppm", "n_list", "n_realizations", "w_mhz", "gamma_mhz"),
+    "transport.average_msd": ("n_realizations", "w_mhz", "gamma_mhz"),
+    "transport.transport_network": ("w_mhz",),
+    "transport.lanczos_basis": ("gamma_mhz",),
+}
 
 
-def test_every_schema_default_equals_the_library_default_it_mirrors():
-    # the schema is the one home of the run-config defaults; the library
-    # keeps its own for the tests, and they must not drift apart
-    def typed(value):
-        # the type counts (6.0 and 6 write different bytes), except that a
-        # JSON array reads as a list where the library default is a tuple
-        if isinstance(value, (list, tuple)):
-            return tuple(map(typed, value))
-        return type(value).__name__, value
-
-    drift = [(field, schema, library) for field, schema, library in mirrored_defaults() if typed(schema) != typed(library)]
-    assert not drift, f"schema default != library default: {drift}"
+def test_no_run_setting_has_a_library_default():
+    # a second default beside the schema's could drift from it unseen
+    defaulted = []
+    for target, names in FORMER_COPIES.items():
+        module, name = target.split(".")
+        parameters = inspect.signature(getattr(importlib.import_module(f"spinnet.{module}"), name)).parameters
+        defaulted += [f"{target}:{p}" for p in names if parameters[p].default is not inspect.Parameter.empty]
+    assert not defaulted, f"run settings with a library default: {defaulted}"
 
 
 # Top-level definitions in src/spinnet that no code in src/ names, kept

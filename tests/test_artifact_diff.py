@@ -141,6 +141,20 @@ def test_keyed_change_names_removed_and_changed_keys():
     assert notes == ("changed ok", "removed old/0")
 
 
+@pytest.mark.parametrize(
+    "parent, change, notes, verdict",
+    [
+        ({"a": 1}, {"a": 1, "readout_config": {}}, ("added readout_config",), artifact_diff.ADDED_KEYS),
+        ({"a": 1, "configs": []}, {"a": 1}, ("removed configs",), artifact_diff.DIFFERS),
+    ],
+    ids=["gained", "lost"],
+)
+def test_an_empty_container_is_a_key_of_its_own(tmp_path, parent, change, notes, verdict):
+    assert artifact_diff.keyed_change(parent, change) == ((0.0, 0.0), notes)
+    files = lambda doc: {"run-deer/seed0/fit.json": json.dumps(doc)}
+    assert verdict_of(tmp_path, files(parent), files(change)) == verdict
+
+
 def test_largest_change_flags_cell_count_mismatch():
     assert artifact_diff.largest_change([1.0, 2.0], [1.0]) is None
     assert artifact_diff.largest_change([float("nan"), -4.0], [float("nan"), -2.0]) == (2.0, 0.5)

@@ -674,14 +674,30 @@ def test_run_fit_reads_a_written_trace(tmp_path, capsys):
     assert report["converged"]
     assert report["params"]["freq"] == pytest.approx(5.0, rel=1e-6)
 
-    # a negative SEM, or one that mixes zero and positive entries, stays an error
+    # a SEM that mixes zero and positive entries also leaves the fit
+    # unweighted, as fitkit.fit_sigma reads it; a negative one is refused
     rows = trace.read_text().splitlines()
-    for sem in ("-0.1", "0.1"):
-        bad = tmp_path / f"bad{sem}.csv"
-        bad.write_text("\n".join(rows[:2] + [r.rsplit(",", 1)[0] + "," + sem for r in rows[2:]]) + "\n")
-        config["params"]["data_csv"] = str(bad)
-        assert cli.main(["run", write_config(tmp_path, config), "--out", str(out), "--quiet"]) == 3
-        assert "sigma values must be positive" in capsys.readouterr().err
+    for sem, code in (("0.1", 0), ("-0.1", 2)):
+        spoilt = tmp_path / f"sem{sem}.csv"
+        spoilt.write_text("\n".join(rows[:2] + [r.rsplit(",", 1)[0] + "," + sem for r in rows[2:]]) + "\n")
+        config["params"]["data_csv"] = str(spoilt)
+        capsys.readouterr()
+        assert cli.main(["run", write_config(tmp_path, config), "--out", str(tmp_path / f"fit{sem}"), "--quiet"]) == code
+        if code:
+            assert "config field params/data_csv: a sigma cell is negative" in capsys.readouterr().err
+    assert json.loads((tmp_path / "fit0.1" / "fit_report.json").read_text())["params"] == report["params"]
+
+
+def test_run_fit_reads_a_deer_trace(tmp_path):
+    # every realization of a one-spin bath starts its echo at exactly 1, so
+    # the SEM at tau = 0 is 0 while the others are positive
+    deer = {"experiment": "deer", "realizations": 20, "params": {"n_bath": 1}}
+    assert cli.main(["run", write_config(tmp_path, deer, "deer.json"), "--out", str(tmp_path / "deer"), "--quiet"]) == 0
+    trace = tmp_path / "deer" / "deer_trace.csv"
+    sem = np.loadtxt(trace, delimiter=",", skiprows=1)[:, 2]
+    assert sem[0] == 0.0 and np.all(sem[1:] > 0)
+    config = {"experiment": "fit", "params": {"model": "stretched_exp", "data_csv": str(trace)}}
+    assert cli.main(["run", write_config(tmp_path, config), "--out", str(tmp_path / "fit"), "--quiet"]) == 0
 
 
 def test_run_fit_reads_a_third_column_as_sigma_only_by_name(tmp_path, capsys):

@@ -7,7 +7,6 @@ from spinnet import clusterdyn, fitkit
 from spinnet.clusterdyn import (
     TraceResult,
     calibrate_alpha,
-    deer_trace,
     default_tau_grid,
     estimate_concentration,
     extract_dephasing_rate,
@@ -21,8 +20,12 @@ from spinnet.constants import J0_MHZ_NM3, PPM_TO_PER_NM3, TWO_PI
 from spinnet.fitkit import FitError
 from spinnet.network import EnsembleSpec, Placement, Species, SpinNetwork, box_side, species_code
 from spinnet.spinops import Frame, build_cluster_hamiltonian
+import run_settings
 
 Z = np.array([0.0, 0.0, 1.0])
+# the bath size and placement of a ``deer`` run
+N_BATH = run_settings.setting("deer", "params/n_bath")
+PLACEMENT = Placement(run_settings.setting("deer", "network/placement"))
 
 
 def cluster(positions, species, subgroup=None, axis_index=None, field_axis=Z, box_nm=1.0):
@@ -45,7 +48,7 @@ def test_deer_single_bath_spin_cosine():
     # J = 0.052 MHz, NV-scaled to sqrt(2) J
     net = cluster([[0, 0, 0], [10.0, 0, 0]], [Species.NV, Species.P1])
     tau = np.linspace(0.0, 20.0, 101)
-    trace = run_deer(lambda r: net, tau, n_realizations=2, seed=3)
+    trace = run_deer(lambda r: net, tau, True, n_realizations=2, seed=3)
     expected = np.cos(TWO_PI * math.sqrt(2) * 0.052 * tau)
     assert np.abs(trace.signal - expected).max() < 1e-6
     assert np.all(np.abs(trace.signal) <= 1 + 1e-12)
@@ -63,14 +66,14 @@ def test_sampled_one_spin_deer_is_the_ising_cosine(density_ppm, placement):
         dist = np.linalg.norm(rvec)
         cos = rvec @ np.ones(3) / (math.sqrt(3.0) * dist)
         j = J0_MHZ_NM3 * (1.0 - 3.0 * cos**2) / dist**3
-        trace = run_deer(lambda k: net, tau, seed=r)
+        trace = run_deer(lambda k: net, tau, True, seed=r)
         assert np.abs(trace.signal - np.cos(TWO_PI * math.sqrt(2.0) * j * tau)).max() <= 1e-13
 
 
 def test_deer_empty_bath_is_flat_hahn_echo():
     net = cluster([[0, 0, 0]], [Species.NV])
     tau = np.linspace(0.0, 10.0, 21)
-    trace = run_deer(lambda r: net, tau, n_realizations=1)
+    trace = run_deer(lambda r: net, tau, True, n_realizations=1)
     assert np.abs(trace.signal - 1.0).max() < 1e-10
 
 
@@ -78,7 +81,7 @@ def test_run_deer_rejects_oversize_cluster():
     # 13 spins (dimension 8192) exceed the cap before any matrix is built
     net = cluster([[2.0 * k, 0, 0] for k in range(13)], [Species.P1] * 13)
     with pytest.raises(ValueError, match="cap"):
-        run_deer(lambda r: net, np.linspace(0.0, 1.0, 3))
+        run_deer(lambda r: net, np.linspace(0.0, 1.0, 3), True)
 
 
 def test_hahn_echo_refocuses_static_ising_exactly():
@@ -96,7 +99,7 @@ def test_hahn_echo_refocuses_static_ising_exactly():
 
 
 def test_deer_decay_fits_stretched_exponential():
-    trace = deer_trace(6.3, n_realizations=150, seed=1)
+    trace = run_settings.deer_trace(6.3, 150, 1)
     assert trace.signal[0] == pytest.approx(1.0, abs=1e-12)
     fit = extract_dephasing_rate(trace)
     assert fit.converged
@@ -113,7 +116,7 @@ def test_tau_grid_scales_inversely_with_density():
 
 
 def test_cluster_builders():
-    cl = sample_nv_p1_cluster(6.3, n_bath=5, seed=2, realization=0)
+    cl = sample_nv_p1_cluster(6.3, 5, PLACEMENT, seed=2, realization=0)
     assert cl.n_sites == 6
     assert cl.species[0] == species_code(Species.NV)
     assert all(code == species_code(Species.P1) for code in cl.species[1:])
@@ -154,33 +157,28 @@ def test_cluster_path_reads_columns_only(monkeypatch):
         raise AssertionError("the cluster path built per-site records")
 
     monkeypatch.setattr(SpinNetwork, "sites", property(no_records))
-    net = sample_nv_p1_cluster(6.3, n_bath=4, seed=1)
+    net = sample_nv_p1_cluster(6.3, 4, PLACEMENT, seed=1)
     for frame in Frame:
         assert build_cluster_hamiltonian(net, frame).dim == 32
-    trace = deer_trace(6.3, n_realizations=3, n_bath=4, seed=1)
+    trace = run_settings.deer_trace(6.3, 3, 1, n_bath=4)
     assert trace.signal[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nv_nv_deer_smoke():
     tau = np.linspace(0.0, 2.0, 25)
-    trace = run_deer(
-        nv_nv_cluster,
-        tau,
-        n_realizations=30,
-        seed=4,
-    )
+    trace = run_deer(nv_nv_cluster, tau, True, n_realizations=30, seed=4)
     assert trace.signal[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.abs(trace.signal) <= 1 + 1e-12)
 
 
 def test_rabi_single_spin_and_fft():
     t = np.arange(512) * 0.01
-    trace = run_rabi(6.40, t)
+    trace = run_rabi(6.40, t, 0.0)
     peak = fft_peak(trace)
     df = 1.0 / (512 * 0.01)
     assert peak == pytest.approx(6.40, abs=df)
 
-    flat = run_rabi(0.0, t)
+    flat = run_rabi(0.0, t, 0.0)
     assert np.ptp(flat.signal) < 1e-12
     assert fft_peak(flat) is None
 
@@ -242,7 +240,7 @@ def test_mean_field_deer_rate():
     assert mean_field_deer_rate(1.0) == pytest.approx(k * PPM_TO_PER_NM3, rel=1e-8)
 
 
-def reference_estimate_concentration(gamma, gamma_sigma, k, k_sigma, n_mc=10_000, seed=0):
+def reference_estimate_concentration(gamma, gamma_sigma, k, k_sigma, n_mc, seed=0):
     """gamma / K as the generic Monte Carlo propagation computed it: one
     column per input drawn from (n, inputs) normals, draws with K <= 0
     vetoed, the ratio over the kept columns.  Returns (mean, sigma,
@@ -297,22 +295,13 @@ def test_estimate_concentration_rejection_warning():
     with pytest.raises(FitError, match="all Monte Carlo draws rejected"):
         estimate_concentration(1.0, 0.1, 0.1, 1.0, n_mc=1, seed=0)
     with pytest.raises(ValueError, match="K must be positive"):
-        estimate_concentration(1.0, 0.1, 0.0, 0.1)
+        estimate_concentration(1.0, 0.1, 0.0, 0.1, n_mc=1)
 
 
 def test_sem_scales_with_realization_count():
     tau = np.linspace(0.0, 1.0, 9)
-    small = run_deer(
-        lambda r: sample_nv_p1_cluster(6.3, seed=6, realization=r),
-        tau,
-        n_realizations=25,
-        seed=6,
-    )
-    large = run_deer(
-        lambda r: sample_nv_p1_cluster(6.3, seed=6, realization=r),
-        tau,
-        n_realizations=250,
-        seed=6,
-    )
+    factory = lambda r: sample_nv_p1_cluster(6.3, N_BATH, PLACEMENT, seed=6, realization=r)
+    small = run_deer(factory, tau, True, n_realizations=25, seed=6)
+    large = run_deer(factory, tau, True, n_realizations=250, seed=6)
     ratio = np.mean(small.sem[1:]) / np.mean(large.sem[1:])
     assert ratio == pytest.approx(math.sqrt(10), rel=0.2)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinnet import clusterdyn, fitkit, protocol, transport
+from spinnet import clusterdyn, experiments, fitkit, protocol, transport
 from spinnet.constants import TWO_PI
+from run_settings import resolved
 
 
 def test_stretched_exp_round_trip():
@@ -252,21 +253,21 @@ def _saturation(sem, monkeypatch):
     return protocol.fit_saturation(CYCLES, BUILDUP, sem=sem).params
 
 
-def _sweep(sigma, monkeypatch):
+def _crossover(sigma, monkeypatch):
     if sigma is None:
         return protocol.fit_crossover(OMEGAS, P_SAT).params
     # saturation fits that report A_sat = amp with its sigma
     saturation = lambda a, s: fitkit.FitResult(("amp", "tau"), np.array([a, 1.0]), np.array([s, 0.0]), np.zeros((2, 2)), 0.0, True, 0)
     results = [SimpleNamespace(saturation=saturation(a, s)) for a, s in zip(P_SAT, sigma)]
     monkeypatch.setattr(protocol, "run_iterative_protocol", lambda factory, configs, n_realizations: results)
-    configs = [protocol.CycleConfig(omega_mhz=o) for o in OMEGAS]
-    return protocol.saturation_sweep(configs, n_realizations=2)[2].params
+    summary = experiments._run_crossover(resolved("crossover", params={"omegas_mhz": OMEGAS.tolist()}))[1]
+    return np.array([summary["A_inf"], summary["W_MHz"]])
 
 
 def _diffusion_window(sem, monkeypatch):
     times = np.linspace(0.0, 2000.0, 41)
     curve = 6.0 * 0.01 * times + 30.0 * np.sin(times / 90.0) + 150.0
-    msd = transport.MsdCurve(times, curve, np.ones_like(times), sem_nm2=sem)
+    msd = transport.MsdCurve(times, curve, sem_nm2=sem)
     return transport.extract_diffusion(msd, 10.0, 100.0).params
 
 
@@ -276,13 +277,16 @@ def _diffusion_scaling(sigma, monkeypatch):
     slopes = [0.0720, 0.0624, 0.0606, 0.0582]
     if sigma is None:
         return transport.finite_size_extrapolate(boxes, [s / 6.0 for s in slopes]).params
-    curve = transport.MsdCurve(T, T, T, basis_dims=np.ones(2), basis_errors=np.zeros(2))
+    curve = transport.MsdCurve(T, T, basis_dims=np.ones(2), basis_errors=np.zeros(2))
     monkeypatch.setattr(transport, "_msd_curves", lambda *args: [(curve, box) for box in boxes])
     # window fits that report D_L = slope / 6 with sigma
     window = lambda slope, s: fitkit.FitResult(("slope", "intercept"), np.array([slope, 0.0]), np.array([6.0 * s, 0.0]), np.zeros((2, 2)), 0.0, True, 0)
     fits = iter(zip(slopes, sigma))
     monkeypatch.setattr(transport, "extract_diffusion", lambda curve, d_avg, box: window(*next(fits)))
-    return transport.diffusion_scaling(6.4, n_list=(100, 200, 400, 800), n_realizations=2).extrapolation.params
+    scaling = transport.diffusion_scaling(
+        6.4, density_ppm=1.575, n_list=(100, 200, 400, 800), n_realizations=2, w_mhz=1.36, gamma_mhz=0.15
+    )
+    return scaling.extrapolation.params
 
 
 def _calibration(sigma, monkeypatch):
@@ -292,7 +296,7 @@ def _calibration(sigma, monkeypatch):
 FIT_SITES = {
     "extract_dephasing_rate": (_dephasing, np.full(T.size, 0.02), 5),
     "fit_saturation": (_saturation, np.full(CYCLES.size, 0.004), 0),
-    "saturation_sweep": (_sweep, np.full(OMEGAS.size, 0.006), 2),
+    "crossover": (_crossover, np.full(OMEGAS.size, 0.006), 2),
     "extract_diffusion": (_diffusion_window, np.full(41, 4.0), 12),
     "diffusion_scaling": (_diffusion_scaling, [4e-4, 3e-4, 2e-4, 1e-4], 1),
     "calibrate_alpha": (_calibration, [0.05, 0.08, 0.1, 0.2], 3),

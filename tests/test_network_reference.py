@@ -328,7 +328,7 @@ def test_generate_network_matches_per_site_reference(ensemble, seed):
 
 @pytest.mark.parametrize("seed,realization,n_p1", [(0, 0, 120), (0, 7, 120), (3, 1, 60), (5, 2, 20), (11, 4, 120)])
 def test_protocol_network_matches_per_site_reference(seed, realization, n_p1):
-    net = protocol_network(n_p1=n_p1, seed=seed, realization=realization)
+    net = protocol_network(n_p1, 1.36, seed=seed, realization=realization)
     spec, sites = reference_protocol_sites(n_p1, seed, realization)
     assert net.spec == spec
     assert_columns_equal(net, sites)
@@ -427,7 +427,7 @@ def test_lattice_clusters_match_the_per_site_reference(density_ppm, streams):
             box_nm=box, densities_ppm={Species.P1: density_ppm}, placement=Placement.DIAMOND_LATTICE, seed=n_bath
         )
         for realization in range(50):
-            net = sample_nv_p1_cluster(density_ppm, n_bath=n_bath, seed=n_bath, realization=realization)
+            net = sample_nv_p1_cluster(density_ppm, n_bath, Placement.DIAMOND_LATTICE, seed=n_bath, realization=realization)
             state = streams[-1].bit_generator.state
             sites = reference_centred_sites(spec, realization)
             assert streams[-1].bit_generator.state == state, (n_bath, realization)

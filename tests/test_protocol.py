@@ -9,23 +9,22 @@ from spinnet.constants import TWO_PI
 from spinnet.network import NV_AXES, EnsembleSpec, Placement, Species, SpinSite
 from spinnet.protocol import (
     CROSSOVER,
-    CycleConfig,
     enhancement,
     estimate_p1_polarization,
     fit_crossover,
     fit_saturation,
-    protocol_network,
     readout_equilibration,
     run_iterative_protocol,
     spin_temperature,
     thermal_polarization,
 )
 from spinnet.transport import build_rates, factor_generator, pair_table
+from run_settings import cycle, protocol_factory
 from test_network_reference import network_from_sites, reference_build_rates
 
 
-def desk_factory(r, n_p1=120):
-    return protocol_network(n_p1=n_p1, seed=0, realization=r)
+def desk_factory(r, **params):
+    return protocol_factory(0, **params)(r)
 
 
 def pair_network(r_nm=4.0, bath_first=False):
@@ -47,19 +46,19 @@ def pair_network(r_nm=4.0, bath_first=False):
 
 def test_cycle_config_validation():
     with pytest.raises(ValueError, match="cycle count"):
-        CycleConfig(omega_mhz=6.4, n_cycles=33)
+        cycle(omega_mhz=6.4, n_cycles=33)
     with pytest.raises(ValueError, match="cycle count"):
-        CycleConfig(omega_mhz=6.4, n_cycles=1)
+        cycle(omega_mhz=6.4, n_cycles=1)
     with pytest.raises(ValueError, match="positive"):
-        CycleConfig(omega_mhz=-1.0)
+        cycle(omega_mhz=-1.0)
     with pytest.raises(ValueError, match="reset polarization"):
-        CycleConfig(omega_mhz=6.4, p_nv0=1.2)
+        cycle(omega_mhz=6.4, p_nv0=1.2)
     with pytest.raises(ValueError, match="durations"):
-        CycleConfig(omega_mhz=6.4, t_hh_us=0.0)
+        cycle(omega_mhz=6.4, t_hh_us=0.0)
 
 
 def test_protocol_network_layout():
-    net = protocol_network(n_p1=120, seed=0, realization=0)
+    net = desk_factory(0, n_p1=120)
     nv = net.indices_of(Species.NV)
     p1 = net.indices_of(Species.P1)
     assert p1.size == 120
@@ -67,7 +66,7 @@ def test_protocol_network_layout():
     assert np.all(net.subgroup == 0)
     for axis in NV_AXES[net.axis_index]:
         npt.assert_allclose(axis, NV_AXES[0], atol=1e-12)
-    again = protocol_network(n_p1=120, seed=0, realization=0)
+    again = desk_factory(0, n_p1=120)
     npt.assert_array_equal(net.positions, again.positions)
 
 
@@ -81,19 +80,19 @@ def test_missing_species_raises():
 
     net = generate_network(spec, realization=0)
     with pytest.raises(ValueError, match="sensor"):
-        run_iterative_protocol(lambda r: net, [CycleConfig(omega_mhz=6.4)], 1)
+        run_iterative_protocol(lambda r: net, [cycle(omega_mhz=6.4)], 1)
 
 
 def test_sensors_must_lead_the_network():
     # the cycle loop reads the sensors as the leading slice of the sites
     with pytest.raises(ValueError, match="sensors must lead"):
-        run_iterative_protocol(lambda r: pair_network(bath_first=True), [CycleConfig(omega_mhz=6.4)], 1)
+        run_iterative_protocol(lambda r: pair_network(bath_first=True), [cycle(omega_mhz=6.4)], 1)
 
 
 def test_isolated_pair_shares_polarization():
     # one long exchange phase with relaxation switched off splits the
     # sensor polarization evenly across the pair
-    config = CycleConfig(
+    config = cycle(
         omega_mhz=6.4,
         t_hh_us=1e7,
         n_cycles=2,
@@ -108,7 +107,7 @@ def test_isolated_pair_shares_polarization():
 
 def test_hh_phase_conserves_total_polarization():
     net = desk_factory(0, n_p1=60)
-    config = CycleConfig(omega_mhz=6.4, t1rho_dark_us=1e15, t1rho_nv_us=None)
+    config = cycle(omega_mhz=6.4, t1rho_dark_us=1e15, t1rho_nv_us=None)
     rm = build_rates(pair_table(net), 6.4)
     gen = factor_generator(rm, protocol._relaxation(net, config.t1rho_dark_us, config.t1rho_nv_us))
     p = np.zeros(len(net.positions))
@@ -117,7 +116,7 @@ def test_hh_phase_conserves_total_polarization():
 
 
 def test_desk_run_monotone_and_bounded():
-    (res,) = run_iterative_protocol(desk_factory, [CycleConfig(omega_mhz=6.4)], n_realizations=20)
+    (res,) = run_iterative_protocol(desk_factory, [cycle(omega_mhz=6.4)], n_realizations=20)
     assert np.all(res.p_p1 >= -1e-12)
     assert np.all(res.p_p1 <= 1.0)
     assert np.all(res.p_nv <= 1.0)
@@ -129,9 +128,9 @@ def test_desk_run_monotone_and_bounded():
 
 
 def test_slower_laser_relaxation_raises_both_fit_parameters():
-    (fast,) = run_iterative_protocol(desk_factory, [CycleConfig(omega_mhz=6.4)], n_realizations=10)
+    (fast,) = run_iterative_protocol(desk_factory, [cycle(omega_mhz=6.4)], n_realizations=10)
     (slow,) = run_iterative_protocol(
-        desk_factory, [CycleConfig(omega_mhz=6.4, t1rho_laser_us=1e9)], n_realizations=10
+        desk_factory, [cycle(omega_mhz=6.4, t1rho_laser_us=1e9)], n_realizations=10
     )
     fast, slow = fast.saturation, slow.saturation
     assert slow["amp"] > fast["amp"]
@@ -141,7 +140,7 @@ def test_slower_laser_relaxation_raises_both_fit_parameters():
 def test_saturation_monotone_in_drive():
     out = []
     for omega in (0.5, 2.0, 6.4):
-        (res,) = run_iterative_protocol(desk_factory, [CycleConfig(omega_mhz=omega)], n_realizations=10)
+        (res,) = run_iterative_protocol(desk_factory, [cycle(omega_mhz=omega)], n_realizations=10)
         out.append(res.saturation["amp"])
     assert out[0] < out[1] < out[2]
 
@@ -176,12 +175,12 @@ def test_fit_crossover_with_noise_recovers_width():
 
 def test_estimate_p1_polarization_examples():
     npt.assert_allclose(estimate_p1_polarization(0.143, 2.6, 0.75), 0.0742, atol=5e-4)
-    assert estimate_p1_polarization(0.0, 2.6) == 0.0
+    assert estimate_p1_polarization(0.0, 2.6, 0.75) == 0.0
     npt.assert_allclose(estimate_p1_polarization(1.0, 1.0, 0.75), 0.75, rtol=1e-12)
     with pytest.raises(ValueError, match="nonnegative"):
-        estimate_p1_polarization(-0.1, 2.6)
+        estimate_p1_polarization(-0.1, 2.6, 0.75)
     with pytest.raises(ValueError, match="ratio"):
-        estimate_p1_polarization(0.1, 0.0)
+        estimate_p1_polarization(0.1, 0.0, 0.75)
 
 
 def test_temperature_chain_values():
@@ -207,19 +206,19 @@ def test_temperature_round_trip_and_domain():
 
 def test_readout_zero_preparation_is_null():
     net = desk_factory(0, n_p1=60)
-    eq = readout_equilibration(lambda r: net, CycleConfig(omega_mhz=6.40), 1, p_p1=0.0)
+    eq = readout_equilibration(lambda r: net, cycle(omega_mhz=6.40), 1, p_p1=0.0)
     npt.assert_allclose(eq.delta_c, 0.0, atol=1e-12)
 
 
 def test_readout_sign_flip_antisymmetric():
     net = desk_factory(1, n_p1=60)
-    a = readout_equilibration(lambda r: net, CycleConfig(omega_mhz=6.40), 1, p_p1=0.074)
-    b = readout_equilibration(lambda r: net, CycleConfig(omega_mhz=6.40), 1, p_p1=-0.074)
+    a = readout_equilibration(lambda r: net, cycle(omega_mhz=6.40), 1, p_p1=0.074)
+    b = readout_equilibration(lambda r: net, cycle(omega_mhz=6.40), 1, p_p1=-0.074)
     npt.assert_allclose(a.delta_c, -b.delta_c, atol=1e-14)
 
 
 def test_readout_equilibrates_fast_and_rises():
-    eq = readout_equilibration(desk_factory, CycleConfig(omega_mhz=6.40), 10)
+    eq = readout_equilibration(desk_factory, cycle(omega_mhz=6.40), 10)
     assert eq.fit["tau"] < 430.0 / 50.0
     assert eq.delta_c[0] == 0.0
     assert eq.delta_c[-1] > 0.0
@@ -230,15 +229,15 @@ def test_quasi_equilibrium_recovers_prepared_polarization():
     nv = net.indices_of(Species.NV)
     p1 = net.indices_of(Species.P1)
     times = np.concatenate([[0.0], np.geomspace(1.0, 5e4, 30)])
-    config = CycleConfig(omega_mhz=6.40, t1rho_dark_us=1e12, t1rho_nv_us=None)
+    config = cycle(omega_mhz=6.40, t1rho_dark_us=1e12, t1rho_nv_us=None)
     eq = readout_equilibration(lambda r: net, config, 1, times_us=times, p_p1=0.074)
-    est = estimate_p1_polarization(eq.delta_c[-1], p1.size / nv.size)
+    est = estimate_p1_polarization(eq.delta_c[-1], p1.size / nv.size, config.p_nv0)
     npt.assert_allclose(est, 0.074, rtol=0.10)
 
 
 def test_protocol_csv():
     net = desk_factory(3, n_p1=40)
-    (res,) = run_iterative_protocol(lambda r: net, [CycleConfig(omega_mhz=6.4)], 1)
+    (res,) = run_iterative_protocol(lambda r: net, [cycle(omega_mhz=6.4)], 1)
     text = experiments._trajectory_csv(res)
     lines = text.strip().splitlines()
     assert lines[0] == "cycle,p_nv,p_p1"
@@ -297,10 +296,10 @@ def assert_same_result(got, want):
 # four drives, a short run, a relaxation-free sensor and a probe set larger
 # than the bath
 SWEEP_CONFIGS = (
-    CycleConfig(omega_mhz=0.8),
-    CycleConfig(omega_mhz=3.2, n_cycles=12, t1rho_nv_us=None, probe_k=3),
-    CycleConfig(omega_mhz=6.4, t_hh_us=2.0),
-    CycleConfig(omega_mhz=20.0, n_cycles=5, t1rho_dark_us=200.0, probe_k=50),
+    cycle(omega_mhz=0.8),
+    cycle(omega_mhz=3.2, n_cycles=12, t1rho_nv_us=None, probe_k=3),
+    cycle(omega_mhz=6.4, t_hh_us=2.0),
+    cycle(omega_mhz=20.0, n_cycles=5, t1rho_dark_us=200.0, probe_k=50),
 )
 
 

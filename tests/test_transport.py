@@ -1,4 +1,3 @@
-import inspect
 import math
 import tracemalloc
 
@@ -12,7 +11,6 @@ from scipy.sparse import identity as sparse_identity
 from spinnet import transport
 from spinnet.constants import TWO_PI
 from spinnet.network import EnsembleSpec, Species, SpinNetwork, ppm_to_density, species_code
-from spinnet.protocol import protocol_network
 from spinnet.spinops import Frame, build_cluster_hamiltonian
 from spinnet.transport import (
     GAMMA_MHZ,
@@ -34,7 +32,12 @@ from spinnet.transport import (
     rate_cutoff,
     transport_network,
 )
+from run_settings import protocol_factory, setting
 from test_network_reference import reference_build_rates
+
+# the detuning spread and Hartmann-Hahn linewidth of a ``diffusion`` run
+W_MHZ = setting("diffusion", "network/disorder_mhz")
+LINEWIDTH_MHZ = setting("diffusion", "params/gamma_mhz")
 
 
 def two_site_rate_matrix(rate):
@@ -133,7 +136,7 @@ def test_rate_matrix_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         RateMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]), 60.0)
     with pytest.raises(ValueError, match="positive"):
-        net = transport_network(1.575, 2, seed=0, realization=0)
+        net = transport_network(1.575, 2, W_MHZ, seed=0, realization=0)
         build_rates(pair_table(net), -1.0)
 
 
@@ -177,7 +180,7 @@ def test_pure_relaxation_without_rates():
 
 
 def test_uniform_is_stationary():
-    net = transport_network(1.575, 30, seed=5, realization=2)
+    net = transport_network(1.575, 30, W_MHZ, seed=5, realization=2)
     rm = build_rates(pair_table(net), 6.40)
     n = len(net.positions)
     p0 = np.full(n, 1.0 / n)
@@ -186,7 +189,7 @@ def test_uniform_is_stationary():
 
 
 def test_conservation_and_maximum_principle():
-    net = transport_network(1.575, 60, seed=9, realization=0)
+    net = transport_network(1.575, 60, W_MHZ, seed=9, realization=0)
     rm = build_rates(pair_table(net), 6.40)
     p0 = np.zeros(len(net.positions))
     p0[0] = 1.0
@@ -205,7 +208,7 @@ def test_long_time_equilibration_on_connected_pair_chain():
 
 
 def test_rk_matches_eigh_on_network():
-    net = transport_network(1.575, 40, seed=7, realization=1)
+    net = transport_network(1.575, 40, W_MHZ, seed=7, realization=1)
     rm = build_rates(pair_table(net), 6.40)
     p0 = np.zeros(len(net.positions))
     p0[0] = 1.0
@@ -218,19 +221,18 @@ def test_msd_source_only_and_shell():
     positions = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
     curve = msd(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]), positions, 0)
     npt.assert_allclose(curve.msd_nm2, [0.0, 25.0], atol=1e-12)
-    npt.assert_allclose(curve.survival, 1.0)
 
 
 def test_extract_diffusion_linear_curve():
     t = np.linspace(0.0, 600.0, 200)
-    curve = MsdCurve(t, 1.32 * t, np.ones_like(t))
+    curve = MsdCurve(t, 1.32 * t)
     res = extract_diffusion(curve, d_avg_nm=15.34, box_nm=71.2)
     npt.assert_allclose(res["slope"] / 6.0, 0.22, rtol=1e-9)
 
 
 def test_extract_diffusion_window_errors():
     t = np.linspace(0.0, 600.0, 50)
-    saturating = MsdCurve(t, 100.0 * (1.0 - np.exp(-t / 5.0)), np.ones_like(t))
+    saturating = MsdCurve(t, 100.0 * (1.0 - np.exp(-t / 5.0)))
     with pytest.raises(WindowError, match="larger"):
         extract_diffusion(saturating, d_avg_nm=15.34, box_nm=71.2)
     with pytest.raises(WindowError, match="larger"):
@@ -243,14 +245,14 @@ def test_empty_window_raises_before_any_realization(monkeypatch):
     built = []
     monkeypatch.setattr(transport, "transport_network", lambda *a, **k: built.append(a))
     with pytest.raises(WindowError, match="analysis window is empty"):
-        transport.diffusion_scaling(6.40, n_list=(800, 10), n_realizations=2)
+        transport.diffusion_scaling(6.40, 1.575, (800, 10), 2, W_MHZ, LINEWIDTH_MHZ)
     assert built == []
 
 
 def test_extract_diffusion_ignores_early_transient():
     t = np.linspace(0.0, 600.0, 400)
     fast = np.where(t < 50.0, 5.0 * t, 250.0 + 0.3 * (t - 50.0))
-    res = extract_diffusion(MsdCurve(t, fast, np.ones_like(t)), 15.34, 71.2)
+    res = extract_diffusion(MsdCurve(t, fast), 15.34, 71.2)
     npt.assert_allclose(res["slope"] / 6.0, 0.05, rtol=2e-2)
 
 
@@ -271,7 +273,7 @@ def test_diffusion_length_value():
 
 
 def test_build_rates_cutoff_radius():
-    net = transport_network(1.575, 2, seed=1, realization=0)
+    net = transport_network(1.575, 2, W_MHZ, seed=1, realization=0)
     rm = build_rates(pair_table(net), 6.40)
     # beyond the recorded cutoff every rate is dropped to zero
     assert 50.0 < rm.cutoff_nm < 70.0
@@ -331,7 +333,7 @@ def test_pair_table_refuses_a_longer_cutoff():
 
 
 def test_pair_table_checks_the_exclusion_radius():
-    net = transport_network(1.575, 20, seed=2, realization=0)
+    net = transport_network(1.575, 20, W_MHZ, seed=2, realization=0)
     net.positions[2] = net.positions[1] + [0.5, 0.0, 0.0]
     with pytest.raises(ValueError, match="exclusion radius"):
         pair_table(net)
@@ -357,7 +359,7 @@ def test_pair_table_and_rates_stay_below_dense_temporaries():
 
 @pytest.mark.parametrize("make", [
     lambda: transport_network(1.575, 400, w_mhz=1.36, seed=3, realization=2),
-    lambda: protocol_network(n_p1=120, seed=0, realization=1),
+    lambda: protocol_factory(0, n_p1=120)(1),
 ], ids=["transport", "protocol"])
 def test_rates_exactly_symmetric(make):
     # eigh reads one triangle while the generator diagonal sums whole rows,
@@ -380,20 +382,11 @@ def test_transport_network_layout():
     npt.assert_array_equal(net.detunings, again.detunings)
 
 
-def test_average_msd_keeps_the_diffusion_defaults():
-    # the one-box case takes the defaults of the schedule it shares
-    one = inspect.signature(average_msd).parameters
-    scaling = inspect.signature(transport.diffusion_scaling).parameters
-    shared = ("n_realizations", "w_mhz", "gamma_mhz", "seed")
-    assert [one[p].default for p in shared] == [scaling[p].default for p in shared] == [100, 1.36, GAMMA_MHZ, 0]
-
-
 def test_average_msd_reaches_window_top():
-    curve, box = average_msd(6.40, 1.575, 60, 4, seed=13)
+    curve, box = average_msd(6.40, 1.575, 60, 4, W_MHZ, LINEWIDTH_MHZ, seed=13)
     top = 0.5 * (box / 2.0) ** 2
     assert curve.msd_nm2.max() >= top
     assert abs(curve.msd_nm2[0]) < 1e-9
-    assert np.all(curve.survival > 0.999)
 
 
 def reference_average_msd(omega_mhz, density_ppm, n_p1, n_realizations, seed):
@@ -406,7 +399,7 @@ def reference_average_msd(omega_mhz, density_ppm, n_p1, n_realizations, seed):
     box = (n_p1 / ppm_to_density(density_ppm)) ** (1.0 / 3.0)
 
     def one(realization, grid):
-        net = transport_network(density_ppm, n_p1, seed=seed, realization=realization)
+        net = transport_network(density_ppm, n_p1, W_MHZ, seed=seed, realization=realization)
         rates = reference_build_rates(net.spec, net.sites, omega_mhz)
         evals, evecs = np.linalg.eigh(np.diag(rates.sum(axis=1)) - rates)
         p0 = np.zeros(net.n_sites)
@@ -422,19 +415,18 @@ def reference_average_msd(omega_mhz, density_ppm, n_p1, n_realizations, seed):
     grid = transport._default_time_grid(t_end)
     runs = [one(r, grid) for r in range(n_realizations)]
     mean, sem = transport.fitkit.reduce_mean_sem(np.array([c.msd_nm2 for c in runs]))
-    surv = np.array([c.survival for c in runs]).mean(axis=0)
-    return MsdCurve(grid, mean, surv, sem_nm2=sem), box
+    return MsdCurve(grid, mean, sem_nm2=sem), box
 
 
 def test_average_msd_equals_probe_per_recompute_loop():
     # 0.5 MHz needs several probe grids before the curve reaches the window top
     for omega in (6.40, 0.5):
-        got, box = average_msd(omega, 1.575, 50, 3, seed=5)
+        got, box = average_msd(omega, 1.575, 50, 3, W_MHZ, LINEWIDTH_MHZ, seed=5)
         want, want_box = reference_average_msd(omega, 1.575, 50, 3, seed=5)
         assert box == want_box
         assert np.array_equal(got.times_us, want.times_us), omega
         # the Lanczos propagation rounds differently from the dense oracle
-        for name in ("msd_nm2", "survival", "sem_nm2"):
+        for name in ("msd_nm2", "sem_nm2"):
             a, b = getattr(got, name), getattr(want, name)
             npt.assert_allclose(a, b, rtol=1e-10, atol=1e-10 * np.abs(b).max(), err_msg=f"{omega} {name}")
 
@@ -450,7 +442,7 @@ def test_probe_propagates_each_grid_once(monkeypatch, omega):
         return integrate_master_equation(gen, p0, times)
 
     monkeypatch.setattr(transport, "integrate_master_equation", counted)
-    curve, _ = average_msd(omega, 1.575, 50, 1, seed=5)
+    curve, _ = average_msd(omega, 1.575, 50, 1, W_MHZ, LINEWIDTH_MHZ, seed=5)
     assert grids == [100.0 * 4.0**k for k in range(len(grids))]
     assert grids[-1] == curve.times_us[-1]
 
@@ -459,7 +451,7 @@ def test_diffusion_monotone_in_drive():
     davg = ppm_to_density(1.575) ** (-1.0 / 3.0)
     out = {}
     for omega in (0.5, 6.40):
-        curve, box = average_msd(omega, 1.575, 100, 5, seed=11)
+        curve, box = average_msd(omega, 1.575, 100, 5, W_MHZ, LINEWIDTH_MHZ, seed=11)
         out[omega] = extract_diffusion(curve, davg, box)["slope"]
     assert out[6.40] > 3.0 * out[0.5]
 
@@ -474,9 +466,9 @@ def dense_msd(net, omega_mhz, times):
 @pytest.mark.parametrize("n_p1", [100, 200, 400, 800])
 def test_lanczos_msd_matches_dense_oracle(n_p1):
     # the criterion-3 box sizes, on the grid the adaptive probes chose
-    curve, _ = average_msd(6.40, 1.575, n_p1, 3, seed=20 + n_p1)
+    curve, _ = average_msd(6.40, 1.575, n_p1, 3, W_MHZ, LINEWIDTH_MHZ, seed=20 + n_p1)
     want = np.mean(
-        [dense_msd(transport_network(1.575, n_p1, seed=20 + n_p1, realization=r), 6.40, curve.times_us) for r in range(3)],
+        [dense_msd(transport_network(1.575, n_p1, W_MHZ, seed=20 + n_p1, realization=r), 6.40, curve.times_us) for r in range(3)],
         axis=0,
     )
     npt.assert_allclose(curve.msd_nm2, want, rtol=1e-10, atol=1e-10 * want.max())
@@ -485,11 +477,11 @@ def test_lanczos_msd_matches_dense_oracle(n_p1):
 
 
 def test_complete_lanczos_basis_is_exact():
-    net = transport_network(1.575, 5, seed=2, realization=1)
+    net = transport_network(1.575, 5, W_MHZ, seed=2, realization=1)
     times = transport._default_time_grid(1e5)
     p0 = np.zeros(net.n_sites)
     p0[0] = 0.5
-    basis = lanczos_basis(net, 6.40)
+    basis = lanczos_basis(net, 6.40, LINEWIDTH_MHZ)
     got = basis.propagate(p0, times)
     assert basis.m == net.n_sites and basis.complete and basis.error == 0.0
     want = factor_generator(build_rates(pair_table(net), 6.40)).propagate(p0, times)
@@ -497,24 +489,24 @@ def test_complete_lanczos_basis_is_exact():
 
 
 def test_lanczos_basis_extends_for_a_longer_grid():
-    net = transport_network(1.575, 200, seed=4, realization=0)
+    net = transport_network(1.575, 200, W_MHZ, seed=4, realization=0)
     p0 = np.zeros(net.n_sites)
     p0[0] = 1.0
-    basis = lanczos_basis(net, 6.40)
+    basis = lanczos_basis(net, 6.40, LINEWIDTH_MHZ)
     basis.propagate(p0, transport._default_time_grid(10.0))
     short = basis.m
     long_grid = transport._default_time_grid(1e5)
     got = basis.propagate(p0, long_grid)
     assert short < basis.m < net.n_sites
-    fresh = lanczos_basis(net, 6.40)
+    fresh = lanczos_basis(net, 6.40, LINEWIDTH_MHZ)
     npt.assert_array_equal(got, fresh.propagate(p0, long_grid))
     assert fresh.m == basis.m
 
 
 def test_lanczos_path_still_checks_conservation():
     # a generator with a leak but no relaxation vector breaks conservation
-    net = transport_network(1.575, 20, seed=1, realization=0)
-    leaky = lanczos_basis(net, 6.40).generator + 1e-2 * sparse_identity(net.n_sites)
+    net = transport_network(1.575, 20, W_MHZ, seed=1, realization=0)
+    leaky = lanczos_basis(net, 6.40, LINEWIDTH_MHZ).generator + 1e-2 * sparse_identity(net.n_sites)
     p0 = np.zeros(net.n_sites)
     p0[0] = 1.0
     with pytest.raises(ConservationError, match="drifted"):
@@ -522,8 +514,8 @@ def test_lanczos_path_still_checks_conservation():
 
 
 def test_lanczos_basis_propagates_only_its_source():
-    net = transport_network(1.575, 20, seed=1, realization=0)
+    net = transport_network(1.575, 20, W_MHZ, seed=1, realization=0)
     p0 = np.zeros(net.n_sites)
     p0[1] = 1.0
     with pytest.raises(ValueError, match="source"):
-        integrate_master_equation(lanczos_basis(net, 6.40), p0, np.array([0.0, 1.0]))
+        integrate_master_equation(lanczos_basis(net, 6.40, LINEWIDTH_MHZ), p0, np.array([0.0, 1.0]))

@@ -15,6 +15,7 @@ import pytest
 import spinnet
 from spinnet import cli, clusterdyn, experiments, fitkit, protocol, transport
 from spinnet.network import GenerationError
+from run_settings import cycle, deer_trace, protocol_factory, setting
 
 SRC = str(Path(spinnet.__file__).resolve().parents[1])
 GIB = 1 << 30
@@ -39,27 +40,28 @@ def child_env(**extra):
 
 
 def deer_loop():
-    trace = clusterdyn.deer_trace(6.3, n_realizations=5, n_bath=3, seed=1)
+    trace = deer_trace(6.3, 5, 1, n_bath=3)
     return trace.signal, trace.sem
 
 
 def protocol_loop():
-    factory = lambda r: protocol.protocol_network(n_p1=30, seed=2, realization=r)
-    configs = [protocol.CycleConfig(omega_mhz=omega, n_cycles=6) for omega in (1.0, 6.4)]
+    factory = protocol_factory(2, n_p1=30)
+    configs = [cycle(omega_mhz=omega, n_cycles=6) for omega in (1.0, 6.4)]
     results = protocol.run_iterative_protocol(factory, configs, n_realizations=4)
     return tuple(a for res in results for a in (res.p_nv, res.p_p1, res.p_nv_sem, res.p_p1_sem))
 
 
 def readout_loop():
-    factory = lambda r: protocol.protocol_network(n_p1=30, seed=3, realization=r)
-    eq = protocol.readout_equilibration(factory, protocol.CycleConfig(omega_mhz=6.4), 3)
+    factory = protocol_factory(3, n_p1=30)
+    eq = protocol.readout_equilibration(factory, cycle(omega_mhz=6.4), 3)
     return (eq.delta_c,)
 
 
 def msd_loop(n):
     def run():
-        curve, _ = transport.average_msd(6.4, 1.575, 50, n_realizations=n, seed=4)
-        return curve.msd_nm2, curve.sem_nm2, curve.survival, curve.basis_dims, curve.basis_errors
+        w, gamma = setting("diffusion", "network/disorder_mhz"), setting("diffusion", "params/gamma_mhz")
+        curve, _ = transport.average_msd(6.4, 1.575, 50, n, w, gamma, seed=4)
+        return curve.msd_nm2, curve.sem_nm2, curve.basis_dims, curve.basis_errors
 
     return run
 
@@ -109,19 +111,19 @@ def test_realization_loops_give_the_same_bytes_at_any_worker_count(loop, workers
 
 
 def deer_fit_loop():
-    trace = clusterdyn.deer_trace(6.3, n_realizations=6, n_bath=3, seed=1)
+    trace = deer_trace(6.3, 6, 1, n_bath=3)
     return trace.signal, trace.sem, clusterdyn.extract_dephasing_rate(trace).params
 
 
 def protocol_fit_loop():
-    factory = lambda r: protocol.protocol_network(n_p1=30, seed=2, realization=r)
-    (res,) = protocol.run_iterative_protocol(factory, [protocol.CycleConfig(omega_mhz=6.4, n_cycles=6)], 6)
+    factory = protocol_factory(2, n_p1=30)
+    (res,) = protocol.run_iterative_protocol(factory, [cycle(omega_mhz=6.4, n_cycles=6)], 6)
     return res.p_nv, res.p_p1, res.p_nv_sem, res.p_p1_sem, res.saturation.params
 
 
 def readout_fit_loop():
-    factory = lambda r: protocol.protocol_network(n_p1=30, seed=3, realization=r)
-    eq = protocol.readout_equilibration(factory, protocol.CycleConfig(omega_mhz=6.4), 6)
+    factory = protocol_factory(3, n_p1=30)
+    eq = protocol.readout_equilibration(factory, cycle(omega_mhz=6.4), 6)
     return eq.delta_c, eq.fit.params
 
 

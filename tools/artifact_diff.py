@@ -17,7 +17,8 @@ artifact, both SHA-256 digests and the largest absolute and relative
 change of any numeric cell, then the largest change per artifact name
 over all seeds.  JSON artifacts are compared key by key: the change is
 taken over the numeric keys present on both sides, and keys that were
-added, removed or changed a non-numeric value are named.  A
+added, removed or changed a non-numeric value are named; an empty object
+or array counts as a key of its own.  A
 ``manifest.json`` is compared the same way, key by key, after
 :func:`artifact_bytes` removes the fields that differ between two runs of
 one tree: ``wall_time_s`` and ``created_unix``, which are clock readings,
@@ -201,13 +202,12 @@ def _floats(cells) -> list:
 
 
 def _json_leaves(node, path: str = "") -> dict:
-    """Every scalar of a JSON document keyed by its path, e.g. ``rates_mhz/2.4`` or ``D/0``."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
+    """Every scalar of a JSON document, and every empty object or array
+    below its root, keyed by its path, e.g. ``rates_mhz/2.4``, ``D/0`` or
+    ``readout_config``."""
+    if not isinstance(node, (dict, list)) or (path and not node):
         return {path: node}
+    items = node.items() if isinstance(node, dict) else enumerate(node)
     leaves = {}
     for key, child in items:
         leaves.update(_json_leaves(child, f"{path}/{key}" if path else str(key)))
