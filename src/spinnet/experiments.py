@@ -29,7 +29,7 @@ from .cli import resolve_config
 from .network import GenerationError, Placement
 
 _NUMERIC_ERRORS = (
-    ArithmeticError,  # overflow, e.g. a rate cutoff or a mode decay past the largest float
+    ArithmeticError,  # overflow, e.g. a mode decay past the largest float
     fitkit.FitError,
     transport.WindowError,
     transport.ConservationError,
@@ -126,7 +126,6 @@ def _run_diffusion(config: dict) -> tuple:
         n_list=tuple(p["n_list"]),
         n_realizations=config["realizations"],
         w_mhz=network["disorder_mhz"],
-        gamma_mhz=p["gamma_mhz"],
         seed=config["seed"],
     )
     # D_inf is the extrapolation's intercept

@@ -59,7 +59,6 @@ __all__ = [
     "WindowError",
     "ConservationError",
     "pair_table",
-    "rate_cutoff",
     "build_rates",
     "factor_generator",
     "LanczosBasis",
@@ -75,9 +74,13 @@ __all__ = [
 ]
 
 RATE_FLOOR_MHZ = 1e-6
-# Hartmann-Hahn linewidth (MHz) of every dense rate matrix: the protocol's
-# fixed linewidth, which no run setting changes
+# Hartmann-Hahn linewidth (MHz) of every pair rate, in the protocol and in
+# the diffusion pipeline alike; no run setting changes it
 GAMMA_MHZ = 0.15
+# Distance (nm) beyond which no pair rate reaches RATE_FLOOR_MHZ: the largest
+# conceivable |J~| at distance r is J0/r^3 (angular factor 2, double NV
+# scaling 2, inter prefactor 1/4, unit projections)
+RATE_CUTOFF_NM = (2.0 * J0_MHZ_NM3**2 / (GAMMA_MHZ * RATE_FLOOR_MHZ)) ** (1.0 / 6.0)
 
 
 class WindowError(RuntimeError):
@@ -90,10 +93,9 @@ class ConservationError(RuntimeError):
 
 @dataclass
 class RateMatrix:
-    """Symmetric pair-rate matrix in MHz with the cutoff used to build it."""
+    """Symmetric pair-rate matrix in MHz."""
 
     rates: np.ndarray
-    cutoff_nm: float
 
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float)
@@ -122,11 +124,11 @@ _PAIR_FACTOR = np.array([[nv_scaling(_PAIR_TERMS[True, same][0], k) for k in ran
 class PairTable:
     """The drive-independent part of :func:`build_rates` for one network.
 
-    One entry per site pair ``i < j`` that lies within ``cutoff_nm``:
-    ``r`` the pair distance (nm) and ``fj`` the bare dipolar coupling J_ij
-    times its pair prefactor (MHz).  ``detunings`` is a copy of the site
-    detunings (MHz).  One table serves every drive amplitude and every
-    linewidth whose rate cutoff is no longer than ``cutoff_nm``.
+    One entry per site pair ``i < j`` that lies within
+    :data:`RATE_CUTOFF_NM`: ``r`` the pair distance (nm) and ``fj`` the
+    bare dipolar coupling J_ij times its pair prefactor (MHz).
+    ``detunings`` is a copy of the site detunings (MHz).  One table serves
+    every drive amplitude.
     """
 
     i: np.ndarray
@@ -135,20 +137,6 @@ class PairTable:
     fj: np.ndarray
     detunings: np.ndarray
     n_sites: int
-    cutoff_nm: float
-
-
-def rate_cutoff(gamma_mhz: float) -> float:
-    """Distance (nm) beyond which no pair rate reaches 1e-6 MHz at linewidth
-    ``gamma_mhz``; FloatingPointError when the linewidth is too narrow for
-    a finite distance."""
-    # largest conceivable |J~| at distance r is J0/r^3 (angular factor 2,
-    # double NV scaling 2, inter prefactor 1/4, unit projections)
-    floor = gamma_mhz * RATE_FLOOR_MHZ
-    cutoff = (2.0 * J0_MHZ_NM3**2 / floor) ** (1.0 / 6.0) if floor > 0 else math.inf
-    if not math.isfinite(cutoff):
-        raise FloatingPointError(f"linewidth {gamma_mhz:g} MHz is too narrow for a finite rate cutoff")
-    return cutoff
 
 
 def _pair_geometry(pos, i, j, axis) -> tuple:
@@ -169,9 +157,9 @@ def _pair_geometry(pos, i, j, axis) -> tuple:
     return r, cos
 
 
-def pair_table(net: SpinNetwork, gamma_mhz: float = GAMMA_MHZ) -> PairTable:
-    """Distances and prefactored dipolar couplings of the pairs within the
-    rate cutoff of linewidth ``gamma_mhz``.
+def pair_table(net: SpinNetwork) -> PairTable:
+    """Distances and prefactored dipolar couplings of the pairs within
+    :data:`RATE_CUTOFF_NM`.
 
     The pairs come from a k-d tree over the positions, queried a relative
     1e-9 beyond the cutoff (or the exclusion radius, if that is longer), so
@@ -181,12 +169,9 @@ def pair_table(net: SpinNetwork, gamma_mhz: float = GAMMA_MHZ) -> PairTable:
     otherwise, times sqrt(2) per NV of the pair.  Raises ValueError when
     two sites sit closer than the exclusion radius.
     """
-    if gamma_mhz <= 0:
-        raise ValueError("Hartmann-Hahn linewidth must be positive")
     pos = net.positions
-    cutoff = rate_cutoff(gamma_mhz)
     exclusion = net.spec.exclusion_nm
-    radius = max(cutoff, exclusion) * (1.0 + 1e-9)
+    radius = max(RATE_CUTOFF_NM, exclusion) * (1.0 + 1e-9)
     # imported on first use, so that commands without transport never load it
     from scipy.spatial import cKDTree
 
@@ -201,23 +186,15 @@ def pair_table(net: SpinNetwork, gamma_mhz: float = GAMMA_MHZ) -> PairTable:
     factor = _PAIR_FACTOR.ravel().take(same * 3 + n_nv[i] + n_nv[j])
     # the rate multiplies factor * j_bare first, so caching it keeps every
     # rate bit-equal to the one-step product
-    return PairTable(i, j, r, factor * j_bare, net.detunings.copy(), net.n_sites, cutoff)
+    return PairTable(i, j, r, factor * j_bare, net.detunings.copy(), net.n_sites)
 
 
-def _pair_rates(pairs: PairTable, omega_mhz: float, gamma_mhz: float) -> np.ndarray:
-    """The rate of each pair of ``pairs`` (MHz), 0 beyond the rate cutoff of
-    ``gamma_mhz``: the one rate formula of :func:`build_rates` and
+def _pair_rates(pairs: PairTable, omega_mhz: float) -> np.ndarray:
+    """The rate of each pair of ``pairs`` (MHz), 0 beyond
+    :data:`RATE_CUTOFF_NM`: the one rate formula of :func:`build_rates` and
     :func:`lanczos_basis`."""
     if omega_mhz <= 0:
         raise ValueError("drive amplitude must be positive")
-    if gamma_mhz <= 0:
-        raise ValueError("Hartmann-Hahn linewidth must be positive")
-    cutoff = rate_cutoff(gamma_mhz)
-    if cutoff > pairs.cutoff_nm:
-        raise ValueError(
-            f"linewidth {gamma_mhz:g} MHz needs a {cutoff:g} nm rate cutoff, "
-            f"but the pair table holds pairs only within {pairs.cutoff_nm:g} nm"
-        )
     om_eff = np.array([effective_rabi(omega_mhz, d) for d in pairs.detunings.tolist()])
     sin_t = omega_mhz / om_eff  # sin(theta) per site, the transverse projection
     i, j = pairs.i, pairs.j
@@ -226,10 +203,10 @@ def _pair_rates(pairs: PairTable, omega_mhz: float, gamma_mhz: float) -> np.ndar
     # d_eff^2 are the same for (i, j) and (j, i), so one value serves both
     # triangles and the rates are exactly symmetric
     kept = (
-        2.0 * (pairs.fj * (sin_t[i] * sin_t[j])) ** 2 * gamma_mhz
-        / (gamma_mhz**2 + (om_eff[i] - om_eff[j]) ** 2)
+        2.0 * (pairs.fj * (sin_t[i] * sin_t[j])) ** 2 * GAMMA_MHZ
+        / (GAMMA_MHZ**2 + (om_eff[i] - om_eff[j]) ** 2)
     )
-    kept[pairs.r > cutoff] = 0.0
+    kept[pairs.r > RATE_CUTOFF_NM] = 0.0
     return kept
 
 
@@ -247,24 +224,23 @@ def build_rates(pairs: PairTable, omega_mhz: float) -> RateMatrix:
     R per us, with no 2 pi.  A dressed pair whose coherence decays at
     2 pi Gamma per us transfers at 2 pi R per us, to O((J~/Gamma)^2).
     A pair is degenerate when both sites share species, subgroup and
-    axis.  Pairs whose best-case rate falls below 1e-6 MHz are dropped;
-    the corresponding cutoff radius (:func:`rate_cutoff`) is recorded.
+    axis.  Pairs whose best-case rate falls below 1e-6 MHz, those beyond
+    :data:`RATE_CUTOFF_NM`, are dropped.
 
     ``pairs`` is the :func:`pair_table` of the network (distances and
     prefactored couplings of the pairs within the cutoff, independent of
     the drive); this step applies the drive-dependent tilt, Lorentzian and
     cutoff to those pairs and scatters them into a dense matrix, so a
-    drive sweep computes the table of each network once.  A table built
-    for a shorter cutoff than that linewidth needs raises ValueError.
+    drive sweep computes the table of each network once.
 
     The matrix is exactly symmetric, R_ij == R_ji bit for bit, so the
     generator built from it is an exact symmetric Laplacian.
     """
-    kept = _pair_rates(pairs, omega_mhz, GAMMA_MHZ)
+    kept = _pair_rates(pairs, omega_mhz)
     rates = np.zeros((pairs.n_sites, pairs.n_sites))
     rates[pairs.i, pairs.j] = kept
     rates[pairs.j, pairs.i] = kept
-    return RateMatrix(rates, cutoff_nm=rate_cutoff(GAMMA_MHZ))
+    return RateMatrix(rates)
 
 
 @dataclass(frozen=True)
@@ -435,29 +411,40 @@ class LanczosBasis:
 
 
 def _laplacian(pairs: PairTable, rates: np.ndarray):
-    """The generator diag(sum_j R_ij) - R as a CSR matrix, from the nonzero pair rates."""
+    """The generator diag(sum_j R_ij) - R as a CSR matrix, from the nonzero pair rates.
+
+    The diagonal sums the rates in the pair table's order, which fixes its
+    bits.  The entries then go in row by row: each row's lower triangle,
+    its diagonal and its upper triangle, each in column order, so the CSR
+    conversion finds every row sorted and sorts none.
+    """
     # imported on first use, so that commands without transport never load it
     from scipy.sparse import csr_array
 
     keep = rates > 0
     i, j, r = pairs.i[keep], pairs.j[keep], rates[keep]
     n = pairs.n_sites
-    site = np.arange(n)
-    rows = np.concatenate([i, j, site])
-    cols = np.concatenate([j, i, site])
-    data = np.concatenate([-r, -r, np.bincount(i, r, n) + np.bincount(j, r, n)])
+    diagonal = np.bincount(i, r, n) + np.bincount(j, r, n)
+    # row-major order of the upper triangle, which the conversion's stable
+    # bucketing by row turns into column order within each lower row too
+    order = np.argsort(i * n + j)
+    i, j, r = i[order].astype(np.int32), j[order].astype(np.int32), r[order]
+    site = np.arange(n, dtype=np.int32)
+    rows = np.concatenate([j, site, i])
+    cols = np.concatenate([i, site, j])
+    data = np.concatenate([-r, diagonal, -r])
     return csr_array((data, (rows, cols)), shape=(n, n))
 
 
-def lanczos_basis(net: SpinNetwork, omega_mhz: float, gamma_mhz: float) -> LanczosBasis:
+def lanczos_basis(net: SpinNetwork, omega_mhz: float) -> LanczosBasis:
     """The Lanczos basis of ``net``'s transport generator, started at site 0.
 
     The generator is formed as a sparse Laplacian straight from the pair
     rates of :func:`build_rates` (the same formula, pair for pair), with
     no dense matrix.
     """
-    pairs = pair_table(net, gamma_mhz)
-    return LanczosBasis(_laplacian(pairs, _pair_rates(pairs, omega_mhz, gamma_mhz)), 0)
+    pairs = pair_table(net)
+    return LanczosBasis(_laplacian(pairs, _pair_rates(pairs, omega_mhz)), 0)
 
 
 def integrate_master_equation(gen: Union[Generator, LanczosBasis], p0, times_us) -> np.ndarray:
@@ -586,7 +573,6 @@ def _msd_curves(
     boxes: Sequence[tuple],
     n_realizations: int,
     w_mhz: float,
-    gamma_mhz: float,
 ) -> list:
     """(curve, box_nm) of each ``(n_p1, seed)`` of ``boxes``, in that order.
 
@@ -617,7 +603,7 @@ def _msd_curves(
         time grid; every grid extends the one basis."""
         n_p1, seed = boxes[k]
         net = transport_network(density_ppm, n_p1, w_mhz=w_mhz, seed=seed, realization=r)
-        basis = lanczos_basis(net, omega_mhz, gamma_mhz)
+        basis = lanczos_basis(net, omega_mhz)
         p0 = np.zeros(net.n_sites)
         p0[0] = 1.0
 
@@ -672,7 +658,6 @@ def average_msd(
     n_p1: int,
     n_realizations: int,
     w_mhz: float,
-    gamma_mhz: float,
     seed: int = 0,
 ) -> tuple:
     """Disorder-averaged MSD curve for one box size: the one-box case of
@@ -689,7 +674,7 @@ def average_msd(
     WindowError before any realization runs.  Not in ``__all__``: no
     runner calls it.
     """
-    return _msd_curves(omega_mhz, density_ppm, [(n_p1, seed)], n_realizations, w_mhz, gamma_mhz)[0]
+    return _msd_curves(omega_mhz, density_ppm, [(n_p1, seed)], n_realizations, w_mhz)[0]
 
 
 @dataclass
@@ -712,7 +697,6 @@ def diffusion_scaling(
     n_list: Sequence[int],
     n_realizations: int,
     w_mhz: float,
-    gamma_mhz: float,
     seed: int = 0,
 ) -> ScalingResult:
     """D_L across box sizes plus the 1/L extrapolation to D_inf.
@@ -729,7 +713,7 @@ def diffusion_scaling(
     before any realization runs.
     """
     d_avg = mean_spacing(density_ppm)
-    curves = _msd_curves(omega_mhz, density_ppm, [(n_p1, seed + n_p1) for n_p1 in n_list], n_realizations, w_mhz, gamma_mhz)
+    curves = _msd_curves(omega_mhz, density_ppm, [(n_p1, seed + n_p1) for n_p1 in n_list], n_realizations, w_mhz)
     fits = [extract_diffusion(curve, d_avg, box) for curve, box in curves]
     boxes = [float(box) for _, box in curves]
     ds = [res["slope"] / 6.0 for res in fits]

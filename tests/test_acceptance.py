@@ -129,7 +129,6 @@ def test_criterion_3_diffusion_pipeline():
         n_list=(100, 200, 400, 800),
         n_realizations=100,
         w_mhz=1.36,
-        gamma_mhz=0.15,
         seed=0,
     )
     d_inf = res.extrapolation["intercept"]
@@ -278,7 +277,7 @@ def test_criterion_7_conservation_and_fits():
     cons_err = float(np.abs(traj.sum(axis=1) - 1.0).max())
 
     rate = 0.08
-    rm2 = transport.RateMatrix(np.array([[0.0, rate], [rate, 0.0]]), cutoff_nm=60.0)
+    rm2 = transport.RateMatrix(np.array([[0.0, rate], [rate, 0.0]]))
     times = np.linspace(0.0, 40.0, 17)
     traj2 = transport.integrate_master_equation(transport.factor_generator(rm2), np.array([1.0, 0.0]), times)
     two_site_err = float(

@@ -250,10 +250,9 @@ FORMER_COPIES = {
     "clusterdyn.run_deer": ("bath_pi",),
     "clusterdyn.run_rabi": ("detuning_mhz",),
     "clusterdyn.estimate_concentration": ("n_mc",),
-    "transport.diffusion_scaling": ("density_ppm", "n_list", "n_realizations", "w_mhz", "gamma_mhz"),
-    "transport.average_msd": ("n_realizations", "w_mhz", "gamma_mhz"),
+    "transport.diffusion_scaling": ("density_ppm", "n_list", "n_realizations", "w_mhz"),
+    "transport.average_msd": ("n_realizations", "w_mhz"),
     "transport.transport_network": ("w_mhz",),
-    "transport.lanczos_basis": ("gamma_mhz",),
 }
 
 

@@ -856,6 +856,8 @@ def test_missing_required_param_is_config_error(tmp_path, capsys):
           "realizations": 2}, "params/calibration_densities_ppm"),
         ({"experiment": "crossover", "params": {"omegas_mhz": [6.4, 6.4], "n_p1": 10, "n_cycles": 4},
           "realizations": 2}, "params/omegas_mhz"),
+        # the Hartmann-Hahn linewidth is transport.GAMMA_MHZ, which no setting changes
+        ({"experiment": "diffusion", "params": {"gamma_mhz": 0.15}, "realizations": 2}, "params/gamma_mhz"),
     ],
 )
 def test_validate_refuses_what_run_refuses(tmp_path, capsys, config, field):

@@ -300,3 +300,18 @@ def test_check_messages(value, node, messages):
 )
 def test_naming_rule(config, field):
     assert named_field(config) == field
+
+
+def test_no_setting_is_written_inline_in_two_parameter_objects():
+    # a setting that two experiments take (the cycle of protocol and
+    # crossover, the bath size of deer and hahn, the drive of diffusion and
+    # protocol) has one node in the definitions, to which both refer, so
+    # that neither copy can drift from the other
+    owners = {}
+    for owner, node in SCHEMA["definitions"].items():
+        if owner.endswith("_params"):
+            for name, prop in node["properties"].items():
+                if "$ref" not in prop:
+                    owners.setdefault((name, json.dumps(prop, sort_keys=True)), []).append(owner)
+    repeated = {name: found for (name, _), found in owners.items() if len(found) > 1}
+    assert not repeated, f"settings written inline in two parameter objects: {repeated}"

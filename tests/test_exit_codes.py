@@ -200,8 +200,9 @@ FOUND = [
     # NaN and Infinity, which Python's JSON reader accepts and no schema bound refuses
     ({"experiment": "protocol", "params": {"n_p1": 6}, "network": {"disorder_mhz": math.inf}}, 2),
     ({"experiment": "rabi", "params": {"omega_mhz": math.nan}}, 2),
-    # a linewidth too narrow for a finite rate cutoff
-    ({"experiment": "diffusion", "realizations": 1, "params": {"gamma_mhz": 5e-324}}, 3),
+    # a linewidth too narrow for a finite rate cutoff: no config sets the
+    # linewidth, which is the constant transport.GAMMA_MHZ
+    ({"experiment": "diffusion", "realizations": 1, "params": {"gamma_mhz": 5e-324}}, 2),
     # relaxation so fast that the data, or a mode decay, overflow
     ({"experiment": "crossover", "realizations": 2, "params": {"n_p1": 6, "t1rho_dark_us": 1e-323}}, 3),
     ({"experiment": "protocol", "params": {"n_p1": 4, "t1rho_dark_us": 3.740630224316167e-138}}, 3),

@@ -284,7 +284,7 @@ def _diffusion_scaling(sigma, monkeypatch):
     fits = iter(zip(slopes, sigma))
     monkeypatch.setattr(transport, "extract_diffusion", lambda curve, d_avg, box: window(*next(fits)))
     scaling = transport.diffusion_scaling(
-        6.4, density_ppm=1.575, n_list=(100, 200, 400, 800), n_realizations=2, w_mhz=1.36, gamma_mhz=0.15
+        6.4, density_ppm=1.575, n_list=(100, 200, 400, 800), n_realizations=2, w_mhz=1.36
     )
     return scaling.extrapolation.params
 

@@ -248,7 +248,8 @@ def tilt_projection(omega_mhz, detuning_mhz):
     return omega_mhz / eff
 
 
-def reference_build_rates(spec, sites, omega_mhz, gamma_mhz=0.15):
+def reference_build_rates(spec, sites, omega_mhz):
+    gamma_mhz = 0.15  # the model's one Hartmann-Hahn linewidth
     n = len(sites)
     pos = np.array([s.position_nm for s in sites])
     axis = spec.field_axis_unit

@@ -1,14 +1,17 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse import csr_array
 from scipy.sparse import identity as sparse_identity
 
-from spinnet import transport
+from spinnet import cli, transport
 from spinnet.constants import TWO_PI
 from spinnet.network import EnsembleSpec, Species, SpinNetwork, ppm_to_density, species_code
 from spinnet.spinops import Frame, build_cluster_hamiltonian
@@ -29,20 +32,18 @@ from spinnet.transport import (
     lanczos_basis,
     msd,
     pair_table,
-    rate_cutoff,
     transport_network,
 )
 from run_settings import protocol_factory, setting
 from test_network_reference import reference_build_rates
 
-# the detuning spread and Hartmann-Hahn linewidth of a ``diffusion`` run
+# the detuning spread of a ``diffusion`` run
 W_MHZ = setting("diffusion", "network/disorder_mhz")
-LINEWIDTH_MHZ = setting("diffusion", "params/gamma_mhz")
 
 
 def two_site_rate_matrix(rate):
     rates = np.array([[0.0, rate], [rate, 0.0]])
-    return RateMatrix(rates, cutoff_nm=60.0)
+    return RateMatrix(rates)
 
 
 def test_rate_closed_form_on_resonant_pair():
@@ -109,7 +110,7 @@ def test_dressed_pair_transfers_at_two_pi_times_the_rate(species, subgroup, delt
     pairs = pair_table(net)
     v = hx[1, 2].real
     npt.assert_allclose(v, pairs.fj[0], rtol=1e-12)
-    rate = transport._pair_rates(pairs, omega, gamma)[0]
+    rate = transport._pair_rates(pairs, omega)[0]
 
     # the doublet: flip-flop V tilted by sin(theta) per site, as the rate
     # layer projects it, and the mismatch of the dressed frequencies
@@ -130,11 +131,11 @@ def test_dressed_pair_transfers_at_two_pi_times_the_rate(species, subgroup, delt
 
 def test_rate_matrix_validation():
     with pytest.raises(ValueError, match="symmetric"):
-        RateMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), 60.0)
+        RateMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError, match="diagonal"):
-        RateMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]), 60.0)
+        RateMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="nonnegative"):
-        RateMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]), 60.0)
+        RateMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError, match="positive"):
         net = transport_network(1.575, 2, W_MHZ, seed=0, realization=0)
         build_rates(pair_table(net), -1.0)
@@ -202,7 +203,7 @@ def test_conservation_and_maximum_principle():
 def test_long_time_equilibration_on_connected_pair_chain():
     # three sites coupled in a chain equilibrate to the uniform state
     rates = np.array([[0.0, 0.05, 0.0], [0.05, 0.0, 0.02], [0.0, 0.02, 0.0]])
-    rm = RateMatrix(rates, 60.0)
+    rm = RateMatrix(rates)
     traj = integrate_master_equation(factor_generator(rm), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e4]))
     npt.assert_allclose(traj[-1], 1.0 / 3.0, atol=1e-8)
 
@@ -245,7 +246,7 @@ def test_empty_window_raises_before_any_realization(monkeypatch):
     built = []
     monkeypatch.setattr(transport, "transport_network", lambda *a, **k: built.append(a))
     with pytest.raises(WindowError, match="analysis window is empty"):
-        transport.diffusion_scaling(6.40, 1.575, (800, 10), 2, W_MHZ, LINEWIDTH_MHZ)
+        transport.diffusion_scaling(6.40, 1.575, (800, 10), 2, W_MHZ)
     assert built == []
 
 
@@ -275,10 +276,10 @@ def test_diffusion_length_value():
 def test_build_rates_cutoff_radius():
     net = transport_network(1.575, 2, W_MHZ, seed=1, realization=0)
     rm = build_rates(pair_table(net), 6.40)
-    # beyond the recorded cutoff every rate is dropped to zero
-    assert 50.0 < rm.cutoff_nm < 70.0
+    # beyond the rate cutoff every rate is dropped to zero
+    assert 50.0 < transport.RATE_CUTOFF_NM < 70.0
     r = np.linalg.norm(net.positions[:, None, :] - net.positions[None, :, :], axis=-1)
-    far = r > rm.cutoff_nm
+    far = r > transport.RATE_CUTOFF_NM
     assert np.all(rm.rates[far] == 0.0)
 
 
@@ -310,26 +311,13 @@ def boundary_network(cutoff):
 
 
 def test_build_rates_cutoff_boundary_matches_reference():
-    cutoff = rate_cutoff(0.15)
+    cutoff = transport.RATE_CUTOFF_NM
     net = boundary_network(cutoff)
     r = np.linalg.norm(net.positions[1:], axis=1)
     assert r[0] < cutoff and r[1] == cutoff and r[2] > cutoff
     got = build_rates(pair_table(net), 6.40)
-    assert got.cutoff_nm == cutoff
     assert np.array_equal(got.rates, reference_build_rates(net.spec, net.sites, 6.40))
     assert got.rates[0, 1] > 0 and got.rates[0, 2] > 0 and got.rates[0, 3] == 0
-
-
-def test_pair_table_refuses_a_longer_cutoff():
-    net = transport_network(1.575, 60, w_mhz=1.36, seed=2, realization=1)
-    # a narrower line's table holds more pairs; the rates drop the extra ones
-    wide = pair_table(net, 0.05)
-    assert wide.cutoff_nm == rate_cutoff(0.05) and wide.r.size > pair_table(net).r.size
-    assert np.array_equal(build_rates(wide, 6.40).rates, build_rates(pair_table(net), 6.40).rates)
-    table = pair_table(net, 0.3)
-    assert table.cutoff_nm == rate_cutoff(0.3)
-    with pytest.raises(ValueError, match=f"{rate_cutoff(GAMMA_MHZ):g} nm.*{rate_cutoff(0.3):g} nm"):
-        build_rates(table, 6.40)
 
 
 def test_pair_table_checks_the_exclusion_radius():
@@ -383,7 +371,7 @@ def test_transport_network_layout():
 
 
 def test_average_msd_reaches_window_top():
-    curve, box = average_msd(6.40, 1.575, 60, 4, W_MHZ, LINEWIDTH_MHZ, seed=13)
+    curve, box = average_msd(6.40, 1.575, 60, 4, W_MHZ, seed=13)
     top = 0.5 * (box / 2.0) ** 2
     assert curve.msd_nm2.max() >= top
     assert abs(curve.msd_nm2[0]) < 1e-9
@@ -421,7 +409,7 @@ def reference_average_msd(omega_mhz, density_ppm, n_p1, n_realizations, seed):
 def test_average_msd_equals_probe_per_recompute_loop():
     # 0.5 MHz needs several probe grids before the curve reaches the window top
     for omega in (6.40, 0.5):
-        got, box = average_msd(omega, 1.575, 50, 3, W_MHZ, LINEWIDTH_MHZ, seed=5)
+        got, box = average_msd(omega, 1.575, 50, 3, W_MHZ, seed=5)
         want, want_box = reference_average_msd(omega, 1.575, 50, 3, seed=5)
         assert box == want_box
         assert np.array_equal(got.times_us, want.times_us), omega
@@ -442,7 +430,7 @@ def test_probe_propagates_each_grid_once(monkeypatch, omega):
         return integrate_master_equation(gen, p0, times)
 
     monkeypatch.setattr(transport, "integrate_master_equation", counted)
-    curve, _ = average_msd(omega, 1.575, 50, 1, W_MHZ, LINEWIDTH_MHZ, seed=5)
+    curve, _ = average_msd(omega, 1.575, 50, 1, W_MHZ, seed=5)
     assert grids == [100.0 * 4.0**k for k in range(len(grids))]
     assert grids[-1] == curve.times_us[-1]
 
@@ -451,7 +439,7 @@ def test_diffusion_monotone_in_drive():
     davg = ppm_to_density(1.575) ** (-1.0 / 3.0)
     out = {}
     for omega in (0.5, 6.40):
-        curve, box = average_msd(omega, 1.575, 100, 5, W_MHZ, LINEWIDTH_MHZ, seed=11)
+        curve, box = average_msd(omega, 1.575, 100, 5, W_MHZ, seed=11)
         out[omega] = extract_diffusion(curve, davg, box)["slope"]
     assert out[6.40] > 3.0 * out[0.5]
 
@@ -466,7 +454,7 @@ def dense_msd(net, omega_mhz, times):
 @pytest.mark.parametrize("n_p1", [100, 200, 400, 800])
 def test_lanczos_msd_matches_dense_oracle(n_p1):
     # the criterion-3 box sizes, on the grid the adaptive probes chose
-    curve, _ = average_msd(6.40, 1.575, n_p1, 3, W_MHZ, LINEWIDTH_MHZ, seed=20 + n_p1)
+    curve, _ = average_msd(6.40, 1.575, n_p1, 3, W_MHZ, seed=20 + n_p1)
     want = np.mean(
         [dense_msd(transport_network(1.575, n_p1, W_MHZ, seed=20 + n_p1, realization=r), 6.40, curve.times_us) for r in range(3)],
         axis=0,
@@ -481,7 +469,7 @@ def test_complete_lanczos_basis_is_exact():
     times = transport._default_time_grid(1e5)
     p0 = np.zeros(net.n_sites)
     p0[0] = 0.5
-    basis = lanczos_basis(net, 6.40, LINEWIDTH_MHZ)
+    basis = lanczos_basis(net, 6.40)
     got = basis.propagate(p0, times)
     assert basis.m == net.n_sites and basis.complete and basis.error == 0.0
     want = factor_generator(build_rates(pair_table(net), 6.40)).propagate(p0, times)
@@ -492,13 +480,13 @@ def test_lanczos_basis_extends_for_a_longer_grid():
     net = transport_network(1.575, 200, W_MHZ, seed=4, realization=0)
     p0 = np.zeros(net.n_sites)
     p0[0] = 1.0
-    basis = lanczos_basis(net, 6.40, LINEWIDTH_MHZ)
+    basis = lanczos_basis(net, 6.40)
     basis.propagate(p0, transport._default_time_grid(10.0))
     short = basis.m
     long_grid = transport._default_time_grid(1e5)
     got = basis.propagate(p0, long_grid)
     assert short < basis.m < net.n_sites
-    fresh = lanczos_basis(net, 6.40, LINEWIDTH_MHZ)
+    fresh = lanczos_basis(net, 6.40)
     npt.assert_array_equal(got, fresh.propagate(p0, long_grid))
     assert fresh.m == basis.m
 
@@ -506,7 +494,7 @@ def test_lanczos_basis_extends_for_a_longer_grid():
 def test_lanczos_path_still_checks_conservation():
     # a generator with a leak but no relaxation vector breaks conservation
     net = transport_network(1.575, 20, W_MHZ, seed=1, realization=0)
-    leaky = lanczos_basis(net, 6.40, LINEWIDTH_MHZ).generator + 1e-2 * sparse_identity(net.n_sites)
+    leaky = lanczos_basis(net, 6.40).generator + 1e-2 * sparse_identity(net.n_sites)
     p0 = np.zeros(net.n_sites)
     p0[0] = 1.0
     with pytest.raises(ConservationError, match="drifted"):
@@ -518,4 +506,61 @@ def test_lanczos_basis_propagates_only_its_source():
     p0 = np.zeros(net.n_sites)
     p0[1] = 1.0
     with pytest.raises(ValueError, match="source"):
-        integrate_master_equation(lanczos_basis(net, 6.40, LINEWIDTH_MHZ), p0, np.array([0.0, 1.0]))
+        integrate_master_equation(lanczos_basis(net, 6.40), p0, np.array([0.0, 1.0]))
+
+
+def coo_laplacian(pairs, rates):
+    """The generator of ``_laplacian`` built from unordered COO triplets,
+    as scipy sorts them: the upper, then the lower triangle, then the diagonal."""
+    keep = rates > 0
+    i, j, r = pairs.i[keep], pairs.j[keep], rates[keep]
+    n = pairs.n_sites
+    site = np.arange(n)
+    rows = np.concatenate([i, j, site])
+    cols = np.concatenate([j, i, site])
+    data = np.concatenate([-r, -r, np.bincount(i, r, n) + np.bincount(j, r, n)])
+    return csr_array((data, (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("n_p1, zeroed", [(50, False), (400, False), (800, False), (200, True)])
+def test_laplacian_is_the_coo_built_matrix(n_p1, zeroed):
+    # the row-ordered build must keep every bit of the generator: the
+    # diagonal's sums, the entries' order within each row, and so every matvec
+    net = transport_network(1.575, n_p1, W_MHZ, seed=n_p1, realization=1)
+    pairs = pair_table(net)
+    rates = transport._pair_rates(pairs, 6.40)
+    if zeroed:
+        rates[::3] = 0.0
+    got, want = transport._laplacian(pairs, rates), coo_laplacian(pairs, rates)
+    assert got.has_sorted_indices
+    npt.assert_array_equal(got.indptr, want.indptr)
+    npt.assert_array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+    v = np.random.default_rng(n_p1).standard_normal(net.n_sites)
+    assert (got @ v).tobytes() == (want @ v).tobytes()
+
+
+def test_both_propagators_share_one_rate_formula():
+    # the Lanczos generator's off-diagonal is the dense rate matrix, bit for
+    # bit: one pair table, one rate formula, one linewidth
+    net = transport_network(1.575, 200, W_MHZ, seed=3, realization=1)
+    gen = lanczos_basis(net, 6.40).generator.tocoo()
+    off = gen.row != gen.col
+    lanczos = np.zeros((net.n_sites, net.n_sites))
+    lanczos[gen.row[off], gen.col[off]] = -gen.data[off]
+    rates = build_rates(pair_table(net), 6.40).rates
+    assert np.count_nonzero(rates) > 0
+    assert lanczos.tobytes() == rates.tobytes()
+
+
+def test_the_linewidth_is_one_constant():
+    # GAMMA_MHZ is the model's only Hartmann-Hahn linewidth: no run setting
+    # and no parameter of the package sets another
+    assert "gamma_mhz" not in cli._load_schema()["definitions"]["diffusion_params"]["properties"]
+    named = {
+        node.arg
+        for path in Path(transport.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.arg)
+    }
+    assert "gamma_mhz" not in named

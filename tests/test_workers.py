@@ -59,8 +59,7 @@ def readout_loop():
 
 def msd_loop(n):
     def run():
-        w, gamma = setting("diffusion", "network/disorder_mhz"), setting("diffusion", "params/gamma_mhz")
-        curve, _ = transport.average_msd(6.4, 1.575, 50, n, w, gamma, seed=4)
+        curve, _ = transport.average_msd(6.4, 1.575, 50, n, setting("diffusion", "network/disorder_mhz"), seed=4)
         return curve.msd_nm2, curve.sem_nm2, curve.basis_dims, curve.basis_errors
 
     return run

@@ -6,8 +6,9 @@ Each argument is a checkout root or its ``src`` directory.  For each tree
 the six presets and the small ``run`` configs of ``RUN_CONFIGS`` (every
 experiment, a one-realization protocol run whose CSV has no SEM columns,
 a protocol run with every cycle parameter set, DEER on 8-site lattice
-clusters and on continuum clusters, and a one-realization diffusion run
-over box sizes out of order) run at seeds 0-3, except the ``rabi`` and
+clusters and on continuum clusters, a one-realization diffusion run
+over box sizes out of order and one at the 400- and 800-spin boxes of
+the diffusion benchmark) run at seeds 0-3, except the ``rabi`` and
 ``fit`` configs, which draw nothing, take no seed and run once, all in
 one fresh interpreter with every BLAS and OpenMP pool pinned to 1 thread
 (the transport and protocol outputs depend on the thread count).  The
@@ -109,6 +110,14 @@ RUN_CONFIGS = {
         "experiment": "diffusion",
         "realizations": 1,
         "params": {"n_list": [100, 50, 75]},
+        "network": {"densities_ppm": {"P1": 1.575}, "disorder_mhz": 1.36},
+    },
+    # the largest boxes of the diffusion benchmark workload, beyond fig-s3's
+    # 200, one realization each
+    "diffusion-large": {
+        "experiment": "diffusion",
+        "realizations": 1,
+        "params": {"n_list": [400, 800]},
         "network": {"densities_ppm": {"P1": 1.575}, "disorder_mhz": 1.36},
     },
     "protocol": {"experiment": "protocol", "realizations": 3, "params": {"n_p1": 40, "n_cycles": 8}},
