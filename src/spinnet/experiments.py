@@ -234,11 +234,8 @@ def _run_concentration(config: dict) -> tuple:
 
 
 _FIT_MODELS = {
-    "stretched_exp": fitkit.STRETCHED_EXP,
-    "exp_saturation": fitkit.EXP_SATURATION,
-    "lorentzian": fitkit.LORENTZIAN,
-    "damped_cosine": fitkit.DAMPED_COSINE,
-    "rabi_crossover": protocol.CROSSOVER,
+    m.name: m
+    for m in (fitkit.STRETCHED_EXP, fitkit.EXP_SATURATION, fitkit.LORENTZIAN, fitkit.DAMPED_COSINE, protocol.CROSSOVER)
 }
 
 

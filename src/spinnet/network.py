@@ -1,20 +1,20 @@
 """Disordered spin-ensemble generation.
 
 Networks are cubic boxes of point defects (NV and P1 centers) at given
-densities, with per-site symmetry axes, an optional hard-core exclusion
-radius, and quenched Gaussian detunings.  Construction is deterministic:
-every realization derives its own RNG stream from (master seed, realization
-index), so realizations are independent and can be generated in any order.
+densities, with an optional hard-core exclusion radius and quenched
+Gaussian detunings.  Every generated site is in the addressed group
+(axis 0, subgroup 0): Hartmann-Hahn transfer couples the NVs to one P1
+spectral group.  Construction is deterministic: every realization
+derives its own RNG stream from (master seed, realization index), so
+realizations are independent and can be generated in any order.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "GenerationError",
     "EXCLUSION_NM",
     "NV_AXES",
-    "P1_SUBGROUP_WEIGHTS",
     "ppm_to_density",
     "mean_spacing",
     "box_side",
@@ -55,10 +54,6 @@ class Placement(str, Enum):
 NV_AXES = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
 ) / math.sqrt(3)
-
-# Spectral subgroup populations of the P1 center (Jahn-Teller axis choice
-# combined with the 14N hyperfine state): five groups weighted 1:3:4:3:1.
-P1_SUBGROUP_WEIGHTS = np.array([1, 3, 4, 3, 1], dtype=float) / 12.0
 
 # Conventional diamond cell: fcc sites plus the (1/4,1/4,1/4) sublattice.
 _DIAMOND_BASIS = (
@@ -113,10 +108,8 @@ class SpinSite:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Recipe for one disordered ensemble.
+    """Recipe for one disordered ensemble of the addressed group.
 
-    ``axis_weights`` optionally pins the axis distribution per species (four
-    nonnegative weights over the <111> orientations); the default is uniform.
     ``disorder_mhz`` is the quenched detuning standard deviation applied at
     generation time.
     """
@@ -128,7 +121,6 @@ class EnsembleSpec:
     disorder_mhz: float = 0.0
     field_axis: tuple = (1.0, 1.0, 1.0)
     seed: int = 0
-    axis_weights: Optional[dict] = None
 
     def __post_init__(self):
         if self.box_nm <= 0:
@@ -174,8 +166,9 @@ class SpinNetwork:
 
     ``positions`` (n, 3) in nm, ``species`` as codes into :data:`SPECIES`,
     ``axis_index`` into :data:`NV_AXES`, ``subgroup`` and ``detunings`` in
-    MHz.  The constructor copies every column, so networks never share
-    arrays.
+    MHz.  Generated networks hold axis 0 and subgroup 0 on every site;
+    networks built by hand may span several groups (:attr:`group_key`).
+    The constructor copies every column, so networks never share arrays.
     """
 
     spec: EnsembleSpec
@@ -259,28 +252,6 @@ def centred_box(
     raise GenerationError("could not place the source away from the bath in 100 attempts")
 
 
-def _cdf(weights: np.ndarray) -> list:
-    # the cumulative table Generator.choice(k, p=weights) searches
-    cdf = np.cumsum(weights)
-    return (cdf / cdf[-1]).tolist()
-
-
-_P1_SUBGROUP_CDF = _cdf(P1_SUBGROUP_WEIGHTS)
-
-
-def _axis_cdf(spec: EnsembleSpec, species: Species) -> Optional[list]:
-    """Cumulative axis weights of a species, or None for the uniform default."""
-    if not spec.axis_weights:
-        return None
-    w = spec.axis_weights.get(species)
-    if w is None:
-        return None
-    w = np.asarray(w, dtype=float)
-    if w.min() < 0 or w.sum() == 0:
-        raise ValueError("axis weights must be nonnegative and not all zero")
-    return _cdf(w / w.sum())
-
-
 def _unit_doubles(raw: np.ndarray) -> np.ndarray:
     """``Generator.random()`` of each 64-bit PCG64 output: its top 53 bits times 2**-53."""
     return (raw >> 11) * 2.0**-53
@@ -326,8 +297,8 @@ def _squared_lengths(d: np.ndarray) -> np.ndarray:
 
 
 class _Placer:
-    """The columns of one network under construction, its generator and its
-    draw budget.
+    """The positions of one network under construction, its generator and
+    its draw budget.
 
     :meth:`place_lattice` draws lattice sites one at a time with the
     generator's own calls and Python float arithmetic; :meth:`place_block`
@@ -346,12 +317,8 @@ class _Placer:
         self.attempts = 0
         self.r2 = spec.exclusion_nm**2
         self.species = np.repeat(np.arange(len(SPECIES)), counts)
-        self.cdfs = [_axis_cdf(spec, sp) for sp in SPECIES]
-        self.uniform = np.array([cdf is None for cdf in self.cdfs])[self.species]
         self.p1 = self.species == species_code(Species.P1)
         self.positions = np.zeros((total, 3))
-        self.axis_index = np.zeros(total, dtype=np.intp)
-        self.subgroup = np.zeros(total, dtype=np.intp)
 
     def _count_attempt(self) -> None:
         self.attempts += 1
@@ -367,12 +334,11 @@ class _Placer:
             raise GenerationError(f"could not satisfy exclusion radius {self.spec.exclusion_nm} nm within {budget}")
 
     def _orient(self, k: int) -> None:
-        """Site k's axis draw and, for P1, its subgroup draw."""
-        rng = self.rng
-        cdf = self.cdfs[self.species[k]]
-        axis = rng.integers(0, 4) if cdf is None else bisect_right(cdf, rng.random())
-        self.axis_index[k] = axis
-        self.subgroup[k] = bisect_right(_P1_SUBGROUP_CDF, rng.random()) if self.p1[k] else axis
+        """Site k's orientation draws, whose values are discarded: for P1
+        an ``integers(0, 4)`` call, then one 64-bit output."""
+        if self.p1[k]:
+            self.rng.integers(0, 4)
+        self.rng.random()
 
     def place_lattice(self) -> None:
         """Diamond sites in the box, drawn without replacement in Python
@@ -423,57 +389,35 @@ class _Placer:
         """Continuum sites k .. k+m-1 from one ``random_raw`` draw; returns
         how many lead the block without a violation of the exclusion radius.
 
-        Those are kept.  A site's slots are three positions, an axis output
-        unless its ``integers(0, 4)`` call reads the buffered upper half of
-        the previous call's output, and for P1 a subgroup output.  The
-        first violating site, if any, counts as one refused attempt, and
-        the generator is left just after its three position outputs, so
-        that the next block starts with its redraw; either way the 32-bit
-        buffer is as the kept sites' ``integers`` calls left it.
+        Those are kept.  A site's slots are three positions, then its
+        discarded orientation draws (:meth:`_orient`): one output for an
+        NV; for a P1 one output more when its ``integers(0, 4)`` call
+        finds the 32-bit buffer empty.  The first violating site, if any,
+        counts as one refused attempt, and the generator is left just
+        after its three position outputs, so that the next block starts
+        with its redraw; either way the buffer is as the kept sites'
+        ``integers`` calls left it.
         """
         bg = self.rng.bit_generator
         saved = bg.state
         buffered, half = saved["has_uint32"], saved["uinteger"]
-        block = slice(k, k + m)
-        uniform = self.uniform[block]
-        p1 = self.p1[block]
+        p1 = self.p1[k : k + m]
         # the i-th integers call of the block draws a new output when the
         # buffer is empty: i even with an empty buffer at the start, odd with a full one
-        fresh = uniform & ((np.cumsum(uniform) + buffered) % 2 == 1)
-        slots = 3 + (~uniform | fresh) + p1
+        fresh = p1 & ((np.cumsum(p1) + buffered) % 2 == 1)
+        slots = 4 + fresh  # positions, the output every site takes, a P1's fresh integers output
         end = np.cumsum(slots)
         start = end - slots
         raw = bg.random_raw(int(end[-1]))
-
-        self.positions[block] = self.spec.box_nm * _unit_doubles(raw[start[:, None] + np.arange(3)])
-        axis = np.empty(m, dtype=np.intp)
-        species = self.species[block]
-        for code, cdf in enumerate(self.cdfs):
-            if cdf is not None:
-                sel = species == code
-                axis[sel] = np.searchsorted(cdf, _unit_doubles(raw[start[sel] + 3]), side="right")
-        calls = np.flatnonzero(uniform)
-        if calls.size:
-            own = start[calls] + 3
-            # a call that finds the buffer full reads the upper half of the
-            # output the call before it drew (or, first in the block, the state's)
-            src = np.where(fresh[calls], own, np.concatenate(([-1], own[:-1])))
-            out = raw[src]
-            axis[calls] = np.where(fresh[calls], (out & 0xFFFFFFFF) >> 30, out >> 62)
-            if src[0] < 0:
-                axis[calls[0]] = half >> 30
-        subgroup = axis.copy()
-        subgroup[p1] = np.searchsorted(_P1_SUBGROUP_CDF, _unit_doubles(raw[end[p1] - 1]), side="right")
+        self.positions[k : k + m] = self.spec.box_nm * _unit_doubles(raw[start[:, None] + np.arange(3)])
 
         first = self._first_violation(k, m) if self.r2 > 0 else m
         self.attempts += first
-        self.axis_index[k : k + first] = axis[:first]
-        self.subgroup[k : k + first] = subgroup[:first]
-
         drawn = np.flatnonzero(fresh[:first])
         if drawn.size:
+            # the upper half of the kept sites' last fresh output waits in the buffer
             half = int(raw[start[drawn[-1]] + 3] >> 32)
-        buffered = (buffered + int(uniform[:first].sum())) % 2
+        buffered = (buffered + int(p1[:first].sum())) % 2
         if first < m:
             self._count_attempt()
             bg.state = saved
@@ -503,30 +447,29 @@ class _Placer:
 
 
 def generate_network(spec: EnsembleSpec, realization: int = 0) -> SpinNetwork:
-    """Build one network realization.
+    """Build one network realization, every site in the addressed group.
 
     Site counts are round(density * volume) per species, NV first.  Each
     site takes, in stream order, its position draws (redrawn while they
-    violate the exclusion radius against an already-placed site), one
-    axis draw and, for P1, one subgroup draw.  The axis and subgroup
-    draws are those ``rng.choice(k, p=weights)`` makes (one ``random()``
-    searched in the cumulative weights; ``integers(0, 4)`` for uniform
-    axes) without its per-call validation.  The total redraw budget is
-    100x the site count, and exhausting it raises
-    :class:`GenerationError` naming the budget.
+    violate the exclusion radius against an already-placed site) and
+    then orientation draws whose values are discarded: one 64-bit output
+    for an NV, the one ``rng.choice(4, p=weights)`` reads; for a P1 one
+    ``integers(0, 4)`` call, then one output.  Every site gets axis 0
+    and subgroup 0.  The total redraw budget is 100x the site count, and
+    exhausting it raises :class:`GenerationError` naming the budget.
 
     Continuum sites are placed in blocks: the outputs of every remaining
-    site are drawn at once with ``bit_generator.random_raw`` and decoded
-    as the per-site calls would read them; the sites before the first
-    one that violates the exclusion radius are kept, the generator is
-    rewound to just after that site's position draws, and the next block
-    starts with its redraw.  This rests on numpy's PCG64 stream contract, which
-    ``tests/test_network_reference.py`` pins: ``uniform(0, L)`` is
-    ``0.0 + L * ((u >> 11) * 2**-53)`` of one 64-bit output u, ``random()``
-    is ``(u >> 11) * 2**-53``, and ``integers(0, 4)`` is the top two bits
-    of a 32-bit half, consecutive calls sharing one output, lower half
-    first, through the generator's ``has_uint32``/``uinteger`` buffer.
-    Lattice sites (clusters of a few sites) are drawn one at a time.
+    site are drawn at once with ``bit_generator.random_raw`` and the
+    positions decoded as the per-site calls would read them; the sites
+    before the first one that violates the exclusion radius are kept,
+    the generator is rewound to just after that site's position draws,
+    and the next block starts with its redraw.  This rests on numpy's
+    PCG64 stream contract, which ``tests/test_network_reference.py``
+    pins: ``uniform(0, L)`` is ``0.0 + L * ((u >> 11) * 2**-53)`` of one
+    64-bit output u, ``random()`` takes one output, and consecutive
+    ``integers(0, 4)`` calls share one output, lower half first, through
+    the generator's ``has_uint32``/``uinteger`` buffer.  Lattice sites
+    (clusters of a few sites) are drawn one at a time.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, realization]))
     counts = [spec.site_count(sp) for sp in SPECIES]
@@ -535,9 +478,8 @@ def generate_network(spec: EnsembleSpec, realization: int = 0) -> SpinNetwork:
         placer.place_lattice()
     else:
         placer.place_continuum()
-    net = SpinNetwork(
-        spec, placer.positions, placer.species, placer.axis_index, placer.subgroup, np.zeros(placer.total), realization
-    )
+    zeros = np.zeros(placer.total, dtype=np.intp)
+    net = SpinNetwork(spec, placer.positions, placer.species, zeros, zeros, np.zeros(placer.total), realization)
     if spec.disorder_mhz > 0:
         net = assign_detunings(net, spec.disorder_mhz, rng=rng)
     return net

@@ -108,9 +108,10 @@ def protocol_network(n_p1: int, w_mhz: float, seed: int = 0, realization: int = 
 
     The box edge is set by :data:`DENSITY_P1_PPM` and ``n_p1``; the
     sensor count follows from the ratio to :data:`DENSITY_NV_PPM`, and
-    ``w_mhz`` is the quenched detuning spread of every site.  All
-    sensors share one crystallographic axis and all bath spins one
-    spectral group, so every pair participates in the dressed exchange.
+    ``w_mhz`` is the quenched detuning spread of every site.  Like every
+    generated network, all sensors share one crystallographic axis and
+    all bath spins one spectral group, so every pair participates in the
+    dressed exchange.
     """
     if n_p1 < 1:
         raise ValueError("need at least one bath spin")
@@ -120,14 +121,10 @@ def protocol_network(n_p1: int, w_mhz: float, seed: int = 0, realization: int = 
         placement=Placement.CONTINUUM,
         disorder_mhz=w_mhz,
         seed=seed,
-        axis_weights={Species.NV: (1.0, 0.0, 0.0, 0.0)},
     )
     net = generate_network(spec, realization=realization)
-    p1 = net.indices_of(Species.P1)
-    if p1.size == 0 or net.count(Species.NV) == 0:
+    if net.count(Species.P1) == 0 or net.count(Species.NV) == 0:
         raise ValueError("network must contain both sensor and bath spins")
-    net.subgroup[:] = 0
-    net.axis_index[p1] = 0
     return net
 
 

@@ -129,7 +129,13 @@ def nv_scaling(j_mhz: float, n_nv_participants: int) -> float:
 
 
 def _coupling_map(net: SpinNetwork) -> dict:
-    """(i, j) -> the NV-scaled dipolar coupling along the spec's field axis, MHz, for i < j."""
+    """(i, j) -> the NV-scaled dipolar coupling along the spec's field axis, MHz, for i < j.
+
+    Its per-pair ``dot`` lengths and cosines differ in the last bit from
+    those of :func:`spinnet.transport._pair_geometry` (about 11% of the
+    lengths and 32% of the cosines of 7-spin bath clusters), so the two
+    pair paths cannot merge without moving the DEER bytes.
+    """
     rows = list(net.positions)
     axis = net.spec.field_axis_unit
     axis = axis / np.linalg.norm(axis)  # normalized twice: the cluster bytes rest on this rounding

@@ -182,6 +182,28 @@ def test_run_configs_cover_cluster_shapes_no_preset_runs():
     assert any(placement == "continuum" for _, placement in shapes)
 
 
+def test_run_configs_reach_the_exclusion_redraws(monkeypatch):
+    # no preset places sites dense enough for the exclusion radius to refuse
+    # one, so a continuum DEER config must, or the rewind of the block
+    # placement goes through the byte gate unseen
+    from spinnet import clusterdyn, network
+
+    refused = []
+    place = network._Placer.place_continuum
+
+    def counting(placer):
+        place(placer)
+        refused.append(placer.attempts > placer.total)
+
+    monkeypatch.setattr(network._Placer, "place_continuum", counting)
+    for c in artifact_diff.RUN_CONFIGS.values():
+        if c["experiment"] == "deer" and c["network"]["placement"] == "continuum":
+            density, n_bath = c["network"]["densities_ppm"]["P1"], c["params"]["n_bath"]
+            for r in range(c["realizations"]):
+                clusterdyn.sample_nv_p1_cluster(density, n_bath, network.Placement.CONTINUUM, realization=r)
+    assert any(refused)
+
+
 def test_run_configs_cover_a_probe_only_diffusion_out_of_order():
     # fig-s3 and the diffusion config list their boxes in ascending order
     # and run more than one realization

@@ -3,10 +3,11 @@
 ``network_from_sites`` turns per-site records into array columns for the
 tests that write a few sites by hand, and ``network_to_json`` /
 ``network_from_json`` write and read a network as JSON text, one record
-per site.  ``reference_*`` below build the
-same networks and rates one ``SpinSite`` record at a time: a placement loop that draws through ``Generator.choice``
-and scans every placed site, ``dataclasses.replace`` per detuning, and a
-rate builder that compares per-site key tuples.  Every column and every
+per site.  ``reference_*`` below build the same networks and rates one
+``SpinSite`` record at a time: a placement loop that makes the
+generator's own calls and scans every placed site,
+``dataclasses.replace`` per detuning, and a rate builder that compares
+per-site key tuples.  Every column and every
 rate matrix of the array code must equal them bit for bit.
 """
 
@@ -20,7 +21,6 @@ import pytest
 from spinnet import network
 from spinnet.network import (
     NV_AXES,
-    P1_SUBGROUP_WEIGHTS,
     SPECIES,
     EnsembleSpec,
     GenerationError,
@@ -67,11 +67,6 @@ def network_to_json(net):
             "disorder_mhz": spec.disorder_mhz,
             "field_axis": list(spec.field_axis),
             "seed": spec.seed,
-            "axis_weights": (
-                {Species(k).value: list(v) for k, v in spec.axis_weights.items()}
-                if spec.axis_weights
-                else None
-            ),
         },
         "realization": net.realization,
         "sites": [
@@ -101,11 +96,6 @@ def network_from_json(text):
         disorder_mhz=sp["disorder_mhz"],
         field_axis=tuple(sp["field_axis"]),
         seed=sp["seed"],
-        axis_weights=(
-            {Species(k): tuple(v) for k, v in sp["axis_weights"].items()}
-            if sp.get("axis_weights")
-            else None
-        ),
     )
     records = data["sites"]
     axes = np.array([rec["axis"] for rec in records], dtype=float).reshape(-1, 3)
@@ -147,7 +137,11 @@ class LatticeSampler:
 
 def reference_generate_network(spec, realization=0):
     """The sites of the per-site placement loop, each one drawn with the
-    generator's own calls and checked against every placed site."""
+    generator's own calls and checked against every placed site.  After
+    its position a site takes orientation draws whose values are
+    discarded: one ``random()`` for an NV (what ``choice(4, p=weights)``
+    reads), ``integers(0, 4)`` then ``random()`` for a P1.  Every site is
+    in the addressed group, axis 0 and subgroup 0."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, realization]))
     L = spec.box_nm
     counts = [(sp, spec.site_count(sp)) for sp in (Species.NV, Species.P1)]
@@ -160,12 +154,6 @@ def reference_generate_network(spec, realization=0):
     sites = []
     attempts = 0
     for species, count in counts:
-        weights = None
-        if spec.axis_weights:
-            w = spec.axis_weights.get(species, spec.axis_weights.get(species.value))
-            if w is not None:
-                w = np.asarray(w, dtype=float)
-                weights = w / w.sum()
         for _ in range(count):
             while True:
                 attempts += 1
@@ -181,12 +169,10 @@ def reference_generate_network(spec, realization=0):
                 break
             placed[n_placed] = pos
             n_placed += 1
-            axis_idx = int(rng.choice(4, p=weights))
             if species == Species.P1:
-                subgroup = int(rng.choice(5, p=P1_SUBGROUP_WEIGHTS))
-            else:
-                subgroup = axis_idx
-            sites.append(SpinSite(len(sites), pos.copy(), species, NV_AXES[axis_idx].copy(), subgroup))
+                rng.integers(0, 4)
+            rng.random()
+            sites.append(SpinSite(len(sites), pos.copy(), species, NV_AXES[0].copy(), subgroup=0))
     if spec.disorder_mhz > 0:
         sites = reference_assign_detunings(sites, spec.disorder_mhz, rng)
     return sites
@@ -229,14 +215,8 @@ def reference_protocol_sites(n_p1, seed, realization):
         densities_ppm={Species.NV: 0.6, Species.P1: 1.575},
         disorder_mhz=1.36,
         seed=seed,
-        axis_weights={Species.NV: (1.0, 0.0, 0.0, 0.0)},
     )
-    sites = reference_generate_network(spec, realization)
-    for s in sites:
-        s.subgroup = 0
-        if s.species == Species.P1:
-            s.axis = NV_AXES[0].copy()
-    return spec, sites
+    return spec, reference_generate_network(spec, realization)
 
 
 def tilt_projection(omega_mhz, detuning_mhz):
@@ -292,16 +272,15 @@ def assert_rates_equal(net, sites, omega_mhz=6.40):
 
 
 ENSEMBLES = [
-    # (box_nm, densities_ppm, placement, exclusion_nm, disorder_mhz, axis_weights, seeds)
-    (60.0, {Species.P1: 1.575}, Placement.CONTINUUM, 1.0, 0.0, None, (0, 1, 2)),
-    (60.0, {Species.NV: 0.6, Species.P1: 1.575}, Placement.CONTINUUM, 1.0, 1.36, None, (3, 4, 5)),
-    (40.0, {Species.NV: 2.0, Species.P1: 4.0}, Placement.CONTINUUM, 0.0, 0.5, None, (6, 7)),
-    (30.0, {Species.P1: 20.0}, Placement.CONTINUUM, 2.5, 0.0, None, (8, 9)),
-    (12.0, {Species.P1: 50.0}, Placement.DIAMOND_LATTICE, 0.5, 0.0, None, (10, 11, 12)),
-    (15.0, {Species.NV: 20.0, Species.P1: 30.0}, Placement.DIAMOND_LATTICE, 0.0, 1.36, None, (13, 14)),
-    (50.0, {Species.NV: 2.0}, Placement.CONTINUUM, 1.0, 0.0, {Species.NV: (1, 0, 0, 0)}, (15, 16)),
-    (50.0, {Species.NV: 1.0, Species.P1: 2.0}, Placement.CONTINUUM, 1.0, 1.36,
-     {Species.NV: (0.1, 0.2, 0.3, 0.4), "P1": (0, 1, 0, 3)}, (17, 18)),
+    # (box_nm, densities_ppm, placement, exclusion_nm, disorder_mhz, seeds)
+    (60.0, {Species.P1: 1.575}, Placement.CONTINUUM, 1.0, 0.0, (0, 1, 2)),
+    (60.0, {Species.NV: 0.6, Species.P1: 1.575}, Placement.CONTINUUM, 1.0, 1.36, (3, 4, 5)),
+    (40.0, {Species.NV: 2.0, Species.P1: 4.0}, Placement.CONTINUUM, 0.0, 0.5, (6, 7)),
+    (30.0, {Species.P1: 20.0}, Placement.CONTINUUM, 2.5, 0.0, (8, 9)),
+    (12.0, {Species.P1: 50.0}, Placement.DIAMOND_LATTICE, 0.5, 0.0, (10, 11, 12)),
+    (15.0, {Species.NV: 20.0, Species.P1: 30.0}, Placement.DIAMOND_LATTICE, 0.0, 1.36, (13, 14)),
+    (50.0, {Species.NV: 2.0}, Placement.CONTINUUM, 1.0, 0.0, (15, 16)),
+    (30.0, {Species.NV: 10.0, Species.P1: 10.0}, Placement.CONTINUUM, 2.5, 1.36, (17, 18)),
 ]
 
 
@@ -310,7 +289,7 @@ ENSEMBLES = [
     [(e, seed) for e in ENSEMBLES for seed in e[-1]],
 )
 def test_generate_network_matches_per_site_reference(ensemble, seed):
-    box, densities, placement, exclusion, disorder, weights, _ = ensemble
+    box, densities, placement, exclusion, disorder, _ = ensemble
     spec = EnsembleSpec(
         box_nm=box,
         densities_ppm=densities,
@@ -318,7 +297,6 @@ def test_generate_network_matches_per_site_reference(ensemble, seed):
         exclusion_nm=exclusion,
         disorder_mhz=disorder,
         seed=seed,
-        axis_weights=weights,
     )
     for realization in (0, 3):
         net = generate_network(spec, realization=realization)
@@ -367,16 +345,16 @@ def sweep_cases():
     """(spec, realization) cases for the block placement: 210 networks."""
     p1, nv = Species.P1, Species.NV
     cases = []
-    # the protocol spec: weighted NV axes (random()), uniform P1 axes and subgroups
+    # the protocol spec: an NV takes one whole output, a P1 an integers call and one output
     for n_p1 in (20, 60, 120, 240):
         box = (n_p1 / ppm_to_density(1.575)) ** (1.0 / 3.0)
-        spec = dict(box_nm=box, densities_ppm={nv: 0.6, p1: 1.575}, disorder_mhz=1.36, axis_weights={nv: (1, 0, 0, 0)})
+        spec = dict(box_nm=box, densities_ppm={nv: 0.6, p1: 1.575}, disorder_mhz=1.36)
         cases += [(EnsembleSpec(seed=seed, **spec), r) for seed in range(6) for r in (0, 7)]
-    # transport boxes: uniform axes only, so every other integers call reads the buffer
+    # transport boxes: P1 only, so every other integers call reads the buffer
     for n_p1 in (1, 2, 3, 4, 5, 7, 10, 15, 25, 40, 65, 100, 160, 250, 400, 800):
         box = (n_p1 / ppm_to_density(1.575)) ** (1.0 / 3.0)
         cases += [(EnsembleSpec(box_nm=box, densities_ppm={p1: 1.575}, seed=seed), seed % 3) for seed in range(4)]
-    # 23 NV with uniform axes: a full buffer crosses from the NV into the P1
+    # 23 NV ahead of the P1, which leave the state's empty buffer to the first P1
     cases += [(EnsembleSpec(box_nm=60.0, densities_ppm={nv: 0.6, p1: 1.575}, seed=s), r) for s in range(10) for r in (0, 1)]
     # rejection heavy: ~11 redraws per network, so most replay mid-block
     cases += [(EnsembleSpec(box_nm=30.0, densities_ppm={p1: 20.0}, exclusion_nm=2.5, seed=s), s) for s in range(30)]
@@ -387,9 +365,9 @@ def sweep_cases():
     # a species with zero sites, given as 0 ppm, rounded to 0 or absent
     for densities in ({nv: 0.0, p1: 2.0}, {nv: 1e-4, p1: 2.0}, {nv: 2.0}, {p1: 0.0}):
         cases += [(EnsembleSpec(box_nm=50.0, densities_ppm=densities, seed=s), 0) for s in range(4)]
-    # weighted P1 axes behind uniform NV axes, and both weighted
-    for weights in ({p1: (1, 2, 3, 4)}, {nv: (0.1, 0.2, 0.3, 0.4), p1: (0, 1, 0, 3)}):
-        spec = dict(box_nm=50.0, densities_ppm={nv: 1.0, p1: 2.0}, axis_weights=weights)
+    # ~12 redraws per network: of NV, and of P1 with the buffer full or empty
+    for densities in ({nv: 10.0, p1: 10.0}, {nv: 5.0, p1: 15.0}):
+        spec = dict(box_nm=30.0, densities_ppm=densities, exclusion_nm=2.5)
         cases += [(EnsembleSpec(seed=s, **spec), s) for s in range(6)]
     return cases
 

@@ -6,7 +6,9 @@ Each argument is a checkout root or its ``src`` directory.  For each tree
 the six presets and the small ``run`` configs of ``RUN_CONFIGS`` (every
 experiment, a one-realization protocol run whose CSV has no SEM columns,
 a protocol run with every cycle parameter set, DEER on 8-site lattice
-clusters and on continuum clusters, a one-realization diffusion run
+clusters, on continuum clusters and, as ``deer-dense``, on continuum
+clusters at 500 ppm, whose exclusion radius refuses sites and so
+rewinds the block placement, a one-realization diffusion run
 over box sizes out of order and one at the 400- and 800-spin boxes of
 the diffusion benchmark) run at seeds 0-3, except the ``rabi`` and
 ``fit`` configs, which draw nothing, take no seed and run once, all in
@@ -95,6 +97,14 @@ RUN_CONFIGS = {
         "realizations": 20,
         "params": {"n_bath": 5},
         "network": {"densities_ppm": {"P1": 6.3}, "placement": "continuum"},
+    },
+    # continuum clusters dense enough that the exclusion radius refuses
+    # sites: over seeds 0-3 about half the draws rewind the block placement
+    "deer-dense": {
+        "experiment": "deer",
+        "realizations": 20,
+        "params": {"n_bath": 5},
+        "network": {"densities_ppm": {"P1": 500.0}, "placement": "continuum"},
     },
     "hahn": {"experiment": "hahn", "realizations": 10, "params": {"n_bath": 4}},
     "rabi": {"experiment": "rabi", "params": {"omega_mhz": 5.0, "n_points": 64}},
