@@ -83,7 +83,7 @@ def sample_nv_p1_cluster(
 
     The box side is chosen so the bath density equals ``density_ppm`` (the
     density of the addressed spectral group).  Bath spins share one group
-    key (axis 0, subgroup 0) so they flip-flop among themselves; the NV
+    key (species P1, group 0) so they flip-flop among themselves; the NV
     differs in species and couples to them through the Ising channel.  The
     cluster keeps the bath's spec, so its field axis is the default <111>.
     """

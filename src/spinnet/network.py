@@ -2,16 +2,17 @@
 
 Networks are cubic boxes of point defects (NV and P1 centers) at given
 densities, with an optional hard-core exclusion radius and quenched
-Gaussian detunings.  Every generated site is in the addressed group
-(axis 0, subgroup 0): Hartmann-Hahn transfer couples the NVs to one P1
-spectral group.  Construction is deterministic: every realization
-derives its own RNG stream from (master seed, realization index), so
-realizations are independent and can be generated in any order.
+Gaussian detunings.  Every generated site is in the addressed group,
+group 0: Hartmann-Hahn transfer couples the NVs to one P1 spectral
+group.  Construction is deterministic: every realization derives its
+own RNG stream from (master seed, realization index), so realizations
+are independent and can be generated in any order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -31,7 +32,6 @@ __all__ = [
     "centred_box",
     "GenerationError",
     "EXCLUSION_NM",
-    "NV_AXES",
     "ppm_to_density",
     "mean_spacing",
     "box_side",
@@ -49,11 +49,6 @@ class Placement(str, Enum):
     CONTINUUM = "continuum"
     DIAMOND_LATTICE = "diamond_lattice"
 
-
-# The four <111> crystal axes, unit-normalized.
-NV_AXES = np.array(
-    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
-) / math.sqrt(3)
 
 # Conventional diamond cell: fcc sites plus the (1/4,1/4,1/4) sublattice.
 _DIAMOND_BASIS = (
@@ -101,8 +96,7 @@ class SpinSite:
     id: int
     position_nm: np.ndarray
     species: Species
-    axis: np.ndarray
-    subgroup: int = 0
+    group: int = 0
     detuning_mhz: float = 0.0
 
 
@@ -153,11 +147,10 @@ class EnsembleSpec:
 
 # Species codes of the ``SpinNetwork.species`` column: the code is the index.
 SPECIES = (Species.NV, Species.P1)
-_SPECIES_CODE = {sp: code for code, sp in enumerate(SPECIES)}
 
 
 def species_code(species) -> int:
-    return _SPECIES_CODE[Species(species)]
+    return SPECIES.index(Species(species))
 
 
 @dataclass
@@ -165,28 +158,31 @@ class SpinNetwork:
     """A network as array columns, one row per site.
 
     ``positions`` (n, 3) in nm, ``species`` as codes into :data:`SPECIES`,
-    ``axis_index`` into :data:`NV_AXES`, ``subgroup`` and ``detunings`` in
-    MHz.  Generated networks hold axis 0 and subgroup 0 on every site;
-    networks built by hand may span several groups (:attr:`group_key`).
-    The constructor copies every column, so networks never share arrays.
+    ``group`` (0, the addressed group, on every generated site) and
+    ``detunings`` in MHz; networks built by hand may span several groups
+    (:attr:`group_key`).  The constructor copies every column, so networks
+    never share arrays, and refuses a species code outside :data:`SPECIES`
+    and a ``realization`` that is not an integer.
     """
 
     spec: EnsembleSpec
     positions: np.ndarray
     species: np.ndarray
-    axis_index: np.ndarray
-    subgroup: np.ndarray
+    group: np.ndarray
     detunings: np.ndarray
     realization: int = 0
 
     def __post_init__(self):
+        self.realization = operator.index(self.realization)
         self.positions = np.array(self.positions, dtype=float).reshape(-1, 3)
         n = len(self.positions)
-        self.species = np.array(self.species, dtype=np.int8)
-        self.axis_index = np.array(self.axis_index, dtype=np.intp)
-        self.subgroup = np.array(self.subgroup, dtype=np.intp)
+        species = np.asarray(self.species)
+        if species.size and not 0 <= species.min() <= species.max() < len(SPECIES):
+            raise ValueError(f"species codes must index SPECIES (0 to {len(SPECIES) - 1})")
+        self.species = species.astype(np.int8)
+        self.group = np.array(self.group, dtype=np.intp)
         self.detunings = np.array(self.detunings, dtype=float)
-        for name in ("species", "axis_index", "subgroup", "detunings"):
+        for name in ("species", "group", "detunings"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"column {name} must have one entry per site ({n})")
 
@@ -197,18 +193,15 @@ class SpinNetwork:
     @property
     def group_key(self) -> np.ndarray:
         """One integer per site, equal for two sites exactly when they share
-        species, subgroup and axis: the pair is then degenerate (matching
-        transition frequencies) and keeps its flip-flop terms."""
-        return (self.subgroup * 4 + self.axis_index) * len(SPECIES) + self.species
+        species and group: the pair is then degenerate (matching transition
+        frequencies) and keeps its flip-flop terms."""
+        return self.group * len(SPECIES) + self.species
 
     @property
     def sites(self) -> list:
         """Every site as a per-site record, built from the columns on each access."""
-        columns = zip(self.positions, self.species, self.axis_index, self.subgroup, self.detunings)
-        return [
-            SpinSite(i, pos.copy(), SPECIES[code], NV_AXES[axis].copy(), int(group), float(delta))
-            for i, (pos, code, axis, group, delta) in enumerate(columns)
-        ]
+        columns = zip(self.positions, self.species, self.group, self.detunings)
+        return [SpinSite(i, pos.copy(), SPECIES[c], int(g), float(d)) for i, (pos, c, g, d) in enumerate(columns)]
 
     def indices_of(self, species) -> np.ndarray:
         return np.flatnonzero(self.species == species_code(species))
@@ -225,10 +218,10 @@ def centred_box(
     P1 of the first draw that leaves the centre clear (no site within
     :data:`EXCLUSION_NM` of it): the transport box and the DEER cluster.
 
-    The NV is site 0.  Every site carries axis 0 and subgroup 0 (the
-    addressed group) and a zero detuning, and the network keeps the spec
-    of the draws.  Draw k is ``generate(spec, realization=realization +
-    1000 * k)``; after 100 draws :class:`GenerationError` is raised.
+    The NV is site 0.  Every site carries group 0 (the addressed group)
+    and a zero detuning, and the network keeps the spec of the draws.
+    Draw k is ``generate(spec, realization=realization + 1000 * k)``;
+    after 100 draws :class:`GenerationError` is raised.
     Callers pass :func:`generate_network` as their module sees it, so a
     wrapper put on that name (the benchmark tracer's) sees every draw.
     """
@@ -245,10 +238,8 @@ def centred_box(
             continue
         n = base.n_sites + 1
         positions = np.concatenate((center[None], base.positions))
-        species = np.full(n, species_code(Species.P1))
-        species[0] = species_code(Species.NV)
-        zeros = np.zeros(n, dtype=np.intp)
-        return SpinNetwork(spec, positions, species, zeros, zeros, np.zeros(n), realization)
+        species = np.concatenate(([species_code(Species.NV)], base.species))
+        return SpinNetwork(spec, positions, species, np.zeros(n, dtype=np.intp), np.zeros(n), realization)
     raise GenerationError("could not place the source away from the bath in 100 attempts")
 
 
@@ -454,9 +445,9 @@ def generate_network(spec: EnsembleSpec, realization: int = 0) -> SpinNetwork:
     violate the exclusion radius against an already-placed site) and
     then orientation draws whose values are discarded: one 64-bit output
     for an NV, the one ``rng.choice(4, p=weights)`` reads; for a P1 one
-    ``integers(0, 4)`` call, then one output.  Every site gets axis 0
-    and subgroup 0.  The total redraw budget is 100x the site count, and
-    exhausting it raises :class:`GenerationError` naming the budget.
+    ``integers(0, 4)`` call, then one output.  Every site gets group 0.
+    The total redraw budget is 100x the site count, and exhausting it
+    raises :class:`GenerationError` naming the budget.
 
     Continuum sites are placed in blocks: the outputs of every remaining
     site are drawn at once with ``bit_generator.random_raw`` and the
@@ -478,8 +469,8 @@ def generate_network(spec: EnsembleSpec, realization: int = 0) -> SpinNetwork:
         placer.place_lattice()
     else:
         placer.place_continuum()
-    zeros = np.zeros(placer.total, dtype=np.intp)
-    net = SpinNetwork(spec, placer.positions, placer.species, zeros, zeros, np.zeros(placer.total), realization)
+    n = placer.total
+    net = SpinNetwork(spec, placer.positions, placer.species, np.zeros(n, dtype=np.intp), np.zeros(n), realization)
     if spec.disorder_mhz > 0:
         net = assign_detunings(net, spec.disorder_mhz, rng=rng)
     return net

@@ -109,9 +109,8 @@ def protocol_network(n_p1: int, w_mhz: float, seed: int = 0, realization: int = 
     The box edge is set by :data:`DENSITY_P1_PPM` and ``n_p1``; the
     sensor count follows from the ratio to :data:`DENSITY_NV_PPM`, and
     ``w_mhz`` is the quenched detuning spread of every site.  Like every
-    generated network, all sensors share one crystallographic axis and
-    all bath spins one spectral group, so every pair participates in the
-    dressed exchange.
+    generated network, every site is in group 0, so every pair
+    participates in the dressed exchange.
     """
     if n_p1 < 1:
         raise ValueError("need at least one bath spin")
@@ -311,9 +310,9 @@ def readout_equilibration(
     The bath starts at +-p_p1 and the sensors at ``config.p_nv0``; the
     contrast difference between the two signs, normalized by p_nv0, rises
     as the sensors equilibrate with their local bath under the drive and
-    dark relaxation of ``config``.  An exponential
-    saturation fit gives the amplitude (``amp``) and the equilibration
-    time tau_eq (``tau``).
+    dark relaxation of ``config``.  The exponential saturation fit of
+    :func:`fit_saturation` gives the amplitude (``amp``) and the
+    equilibration time tau_eq (``tau``).
 
     The master equation is linear, so the transient is computed by
     evolving the single difference ``plus - minus`` (zero on the sensors,
@@ -345,4 +344,4 @@ def readout_equilibration(
     import scipy.spatial
 
     delta_c = fitkit.reduce_mean_sem(fitkit.map_realizations(curve, n_realizations))[0]
-    return EquilibrationResult(times_us, delta_c, fitkit.fit(fitkit.EXP_SATURATION, times_us, delta_c))
+    return EquilibrationResult(times_us, delta_c, fit_saturation(times_us, delta_c))

@@ -223,8 +223,8 @@ def build_rates(pairs: PairTable, omega_mhz: float) -> RateMatrix:
     frequencies are plain frequencies in MHz; the master equation applies
     R per us, with no 2 pi.  A dressed pair whose coherence decays at
     2 pi Gamma per us transfers at 2 pi R per us, to O((J~/Gamma)^2).
-    A pair is degenerate when both sites share species, subgroup and
-    axis.  Pairs whose best-case rate falls below 1e-6 MHz, those beyond
+    A pair is degenerate when both sites share species and group.  Pairs
+    whose best-case rate falls below 1e-6 MHz, those beyond
     :data:`RATE_CUTOFF_NM`, are dropped.
 
     ``pairs`` is the :func:`pair_table` of the network (distances and

@@ -204,7 +204,7 @@ def test_criterion_6_cluster_dynamics_oracles():
     het = cluster(
         [[8, 8, 8]] + [rng.uniform(0, 16, 3) for _ in range(4)],
         [Species.NV] + [Species.P1] * 4,
-        subgroup=range(5),
+        group=range(5),
     )
     hahn = clusterdyn.run_deer(
         lambda r: het, np.linspace(0.0, 12.0, 25), n_realizations=3, bath_pi=False, seed=9,

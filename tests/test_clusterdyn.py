@@ -28,17 +28,15 @@ N_BATH = run_settings.setting("deer", "params/n_bath")
 PLACEMENT = Placement(run_settings.setting("deer", "network/placement"))
 
 
-def cluster(positions, species, subgroup=None, axis_index=None, field_axis=Z, box_nm=1.0):
-    """Sites at ``positions`` with the given species, on axis 0 and in
-    subgroup 0 unless given, quantized along ``field_axis``."""
+def cluster(positions, species, group=None, field_axis=Z, box_nm=1.0):
+    """Sites at ``positions`` with the given species, in group 0 unless
+    given, quantized along ``field_axis``."""
     n = len(species)
-    zeros = np.zeros(n, dtype=int)
     return SpinNetwork(
         EnsembleSpec(box_nm=box_nm, densities_ppm={}, field_axis=tuple(field_axis)),
         positions,
         [species_code(sp) for sp in species],
-        zeros if axis_index is None else axis_index,
-        zeros if subgroup is None else subgroup,
+        np.zeros(n, dtype=int) if group is None else group,
         np.zeros(n),
     )
 
@@ -91,7 +89,7 @@ def test_hahn_echo_refocuses_static_ising_exactly():
     net = cluster(
         [[8, 8, 8]] + [rng.uniform(0, 16, 3) for _ in range(4)],
         [Species.NV] + [Species.P1] * 4,
-        subgroup=range(5),
+        group=range(5),
     )
     tau = np.linspace(0.0, 12.0, 25)
     trace = run_deer(lambda r: net, tau, n_realizations=3, bath_pi=False, seed=9)
@@ -137,15 +135,14 @@ def test_rotation_unitary_refuses_a_site_outside_the_cluster():
 
 
 def nv_nv_cluster(realization, groups=(0, 1, 1, 2, 2), density_ppm=2.4):
-    """An NV sensor at the box centre plus NV partners on the given axis
+    """An NV sensor at the box centre plus NV partners in the given
     groups, placed uniformly in a box of the given NV density."""
     box = box_side(density_ppm, len(groups) + 1)
     rng = np.random.default_rng([4, realization])
     return cluster(
         [np.full(3, box / 2)] + [rng.uniform(0, box, 3) for _ in groups],
         [Species.NV] * (len(groups) + 1),
-        subgroup=[0, *groups],
-        axis_index=[0, *groups],
+        group=[0, *groups],
         field_axis=(1.0, 1.0, 1.0),
         box_nm=box,
     )

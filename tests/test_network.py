@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,8 +103,8 @@ def test_every_generated_site_is_in_the_addressed_group(spec):
     net = generate_network(spec)
     assert net.count(Species.P1) > 0
     assert net.count(Species.NV) == spec.site_count(Species.NV)
-    assert not net.axis_index.any()
-    assert not net.subgroup.any()
+    assert not net.group.any()
+    assert np.array_equal(net.group_key, net.species)
 
 
 def test_detunings_quenched_gaussian():
@@ -171,13 +172,13 @@ def test_json_round_trip_lossless():
                 seed=17,
             ),
             3,
-            "72e8b5924acf4a1e91c5801394132e79fcbc6259547853965d821c19ac34433f",
+            "05ef8a9e19256d7c8d3962f0f1b5c2b3b96af132410af4bc22b1a20c69652999",
             "2219c200dce59072a8661409084dbdd84d19e0976deace0df9331761efbdffc8",
         ),
         (
             EnsembleSpec(box_nm=30.0, densities_ppm={Species.P1: 6.3}, placement=Placement.DIAMOND_LATTICE, seed=4),
             1,
-            "45f80fa53156f48f60b0ce4e613801dff881235c3e28e2a0926d559b1e62f96c",
+            "d90ac81a7070b73eb536239b7d73852002d67a002f4fdda6adb64f7fbdc059f0",
             "eef8dee612d2d8d911aed962df6fa0569acdd572d46cb012ae7e852aa55c8d06",
         ),
     ],
@@ -185,7 +186,8 @@ def test_json_round_trip_lossless():
 def test_json_bytes_pinned(spec, realization, digest, placed):
     # SHA-256 of the JSON text the per-site-record serializer writes, and of
     # the positions and detunings alone, as the generator wrote them when it
-    # still kept drawn axis and subgroup values: discarding those moved no site
+    # still kept drawn axis and subgroup values: discarding those, and
+    # folding the two label columns into one group column, moved no site
     net = generate_network(spec, realization=realization)
     assert hashlib.sha256(network_to_json(net).encode()).hexdigest() == digest
     assert hashlib.sha256(net.positions.tobytes() + net.detunings.tobytes()).hexdigest() == placed
@@ -198,6 +200,32 @@ def test_validation_errors():
         EnsembleSpec(box_nm=-5.0, densities_ppm={})
     with pytest.raises(ValueError):
         EnsembleSpec(box_nm=10.0, densities_ppm={}, field_axis=(0, 0, 0))
+
+
+def test_species_code_outside_species_is_refused():
+    # a code past SPECIES would share a group key with a site of another group
+    net = generate_network(EnsembleSpec(box_nm=40.0, densities_ppm={Species.NV: 0.6, Species.P1: 1.575}, seed=2))
+    for code in (len(network.SPECIES), -1):
+        species = net.species.copy()
+        species[-1] = code
+        with pytest.raises(ValueError, match="species codes"):
+            replace(net, species=species)
+    empty = generate_network(EnsembleSpec(box_nm=10.0, densities_ppm={}))
+    assert empty.n_sites == 0
+
+
+def test_call_in_the_old_column_order_raises():
+    # the seven-field order (spec, positions, species, axis_index, subgroup,
+    # detunings, realization) would bind subgroup to the detunings and the
+    # detunings to the realization
+    spec = EnsembleSpec(box_nm=10.0, densities_ppm={})
+    positions, zeros = [[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]], np.zeros(2, dtype=int)
+    with pytest.raises(TypeError):
+        network.SpinNetwork(spec, positions, [0, 1], zeros, [1, 2], np.zeros(2))
+    with pytest.raises(TypeError):
+        network.SpinNetwork(spec, positions, [0, 1], zeros, [1, 2], np.zeros(2), 0)
+    net = network.SpinNetwork(spec, positions, [0, 1], zeros, np.zeros(2), np.int64(3))
+    assert net.realization == 3 and type(net.realization) is int
 
 
 def test_centred_box_redraws_until_the_centre_is_clear():
@@ -221,7 +249,7 @@ def test_centred_box_redraws_until_the_centre_is_clear():
     assert np.array_equal(net.positions[1:], base.positions)
     assert np.array_equal(net.positions[0], np.full(3, spec.box_nm / 2))
     assert net.species.tolist() == [0] + [1] * 18
-    assert not (net.axis_index.any() or net.subgroup.any() or net.detunings.any())
+    assert not (net.group.any() or net.detunings.any())
     drawn.clear()
     with pytest.raises(GenerationError, match="100 attempts"):
         centred_box(1.575, 18, Placement.CONTINUUM, 0, 0, blocking(101))

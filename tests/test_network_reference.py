@@ -20,7 +20,6 @@ import pytest
 
 from spinnet import network
 from spinnet.network import (
-    NV_AXES,
     SPECIES,
     EnsembleSpec,
     GenerationError,
@@ -38,17 +37,12 @@ from spinnet.transport import RATE_FLOOR_MHZ, build_rates, pair_table, transport
 
 
 def network_from_sites(spec, sites, realization=0):
-    """The array network of per-site records; every axis must be one of NV_AXES."""
-    axes = np.array([s.axis for s in sites], dtype=float).reshape(-1, 3)
-    axis_index = np.argmax(axes @ NV_AXES.T, axis=1)
-    if not np.allclose(NV_AXES[axis_index], axes):
-        raise ValueError("site axes must be <111> crystal axes")
+    """The array network of per-site records."""
     return network.SpinNetwork(
         spec,
         [s.position_nm for s in sites],
         [network.species_code(s.species) for s in sites],
-        axis_index,
-        [s.subgroup for s in sites],
+        [s.group for s in sites],
         [s.detuning_mhz for s in sites],
         realization,
     )
@@ -57,7 +51,7 @@ def network_from_sites(spec, sites, realization=0):
 def network_to_json(net):
     """The spec, the realization and one record per site, as JSON text."""
     spec = net.spec
-    columns = (net.positions, net.species, net.axis_index, net.subgroup, net.detunings)
+    columns = (net.positions, net.species, net.group, net.detunings)
     payload = {
         "spec": {
             "box_nm": spec.box_nm,
@@ -74,18 +68,17 @@ def network_to_json(net):
                 "id": i,
                 "xyz_nm": pos,
                 "species": SPECIES[code].value,
-                "subgroup": group,
-                "axis": NV_AXES[axis].tolist(),
+                "group": group,
                 "detuning_MHz": delta,
             }
-            for i, (pos, code, axis, group, delta) in enumerate(zip(*(c.tolist() for c in columns)))
+            for i, (pos, code, group, delta) in enumerate(zip(*(c.tolist() for c in columns)))
         ],
     }
     return json.dumps(payload)
 
 
 def network_from_json(text):
-    """The network of :func:`network_to_json` text; every site axis must be one of NV_AXES."""
+    """The network of :func:`network_to_json` text."""
     data = json.loads(text)
     sp = data["spec"]
     spec = EnsembleSpec(
@@ -98,16 +91,11 @@ def network_from_json(text):
         seed=sp["seed"],
     )
     records = data["sites"]
-    axes = np.array([rec["axis"] for rec in records], dtype=float).reshape(-1, 3)
-    axis_index = np.argmax(axes @ NV_AXES.T, axis=1)
-    if not np.allclose(NV_AXES[axis_index], axes):
-        raise ValueError("site axes must be <111> crystal axes")
     return network.SpinNetwork(
         spec,
         [rec["xyz_nm"] for rec in records],
         [network.species_code(rec["species"]) for rec in records],
-        axis_index,
-        [rec["subgroup"] for rec in records],
+        [rec["group"] for rec in records],
         [rec["detuning_MHz"] for rec in records],
         data.get("realization", 0),
     )
@@ -141,7 +129,7 @@ def reference_generate_network(spec, realization=0):
     its position a site takes orientation draws whose values are
     discarded: one ``random()`` for an NV (what ``choice(4, p=weights)``
     reads), ``integers(0, 4)`` then ``random()`` for a P1.  Every site is
-    in the addressed group, axis 0 and subgroup 0."""
+    in the addressed group, group 0."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, realization]))
     L = spec.box_nm
     counts = [(sp, spec.site_count(sp)) for sp in (Species.NV, Species.P1)]
@@ -172,7 +160,7 @@ def reference_generate_network(spec, realization=0):
             if species == Species.P1:
                 rng.integers(0, 4)
             rng.random()
-            sites.append(SpinSite(len(sites), pos.copy(), species, NV_AXES[0].copy(), subgroup=0))
+            sites.append(SpinSite(len(sites), pos.copy(), species, group=0))
     if spec.disorder_mhz > 0:
         sites = reference_assign_detunings(sites, spec.disorder_mhz, rng)
     return sites
@@ -193,8 +181,8 @@ def reference_centred_sites(spec, realization, w_mhz=0.0):
         pos = np.array([s.position_nm for s in base]).reshape(-1, 3)
         if len(pos) and np.min(np.linalg.norm(pos - center, axis=1)) < spec.exclusion_nm:
             continue
-        sites = [SpinSite(0, center.copy(), Species.NV, NV_AXES[0].copy(), subgroup=0)]
-        sites += [SpinSite(k + 1, s.position_nm, Species.P1, NV_AXES[0].copy(), subgroup=0) for k, s in enumerate(base)]
+        sites = [SpinSite(0, center.copy(), Species.NV, group=0)]
+        sites += [SpinSite(k + 1, s.position_nm, Species.P1, group=0) for k, s in enumerate(base)]
         if w_mhz > 0:
             rng = np.random.default_rng(np.random.SeedSequence([spec.seed, realization, 1]))
             sites = reference_assign_detunings(sites, w_mhz, rng)
@@ -242,7 +230,7 @@ def reference_build_rates(spec, sites, omega_mhz):
     j_bare = J0_MHZ_NM3 * (1.0 - 3.0 * cos**2) / r**3
     is_nv = np.array([s.species == Species.NV for s in sites])
     scale = np.sqrt(2.0) ** (is_nv[:, None].astype(int) + is_nv[None, :].astype(int))
-    keys = [(s.species, s.subgroup, int(np.argmax(NV_AXES @ s.axis))) for s in sites]
+    keys = [(s.species, s.group) for s in sites]
     same = np.array([[ki == kj for kj in keys] for ki in keys])
     prefactor = np.where(same, 1.0 / 8.0, 1.0 / 4.0)
     sin_t = np.array([tilt_projection(omega_mhz, d) for d in delta])
@@ -259,8 +247,7 @@ def assert_columns_equal(net, sites):
     assert net.n_sites == len(sites)
     assert np.array_equal(net.positions, np.array([s.position_nm for s in sites]).reshape(-1, 3))
     assert [SPECIES[c] for c in net.species] == [s.species for s in sites]
-    assert np.array_equal(NV_AXES[net.axis_index], np.array([s.axis for s in sites]).reshape(-1, 3))
-    assert np.array_equal(net.subgroup, [s.subgroup for s in sites])
+    assert np.array_equal(net.group, [s.group for s in sites])
     assert np.array_equal(net.detunings, [s.detuning_mhz for s in sites])
 
 
@@ -492,18 +479,12 @@ def test_sites_and_json_round_trip():
         assert site.id == i
         assert np.array_equal(site.position_nm, net.positions[i])
         assert site.species == SPECIES[net.species[i]]
-        assert np.array_equal(site.axis, NV_AXES[net.axis_index[i]])
+        assert site.group == net.group[i]
         assert site.detuning_mhz == net.detunings[i]
     back = network_from_sites(spec, sites, realization=net.realization)
     assert network_to_json(back) == network_to_json(net)
-    with pytest.raises(ValueError, match="axes"):
-        network_from_sites(spec, [replace(sites[0], axis=np.array([0.0, 0.0, 1.0]))])
-    payload = json.loads(network_to_json(net))
-    payload["sites"][0]["axis"] = [0.0, 0.0, 1.0]
-    with pytest.raises(ValueError, match="axes"):
-        network_from_json(json.dumps(payload))
     with pytest.raises(ValueError, match="one entry per site"):
-        network.SpinNetwork(spec, net.positions, net.species[:-1], net.axis_index, net.subgroup, net.detunings)
+        network.SpinNetwork(spec, net.positions, net.species[:-1], net.group, net.detunings)
 
 
 def test_columns_are_not_shared():
@@ -511,6 +492,6 @@ def test_columns_are_not_shared():
     net = generate_network(spec)
     moved = network.assign_detunings(net, 1.0)
     moved.positions[0, 0] = math.nan
-    moved.subgroup[:] = 9
+    moved.group[:] = 9
     assert not np.isnan(net.positions).any()
-    assert not np.any(net.subgroup == 9)
+    assert not np.any(net.group == 9)

@@ -6,7 +6,7 @@ import pytest
 
 from spinnet import experiments, protocol
 from spinnet.constants import TWO_PI
-from spinnet.network import NV_AXES, EnsembleSpec, Placement, Species, SpinSite
+from spinnet.network import EnsembleSpec, Placement, Species, SpinSite
 from spinnet.protocol import (
     CROSSOVER,
     enhancement,
@@ -29,7 +29,7 @@ def desk_factory(r, **params):
 
 def pair_network(r_nm=4.0, bath_first=False):
     # one sensor and one bath spin separated along the field axis
-    axis = NV_AXES[0]
+    axis = np.ones(3) / math.sqrt(3)
     spec = EnsembleSpec(
         box_nm=40.0,
         densities_ppm={Species.NV: 0.1, Species.P1: 0.1},
@@ -38,8 +38,8 @@ def pair_network(r_nm=4.0, bath_first=False):
     )
     center = np.full(3, 20.0)
     sites = [
-        SpinSite(0, center, Species.NV, axis.copy(), 0, 0.0),
-        SpinSite(1, center + r_nm * axis, Species.P1, axis.copy(), 0, 0.0),
+        SpinSite(0, center, Species.NV, group=0),
+        SpinSite(1, center + r_nm * axis, Species.P1, group=0),
     ]
     return network_from_sites(spec, sites[::-1] if bath_first else sites, realization=0)
 
@@ -63,9 +63,8 @@ def test_protocol_network_layout():
     p1 = net.indices_of(Species.P1)
     assert p1.size == 120
     assert nv.size == round(0.6 / 1.575 * 120)
-    assert np.all(net.subgroup == 0)
-    for axis in NV_AXES[net.axis_index]:
-        npt.assert_allclose(axis, NV_AXES[0], atol=1e-12)
+    assert not net.group.any()
+    assert np.array_equal(net.group_key, net.species)
     again = desk_factory(0, n_p1=120)
     npt.assert_array_equal(net.positions, again.positions)
 

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from spinnet import spinops
 from spinnet.constants import TWO_PI
-from spinnet.network import NV_AXES, EnsembleSpec, Species, SpinSite
+from spinnet.network import EnsembleSpec, Species, SpinSite
 from spinnet.spinops import (
     ClusterHamiltonian,
     Frame,
@@ -22,14 +22,8 @@ from test_network_reference import network_from_sites, tilt_projection
 Z = np.array([0.0, 0.0, 1.0])
 
 
-def site(pos, species=Species.P1, axis_idx=0, subgroup=0):
-    return SpinSite(
-        id=0,
-        position_nm=np.asarray(pos, dtype=float),
-        species=species,
-        axis=NV_AXES[axis_idx].copy(),
-        subgroup=subgroup,
-    )
+def site(pos, species=Species.P1, group=0):
+    return SpinSite(id=0, position_nm=np.asarray(pos, dtype=float), species=species, group=group)
 
 
 def cluster(sites):
@@ -54,19 +48,15 @@ def hamiltonian(sites, frame, cmap=None):
 
 def is_heterogeneous(site_i, site_j):
     """Per-site reference classifier: True when the pair's transition
-    frequencies differ (species, axis or spectral subgroup mismatch)."""
-    if site_i.species != site_j.species:
-        return True
-    if not np.allclose(site_i.axis, site_j.axis):
-        return True
-    return site_i.subgroup != site_j.subgroup
+    frequencies differ (species or group mismatch)."""
+    return site_i.species != site_j.species or site_i.group != site_j.group
 
 
-def pair_sites(r_nm=10.0, species=(Species.P1, Species.P1), subgroups=(0, 0)):
+def pair_sites(r_nm=10.0, species=(Species.P1, Species.P1), groups=(0, 0)):
     # separation perpendicular to the z quantization axis: J = J0 / r^3
     return [
-        site([0, 0, 0], species[0], subgroup=subgroups[0]),
-        site([r_nm, 0, 0], species[1], subgroup=subgroups[1]),
+        site([0, 0, 0], species[0], group=groups[0]),
+        site([r_nm, 0, 0], species[1], group=groups[1]),
     ]
 
 
@@ -175,7 +165,7 @@ def test_dressed_conserves_total_sx():
     comm = ham.matrix @ ops.total_sx - ops.total_sx @ ham.matrix
     assert np.abs(comm).max() < 1e-12
     het = [site(rng.uniform(0, 30, 3), sp) for sp in (Species.NV, Species.P1, Species.P1)]
-    het[2].subgroup = 1
+    het[2].group = 1
     ham2 = build_cluster_hamiltonian(cluster(het), Frame.DRESSED)
     ops3 = operator_set(3)
     comm2 = ham2.matrix @ ops3.total_sx - ops3.total_sx @ ham2.matrix
@@ -202,9 +192,9 @@ def test_dressed_matches_drive_time_average():
     n_samples = 16
     ops = operator_set(2)
 
-    # a degenerate pair takes the intra-group forms, a subgroup-mismatched
+    # a degenerate pair takes the intra-group forms, a group-mismatched
     # pair the inter-group (Ising / dressed exchange) forms
-    for sites in (pair_sites(), pair_sites(10.0, (Species.P1, Species.P1), subgroups=(0, 1))):
+    for sites in (pair_sites(), pair_sites(10.0, (Species.P1, Species.P1), groups=(0, 1))):
         h_lab = build_cluster_hamiltonian(cluster(sites), Frame.LAB_SECULAR).matrix
         h_dressed = build_cluster_hamiltonian(cluster(sites), Frame.DRESSED).matrix
         avg = np.zeros_like(h_lab)
@@ -243,7 +233,7 @@ def test_dressed_inter_exchange_period():
     """Two matched spins at coupling J swap dressed populations at t = 1/J
     and return at 2/J; the flip-flop matrix element is J/4."""
     j = 0.4
-    sites = pair_sites(10.0, (Species.P1, Species.P1), subgroups=(0, 1))
+    sites = pair_sites(10.0, (Species.P1, Species.P1), groups=(0, 1))
     ham = hamiltonian(sites, Frame.DRESSED, {(0, 1): j})
     x_up = np.array([1, 1]) / math.sqrt(2)
     x_dn = np.array([1, -1]) / math.sqrt(2)
@@ -342,16 +332,15 @@ def random_cluster(rng, n, mixed=True):
         site(
             rng.uniform(0, 12, 3),
             Species.NV if mixed and rng.random() < 0.3 else Species.P1,
-            axis_idx=int(rng.integers(0, 4)) if mixed else 0,
-            subgroup=int(rng.integers(0, 2)) if mixed else 0,
+            group=int(rng.integers(0, 8)) if mixed else 0,
         )
         for _ in range(n)
     ]
 
 
 def heterogeneous_cluster(rng, n):
-    """Sites with distinct (species, axis, subgroup): every pair is heterogeneous."""
-    keys = [(sp, a, g) for sp in (Species.NV, Species.P1) for a in range(4) for g in range(2)]
+    """Sites with distinct (species, group): every pair is heterogeneous."""
+    keys = [(sp, g) for sp in (Species.NV, Species.P1) for g in range(8)]
     return [site(rng.uniform(0, 12, 3), *keys[k]) for k in rng.permutation(len(keys))[:n]]
 
 

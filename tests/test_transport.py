@@ -79,21 +79,19 @@ def test_rate_detuning_dependence():
     npt.assert_allclose(rate(1.0, 1.0) / r0, (omega**2 / (omega**2 + 1.0)) ** 2, rtol=1e-9)
 
 
-def dressed_duo(species, subgroup, detunings):
+def dressed_duo(species, group, detunings):
     """Two sites 20 nm apart at cos(theta) = 0.8 to the z field axis."""
     spec = EnsembleSpec(box_nm=40.0, densities_ppm={}, field_axis=(0.0, 0.0, 1.0))
-    return SpinNetwork(
-        spec, [[0.0, 0.0, 0.0], [12.0, 0.0, 16.0]], [species_code(sp) for sp in species], [0, 0], subgroup, detunings
-    )
+    return SpinNetwork(spec, [[0.0, 0.0, 0.0], [12.0, 0.0, 16.0]], [species_code(sp) for sp in species], group, detunings)
 
 
 @pytest.mark.parametrize("delta_mhz", [0.0, 0.1, 0.3, 1.0])
-@pytest.mark.parametrize("species, subgroup", [
+@pytest.mark.parametrize("species, group", [
     ((Species.P1, Species.P1), [0, 0]),  # degenerate: J/8
     ((Species.P1, Species.P1), [0, 1]),  # across P1 groups: J/4
     ((Species.NV, Species.P1), [0, 0]),  # NV-P1: sqrt(2) J/4
 ])
-def test_dressed_pair_transfers_at_two_pi_times_the_rate(species, subgroup, delta_mhz):
+def test_dressed_pair_transfers_at_two_pi_times_the_rate(species, group, delta_mhz):
     # The rate convention, from the cluster layer: the flip-flop element V of
     # the dressed Hamiltonian between |+x,-x> and |-x,+x> is the pair table's
     # coupling, and the doublet with dressed frequencies Delta apart and
@@ -102,11 +100,11 @@ def test_dressed_pair_transfers_at_two_pi_times_the_rate(species, subgroup, delt
     # Delta = 0); at 20 nm V/Gamma < 0.015.
     omega, gamma = 6.40, GAMMA_MHZ
     plus_minus = np.kron(*[np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)] * 2)
-    hx = plus_minus.T @ build_cluster_hamiltonian(dressed_duo(species, subgroup, [0.0, 0.0]), Frame.DRESSED).matrix @ plus_minus
+    hx = plus_minus.T @ build_cluster_hamiltonian(dressed_duo(species, group, [0.0, 0.0]), Frame.DRESSED).matrix @ plus_minus
     # the dressed frame conserves total Sx: the doublet is closed
     npt.assert_allclose(hx[[0, 0, 3, 3], [1, 2, 1, 2]], 0.0, atol=1e-18)
     # site 1's detuning puts its dressed frequency delta_mhz above site 0's
-    net = dressed_duo(species, subgroup, [0.0, math.sqrt((omega + delta_mhz) ** 2 - omega**2)])
+    net = dressed_duo(species, group, [0.0, math.sqrt((omega + delta_mhz) ** 2 - omega**2)])
     pairs = pair_table(net)
     v = hx[1, 2].real
     npt.assert_allclose(v, pairs.fj[0], rtol=1e-12)
@@ -307,7 +305,7 @@ def boundary_network(cutoff):
     (xa, ya), (xb, yb), (xc, yc) = found
     positions = [(0.0, 0.0, 0.0), (xa, ya, 0.0), (0.0, xb, yb), (yc, 0.0, xc)]
     spec = EnsembleSpec(box_nm=2.0 * cutoff, densities_ppm={Species.P1: 0.1})
-    return SpinNetwork(spec, positions, [0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0.0, 0.4, -0.3, 0.9])
+    return SpinNetwork(spec, positions, [0, 1, 1, 1], [0, 0, 0, 0], [0.0, 0.4, -0.3, 0.9])
 
 
 def test_build_rates_cutoff_boundary_matches_reference():
