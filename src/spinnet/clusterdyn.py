@@ -215,12 +215,12 @@ def extract_dephasing_rate(trace: TraceResult) -> fitkit.FitResult:
 
     The dephasing rate is 1/T2 with sigma sigma_T2/T2^2, where T2 is the
     fit's ``t2``; the stretch is its ``beta``.  ``trace.sem`` weights the
-    fit by the rule of :func:`fitkit.fit_sigma`.
+    fit by the rule of :func:`fitkit.fit`.
     """
     y = trace.signal
     if np.ptp(y) < 0.05 * max(np.abs(y).max(), 1e-12) or np.ptp(y) < 1e-12:
         raise FitError("trace shows no decay; dephasing rate is not identifiable")
-    return fitkit.fit(fitkit.STRETCHED_EXP, trace.abscissa_us, y, sigma=fitkit.fit_sigma(trace.sem))
+    return fitkit.fit(fitkit.STRETCHED_EXP, trace.abscissa_us, y, sigma=trace.sem)
 
 
 # The dilute-bath limit of the DEER decay: for bath spins placed uniformly
@@ -244,7 +244,7 @@ def calibrate_alpha(densities_ppm, rates_mhz, rate_sigmas=None) -> fitkit.FitRes
     d = np.asarray(densities_ppm, dtype=float)
     if np.unique(d).size < 2:
         raise FitError("rate-vs-density calibration needs at least two distinct densities")
-    return fitkit.linear_fit(d, rates_mhz, sigma=fitkit.fit_sigma(rate_sigmas), through_origin=True)
+    return fitkit.linear_fit(d, rates_mhz, sigma=rate_sigmas, through_origin=True)
 
 
 @dataclass

@@ -192,7 +192,7 @@ def _run_crossover(config: dict) -> tuple:
     results = protocol.run_iterative_protocol(_protocol_factory(config), cycles, config["realizations"])
     p_sat = np.array([res.saturation["amp"] for res in results])
     p_sig = np.array([res.saturation.sigma("amp") for res in results])
-    cross = protocol.fit_crossover(np.array(omegas, dtype=float), p_sat, sigma=fitkit.fit_sigma(p_sig))
+    cross = protocol.fit_crossover(np.array(omegas, dtype=float), p_sat, sigma=p_sig)
     # A_inf and W are the crossover fit's a_inf and w
     summary = {
         "omegas_MHz": list(map(float, omegas)),
@@ -282,9 +282,7 @@ def _run_fit(config: dict) -> tuple:
         sigma = data[:, 2]
         if np.any(sigma < 0):
             raise ConfigError("config field params/data_csv: a sigma cell is negative")
-    # a zero error bar (a noiseless or one-realization trace, a point every
-    # realization agrees on) leaves the fit unweighted
-    res = fitkit.fit(model, data[:, 0], data[:, 1], sigma=fitkit.fit_sigma(sigma), p0=p0)
+    res = fitkit.fit(model, data[:, 0], data[:, 1], sigma=sigma, p0=p0)
     summary = {
         "model": model_name,
         "params": {k: res[k] for k in res.param_names},

@@ -1,16 +1,16 @@
 """Nonlinear least-squares and statistical utilities shared by the analysis paths.
 
 The fitters wrap :func:`scipy.optimize.least_squares` (trust-region reflective,
-finite-difference Jacobian) behind a small model registry.  Every model carries
-its parameter names, bounds and an automatic initial-guess heuristic, so the
+finite-difference Jacobian) for named models.  Every model carries its
+parameter names, bounds and an automatic initial-guess heuristic, so the
 callers can fit traces without hand-tuning start values.  Guesses are computed
 on data sorted by abscissa, which keeps the whole fit invariant under
 reordering of the input points.
 
-Uncertainty convention: if per-point standard deviations are supplied the
-reported covariance is absolute (the weights are trusted); otherwise the
-covariance is scaled by the reduced chi-square, as is customary for
-unweighted fits.
+Uncertainty convention: :func:`fit` and :func:`linear_fit` read every
+caller's error bars by the one rule of :func:`_error_bars`.  A weighted fit
+reports an absolute covariance (the weights are trusted); an unweighted one
+scales it by the reduced chi-square, as is customary.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "DAMPED_COSINE",
     "fit",
     "linear_fit",
-    "fit_sigma",
     "fft_spectrum",
     "spectrum_peak",
     "reduce_mean_sem",
@@ -195,12 +194,20 @@ def _covariance(jac, cost, n_points, n_params, absolute):
     return cov
 
 
-def _checked_sigma(sigma) -> np.ndarray:
-    """``sigma`` as a flat float array; FitError unless every error bar is positive."""
+def _error_bars(sigma, y: np.ndarray) -> Optional[np.ndarray]:
+    """``sigma`` as the flat array that weights a fit of ``y``, or None for an
+    unweighted fit.  None, or any zero entry (one realization, or a point every
+    realization agrees on: no noise estimate, not an infinite weight), fits
+    unweighted; a flattened length other than ``y``'s, or any NaN or negative
+    entry, raises FitError; otherwise the fit is weighted (inf weighs zero)."""
+    if sigma is None:
+        return None
     sigma = np.asarray(sigma, dtype=float).ravel()
-    if np.any(sigma <= 0):
-        raise FitError("sigma values must be positive")
-    return sigma
+    if sigma.size != y.size:
+        raise FitError(f"sigma has {sigma.size} entries for {y.size} data points")
+    if not np.all(sigma >= 0):
+        raise FitError("sigma values must not be NaN or negative")
+    return None if np.any(sigma == 0) else sigma
 
 
 def fit(
@@ -212,11 +219,14 @@ def fit(
 ) -> FitResult:
     """Weighted least-squares fit of ``model`` to (xdata, ydata).
 
-    ``sigma`` gives per-point 1-sigma errors; when present the covariance is
-    absolute, otherwise it is scaled by the reduced chi-square.  A fit that
-    exhausts its budget of :data:`MAX_NFEV` evaluations, or that ends on its
-    (clipped) starting point, comes back with ``converged=False`` rather
-    than raising; only structurally unusable input raises :class:`FitError`.
+    ``sigma`` gives per-point 1-sigma errors (:func:`_error_bars`): None or
+    any zero entry fits unweighted, a NaN or negative entry or a length
+    other than the data's raises FitError, and otherwise the fit is weighted
+    (inf weighs zero) and its covariance absolute, not scaled by the reduced
+    chi-square.  A fit that exhausts its budget of :data:`MAX_NFEV`
+    evaluations, or that ends on its (clipped) starting point, comes back
+    with ``converged=False`` rather than raising; only structurally
+    unusable input raises :class:`FitError`.
     """
     x = np.asarray(xdata, dtype=float).ravel()
     y = np.asarray(ydata, dtype=float).ravel()
@@ -232,7 +242,8 @@ def fit(
         # the cost 0.5 * sum(r^2) underflows to 0: the fit would stop on its
         # start point and report an exact fit with zero uncertainty
         raise FitError(f"{model.name}: data of magnitude {y_max:g} are too small to fit; their squares underflow")
-    weights = None if sigma is None else 1.0 / _checked_sigma(sigma)
+    sigma = _error_bars(sigma, y)
+    weights = None if sigma is None else 1.0 / sigma
 
     # sort by x up front: makes the fit bit-identical under input reordering
     order = np.argsort(x, kind="stable")
@@ -270,7 +281,7 @@ def fit(
         # residuals that are not finite at the start point: data or weights
         # that are not finite, or a model that overflows there
         raise FitError(f"{model.name}: {err}") from err
-    cov = _covariance(res.jac, res.cost, x.size, n_params, absolute=sigma is not None)
+    cov = _covariance(res.jac, res.cost, x.size, n_params, absolute=weights is not None)
     sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FitResult(
         param_names=model.param_names,
@@ -293,8 +304,8 @@ def linear_fit(x, y, sigma=None, through_origin: bool = False) -> FitResult:
     those units, and slope, intercept and covariance are mapped back to
     the units of ``x``.  Distinct abscissae of any magnitude, subnormal
     ones included, therefore never make the system singular; FitError
-    is raised only when every centred abscissa is zero.  Covariance
-    convention matches :func:`fit`.
+    is raised only when every centred abscissa is zero.  ``sigma`` and the
+    covariance follow the rule of :func:`fit`.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -305,7 +316,8 @@ def linear_fit(x, y, sigma=None, through_origin: bool = False) -> FitResult:
         raise FitError("not enough points")
     if x.size < n_params:
         raise FitError("a line with free intercept needs at least 2 points")
-    w = np.ones_like(x) if sigma is None else 1.0 / _checked_sigma(sigma) ** 2
+    sigma = _error_bars(sigma, y)
+    w = np.ones_like(x) if sigma is None else 1.0 / sigma**2
     order = np.argsort(x, kind="stable")
     x, y, w = x[order], y[order], w[order]
 
@@ -341,16 +353,6 @@ def linear_fit(x, y, sigma=None, through_origin: bool = False) -> FitResult:
         converged=True,
         iterations=0,
     )
-
-
-def fit_sigma(sigma) -> Optional[np.ndarray]:
-    """``sigma`` as a float array when every error bar is positive, else
-    None: a zero error bar (one realization, or a point every realization
-    agrees on) leaves the fit unweighted, not infinitely weighted."""
-    if sigma is None:
-        return None
-    sigma = np.asarray(sigma, dtype=float)
-    return sigma if np.all(sigma > 0) else None
 
 
 def fft_spectrum(trace, dt: float):
@@ -403,8 +405,8 @@ def reduce_mean_sem(values) -> tuple:
     one mean and one standard error per column, as two arrays.  Each
     column is summed exactly (``math.fsum``), so any permutation of the
     realizations produces bit-identical results.  One realization gives
-    its own row and a zero standard error, which :func:`fit_sigma` reads
-    as an unweighted fit.
+    its own row and a zero standard error, which :func:`fit` and
+    :func:`linear_fit` read as an unweighted fit.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:

@@ -221,9 +221,9 @@ def fit_saturation(n_values, a_values, sem=None) -> fitkit.FitResult:
 
     The saturation amplitude A_sat is the fit's ``amp`` and the saturation
     cycle count N_sat its ``tau``; ``sem`` weights the fit by the rule of
-    :func:`fitkit.fit_sigma`.
+    :func:`fitkit.fit`.
     """
-    return fitkit.fit(fitkit.EXP_SATURATION, n_values, a_values, sigma=fitkit.fit_sigma(sem))
+    return fitkit.fit(fitkit.EXP_SATURATION, n_values, a_values, sigma=sem)
 
 
 def _crossover_model(omega, a_inf, w):

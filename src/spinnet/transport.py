@@ -17,9 +17,11 @@ ways, one per caller:
   ``LANCZOS_TOL`` over the time grid (exact once the basis spans the
   network).
 
-Both go through :func:`integrate_master_equation`, which checks
-conservation and the maximum principle.  The dense path and an explicit
-Runge-Kutta integration in the tests are the cross-checks.
+Only the diffusion path goes through :func:`integrate_master_equation`,
+which checks conservation and the maximum principle; the protocol steps
+with :meth:`Generator.decay`/:meth:`Generator.evolve` and its readout with
+:meth:`Generator.propagate`.  The dense path and an explicit Runge-Kutta
+integration in the tests are the cross-checks.
 
 The diffusion analysis follows the mean-squared displacement of the
 polarization cloud about the source, fits the slope inside a window bounded
@@ -517,7 +519,7 @@ def extract_diffusion(curve: MsdCurve, d_avg_nm: float, box_nm: float) -> fitkit
 
     The box's diffusion coefficient D_L is the fit's ``slope``/6, with
     sigma ``sigma("slope")``/6; the curve's SEM weights the fit by the
-    rule of :func:`fitkit.fit_sigma`.
+    rule of :func:`fitkit.linear_fit`.
     """
     lo, hi = _window(d_avg_nm, box_nm)
     inside = (curve.msd_nm2 >= lo) & (curve.msd_nm2 <= hi)
@@ -530,7 +532,7 @@ def extract_diffusion(curve: MsdCurve, d_avg_nm: float, box_nm: float) -> fitkit
     t = curve.times_us[inside]
     y = curve.msd_nm2[inside]
     sem = None if curve.sem_nm2 is None else curve.sem_nm2[inside]
-    return fitkit.linear_fit(t, y, sigma=fitkit.fit_sigma(sem))
+    return fitkit.linear_fit(t, y, sigma=sem)
 
 
 def finite_size_extrapolate(box_sizes_nm, d_values, sigmas=None) -> fitkit.FitResult:
@@ -540,10 +542,7 @@ def finite_size_extrapolate(box_sizes_nm, d_values, sigmas=None) -> fitkit.FitRe
     ``sigma("intercept")``.
     """
     L = np.asarray(box_sizes_nm, dtype=float)
-    d = np.asarray(d_values, dtype=float)
-    if L.size < 2:
-        raise fitkit.FitError("extrapolation needs at least two box sizes")
-    return fitkit.linear_fit(1.0 / L, d, sigma=sigmas)
+    return fitkit.linear_fit(1.0 / L, d_values, sigma=sigmas)
 
 
 def diffusion_length(d_nm2_per_us: float, tau_us: float) -> float:
@@ -718,6 +717,6 @@ def diffusion_scaling(
     boxes = [float(box) for _, box in curves]
     ds = [res["slope"] / 6.0 for res in fits]
     sigs = [res.sigma("slope") / 6.0 for res in fits]
-    extrap = finite_size_extrapolate(boxes, ds, fitkit.fit_sigma(sigs))
+    extrap = finite_size_extrapolate(boxes, ds, sigs)
     dims, errors = [c.basis_dims for c, _ in curves], [c.basis_errors for c, _ in curves]
     return ScalingResult(boxes, ds, sigs, extrap, dims, errors)

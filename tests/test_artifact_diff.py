@@ -163,8 +163,9 @@ def test_largest_change_flags_cell_count_mismatch():
 def test_run_configs_cover_every_csv_experiment(tmp_path, monkeypatch):
     from spinnet import cli, experiments
 
-    # the fit config reads the table the tool writes beside the configs
-    (tmp_path / artifact_diff.FIT_DATA).write_text(artifact_diff.FIT_CSV)
+    # the fit configs read the tables the tool writes beside the configs
+    for name, text in artifact_diff.FIT_TABLES.items():
+        (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     for config in artifact_diff.RUN_CONFIGS.values():
         assert cli.validate_config(config) == []

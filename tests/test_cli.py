@@ -675,7 +675,8 @@ def test_run_fit_reads_a_written_trace(tmp_path, capsys):
     assert report["params"]["freq"] == pytest.approx(5.0, rel=1e-6)
 
     # a SEM that mixes zero and positive entries also leaves the fit
-    # unweighted, as fitkit.fit_sigma reads it; a negative one is refused
+    # unweighted, by fitkit.fit's rule; a negative one is refused as a
+    # config error before any fit
     rows = trace.read_text().splitlines()
     for sem, code in (("0.1", 0), ("-0.1", 2)):
         spoilt = tmp_path / f"sem{sem}.csv"

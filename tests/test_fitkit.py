@@ -51,8 +51,6 @@ def test_damped_cosine_round_trip():
 def test_underdetermined_raises():
     with pytest.raises(fitkit.FitError):
         fitkit.fit(fitkit.STRETCHED_EXP, [0.0, 1.0], [1.0, 0.5])
-    with pytest.raises(fitkit.FitError):
-        fitkit.fit(fitkit.STRETCHED_EXP, [0, 1, 2], [1, 0.7, 0.5], sigma=[1, 0, 1])
 
 
 def test_fit_that_never_leaves_its_start_is_not_converged():
@@ -227,21 +225,42 @@ def test_data_whose_squares_underflow_are_refused():
     assert fitkit.fit(fitkit.EXP_SATURATION, n, np.zeros_like(n)).params.size == 2
 
 
-# The fit sites of fitkit.fit_sigma: site -> (a function of the error bars,
-# None for the unweighted fit, that returns the fitted parameters; positive
-# error bars; the index set to zero)
+# The two fitters, which hold the one error-bar rule, and every site that
+# passes them realization error bars: site -> (a function of the error
+# bars, None for the unweighted fit, that returns the fitted parameters;
+# positive error bars; the index set to zero)
 T = np.linspace(0.0, 4.0, 24)
 DECAY = np.exp(-((T / 1.3) ** 0.9)) + 0.01 * np.sin(7 * T)
 CYCLES = np.arange(1, 13, dtype=float)
 BUILDUP = 0.12 * (1 - np.exp(-CYCLES / 2.7)) + 0.002 * np.cos(3 * CYCLES)
 OMEGAS = np.array([0.5, 1.0, 2.0, 3.2, 6.4, 10.0])
 P_SAT = 0.18 * OMEGAS**2 / (OMEGAS**2 + 1.9**2) + 0.003 * np.sin(OMEGAS)
+X = np.array([0.5, 1.1, 2.0, 2.9, 4.2, 5.0])
+LINE = 0.8 * X + 0.3 + 0.05 * np.sin(5 * X)
 
 
 def _with_zero(sigma, k):
     sigma = np.array(sigma, dtype=float)
     sigma[k] = 0.0
     return sigma
+
+
+def _fit(sigma, monkeypatch):
+    return fitkit.fit(fitkit.STRETCHED_EXP, T, DECAY, sigma=sigma).params
+
+
+def _linear_fit(sigma, monkeypatch):
+    return fitkit.linear_fit(X, LINE, sigma=sigma).params
+
+
+def _run_fit(sem, monkeypatch):
+    # the table `run fit` reads, written in the working directory
+    columns = (CYCLES, BUILDUP) if sem is None else (CYCLES, BUILDUP, sem)
+    names = ("cycle", "p_p1") if sem is None else ("cycle", "p_p1", "p_p1_sem")
+    with open("data.csv", "w") as fh:
+        fh.write(fitkit.csv_text(names, *columns))
+    config = resolved("fit", params={"model": "exp_saturation", "data_csv": "data.csv"})
+    return np.array(list(experiments._run_fit(config)[1]["params"].values()))
 
 
 def _dephasing(sem, monkeypatch):
@@ -294,6 +313,9 @@ def _calibration(sigma, monkeypatch):
 
 
 FIT_SITES = {
+    "fit": (_fit, np.full(T.size, 0.02), 5),
+    "linear_fit": (_linear_fit, np.full(X.size, 0.05), 4),
+    "run_fit": (_run_fit, np.full(CYCLES.size, 0.004), 3),
     "extract_dephasing_rate": (_dephasing, np.full(T.size, 0.02), 5),
     "fit_saturation": (_saturation, np.full(CYCLES.size, 0.004), 0),
     "crossover": (_crossover, np.full(OMEGAS.size, 0.006), 2),
@@ -304,10 +326,34 @@ FIT_SITES = {
 
 
 @pytest.mark.parametrize("site", FIT_SITES)
-def test_one_zero_error_bar_gives_the_unweighted_fit(site, monkeypatch):
+def test_one_zero_error_bar_gives_the_unweighted_fit(site, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
     fn, sigma, k = FIT_SITES[site]
     fit = lambda s: fn(s, monkeypatch)
     unweighted = fit(None)
     assert np.array_equal(fit(_with_zero(sigma, k)), unweighted)
     # and the error bars do weight the fit when every one is positive
     assert not np.array_equal(fit(np.asarray(sigma, dtype=float) * np.linspace(1.0, 3.0, len(sigma))), unweighted)
+
+
+@pytest.mark.parametrize("fitter", ["fit", "linear_fit"])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_error_bars_of_another_length_are_refused(fitter, change, monkeypatch):
+    fn, sigma, _ = FIT_SITES[fitter]
+    # one entry short, or one extra, never reaches the solver
+    wrong = np.full(len(sigma) + change, sigma[0])
+    with pytest.raises(fitkit.FitError, match="entries for"):
+        fn(wrong, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "site, bad",
+    [("fit_saturation", math.nan), ("fit_saturation", -1.0), ("calibrate_alpha", math.nan),
+     ("calibrate_alpha", -1.0), ("linear_fit", math.nan)],
+)
+def test_a_nan_or_negative_error_bar_is_refused(site, bad, monkeypatch):
+    fn, sigma, k = FIT_SITES[site]
+    spoilt = np.array(sigma, dtype=float)
+    spoilt[k] = bad
+    with pytest.raises(fitkit.FitError, match="NaN or negative"):
+        fn(spoilt, monkeypatch)

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from scipy.sparse import csr_array
 from scipy.sparse import identity as sparse_identity
 
-from spinnet import cli, transport
+from spinnet import cli, fitkit, transport
 from spinnet.constants import TWO_PI
 from spinnet.network import EnsembleSpec, Species, SpinNetwork, ppm_to_density, species_code
 from spinnet.spinops import Frame, build_cluster_hamiltonian
@@ -262,7 +262,7 @@ def test_finite_size_extrapolation_round_trip():
     npt.assert_allclose(res["intercept"], 0.22, rtol=1e-9)
     two = finite_size_extrapolate(boxes[:2], d_l[:2])
     npt.assert_allclose(two["intercept"], 0.22, rtol=1e-9)
-    with pytest.raises(Exception, match="two box sizes"):
+    with pytest.raises(fitkit.FitError, match="at least 2 points"):
         finite_size_extrapolate(boxes[:1], d_l[:1])
 
 
@@ -400,7 +400,7 @@ def reference_average_msd(omega_mhz, density_ppm, n_p1, n_realizations, seed):
         t_end *= 4.0
     grid = transport._default_time_grid(t_end)
     runs = [one(r, grid) for r in range(n_realizations)]
-    mean, sem = transport.fitkit.reduce_mean_sem(np.array([c.msd_nm2 for c in runs]))
+    mean, sem = fitkit.reduce_mean_sem(np.array([c.msd_nm2 for c in runs]))
     return MsdCurve(grid, mean, sem_nm2=sem), box
 
 

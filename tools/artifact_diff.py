@@ -2,33 +2,34 @@
 
     python tools/artifact_diff.py PARENT_SRC CHANGE_SRC
 
-Each argument is a checkout root or its ``src`` directory.  For each tree
-the six presets and the small ``run`` configs of ``RUN_CONFIGS`` (every
-experiment, a one-realization protocol run whose CSV has no SEM columns,
-a protocol run with every cycle parameter set, DEER on 8-site lattice
-clusters, on continuum clusters and, as ``deer-dense``, on continuum
-clusters at 500 ppm, whose exclusion radius refuses sites and so
-rewinds the block placement, a one-realization diffusion run
-over box sizes out of order and one at the 400- and 800-spin boxes of
-the diffusion benchmark) run at seeds 0-3, except the ``rabi`` and
-``fit`` configs, which draw nothing, take no seed and run once, all in
-one fresh interpreter with every BLAS and OpenMP pool pinned to 1 thread
-(the transport and protocol outputs depend on the thread count).  The
+Each argument is a checkout root or its ``src`` directory.  For each
+tree the six presets and the small ``run`` configs of ``RUN_CONFIGS``
+(every experiment, a one-realization protocol run whose CSV has no SEM
+columns, a protocol run with every cycle parameter set, DEER on 8-site
+lattice clusters, on continuum clusters and, as ``deer-dense``, on
+continuum clusters at 500 ppm, whose exclusion radius refuses sites and
+so rewinds the block placement, a one-realization diffusion run over box
+sizes out of order, one at the 400- and 800-spin boxes of the diffusion
+benchmark and, as ``fit-deer``, a fit of a DEER trace whose tau = 0
+error bar is rounding) run at seeds 0-3, except the ``rabi`` and ``fit``
+configs, which draw nothing, take no seed and run once, all in one fresh
+interpreter with every BLAS and OpenMP pool pinned to 1 thread (the
+transport and protocol outputs depend on the thread count).  The
 interpreter starts in the directory that holds the configs and
-``FIT_CSV``, the table the ``fit`` config reads.  The script prints, per
-artifact, both SHA-256 digests and the largest absolute and relative
+``FIT_TABLES``, the tables the ``fit`` configs read.  The script prints,
+per artifact, both SHA-256 digests and the largest absolute and relative
 change of any numeric cell, then the largest change per artifact name
 over all seeds.  JSON artifacts are compared key by key: the change is
 taken over the numeric keys present on both sides, and keys that were
 added, removed or changed a non-numeric value are named; an empty object
-or array counts as a key of its own.  A
-``manifest.json`` is compared the same way, key by key, after
-:func:`artifact_bytes` removes the fields that differ between two runs of
-one tree: ``wall_time_s`` and ``created_unix``, which are clock readings,
-and the ``config.out_dir`` of a ``run``, the output path, which names the
-tree's own directory.  No other field is removed, so a changed run record
-(a ``lanczos`` entry, a resolved ``config`` or ``readout_config``, the
-``environment``) is a difference.
+or array counts as a key of its own.  A ``manifest.json`` is compared
+the same way, key by key, after :func:`artifact_bytes` removes the
+fields that differ between two runs of one tree: ``wall_time_s`` and
+``created_unix``, which are clock readings, and the ``config.out_dir``
+of a ``run``, the output path, which names the tree's own directory.  No
+other field is removed, so a changed run record (a ``lanczos`` entry, a
+resolved ``config`` or ``readout_config``, the ``environment``) is a
+difference.
 
 An artifact only the change tree writes is noted as an added file.
 
@@ -67,11 +68,32 @@ RUN_TO_RUN = ("wall_time_s", "created_unix")
 
 # x, y, sem of a saturating buildup: the table the `fit` config reads
 FIT_DATA = "fit_data.csv"
-FIT_CSV = (
-    "cycle,p_p1,p_p1_sem\n"
-    "1,0.03728,0.003\n2,0.06415,0.003\n3,0.08775,0.003\n4,0.10436,0.003\n"
-    "5,0.11697,0.003\n6,0.12138,0.003\n8,0.12792,0.003\n10,0.13991,0.003\n"
-)
+# every 4th row of the deer_trace.csv of `spinnet run` on
+# {"experiment": "deer", "realizations": 200} at seed 1: its tau = 0 SEM is
+# rounding (1.05e-16), not noise, and pins the stretched exponential's amp
+DEER_FIT_DATA = "deer_fit_data.csv"
+FIT_TABLES = {
+    FIT_DATA: (
+        "cycle,p_p1,p_p1_sem\n"
+        "1,0.03728,0.003\n2,0.06415,0.003\n3,0.08775,0.003\n4,0.10436,0.003\n"
+        "5,0.11697,0.003\n6,0.12138,0.003\n8,0.12792,0.003\n10,0.13991,0.003\n"
+    ),
+    DEER_FIT_DATA: (
+        "abscissa_us,signal,sem\n"
+        "0.0,1.0,1.0458139916742277e-16\n"
+        "0.10807159743329955,0.7267758107885142,0.033555431608760906\n"
+        "0.2161431948665991,0.5097671203466794,0.0430095063735752\n"
+        "0.3242147922998987,0.3720303802552274,0.04494121221954313\n"
+        "0.4322863897331982,0.277638979512607,0.047195202383488954\n"
+        "0.5403579871664977,0.20286928941113277,0.047855541841739034\n"
+        "0.6484295845997974,0.1309398021440343,0.048016532816785376\n"
+        "0.7565011820330969,0.12434701548197215,0.045015576208424044\n"
+        "0.8645727794663964,0.11473191551984212,0.047175132749422664\n"
+        "0.972644376899696,0.10389605113213644,0.04591113829611344\n"
+        "1.0807159743329955,0.10031834165353218,0.0456463549023124\n"
+        "1.188787571766295,0.1131978047913021,0.0454975796341888\n"
+    ),
+}
 
 # `spinnet run` configs small enough to run at every seed in seconds.  The
 # presets run `deer`, `diffusion`, `protocol` and `crossover` at their own
@@ -169,6 +191,8 @@ RUN_CONFIGS = {
     },
     # a weighted fit from a given start vector
     "fit": {"experiment": "fit", "params": {"model": "exp_saturation", "data_csv": FIT_DATA, "p0": [0.1, 2.0]}},
+    # a weighted fit whose one rounding-size error bar pins amp at 1.0
+    "fit-deer": {"experiment": "fit", "params": {"model": "stretched_exp", "data_csv": DEER_FIT_DATA}},
 }
 
 _RUN_ALL = """
@@ -204,7 +228,8 @@ def run_artifacts(src: Path, out: Path, tags=TAGS, seeds=SEEDS, runs=RUN_CONFIGS
         paths = {name: os.path.join(config_dir, f"{name}.json") for name in runs}
         for name, config in runs.items():
             Path(paths[name]).write_text(json.dumps(config))
-        Path(config_dir, FIT_DATA).write_text(FIT_CSV)
+        for name, text in FIT_TABLES.items():
+            Path(config_dir, name).write_text(text)
         jobs = {name: (paths[name], config["experiment"] not in SEEDLESS) for name, config in runs.items()}
         argv = [_RUN_ALL, str(Path(out).resolve()), ",".join(tags), ",".join(map(str, seeds)), json.dumps(jobs)]
         subprocess.run([sys.executable, "-c", *argv], env=env, check=True, cwd=config_dir)
